@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import BitVector, HashFamily, _item_bytes
+from .bits import BitVector, HashFamily
 
 __all__ = [
     "StandardBloom",
@@ -88,11 +88,9 @@ def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> St
         raise ValueError(f"hash count k must be >= 0, got {k}")
     family = HashFamily(seed)
     bloom = StandardBloom(BitVector(r), k, family, 0)
-    ids = [_item_bytes(key) for key in keys]
-    if ids:
-        a, b = family.base_pairs(ids)
-        _insert_pairs(bloom, a, b)
-    bloom.n_inserted = len(ids)
+    a, b = family.base_pairs(keys)  # raises TypeError on a key that is not bytes or str
+    _insert_pairs(bloom, a, b)
+    bloom.n_inserted = len(a)
     bloom.bits.freeze()
     return bloom
 

@@ -1,12 +1,114 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from adabloom import bits
 from adabloom.bits import BitVector, HashFamily, hash_indices, set_indices
 from adabloom.bits import test_indices as probe_indices
 
 items_strategy = st.binary(min_size=1, max_size=40)
+
+# Known answers of HashFamily.base_pair, one row per item of KNOWN_ITEMS.
+# Saved ADBF containers hold bits set from these values, so they must never
+# change; they were recorded from the per-item FNV-1a loop.
+KNOWN_ITEMS = ["", "a", "é", b"\x00\x00", bytes(i * 7 % 256 for i in range(300)),
+               bytearray(b"key\x00bytearray"), memoryview(b"key-memoryview")]
+KNOWN_PAIRS = {
+    0: [
+        (0xEA869F826E085252, 0x08D69A232FB72548),
+        (0xA65C1D8F6FD6CCEA, 0xCF3CC8468BFA84E5),
+        (0x02B4E14188664523, 0xBE5C791269B4A31D),
+        (0x2C575E76F384B4FE, 0x2905785CFFA93366),
+        (0x57B32BF136D259DA, 0x965B2C88A4AB2F10),
+        (0xF153139B2A558FD3, 0x87AAB9CF177724C7),
+        (0xCBEB026AC9947D07, 0xB74468E18B093BA9),
+    ],
+    7: [
+        (0xA34A7E60CAAE2F35, 0x077B6A6ABB6ADB36),
+        (0xACFDFD4AE0D2D98D, 0xF1D5019D0A62872B),
+        (0xC3881083C1B9CC9B, 0xAD5C55AD6A8C3270),
+        (0x8892132AAC62320D, 0x381C0E06212F0AD5),
+        (0x573628055C16CDC6, 0xDD4651E30A09F9E1),
+        (0xE69D054EED7AAE83, 0x0E31F0CE463734A3),
+        (0xC8560AFD2EE6B980, 0xE9CEF761E6BCD6C7),
+    ],
+    2**64 - 1: [
+        (0x59ECF0B7F45E5E31, 0xF28EF1E2F03FD913),
+        (0x40E61B5EA8F58518, 0x9F03A84F0F74594E),
+        (0x337FBC235EA5EC6B, 0xB302F093752474AE),
+        (0x4D178DF5313560FD, 0xBA3B9CDEACEC7853),
+        (0x51A13B650CA42707, 0x1956AE5BADC9CD68),
+        (0x2F8697A3F721451E, 0x2C2781426F720EB9),
+        (0x7C1570EFA22A3C1E, 0xB1D0809FD7719D07),
+    ],
+}
+
+# Ids of 0-300 bytes as every accepted type, with NUL bytes and non-ASCII text.
+mixed_item = st.one_of(
+    st.text(max_size=75),
+    st.binary(max_size=300),
+    st.binary(max_size=300).map(bytearray),
+    st.binary(max_size=300).map(memoryview),
+)
+
+
+def scalar_pairs(fam, items):
+    return [fam.base_pair(x) for x in items]
+
+
+def batch_pairs(fam, items):
+    a, b = fam.base_pairs(items)
+    assert a.dtype == b.dtype == np.uint64
+    return list(zip(a.tolist(), b.tolist()))
+
+
+class TestBasePairs:
+    @pytest.mark.parametrize("seed", sorted(KNOWN_PAIRS))
+    def test_known_answers(self, seed):
+        fam = HashFamily(seed)
+        assert scalar_pairs(fam, KNOWN_ITEMS) == KNOWN_PAIRS[seed]
+        assert batch_pairs(fam, KNOWN_ITEMS) == KNOWN_PAIRS[seed]
+
+    def test_empty_batch(self):
+        a, b = HashFamily(1).base_pairs([])
+        assert a.dtype == b.dtype == np.uint64
+        assert a.shape == b.shape == (0,)
+
+    def test_bad_item_raises(self):
+        with pytest.raises(TypeError):
+            HashFamily(1).base_pairs(["a", 3])
+
+    def test_one_chunk_plus_one(self):
+        fam = HashFamily(5)
+        items = [f"c{i}".encode() * (i % 5) for i in range(bits._HASH_CHUNK + 1)]
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    def test_single_long_id(self):
+        fam = HashFamily(6)
+        items = [bytes(range(256)) * 400]
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    def test_long_id_among_short(self):
+        fam = HashFamily(8)
+        items = [f"s{i}" for i in range(1000)] + [b"\xff" * 100_000]
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    def test_accepts_generator(self):
+        fam = HashFamily(9)
+        items = [f"g{i}" for i in range(50)]
+        assert batch_pairs(fam, (x for x in items)) == scalar_pairs(fam, items)
+
+    # tail_rows 0 runs every byte column through numpy, however few rows
+    @pytest.mark.parametrize("tail_rows", [0, bits._SCALAR_TAIL_ROWS])
+    @settings(max_examples=150, deadline=None)
+    @given(items=st.lists(mixed_item, max_size=80), seed=st.integers(0, 2**64 - 1))
+    def test_batch_equals_scalar(self, tail_rows, items, seed):
+        fam = HashFamily(seed)
+        with mock.patch.object(bits, "_SCALAR_TAIL_ROWS", tail_rows):
+            assert batch_pairs(fam, items) == scalar_pairs(fam, items)
 
 
 class TestHashFamily:

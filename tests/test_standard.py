@@ -31,6 +31,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_standard([], 0, 7, seed=0)
 
+    def test_rejects_non_bytes_key(self):
+        with pytest.raises(TypeError):
+            build_standard(["a", 3], 1000, 7, seed=0)
+
+    def test_keys_from_generator(self):
+        keys = [f"key{i}" for i in range(100)]
+        filt = build_standard((k for k in keys), 1000, 7, seed=0)
+        assert filt.n_inserted == 100
+        assert filt.bits.to_bytes() == build_standard(keys, 1000, 7, seed=0).bits.to_bytes()
+
     def test_load_matches_formula_over_seeds(self):
         loads = []
         for seed in range(30):
