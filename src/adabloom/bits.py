@@ -26,6 +26,13 @@ which bounds the temporaries. Once no more than ``_SCALAR_TAIL_ROWS`` ids
 of a chunk are still active, they finish in the Python loop from their
 current states, so one long id among short ones costs what it costs the
 per-item loop.
+
+``BitVector.set_hashed`` and ``test_hashed`` compute w probe columns of
+a batch at once, as the ``(w, n)`` slab ``(a + b * cols[:, None]) % R``
+of at most ``_SLAB`` probes, which bounds memory for any k. Insert marks
+its slabs in a ``bool`` array of R entries and ORs it, packed, into the
+bits. Probe doubles w each round from 1 and drops the items that missed,
+so a non-key costs a few probes even when k is in the thousands.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ _HASH_CHUNK = 1 << 13
 # A numpy step costs 5-10 us however few rows it covers, the Python loop
 # 0.3-0.5 us per byte and row (both salts): they break even near 20 rows.
 _SCALAR_TAIL_ROWS = 16
+_SLAB = 1 << 18  # probes per slab: 2 MiB per uint64 temporary, whatever k and n
 
 
 def splitmix64(x: int) -> int:
@@ -264,54 +272,45 @@ class BitVector:
         return True
 
     def set_hashed(self, a: np.ndarray, b: np.ndarray, k: int) -> None:
-        """Set the first k double-hashing positions for a batch of items."""
+        """Set the first k double-hashing positions for a batch of items.
+
+        Marks them in slabs of ``_SLAB // n`` columns (at least one) in a
+        ``bool`` array, then ORs it in packed, so repeated calls accumulate.
+        """
         self._writable()
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
         if k == 0 or len(a) == 0:
             return
         r = np.uint64(self._nbits)
-        if k > 64 and len(a) < 4096:
-            # many probes over few items: outer products beat k passes
-            slab = max(1, 2**22 // len(a))
-            for start in range(0, k, slab):
-                cols = np.arange(start, min(k, start + slab), dtype=np.uint64)
-                idx = (a[:, None] + b[:, None] * cols[None, :]).ravel() % r
-                byte = (idx >> np.uint64(3)).astype(np.intp)
-                np.bitwise_or.at(self._buf, byte,
-                                 _BYTE_MASKS[(idx & np.uint64(7)).astype(np.intp)])
-            return
-        for i in range(k):
-            idx = (a + b * np.uint64(i)) % r
-            byte = (idx >> np.uint64(3)).astype(np.intp)
-            np.bitwise_or.at(self._buf, byte, _BYTE_MASKS[(idx & np.uint64(7)).astype(np.intp)])
+        marks = np.zeros(self._nbits, dtype=bool)
+        width = max(1, _SLAB // len(a))
+        for i in range(0, k, width):
+            cols = np.arange(i, min(k, i + width), dtype=np.uint64)
+            marks[((a + b * cols[:, None]) % r).view(np.intp)] = True
+        self._buf |= np.packbits(marks, bitorder="little")
 
     def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        """Boolean array: are all of the first k positions set, per item."""
+        """Boolean array: are all of the first k positions set, per item.
+
+        Probes slabs of 1, 2, 4, ... columns (at most ``_SLAB`` probes each)
+        over the items that are still all hits.
+        """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
         n = len(a)
         result = np.ones(n, dtype=bool)
-        if k == 0 or n == 0:
-            return result
-        r = np.uint64(self._nbits)
-        buf = self._buf
+        r, buf = np.uint64(self._nbits), self._buf
         pos = np.arange(n)
-        i = 0
+        i, width = 0, 1
         while i < k and pos.size:
-            if k - i > 64 and pos.size < 2048:
-                # few survivors, many probes left: outer-product slabs
-                slab = max(1, 2**22 // pos.size)
-                cols = np.arange(i, min(k, i + slab), dtype=np.uint64)
-                idx = (a[:, None] + b[:, None] * cols[None, :]) % r
-                hit = ((buf[(idx >> np.uint64(3)).astype(np.intp)]
-                        & _BYTE_MASKS[(idx & np.uint64(7)).astype(np.intp)]) != 0).all(axis=1)
-                i += len(cols)
-            else:
-                idx = (a + b * np.uint64(i)) % r
-                hit = (buf[(idx >> np.uint64(3)).astype(np.intp)]
-                       & _BYTE_MASKS[(idx & np.uint64(7)).astype(np.intp)]) != 0
-                i += 1
+            cols = np.arange(i, i + min(width, k - i, max(1, _SLAB // pos.size)),
+                             dtype=np.uint64)
+            idx = (a + b * cols[:, None]) % r
+            hit = ((buf[(idx >> np.uint64(3)).view(np.intp)]
+                    & _BYTE_MASKS[(idx & np.uint64(7)).view(np.intp)]) != 0).all(axis=0)
+            i += len(cols)
+            width *= 2
             if not hit.all():
                 result[pos[~hit]] = False
                 pos, a, b = pos[hit], a[hit], b[hit]

@@ -8,7 +8,10 @@ Layout (all integers little-endian, floats IEEE-754 binary64 LE):
                      0x04 adaptive, 0x05 disjoint
     body             kind-specific parameter block, then the packed
                      bit array(s); bit i of a vector lives at byte
-                     i // 8, bit position i % 8 (LSB first)
+                     i // 8, bit position i % 8 (LSB first), and the
+                     padding bits past the vector's length are 0
+
+Nothing follows the last block.
 
 Standard sub-block (reused by the learned kinds):
 
@@ -67,6 +70,19 @@ def _from_opt(x: float) -> float | None:
     return None if x != x else x
 
 
+def _read_bits(fh: BytesIO, r: int) -> BitVector:
+    """A frozen r-bit vector from the next ceil(r/8) bytes; padding bits must be 0."""
+    if r < 1:
+        raise FormatError(f"bit array length must be >= 1, got {r}")
+    nbytes = (r + 7) // 8
+    data = fh.read(nbytes)
+    if len(data) != nbytes:
+        raise FormatError("truncated bit array")
+    if data[-1] >> (r % 8 or 8):
+        raise FormatError(f"bits set past the end of a {r}-bit array")
+    return BitVector.from_bytes(data, r)
+
+
 def _write_standard_block(fh: BytesIO, bloom: StandardBloom) -> None:
     fh.write(_pack("QIQI", bloom.size_bits, bloom.k, bloom.n_inserted, bloom.family.lane))
     fh.write(bloom.bits.to_bytes())
@@ -74,12 +90,7 @@ def _write_standard_block(fh: BytesIO, bloom: StandardBloom) -> None:
 
 def _read_standard_block(fh: BytesIO, seed: int) -> StandardBloom:
     r, k, n, lane = _read(fh, "QIQI")
-    nbytes = (r + 7) // 8
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise FormatError("truncated bit array")
-    bits = BitVector.from_bytes(data, r)
-    return StandardBloom(bits, k, HashFamily(seed, lane), n)
+    return StandardBloom(_read_bits(fh, r), k, HashFamily(seed, lane), n)
 
 
 def _write_partition(fh: BytesIO, partition: ScorePartition) -> None:
@@ -145,8 +156,18 @@ def dump_filter(filt) -> bytes:
 
 
 def loads_filter(data: bytes):
-    """Reconstruct a filter from ``dump_filter`` output."""
+    """Reconstruct a filter from ``dump_filter`` output.
+
+    Raises :class:`FormatError` unless ``data`` is exactly one container.
+    """
     fh = BytesIO(data)
+    filt = _read_filter(fh)
+    if fh.read(1):
+        raise FormatError("trailing bytes after the last block")
+    return filt
+
+
+def _read_filter(fh: BytesIO):
     if fh.read(4) != MAGIC:
         raise FormatError("bad magic; not a filter container")
     version, kind = _read(fh, "HB")
@@ -169,12 +190,8 @@ def loads_filter(data: bytes):
         seed, model_bits, r, c = _read(fh, "QQQd")
         partition = _read_partition(fh)
         k_per_group = _read(fh, f"{partition.g}I")
-        nbytes = (r + 7) // 8
-        raw = fh.read(nbytes)
-        if len(raw) != nbytes:
-            raise FormatError("truncated bit array")
         params = AdaptiveParams(partition, tuple(k_per_group), _from_opt(c))
-        return AdaptiveBloom(BitVector.from_bytes(raw, r), params, HashFamily(seed), model_bits)
+        return AdaptiveBloom(_read_bits(fh, r), params, HashFamily(seed), model_bits)
     if kind == KIND_DISJOINT:
         seed, model_bits, c = _read(fh, "QQd")
         partition = _read_partition(fh)
@@ -187,11 +204,7 @@ def loads_filter(data: bytes):
                 filters.append(None)
                 continue
             (n_inserted,) = _read(fh, "Q")
-            nbytes = (r_i + 7) // 8
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise FormatError("truncated bit array")
-            filters.append(StandardBloom(BitVector.from_bytes(raw, r_i), k_per_group[i],
+            filters.append(StandardBloom(_read_bits(fh, r_i), k_per_group[i],
                                          HashFamily(seed, lane=i + 1), n_inserted))
         params = DisjointParams(partition, c, tuple(r_per_group), tuple(k_per_group))
         return DisjointBloom(tuple(filters), params, seed, model_bits)

@@ -264,6 +264,143 @@ class TestBatchPaths:
         assert (got == want).all()
 
 
+
+def hashed(seed, items, lane=0):
+    fam = HashFamily(seed, lane)
+    return fam.remix_pairs(*fam.base_pairs(items))
+
+
+def per_probe_set(a, b, k, r):
+    """Bytes of an r-bit vector after setting the k probes one column at a time."""
+    buf = np.zeros((r + 7) // 8, dtype=np.uint8)
+    for i in range(k):
+        idx = ((a + b * np.uint64(i)) % np.uint64(r)).astype(np.intp)
+        np.bitwise_or.at(buf, idx >> 3, bits._BYTE_MASKS[idx & 7])
+    return buf.tobytes()
+
+
+def per_probe_test(bv, a, b, k):
+    buf = np.frombuffer(bv.to_bytes(), dtype=np.uint8)
+    out = np.ones(len(a), dtype=bool)
+    for i in range(k):
+        idx = ((a + b * np.uint64(i)) % np.uint64(bv.length_bits)).astype(np.intp)
+        out &= (buf[idx >> 3] & bits._BYTE_MASKS[idx & 7]) != 0
+    return out
+
+
+def random_bits(r, load, seed):
+    marks = np.random.default_rng(seed).random(r) < load
+    return BitVector.from_bytes(np.packbits(marks, bitorder="little").tobytes(), r, frozen=False)
+
+
+class TestSlabKernels:
+    # a tiny slab makes the width caps bind on small batches
+    @pytest.mark.parametrize("slab", [bits._SLAB, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 300), k=st.integers(0, 400), r=st.integers(1, 5000),
+           seed=st.integers(0, 2**64 - 1), lane=st.sampled_from([0, 3]))
+    def test_equal_per_item(self, slab, n, k, r, seed, lane):
+        fam = HashFamily(seed, lane)
+        items = [f"h{i}" for i in range(n)]
+        a, b = fam.remix_pairs(*fam.base_pairs(items))
+        fast, slow = BitVector(r), BitVector(r)
+        with mock.patch.object(bits, "_SLAB", slab):
+            fast.set_hashed(a[: n // 2], b[: n // 2], k)
+            for item in items[: n // 2]:
+                slow.set_bits(fam.indices(item, k, r))
+            assert fast.to_bytes() == slow.to_bytes()
+            want = [fast.test_bits(fam.indices(item, k, r)) for item in items]
+            assert fast.test_hashed(a, b, k).tolist() == want
+
+    def test_just_over_one_slab(self):
+        n = 1000
+        k = bits._SLAB // n + 1  # one full slab of columns, then one more
+        assert n * k > bits._SLAB
+        a, b = hashed(3, [f"m{i}" for i in range(n)])
+        bv = BitVector(2**19)
+        bv.set_hashed(a, b, k)
+        assert bv.to_bytes() == per_probe_set(a, b, k, 2**19)
+        assert bv.test_hashed(a, b, k).all()
+        oa, ob = hashed(3, [f"o{i}" for i in range(n)])
+        assert (bv.test_hashed(oa, ob, k) == per_probe_test(bv, oa, ob, k)).all()
+
+    # widths 1, 2, 4, ... and slab-capped widths that do not divide k
+    @pytest.mark.parametrize("k", [2, 3, 6, 100, 257])
+    def test_k_not_a_multiple_of_width(self, k):
+        a, b = hashed(4, [f"w{i}" for i in range(10)])
+        bv = BitVector(4001)
+        with mock.patch.object(bits, "_SLAB", 64):
+            bv.set_hashed(a, b, k)  # width 6
+            assert bv.to_bytes() == per_probe_set(a, b, k, 4001)
+            full = random_bits(4001, 0.97, k)
+            assert (full.test_hashed(a, b, k) == per_probe_test(full, a, b, k)).all()
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4095, 4096, 4097])
+    @pytest.mark.parametrize("k", [64, 65])
+    def test_old_cutoffs(self, n, k):
+        a, b = hashed(5, [f"c{i}" for i in range(n)])
+        r = 60_011
+        bv = BitVector(r)
+        bv.set_hashed(a, b, k)
+        assert bv.to_bytes() == per_probe_set(a, b, k, r)
+
+    @pytest.mark.parametrize("members", [1500, 3000, 4500])
+    def test_survivors_cross_old_cutoffs(self, members):
+        # non-key survivors halve at each probe, from 9000 past 4096 and 2048
+        a, b = hashed(6, [f"s{i}" for i in range(9000)])
+        bv = random_bits(2**16, 0.5, members)
+        bv.set_hashed(a[:members], b[:members], 300)
+        got = bv.test_hashed(a, b, 300)
+        assert (got == per_probe_test(bv, a, b, 300)).all()
+        assert got[:members].all()
+
+    def test_single_bit_range(self):
+        a, b = hashed(7, ["x", "y", "z"])
+        bv = BitVector(1)
+        assert not bv.test_hashed(a, b, 5).any()
+        bv.set_hashed(a, b, 5)
+        assert bv.to_bytes() == b"\x01"
+        assert bv.test_hashed(a, b, 5).all()
+
+    def test_padding_bits_stay_clear(self):
+        r = 3001  # r % 8 == 1: the last byte holds one bit of the vector
+        a, b = hashed(8, [f"p{i}" for i in range(300)])
+        bv = BitVector(r)
+        bv.set_hashed(a, b, 200)
+        assert bv.to_bytes() == per_probe_set(a, b, 200, r)
+        assert bv.to_bytes()[-1] >> (r % 8) == 0
+        assert bv.popcount() <= r
+
+    def test_calls_accumulate(self):
+        a, b = hashed(9, [f"g{i}" for i in range(400)])
+        bv = BitVector(5000)
+        bv.set_hashed(a[:200], b[:200], 3)
+        first = bv.to_bytes()
+        bv.set_hashed(a[200:], b[200:], 3)
+        assert bv.to_bytes() == per_probe_set(a, b, 3, 5000)
+        assert bv.to_bytes() != first
+        assert not (np.frombuffer(first, np.uint8) & ~np.frombuffer(bv.to_bytes(), np.uint8)).any()
+
+    def test_frozen_raises_and_keeps_bytes(self):
+        a, b = hashed(10, ["f0", "f1"])
+        bv = BitVector(100)
+        bv.set_hashed(a[:1], b[:1], 4)
+        before = bv.freeze().to_bytes()
+        with pytest.raises(RuntimeError):
+            bv.set_hashed(a, b, 4)
+        assert bv.to_bytes() == before
+
+    def test_zero_k_and_empty_batch(self):
+        a, b = hashed(11, ["e0", "e1"])
+        empty = np.zeros(0, dtype=np.uint64)
+        bv = BitVector(64)
+        bv.set_hashed(a, b, 0)
+        bv.set_hashed(empty, empty, 5)
+        assert bv.popcount() == 0
+        assert bv.test_hashed(a, b, 0).tolist() == [True, True]
+        got = bv.test_hashed(empty, empty, 5)
+        assert got.dtype == bool and got.shape == (0,)
+
 @settings(max_examples=120, deadline=None)
 @given(item=items_strategy, k=st.integers(0, 24), r=st.integers(1, 10_000),
        seed=st.integers(0, 2**64 - 1))

@@ -1,0 +1,111 @@
+"""Golden results: hashes of outputs that a speed-up must not move.
+
+The values were recorded from the per-probe ``np.bitwise_or.at`` insert
+and the k > 64 outer-product paths that the slab kernels of ``bits.py``
+replaced. Saved containers hold bits set by ``set_hashed``, and the sweep
+CSV (timing off) is the reproduction's result, so none of these may change
+unless a change of results is intended and said so.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from adabloom.bench import METHODS, rows_to_csv, run_sweep
+from adabloom.bits import BitVector, HashFamily
+from adabloom.scores import gen_synthetic
+
+# sha256 of BitVector(r).to_bytes() after set_hashed(a, b, k) for the
+# lane-0 pairs of ids "g0" .. "g{n-1}" under seed 7, keyed by (n, k, r)
+SET_HASHED_SHA256 = {
+    (1, 0, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (1, 0, 3001): "70d6aad73b9cfd0facdee81f4aac5bbf30d603300653623c57f7c26e1c376271",
+    (1, 0, 16384): "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+    (1, 1, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (1, 1, 3001): "6996f505d691e84c916f2c387788e7149c2df79f8ba7408d5ab5e96144f23d67",
+    (1, 1, 16384): "1c27e65ab8da6d95a60ca08a37ed8efceb5ae2ee8350fa3b0217f5614e5294a5",
+    (1, 7, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (1, 7, 3001): "d37ee41d3e4d2fe708555562475c16737fef34f3074bb2838d8ca90a5efa7f1b",
+    (1, 7, 16384): "eae209e8dfefddcb0e537819cd9bafa3d1f04fd26581b640daa35ee528c71ad4",
+    (1, 65, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (1, 65, 3001): "846b6854ff1a1c4a7598668f01b6ca08f5c4b25ef5c51801a7ed63630c6b88d6",
+    (1, 65, 16384): "957a08d9a28de50948059dae34cfdf3d3013fa039f7b84aafdbc7328b75c6707",
+    (1, 300, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (1, 300, 3001): "a257f81ab3fc5fd42671965787e0bce033ab36c18a6996ed2e18a718a4f4c955",
+    (1, 300, 16384): "7a994bd3814bebf4d733023f9d52007e34a1869a77303f9cbc11a19998d48f92",
+    (1, 9000, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (1, 9000, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (1, 9000, 16384): "0ff863f8674b55be74e6c543d7e85394c1c726cc8b1ecebbc7f7ba292222f7d8",
+    (30, 0, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (30, 0, 3001): "70d6aad73b9cfd0facdee81f4aac5bbf30d603300653623c57f7c26e1c376271",
+    (30, 0, 16384): "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+    (30, 1, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (30, 1, 3001): "c2a0602e54e62adc2476763e8678b46456132653f7158288be49f15affe6c665",
+    (30, 1, 16384): "2ab1237c992666e0fbd3c57ab139256c83b6bf6091a78a13c98896b02c8a4b38",
+    (30, 7, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (30, 7, 3001): "38d63254fc0b7685a5c064d8af1a7c11ca75ff4247e089834444dcf78d2a79b4",
+    (30, 7, 16384): "3fe3e73713bacfc2cd2ab761970f8b827291101fe0711bea142e7e2286cb4330",
+    (30, 65, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (30, 65, 3001): "222b568ff57373c8d853f8534f7bedd085b164a1ae2bef84948ca048e8ff0ecf",
+    (30, 65, 16384): "13a95d1ef2f154172fc99a729a9d94cf47a104cb807128bcc438fd090696d855",
+    (30, 300, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (30, 300, 3001): "bacf19d9fa10adf2cff5e0d35edd8801ad5f7ec9597a140eb46166299d04a48e",
+    (30, 300, 16384): "ac909821f07fdbc253d1d21ea79ac4d9e39cdf605cc0b34ac571de2816f7ac56",
+    (30, 9000, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (30, 9000, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (30, 9000, 16384): "d0ff1b294b5288d1ae1421eadf5b2d38a8752b76d472ff30bed9028e25b1c5b8",
+    (5000, 0, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (5000, 0, 3001): "70d6aad73b9cfd0facdee81f4aac5bbf30d603300653623c57f7c26e1c376271",
+    (5000, 0, 16384): "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+    (5000, 1, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (5000, 1, 3001): "2c73dc6a713f15aeec499a5fc1720ae6db36eb1c72b982531d70c2bf5d8574b9",
+    (5000, 1, 16384): "2670ef0bf05d6f5c3c8c430a1a081930b054516fa3a19a8a40aeb0e78a26ad4d",
+    (5000, 7, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (5000, 7, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (5000, 7, 16384): "25b8860015a3fd89b2e9789f2b99ccb0d3a32e6de57f69568b796a6b4c1678a2",
+    (5000, 65, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (5000, 65, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (5000, 65, 16384): "d0ff1b294b5288d1ae1421eadf5b2d38a8752b76d472ff30bed9028e25b1c5b8",
+    (5000, 300, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (5000, 300, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (5000, 300, 16384): "d0ff1b294b5288d1ae1421eadf5b2d38a8752b76d472ff30bed9028e25b1c5b8",
+    (5000, 9000, 1): "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    (5000, 9000, 3001): "abb327e3151af7f932e8824966ec027a290f95d9ac9c081ece7623ba8056413d",
+    (5000, 9000, 16384): "d0ff1b294b5288d1ae1421eadf5b2d38a8752b76d472ff30bed9028e25b1c5b8",
+}
+
+# sha256 of rows_to_csv(run_sweep(...)) with timing off
+SWEEP_SMALL_SHA256 = "0dd654569260e3420312aa6f4b9da3682483dff38ed57d163245e14a17413805"
+SWEEP_QUICK_SHA256 = "5ad9a032a111cd58e1323ec29a129e1acfefd98f47e5651597cac2d0e10ac079"
+
+# the grids of scripts/reproduce_tradeoff.py --quick
+QUICK_GRIDS = dict(tau_grid=(0.3, 0.5, 0.7, 0.8, 0.9), kmax_grid=(4, 8, 12),
+                   c_grid=(1.6, 2.2, 2.8), g_grid=(4, 8, 12))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n", (1, 30, 5000))
+def test_set_hashed_golden(n):
+    fam = HashFamily(7)
+    a, b = fam.remix_pairs(*fam.base_pairs(f"g{i}" for i in range(n)))
+    for k, r in itertools.product((0, 1, 7, 65, 300, 9000), (1, 3001, 2**14)):
+        bv = BitVector(r)
+        bv.set_hashed(a, b, k)
+        assert _sha256(bv.to_bytes()) == SET_HASHED_SHA256[(n, k, r)], (n, k, r)
+
+
+def test_sweep_golden_small():
+    dataset = gen_synthetic(2000, 2000, seed=7)
+    rows = run_sweep(dataset, [6000, 12000], METHODS, seeds=[7])
+    assert _sha256(rows_to_csv(rows).encode()) == SWEEP_SMALL_SHA256
+
+
+def test_sweep_golden_quick(synth_bench):
+    # scripts/reproduce_tradeoff.py --quick: 50k/50k, seed 7, 50/200/350/500 Kb
+    rows = run_sweep(synth_bench, [50_000, 200_000, 350_000, 500_000], METHODS,
+                     seeds=[7], **QUICK_GRIDS)
+    assert _sha256(rows_to_csv(rows).encode()) == SWEEP_QUICK_SHA256

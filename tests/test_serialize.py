@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
-from adabloom.scores import partition_by_ratio
+from adabloom.scores import gen_synthetic, partition_by_ratio
 from adabloom.serialize import FormatError, dump_filter, load_filter, loads_filter, save_filter
 from adabloom.standard import build_standard
 
@@ -101,4 +103,56 @@ def test_unknown_kind_rejected(built):
     blob = bytearray(dump_filter(built["standard"]))
     blob[6] = 0x7F
     with pytest.raises(FormatError, match="kind"):
+        loads_filter(bytes(blob))
+
+
+KINDS = ["standard", "lbf", "sandwich", "ada", "disjoint"]
+
+
+@pytest.fixture(scope="module")
+def odd_built():
+    """One filter per kind whose last bit array has r % 8 != 0 (padding bits)."""
+    ds = gen_synthetic(2000, 2000, seed=11)
+    part = partition_by_ratio(ds, 5, 2.0)
+    return {
+        "standard": build_standard([it.id for it in ds.keys], 12_001, 5, seed=41),
+        "lbf": build_lbf(ds, 12_001, 0.7, seed=42),
+        "sandwich": build_sandwiched(ds, 24_003, 0.6, seed=43),
+        "ada": build_ada(ds, 12_001, AdaptiveParams.from_ratio(part, 4, 0, c=2.0), seed=44),
+        "disjoint": build_disjoint(ds, 12_001, 5, 2.0, seed=45),
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trailing_bytes_rejected(kind, odd_built):
+    blob = dump_filter(odd_built[kind])
+    loads_filter(blob)
+    with pytest.raises(FormatError, match="trailing"):
+        loads_filter(blob + b"\x00")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_padding_bits_rejected(kind, odd_built):
+    blob = bytearray(dump_filter(odd_built[kind]))
+    blob[-1] |= 0x80  # past r in the last bit array
+    with pytest.raises(FormatError, match="past the end"):
+        loads_filter(bytes(blob))
+
+
+def test_padding_bits_rejected_in_first_array(odd_built):
+    filt = odd_built["sandwich"]
+    r = filt.initial.size_bits
+    assert r % 8
+    # header, sandwich parameters, then the initial filter's block
+    end = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQdQQddB") + struct.calcsize("<QIQI")
+    blob = bytearray(dump_filter(filt))
+    blob[end + (r + 7) // 8 - 1] |= 0x80
+    with pytest.raises(FormatError, match="past the end"):
+        loads_filter(bytes(blob))
+
+
+def test_empty_bit_array_rejected(built):
+    blob = bytearray(dump_filter(built["standard"]))
+    blob[15:23] = bytes(8)  # r = 0
+    with pytest.raises(FormatError, match="length"):
         loads_filter(bytes(blob))
