@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition
+from .scores import ScoredDataset, ScorePartition, check_scores
 
 __all__ = [
     "AdaptiveParams",
@@ -139,7 +139,7 @@ class AdaptiveBloom:
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
         a, b = self.family.remix_pairs(base_a, base_b)
-        groups = self.params.partition.group_indices(np.asarray(scores))
+        groups = self.params.partition.group_indices(check_scores(scores))
         out = np.ones(len(scores), dtype=bool)
         for j, k in enumerate(self.params.k_per_group):
             if k == 0:

@@ -199,13 +199,14 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                 try:
                     filt, _params = _tuned_filter(method, dataset, bitmap_bits, seed,
                                                   row_model_bits, grids)
+                    build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
+                    # raises on a key score outside [0, 1], which tuning never queries
+                    fpr, fnr, query_ns = _measure_cell(filt, dataset, timing)
                 except (NoFeasibleCandidateError, ValueError) as exc:
                     rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits,
                                          float("nan"), None, float("nan"), None, None, seed,
                                          f"infeasible: {exc}"))
                     continue
-                build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
-                fpr, fnr, query_ns = _measure_cell(filt, dataset, timing)
                 status = "ok"
                 if isinstance(filt, SandwichedBloom) and filt.reduced_to_lbf:
                     status = "ok-reduced-to-lbf"

@@ -32,7 +32,11 @@ a batch at once, as the ``(w, n)`` slab ``(a + b * cols[:, None]) % R``
 of at most ``_SLAB`` probes, which bounds memory for any k. Insert marks
 its slabs in a ``bool`` array of R entries and ORs it, packed, into the
 bits. Probe doubles w each round from 1 and drops the items that missed,
-so a non-key costs a few probes even when k is in the thousands.
+so a non-key costs a few probes even when k is in the thousands. Both
+reduce by R as ``idx -= idx // R * R``: the same remainder as ``% R``, but
+numpy divides a ``uint64`` array by a scalar without hardware division
+(libdivide) and takes remainders with it; on 200k indices this took 0.45
+instead of 0.9 ms.
 """
 
 from __future__ import annotations
@@ -287,7 +291,9 @@ class BitVector:
         width = max(1, _SLAB // len(a))
         for i in range(0, k, width):
             cols = np.arange(i, min(k, i + width), dtype=np.uint64)
-            marks[((a + b * cols[:, None]) % r).view(np.intp)] = True
+            idx = a + b * cols[:, None]
+            idx -= idx // r * r
+            marks[idx.view(np.intp)] = True
         self._buf |= np.packbits(marks, bitorder="little")
 
     def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -306,7 +312,8 @@ class BitVector:
         while i < k and pos.size:
             cols = np.arange(i, i + min(width, k - i, max(1, _SLAB // pos.size)),
                              dtype=np.uint64)
-            idx = (a + b * cols[:, None]) % r
+            idx = a + b * cols[:, None]
+            idx -= idx // r * r
             hit = ((buf[(idx >> np.uint64(3)).view(np.intp)]
                     & _BYTE_MASKS[(idx & np.uint64(7)).view(np.intp)]) != 0).all(axis=0)
             i += len(cols)

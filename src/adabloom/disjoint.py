@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition, partition_by_ratio
+from .scores import ScoredDataset, ScorePartition, check_scores, partition_by_ratio
 from .standard import (
     OPTIMAL_FPR_BASE,
     StandardBloom,
@@ -158,7 +158,7 @@ class DisjointBloom:
 
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
-        groups = self.params.partition.group_indices(np.asarray(scores))
+        groups = self.params.partition.group_indices(check_scores(scores))
         out = np.ones(len(scores), dtype=bool)
         for j, filt in enumerate(self.filters):
             if filt is None:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset
+from .scores import ScoredDataset, check_scores
 from .standard import OPTIMAL_FPR_BASE, StandardBloom, _insert_pairs, optimal_k
 
 __all__ = [
@@ -82,7 +82,7 @@ class LearnedBloom:
 
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
-        out = scores >= self.tau
+        out = check_scores(scores) >= self.tau
         below = ~out
         if below.any():
             out[below] = self.backup.contains_batch(base_a[below], base_b[below])
@@ -173,6 +173,7 @@ class SandwichedBloom:
 
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
+        scores = check_scores(scores)
         if self.initial is not None:
             alive = self.initial.contains_batch(base_a, base_b)
         else:

@@ -8,6 +8,13 @@ argmin wins. Candidates whose partition or allocation is infeasible are
 skipped with a diagnostic and recorded in the candidate log, so a
 report never has silent gaps.
 
+Every candidate is built and measured on ``dataset.by_score()``, the
+same items with keys and non-keys each in ascending score order. The
+filters are bit-identical and the FPR counts equal to those on the
+dataset itself, but each candidate cuts the score axis anew, and on
+sorted scores its group lookups and per-group masks are much cheaper.
+A holdout split is still drawn in the dataset's item order.
+
 Memory accounting follows the benchmark convention that a learned
 method's budget includes its score model: total = bitmap + model bits.
 """
@@ -99,14 +106,19 @@ def _measure(filt, dataset: ScoredDataset, seed: int, subset=None) -> float:
     return float(hits.mean())
 
 
-def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
-    """(tune mask, holdout mask) over non-keys, deterministic per seed."""
+def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
+    """(tune mask, holdout mask) over the non-keys of ``view = dataset.by_score()``.
+
+    Drawn in the dataset's item order, deterministic per seed, then
+    permuted onto the view, so the same non-keys are held out either way.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng((seed, 0x401D))
-    holdout = np.zeros(dataset.m, dtype=bool)
-    count = int(round(dataset.m * fraction))
-    holdout[rng.permutation(dataset.m)[:count]] = True
+    holdout = np.zeros(view.m, dtype=bool)
+    count = int(round(view.m * fraction))
+    holdout[rng.permutation(view.m)[:count]] = True
+    holdout = holdout[view.nonkey_order]
     return ~holdout, holdout
 
 
@@ -121,24 +133,25 @@ def _finish(method: str, best, dataset: ScoredDataset, bitmap_bits: int, seed: i
 
 def _sweep_tau(method: str, build, dataset: ScoredDataset, bitmap_bits: int,
                tau_grid, seed: int, model_bits: int, holdout_fraction: float) -> TuneResult:
+    view = dataset.by_score()
     if tau_grid is None:
-        tau_grid = default_tau_grid(dataset)
+        tau_grid = default_tau_grid(view)
     taus = [float(t) for t in tau_grid]
     if not taus:
         raise ValueError("tau grid must be non-empty")
     tune_on = holdout = None
     if holdout_fraction:
-        tune_on, holdout = _holdout_split(dataset, holdout_fraction, seed)
+        tune_on, holdout = _holdout_split(view, holdout_fraction, seed)
     best = None
     candidates = []
     for tau in taus:
-        filt = build(dataset, bitmap_bits, tau, seed, model_bits)
-        fpr = _measure(filt, dataset, seed, subset=tune_on)
+        filt = build(view, bitmap_bits, tau, seed, model_bits)
+        fpr = _measure(filt, view, seed, subset=tune_on)
         candidates.append({"params": {"tau": tau}, "fpr": fpr, "status": "ok"})
         # ties break toward larger tau (smaller backup filter)
         if best is None or fpr <= best[0]:
             best = (fpr, {"tau": tau}, filt)
-    return _finish(method, best, dataset, bitmap_bits, seed, model_bits, candidates,
+    return _finish(method, best, view, bitmap_bits, seed, model_bits, candidates,
                    holdout, {"tau_grid": taus})
 
 
@@ -163,18 +176,20 @@ def tune_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, see
 def _grid_search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis_pairs,
                  build_candidate, seed: int, model_bits: int,
                  holdout_fraction: float, grids: dict) -> TuneResult:
+    """Argmin over ``axis_pairs``, each built by ``build_candidate(view, params)``."""
+    view = dataset.by_score()
     tune_on = holdout = None
     if holdout_fraction:
-        tune_on, holdout = _holdout_split(dataset, holdout_fraction, seed)
+        tune_on, holdout = _holdout_split(view, holdout_fraction, seed)
     best = None
     candidates = []
     for params in axis_pairs:
         try:
-            filt = build_candidate(params)
+            filt = build_candidate(view, params)
         except (InsufficientDataError, InfeasibleBudgetError) as exc:
             candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
             continue
-        fpr = _measure(filt, dataset, seed, subset=tune_on)
+        fpr = _measure(filt, view, seed, subset=tune_on)
         candidates.append({"params": params, "fpr": fpr, "status": "ok"})
         # first strict improvement wins: grids iterate smallest-first, so
         # ties resolve toward the smaller parameter values
@@ -182,7 +197,7 @@ def _grid_search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis_pai
             best = (fpr, params, filt)
     if best is None:
         raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
-    return _finish(method, best, dataset, bitmap_bits, seed, model_bits, candidates,
+    return _finish(method, best, view, bitmap_bits, seed, model_bits, candidates,
                    holdout, grids)
 
 
@@ -194,11 +209,11 @@ def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=No
     if not kmax_grid or not c_grid:
         raise ValueError("grids must be non-empty")
 
-    def build_candidate(params):
+    def build_candidate(view, params):
         g = params["k_max"] + 1
-        partition = partition_by_ratio(dataset, g, params["c"])
+        partition = partition_by_ratio(view, g, params["c"])
         ada_params = AdaptiveParams.from_ratio(partition, params["k_max"], 0, params["c"])
-        return build_ada(dataset, bitmap_bits, ada_params, seed, model_bits)
+        return build_ada(view, bitmap_bits, ada_params, seed, model_bits)
 
     axis = [{"k_max": k, "c": c} for k in sorted(kmax_grid) for c in sorted(c_grid)]
     return _grid_search("ada", dataset, bitmap_bits, axis, build_candidate, seed,
@@ -214,8 +229,8 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
     if not g_grid or not c_grid:
         raise ValueError("grids must be non-empty")
 
-    def build_candidate(params):
-        return build_disjoint(dataset, bitmap_bits, params["g"], params["c"], seed, model_bits)
+    def build_candidate(view, params):
+        return build_disjoint(view, bitmap_bits, params["g"], params["c"], seed, model_bits)
 
     axis = [{"g": g, "c": c} for g in sorted(g_grid) for c in sorted(c_grid)]
     return _grid_search("disjoint", dataset, bitmap_bits, axis, build_candidate, seed,

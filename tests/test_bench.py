@@ -11,7 +11,7 @@ from adabloom.bench import (
     run_sweep,
 )
 from adabloom.cli import main
-from adabloom.scores import gen_synthetic, load_scored_csv
+from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
 from adabloom.standard import build_standard, expected_fpr_standard
 
 SMALL_GRIDS = dict(tau_grid=(0.4, 0.6, 0.8), kmax_grid=(3, 5), c_grid=(2.0,), g_grid=(3, 5))
@@ -84,6 +84,13 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0].status.startswith("infeasible")
         assert math.isnan(rows[0].empirical_fpr)
+
+    @pytest.mark.parametrize("is_key", [True, False])
+    def test_nan_score_is_diagnostic_row(self, is_key):
+        items = gen_synthetic(300, 300, seed=1).items + (ScoredItem("x", float("nan"), is_key),)
+        rows = run_sweep(ScoredDataset(items), budgets=[3000], methods=["ada", "lbf"],
+                         seeds=[0], **SMALL_GRIDS)
+        assert [r.status for r in rows] == ["infeasible: score must be in [0, 1], got nan"] * 2
 
     def test_standard_row_has_analytical_fpr(self, rows):
         std = [r for r in rows if r.method == "standard"]

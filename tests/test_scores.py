@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adabloom.adaptive import AdaptiveParams, build_ada
+from adabloom.bits import HashFamily
+from adabloom.disjoint import build_disjoint
+from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import (
     DatasetError,
     InsufficientDataError,
     ScoredDataset,
     ScoredItem,
+    check_scores,
     estimate_group_probs,
     gen_synthetic,
     load_scored_csv,
@@ -90,6 +95,122 @@ class TestSynthetic:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             gen_synthetic(10, 10, key_shape=(0.0, 1.0))
+
+
+class TestScoreOrderedView:
+    def test_scores_sorted_and_view_is_its_own_view(self):
+        ds = gen_synthetic(300, 400, seed=2)
+        view = ds.by_score()
+        assert ds.by_score() is view
+        assert view.by_score() is view
+        assert (np.diff(view.key_scores) >= 0).all()
+        assert (np.diff(view.nonkey_scores) >= 0).all()
+        assert (view.sorted_nonkey_scores == ds.sorted_nonkey_scores).all()
+        assert (view.n, view.m, len(view)) == (ds.n, ds.m, len(ds))
+
+    def test_order_is_stable(self):
+        items = [ScoredItem(f"k{i}", s, True) for i, s in enumerate([0.5, 0.2, 0.5, 0.2])]
+        items += [ScoredItem(f"n{i}", s, False) for i, s in enumerate([0.3, 0.3, 0.1])]
+        view = ScoredDataset(items).by_score()
+        assert view.key_order.tolist() == [1, 3, 0, 2]
+        assert view.nonkey_order.tolist() == [2, 0, 1]
+        assert [it.id for it in view.keys] == ["k1", "k3", "k0", "k2"]
+        assert [it.id for it in view.nonkeys] == ["n2", "n0", "n1"]
+        assert view.items == view.keys + view.nonkeys
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_pairs_are_the_parents_permuted(self, seed):
+        ds = gen_synthetic(200, 300, seed=6)
+        view = ds.by_score()
+        for mine, parents, order, items, scores in (
+                (view.key_pairs(seed), ds.key_pairs(seed), view.key_order,
+                 view.keys, view.key_scores),
+                (view.nonkey_pairs(seed), ds.nonkey_pairs(seed), view.nonkey_order,
+                 view.nonkeys, view.nonkey_scores)):
+            assert (mine[0] == parents[0][order]).all()
+            assert (mine[1] == parents[1][order]).all()
+            # each pair still belongs to its item and that item's score
+            family = HashFamily(seed)
+            for i in (0, len(items) // 2, len(items) - 1):
+                assert family.base_pair(items[i].id) == (int(mine[0][i]), int(mine[1][i]))
+                assert items[i].score == scores[i]
+
+    def test_nothing_is_rehashed(self, monkeypatch):
+        ds = gen_synthetic(100, 100, seed=1)
+        ds.key_pairs(4)
+        ds.nonkey_pairs(4)
+        calls = []
+        original = HashFamily.base_pairs
+        monkeypatch.setattr(HashFamily, "base_pairs",
+                            lambda self, items: calls.append(1) or original(self, items))
+        view = ds.by_score()
+        view.key_pairs(4)
+        view.nonkey_pairs(4)
+        assert calls == []
+        view.key_pairs(5)  # a new seed hashes the dataset once, not the view
+        assert len(calls) == 1 and ("pairs", 5, True) in ds._cache
+
+    @pytest.mark.parametrize("n, m", [(0, 40), (40, 0), (0, 0)])
+    def test_empty_sides(self, n, m):
+        ds = gen_synthetic(n, m, seed=3)
+        view = ds.by_score()
+        assert len(view.key_scores) == n and len(view.nonkey_scores) == m
+        assert len(view.key_pairs(1)[0]) == n and len(view.nonkey_pairs(1)[0]) == m
+        assert len(view.keys) == n and len(view.nonkeys) == m
+
+    def test_nan_score_lands_in_the_same_group(self):
+        items = [ScoredItem(f"k{i}", s, True) for i, s in enumerate([0.7, float("nan"), 0.1])]
+        items += [ScoredItem(f"n{i}", s, False)
+                  for i, s in enumerate([float("nan"), 0.2, 0.6, 0.4])]
+        ds = ScoredDataset(items)
+        view = ds.by_score()
+        part = partition_from_thresholds(ds, (0.0, 0.3, 0.5, 1.0))
+        assert partition_from_thresholds(view, part.thresholds) == part
+        for scores, order, mine in ((ds.key_scores, view.key_order, view.key_scores),
+                                    (ds.nonkey_scores, view.nonkey_order, view.nonkey_scores)):
+            assert (part.group_indices(scores)[order] == part.group_indices(mine)).all()
+        assert np.isnan(view.key_scores[-1]) and np.isnan(view.nonkey_scores[-1])
+
+
+class TestScorePolicy:
+    """Batch queries reject exactly the scores that scalar queries reject."""
+
+    def test_check_scores(self):
+        scores = np.array([0.0, 0.5, 1.0])
+        assert check_scores(scores) is scores
+        assert check_scores([0.25]).tolist() == [0.25]
+        assert len(check_scores(np.array([]))) == 0
+        for bad in (float("nan"), 1.5, -0.1, float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="score must be in"):
+                check_scores(np.array([0.3, bad, 0.4]))
+
+    @pytest.fixture(scope="class")
+    def filters(self):
+        ds = gen_synthetic(300, 300, seed=5)
+        params = AdaptiveParams.from_ratio(partition_by_ratio(ds, 4, 2.0), 3, 0, 2.0)
+        return [build_lbf(ds, 2000, 0.6, 5), build_sandwiched(ds, 2500, 0.6, 5),
+                build_ada(ds, 2000, params, 5), build_disjoint(ds, 2000, 4, 2.0, 5)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(score=st.floats(allow_nan=True, allow_infinity=True),
+           item=st.sampled_from(["k0000003", "n0000007", "q-absent"]))
+    def test_scalar_and_batch_agree_on_any_float(self, filters, score, item):
+        a, b = HashFamily(5).base_pairs([item])
+        for filt in filters:
+            try:
+                scalar = filt.contains(item, score)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    filt.contains_batch(a, b, np.array([score]))
+                continue
+            assert filt.contains_batch(a, b, np.array([score])).tolist() == [scalar]
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -1e-9, float("inf")])
+    def test_batch_rejects_bad_score_among_good(self, filters, bad):
+        a, b = HashFamily(5).base_pairs(["x", "y", "z"])
+        for filt in filters:
+            with pytest.raises(ValueError):
+                filt.contains_batch(a, b, np.array([0.1, bad, 0.9]))
 
 
 class TestPartition:

@@ -1,8 +1,11 @@
 import pytest
 
+from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import measure_fpr
-from adabloom.learned import build_lbf
+from adabloom.disjoint import build_disjoint
+from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_by_ratio
+from adabloom.serialize import dump_filter
 from adabloom.standard import optimal_k
 from adabloom.tuning import (
     NoFeasibleCandidateError,
@@ -133,6 +136,84 @@ class TestHoldout:
     def test_rejects_bad_fraction(self, synth_small):
         with pytest.raises(ValueError):
             tune_lbf(synth_small, 10_000, tau_grid=[0.5], seed=1, holdout_fraction=1.0)
+
+
+class TestHoldoutPinned:
+    """Held-out results recorded before the tuners moved to the score-ordered view."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return gen_synthetic(3000, 3000, seed=4)
+
+    def test_lbf(self, ds):
+        res = tune_lbf(ds, 20000, seed=12, holdout_fraction=0.3)
+        assert res.params == {"tau": 0.8569796025167842}
+        assert res.fpr == 0.006666666666666667
+
+    def test_ada(self, ds):
+        res = tune_ada(ds, 15000, kmax_grid=[3, 4, 5], c_grid=[1.6, 2.0], seed=13,
+                       holdout_fraction=0.25)
+        assert res.params == {"k_max": 5, "c": 2.0}
+        assert res.fpr == 0.028
+
+    def test_disjoint(self, ds):
+        res = tune_disjoint(ds, 15000, g_grid=[3, 4], c_grid=[1.6, 2.0], seed=13,
+                            holdout_fraction=0.25)
+        assert res.params == {"g": 4, "c": 2.0}
+        assert res.fpr == 0.06933333333333333
+
+
+class TestScoreOrderedView:
+    """Filters built on ``dataset.by_score()`` equal those built on the dataset."""
+
+    @staticmethod
+    def _builds(ds, seed):
+        params = AdaptiveParams.from_ratio(partition_by_ratio(ds, 6, 2.0), 5, 0, 2.0)
+        return [build_lbf(ds, 9000, 0.7, seed), build_lbf(ds, 9000, 0.05, seed),
+                build_sandwiched(ds, 12000, 0.7, seed), build_ada(ds, 9000, params, seed),
+                build_disjoint(ds, 9000, 5, 1.8, seed)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+    def test_builds_are_byte_identical(self, seed):
+        ds = gen_synthetic(1500, 1500, seed=seed % 7)
+        for mine, theirs in zip(self._builds(ds.by_score(), seed), self._builds(ds, seed)):
+            assert dump_filter(mine) == dump_filter(theirs)
+
+    def test_nan_key_builds_identically(self):
+        items = [ScoredItem(f"k{i}", i / 40, True) for i in range(40)]
+        items.append(ScoredItem("k-nan", float("nan"), True))
+        items += [ScoredItem(f"n{i}", (i * 37 % 80 + 0.5) / 80, False) for i in range(80)]
+        ds = ScoredDataset(items)
+        for mine, theirs in zip(self._builds(ds.by_score(), 3), self._builds(ds, 3)):
+            assert dump_filter(mine) == dump_filter(theirs)
+
+    def test_tuning_a_view_equals_tuning_its_dataset(self, synth_small):
+        view = synth_small.by_score()
+        for tune, kw in ((tune_lbf, {"tau_grid": [0.3, 0.6, 0.9]}),
+                         (tune_sandwiched, {"tau_grid": [0.3, 0.6, 0.9]}),
+                         (tune_ada, {"kmax_grid": [3, 5], "c_grid": [2.0]}),
+                         (tune_disjoint, {"g_grid": [3, 5], "c_grid": [2.0]})):
+            a = tune(synth_small, 60_000, seed=2, holdout_fraction=0.3, **kw)
+            b = tune(view, 60_000, seed=2, holdout_fraction=0.3, **kw)
+            assert (a.params, a.fpr, a.candidates) == (b.params, b.fpr, b.candidates)
+            assert dump_filter(a.filter) == dump_filter(b.filter)
+
+    @pytest.mark.parametrize("n, m", [(0, 600), (600, 0)])
+    def test_one_sided_datasets(self, n, m):
+        ds = gen_synthetic(n, m, seed=2)
+        view = ds.by_score()
+        for mine, theirs in ((build_lbf(view, 4000, 0.5, 1), build_lbf(ds, 4000, 0.5, 1)),
+                             (build_sandwiched(view, 4000, 0.5, 1),
+                              build_sandwiched(ds, 4000, 0.5, 1))):
+            assert dump_filter(mine) == dump_filter(theirs)
+        if m:
+            # no keys: the backup is empty, only scores at or above tau pass
+            res = tune_lbf(ds, 4000, tau_grid=[0.5, 0.9], seed=1)
+            assert res.params == {"tau": 0.9}
+            assert res.fpr == float((ds.nonkey_scores >= 0.9).mean())
+        else:
+            with pytest.raises(ValueError):
+                tune_lbf(ds, 4000, tau_grid=[0.5], seed=1)
 
 
 class TestRobustness:
