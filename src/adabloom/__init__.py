@@ -16,10 +16,9 @@ from .adaptive import (
     expected_fpr_ada,
     fpr_upper_bound,
     kmax_from_lbf,
-    query_ada,
 )
 from .bench import SweepRow, measure_fpr, run_sweep
-from .bits import BitVector, HashFamily, hash_indices, set_indices, test_indices
+from .bits import BitVector, HashFamily
 from .disjoint import (
     DisjointBloom,
     DisjointParams,
@@ -27,15 +26,12 @@ from .disjoint import (
     allocate_disjoint,
     build_disjoint,
     build_disjoint_from_partition,
-    query_disjoint,
 )
 from .learned import (
     LearnedBloom,
     SandwichedBloom,
     build_lbf,
     build_sandwiched,
-    query_lbf,
-    query_sandwiched,
     sandwich_allocate,
 )
 from .scores import (
@@ -56,11 +52,11 @@ from .scores import (
 from .serialize import dump_filter, load_filter, loads_filter, save_filter
 from .standard import (
     OPTIMAL_FPR_BASE,
+    GatedBloom,
     StandardBloom,
     build_standard,
     expected_fpr_standard,
     optimal_k,
-    query_standard,
 )
 from .tuning import (
     TuneResult,

@@ -23,27 +23,22 @@ with K probes at the same bit budget.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition, check_scores
+from .scores import ScoredDataset, ScorePartition
+from .standard import GatedBloom, StandardBloom, insert_keys
 
 __all__ = [
     "AdaptiveParams",
     "AdaptiveBloom",
     "build_ada",
-    "query_ada",
     "alpha_load",
     "expected_fpr_ada",
     "fpr_upper_bound",
     "kmax_from_lbf",
 ]
-
-logger = logging.getLogger(__name__)
 
 _CA_BRANCH_TOL = 1e-9  # |c*alpha - 1| below this selects the limit branch
 
@@ -102,21 +97,24 @@ class AdaptiveParams:
         return self.k_per_group[-1]
 
 
-class AdaptiveBloom:
-    """Shared-array filter probing group j's queries K_j times; zero FNR."""
+class AdaptiveBloom(GatedBloom):
+    """Shared-array filter probing group j's queries K_j times; zero FNR.
 
-    __slots__ = ("bits", "params", "family", "model_bits")
+    One stage per group with K_j > 0, all on the one array; a group with
+    K_j = 0 has no stage and accepts on score alone.
+    """
+
+    __slots__ = ("bits", "params", "family")
 
     def __init__(self, bits: BitVector, params: AdaptiveParams, family: HashFamily,
                  model_bits: int = 0):
+        n = params.partition.n_per_group
+        stages = [(*params.partition.interval(j), StandardBloom(bits, k, family, n[j]))
+                  for j, k in enumerate(params.k_per_group) if k]
+        super().__init__(stages, family.seed, model_bits)
         self.bits = bits
         self.params = params
         self.family = family
-        self.model_bits = model_bits
-
-    @property
-    def size_bits(self) -> int:
-        return self.bits.length_bits
 
     @property
     def bitmap_bits(self) -> int:
@@ -124,30 +122,14 @@ class AdaptiveBloom:
 
     def alpha(self) -> float:
         """Analytical load from the realized per-group key counts."""
-        return alpha_load(self.size_bits, self.params.partition.n_per_group,
+        return alpha_load(self.bitmap_bits, self.params.partition.n_per_group,
                           self.params.k_per_group)
 
     def load_observed(self) -> float:
         """Realized fraction of set bits, for cross-checking ``alpha``."""
         return self.bits.load_fraction()
 
-    def contains(self, item: bytes | str, score: float) -> bool:
-        j = self.params.partition.group_index(score)
-        k = self.params.k_per_group[j]
-        return self.bits.test_bits(self.family.indices(item, k, self.size_bits))
-
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray) -> np.ndarray:
-        a, b = self.family.remix_pairs(base_a, base_b)
-        groups = self.params.partition.group_indices(check_scores(scores))
-        out = np.ones(len(scores), dtype=bool)
-        for j, k in enumerate(self.params.k_per_group):
-            if k == 0:
-                continue
-            mask = groups == j
-            if mask.any():
-                out[mask] = self.bits.test_hashed(a[mask], b[mask], k)
-        return out
+    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
     def expected_fpr(self) -> float | None:
         p_hat = self.params.partition.p_hat
@@ -165,24 +147,10 @@ def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
     """
     if bitmap_bits < 1:
         raise ValueError(f"bitmap_bits must be >= 1, got {bitmap_bits}")
-    family = HashFamily(seed)
-    bits = BitVector(bitmap_bits)
-    if dataset.n:
-        base_a, base_b = dataset.key_pairs(seed)
-        a, b = family.remix_pairs(base_a, base_b)
-        groups = params.partition.group_indices(dataset.key_scores)
-        for j, k in enumerate(params.k_per_group):
-            if k == 0:
-                continue
-            mask = groups == j
-            if mask.any():
-                bits.set_hashed(a[mask], b[mask], k)
-    bits.freeze()
-    return AdaptiveBloom(bits, params, family, model_bits)
-
-
-def query_ada(filt: AdaptiveBloom, item: bytes | str, score: float) -> bool:
-    return filt.contains(item, score)
+    filt = AdaptiveBloom(BitVector(bitmap_bits), params, HashFamily(seed), model_bits)
+    insert_keys(dataset, seed, filt.stages)
+    filt.bits.freeze()  # also when every K_j is 0 and there is no stage
+    return filt
 
 
 def alpha_load(r: int, n_per_group, k_per_group) -> float:
@@ -245,8 +213,4 @@ def kmax_from_lbf(k_lbf: int, g: int) -> tuple[int, int]:
     if g > 2 * k_lbf:
         raise ValueError(f"group count g={g} violates g <= 2*K = {2 * k_lbf}")
     k_max = int(math.floor(k_lbf + g / 2.0 - 1.0))
-    k_min = k_max - g + 1
-    if k_min < 0:
-        logger.warning("k_min=%d clamped to 0 for (K=%d, g=%d)", k_min, k_lbf, g)
-        k_min = 0
-    return k_max, k_min
+    return k_max, k_max - g + 1

@@ -19,13 +19,8 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .adaptive import AdaptiveBloom
-from .disjoint import DisjointBloom
-from .learned import LearnedBloom, SandwichedBloom
 from .scores import ScoredDataset
-from .standard import StandardBloom, build_standard, optimal_k
+from .standard import build_standard, optimal_k
 from .tuning import (
     NoFeasibleCandidateError,
     tune_ada,
@@ -78,21 +73,6 @@ def parse_budget(text: str) -> int:
     return int(text)
 
 
-def query_filter(filt, item: bytes | str, score: float | None) -> bool:
-    """Uniform scalar query across filter variants."""
-    if isinstance(filt, StandardBloom):
-        return filt.contains(item)
-    if score is None:
-        raise ValueError(f"{type(filt).__name__} queries need a score")
-    return filt.contains(item, score)
-
-
-def _query_batch(filt, base_a: np.ndarray, base_b: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    if isinstance(filt, StandardBloom):
-        return filt.contains_batch(base_a, base_b)
-    return filt.contains_batch(base_a, base_b, scores)
-
-
 def measure_fpr(filt, negatives) -> tuple[float, int]:
     """(empirical FPR, false positive count) over non-key items."""
     negatives = list(negatives)
@@ -100,42 +80,24 @@ def measure_fpr(filt, negatives) -> tuple[float, int]:
         raise ValueError("cannot measure FPR over zero negatives")
     if any(it.is_key for it in negatives):
         raise ValueError("negatives must all be labeled nonkey")
-    positives = sum(
-        1 for it in negatives if query_filter(filt, it.id, it.score))
+    positives = sum(1 for it in negatives if filt.contains(it.id, it.score))
     return positives / len(negatives), positives
-
-
-def _seed_of(filt) -> int:
-    if isinstance(filt, StandardBloom):
-        return filt.family.seed
-    if isinstance(filt, (LearnedBloom, SandwichedBloom)):
-        return filt.backup.family.seed
-    if isinstance(filt, AdaptiveBloom):
-        return filt.family.seed
-    if isinstance(filt, DisjointBloom):
-        return filt.seed
-    raise TypeError(f"unknown filter type {type(filt).__name__}")
-
-
-def _analytical_fpr(filt) -> float | None:
-    return filt.expected_fpr()
 
 
 def _measure_cell(filt, dataset: ScoredDataset, timing: bool) -> tuple[float, float, float | None]:
     """(empirical fpr, fnr, query_ns) over the whole dataset, batch path."""
-    seed = _seed_of(filt)
-    na, nb = dataset.nonkey_pairs(seed)
-    fp = _query_batch(filt, na, nb, dataset.nonkey_scores)
+    na, nb = dataset.nonkey_pairs(filt.seed)
+    fp = filt.contains_batch(na, nb, dataset.nonkey_scores)
     fpr = float(fp.mean()) if dataset.m else 0.0
-    ka, kb = dataset.key_pairs(seed)
-    hits = _query_batch(filt, ka, kb, dataset.key_scores)
+    ka, kb = dataset.key_pairs(filt.seed)
+    hits = filt.contains_batch(ka, kb, dataset.key_scores)
     fnr = 1.0 - (float(hits.mean()) if dataset.n else 1.0)
     query_ns = None
     if timing:
         reps = []
         for _ in range(3):
             t0 = time.perf_counter_ns()
-            _query_batch(filt, na, nb, dataset.nonkey_scores)
+            filt.contains_batch(na, nb, dataset.nonkey_scores)
             reps.append((time.perf_counter_ns() - t0) / max(1, dataset.m))
         reps.sort()
         query_ns = reps[1]
@@ -208,10 +170,10 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                                          f"infeasible: {exc}"))
                     continue
                 status = "ok"
-                if isinstance(filt, SandwichedBloom) and filt.reduced_to_lbf:
+                if method == "sandwich" and filt.reduced_to_lbf:
                     status = "ok-reduced-to-lbf"
                 rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits, fpr,
-                                     _analytical_fpr(filt), fnr, build_ms, query_ns,
+                                     filt.expected_fpr(), fnr, build_ms, query_ns,
                                      seed, status))
     return rows
 

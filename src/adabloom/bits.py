@@ -41,16 +41,13 @@ instead of 0.9 ms.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "BitVector",
     "HashFamily",
-    "hash_indices",
-    "set_indices",
-    "test_indices",
     "splitmix64",
 ]
 
@@ -219,11 +216,6 @@ class HashFamily:
         return [((a + i * b) & _MASK64) % r for i in range(k)]
 
 
-def hash_indices(item: bytes | str, k: int, r: int, family: HashFamily) -> list[int]:
-    """Evaluate the first k members of ``family`` at ``item``, modulo r."""
-    return family.indices(item, k, r)
-
-
 class BitVector:
     """Fixed-length packed bit array; insert-only and freezable.
 
@@ -345,13 +337,3 @@ class BitVector:
     def __repr__(self) -> str:
         return f"BitVector({self._nbits} bits, {self.popcount()} set)"
 
-
-def set_indices(bv: BitVector, indices: Sequence[int]) -> BitVector:
-    """Set every listed bit; returns the same (updated) vector."""
-    bv.set_bits(indices)
-    return bv
-
-
-def test_indices(bv: BitVector, indices: Sequence[int]) -> bool:
-    """True iff every listed bit is set (empty sequence tests true)."""
-    return bv.test_bits(indices)

@@ -23,7 +23,7 @@ from .scores import (
     save_scored_csv,
 )
 from .serialize import load_filter, save_filter
-from .standard import StandardBloom, build_standard, optimal_k
+from .standard import build_standard, optimal_k
 from .tuning import tune_ada, tune_disjoint, tune_lbf, tune_sandwiched
 
 
@@ -82,12 +82,12 @@ def _require(args, name: str):
 
 def _cmd_query(args) -> int:
     filt = load_filter(args.filter)
-    if isinstance(filt, StandardBloom):
-        positive = filt.contains(args.id)
-    else:
-        if args.score is None:
-            raise SystemExit("--score is required for learned filter kinds")
+    try:
         positive = filt.contains(args.id, args.score)
+    except ValueError as exc:
+        if args.score is None:
+            raise SystemExit("--score is required for learned filter kinds") from exc
+        raise SystemExit(f"bad --score: {exc}") from exc
     print("positive" if positive else "negative")
     return 0 if positive else 1
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition, check_scores, partition_by_ratio
+from .scores import ScoredDataset, ScorePartition, partition_by_ratio
 from .standard import (
     OPTIMAL_FPR_BASE,
+    GatedBloom,
     StandardBloom,
-    _insert_pairs,
     expected_fpr_standard,
+    insert_keys,
     optimal_k,
 )
 
@@ -40,17 +41,11 @@ __all__ = [
     "allocate_disjoint",
     "build_disjoint",
     "build_disjoint_from_partition",
-    "query_disjoint",
 ]
 
 
 class InfeasibleBudgetError(ValueError):
     """No group can receive a workable bit share under this budget."""
-
-
-def _group_family(seed: int, group_index: int) -> HashFamily:
-    # distinct lane per group keeps the per-group filters independent
-    return HashFamily(seed, lane=group_index + 1)
 
 
 def _solve_shares(bitmap_bits: int, n_per_group, eta: float, active: list[int]) -> dict[int, float]:
@@ -93,6 +88,22 @@ def _round_to_budget(shares: dict[int, float], bitmap_bits: int, g: int) -> list
     return out
 
 
+def _allocate(bitmap_bits: int, n_per_group, c: float, groups: list[int]) -> list[int]:
+    """Integer shares over ``groups`` summing to ``bitmap_bits``; every other group gets 0.
+
+    With no group to take bits (g = 1, or no keyed group below the top)
+    only a zero budget is feasible.
+    """
+    if not groups:
+        if bitmap_bits:
+            raise InfeasibleBudgetError(
+                f"no keyed group below the top to take {bitmap_bits} bits")
+        return [0] * len(n_per_group)
+    eta = math.log(c) / math.log(OPTIMAL_FPR_BASE)
+    shares = _solve_shares(bitmap_bits, n_per_group, eta, groups)
+    return _round_to_budget(shares, bitmap_bits, len(n_per_group))
+
+
 def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[int]:
     """Bit budget per group solving the equal-false-positive-count system.
 
@@ -109,13 +120,7 @@ def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[i
         raise ValueError(f"need {g} key counts, got {len(n_per_group)}")
     if any(n < 1 for n in n_per_group[: g - 1]):
         raise ValueError(f"groups 1..g-1 must hold at least one key, got {list(n_per_group)}")
-    if g == 1:
-        if bitmap_bits:
-            raise InfeasibleBudgetError("single-group structure has no filtered group to take bits")
-        return [0]
-    eta = math.log(c) / math.log(OPTIMAL_FPR_BASE)
-    shares = _solve_shares(bitmap_bits, n_per_group, eta, list(range(g - 1)))
-    return _round_to_budget(shares, bitmap_bits, g)
+    return _allocate(bitmap_bits, n_per_group, c, list(range(g - 1)))
 
 
 @dataclass(frozen=True)
@@ -130,43 +135,30 @@ class DisjointParams:
         return self.partition.g
 
 
-class DisjointBloom:
+class DisjointBloom(GatedBloom):
     """One independent Bloom filter per score group; zero FNR.
 
     A group with R_j = 0 has no filter and accepts everything in its
     score range (by default only the top group, whose members the score
-    model already vouches for).
+    model already vouches for). Group j's filter hashes on lane j + 1,
+    which keeps the per-group filters independent.
     """
 
-    __slots__ = ("filters", "params", "model_bits", "seed")
+    __slots__ = ("filters", "params")
 
     def __init__(self, filters: tuple[StandardBloom | None, ...], params: DisjointParams,
                  seed: int, model_bits: int = 0):
+        stages = [(*params.partition.interval(j), f) for j, f in enumerate(filters)
+                  if f is not None]
+        super().__init__(stages, seed, model_bits)
         self.filters = filters
         self.params = params
-        self.seed = seed
-        self.model_bits = model_bits
 
     @property
     def bitmap_bits(self) -> int:
         return sum(self.params.r_per_group)
 
-    def contains(self, item: bytes | str, score: float) -> bool:
-        j = self.params.partition.group_index(score)
-        filt = self.filters[j]
-        return True if filt is None else filt.contains(item)
-
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray) -> np.ndarray:
-        groups = self.params.partition.group_indices(check_scores(scores))
-        out = np.ones(len(scores), dtype=bool)
-        for j, filt in enumerate(self.filters):
-            if filt is None:
-                continue
-            mask = groups == j
-            if mask.any():
-                out[mask] = filt.contains_batch(base_a[mask], base_b[mask])
-        return out
+    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
     def expected_fpr(self) -> float | None:
         p_hat = self.params.partition.p_hat
@@ -191,27 +183,16 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
     g = partition.g
     n_per_group = partition.n_per_group
     empty = [i for i in range(g - 1) if n_per_group[i] == 0]
-    reserve = len(empty)
-    if bitmap_bits < reserve:
+    if bitmap_bits < len(empty):
         raise InfeasibleBudgetError(
-            f"budget {bitmap_bits} cannot cover {reserve} keyless groups")
-    if g == 1:
-        r_per_group = [0]
-        if bitmap_bits:
-            raise InfeasibleBudgetError("single-group structure has no filtered group to take bits")
-    else:
-        eta = math.log(c) / math.log(OPTIMAL_FPR_BASE)
-        occupied = [i for i in range(g - 1) if i not in empty]
-        if not occupied and bitmap_bits > reserve:
-            raise InfeasibleBudgetError("no keyed groups below the top to take the budget")
-        shares = _solve_shares(bitmap_bits - reserve, n_per_group, eta, occupied) if occupied else {}
-        r_per_group = _round_to_budget(shares, bitmap_bits - reserve, g)
-        for i in empty:
-            r_per_group[i] = 1
+            f"budget {bitmap_bits} cannot cover {len(empty)} keyless groups")
+    occupied = [i for i in range(g - 1) if n_per_group[i]]
+    r_per_group = _allocate(bitmap_bits - len(empty), n_per_group, c, occupied)
+    for i in empty:
+        r_per_group[i] = 1
 
     k_per_group = []
-    for i in range(g):
-        r_i, n_i = r_per_group[i], n_per_group[i]
+    for r_i, n_i in zip(r_per_group, n_per_group):
         if r_i == 0:
             k_per_group.append(0)
         elif n_i == 0:
@@ -220,23 +201,11 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
             k_per_group.append(max(1, optimal_k(r_i, n_i)))
 
     params = DisjointParams(partition, c, tuple(r_per_group), tuple(k_per_group))
-    groups = partition.group_indices(dataset.key_scores) if dataset.n else None
-    base = dataset.key_pairs(seed) if dataset.n else None
-    filters: list[StandardBloom | None] = []
-    for i in range(g):
-        if r_per_group[i] == 0:
-            filters.append(None)
-            continue
-        bloom = StandardBloom(BitVector(r_per_group[i]), k_per_group[i],
-                              _group_family(seed, i), 0)
-        if groups is not None:
-            mask = groups == i
-            if mask.any():
-                _insert_pairs(bloom, base[0][mask], base[1][mask])
-                bloom.n_inserted = int(mask.sum())
-        bloom.bits.freeze()
-        filters.append(bloom)
-    return DisjointBloom(tuple(filters), params, seed, model_bits)
+    filters = tuple(StandardBloom(BitVector(r), k, HashFamily(seed, lane=i + 1)) if r else None
+                    for i, (r, k) in enumerate(zip(r_per_group, k_per_group)))
+    filt = DisjointBloom(filters, params, seed, model_bits)
+    insert_keys(dataset, seed, filt.stages)
+    return filt
 
 
 def build_disjoint(dataset: ScoredDataset, bitmap_bits: int, g: int, c: float, seed: int,
@@ -244,7 +213,3 @@ def build_disjoint(dataset: ScoredDataset, bitmap_bits: int, g: int, c: float, s
     """Geometric partition with ratio c, then per-group filters."""
     partition = partition_by_ratio(dataset, g, c)
     return build_disjoint_from_partition(dataset, bitmap_bits, partition, c, seed, model_bits)
-
-
-def query_disjoint(filt: DisjointBloom, item: bytes | str, score: float) -> bool:
-    return filt.contains(item, score)

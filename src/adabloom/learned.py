@@ -24,20 +24,16 @@ from __future__ import annotations
 import logging
 import math
 
-import numpy as np
-
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, check_scores
-from .standard import OPTIMAL_FPR_BASE, StandardBloom, _insert_pairs, optimal_k
+from .scores import ScoredDataset
+from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
 __all__ = [
     "LearnedBloom",
     "SandwichedBloom",
     "build_lbf",
-    "query_lbf",
     "sandwich_allocate",
     "build_sandwiched",
-    "query_sandwiched",
 ]
 
 logger = logging.getLogger(__name__)
@@ -45,48 +41,27 @@ logger = logging.getLogger(__name__)
 _INITIAL_LANE = 1  # hash lane of the sandwiched initial filter
 
 
-def _backup_from_mask(dataset: ScoredDataset, mask: np.ndarray, bitmap_bits: int,
-                      seed: int) -> StandardBloom:
-    """Standard filter over the masked keys, sized against bitmap_bits."""
-    n_backup = int(mask.sum())
-    k = optimal_k(bitmap_bits, n_backup)
-    family = HashFamily(seed)
-    bloom = StandardBloom(BitVector(max(1, bitmap_bits)), k, family, n_backup)
-    if n_backup:
-        a, b = dataset.key_pairs(seed)
-        _insert_pairs(bloom, a[mask], b[mask])
-    bloom.bits.freeze()
-    return bloom
+def _stage(bitmap_bits: int, n: int, seed: int, lane: int = 0) -> StandardBloom:
+    """Empty stage for n keys, sized against bitmap_bits, k = Round((R/n) ln 2)."""
+    return StandardBloom(BitVector(max(1, bitmap_bits)), optimal_k(bitmap_bits, n),
+                         HashFamily(seed, lane), n)
 
 
-class LearnedBloom:
+class LearnedBloom(GatedBloom):
     """Score threshold in front of a backup Bloom filter; zero FNR."""
 
-    __slots__ = ("tau", "backup", "model_bits", "bitmap_bits", "fp_above")
+    __slots__ = ("tau", "backup", "bitmap_bits", "fp_above")
 
     def __init__(self, tau: float, backup: StandardBloom, bitmap_bits: int,
                  model_bits: int = 0, fp_above: float | None = None):
+        super().__init__(((0.0, tau, backup),), backup.seed, model_bits)
         self.tau = tau
         self.backup = backup
         self.bitmap_bits = bitmap_bits
-        self.model_bits = model_bits
         # fraction of build-time non-keys scoring >= tau, kept for analytics
         self.fp_above = fp_above
 
-    def contains(self, item: bytes | str, score: float) -> bool:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        if score >= self.tau:
-            return True
-        return self.backup.contains(item)
-
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray) -> np.ndarray:
-        out = check_scores(scores) >= self.tau
-        below = ~out
-        if below.any():
-            out[below] = self.backup.contains_batch(base_a[below], base_b[below])
-        return out
+    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
     def expected_fpr(self) -> float | None:
         if self.fp_above is None:
@@ -101,14 +76,11 @@ def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    mask = dataset.key_scores < tau
-    backup = _backup_from_mask(dataset, mask, bitmap_bits, seed)
+    backup = _stage(bitmap_bits, int((dataset.key_scores < tau).sum()), seed)
     fp_above = float((dataset.nonkey_scores >= tau).mean()) if dataset.m else None
-    return LearnedBloom(tau, backup, bitmap_bits, model_bits, fp_above)
-
-
-def query_lbf(filt: LearnedBloom, item: bytes | str, score: float) -> bool:
-    return filt.contains(item, score)
+    filt = LearnedBloom(tau, backup, bitmap_bits, model_bits, fp_above)
+    insert_keys(dataset, seed, filt.stages)
+    return filt
 
 
 def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tuple[float, float]:
@@ -136,23 +108,26 @@ def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tup
     return budget_bits_per_key - b2, b2
 
 
-class SandwichedBloom:
+class SandwichedBloom(GatedBloom):
     """Initial filter, then score threshold, then backup filter; zero FNR."""
 
     __slots__ = ("tau", "initial", "backup", "bitmap_bits", "b1_bits", "b2_bits",
-                 "model_bits", "fp_above", "fn_below", "fallback_reason")
+                 "fp_above", "fn_below", "fallback_reason")
 
     def __init__(self, tau: float, initial: StandardBloom | None, backup: StandardBloom,
                  bitmap_bits: int, b1_bits: int, b2_bits: int, model_bits: int = 0,
                  fp_above: float | None = None, fn_below: float | None = None,
                  fallback_reason: str | None = None):
+        stages = ((0.0, tau, backup),)
+        if initial is not None:
+            stages = ((0.0, math.inf, initial),) + stages
+        super().__init__(stages, backup.seed, model_bits)
         self.tau = tau
         self.initial = initial
         self.backup = backup
         self.bitmap_bits = bitmap_bits
         self.b1_bits = b1_bits
         self.b2_bits = b2_bits
-        self.model_bits = model_bits
         self.fp_above = fp_above
         self.fn_below = fn_below
         self.fallback_reason = fallback_reason
@@ -162,27 +137,7 @@ class SandwichedBloom:
         """True when the allocation gave the initial filter nothing."""
         return self.initial is None
 
-    def contains(self, item: bytes | str, score: float) -> bool:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        if self.initial is not None and not self.initial.contains(item):
-            return False
-        if score >= self.tau:
-            return True
-        return self.backup.contains(item)
-
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray) -> np.ndarray:
-        scores = check_scores(scores)
-        if self.initial is not None:
-            alive = self.initial.contains_batch(base_a, base_b)
-        else:
-            alive = np.ones(len(scores), dtype=bool)
-        out = alive & (scores >= self.tau)
-        rest = alive & ~out
-        if rest.any():
-            out[rest] = self.backup.contains_batch(base_a[rest], base_b[rest])
-        return out
+    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
     def expected_fpr(self) -> float | None:
         if self.fp_above is None:
@@ -226,19 +181,9 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
         b2_bits = bitmap_bits
     b1_bits = bitmap_bits - b2_bits
 
-    backup = _backup_from_mask(dataset, below_mask, b2_bits, seed)
-    initial = None
-    if b1_bits > 0:
-        k1 = optimal_k(b1_bits, n)
-        initial = StandardBloom(BitVector(b1_bits), k1, HashFamily(seed, _INITIAL_LANE), n)
-        if n:
-            a, b = dataset.key_pairs(seed)
-            _insert_pairs(initial, a, b)
-        initial.bits.freeze()
-    return SandwichedBloom(tau, initial, backup, bitmap_bits, b1_bits, b2_bits,
-                           model_bits, f_p if dataset.m else None,
-                           f_n if n else None, fallback)
-
-
-def query_sandwiched(filt: SandwichedBloom, item: bytes | str, score: float) -> bool:
-    return filt.contains(item, score)
+    backup = _stage(b2_bits, int(below_mask.sum()), seed)
+    initial = _stage(b1_bits, n, seed, _INITIAL_LANE) if b1_bits > 0 else None
+    filt = SandwichedBloom(tau, initial, backup, bitmap_bits, b1_bits, b2_bits, model_bits,
+                           f_p if dataset.m else None, f_n if n else None, fallback)
+    insert_keys(dataset, seed, filt.stages)
+    return filt

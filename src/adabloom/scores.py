@@ -331,6 +331,11 @@ class ScorePartition:
             raise ValueError(f"score must be in [0, 1], got {score}")
         return bisect_right(self.thresholds, score, 1, self.g) - 1
 
+    def interval(self, j: int) -> tuple[float, float]:
+        """[lo, hi) of 0-based group j; the top group's hi is inf, so it holds 1."""
+        t = self.thresholds
+        return t[j], (t[j + 1] if j + 1 < self.g else math.inf)
+
     def group_of(self, score: float) -> int:
         return self.group_index(score) + 1
 

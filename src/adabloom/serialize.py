@@ -134,7 +134,7 @@ def dump_filter(filt) -> bytes:
     elif isinstance(filt, AdaptiveBloom):
         params = filt.params
         fh.write(_pack("HB", VERSION, KIND_ADA))
-        fh.write(_pack("QQQd", filt.family.seed, filt.model_bits, filt.size_bits,
+        fh.write(_pack("QQQd", filt.family.seed, filt.model_bits, filt.bitmap_bits,
                        _opt_float(params.c)))
         _write_partition(fh, params.partition)
         fh.write(_pack(f"{params.g}I", *params.k_per_group))

@@ -1,13 +1,29 @@
-"""Classic Bloom filter plus its textbook analytics.
+"""Classic Bloom filter, its textbook analytics, and the score-gated stage core.
 
-Serves both as a baseline method and as the backing filter inside the
-learned variants. The expected false positive rate of a filter with R
-bits, n inserted keys and K hash functions is
+Serves both as a baseline method and as the stage every learned variant
+is made of. The expected false positive rate of a filter with R bits,
+n inserted keys and K hash functions is
 
     (1 - (1 - 1/R)^(K*n))^K
 
 and the FPR-minimizing hash count for a given load is K = (R/n) ln 2,
 at which point the FPR per bit-per-key approaches 0.5^ln2 (~0.6185).
+
+A :class:`GatedBloom` is a tuple of stages ``(lo, hi, StandardBloom)``.
+A query with score s passes iff every stage whose interval [lo, hi)
+holds s passes; a key goes into every stage whose interval holds its
+score. The four learned filters are such stage tuples:
+
+- learned: ``((0, tau, backup),)``, so scores >= tau pass outright;
+- sandwiched: ``((0, inf, initial), (0, tau, backup))``;
+- adaptive: one stage per group with K_j > 0, all on one shared array;
+- disjoint: one stage per group with R_j > 0, each with its own array
+  and hash lane.
+
+A bound lo <= 0 or hi > 1 is an open end, so the top group's stage, with
+hi = inf, holds the score 1. Both query paths of a ``GatedBloom`` raise
+``ValueError`` on a missing, NaN or out-of-range score; ``StandardBloom``
+takes a score too and ignores it.
 """
 
 from __future__ import annotations
@@ -18,11 +34,13 @@ from typing import Iterable
 import numpy as np
 
 from .bits import BitVector, HashFamily
+from .scores import ScoredDataset, check_scores
 
 __all__ = [
     "StandardBloom",
+    "GatedBloom",
     "build_standard",
-    "query_standard",
+    "insert_keys",
     "expected_fpr_standard",
     "optimal_k",
     "OPTIMAL_FPR_BASE",
@@ -59,11 +77,19 @@ class StandardBloom:
     def size_bits(self) -> int:
         return self.bits.length_bits
 
-    def contains(self, item: bytes | str) -> bool:
-        """Membership test; false positives possible, false negatives not."""
+    @property
+    def seed(self) -> int:
+        return self.family.seed
+
+    def contains(self, item: bytes | str, score: float | None = None) -> bool:
+        """Membership test; false positives possible, false negatives not.
+
+        ``score`` is ignored: it is accepted so every filter answers one call.
+        """
         return self.bits.test_bits(self.family.indices(item, self.k, self.bits.length_bits))
 
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray) -> np.ndarray:
+    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+                       scores: np.ndarray | None = None) -> np.ndarray:
         """Batch membership test from base-hash arrays of the master seed."""
         a, b = self.family.remix_pairs(base_a, base_b)
         return self.bits.test_hashed(a, b, self.k)
@@ -75,9 +101,67 @@ class StandardBloom:
         return f"StandardBloom(r={self.size_bits}, k={self.k}, n={self.n_inserted})"
 
 
-def _insert_pairs(bloom: StandardBloom, base_a: np.ndarray, base_b: np.ndarray) -> None:
-    a, b = bloom.family.remix_pairs(base_a, base_b)
-    bloom.bits.set_hashed(a, b, bloom.k)
+def _in_interval(scores: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of ``lo <= scores < hi``; lo <= 0 and hi > 1 are open ends.
+
+    A NaN score counts as above every bound, as in ``np.searchsorted``.
+    """
+    sel = scores < hi if hi <= 1.0 else np.ones(len(scores), dtype=bool)
+    if lo > 0.0:
+        sel &= ~(scores < lo)
+    return sel
+
+
+class GatedBloom:
+    """Score-gated Bloom stages; see the module docstring. Zero FNR."""
+
+    __slots__ = ("stages", "seed", "model_bits")
+
+    def __init__(self, stages, seed: int, model_bits: int = 0):
+        self.stages: tuple[tuple[float, float, StandardBloom], ...] = tuple(stages)
+        self.seed = seed
+        self.model_bits = model_bits
+
+    def contains(self, item: bytes | str, score: float | None = None) -> bool:
+        """True iff every stage whose [lo, hi) holds ``score`` holds the item."""
+        if score is None:
+            raise ValueError(f"{type(self).__name__} queries need a score")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must be in [0, 1], got {score}")
+        return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
+
+    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+                       scores: np.ndarray | None = None) -> np.ndarray:
+        """Batch ``contains`` from base-hash arrays of the master seed."""
+        if scores is None:
+            raise ValueError(f"{type(self).__name__} queries need a score")
+        scores = check_scores(scores)
+        out = np.ones(len(scores), dtype=bool)
+        for lo, hi, stage in self.stages:
+            sel = _in_interval(scores, lo, hi)
+            sel &= out
+            count = np.count_nonzero(sel)
+            if count == len(sel):  # every item, none yet rejected: no copies
+                out = stage.contains_batch(base_a, base_b)
+            elif count:
+                out[sel] = stage.contains_batch(base_a[sel], base_b[sel])
+        return out
+
+
+def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
+    """Insert each key into every stage whose [lo, hi) holds its score.
+
+    Sets each stage's ``n_inserted`` to its key count, then freezes the bits.
+    """
+    for lo, hi, stage in stages:
+        sel = _in_interval(dataset.key_scores, lo, hi)
+        stage.n_inserted = int(np.count_nonzero(sel))
+        if stage.n_inserted:
+            base_a, base_b = dataset.key_pairs(seed)
+            a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
+            stage.bits.set_hashed(a, b, stage.k)
+    for _, _, stage in stages:
+        stage.bits.freeze()
 
 
 def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> StandardBloom:
@@ -89,14 +173,11 @@ def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> St
     family = HashFamily(seed)
     bloom = StandardBloom(BitVector(r), k, family, 0)
     a, b = family.base_pairs(keys)  # raises TypeError on a key that is not bytes or str
-    _insert_pairs(bloom, a, b)
+    a, b = family.remix_pairs(a, b)
+    bloom.bits.set_hashed(a, b, k)
     bloom.n_inserted = len(a)
     bloom.bits.freeze()
     return bloom
-
-
-def query_standard(filt: StandardBloom, item: bytes | str) -> bool:
-    return filt.contains(item)
 
 
 def expected_fpr_standard(r: int, n: int, k: int) -> float:

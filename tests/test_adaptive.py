@@ -10,7 +10,6 @@ from adabloom.adaptive import (
     expected_fpr_ada,
     fpr_upper_bound,
     kmax_from_lbf,
-    query_ada,
 )
 from adabloom.learned import build_lbf
 from adabloom.scores import partition_by_ratio, partition_from_thresholds
@@ -60,7 +59,7 @@ class TestReductions:
         probes = [(f"probe-{i}", float(s)) for i, s in enumerate(rng.uniform(0, 1, 2000))]
         probes += [(it.id, it.score) for it in synth_small.items[::37]]
         for item, score in probes:
-            assert query_ada(ada, item, score) == lbf.contains(item, score)
+            assert ada.contains(item, score) == lbf.contains(item, score)
 
 
 class TestBuildAndQuery:
@@ -71,13 +70,13 @@ class TestBuildAndQuery:
         a, b = synth_small.key_pairs(23)
         assert ada.contains_batch(a, b, synth_small.key_scores).all()
         for item in synth_small.keys[:200]:
-            assert query_ada(ada, item.id, item.score)
+            assert ada.contains(item.id, item.score)
 
     def test_zero_hash_group_accepts_anything(self, synth_small):
         part = partition_by_ratio(synth_small, 3, 2.0)
         params = AdaptiveParams.from_ratio(part, 2, 0)
         ada = build_ada(synth_small, 50_000, params, seed=24)
-        assert query_ada(ada, "definitely-not-inserted", 1.0)
+        assert ada.contains("definitely-not-inserted", 1.0)
 
     def test_zero_hash_groups_add_no_load(self, synth_small):
         part = partition_by_ratio(synth_small, 2, 4.0)

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from adabloom import bits
-from adabloom.bits import BitVector, HashFamily, hash_indices, set_indices
-from adabloom.bits import test_indices as probe_indices
+from adabloom.bits import BitVector, HashFamily
 
 items_strategy = st.binary(min_size=1, max_size=40)
 
@@ -118,18 +117,18 @@ class TestHashFamily:
         assert f1.indices(b"url-17", 5, 1000) == f2.indices(b"url-17", 5, 1000)
 
     def test_zero_hashes_empty_sequence(self):
-        assert hash_indices(b"anything", 0, 100, HashFamily(1)) == []
+        assert HashFamily(1).indices(b"anything", 0, 100) == []
 
     def test_single_bucket_forces_zero(self):
-        assert hash_indices(b"a", 3, 1, HashFamily(1)) == [0, 0, 0]
+        assert HashFamily(1).indices(b"a", 3, 1) == [0, 0, 0]
 
     def test_rejects_zero_range(self):
         with pytest.raises(ValueError):
-            hash_indices(b"a", 3, 0, HashFamily(1))
+            HashFamily(1).indices(b"a", 3, 0)
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
-            hash_indices(b"a", -1, 10, HashFamily(1))
+            HashFamily(1).indices(b"a", -1, 10)
 
     def test_str_and_bytes_agree(self):
         fam = HashFamily(3)
@@ -197,13 +196,13 @@ class TestBitVector:
 
     def test_set_and_test(self):
         bv = BitVector(8)
-        set_indices(bv, [3, 7])
+        bv.set_bits([3, 7])
         assert bv.popcount() == 2
-        assert probe_indices(bv, [3, 7])
-        assert not probe_indices(bv, [3, 5])
+        assert bv.test_bits([3, 7])
+        assert not bv.test_bits([3, 5])
 
     def test_empty_test_is_true(self):
-        assert probe_indices(BitVector(8), [])
+        assert BitVector(8).test_bits([])
 
     def test_out_of_range_raises(self):
         bv = BitVector(8)
@@ -407,11 +406,11 @@ class TestSlabKernels:
 def test_inserted_items_always_test_positive(item, k, r, seed):
     fam = HashFamily(seed)
     bv = BitVector(r)
-    idxs = hash_indices(item, k, r, fam)
+    idxs = fam.indices(item, k, r)
     assert len(idxs) == k
     assert all(0 <= i < r for i in idxs)
-    set_indices(bv, idxs)
-    assert probe_indices(bv, hash_indices(item, k, r, fam))
+    bv.set_bits(idxs)
+    assert bv.test_bits(fam.indices(item, k, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,4 +418,4 @@ def test_inserted_items_always_test_positive(item, k, r, seed):
        seed=st.integers(0, 2**32))
 def test_hash_indices_pure(item, k, r, seed):
     fam = HashFamily(seed)
-    assert hash_indices(item, k, r, fam) == hash_indices(item, k, r, HashFamily(seed))
+    assert fam.indices(item, k, r) == HashFamily(seed).indices(item, k, r)

@@ -8,7 +8,6 @@ from adabloom.disjoint import (
     allocate_disjoint,
     build_disjoint,
     build_disjoint_from_partition,
-    query_disjoint,
 )
 from adabloom.scores import ScoredDataset, ScoredItem, partition_from_thresholds
 from adabloom.standard import OPTIMAL_FPR_BASE
@@ -79,12 +78,12 @@ class TestBuildAndQuery:
         a, b = synth_small.key_pairs(31)
         assert filt.contains_batch(a, b, synth_small.key_scores).all()
         for item in synth_small.keys[:200]:
-            assert query_disjoint(filt, item.id, item.score)
+            assert filt.contains(item.id, item.score)
 
     def test_top_group_accepts_everything(self, synth_small):
         filt = build_disjoint(synth_small, 100_000, 5, 2.0, seed=32)
         assert filt.filters[-1] is None
-        assert query_disjoint(filt, "never-inserted", 1.0)
+        assert filt.contains("never-inserted", 1.0)
 
     def test_budget_exactness_end_to_end(self, synth_small):
         filt = build_disjoint(synth_small, 123_457, 7, 1.8, seed=33)
@@ -121,7 +120,7 @@ class TestBuildAndQuery:
         assert part.n_per_group == (0, 50, 50)
         filt = build_disjoint_from_partition(ds, 5000, part, 2.0, seed=36)
         assert filt.params.r_per_group == (1, 4999, 0)
-        assert not query_disjoint(filt, "anything", 0.1)
+        assert not filt.contains("anything", 0.1)
         a, b = ds.key_pairs(36)
         assert filt.contains_batch(a, b, ds.key_scores).all()
 

@@ -5,16 +5,26 @@ and the k > 64 outer-product paths that the slab kernels of ``bits.py``
 replaced. Saved containers hold bits set by ``set_hashed``, and the sweep
 CSV (timing off) is the reproduction's result, so none of these may change
 unless a change of results is intended and said so.
+
+The container hashes were recorded from the per-kind filter classes that
+the score-gated stage kernel of ``standard.py`` replaced: the same keys
+must set the same bits and the v1 container must keep its byte layout.
 """
 
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
+from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import METHODS, rows_to_csv, run_sweep
 from adabloom.bits import BitVector, HashFamily
-from adabloom.scores import gen_synthetic
+from adabloom.disjoint import build_disjoint, build_disjoint_from_partition
+from adabloom.learned import build_lbf, build_sandwiched
+from adabloom.scores import gen_synthetic, partition_by_ratio, partition_from_thresholds
+from adabloom.serialize import dump_filter, loads_filter
+from adabloom.standard import build_standard, optimal_k
 
 # sha256 of BitVector(r).to_bytes() after set_hashed(a, b, k) for the
 # lane-0 pairs of ids "g0" .. "g{n-1}" under seed 7, keyed by (n, k, r)
@@ -109,3 +119,63 @@ def test_sweep_golden_quick(synth_bench):
     rows = run_sweep(synth_bench, [50_000, 200_000, 350_000, 500_000], METHODS,
                      seeds=[7], **QUICK_GRIDS)
     assert _sha256(rows_to_csv(rows).encode()) == SWEEP_QUICK_SHA256
+
+
+# sha256 of dump_filter(filter) for the filters built by _container_fixtures
+DUMP_SHA256 = {
+    "standard": "18fce1b0a174c672155b13862b4a41889789fef15fecbb10f7db4dd00a877c03",
+    "lbf": "355889b6b3437cf5a9c7b8340c60c4e9e1f8352bd1ca147f9341287541e1dcfa",
+    "sandwich": "8e250f2c4345a67ecb69d366fc6a07ac76095618d231baf3aec3e5d3db6dc644",
+    "ada": "2fc70640d0deddd06370594d2312ce9ac63204c1437d82806d2c98d2a01c1ef4",
+    "disjoint": "ab0bd495f09f4eb58ff9ece7a683654eb321bc36eea4dae21bda75d15170ac50",
+    "lbf_tau0": "d3f525442a02cffab08adf32a60ec0e4feff8c6869bbb3c81795bb29b476ef4d",
+    "sandwich_reduced": "ad77342ec7fa3fcc833138ed97252b529f5dc1f55c469c4c961b1bcab4578ffe",
+    "ada_flat": "17175d36692b9ea4049ddc76169a33887325c5e8df63741d8657f1eb49a71543",
+    "disjoint_keyless": "96cc22528aba5bdc7210932856ab6bb7b5db0d9039efd7e6356d1469fbbd7844",
+    "disjoint_g1": "f390361f024fbda52ca835c7c189f114d3ae1cc564d2b47401f07dc6d1a0f91b",
+}
+
+
+@pytest.fixture(scope="module")
+def container_fixtures():
+    ds = gen_synthetic(400, 400, seed=3)
+    part = partition_by_ratio(ds, 4, 2.0)
+    # no key scores below 0.1 (the lowest is 0.234), so group 0 holds no key
+    keyless = partition_from_thresholds(ds, (0.0, 0.1, 0.6, 1.0))
+    filters = {
+        "standard": build_standard([it.id for it in ds.keys], 3000, optimal_k(3000, ds.n), 3),
+        "lbf": build_lbf(ds, 3000, 0.6, 3),
+        "sandwich": build_sandwiched(ds, 3000, 0.6, 3),
+        "ada": build_ada(ds, 3000, AdaptiveParams.from_ratio(part, 3, 0, 2.0), 3),
+        "disjoint": build_disjoint(ds, 3000, 4, 2.0, 3),
+        "lbf_tau0": build_lbf(ds, 3000, 0.0, 3),
+        "sandwich_reduced": build_sandwiched(ds, 300, 0.6, 3),
+        "ada_flat": build_ada(ds, 3000, AdaptiveParams.with_hash_counts(part, (2, 2, 2, 2)), 3),
+        "disjoint_keyless": build_disjoint_from_partition(ds, 3000, keyless, 2.0, 3),
+        "disjoint_g1": build_disjoint(ds, 0, 1, 2.0, 3),
+    }
+    assert filters["sandwich"].initial is not None
+    assert filters["sandwich_reduced"].reduced_to_lbf
+    assert keyless.n_per_group[0] == 0
+    return ds, filters
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_dump_golden(name, container_fixtures):
+    _, filters = container_fixtures
+    assert _sha256(dump_filter(filters[name])) == DUMP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_loaded_fixture_answers_like_built(name, container_fixtures):
+    ds, filters = container_fixtures
+    built = filters[name]
+    loaded = loads_filter(dump_filter(built))
+    rng = np.random.default_rng(17)
+    ids = [it.id for it in ds.items[::3]] + [f"fresh-{i}" for i in range(300)]
+    scores = np.concatenate([[it.score for it in ds.items[::3]], rng.uniform(0, 1, 300)])
+    a, b = HashFamily(built.seed).base_pairs(ids)
+    answers = built.contains_batch(a, b, scores)
+    assert answers.tolist() == loaded.contains_batch(a, b, scores).tolist()
+    assert answers.tolist() == [loaded.contains(i, s) for i, s in zip(ids, scores.tolist())]
+    assert answers[:len(ds.items[::3])][[it.is_key for it in ds.items[::3]]].all()

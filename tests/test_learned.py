@@ -7,8 +7,6 @@ from adabloom.bench import measure_fpr
 from adabloom.learned import (
     build_lbf,
     build_sandwiched,
-    query_lbf,
-    query_sandwiched,
     sandwich_allocate,
 )
 from adabloom.scores import gen_synthetic
@@ -24,7 +22,7 @@ class TestLearnedBloom:
         filt = build_lbf(synth_small, 10_000, 0.0, seed=1)
         assert filt.backup.n_inserted == 0
         for item in synth_small.items[:50]:
-            assert query_lbf(filt, item.id, item.score)
+            assert filt.contains(item.id, item.score)
 
     def test_tau_one_equals_standard(self, synth_small):
         # every score is < 1, so all keys go to the backup
@@ -33,11 +31,11 @@ class TestLearnedBloom:
                                filt.backup.k, seed=2)
         assert filt.backup.bits.to_bytes() == plain.bits.to_bytes()
         for item in synth_small.items[:300]:
-            assert query_lbf(filt, item.id, item.score) == plain.contains(item.id)
+            assert filt.contains(item.id, item.score) == plain.contains(item.id)
 
     def test_boundary_score_accepted(self, synth_small):
         filt = build_lbf(synth_small, 10_000, 0.6, seed=3)
-        assert query_lbf(filt, "never-inserted", 0.6)
+        assert filt.contains("never-inserted", 0.6)
 
     def test_zero_fnr(self, synth_small):
         filt = build_lbf(synth_small, 40_000, 0.7, seed=4)
@@ -92,7 +90,7 @@ class TestSandwichedBloom:
         a, b = synth_small.key_pairs(6)
         assert filt.contains_batch(a, b, synth_small.key_scores).all()
         for item in synth_small.keys[:200]:
-            assert query_sandwiched(filt, item.id, item.score)
+            assert filt.contains(item.id, item.score)
 
     def test_reduction_matches_lbf_decisions(self, synth_small):
         # a tau with b2* above the per-key budget forces (0, budget)

@@ -22,6 +22,7 @@ from adabloom.scores import (
     save_scored_csv,
     _sample_bound,
 )
+from adabloom.standard import build_standard
 
 
 def write_csv(tmp_path, text):
@@ -211,6 +212,31 @@ class TestScorePolicy:
         for filt in filters:
             with pytest.raises(ValueError):
                 filt.contains_batch(a, b, np.array([0.1, bad, 0.9]))
+
+    @pytest.mark.parametrize("kind", range(4))
+    def test_missing_score_raises_on_both_paths(self, filters, kind):
+        filt = filters[kind]
+        a, b = HashFamily(5).base_pairs(["k0000003", "q-absent"])
+        with pytest.raises(ValueError, match="need a score"):
+            filt.contains("k0000003")
+        with pytest.raises(ValueError, match="need a score"):
+            filt.contains("k0000003", None)
+        with pytest.raises(ValueError, match="need a score"):
+            filt.contains_batch(a, b)
+        with pytest.raises(ValueError, match="need a score"):
+            filt.contains_batch(a, b, None)
+
+    def test_standard_answers_with_or_without_score(self):
+        ds = gen_synthetic(300, 300, seed=5)
+        filt = build_standard([it.id for it in ds.keys], 2000, 4, 5)
+        ids = ["k0000003", "n0000007", "q-absent"]
+        a, b = HashFamily(5).base_pairs(ids)
+        plain = filt.contains_batch(a, b)
+        assert plain.tolist() == [filt.contains(i) for i in ids]
+        for scores in (None, np.array([0.2, 0.5, 0.9]), np.array([float("nan"), 2.0, -1.0])):
+            assert filt.contains_batch(a, b, scores).tolist() == plain.tolist()
+        for score in (None, 0.3, float("nan"), 7.0):
+            assert [filt.contains(i, score) for i in ids] == plain.tolist()
 
 
 class TestPartition:
