@@ -41,6 +41,11 @@ logger = logging.getLogger(__name__)
 _INITIAL_LANE = 1  # hash lane of the sandwiched initial filter
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau <= 1.0:  # also rejects NaN
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+
+
 def _stage(bitmap_bits: int, n: int, seed: int, lane: int = 0) -> StandardBloom:
     """Empty stage for n keys, sized against bitmap_bits, k = Round((R/n) ln 2)."""
     return StandardBloom(BitVector(max(1, bitmap_bits)), optimal_k(bitmap_bits, n),
@@ -54,6 +59,7 @@ class LearnedBloom(GatedBloom):
 
     def __init__(self, tau: float, backup: StandardBloom, bitmap_bits: int,
                  model_bits: int = 0, fp_above: float | None = None):
+        _check_tau(tau)
         super().__init__(((0.0, tau, backup),), backup.seed, model_bits)
         self.tau = tau
         self.backup = backup
@@ -74,8 +80,6 @@ def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
     """Backup filter over the keys scoring below tau, k = Round((R/n0) ln 2)."""
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
     backup = _stage(bitmap_bits, int((dataset.key_scores < tau).sum()), seed)
     fp_above = float((dataset.nonkey_scores >= tau).mean()) if dataset.m else None
     filt = LearnedBloom(tau, backup, bitmap_bits, model_bits, fp_above)
@@ -118,6 +122,7 @@ class SandwichedBloom(GatedBloom):
                  bitmap_bits: int, b1_bits: int, b2_bits: int, model_bits: int = 0,
                  fp_above: float | None = None, fn_below: float | None = None,
                  fallback_reason: str | None = None):
+        _check_tau(tau)
         stages = ((0.0, tau, backup),)
         if initial is not None:
             stages = ((0.0, math.inf, initial),) + stages
@@ -158,8 +163,6 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
     """
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
     n = dataset.n
     below_mask = dataset.key_scores < tau
     f_n = float(below_mask.mean()) if n else 0.0

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import HashFamily, ProbeCache, ProbeRows
+
 __all__ = [
     "ScoredItem",
     "ScoredDataset",
@@ -114,15 +116,22 @@ class ScoredDataset:
     def nonkey_pairs(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         return self._hash_pairs(seed, False)
 
-    def _hash_pairs(self, seed: int, keys: bool) -> tuple[np.ndarray, np.ndarray]:
-        from .bits import HashFamily
+    def probe_rows(self, keys: bool) -> ProbeRows | None:
+        """Rows of the keys or non-keys in a probe cache; only a view has one."""
+        return None
 
+    def _hash_pairs(self, seed: int, keys: bool) -> tuple[np.ndarray, np.ndarray]:
         tag = ("pairs", seed, keys)
         if tag not in self._cache:
             family = HashFamily(seed)
             items = self.keys if keys else self.nonkeys
             self._cache[tag] = family.base_pairs([it.id for it in items])
         return self._cache[tag]
+
+    def _group_counts(self, thresholds: tuple[float, ...], scores: np.ndarray) -> tuple[int, ...]:
+        """Scores per group of ``thresholds``, as ``ScorePartition.group_indices`` places them."""
+        idx = np.searchsorted(np.asarray(thresholds[1:-1]), scores, side="right")
+        return tuple(np.bincount(idx, minlength=len(thresholds) - 1).tolist())
 
     def _cached(self, tag: str, make):
         if tag not in self._cache:
@@ -136,6 +145,17 @@ class ScoredDataset:
         dataset's cached arrays permuted, nothing is re-hashed; its
         ``key_order`` / ``nonkey_order`` give, per position, the index
         into this dataset's keys / non-keys.
+
+        The view also caches probe indices, which every tuner candidate
+        probes again: per side (keys, non-keys) one ``bits.ProbeCache``
+        holding at most one ``int32`` matrix of the first
+        ``bits.CACHED_COLUMNS`` probes of every item, for one (seed, lane,
+        R), 48 bytes per item. A geometry is cached the second time in a row
+        it is asked for and replaces the last one, so the lane-0 stages at
+        the full bitmap of ``lbf``, ``ada`` and a ``sandwich`` reduced to
+        ``lbf`` reuse it from candidate to candidate, while the per-group
+        lanes of ``disjoint`` build nothing. ``insert_keys`` and
+        ``GatedBloom.contains_batch`` read it through ``probe_rows``.
         """
         return self._cached("by_score", lambda: _ScoreOrderedView(self))
 
@@ -165,6 +185,9 @@ class _ScoreOrderedView(ScoredDataset):
             "nonkey_scores": nonkey_scores,
             "sorted_nonkey_scores": nonkey_scores,
         }
+        # indexed by ``keys``: non-keys first
+        self._probes = (ProbeCache(lambda seed: self._hash_pairs(seed, False)),
+                        ProbeCache(lambda seed: self._hash_pairs(seed, True)))
 
     @property
     def items(self) -> tuple[ScoredItem, ...]:
@@ -184,6 +207,15 @@ class _ScoreOrderedView(ScoredDataset):
 
     def by_score(self) -> ScoredDataset:
         return self
+
+    def probe_rows(self, keys: bool) -> ProbeRows:
+        return ProbeRows(self._probes[keys], slice(0, self.n if keys else self.m))
+
+    def _group_counts(self, thresholds: tuple[float, ...], scores: np.ndarray) -> tuple[int, ...]:
+        # scores are sorted (NaN last): a group's count is the difference of
+        # the numbers of scores below its two bounds
+        below = np.searchsorted(scores, thresholds[1:-1], side="left")
+        return tuple(np.diff(below, prepend=0, append=len(scores)).tolist())
 
     def _hash_pairs(self, seed: int, keys: bool) -> tuple[np.ndarray, np.ndarray]:
         tag = ("pairs", seed, keys)
@@ -302,7 +334,7 @@ class ScorePartition:
         t = self.thresholds
         if len(t) < 2 or t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError(f"thresholds must run from 0.0 to 1.0, got {t}")
-        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+        if not all(t[i] < t[i + 1] for i in range(len(t) - 1)):  # also rejects NaN
             raise ValueError(f"thresholds must be strictly increasing, got {t}")
         if len(self.n_per_group) != self.g or len(self.m_per_group) != self.g:
             raise ValueError("per-group counts must have one entry per group")
@@ -345,19 +377,13 @@ class ScorePartition:
         return np.searchsorted(inner, scores, side="right")
 
 
-def _counts_for(partition_thresholds: tuple[float, ...], scores: np.ndarray) -> tuple[int, ...]:
-    inner = np.asarray(partition_thresholds[1:-1])
-    idx = np.searchsorted(inner, scores, side="right")
-    return tuple(int(x) for x in np.bincount(idx, minlength=len(partition_thresholds) - 1))
-
-
 def partition_from_thresholds(dataset: ScoredDataset, thresholds) -> ScorePartition:
     """Partition with explicit thresholds; counts are realized from the data."""
     t = tuple(float(x) for x in thresholds)
     return ScorePartition(
         thresholds=t,
-        n_per_group=_counts_for(t, dataset.key_scores),
-        m_per_group=_counts_for(t, dataset.nonkey_scores),
+        n_per_group=dataset._group_counts(t, dataset.key_scores),
+        m_per_group=dataset._group_counts(t, dataset.nonkey_scores),
     )
 
 

@@ -173,6 +173,15 @@ def _read_filter(fh: BytesIO):
     version, kind = _read(fh, "HB")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
+    try:
+        return _read_kind(fh, kind)
+    except FormatError:
+        raise
+    except ValueError as exc:  # the parameters fail a constructor's checks
+        raise FormatError(f"invalid filter parameters: {exc}") from exc
+
+
+def _read_kind(fh: BytesIO, kind: int):
     if kind == KIND_STANDARD:
         (seed,) = _read(fh, "Q")
         return _read_standard_block(fh, seed)

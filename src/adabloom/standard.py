@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bits import BitVector, HashFamily
+from .bits import BitVector, HashFamily, ProbeRows
 from .scores import ScoredDataset, check_scores
 
 __all__ = [
@@ -86,13 +86,20 @@ class StandardBloom:
 
         ``score`` is ignored: it is accepted so every filter answers one call.
         """
-        return self.bits.test_bits(self.family.indices(item, self.k, self.bits.length_bits))
+        return self.bits.test_bits(self.family.iter_indices(item, self.k, self.bits.length_bits))
 
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray | None = None) -> np.ndarray:
-        """Batch membership test from base-hash arrays of the master seed."""
+                       scores: np.ndarray | None = None, *,
+                       rows: ProbeRows | None = None) -> np.ndarray:
+        """Batch membership test from base-hash arrays of the master seed.
+
+        ``rows``, from a score-ordered view, lets the probe read cached columns.
+        """
         a, b = self.family.remix_pairs(base_a, base_b)
-        return self.bits.test_hashed(a, b, self.k)
+        return self.bits.test_hashed(a, b, self.k, cached=self._cached(rows))
+
+    def _cached(self, rows: ProbeRows | None):
+        return None if rows is None else rows.cached(self.family, self.bits.length_bits)
 
     def expected_fpr(self) -> float:
         return expected_fpr_standard(self.size_bits, self.n_inserted, self.k)
@@ -131,8 +138,12 @@ class GatedBloom:
         return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
 
     def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
-                       scores: np.ndarray | None = None) -> np.ndarray:
-        """Batch ``contains`` from base-hash arrays of the master seed."""
+                       scores: np.ndarray | None = None, *,
+                       rows: ProbeRows | None = None) -> np.ndarray:
+        """Batch ``contains`` from base-hash arrays of the master seed.
+
+        ``rows`` gives the items' rows in a score-ordered view's probe cache.
+        """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
         scores = check_scores(scores)
@@ -142,9 +153,10 @@ class GatedBloom:
             sel &= out
             count = np.count_nonzero(sel)
             if count == len(sel):  # every item, none yet rejected: no copies
-                out = stage.contains_batch(base_a, base_b)
+                out = stage.contains_batch(base_a, base_b, rows=rows)
             elif count:
-                out[sel] = stage.contains_batch(base_a[sel], base_b[sel])
+                out[sel] = stage.contains_batch(
+                    base_a[sel], base_b[sel], rows=None if rows is None else rows.select(sel))
         return out
 
 
@@ -152,14 +164,20 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
     """Insert each key into every stage whose [lo, hi) holds its score.
 
     Sets each stage's ``n_inserted`` to its key count, then freezes the bits.
+    On a score-ordered view the inserts read its cached probe columns.
     """
+    rows = dataset.probe_rows(keys=True)
     for lo, hi, stage in stages:
         sel = _in_interval(dataset.key_scores, lo, hi)
         stage.n_inserted = int(np.count_nonzero(sel))
         if stage.n_inserted:
+            stage_rows = None
+            if rows is not None:  # the view: rows in its cache index its arrays too
+                stage_rows = rows.select(sel)
+                sel = stage_rows.rows
             base_a, base_b = dataset.key_pairs(seed)
             a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
-            stage.bits.set_hashed(a, b, stage.k)
+            stage.bits.set_hashed(a, b, stage.k, cached=stage._cached(stage_rows))
     for _, _, stage in stages:
         stage.bits.freeze()
 

@@ -92,17 +92,18 @@ def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:
     return tuple(float(t) for t in np.unique(qs))
 
 
-def _measure(filt, dataset: ScoredDataset, seed: int, subset=None) -> float:
-    """Empirical FPR over the dataset's non-keys (batch path)."""
-    if dataset.m == 0:
+def _measure(filt, view: ScoredDataset, seed: int, subset=None) -> float:
+    """Empirical FPR over the non-keys of ``view = dataset.by_score()`` (batch path)."""
+    if view.m == 0:
         raise ValueError("cannot measure FPR without non-keys")
-    a, b = dataset.nonkey_pairs(seed)
-    scores = dataset.nonkey_scores
+    a, b = view.nonkey_pairs(seed)
+    scores = view.nonkey_scores
+    rows = view.probe_rows(keys=False)
     if subset is not None:
-        a, b, scores = a[subset], b[subset], scores[subset]
+        a, b, scores, rows = a[subset], b[subset], scores[subset], rows.select(subset)
         if len(scores) == 0:
             raise ValueError("empty evaluation split")
-    hits = filt.contains_batch(a, b, scores)
+    hits = filt.contains_batch(a, b, scores, rows=rows)
     return float(hits.mean())
 
 
@@ -122,11 +123,11 @@ def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
     return ~holdout, holdout
 
 
-def _finish(method: str, best, dataset: ScoredDataset, bitmap_bits: int, seed: int,
+def _finish(method: str, best, view: ScoredDataset, bitmap_bits: int, seed: int,
             model_bits: int, candidates, holdout, grids) -> TuneResult:
     fpr, params, filt = best
     if holdout is not None:
-        fpr = _measure(filt, dataset, seed, subset=holdout)
+        fpr = _measure(filt, view, seed, subset=holdout)
     return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt,
                       candidates, grids)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from adabloom import bits
-from adabloom.bits import BitVector, HashFamily
+from adabloom.bits import CACHED_COLUMNS, BitVector, HashFamily, ProbeCache, ProbeRows
 
 items_strategy = st.binary(min_size=1, max_size=40)
 
@@ -399,6 +399,95 @@ class TestSlabKernels:
         assert bv.test_hashed(a, b, 0).tolist() == [True, True]
         got = bv.test_hashed(empty, empty, 5)
         assert got.dtype == bool and got.shape == (0,)
+
+def warm_cache(fam, items, r):
+    """A ProbeCache over ``items`` holding the matrix of ``fam`` at range r."""
+    pairs = fam.base_pairs(items)
+    cache = ProbeCache(lambda seed: pairs)
+    assert cache.columns(fam, r) is None  # asked once: nothing built
+    assert cache.columns(fam, r).shape == (CACHED_COLUMNS, len(items))
+    return cache
+
+
+def as_rows(positions, contiguous):
+    return slice(positions[0], positions[-1] + 1) if contiguous else np.asarray(positions)
+
+
+class TestProbeCache:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 300),
+           k=st.sampled_from([0, 1, CACHED_COLUMNS, CACHED_COLUMNS + 1, 300]),
+           r=st.sampled_from([1, 7, 3001, 5000, 2**14 + 3]), seed=st.integers(0, 2**64 - 1),
+           lane=st.sampled_from([0, 2]), data=st.data())
+    def test_cached_kernels_equal_uncached(self, n, k, r, seed, lane, data):
+        fam = HashFamily(seed, lane)
+        items = [f"c{i}" for i in range(n)]
+        cache = warm_cache(fam, items, r)
+        a, b = fam.remix_pairs(*fam.base_pairs(items))
+        fast, slow = BitVector(r), BitVector(r)
+        # two inserts OR together: a contiguous range, then scattered rows
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        scattered = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        for positions, contiguous in ((range(lo, hi), True), (scattered, False)):
+            rows = ProbeRows(cache, as_rows(list(positions), contiguous))
+            cached = rows.cached(fam, r)
+            fast.set_hashed(a[rows.rows], b[rows.rows], k, cached=cached)
+            slow.set_hashed(a[rows.rows], b[rows.rows], k)
+            assert fast.to_bytes() == slow.to_bytes()
+        load = data.draw(st.sampled_from([0.5, 0.97]))
+        for bv in (fast, random_bits(r, load, seed % 1000)):
+            for positions, contiguous in ((range(n), True), (range(lo, hi), True),
+                                          (scattered, False), (scattered[::-1], False)):
+                rows = as_rows(list(positions), contiguous)
+                want = bv.test_hashed(a[rows], b[rows], k)
+                assert (bv.test_hashed(a[rows], b[rows], k,
+                                       cached=ProbeRows(cache, rows).cached(fam, r)) == want).all()
+
+    def test_matrix_is_the_probe_indices(self):
+        fam = HashFamily(5, 3)
+        items = [f"m{i}" for i in range(50)]
+        columns = warm_cache(fam, items, 4099).columns(fam, 4099)
+        assert columns.dtype == np.int32
+        assert columns.T.tolist() == [fam.indices(it, CACHED_COLUMNS, 4099) for it in items]
+
+    def test_at_most_one_matrix(self):
+        calls = []
+        pairs = HashFamily(1).base_pairs([f"o{i}" for i in range(20)])
+        cache = ProbeCache(lambda seed: calls.append(seed) or pairs)
+        g1, g2 = (HashFamily(1), 500), (HashFamily(1, 1), 500)
+        # asked once, or with another geometry in between: nothing is built
+        for fam, r in (g1, g2, g1, (HashFamily(1), 501), g1):
+            assert cache.columns(fam, r) is None
+        assert calls == []
+        first = cache.columns(*g1)  # g1 twice in a row
+        assert first is not None and cache.columns(*g1) is first and calls == [1]
+        assert cache.columns(*g2) is None
+        assert cache.columns(*g1) is first  # a built geometry stays until replaced
+        assert cache.columns(*g2) is None
+        second = cache.columns(*g2)
+        assert second is not None and calls == [1, 1]
+        assert cache.columns(*g1) is None  # replaced: one matrix at a time
+        assert cache.columns(*g2) is second
+
+    def test_no_cache_past_int32(self):
+        pairs = HashFamily(1).base_pairs(["x"])
+        cache = ProbeCache(lambda seed: pairs)
+        for _ in range(3):
+            assert cache.columns(HashFamily(1), 2**31) is None
+        assert cache.columns(HashFamily(1), 2**31 - 1) is None
+        assert cache.columns(HashFamily(1), 2**31 - 1) is not None
+
+    def test_select_keeps_ranges_as_slices(self):
+        rows = ProbeRows(None, slice(10, 20))
+        mask = np.zeros(10, dtype=bool)
+        mask[3:7] = True
+        assert rows.select(mask).rows == slice(13, 17)
+        mask[8] = True
+        assert rows.select(mask).rows.tolist() == [13, 14, 15, 16, 18]
+        every_other = np.array([True, False, True, False, True])
+        assert rows.select(mask).select(every_other).rows.tolist() == [13, 15, 18]
+
 
 @settings(max_examples=120, deadline=None)
 @given(item=items_strategy, k=st.integers(0, 24), r=st.integers(1, 10_000),

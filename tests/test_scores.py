@@ -289,6 +289,26 @@ class TestPartition:
         assert rebuilt.m_per_group == part.m_per_group
         assert rebuilt.n_per_group == part.n_per_group
 
+    GRID = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(keys=st.lists(st.sampled_from(GRID + [float("nan")]) | st.floats(0, 1), max_size=40),
+           nonkeys=st.lists(st.sampled_from(GRID) | st.floats(0, 1), max_size=40),
+           inner=st.sets(st.sampled_from(GRID[1:-1]) | st.floats(0.001, 0.999), max_size=6))
+    def test_view_counts_equal_dataset_counts(self, keys, nonkeys, inner):
+        # scores tied exactly at a threshold stay above it; NaN keys go to the top group
+        items = [ScoredItem(f"k{i}", s, True) for i, s in enumerate(keys)]
+        items += [ScoredItem(f"n{i}", s, False) for i, s in enumerate(nonkeys)]
+        ds = ScoredDataset(items)
+        thresholds = (0.0, *sorted(inner), 1.0)
+        on_view = partition_from_thresholds(ds.by_score(), thresholds)
+        on_dataset = partition_from_thresholds(ds, thresholds)
+        assert on_view == on_dataset
+        groups = on_dataset.group_indices(ds.key_scores)
+        assert on_dataset.n_per_group == tuple(np.bincount(groups, minlength=len(inner) + 1))
+        nan_keys = sum(1 for s in keys if s != s)
+        assert on_dataset.n_per_group[-1] >= nan_keys
+
     def test_below_threshold_pins_tau(self):
         ds = gen_synthetic(5000, 5000, seed=8)
         part = partition_below_threshold(ds, 0.8, 5, 2.0)

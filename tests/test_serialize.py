@@ -1,9 +1,12 @@
 import struct
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adabloom.adaptive import AdaptiveParams, build_ada
+from adabloom.bits import HashFamily
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import gen_synthetic, partition_by_ratio
@@ -156,3 +159,101 @@ def test_empty_bit_array_rejected(built):
     blob[15:23] = bytes(8)  # r = 0
     with pytest.raises(FormatError, match="length"):
         loads_filter(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def small_built():
+    ds = gen_synthetic(300, 300, seed=1)
+    return ds, {
+        "lbf": build_lbf(ds, 3000, 0.7, seed=2),
+        "ada": build_ada(ds, 3000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 3, 2.0),
+                                                             2, 0, c=2.0), seed=3),
+    }
+
+
+ADA_THRESHOLDS = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQd") + struct.calcsize("<I")
+LBF_TAU = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQ")
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (0, 0.5, "thresholds must run from 0.0 to 1.0"),
+    (1, float("nan"), "thresholds must be strictly increasing"),
+])
+def test_bad_ada_thresholds_raise_format_error(small_built, index, value, message):
+    filt = small_built[1]["ada"]
+    blob = bytearray(dump_filter(filt))
+    at = ADA_THRESHOLDS + 8 * index
+    assert struct.unpack_from("<d", blob, at) == (filt.params.partition.thresholds[index],)
+    struct.pack_into("<d", blob, at, value)
+    with pytest.raises(FormatError, match=message):
+        loads_filter(bytes(blob))
+
+
+def test_bad_ada_hash_counts_raise_format_error(small_built):
+    filt = small_built[1]["ada"]
+    g = filt.params.g
+    at = ADA_THRESHOLDS + struct.calcsize(f"<{g + 1}d{g}Q{g}Q")
+    blob = bytearray(dump_filter(filt))
+    assert struct.unpack_from(f"<{g}I", blob, at) == (2, 1, 0)
+    struct.pack_into(f"<{g}I", blob, at, 0, 1, 0)
+    with pytest.raises(FormatError, match="hash counts must be non-increasing"):
+        loads_filter(bytes(blob))
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.5, 1.5])
+def test_bad_tau_raises_format_error(small_built, tau):
+    filt = small_built[1]["lbf"]
+    blob = bytearray(dump_filter(filt))
+    assert struct.unpack_from("<d", blob, LBF_TAU) == (filt.tau,)
+    struct.pack_into("<d", blob, LBF_TAU, tau)
+    with pytest.raises(FormatError, match="tau must be in"):
+        loads_filter(bytes(blob))
+
+
+_FUZZ = {}
+
+
+def _fuzz_case():
+    """Dumps of the five kinds and a fixed probe set of ids and scores (built once)."""
+    if not _FUZZ:
+        ds = gen_synthetic(300, 300, seed=1)
+        part = partition_by_ratio(ds, 4, 2.0)
+        filters = {
+            "standard": build_standard([it.id for it in ds.keys], 3001, 5, seed=1),
+            "lbf": build_lbf(ds, 3001, 0.7, seed=2),
+            "sandwich": build_sandwiched(ds, 4003, 0.6, seed=3),
+            "ada": build_ada(ds, 3001, AdaptiveParams.from_ratio(part, 3, 0, c=2.0), seed=4),
+            "disjoint": build_disjoint(ds, 3001, 4, 2.0, seed=5),
+        }
+        _FUZZ["dumps"] = {kind: dump_filter(f) for kind, f in filters.items()}
+        rng = np.random.default_rng(5)
+        _FUZZ["probes"] = ([f"fuzz-{i}" for i in range(150)] + [it.id for it in ds.items[::6]],
+                           np.concatenate([rng.uniform(0, 1, 150), [1.0, 0.0],
+                                           [it.score for it in ds.items[::6]][2:]]))
+    return _FUZZ
+
+
+STANDARD_K = 4 + struct.calcsize("<HBQQ")  # k of the standard block
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(kind=st.sampled_from(KINDS),
+       mutations=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+# tau patched to NaN: the two query paths disagreed
+@example(kind="lbf", mutations=[(LBF_TAU + 6, 0xF8), (LBF_TAU + 7, 0x7F)])
+# k near 2**30: a scalar query listed every index before testing one
+@example(kind="standard", mutations=[(STANDARD_K + 3, 0x40)])
+def test_mutated_container_raises_or_answers_consistently(kind, mutations):
+    """1-4 byte mutations of a dump: FormatError, or scalar and batch answers agree."""
+    case = _fuzz_case()
+    blob = bytearray(case["dumps"][kind])
+    for where, value in mutations:
+        blob[where % len(blob)] = value
+    try:
+        filt = loads_filter(bytes(blob))
+    except FormatError:
+        return
+    ids, scores = case["probes"]
+    batch = filt.contains_batch(*HashFamily(filt.seed).base_pairs(ids), scores)
+    assert batch.tolist() == [filt.contains(i, s) for i, s in zip(ids, scores.tolist())]

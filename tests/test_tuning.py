@@ -1,5 +1,6 @@
 import pytest
 
+from adabloom import bits
 from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import measure_fpr
 from adabloom.disjoint import build_disjoint
@@ -214,6 +215,69 @@ class TestScoreOrderedView:
         else:
             with pytest.raises(ValueError):
                 tune_lbf(ds, 4000, tau_grid=[0.5], seed=1)
+
+
+@pytest.fixture
+def cache_reads(monkeypatch):
+    """Count the set_hashed / test_hashed calls that read cached probe columns."""
+    reads = {"set_hashed": 0, "test_hashed": 0}
+    for name in reads:
+        kernel = getattr(bits.BitVector, name)
+
+        def spy(self, a, b, k, *, cached=None, _kernel=kernel, _name=name):
+            reads[_name] += cached is not None
+            return _kernel(self, a, b, k, cached=cached)
+        monkeypatch.setattr(bits.BitVector, name, spy)
+    return reads
+
+
+class TestWarmView:
+    """A view whose probe cache is built gives the same filters and tuner results."""
+
+    BUILDS = {
+        "lbf": lambda ds: build_lbf(ds, 9000, 0.7, 1),
+        "lbf-k-past-cache": lambda ds: build_lbf(ds, 9000, 0.2, 1),  # k = 693
+        "ada": lambda ds: build_ada(ds, 9000, AdaptiveParams.from_ratio(
+            partition_by_ratio(ds, 6, 2.0), 5, 0, 2.0), 1),
+        "sandwich-reduced": lambda ds: build_sandwiched(ds, 9000, 0.9, 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_builds_and_answers_are_identical(self, kind, cache_reads):
+        build = self.BUILDS[kind]
+        ds = gen_synthetic(1500, 1500, seed=3)
+        want = build(ds)
+        assert kind != "sandwich-reduced" or want.reduced_to_lbf
+        answers = want.contains_batch(*ds.nonkey_pairs(1), ds.nonkey_scores)
+        view = ds.by_score()
+        for _ in range(3):  # cold, then the cache is built, then read
+            filt = build(view)
+            assert dump_filter(filt) == dump_filter(want)
+            got = filt.contains_batch(*view.nonkey_pairs(1), view.nonkey_scores,
+                                      rows=view.probe_rows(keys=False))
+            assert (got == answers[view.nonkey_order]).all()
+        assert cache_reads["set_hashed"] >= 1 and cache_reads["test_hashed"] >= 1
+
+    TUNERS = [
+        (tune_lbf, {"tau_grid": [0.05, 0.2, 0.5, 0.8, 0.9, 0.95]}),
+        (tune_sandwiched, {"tau_grid": [0.05, 0.2, 0.5, 0.8, 0.9, 0.95]}),
+        (tune_ada, {"kmax_grid": [3, 8, 12], "c_grid": [1.6, 2.0]}),
+        (tune_disjoint, {"g_grid": [3, 5], "c_grid": [2.0]}),
+    ]
+
+    @pytest.mark.parametrize("holdout", [0.0, 0.3])
+    @pytest.mark.parametrize("tune, grids", TUNERS, ids=lambda x: getattr(x, "__name__", ""))
+    def test_tuners_agree_on_cold_and_warm_views(self, tune, grids, holdout, cache_reads):
+        cold = tune(gen_synthetic(1500, 1500, seed=5), 9000, seed=2, holdout_fraction=holdout,
+                    **grids)
+        view = gen_synthetic(1500, 1500, seed=5).by_score()
+        tune(view, 9000, seed=2, holdout_fraction=holdout, **grids)
+        reads = dict(cache_reads)
+        warm = tune(view, 9000, seed=2, holdout_fraction=holdout, **grids)
+        assert (warm.params, warm.fpr, warm.candidates) == (cold.params, cold.fpr, cold.candidates)
+        assert dump_filter(warm.filter) == dump_filter(cold.filter)
+        if tune is not tune_disjoint:  # its stages differ in lane: no geometry repeats
+            assert cache_reads["test_hashed"] > reads["test_hashed"]
 
 
 class TestRobustness:
