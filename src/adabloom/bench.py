@@ -19,8 +19,9 @@ import math
 import time
 from dataclasses import dataclass
 
+from .bits import BitVector, HashFamily
 from .scores import ScoredDataset
-from .standard import build_standard, optimal_k
+from .standard import StandardBloom, insert_keys, optimal_k
 from .tuning import (
     NoFeasibleCandidateError,
     tune_ada,
@@ -107,9 +108,11 @@ def _measure_cell(filt, dataset: ScoredDataset, timing: bool) -> tuple[float, fl
 def _tuned_filter(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int,
                   model_bits: int, grids: dict):
     if method == "standard":
-        keys = [it.id for it in dataset.keys]
+        # inserted from the dataset's cached key pairs, not by hashing the ids again
         k = optimal_k(bitmap_bits, dataset.n)
-        return build_standard(keys, max(1, bitmap_bits), k, seed), {"k": k}
+        bloom = StandardBloom(BitVector(max(1, bitmap_bits)), k, HashFamily(seed))
+        insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
+        return bloom, {"k": k}
     if method == "lbf":
         res = tune_lbf(dataset, bitmap_bits, grids.get("tau_grid"), seed, model_bits)
     elif method == "sandwich":

@@ -27,16 +27,16 @@ of a chunk are still active, they finish in the Python loop from their
 current states, so one long id among short ones costs what it costs the
 per-item loop.
 
-``BitVector.set_hashed`` and ``test_hashed`` compute w probe columns of
-a batch at once, as the ``(w, n)`` slab ``(a + b * cols[:, None]) % R``
-of at most ``_SLAB`` probes, which bounds memory for any k. Insert marks
-its slabs in a ``bool`` array of R entries and ORs it, packed, into the
-bits. Probe doubles w each round from 1 and drops the items that missed,
-so a non-key costs a few probes even when k is in the thousands. Both
-reduce by R as ``idx -= idx // R * R``: the same remainder as ``% R``, but
-numpy divides a ``uint64`` array by a scalar without hardware division
-(libdivide) and takes remainders with it; on 200k indices this took 0.45
-instead of 0.9 ms.
+``BitVector.set_hashed`` computes w probe columns of a batch at once, as
+the ``(w, n)`` slab ``(a + b * cols[:, None]) % R`` of at most ``_SLAB``
+probes, which bounds memory for any k, marks them in a ``bool`` array of
+R entries and ORs it, packed, into the bits. ``_SLAB`` is 2**16, so each
+``uint64`` temporary is 512 KiB, well inside a core's 2 MiB L2: inserting
+50k keys with k = 4 into 300k bits took 1.6 ms, 2.9 ms at 2**18. Every
+kernel reduces by R as ``idx -= idx // R * R``: the same remainder as
+``% R``, but numpy divides a ``uint64`` array by a scalar without hardware
+division (libdivide) and takes remainders with it; on 200k indices this
+took 0.45 instead of 0.9 ms.
 
 Probe i of an item depends only on its base pair, its lane, i and R, not
 on which filter is probed, and a tuner builds and measures hundreds of
@@ -45,17 +45,34 @@ candidates that share lane 0 and R on the same keys and non-keys. A
 ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an ``int32``
 matrix; the score-ordered view of a dataset keeps one per side (see
 ``ScoredDataset.by_score``). ``set_hashed`` and ``test_hashed`` take that
-matrix and their items' rows in it as ``cached``: insert marks the cached
-columns directly, and probe walks them one column at a time over the
-surviving rows, testing an unpacked copy of the bits (R bytes, as large
-as insert's marks). Both compute the columns past the cached ones with
-the slab arithmetic above, probe on the survivors only, so the results
-are the same bits and answers. The walk gathers with ``take`` and
-``compress``: on 50k non-keys at R = 300k and k = 8 it took 1.0 ms, 2.8 ms
-with fancy indexing, and the slab probe 4.9 ms (2-core Xeon).
-``CACHED_COLUMNS`` is 12: at the optimal k a filter is about half full,
-so about 0.5 ** 12 (0.02%) of non-keys reach column 13, and the default
-``ada`` ladder tops out at k = 12.
+matrix and their items' rows in it as ``cached``; insert marks the cached
+columns directly.
+
+``test_hashed`` walks the first ``CACHED_COLUMNS`` columns one at a time
+over the items that are still all hits, whether or not they are cached,
+gathering with ``take`` and dropping the items that missed with
+``flatnonzero`` and ``take`` (on numpy 2.4 twice as fast as ``compress``
+for three arrays); at the optimal k a filter is about half full, so a
+non-key costs about two probes. Only the column source differs:
+
+- cached, column i is read from the matrix at the surviving rows and
+  tested against an unpacked copy of the bits (R bytes, as large as
+  insert's marks);
+- uncached, it is the running sum h = a + i*b, kept per survivor and
+  advanced by b per column (the same 64-bit wrap as a + i*b), reduced by R
+  and tested in the packed bytes as ``buf[idx >> 3] & mask[idx & 7]``, so
+  no R-byte copy is made, whatever R a loaded container has.
+
+Each source keeps the gather that suits it (2-core Xeon, numpy 2.4, 50k
+non-keys at R = 300k and k = 8): cached, the unpacked gather took 0.6 ms
+and a packed one 0.8 ms; uncached, the packed walk took 1.1 ms against
+2.9 ms for the slab probe, and an unpacked walk, unpacking included, was
+about 15% faster at R = 150k-300k but slower at R = 1M with 10k items.
+Columns past the walk, on the few items that survive it, are probed in
+slabs of 1, 2, 4, ... columns: at k = 10**6, three items that hit
+everywhere take about 60 slabs, not a numpy call per column. ``CACHED_COLUMNS``
+is 12: about 0.5 ** 12 (0.02%) of non-keys reach column 13, and the
+default ``ada`` ladder tops out at k = 12.
 """
 
 from __future__ import annotations
@@ -88,7 +105,7 @@ _HASH_CHUNK = 1 << 13
 # A numpy step costs 5-10 us however few rows it covers, the Python loop
 # 0.3-0.5 us per byte and row (both salts): they break even near 20 rows.
 _SCALAR_TAIL_ROWS = 16
-_SLAB = 1 << 18  # probes per slab: 2 MiB per uint64 temporary, whatever k and n
+_SLAB = 1 << 16  # probes per slab: 512 KiB per uint64 temporary, whatever k and n
 # Probe columns a ProbeCache holds: a filter at the optimal k is about half
 # full, so 0.5 ** 12 of non-keys reach column 13; the default ada ladder
 # tops out at k = 12.
@@ -330,28 +347,46 @@ class BitVector:
     def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None) -> np.ndarray:
         """Boolean array: are all of the first k positions set, per item.
 
-        Probes slabs of 1, 2, 4, ... columns (at most ``_SLAB`` probes each)
-        over the items that are still all hits. With ``cached``, as in
-        :meth:`set_hashed`, the cached columns come first, one at a time.
+        Walks the first ``CACHED_COLUMNS`` columns one at a time over the
+        items that are still all hits: from ``cached``, as in
+        :meth:`set_hashed`, against an unpacked copy of the bits, or else
+        from the running sum a + i*b against the packed bytes. The columns
+        past them are probed in slabs of 1, 2, 4, ... columns (at most
+        ``_SLAB`` probes each) over the survivors.
         """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
         n = len(a)
         r, buf = np.uint64(self._nbits), self._buf
         pos = np.arange(n)
-        i = 0
-        if cached is not None and k and n:
-            columns, rows = cached
-            stop = min(k, len(columns))
-            bits = np.unpackbits(buf, bitorder="little").view(bool)
-            pos = np.flatnonzero(bits.take(columns[0][rows]))
-            rows = pos + rows.start if isinstance(rows, slice) else rows.take(pos)
-            i = 1
-            while i < stop and pos.size:
-                hit = bits.take(columns[i].take(rows))
-                pos, rows = pos.compress(hit), rows.compress(hit)
+        i, stop = 0, min(k, CACHED_COLUMNS)
+        if stop and n:
+            if cached is None:
+                h, step = a, b  # h: the survivors' running sum a + i*b
+            else:
+                columns, rows = cached
+                bits = np.unpackbits(buf, bitorder="little").view(bool)
+            while True:
+                if cached is None:
+                    idx = h - h // r * r
+                    hit = (buf.take((idx >> np.uint64(3)).view(np.intp))
+                           & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
+                else:
+                    hit = bits.take(columns[i][rows])
                 i += 1
-            if i < k:
+                # a batch of keys hits everywhere: then there is nothing to drop
+                kept = None if hit.all() else np.flatnonzero(hit)
+                if kept is not None:
+                    pos = pos.take(kept)
+                if i == stop or not pos.size:
+                    break
+                if cached is None:
+                    if kept is not None:
+                        h, step = h.take(kept), step.take(kept)
+                    h = h + step  # wraps at 64 bits, as a + i*b does
+                elif kept is not None:
+                    rows = kept + rows.start if isinstance(rows, slice) else rows.take(kept)
+            if i < k and pos.size:
                 a, b = a.take(pos), b.take(pos)
         width = 1
         while i < k and pos.size:

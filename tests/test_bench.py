@@ -1,15 +1,18 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 
 from adabloom.bench import (
     CSV_HEADER,
+    _tuned_filter,
     measure_fpr,
     parse_budget,
     rows_to_csv,
     run_sweep,
 )
+from adabloom.bits import HashFamily
 from adabloom.cli import main
 from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
 from adabloom.standard import build_standard, expected_fpr_standard
@@ -109,6 +112,15 @@ class TestRunSweep:
         assert lines[0] == CSV_HEADER
         assert len(lines) == len(rows) + 1
         assert all(line.count(",") == 10 for line in lines)
+
+    @pytest.mark.parametrize("bitmap_bits", [1, 40_000])
+    def test_standard_cell_inserts_cached_key_pairs(self, synth_small, bitmap_bits):
+        synth_small.key_pairs(3)
+        with mock.patch.object(HashFamily, "base_pairs", side_effect=AssertionError("re-hashed")):
+            filt, params = _tuned_filter("standard", synth_small, bitmap_bits, 3, 0, {})
+        want = build_standard([it.id for it in synth_small.keys], bitmap_bits, params["k"], 3)
+        assert filt.bits.to_bytes() == want.bits.to_bytes()
+        assert (filt.k, filt.n_inserted, filt.bits.frozen) == (want.k, want.n_inserted, True)
 
     def test_rejects_unknown_method(self, synth_small):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -399,6 +401,46 @@ class TestSlabKernels:
         assert bv.test_hashed(a, b, 0).tolist() == [True, True]
         got = bv.test_hashed(empty, empty, 5)
         assert got.dtype == bool and got.shape == (0,)
+
+
+class TestProbeWalk:
+    # at 0.97 load most items survive the walk and cross into the slabs; a
+    # tiny slab makes the columns past the walk take several slabs
+    @pytest.mark.parametrize("slab", [bits._SLAB, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 200),
+           k=st.sampled_from([0, 1, CACHED_COLUMNS - 1, CACHED_COLUMNS, CACHED_COLUMNS + 1, 300]),
+           r=st.sampled_from([1, 7, 3001, 2**14 + 3]), load=st.sampled_from([0.5, 0.97]),
+           seed=st.integers(0, 2**64 - 1), lane=st.sampled_from([0, 2]))
+    def test_uncached_equals_per_item(self, slab, n, k, r, load, seed, lane):
+        fam = HashFamily(seed, lane)
+        items = [f"w{i}" for i in range(n)]
+        a, b = fam.remix_pairs(*fam.base_pairs(items))
+        bv = random_bits(r, load, seed % 1000)
+        with mock.patch.object(bits, "_SLAB", slab):
+            got = bv.test_hashed(a, b, k)
+        assert got.tolist() == [bv.test_bits(fam.indices(item, k, r)) for item in items]
+
+    def test_huge_k_hands_over_to_slabs(self):
+        # a walk of 10**6 single columns would take seconds
+        a, b = hashed(12, ["x", "y", "z"])
+        full = BitVector.from_bytes(b"\xff" * 125, 1000)
+        t0 = time.perf_counter()
+        assert full.test_hashed(a, b, 10**6).all()
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_uncached_probe_makes_no_unpacked_copy(self):
+        r = 2**27  # 16 MiB packed; an unpacked copy would be 128 MiB
+        full = BitVector.from_bytes(b"\xff" * (r // 8), r)
+        a, b = hashed(13, [f"t{i}" for i in range(16)])
+        tracemalloc.start()
+        try:
+            assert full.test_hashed(a, b, CACHED_COLUMNS + 8).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def warm_cache(fam, items, r):
     """A ProbeCache over ``items`` holding the matrix of ``fam`` at range r."""
