@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset
 from .standard import StandardBloom, insert_keys, optimal_k
-from .tuning import (
-    NoFeasibleCandidateError,
-    tune_ada,
-    tune_disjoint,
-    tune_lbf,
-    tune_sandwiched,
-)
+from .tuning import GRIDS, NoFeasibleCandidateError, tune
 
 __all__ = ["SweepRow", "METHODS", "run_sweep", "measure_fpr", "rows_to_csv", "write_csv",
            "CSV_HEADER", "parse_budget"]
@@ -113,18 +107,7 @@ def _tuned_filter(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: i
         bloom = StandardBloom(BitVector(max(1, bitmap_bits)), k, HashFamily(seed))
         insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
         return bloom, {"k": k}
-    if method == "lbf":
-        res = tune_lbf(dataset, bitmap_bits, grids.get("tau_grid"), seed, model_bits)
-    elif method == "sandwich":
-        res = tune_sandwiched(dataset, bitmap_bits, grids.get("tau_grid"), seed, model_bits)
-    elif method == "ada":
-        res = tune_ada(dataset, bitmap_bits, grids.get("kmax_grid"), grids.get("c_grid"),
-                       seed, model_bits)
-    elif method == "disjoint":
-        res = tune_disjoint(dataset, bitmap_bits, grids.get("g_grid"), grids.get("c_grid"),
-                            seed, model_bits)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    res = tune(method, dataset, bitmap_bits, seed, model_bits, **grids)
     return res.filter, res.params
 
 
@@ -132,8 +115,8 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
               timing: bool = False, **grids) -> list[SweepRow]:
     """One tuned row per (budget, method, seed), sorted by that triple.
 
-    Grid overrides (``tau_grid``, ``kmax_grid``, ``c_grid``, ``g_grid``)
-    pass through to the per-method tuners.
+    Grid overrides, named in ``tuning.GRIDS``, pass through to each
+    method's tuner. An unknown or empty one raises before any cell runs.
     """
     budgets = [int(b) for b in budgets]
     methods = list(methods)
@@ -143,9 +126,14 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-    bad_grids = set(grids) - {"tau_grid", "kmax_grid", "c_grid", "g_grid"}
+    grid_names = {name for names in GRIDS.values() for name in names}
+    bad_grids = set(grids) - grid_names
     if bad_grids:
         raise ValueError(f"unknown grid overrides {sorted(bad_grids)}")
+    grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
+    empty = sorted(name for name, values in grids.items() if values == ())
+    if empty:
+        raise ValueError(f"empty grid overrides {empty}")
 
     rows = []
     for method in sorted(methods):

@@ -24,7 +24,7 @@ from .scores import (
 )
 from .serialize import load_filter, save_filter
 from .standard import build_standard, optimal_k
-from .tuning import tune_ada, tune_disjoint, tune_lbf, tune_sandwiched
+from .tuning import GRIDS, tune
 
 
 def _floats(text: str) -> list[float]:
@@ -33,6 +33,23 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _grids(args) -> dict:
+    """The grid overrides given on the command line, typed as ``GRIDS`` names them."""
+    grids = {}
+    kinds = {name: kind for names in GRIDS.values() for name, kind in names.items()}
+    for name, kind in kinds.items():
+        text = getattr(args, name)
+        if text is None:
+            continue
+        try:
+            grids[name] = [kind(x) for x in text.split(",") if x.strip()]
+            if not grids[name]:
+                raise ValueError("no values")
+        except ValueError as exc:
+            raise SystemExit(f"bad --{name.replace('_', '-')}: {exc}") from exc
+    return grids
 
 
 def _beta_pair(text: str) -> tuple[float, float]:
@@ -94,18 +111,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     dataset = load_scored_csv(args.data)
-    grids = {}
-    if args.tau_grid:
-        grids["tau_grid"] = _floats(args.tau_grid)
-    if args.kmax_grid:
-        grids["kmax_grid"] = _ints(args.kmax_grid)
-    if args.c_grid:
-        grids["c_grid"] = _floats(args.c_grid)
-    if args.g_grid:
-        grids["g_grid"] = _ints(args.g_grid)
     rows = run_sweep(dataset, [parse_budget(b) for b in args.budgets.split(",")],
                      args.methods.split(","), _ints(args.seeds),
-                     model_bits=args.model_bits, timing=args.timing, **grids)
+                     model_bits=args.model_bits, timing=args.timing, **_grids(args))
     write_csv(rows, args.out)
     ok = sum(1 for row in rows if row.status.startswith("ok"))
     print(f"wrote {len(rows)} rows ({ok} ok) to {args.out}")
@@ -114,22 +122,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_tune(args) -> int:
     dataset = load_scored_csv(args.data)
-    r = args.bitmap_bits
-    if args.method == "lbf":
-        res = tune_lbf(dataset, r, _floats(args.tau_grid) if args.tau_grid else None,
-                       args.seed, args.model_bits)
-    elif args.method == "sandwich":
-        res = tune_sandwiched(dataset, r, _floats(args.tau_grid) if args.tau_grid else None,
-                              args.seed, args.model_bits)
-    elif args.method == "ada":
-        res = tune_ada(dataset, r, _ints(args.kmax_grid) if args.kmax_grid else None,
-                       _floats(args.c_grid) if args.c_grid else None, args.seed, args.model_bits)
-    elif args.method == "disjoint":
-        res = tune_disjoint(dataset, r, _ints(args.g_grid) if args.g_grid else None,
-                            _floats(args.c_grid) if args.c_grid else None, args.seed,
-                            args.model_bits)
-    else:
-        raise SystemExit(f"method {args.method!r} has no tuner (standard takes no hyper-parameters)")
+    res = tune(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **_grids(args))
     report = {
         "method": res.method,
         "chosen": res.params,
@@ -214,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("tune", help="hyper-parameter search, output JSON report")
-    p.add_argument("--method", choices=[m for m in METHODS if m != "standard"], required=True)
+    p.add_argument("--method", choices=list(GRIDS), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--bitmap-bits", type=parse_budget, required=True)
     p.add_argument("--model-bits", type=parse_budget, default=0)

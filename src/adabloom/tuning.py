@@ -2,11 +2,14 @@
 
 Threshold filters sweep tau over non-key score percentiles; the
 adaptive filter sweeps (k_max, c) with k_min fixed at 0 (so g = k_max + 1);
-the disjoint filter sweeps (g, c). Every candidate is built at the full
-bit budget and scored by empirical FPR on the dataset's own non-keys,
-argmin wins. Candidates whose partition or allocation is infeasible are
-skipped with a diagnostic and recorded in the candidate log, so a
-report never has silent gaps.
+the disjoint filter sweeps (g, c). All four share one search loop: every
+candidate is built at the full bit budget and scored by empirical FPR on
+the dataset's own non-keys, argmin wins. A tie goes to the larger tau
+(smaller backup filter) or to the first, smallest (k_max, c) / (g, c)
+point. Infeasible candidates are skipped with a diagnostic recorded in
+the candidate log, so a report never has silent gaps. ``GRIDS`` names
+the grid overrides each method takes; ``tune(method, ...)`` runs that
+method's tuner, for the sweep harness and the command line alike.
 
 Every candidate is built and measured on ``dataset.by_score()``, the
 same items with keys and non-keys each in ascending score order. The
@@ -36,17 +39,30 @@ __all__ = [
     "DEFAULT_C_GRID",
     "DEFAULT_KMAX_GRID",
     "DEFAULT_G_GRID",
+    "GRIDS",
     "default_tau_grid",
     "tune_lbf",
     "tune_sandwiched",
     "tune_ada",
     "tune_disjoint",
+    "tune",
     "account_memory",
 ]
 
 DEFAULT_C_GRID = tuple(round(1.2 + 0.2 * i, 1) for i in range(10))  # 1.2 .. 3.0
 DEFAULT_KMAX_GRID = tuple(range(2, 13))
 DEFAULT_G_GRID = tuple(range(2, 13))
+
+# the grid overrides each tuned method takes, with their element types
+GRIDS = {
+    "lbf": {"tau_grid": float},
+    "sandwich": {"tau_grid": float},
+    "ada": {"kmax_grid": int, "c_grid": float},
+    "disjoint": {"g_grid": int, "c_grid": float},
+}
+# each tuned method's tuner, by name (see ``tune``)
+_TUNERS = {"lbf": "tune_lbf", "sandwich": "tune_sandwiched", "ada": "tune_ada",
+           "disjoint": "tune_disjoint"}
 
 
 class NoFeasibleCandidateError(ValueError):
@@ -123,37 +139,51 @@ def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
     return ~holdout, holdout
 
 
-def _finish(method: str, best, view: ScoredDataset, bitmap_bits: int, seed: int,
-            model_bits: int, candidates, holdout, grids) -> TuneResult:
-    fpr, params, filt = best
-    if holdout is not None:
-        fpr = _measure(filt, view, seed, subset=holdout)
-    return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt,
-                      candidates, grids)
+def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, build, seed: int,
+            model_bits: int, holdout_fraction: float, grids: dict,
+            ties_to_last: bool = False) -> TuneResult:
+    """Argmin of the FPR over the params in ``axis``, each built by ``build(view, params)``.
 
-
-def _sweep_tau(method: str, build, dataset: ScoredDataset, bitmap_bits: int,
-               tau_grid, seed: int, model_bits: int, holdout_fraction: float) -> TuneResult:
+    The first strict improvement wins, or with ``ties_to_last`` the last
+    of equal FPRs. With ``holdout_fraction`` set, that share of the
+    non-keys is left out of the search and the winner re-measured on it.
+    """
     view = dataset.by_score()
-    if tau_grid is None:
-        tau_grid = default_tau_grid(view)
-    taus = [float(t) for t in tau_grid]
-    if not taus:
-        raise ValueError("tau grid must be non-empty")
     tune_on = holdout = None
     if holdout_fraction:
         tune_on, holdout = _holdout_split(view, holdout_fraction, seed)
     best = None
     candidates = []
-    for tau in taus:
-        filt = build(view, bitmap_bits, tau, seed, model_bits)
+    for params in axis:
+        try:
+            filt = build(view, params)
+        except (InsufficientDataError, InfeasibleBudgetError) as exc:
+            candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
+            continue
         fpr = _measure(filt, view, seed, subset=tune_on)
-        candidates.append({"params": {"tau": tau}, "fpr": fpr, "status": "ok"})
-        # ties break toward larger tau (smaller backup filter)
-        if best is None or fpr <= best[0]:
-            best = (fpr, {"tau": tau}, filt)
-    return _finish(method, best, view, bitmap_bits, seed, model_bits, candidates,
-                   holdout, {"tau_grid": taus})
+        candidates.append({"params": params, "fpr": fpr, "status": "ok"})
+        if best is None or fpr < best[0] or (ties_to_last and fpr == best[0]):
+            best = (fpr, params, filt)
+    if best is None:
+        raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
+    fpr, params, filt = best
+    if holdout is not None:
+        fpr = _measure(filt, view, seed, subset=holdout)
+    return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt, candidates,
+                      grids)
+
+
+def _sweep_tau(method: str, build, dataset: ScoredDataset, bitmap_bits: int,
+               tau_grid, seed: int, model_bits: int, holdout_fraction: float) -> TuneResult:
+    if tau_grid is None:
+        tau_grid = default_tau_grid(dataset.by_score())
+    taus = [float(t) for t in tau_grid]
+    if not taus:
+        raise ValueError("tau grid must be non-empty")
+    # ties break toward larger tau (smaller backup filter)
+    return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus],
+                   lambda view, p: build(view, bitmap_bits, p["tau"], seed, model_bits),
+                   seed, model_bits, holdout_fraction, {"tau_grid": taus}, ties_to_last=True)
 
 
 def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
@@ -174,34 +204,6 @@ def tune_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, see
                       model_bits, holdout_fraction)
 
 
-def _grid_search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis_pairs,
-                 build_candidate, seed: int, model_bits: int,
-                 holdout_fraction: float, grids: dict) -> TuneResult:
-    """Argmin over ``axis_pairs``, each built by ``build_candidate(view, params)``."""
-    view = dataset.by_score()
-    tune_on = holdout = None
-    if holdout_fraction:
-        tune_on, holdout = _holdout_split(view, holdout_fraction, seed)
-    best = None
-    candidates = []
-    for params in axis_pairs:
-        try:
-            filt = build_candidate(view, params)
-        except (InsufficientDataError, InfeasibleBudgetError) as exc:
-            candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
-            continue
-        fpr = _measure(filt, view, seed, subset=tune_on)
-        candidates.append({"params": params, "fpr": fpr, "status": "ok"})
-        # first strict improvement wins: grids iterate smallest-first, so
-        # ties resolve toward the smaller parameter values
-        if best is None or fpr < best[0]:
-            best = (fpr, params, filt)
-    if best is None:
-        raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
-    return _finish(method, best, view, bitmap_bits, seed, model_bits, candidates,
-                   holdout, grids)
-
-
 def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=None,
              seed: int = 0, model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
     """Full (k_max, c) grid with k_min = 0, so each k_max implies g = k_max + 1."""
@@ -216,10 +218,10 @@ def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=No
         ada_params = AdaptiveParams.from_ratio(partition, params["k_max"], 0, params["c"])
         return build_ada(view, bitmap_bits, ada_params, seed, model_bits)
 
+    # grids iterate smallest-first, so ties resolve toward the smaller values
     axis = [{"k_max": k, "c": c} for k in sorted(kmax_grid) for c in sorted(c_grid)]
-    return _grid_search("ada", dataset, bitmap_bits, axis, build_candidate, seed,
-                        model_bits, holdout_fraction,
-                        {"kmax_grid": list(kmax_grid), "c_grid": list(c_grid)})
+    return _search("ada", dataset, bitmap_bits, axis, build_candidate, seed, model_bits,
+                   holdout_fraction, {"kmax_grid": list(kmax_grid), "c_grid": list(c_grid)})
 
 
 def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=None,
@@ -234,6 +236,19 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
         return build_disjoint(view, bitmap_bits, params["g"], params["c"], seed, model_bits)
 
     axis = [{"g": g, "c": c} for g in sorted(g_grid) for c in sorted(c_grid)]
-    return _grid_search("disjoint", dataset, bitmap_bits, axis, build_candidate, seed,
-                        model_bits, holdout_fraction,
-                        {"g_grid": list(g_grid), "c_grid": list(c_grid)})
+    return _search("disjoint", dataset, bitmap_bits, axis, build_candidate, seed, model_bits,
+                   holdout_fraction, {"g_grid": list(g_grid), "c_grid": list(c_grid)})
+
+
+def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
+         model_bits: int = 0, **grids) -> TuneResult:
+    """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names, ignoring the rest.
+
+    The tuner is looked up in this module at call time, so a wrapped
+    ``tune_*`` (perfbench's tracer installs them) is the one called.
+    """
+    if method not in GRIDS:
+        raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
+    tuner = globals()[_TUNERS[method]]
+    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits,
+                 **{name: grids.get(name) for name in GRIDS[method]})

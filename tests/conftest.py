@@ -1,5 +1,9 @@
+import contextlib
+from unittest import mock
+
 import pytest
 
+from adabloom import tuning
 from adabloom.scores import gen_synthetic
 
 
@@ -13,3 +17,17 @@ def synth_small():
 def synth_bench():
     """The 50k/50k dataset the acceptance comparisons run on."""
     return gen_synthetic(50_000, 50_000, seed=7)
+
+
+@pytest.fixture
+def wrapped_tuners():
+    """Each ``adabloom.tuning.tune_*`` wrapped in a call-counting mock, by name.
+
+    perfbench's tracer swaps these module attributes the same way, so a
+    caller that holds the function objects bypasses both.
+    """
+    names = ("tune_lbf", "tune_sandwiched", "tune_ada", "tune_disjoint")
+    with contextlib.ExitStack() as stack:
+        yield {name: stack.enter_context(
+                   mock.patch.object(tuning, name, wraps=getattr(tuning, name)))
+               for name in names}

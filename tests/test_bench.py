@@ -16,6 +16,7 @@ from adabloom.bits import HashFamily
 from adabloom.cli import main
 from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
 from adabloom.standard import build_standard, expected_fpr_standard
+from adabloom.tuning import GRIDS
 
 SMALL_GRIDS = dict(tau_grid=(0.4, 0.6, 0.8), kmax_grid=(3, 5), c_grid=(2.0,), g_grid=(3, 5))
 
@@ -125,6 +126,21 @@ class TestRunSweep:
     def test_rejects_unknown_method(self, synth_small):
         with pytest.raises(ValueError):
             run_sweep(synth_small, [1000], ["bogus"], [0])
+
+    @pytest.mark.parametrize("name", sorted({n for names in GRIDS.values() for n in names}))
+    def test_empty_grid_override_raises_before_any_cell(self, name):
+        ds = gen_synthetic(300, 300, seed=1)
+        with mock.patch("adabloom.bench._tuned_filter", side_effect=AssertionError("ran a cell")):
+            with pytest.raises(ValueError, match=f"empty grid overrides \\['{name}'\\]"):
+                run_sweep(ds, [3000], ["lbf", "ada", "disjoint"], [0], **{name: ()})
+
+    def test_each_cell_calls_its_tuner_through_the_module(self, wrapped_tuners):
+        ds = gen_synthetic(1000, 1000, seed=2)
+        rows = run_sweep(ds, [10_000, 20_000], ["lbf", "sandwich", "ada", "disjoint"], [0],
+                         **SMALL_GRIDS)
+        assert all(row.status.startswith("ok") for row in rows)
+        assert {name: m.call_count for name, m in wrapped_tuners.items()} == {
+            "tune_lbf": 2, "tune_sandwiched": 2, "tune_ada": 2, "tune_disjoint": 2}
 
     def test_timing_fields_filled_on_request(self, synth_small):
         quiet = run_sweep(synth_small, [40_000], ["standard"], [0])

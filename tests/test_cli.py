@@ -1,8 +1,12 @@
 """The ``adabloom`` command line, called in-process through ``cli.main``."""
 
+import json
+
 import pytest
 
+from adabloom import tuning
 from adabloom.adaptive import fpr_upper_bound
+from adabloom.bench import METHODS, rows_to_csv, run_sweep
 from adabloom.cli import main
 from adabloom.disjoint import allocate_disjoint
 from adabloom.learned import sandwich_allocate
@@ -18,16 +22,34 @@ BUILD_ARGS = {
 }
 
 
+# grid flags for ``tune`` and ``bench``, and the same grids as library arguments
+GRID_FLAGS = {
+    "lbf": ["--tau-grid", "0.5,0.7,0.8"],
+    "sandwich": ["--tau-grid", "0.5,0.7,0.8"],
+    "ada": ["--kmax-grid", "3,5", "--c-grid", "1.5,2"],
+    "disjoint": ["--g-grid", "3,4", "--c-grid", "1.5,2"],
+}
+GRID_ARGS = {"tau_grid": [0.5, 0.7, 0.8], "kmax_grid": [3, 5], "c_grid": [1.5, 2.0],
+             "g_grid": [3, 4]}
+TUNERS = {"lbf": "tune_lbf", "sandwich": "tune_sandwiched", "ada": "tune_ada",
+          "disjoint": "tune_disjoint"}
+
+
 @pytest.fixture(scope="module")
-def built(tmp_path_factory):
-    """The generated dataset and one saved filter per method."""
-    root = tmp_path_factory.mktemp("cli")
-    data = root / "data.csv"
+def data(tmp_path_factory):
+    """A generated dataset CSV."""
+    path = tmp_path_factory.mktemp("cli") / "data.csv"
     assert main(["gen", "--keys", "1500", "--nonkeys", "1500", "--seed", "4",
-                 "--out", str(data)]) == 0
+                 "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def built(data):
+    """The generated dataset and one saved filter per method."""
     paths = {}
     for method, extra in BUILD_ARGS.items():
-        paths[method] = root / f"{method}.adbf"
+        paths[method] = data.parent / f"{method}.adbf"
         assert main(["build", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
                      "--seed", "9", "--out", str(paths[method])] + extra) == 0
     return load_scored_csv(data), paths
@@ -74,6 +96,53 @@ def test_query_with_out_of_range_score_exits(built):
     ds, paths = built
     with pytest.raises(SystemExit, match="score must be in"):
         main(["query", "--filter", str(paths["lbf"]), "--id", ds.keys[0].id, "--score", "1.5"])
+
+
+@pytest.mark.parametrize("method", sorted(TUNERS))
+def test_tune_calls_the_tuner_it_names(method, data, tmp_path, wrapped_tuners):
+    assert main(["tune", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+                 "--report", str(tmp_path / "r.json")] + GRID_FLAGS[method]) == 0
+    calls = {name: m.call_count for name, m in wrapped_tuners.items()}
+    assert calls == {name: int(name == TUNERS[method]) for name in TUNERS.values()}
+
+
+@pytest.mark.parametrize("method", sorted(TUNERS))
+def test_tune_report_equals_the_tuner(method, data, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["tune", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+                 "--seed", "2", "--model-bits", "300", "--report", str(report)]
+                + GRID_FLAGS[method]) == 0
+    body = json.loads(report.read_text())
+    res = getattr(tuning, TUNERS[method])(
+        load_scored_csv(data), 12_000, seed=2, model_bits=300,
+        **{name: GRID_ARGS[name] for name in tuning.GRIDS[method]})
+    for key, want in [("chosen", res.params), ("fpr", res.fpr),
+                      ("candidates", res.candidates), ("grids", res.grids)]:
+        assert json.dumps(body[key]) == json.dumps(want), key
+
+
+def test_bench_csv_equals_run_sweep(data, tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--data", str(data), "--budgets", "8kb,12kb", "--seeds", "1,2",
+                 "--tau-grid", "0.5,0.7,0.8", "--kmax-grid", "3,5", "--c-grid", "1.5,2",
+                 "--g-grid", "3,4", "--out", str(out)]) == 0
+    rows = run_sweep(load_scored_csv(data), [8000, 12_000], METHODS, [1, 2], **GRID_ARGS)
+    assert {row.method for row in rows} == set(METHODS)
+    assert all(row.status.startswith("ok") for row in rows)
+    assert out.read_text() == rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("command", ["bench", "tune"])
+@pytest.mark.parametrize("flag, value", [("--tau-grid", "0.5,x"), ("--kmax-grid", "3,x"),
+                                         ("--kmax-grid", "3.5"), ("--c-grid", ","),
+                                         ("--g-grid", "")])
+def test_malformed_grid_flag_exits_with_message(command, flag, value, data, tmp_path):
+    args = {"bench": ["bench", "--budgets", "12kb", "--out", str(tmp_path / "b.csv")],
+            "tune": ["tune", "--method", "ada", "--bitmap-bits", "12kb",
+                     "--report", str(tmp_path / "r.json")]}[command]
+    with pytest.raises(SystemExit, match=f"^bad {flag}: "):
+        main(args + ["--data", str(data), flag, value])
+    assert not any(tmp_path.iterdir())
 
 
 def test_bound_prints_each_function_value(capsys):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from adabloom import bits
@@ -12,6 +14,7 @@ from adabloom.tuning import (
     NoFeasibleCandidateError,
     account_memory,
     default_tau_grid,
+    tune,
     tune_ada,
     tune_disjoint,
     tune_lbf,
@@ -71,6 +74,32 @@ class TestTauSweep:
         res = tune_sandwiched(synth_small, 80_000, seed=4)
         fprs = [c["fpr"] for c in res.candidates if c["status"] == "ok"]
         assert res.fpr == min(fprs)
+
+
+class TestTieRules:
+    """With every candidate at one FPR, only the tie rule picks the winner."""
+
+    @pytest.mark.parametrize("tune", [tune_lbf, tune_sandwiched])
+    def test_tau_sweeps_take_the_last_tau(self, tune, synth_small):
+        with mock.patch("adabloom.tuning._measure", return_value=0.25):
+            res = tune(synth_small, 40_000, tau_grid=[0.7, 0.3, 0.5], seed=1)
+        assert res.params == {"tau": 0.5}
+        assert res.fpr == 0.25
+
+    @pytest.mark.parametrize("tune, grids, first", [
+        (tune_ada, {"kmax_grid": [5, 3], "c_grid": [2.5, 1.5]}, {"k_max": 3, "c": 1.5}),
+        (tune_disjoint, {"g_grid": [4, 3], "c_grid": [2.5, 1.5]}, {"g": 3, "c": 1.5}),
+    ])
+    def test_grids_take_the_first_point(self, tune, grids, first, synth_small):
+        with mock.patch("adabloom.tuning._measure", return_value=0.25):
+            res = tune(synth_small, 40_000, seed=1, **grids)
+        assert res.params == first
+        assert res.candidates[0]["params"] == first
+
+
+def test_tune_has_no_standard_tuner(synth_small):
+    with pytest.raises(ValueError, match="no tuner"):
+        tune("standard", synth_small, 40_000)
 
 
 class TestGridSearch:
