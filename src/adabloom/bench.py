@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset
 from .standard import StandardBloom, insert_keys, optimal_k
-from .tuning import GRIDS, NoFeasibleCandidateError, tune
+from .tuning import GRIDS, NoFeasibleCandidateError, check_grid, tune
 
 __all__ = ["SweepRow", "METHODS", "run_sweep", "measure_fpr", "rows_to_csv", "write_csv",
            "CSV_HEADER", "parse_budget"]
@@ -116,7 +116,9 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     """One tuned row per (budget, method, seed), sorted by that triple.
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
-    method's tuner. An unknown or empty one raises before any cell runs.
+    method's tuner, which ignores the ones it does not take. An unknown or
+    empty one, or a value ``tuning.check_grid`` rejects, raises before any
+    cell runs.
     """
     budgets = [int(b) for b in budgets]
     methods = list(methods)
@@ -134,6 +136,9 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     empty = sorted(name for name, values in grids.items() if values == ())
     if empty:
         raise ValueError(f"empty grid overrides {empty}")
+    for name, values in grids.items():
+        if values is not None:
+            check_grid(name, values)
 
     rows = []
     for method in sorted(methods):

@@ -462,21 +462,27 @@ class ProbeCache:
 
 
 class ProbeRows(NamedTuple):
-    """A batch's rows in a :class:`ProbeCache`: a slice or an index array."""
+    """A batch's rows in a :class:`ProbeCache`: a slice or an index array.
+
+    A batch that comes with rows is in ascending score order: it is one
+    side of a score-ordered view, or an order-keeping subset of one (a
+    holdout split, a score range, the survivors within a range). The
+    stage loops of ``standard`` rely on it to pick a score range by
+    ``searchsorted``.
+    """
 
     cache: ProbeCache
     rows: slice | np.ndarray
 
-    def select(self, sel: np.ndarray) -> "ProbeRows":
-        """The rows of the items where the boolean mask ``sel`` is set."""
+    def select(self, sel: slice | np.ndarray) -> "ProbeRows":
+        """The rows of the batch items ``sel`` picks: a slice of positions (which
+        keeps a slice of rows), an index array or a boolean mask."""
         rows = self.rows
-        if not isinstance(rows, slice):
-            return ProbeRows(self.cache, rows[sel])
-        first, count = int(sel.argmax()), int(np.count_nonzero(sel))
-        if sel[first:first + count].all():  # a contiguous range, as a score interval is
-            start = rows.start + first
-            return ProbeRows(self.cache, slice(start, start + count))
-        return ProbeRows(self.cache, np.flatnonzero(sel) + rows.start)
+        if isinstance(rows, slice):
+            if isinstance(sel, slice):
+                return ProbeRows(self.cache, slice(rows.start + sel.start, rows.start + sel.stop))
+            rows = np.arange(rows.start, rows.stop)
+        return ProbeRows(self.cache, rows[sel])
 
     def cached(self, family: HashFamily, r: int):
         """``cached`` for ``set_hashed`` / ``test_hashed``, or None on a miss."""

@@ -24,7 +24,7 @@ from .scores import (
 )
 from .serialize import load_filter, save_filter
 from .standard import build_standard, optimal_k
-from .tuning import GRIDS, tune
+from .tuning import GRIDS, check_grid, tune
 
 
 def _floats(text: str) -> list[float]:
@@ -35,8 +35,13 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _grids(args) -> dict:
-    """The grid overrides given on the command line, typed as ``GRIDS`` names them."""
+def _grids(args, taken=None) -> dict:
+    """The grid overrides given on the command line, typed as ``GRIDS`` names them.
+
+    Exits ``bad --<flag>: …`` on a flag outside ``taken`` (the names a
+    method takes, None for any), a malformed or empty list, or a value
+    ``check_grid`` rejects.
+    """
     grids = {}
     kinds = {name: kind for names in GRIDS.values() for name, kind in names.items()}
     for name, kind in kinds.items():
@@ -44,9 +49,12 @@ def _grids(args) -> dict:
         if text is None:
             continue
         try:
+            if taken is not None and name not in taken:
+                raise ValueError(f"method {args.method!r} takes no such grid")
             grids[name] = [kind(x) for x in text.split(",") if x.strip()]
             if not grids[name]:
                 raise ValueError("no values")
+            check_grid(name, grids[name])
         except ValueError as exc:
             raise SystemExit(f"bad --{name.replace('_', '-')}: {exc}") from exc
     return grids
@@ -110,10 +118,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    grids = _grids(args)
     dataset = load_scored_csv(args.data)
     rows = run_sweep(dataset, [parse_budget(b) for b in args.budgets.split(",")],
                      args.methods.split(","), _ints(args.seeds),
-                     model_bits=args.model_bits, timing=args.timing, **_grids(args))
+                     model_bits=args.model_bits, timing=args.timing, **grids)
     write_csv(rows, args.out)
     ok = sum(1 for row in rows if row.status.startswith("ok"))
     print(f"wrote {len(rows)} rows ({ok} ok) to {args.out}")
@@ -121,8 +130,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    grids = _grids(args, GRIDS[args.method])
     dataset = load_scored_csv(args.data)
-    res = tune(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **_grids(args))
+    res = tune(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **grids)
     report = {
         "method": res.method,
         "chosen": res.params,

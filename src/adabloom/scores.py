@@ -73,11 +73,14 @@ class ScoredDataset:
     ``by_score`` gives the same dataset with keys and non-keys each in
     ascending score order, which the tuners build and measure every
     candidate on. Set bits and false positive counts do not depend on
-    item order, but on sorted scores the group lookups (``searchsorted``)
-    and the per-group boolean masks of builds and batch queries run
-    without branch mispredictions: profiling a 50k/50k sweep at 150 and
-    300 Kb, ``searchsorted`` took 2.09 s on the dataset and 0.78 s on the
-    view, and ``AdaptiveBloom.contains_batch`` 1.05 s and 0.22 s.
+    item order, but on sorted scores a partition's group counts are one
+    ``searchsorted`` of its thresholds, and each stage of a build or a
+    batch query picks its items as one range of rows instead of a
+    boolean mask over all of them (see ``standard``). On 50k/50k
+    Beta(3,1)/Beta(1,3) scores, the 12 stages of ``ada`` at k_max = 12,
+    c = 1.6 and 300 Kb answered the 50k non-keys in 10.3 ms on the
+    dataset, 4.9 ms on the view with per-stage masks and 2.6 ms on the
+    view with ranges (2-core Xeon, numpy 2.4).
     """
 
     def __init__(self, items: list[ScoredItem] | tuple[ScoredItem, ...]):

@@ -24,6 +24,17 @@ A bound lo <= 0 or hi > 1 is an open end, so the top group's stage, with
 hi = inf, holds the score 1. Both query paths of a ``GatedBloom`` raise
 ``ValueError`` on a missing, NaN or out-of-range score; ``StandardBloom``
 takes a score too and ignores it.
+
+The batch query and ``insert_keys`` pick each stage's items with
+``_stage_items``. A batch that comes with ``ProbeRows`` is in ascending
+score order (see ``bits.ProbeRows``), so a stage's items are one run of
+it: two ``searchsorted`` calls give the range [i0, i1), the inputs are
+views and the answers are written to ``out[i0:i1]``. Only a stage whose
+interval overlaps an earlier one (a sandwich's backup) can hold items
+already rejected; it narrows to the survivors inside its range. Any other
+batch (a plain dataset, a query batch, a loaded filter) is selected by a
+boolean mask over the whole batch. Both give the same items; a NaN key
+score sorts last and counts as above every bound.
 """
 
 from __future__ import annotations
@@ -108,15 +119,31 @@ class StandardBloom:
         return f"StandardBloom(r={self.size_bits}, k={self.k}, n={self.n_inserted})"
 
 
-def _in_interval(scores: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Mask of ``lo <= scores < hi``; lo <= 0 and hi > 1 are open ends.
+def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
+                 alive: np.ndarray | None = None):
+    """(selector, count) of the items with ``lo <= score < hi`` that ``alive`` keeps.
 
-    A NaN score counts as above every bound, as in ``np.searchsorted``.
+    lo <= 0 and hi > 1 are open ends, and a NaN score counts as above
+    every bound. On ``ordered`` scores (ascending, NaN last) the selector
+    is the slice [i0, i1), or the survivors' indices inside it if
+    ``alive`` rejects some there; otherwise it is a boolean mask.
     """
-    sel = scores < hi if hi <= 1.0 else np.ones(len(scores), dtype=bool)
-    if lo > 0.0:
-        sel &= ~(scores < lo)
-    return sel
+    if not ordered:
+        sel = scores < hi if hi <= 1.0 else np.ones(len(scores), dtype=bool)
+        if lo > 0.0:
+            sel &= ~(scores < lo)
+        if alive is not None:
+            sel &= alive
+        return sel, int(np.count_nonzero(sel))
+    i0 = int(np.searchsorted(scores, lo)) if lo > 0.0 else 0
+    i1 = int(np.searchsorted(scores, hi)) if hi <= 1.0 else len(scores)
+    sel = slice(i0, max(i0, i1))
+    if alive is not None:
+        inside = alive[sel]
+        if not inside.all():  # an earlier, overlapping stage rejected some
+            kept = np.flatnonzero(inside) + i0
+            return kept, len(kept)
+    return sel, sel.stop - i0
 
 
 class GatedBloom:
@@ -142,17 +169,20 @@ class GatedBloom:
                        rows: ProbeRows | None = None) -> np.ndarray:
         """Batch ``contains`` from base-hash arrays of the master seed.
 
-        ``rows`` gives the items' rows in a score-ordered view's probe cache.
+        ``rows`` gives the items' rows in a score-ordered view's probe cache;
+        a batch with rows must be in ascending score order (see ``ProbeRows``),
+        or ValueError: its stages pick score ranges, and a range of an
+        unordered batch would send keys to the wrong stages.
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
         scores = check_scores(scores)
+        if rows is not None and not (scores[1:] >= scores[:-1]).all():
+            raise ValueError("a batch with probe rows must be in ascending score order")
         out = np.ones(len(scores), dtype=bool)
         for lo, hi, stage in self.stages:
-            sel = _in_interval(scores, lo, hi)
-            sel &= out
-            count = np.count_nonzero(sel)
-            if count == len(sel):  # every item, none yet rejected: no copies
+            sel, count = _stage_items(scores, lo, hi, rows is not None, out)
+            if count == len(scores):  # every item, none yet rejected: no copies
                 out = stage.contains_batch(base_a, base_b, rows=rows)
             elif count:
                 out[sel] = stage.contains_batch(
@@ -164,20 +194,17 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
     """Insert each key into every stage whose [lo, hi) holds its score.
 
     Sets each stage's ``n_inserted`` to its key count, then freezes the bits.
-    On a score-ordered view the inserts read its cached probe columns.
+    On a score-ordered view each stage's keys are a slice, and the inserts
+    read its cached probe columns.
     """
     rows = dataset.probe_rows(keys=True)
     for lo, hi, stage in stages:
-        sel = _in_interval(dataset.key_scores, lo, hi)
-        stage.n_inserted = int(np.count_nonzero(sel))
+        sel, stage.n_inserted = _stage_items(dataset.key_scores, lo, hi, rows is not None)
         if stage.n_inserted:
-            stage_rows = None
-            if rows is not None:  # the view: rows in its cache index its arrays too
-                stage_rows = rows.select(sel)
-                sel = stage_rows.rows
             base_a, base_b = dataset.key_pairs(seed)
             a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
-            stage.bits.set_hashed(a, b, stage.k, cached=stage._cached(stage_rows))
+            stage.bits.set_hashed(a, b, stage.k,
+                                  cached=stage._cached(None if rows is None else rows.select(sel)))
     for _, _, stage in stages:
         stage.bits.freeze()
 
@@ -213,9 +240,14 @@ def expected_fpr_standard(r: int, n: int, k: int) -> float:
 
 
 def optimal_k(r: int, n: int, k_cap: int = DEFAULT_K_CAP) -> int:
-    """FPR-minimizing hash count Round((r/n) ln 2); capped when n = 0."""
+    """FPR-minimizing hash count min(k_cap, Round((r/n) ln 2)); k_cap when n = 0.
+
+    Past the default cap of 64 (above about 92 bits per key) the expected
+    FPR is below 1e-19 either way, while every insert and every hit costs
+    k probes.
+    """
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     if n == 0:
         return k_cap
-    return round_half_away(r / n * LN2)
+    return min(k_cap, round_half_away(r / n * LN2))

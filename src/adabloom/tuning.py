@@ -15,7 +15,8 @@ Every candidate is built and measured on ``dataset.by_score()``, the
 same items with keys and non-keys each in ascending score order. The
 filters are bit-identical and the FPR counts equal to those on the
 dataset itself, but each candidate cuts the score axis anew, and on
-sorted scores its group lookups and per-group masks are much cheaper.
+sorted scores its group counts are one ``searchsorted`` and each of its
+stages picks one range of rows, not a boolean mask over all of them.
 A holdout split is still drawn in the dataset's item order.
 
 Memory accounting follows the benchmark convention that a learned
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_KMAX_GRID",
     "DEFAULT_G_GRID",
     "GRIDS",
+    "check_grid",
     "default_tau_grid",
     "tune_lbf",
     "tune_sandwiched",
@@ -59,6 +61,13 @@ GRIDS = {
     "sandwich": {"tau_grid": float},
     "ada": {"kmax_grid": int, "c_grid": float},
     "disjoint": {"g_grid": int, "c_grid": float},
+}
+# per grid override, the values every build refuses, whatever the candidate
+_GRID_LIMITS = {
+    "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
+    "kmax_grid": (lambda k_max: k_max >= 0, "k_max must be >= 0"),
+    "c_grid": (lambda c: c > 1.0, "c must be > 1"),
+    "g_grid": (lambda g: g >= 1, "g must be >= 1"),
 }
 # each tuned method's tuner, by name (see ``tune``)
 _TUNERS = {"lbf": "tune_lbf", "sandwich": "tune_sandwiched", "ada": "tune_ada",
@@ -240,15 +249,31 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
                    holdout_fraction, {"g_grid": list(g_grid), "c_grid": list(c_grid)})
 
 
+def check_grid(name: str, values) -> None:
+    """ValueError naming the first value of grid override ``name`` that no build takes.
+
+    Such a value (tau outside [0, 1] or NaN, k_max < 0, c <= 1 or NaN,
+    g < 1) fails every candidate it is part of.
+    """
+    valid, rule = _GRID_LIMITS[name]
+    for value in values:
+        if not valid(value):
+            raise ValueError(f"{rule}, got {value}")
+
+
 def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
          model_bits: int = 0, **grids) -> TuneResult:
     """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names, ignoring the rest.
 
-    The tuner is looked up in this module at call time, so a wrapped
+    Raises ValueError on an override value ``check_grid`` rejects. The
+    tuner is looked up in this module at call time, so a wrapped
     ``tune_*`` (perfbench's tracer installs them) is the one called.
     """
     if method not in GRIDS:
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
+    grids = {name: grids.get(name) for name in GRIDS[method]}
+    for name, values in grids.items():
+        if values is not None:
+            check_grid(name, values)
     tuner = globals()[_TUNERS[method]]
-    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits,
-                 **{name: grids.get(name) for name in GRIDS[method]})
+    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits, **grids)

@@ -134,6 +134,16 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=f"empty grid overrides \\['{name}'\\]"):
                 run_sweep(ds, [3000], ["lbf", "ada", "disjoint"], [0], **{name: ()})
 
+    @pytest.mark.parametrize("name, values", [("tau_grid", (0.5, 1.5)),
+                                              ("tau_grid", (float("nan"),)),
+                                              ("kmax_grid", (3, -1)), ("c_grid", (2.0, 1.0)),
+                                              ("g_grid", (0, 3))])
+    def test_out_of_range_grid_value_raises_before_any_cell(self, name, values):
+        ds = gen_synthetic(300, 300, seed=1)
+        with mock.patch("adabloom.bench._tuned_filter", side_effect=AssertionError("ran a cell")):
+            with pytest.raises(ValueError, match=" must be "):
+                run_sweep(ds, [3000], ["standard"], [0], **{name: values})
+
     def test_each_cell_calls_its_tuner_through_the_module(self, wrapped_tuners):
         ds = gen_synthetic(1000, 1000, seed=2)
         rows = run_sweep(ds, [10_000, 20_000], ["lbf", "sandwich", "ada", "disjoint"], [0],

@@ -522,13 +522,16 @@ class TestProbeCache:
 
     def test_select_keeps_ranges_as_slices(self):
         rows = ProbeRows(None, slice(10, 20))
+        assert rows.select(slice(3, 7)).rows == slice(13, 17)
+        assert rows.select(slice(3, 7)).select(slice(1, 3)).rows == slice(14, 16)
+        assert rows.select(slice(4, 4)).rows == slice(14, 14)
         mask = np.zeros(10, dtype=bool)
-        mask[3:7] = True
-        assert rows.select(mask).rows == slice(13, 17)
-        mask[8] = True
+        mask[[3, 4, 5, 6, 8]] = True
         assert rows.select(mask).rows.tolist() == [13, 14, 15, 16, 18]
+        assert rows.select(np.array([0, 9])).rows.tolist() == [10, 19]
         every_other = np.array([True, False, True, False, True])
         assert rows.select(mask).select(every_other).rows.tolist() == [13, 15, 18]
+        assert rows.select(mask).select(slice(1, 3)).rows.tolist() == [14, 15]
 
 
 @settings(max_examples=120, deadline=None)

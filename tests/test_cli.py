@@ -145,6 +145,31 @@ def test_malformed_grid_flag_exits_with_message(command, flag, value, data, tmp_
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("method, flag, value", [("lbf", "--kmax-grid", "3"),
+                                                  ("sandwich", "--c-grid", "2"),
+                                                  ("ada", "--g-grid", "3"),
+                                                  ("disjoint", "--tau-grid", "0.5")])
+def test_tune_rejects_a_grid_flag_the_method_does_not_take(method, flag, value, data, tmp_path):
+    with pytest.raises(SystemExit, match=f"^bad {flag}: method '{method}' takes no such grid"):
+        main(["tune", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+              "--report", str(tmp_path / "r.json"), flag, value])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["bench", "tune"])
+@pytest.mark.parametrize("flag, value, method", [
+    ("--tau-grid", "0.5,1.5", "lbf"), ("--tau-grid", "-0.1", "sandwich"),
+    ("--tau-grid", "nan", "lbf"), ("--kmax-grid", "3,-1", "ada"), ("--c-grid", "2,1", "ada"),
+    ("--c-grid", "0.5", "disjoint"), ("--c-grid", "nan", "disjoint"), ("--g-grid", "0,3", "disjoint")])
+def test_out_of_range_grid_value_exits_with_message(command, flag, value, method, data, tmp_path):
+    args = {"bench": ["bench", "--budgets", "12kb", "--out", str(tmp_path / "b.csv")],
+            "tune": ["tune", "--method", method, "--bitmap-bits", "12kb",
+                     "--report", str(tmp_path / "r.json")]}[command]
+    with pytest.raises(SystemExit, match=f"^bad {flag}: .* must be "):
+        main(args + ["--data", str(data), flag, value])
+    assert not any(tmp_path.iterdir())
+
+
 def test_bound_prints_each_function_value(capsys):
     main(["bound", "--op", "eq3", "--c", "2", "--alpha", "0.3", "--g", "3", "--k-max", "4"])
     assert capsys.readouterr().out.strip() == repr(fpr_upper_bound(2.0, 0.3, 3, 4))

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adabloom.bits import BitVector, HashFamily
+from adabloom.scores import ScoredDataset, ScoredItem
 from adabloom.standard import (
     DEFAULT_K_CAP,
+    GatedBloom,
+    StandardBloom,
     build_standard,
     expected_fpr_standard,
+    insert_keys,
     optimal_k,
 )
 
@@ -117,5 +124,95 @@ class TestOptimalK:
         assert optimal_k(1000, 0) == DEFAULT_K_CAP
         assert optimal_k(1000, 0, k_cap=16) == 16
 
+    def test_cap_holds_for_every_n(self):
+        assert DEFAULT_K_CAP == 64
+        assert optimal_k(10**6, 100) == 64
+        assert optimal_k(10**6, 100, k_cap=10**4) == 6931
+        # Round((r/n) ln 2) reaches 65 just above 93 bits per key
+        assert optimal_k(9300, 100) == 64 and optimal_k(9400, 100) == 64
+        assert optimal_k(9300, 100, k_cap=10**4) == 64
+        assert optimal_k(9400, 100, k_cap=10**4) == 65
+
     def test_never_negative(self):
         assert optimal_k(1, 10**9) == 0
+
+
+# scores on and between the stage bounds below, with ties
+SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0]) | st.floats(0, 1)
+# bounds: lo <= 0 and hi > 1 are open ends; lo >= hi makes an empty stage
+LOS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+HIS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, math.inf])
+STAGES = st.lists(st.tuples(LOS, HIS, st.sampled_from([40, 300, 3000]), st.integers(0, 14),
+                            st.sampled_from([0, 1, 3])), min_size=1, max_size=4)
+
+
+def fresh_stages(spec, seed):
+    return tuple((lo, hi, StandardBloom(BitVector(r), k, HashFamily(seed, lane)))
+                 for lo, hi, r, k, lane in spec)
+
+
+def scored(key_scores, nonkey_scores):
+    return ScoredDataset([ScoredItem(f"k{i}", s, True) for i, s in enumerate(key_scores)]
+                         + [ScoredItem(f"n{i}", s, False) for i, s in enumerate(nonkey_scores)])
+
+
+class TestStageRanges:
+    """On a score-ordered view the stages pick score ranges; elsewhere masks. Same items."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(keys=st.lists(SCORES | st.just(math.nan), max_size=60), spec=STAGES,
+           sandwich=st.booleans(), seed=st.integers(0, 2**32))
+    def test_insert_on_the_view_equals_the_dataset(self, keys, spec, sandwich, seed):
+        if sandwich:  # an initial stage over every score in front
+            spec = [(0.0, math.inf, 200, 3, 1)] + spec
+        ds = scored(keys, [0.5])
+        want = fresh_stages(spec, seed)
+        insert_keys(ds, seed, want)
+        view = ds.by_score()
+        for _ in range(3):  # cold, then the probe cache is built, then read
+            got = fresh_stages(spec, seed)
+            insert_keys(view, seed, got)
+            for (_, _, g), (_, _, w) in zip(got, want):
+                assert g.n_inserted == w.n_inserted
+                assert g.bits.to_bytes() == w.bits.to_bytes()
+                assert g.bits.frozen
+
+    @settings(max_examples=120, deadline=None)
+    @given(keys=st.lists(SCORES, max_size=60), nonkeys=st.lists(SCORES, min_size=1, max_size=80),
+           spec=STAGES, sandwich=st.booleans(), seed=st.integers(0, 2**32), data=st.data())
+    def test_query_with_rows_equals_without(self, keys, nonkeys, spec, sandwich, seed, data):
+        if sandwich:  # rejects items the later, overlapping stages then hold
+            spec = [(0.0, math.inf, 60, 2, 1)] + spec
+        ds = scored(keys, nonkeys)
+        filt = GatedBloom(fresh_stages(spec, seed), seed)
+        insert_keys(ds, seed, filt.stages)
+        view = ds.by_score()
+        holdout = np.array(data.draw(st.lists(st.booleans(), min_size=view.m, max_size=view.m)))
+        for side in (False, True):
+            a, b = view.key_pairs(seed) if side else view.nonkey_pairs(seed)
+            scores = view.key_scores if side else view.nonkey_scores
+            rows = view.probe_rows(keys=side)
+            want = filt.contains_batch(a, b, scores)
+            assert want.tolist() == [filt.contains(it.id, it.score)
+                                     for it in (view.keys if side else view.nonkeys)]
+            for _ in range(3):
+                assert (filt.contains_batch(a, b, scores, rows=rows) == want).all()
+            if not side and holdout.any():  # an order-keeping subset: index-array rows
+                sub = rows.select(holdout)
+                assert isinstance(sub.rows, np.ndarray)
+                got = filt.contains_batch(a[holdout], b[holdout], scores[holdout], rows=sub)
+                assert (got == want[holdout]).all()
+
+    def test_query_with_rows_needs_ascending_scores(self):
+        ds = scored([0.1, 0.3, 0.6, 0.9] * 10, [0.2, 0.5, 0.8] * 10)
+        filt = GatedBloom(fresh_stages([(0.0, 0.5, 300, 4, 0), (0.5, math.inf, 300, 8, 2)], 1), 1)
+        insert_keys(ds, 1, filt.stages)
+        view = ds.by_score()
+        a, b = view.key_pairs(1)
+        rows = view.probe_rows(keys=True)
+        assert filt.contains_batch(a, b, view.key_scores, rows=rows).all()
+        turned = np.arange(view.n)[::-1]
+        with pytest.raises(ValueError, match="ascending score order"):
+            filt.contains_batch(a[turned], b[turned], view.key_scores[turned],
+                                rows=rows.select(turned))
+        assert filt.contains_batch(a[turned], b[turned], view.key_scores[turned]).all()

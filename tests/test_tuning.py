@@ -11,6 +11,7 @@ from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_
 from adabloom.serialize import dump_filter
 from adabloom.standard import optimal_k
 from adabloom.tuning import (
+    GRIDS,
     NoFeasibleCandidateError,
     account_memory,
     default_tau_grid,
@@ -100,6 +101,20 @@ class TestTieRules:
 def test_tune_has_no_standard_tuner(synth_small):
     with pytest.raises(ValueError, match="no tuner"):
         tune("standard", synth_small, 40_000)
+
+
+@pytest.mark.parametrize("method, grids", [
+    ("lbf", {"tau_grid": [0.5, 1.5]}), ("sandwich", {"tau_grid": [float("nan")]}),
+    ("ada", {"kmax_grid": [-1]}), ("ada", {"c_grid": [1.0]}),
+    ("disjoint", {"g_grid": [0]}), ("disjoint", {"c_grid": [2.0, 0.5]})])
+def test_tune_rejects_out_of_range_grid_values(method, grids, wrapped_tuners):
+    ds = gen_synthetic(300, 300, seed=1)
+    with pytest.raises(ValueError, match=" must be "):
+        tune(method, ds, 3000, **grids)
+    assert all(m.call_count == 0 for m in wrapped_tuners.values())
+    # a method ignores the overrides it does not take
+    other = next(m for m, names in GRIDS.items() if not set(grids) & set(names))
+    assert tune(other, ds, 3000, **grids).method == other
 
 
 class TestGridSearch:
