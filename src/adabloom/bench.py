@@ -5,10 +5,11 @@ budget on their score model (bitmap = budget - model_bits); the
 standard baseline has no model, so for a fair comparison it receives
 the full budget as bitmap, matching how the learned methods are charged.
 
-Every (budget, method, seed) cell tunes its hyper-parameters, builds
-the winning filter, and measures empirical FPR over all dataset
-non-keys plus FNR over all keys (which must come out exactly zero).
-Infeasible cells produce a diagnostic row, never a silent gap. With
+Every (budget, method, seed) cell is tuned on the score-ordered view
+``dataset.by_score()``; its empirical FPR is the tuner's own count over
+all the view's non-keys (one count at the optimal k for ``standard``),
+its FNR one batch query of the view's keys, which must come out exactly
+zero. Infeasible cells produce a diagnostic row, never a silent gap. With
 timing disabled (the default) identical invocations produce
 byte-identical CSV output.
 """
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 import math
 import time
+import timeit
 from dataclasses import dataclass
 
-from .bits import BitVector, HashFamily
 from .scores import ScoredDataset
-from .standard import StandardBloom, insert_keys, optimal_k
-from .tuning import GRIDS, NoFeasibleCandidateError, check_grid, tune
+from .tuning import GRIDS, NoFeasibleCandidateError, _measure, build, check_grid, tune
 
 __all__ = ["SweepRow", "METHODS", "run_sweep", "measure_fpr", "rows_to_csv", "write_csv",
            "CSV_HEADER", "parse_budget"]
@@ -79,36 +79,12 @@ def measure_fpr(filt, negatives) -> tuple[float, int]:
     return positives / len(negatives), positives
 
 
-def _measure_cell(filt, dataset: ScoredDataset, timing: bool) -> tuple[float, float, float | None]:
-    """(empirical fpr, fnr, query_ns) over the whole dataset, batch path."""
-    na, nb = dataset.nonkey_pairs(filt.seed)
-    fp = filt.contains_batch(na, nb, dataset.nonkey_scores)
-    fpr = float(fp.mean()) if dataset.m else 0.0
-    ka, kb = dataset.key_pairs(filt.seed)
-    hits = filt.contains_batch(ka, kb, dataset.key_scores)
-    fnr = 1.0 - (float(hits.mean()) if dataset.n else 1.0)
-    query_ns = None
-    if timing:
-        reps = []
-        for _ in range(3):
-            t0 = time.perf_counter_ns()
-            filt.contains_batch(na, nb, dataset.nonkey_scores)
-            reps.append((time.perf_counter_ns() - t0) / max(1, dataset.m))
-        reps.sort()
-        query_ns = reps[1]
-    return fpr, fnr, query_ns
-
-
-def _tuned_filter(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int,
-                  model_bits: int, grids: dict):
-    if method == "standard":
-        # inserted from the dataset's cached key pairs, not by hashing the ids again
-        k = optimal_k(bitmap_bits, dataset.n)
-        bloom = StandardBloom(BitVector(max(1, bitmap_bits)), k, HashFamily(seed))
-        insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
-        return bloom, {"k": k}
-    res = tune(method, dataset, bitmap_bits, seed, model_bits, **grids)
-    return res.filter, res.params
+def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
+    """Median of three timings of one batch query of the view's non-keys, per item."""
+    a, b, rows = *view.nonkey_pairs(seed), view.probe_rows(keys=False)
+    reps = timeit.repeat(lambda: filt.contains_batch(a, b, view.nonkey_scores, rows=rows),
+                         number=1, repeat=3)
+    return sorted(reps)[1] * 1e9 / max(1, view.m)
 
 
 def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int = 0,
@@ -140,6 +116,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
         if values is not None:
             check_grid(name, values)
 
+    view = dataset.by_score()
     rows = []
     for method in sorted(methods):
         for budget in sorted(budgets):
@@ -155,11 +132,18 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                     continue
                 t0 = time.perf_counter()
                 try:
-                    filt, _params = _tuned_filter(method, dataset, bitmap_bits, seed,
-                                                  row_model_bits, grids)
+                    if method == "standard":
+                        filt = build(method, view, bitmap_bits, seed)
+                        fpr = _measure(filt, view, seed) if view.m else 0.0
+                    else:
+                        res = tune(method, dataset, bitmap_bits, seed, row_model_bits, **grids)
+                        filt, fpr = res.filter, res.fpr  # holdout 0: over every non-key
                     build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
                     # raises on a key score outside [0, 1], which tuning never queries
-                    fpr, fnr, query_ns = _measure_cell(filt, dataset, timing)
+                    hits = filt.contains_batch(*view.key_pairs(seed), view.key_scores,
+                                               rows=view.probe_rows(keys=True))
+                    fnr = 1.0 - (float(hits.mean()) if view.n else 1.0)
+                    query_ns = _query_ns(filt, view, seed) if timing else None
                 except (NoFeasibleCandidateError, ValueError) as exc:
                     rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits,
                                          float("nan"), None, float("nan"), None, None, seed,

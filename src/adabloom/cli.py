@@ -11,20 +11,13 @@ import argparse
 import json
 import sys
 
-from .adaptive import AdaptiveParams, build_ada, fpr_upper_bound
+from .adaptive import fpr_upper_bound
 from .bench import METHODS, parse_budget, run_sweep, write_csv
-from .disjoint import allocate_disjoint, build_disjoint
-from .learned import build_lbf, build_sandwiched, sandwich_allocate
-from .scores import (
-    gen_synthetic,
-    load_scored_csv,
-    min_sample_size,
-    partition_by_ratio,
-    save_scored_csv,
-)
+from .disjoint import allocate_disjoint
+from .learned import sandwich_allocate
+from .scores import gen_synthetic, load_scored_csv, min_sample_size, save_scored_csv
 from .serialize import load_filter, save_filter
-from .standard import build_standard, optimal_k
-from .tuning import GRIDS, check_grid, tune
+from .tuning import GRIDS, PARAMS, build, check_grid, tune
 
 
 def _floats(text: str) -> list[float]:
@@ -35,6 +28,10 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+# every grid override, with its element type
+_GRID_KINDS = {name: kind for names in GRIDS.values() for name, kind in names.items()}
+
+
 def _grids(args, taken=None) -> dict:
     """The grid overrides given on the command line, typed as ``GRIDS`` names them.
 
@@ -43,8 +40,7 @@ def _grids(args, taken=None) -> dict:
     ``check_grid`` rejects.
     """
     grids = {}
-    kinds = {name: kind for names in GRIDS.values() for name, kind in names.items()}
-    for name, kind in kinds.items():
+    for name, kind in _GRID_KINDS.items():
         text = getattr(args, name)
         if text is None:
             continue
@@ -75,34 +71,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    taken = PARAMS[args.method]
+    params = {name: getattr(args, name) for name in taken if getattr(args, name) is not None}
+    for name in (n for names in PARAMS.values() for n in names):
+        flag = "--" + name.replace("_", "-")
+        if getattr(args, name) is not None and name not in taken:
+            raise SystemExit(f"bad {flag}: method {args.method!r} takes no such parameter")
+        if name in taken and name not in params and name not in ("k", "k_min"):
+            raise SystemExit(f"{flag} is required for method {args.method!r}")
     dataset = load_scored_csv(args.data)
-    r = args.bitmap_bits
-    if args.method == "standard":
-        k = args.k if args.k is not None else optimal_k(r, dataset.n)
-        filt = build_standard([it.id for it in dataset.keys], r, k, args.seed)
-    elif args.method == "lbf":
-        filt = build_lbf(dataset, r, _require(args, "tau"), args.seed, args.model_bits)
-    elif args.method == "sandwich":
-        filt = build_sandwiched(dataset, r, _require(args, "tau"), args.seed, args.model_bits)
-    elif args.method == "ada":
-        k_max = _require(args, "k_max")
-        g = k_max - args.k_min + 1
-        partition = partition_by_ratio(dataset, g, _require(args, "c"))
-        params = AdaptiveParams.from_ratio(partition, k_max, args.k_min, args.c)
-        filt = build_ada(dataset, r, params, args.seed, args.model_bits)
-    else:  # disjoint
-        filt = build_disjoint(dataset, r, _require(args, "g"), _require(args, "c"),
-                              args.seed, args.model_bits)
+    try:
+        filt = build(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **params)
+    except ValueError as exc:
+        raise SystemExit(f"cannot build {args.method}: {exc}") from exc
     save_filter(filt, args.out)
     print(f"built {args.method} filter over {dataset.n} keys, saved to {args.out}")
     return 0
-
-
-def _require(args, name: str):
-    value = getattr(args, name)
-    if value is None:
-        raise SystemExit(f"--{name.replace('_', '-')} is required for method {args.method!r}")
-    return value
 
 
 def _cmd_query(args) -> int:
@@ -189,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="standard: hash count (default optimal)")
     p.add_argument("--tau", type=float, default=None, help="lbf/sandwich: score threshold")
     p.add_argument("--k-max", type=int, default=None, help="ada: largest hash count")
-    p.add_argument("--k-min", type=int, default=0, help="ada: smallest hash count")
+    p.add_argument("--k-min", type=int, default=None, help="ada: smallest hash count (default 0)")
     p.add_argument("--c", type=float, default=None, help="ada/disjoint: non-key count ratio")
     p.add_argument("--g", type=int, default=None, help="disjoint: group count")
     p.add_argument("--out", required=True)
@@ -207,10 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--seeds", default="0")
     p.add_argument("--model-bits", type=parse_budget, default=0)
-    p.add_argument("--tau-grid", default=None)
-    p.add_argument("--kmax-grid", default=None)
-    p.add_argument("--c-grid", default=None)
-    p.add_argument("--g-grid", default=None)
+    for name in _GRID_KINDS:
+        p.add_argument("--" + name.replace("_", "-"), default=None)
     p.add_argument("--timing", action="store_true",
                    help="fill timing columns (off by default so output is reproducible)")
     p.add_argument("--out", required=True)
@@ -222,10 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bitmap-bits", type=parse_budget, required=True)
     p.add_argument("--model-bits", type=parse_budget, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau-grid", default=None)
-    p.add_argument("--kmax-grid", default=None)
-    p.add_argument("--c-grid", default=None)
-    p.add_argument("--g-grid", default=None)
+    for name in _GRID_KINDS:
+        p.add_argument("--" + name.replace("_", "-"), default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_tune)
 

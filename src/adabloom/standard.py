@@ -79,6 +79,8 @@ class StandardBloom:
     __slots__ = ("bits", "k", "family", "n_inserted")
 
     def __init__(self, bits: BitVector, k: int, family: HashFamily, n_inserted: int = 0):
+        if k < 0:
+            raise ValueError(f"hash count k must be >= 0, got {k}")
         self.bits = bits
         self.k = k
         self.family = family
@@ -213,8 +215,6 @@ def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> St
     """Insert every key with k hash functions into a fresh r-bit filter."""
     if r < 1:
         raise ValueError(f"filter size r must be >= 1, got {r}")
-    if k < 0:
-        raise ValueError(f"hash count k must be >= 0, got {k}")
     family = HashFamily(seed)
     bloom = StandardBloom(BitVector(r), k, family, 0)
     a, b = family.base_pairs(keys)  # raises TypeError on a key that is not bytes or str

@@ -9,7 +9,8 @@ the dataset's own non-keys, argmin wins. A tie goes to the larger tau
 point. Infeasible candidates are skipped with a diagnostic recorded in
 the candidate log, so a report never has silent gaps. ``GRIDS`` names
 the grid overrides each method takes; ``tune(method, ...)`` runs that
-method's tuner, for the sweep harness and the command line alike.
+method's tuner and ``build(method, ...)`` builds one filter from its
+``PARAMS``, for the tuners, the sweep harness and the command line alike.
 
 Every candidate is built and measured on ``dataset.by_score()``, the
 same items with keys and non-keys each in ascending score order. The
@@ -25,14 +26,17 @@ method's budget includes its score model: total = bitmap + model bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adaptive import AdaptiveParams, build_ada
+from .bits import BitVector, HashFamily
 from .disjoint import InfeasibleBudgetError, build_disjoint
 from .learned import build_lbf, build_sandwiched
 from .scores import InsufficientDataError, ScoredDataset, partition_by_ratio
+from .standard import StandardBloom, insert_keys, optimal_k
 
 __all__ = [
     "TuneResult",
@@ -41,7 +45,9 @@ __all__ = [
     "DEFAULT_KMAX_GRID",
     "DEFAULT_G_GRID",
     "GRIDS",
+    "PARAMS",
     "check_grid",
+    "build",
     "default_tau_grid",
     "tune_lbf",
     "tune_sandwiched",
@@ -62,6 +68,9 @@ GRIDS = {
     "ada": {"kmax_grid": int, "c_grid": float},
     "disjoint": {"g_grid": int, "c_grid": float},
 }
+# the parameters each method's build takes; "k" and "k_min" may be left out
+PARAMS = {"standard": ("k",), "lbf": ("tau",), "sandwich": ("tau",),
+          "ada": ("k_max", "c", "k_min"), "disjoint": ("g", "c")}
 # per grid override, the values every build refuses, whatever the candidate
 _GRID_LIMITS = {
     "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
@@ -148,15 +157,47 @@ def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
     return ~holdout, holdout
 
 
-def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, build, seed: int,
+def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
+          model_bits: int = 0, **params):
+    """The ``method`` filter over ``dataset``'s keys, with ``params`` named by ``PARAMS``.
+
+    ``k`` (standard) defaults to ``optimal_k``, ``k_min`` (ada) to 0, and g =
+    k_max - k_min + 1. ValueError on a missing or stray parameter or a value
+    a builder refuses. Builders are looked up in this module at call time,
+    so a wrapped one (perfbench's tracer installs them) is the one called.
+    """
+    taken = PARAMS.get(method)
+    if taken is None or not set(taken) >= set(params) >= set(taken) - {"k", "k_min"}:
+        raise ValueError(f"method {method!r} takes parameters {taken}, got {tuple(params)}")
+    if method == "standard":  # inserted from the cached key pairs, not by hashing the ids again
+        k = optimal_k(bitmap_bits, dataset.n) if params.get("k") is None else params["k"]
+        bloom = StandardBloom(BitVector(bitmap_bits), k, HashFamily(seed))
+        insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
+        return bloom
+    if method in ("lbf", "sandwich"):
+        builder = build_lbf if method == "lbf" else build_sandwiched
+        return builder(dataset, bitmap_bits, params["tau"], seed, model_bits)
+    if method == "disjoint":
+        return build_disjoint(dataset, bitmap_bits, params["g"], params["c"], seed, model_bits)
+    k_max, k_min, c = params["k_max"], params.get("k_min", 0), params["c"]
+    if not k_max >= k_min >= 0:  # checked before g is derived from them
+        raise ValueError(f"need k_max >= k_min >= 0, got ({k_max}, {k_min})")
+    partition = partition_by_ratio(dataset, k_max - k_min + 1, c)
+    return build_ada(dataset, bitmap_bits, AdaptiveParams.from_ratio(partition, k_max, k_min, c),
+                     seed, model_bits)
+
+
+def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: int,
             model_bits: int, holdout_fraction: float, grids: dict,
             ties_to_last: bool = False) -> TuneResult:
-    """Argmin of the FPR over the params in ``axis``, each built by ``build(view, params)``.
+    """Argmin of the FPR over the params in ``axis``, each built by ``build``.
 
     The first strict improvement wins, or with ``ties_to_last`` the last
     of equal FPRs. With ``holdout_fraction`` set, that share of the
     non-keys is left out of the search and the winner re-measured on it.
     """
+    if not axis:
+        raise ValueError(f"empty {method} grid")
     view = dataset.by_score()
     tune_on = holdout = None
     if holdout_fraction:
@@ -165,7 +206,7 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, build, 
     candidates = []
     for params in axis:
         try:
-            filt = build(view, params)
+            filt = build(method, view, bitmap_bits, seed, model_bits, **params)
         except (InsufficientDataError, InfeasibleBudgetError) as exc:
             candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
             continue
@@ -182,17 +223,13 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, build, 
                       grids)
 
 
-def _sweep_tau(method: str, build, dataset: ScoredDataset, bitmap_bits: int,
-               tau_grid, seed: int, model_bits: int, holdout_fraction: float) -> TuneResult:
-    if tau_grid is None:
-        tau_grid = default_tau_grid(dataset.by_score())
+def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, seed: int,
+               model_bits: int, holdout_fraction: float) -> TuneResult:
+    tau_grid = default_tau_grid(dataset.by_score()) if tau_grid is None else tau_grid
     taus = [float(t) for t in tau_grid]
-    if not taus:
-        raise ValueError("tau grid must be non-empty")
     # ties break toward larger tau (smaller backup filter)
-    return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus],
-                   lambda view, p: build(view, bitmap_bits, p["tau"], seed, model_bits),
-                   seed, model_bits, holdout_fraction, {"tau_grid": taus}, ties_to_last=True)
+    return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus], seed, model_bits,
+                   holdout_fraction, {"tau_grid": taus}, ties_to_last=True)
 
 
 def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
@@ -202,15 +239,14 @@ def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int 
     With ``holdout_fraction`` set, that share of the non-keys is held
     out of the sweep and the returned FPR is re-measured on it.
     """
-    return _sweep_tau("lbf", build_lbf, dataset, bitmap_bits, tau_grid, seed, model_bits,
-                      holdout_fraction)
+    return _sweep_tau("lbf", dataset, bitmap_bits, tau_grid, seed, model_bits, holdout_fraction)
 
 
 def tune_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
                     model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
     """Same tau sweep for the sandwiched filter (allocation is per tau)."""
-    return _sweep_tau("sandwich", build_sandwiched, dataset, bitmap_bits, tau_grid, seed,
-                      model_bits, holdout_fraction)
+    return _sweep_tau("sandwich", dataset, bitmap_bits, tau_grid, seed, model_bits,
+                      holdout_fraction)
 
 
 def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=None,
@@ -218,19 +254,10 @@ def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=No
     """Full (k_max, c) grid with k_min = 0, so each k_max implies g = k_max + 1."""
     kmax_grid = DEFAULT_KMAX_GRID if kmax_grid is None else tuple(kmax_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(c_grid)
-    if not kmax_grid or not c_grid:
-        raise ValueError("grids must be non-empty")
-
-    def build_candidate(view, params):
-        g = params["k_max"] + 1
-        partition = partition_by_ratio(view, g, params["c"])
-        ada_params = AdaptiveParams.from_ratio(partition, params["k_max"], 0, params["c"])
-        return build_ada(view, bitmap_bits, ada_params, seed, model_bits)
-
     # grids iterate smallest-first, so ties resolve toward the smaller values
     axis = [{"k_max": k, "c": c} for k in sorted(kmax_grid) for c in sorted(c_grid)]
-    return _search("ada", dataset, bitmap_bits, axis, build_candidate, seed, model_bits,
-                   holdout_fraction, {"kmax_grid": list(kmax_grid), "c_grid": list(c_grid)})
+    return _search("ada", dataset, bitmap_bits, axis, seed, model_bits, holdout_fraction,
+                   {"kmax_grid": list(kmax_grid), "c_grid": list(c_grid)})
 
 
 def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=None,
@@ -238,15 +265,9 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
     """Full (g, c) grid with the top group fixed at zero bits."""
     g_grid = DEFAULT_G_GRID if g_grid is None else tuple(g_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(c_grid)
-    if not g_grid or not c_grid:
-        raise ValueError("grids must be non-empty")
-
-    def build_candidate(view, params):
-        return build_disjoint(view, bitmap_bits, params["g"], params["c"], seed, model_bits)
-
     axis = [{"g": g, "c": c} for g in sorted(g_grid) for c in sorted(c_grid)]
-    return _search("disjoint", dataset, bitmap_bits, axis, build_candidate, seed, model_bits,
-                   holdout_fraction, {"g_grid": list(g_grid), "c_grid": list(c_grid)})
+    return _search("disjoint", dataset, bitmap_bits, axis, seed, model_bits, holdout_fraction,
+                   {"g_grid": list(g_grid), "c_grid": list(c_grid)})
 
 
 def check_grid(name: str, values) -> None:

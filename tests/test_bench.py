@@ -4,19 +4,12 @@ from unittest import mock
 
 import pytest
 
-from adabloom.bench import (
-    CSV_HEADER,
-    _tuned_filter,
-    measure_fpr,
-    parse_budget,
-    rows_to_csv,
-    run_sweep,
-)
+from adabloom.bench import CSV_HEADER, measure_fpr, parse_budget, rows_to_csv, run_sweep
 from adabloom.bits import HashFamily
 from adabloom.cli import main
 from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
-from adabloom.standard import build_standard, expected_fpr_standard
-from adabloom.tuning import GRIDS
+from adabloom.standard import build_standard, expected_fpr_standard, optimal_k
+from adabloom.tuning import GRIDS, build, tune
 
 SMALL_GRIDS = dict(tau_grid=(0.4, 0.6, 0.8), kmax_grid=(3, 5), c_grid=(2.0,), g_grid=(3, 5))
 
@@ -64,6 +57,21 @@ class TestRunSweep:
     def test_all_rows_zero_fnr(self, rows):
         for row in rows:
             assert row.status.startswith("ok")
+            assert row.fnr == 0.0
+
+    def test_fpr_equals_a_batch_over_the_plain_dataset(self, rows, synth_small):
+        # a cell's FPR is counted on the score-ordered view; the same filter,
+        # queried over the dataset's own item order, gives the same count
+        ds = synth_small
+        for row in rows:
+            if row.method == "standard":
+                filt = build("standard", ds, row.bitmap_bits, row.seed)
+            else:
+                filt = tune(row.method, ds, row.bitmap_bits, row.seed, row.model_bits,
+                            **SMALL_GRIDS).filter
+            hits = filt.contains_batch(*ds.nonkey_pairs(row.seed), ds.nonkey_scores)
+            assert row.empirical_fpr == float(hits.mean()), (row.method, row.total_bits)
+            assert filt.contains_batch(*ds.key_pairs(row.seed), ds.key_scores).all()
             assert row.fnr == 0.0
 
     def test_rows_sorted(self, rows):
@@ -118,8 +126,9 @@ class TestRunSweep:
     def test_standard_cell_inserts_cached_key_pairs(self, synth_small, bitmap_bits):
         synth_small.key_pairs(3)
         with mock.patch.object(HashFamily, "base_pairs", side_effect=AssertionError("re-hashed")):
-            filt, params = _tuned_filter("standard", synth_small, bitmap_bits, 3, 0, {})
-        want = build_standard([it.id for it in synth_small.keys], bitmap_bits, params["k"], 3)
+            filt = build("standard", synth_small, bitmap_bits, 3)
+        k = optimal_k(bitmap_bits, synth_small.n)
+        want = build_standard([it.id for it in synth_small.keys], bitmap_bits, k, 3)
         assert filt.bits.to_bytes() == want.bits.to_bytes()
         assert (filt.k, filt.n_inserted, filt.bits.frozen) == (want.k, want.n_inserted, True)
 
@@ -130,7 +139,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("name", sorted({n for names in GRIDS.values() for n in names}))
     def test_empty_grid_override_raises_before_any_cell(self, name):
         ds = gen_synthetic(300, 300, seed=1)
-        with mock.patch("adabloom.bench._tuned_filter", side_effect=AssertionError("ran a cell")):
+        with mock.patch("adabloom.bench.tune", side_effect=AssertionError("ran a cell")), \
+                mock.patch("adabloom.bench.build", side_effect=AssertionError("ran a cell")):
             with pytest.raises(ValueError, match=f"empty grid overrides \\['{name}'\\]"):
                 run_sweep(ds, [3000], ["lbf", "ada", "disjoint"], [0], **{name: ()})
 
@@ -140,7 +150,8 @@ class TestRunSweep:
                                               ("g_grid", (0, 3))])
     def test_out_of_range_grid_value_raises_before_any_cell(self, name, values):
         ds = gen_synthetic(300, 300, seed=1)
-        with mock.patch("adabloom.bench._tuned_filter", side_effect=AssertionError("ran a cell")):
+        with mock.patch("adabloom.bench.tune", side_effect=AssertionError("ran a cell")), \
+                mock.patch("adabloom.bench.build", side_effect=AssertionError("ran a cell")):
             with pytest.raises(ValueError, match=" must be "):
                 run_sweep(ds, [3000], ["standard"], [0], **{name: values})
 

@@ -11,7 +11,7 @@ from adabloom.cli import main
 from adabloom.disjoint import allocate_disjoint
 from adabloom.learned import sandwich_allocate
 from adabloom.scores import load_scored_csv, min_sample_size
-from adabloom.serialize import load_filter
+from adabloom.serialize import dump_filter, load_filter
 
 BUILD_ARGS = {
     "standard": [],
@@ -20,6 +20,9 @@ BUILD_ARGS = {
     "ada": ["--k-max", "4", "--c", "2.0"],
     "disjoint": ["--g", "4", "--c", "2.0"],
 }
+# the same parameters as ``tuning.build`` takes them
+BUILD_PARAMS = {"standard": {}, "lbf": {"tau": 0.7}, "sandwich": {"tau": 0.6},
+                "ada": {"k_max": 4, "c": 2.0}, "disjoint": {"g": 4, "c": 2.0}}
 
 
 # grid flags for ``tune`` and ``bench``, and the same grids as library arguments
@@ -53,6 +56,54 @@ def built(data):
         assert main(["build", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
                      "--seed", "9", "--out", str(paths[method])] + extra) == 0
     return load_scored_csv(data), paths
+
+
+@pytest.mark.parametrize("method", sorted(BUILD_ARGS))
+def test_build_writes_the_dump_of_tuning_build(method, built):
+    ds, paths = built
+    want = tuning.build(method, ds, 12_000, 9, **BUILD_PARAMS[method])
+    assert paths[method].read_bytes() == dump_filter(want)
+
+
+@pytest.mark.parametrize("method, extra, flag", [
+    ("lbf", ["--tau", "0.5", "--g", "3", "--k-max", "4"], "--k-max"),
+    ("lbf", ["--tau", "0.5", "--g", "3"], "--g"),
+    ("standard", ["--tau", "0.5"], "--tau"),
+    ("sandwich", ["--tau", "0.5", "--k", "3"], "--k"),
+    ("ada", ["--k-max", "4", "--c", "2", "--g", "5"], "--g"),
+    ("disjoint", ["--g", "4", "--c", "2", "--k-min", "0"], "--k-min")])
+def test_build_refuses_a_flag_the_method_does_not_take(method, extra, flag, data, tmp_path):
+    with pytest.raises(SystemExit, match=f"^bad {flag}: method '{method}' takes no such parameter"):
+        main(["build", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+              "--out", str(tmp_path / "f.adbf")] + extra)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method, extra, flag", [("lbf", [], "--tau"),
+                                                 ("ada", ["--k-max", "4"], "--c"),
+                                                 ("ada", ["--c", "2"], "--k-max"),
+                                                 ("disjoint", ["--c", "2"], "--g")])
+def test_build_without_a_required_flag_exits_with_message(method, extra, flag, data, tmp_path):
+    with pytest.raises(SystemExit, match=f"^{flag} is required for method '{method}'$"):
+        main(["build", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+              "--out", str(tmp_path / "f.adbf")] + extra)
+
+
+@pytest.mark.parametrize("method, extra, message", [
+    ("lbf", ["--tau", "1.5"], "tau must be in [0, 1], got 1.5"),
+    ("sandwich", ["--tau", "nan"], "tau must be in [0, 1], got nan"),
+    ("ada", ["--k-max", "2", "--k-min", "3", "--c", "2"], "need k_max >= k_min >= 0, got (2, 3)"),
+    ("ada", ["--k-max", "3", "--c", "1"], "c must be > 1"),
+    ("disjoint", ["--g", "0", "--c", "2"], "g must be >= 1"),
+    ("standard", ["--k", "-1"], "hash count k must be >= 0, got -1")])
+def test_build_exits_with_one_line_when_a_builder_refuses(method, extra, message, data,
+                                                          tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",
+              "--out", str(tmp_path / "f.adbf")] + extra)
+    assert str(exc.value).startswith(f"cannot build {method}: ")
+    assert message in str(exc.value) and "\n" not in str(exc.value)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("method", sorted(BUILD_ARGS))

@@ -1,19 +1,21 @@
+import math
 from unittest import mock
 
 import pytest
 
-from adabloom import bits
+from adabloom import bits, tuning
 from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import measure_fpr
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_by_ratio
 from adabloom.serialize import dump_filter
-from adabloom.standard import optimal_k
+from adabloom.standard import build_standard, optimal_k
 from adabloom.tuning import (
     GRIDS,
     NoFeasibleCandidateError,
     account_memory,
+    build,
     default_tau_grid,
     tune,
     tune_ada,
@@ -68,7 +70,7 @@ class TestTauSweep:
         assert res.params["tau"] == 0.7
 
     def test_empty_grid_rejected(self, synth_small):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty lbf grid"):
             tune_lbf(synth_small, 1000, tau_grid=[], seed=1)
 
     def test_argmin_over_candidate_log(self, synth_small):
@@ -117,7 +119,83 @@ def test_tune_rejects_out_of_range_grid_values(method, grids, wrapped_tuners):
     assert tune(other, ds, 3000, **grids).method == other
 
 
+def _ids(ds):
+    return [it.id for it in ds.keys]
+
+
+# (method, params, the same filter from the method's own builder), at 9000 bits, seed 5
+BUILDS = [
+    ("standard", {}, lambda ds: build_standard(_ids(ds), 9000, optimal_k(9000, ds.n), 5)),
+    ("standard", {"k": 3}, lambda ds: build_standard(_ids(ds), 9000, 3, 5)),
+    ("lbf", {"tau": 0.7}, lambda ds: build_lbf(ds, 9000, 0.7, 5, 300)),
+    ("sandwich", {"tau": 0.6}, lambda ds: build_sandwiched(ds, 9000, 0.6, 5, 300)),
+    ("ada", {"k_max": 5, "c": 2.0}, lambda ds: build_ada(
+        ds, 9000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 6, 2.0), 5, 0, 2.0), 5, 300)),
+    ("ada", {"k_max": 6, "c": 1.8, "k_min": 2}, lambda ds: build_ada(
+        ds, 9000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 5, 1.8), 6, 2, 1.8), 5, 300)),
+    ("disjoint", {"g": 4, "c": 2.0}, lambda ds: build_disjoint(ds, 9000, 4, 2.0, 5, 300)),
+]
+
+
+def _stages(filt):
+    """(lo, hi, bits, k, n_inserted) of every stage; a standard filter is one stage."""
+    return [(lo, hi, stage.bits.to_bytes(), stage.k, stage.n_inserted)
+            for lo, hi, stage in getattr(filt, "stages", ((0.0, math.inf, filt),))]
+
+
+class TestBuild:
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return gen_synthetic(1500, 1500, seed=3)
+
+    @pytest.mark.parametrize("on_view", [False, True], ids=["dataset", "by_score"])
+    @pytest.mark.parametrize("method, params, reference", BUILDS,
+                             ids=[f"{m}-{'-'.join(p)}" for m, p, _ in BUILDS])
+    def test_equals_the_methods_own_builder(self, ds, method, params, reference, on_view):
+        got = build(method, ds.by_score() if on_view else ds, 9000, 5, 300, **params)
+        want = reference(ds)
+        assert type(got) is type(want)
+        assert _stages(got) == _stages(want)
+        assert dump_filter(got) == dump_filter(want)
+
+    @pytest.mark.parametrize("method, name", [("lbf", "build_lbf"),
+                                              ("sandwich", "build_sandwiched"),
+                                              ("ada", "build_ada"),
+                                              ("disjoint", "build_disjoint")])
+    def test_calls_the_builder_through_the_module(self, ds, method, name):
+        params = next(p for m, p, _ in BUILDS if m == method)
+        with mock.patch.object(tuning, name, wraps=getattr(tuning, name)) as spy:
+            build(method, ds, 9000, **params)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("method, params", [
+        ("lbf", {"tau": 0.5, "g": 3}), ("standard", {"tau": 0.5}),
+        ("sandwich", {"k": 3, "tau": 0.5}), ("disjoint", {"g": 3, "c": 2.0, "k_min": 0}),
+        ("lbf", {}), ("ada", {"k_max": 3}), ("disjoint", {"c": 2.0}), ("bogus", {})])
+    def test_rejects_a_missing_or_stray_parameter(self, ds, method, params):
+        with pytest.raises(ValueError, match=f"method '{method}' takes parameters"):
+            build(method, ds, 9000, **params)
+
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_standard_rejects_a_negative_k_with_or_without_keys(self, n):
+        with pytest.raises(ValueError, match="hash count k must be >= 0, got -1"):
+            build("standard", gen_synthetic(n, 10, seed=1), 100, k=-1)
+
+    @pytest.mark.parametrize("k_max, k_min", [(2, 3), (-1, 0), (2, -1)])
+    def test_ada_names_k_max_and_k_min(self, ds, k_max, k_min):
+        # checked before a partition into g = k_max - k_min + 1 groups is cut
+        with mock.patch.object(tuning, "partition_by_ratio", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=fr"k_max >= k_min >= 0, got \({k_max}, {k_min}\)"):
+                build("ada", ds, 9000, k_max=k_max, k_min=k_min, c=2.0)
+
+
 class TestGridSearch:
+    @pytest.mark.parametrize("tune, grids", [(tune_ada, {"kmax_grid": [3], "c_grid": []}),
+                                             (tune_disjoint, {"g_grid": []})])
+    def test_empty_grid_rejected(self, synth_small, tune, grids):
+        with pytest.raises(ValueError, match="empty (ada|disjoint) grid"):
+            tune(synth_small, 1000, seed=1, **grids)
+
     def test_single_candidate(self, synth_small):
         res = tune_ada(synth_small, 80_000, kmax_grid=[4], c_grid=[2.0], seed=5)
         assert res.params == {"k_max": 4, "c": 2.0}
