@@ -41,12 +41,30 @@ took 0.45 instead of 0.9 ms.
 Probe i of an item depends only on its base pair, its lane, i and R, not
 on which filter is probed, and a tuner builds and measures hundreds of
 candidates that share lane 0 and R on the same keys and non-keys. A
-``ProbeCache`` holds, for a fixed list of items, the first
-``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an ``int32``
-matrix; the score-ordered view of a dataset keeps one per side (see
-``ScoredDataset.by_score``). ``set_hashed`` and ``test_hashed`` take that
-matrix and their items' rows in it as ``cached``; insert marks the cached
-columns directly.
+``ProbeCache`` holds, for a fixed list of items, the hash work those
+candidates repeat; the score-ordered view of a dataset keeps one per side
+(see ``ScoredDataset.by_score``), and a batch names its items in it by
+``ProbeRows``:
+
+- the final pairs of lanes 0 and 1, built once per seed, which every stage
+  on those lanes reads at its rows (a view of a range, a gather of index
+  rows) instead of remixing its slice of the base pairs. Lanes 2 and up,
+  ``disjoint``'s groups past the first, still remix per stage: on the
+  benchmark's sweep (50k/50k, seed 1101, 2-core Xeon) peak RSS was 76.9 MB
+  without held pairs, 79.4 MB with lanes 0 and 1 and 94.3 MB with all 12
+  lanes of the default grids;
+- the first ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an
+  ``int32`` matrix. ``set_hashed`` and ``test_hashed`` take that matrix and
+  their items' rows in it as ``cached``; insert marks the cached columns
+  directly;
+- the last fresh fill: the bytes of the last range of items inserted into
+  all-zero bits, with its geometry (seed, lane, R, k, first row). A fresh
+  range with that geometry that reaches at least as far starts from those
+  bytes and inserts only the items past them (``ProbeRows.insert``). Setting
+  bits is an OR, so this is the union of two Bloom filters of one geometry
+  (Broder & Mitzenmacher 2004), bit for bit the filter of all the items. On
+  the view a ``lbf`` backup holds the keys below tau, a prefix that grows
+  with tau, so a tau sweep inserts each key once per run of equal k.
 
 ``test_hashed`` walks the first ``CACHED_COLUMNS`` columns one at a time
 over the items that are still all hits, whether or not they are cached,
@@ -85,6 +103,7 @@ __all__ = [
     "BitVector",
     "CACHED_COLUMNS",
     "HashFamily",
+    "PAIR_LANES",
     "ProbeCache",
     "ProbeRows",
     "splitmix64",
@@ -110,6 +129,9 @@ _SLAB = 1 << 16  # probes per slab: 512 KiB per uint64 temporary, whatever k and
 # full, so 0.5 ** 12 of non-keys reach column 13; the default ada ladder
 # tops out at k = 12.
 CACHED_COLUMNS = 12
+# Hash lanes whose final pairs a ProbeCache keeps: lane 0 (every stage but the
+# ones below) and lane 1 (the sandwiched initial filter, disjoint's group 1).
+PAIR_LANES = 2
 
 
 def splitmix64(x: int) -> int:
@@ -193,10 +215,11 @@ class HashFamily:
     """Indexed hash family h_i(x) = (h_a(x) + i*h_b(x)) mod R over byte strings.
 
     ``lane`` derives an independent-looking family from the same master
-    seed by remixing the base hashes. Per-item base hashes can then be
-    computed once and remixed cheaply per lane, which the disjoint
-    filter uses for its per-group filters and the sandwiched filter for
-    its initial filter.
+    seed by remixing the base hashes: one avalanche of each base hash, so
+    per-item base hashes are computed once and remixed per lane. The
+    disjoint filter gives each group its own lane and the sandwiched
+    filter its initial filter lane 1. A ``ProbeCache`` keeps the remixed
+    pairs of lanes 0 and 1 of its items; other lanes are remixed per batch.
     """
 
     __slots__ = ("seed", "lane", "_salt_a", "_salt_b", "_lane_a", "_lane_b")
@@ -428,20 +451,45 @@ class BitVector:
 
 
 class ProbeCache:
-    """The first ``CACHED_COLUMNS`` probe indices of a fixed list of items.
+    """Hash work on a fixed list of items, shared by the filters built on it.
 
-    ``pairs(seed)`` gives the items' base-hash arrays. The cache holds at
-    most one ``int32`` matrix, ``columns[i, j] = (a_j + i * b_j) mod r`` for
-    one geometry (seed, lane, r): it is built the second time in a row the
-    same geometry is asked for, replacing the last one, so a geometry asked
-    for once costs nothing. There is no cache for r >= 2**31.
+    ``pairs(seed)`` gives the items' base-hash arrays. The cache holds:
+
+    - the final pairs ``(h_a, h_b | 1)`` of lanes 0 and 1 (``PAIR_LANES``),
+      each built once per seed on first use: lane 0 shares h_a with the base
+      pairs and adds ``h_b | 1``, lane 1 adds both remixed arrays, so the two
+      cost 24 bytes per item. A new seed replaces a lane's pairs, so at most
+      two lanes are held. Other lanes are remixed per batch from the base
+      pairs: each would cost 16 bytes per item more, and a 12-group
+      ``disjoint`` uses lanes 1 to 11;
+    - at most one ``int32`` matrix, ``columns[i, j] = (a_j + i * b_j) mod r``
+      for one geometry (seed, lane, r): it is built the second time in a row
+      the same geometry is asked for, replacing the last one, so a geometry
+      asked for once costs nothing. There is no matrix for r >= 2**31;
+    - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
+      last row and a copy of its bytes, r / 8 bytes.
     """
 
-    __slots__ = ("_pairs", "_asked", "_built", "_columns")
+    __slots__ = ("_pairs", "_lanes", "_fill", "_asked", "_built", "_columns")
 
     def __init__(self, pairs):
         self._pairs = pairs
+        self._lanes: dict[int, tuple] = {}  # lane -> (seed, h_a, h_b)
+        self._fill = None
         self._asked = self._built = self._columns = None
+
+    def pairs(self, family: HashFamily, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Final pairs of the items at ``rows`` (a slice or an index array) for
+        this family: for lanes 0 and 1 the held arrays at ``rows``, for the
+        others the base pairs at ``rows``, remixed."""
+        if family.lane >= PAIR_LANES:
+            a, b = self._pairs(family.seed)
+            return family.remix_pairs(a[rows], b[rows])
+        held = self._lanes.get(family.lane)
+        if held is None or held[0] != family.seed:
+            held = self._lanes[family.lane] = (
+                family.seed, *family.remix_pairs(*self._pairs(family.seed)))
+        return held[1][rows], held[2][rows]
 
     def columns(self, family: HashFamily, r: int) -> np.ndarray | None:
         """The matrix for this family's seed and lane at range r, or None."""
@@ -449,7 +497,7 @@ class ProbeCache:
         repeated, self._asked = geometry == self._asked, geometry
         if repeated and geometry != self._built and r < 1 << 31:
             self._columns = self._built = None  # the old matrix goes first
-            a, b = family.remix_pairs(*self._pairs(family.seed))
+            a, b = self.pairs(family, slice(None))
             columns = np.empty((CACHED_COLUMNS, len(a)), dtype=np.int32)
             width = max(1, _SLAB // max(1, len(a)))
             for i in range(0, CACHED_COLUMNS, width):
@@ -468,7 +516,8 @@ class ProbeRows(NamedTuple):
     side of a score-ordered view, or an order-keeping subset of one (a
     holdout split, a score range, the survivors within a range). The
     stage loops of ``standard`` rely on it to pick a score range by
-    ``searchsorted``.
+    ``searchsorted``. Its hashes are the cache's items' hashes at ``rows``,
+    under the seed of the family that reads them.
     """
 
     cache: ProbeCache
@@ -484,7 +533,36 @@ class ProbeRows(NamedTuple):
             rows = np.arange(rows.start, rows.stop)
         return ProbeRows(self.cache, rows[sel])
 
+    def pairs(self, family: HashFamily) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's final pairs for this family (see :meth:`ProbeCache.pairs`)."""
+        return self.cache.pairs(family, self.rows)
+
     def cached(self, family: HashFamily, r: int):
         """``cached`` for ``set_hashed`` / ``test_hashed``, or None on a miss."""
         columns = self.cache.columns(family, r)
         return None if columns is None else (columns, self.rows)
+
+    def insert(self, bits: BitVector, family: HashFamily, k: int) -> None:
+        """``bits.set_hashed`` of the batch's items for this family.
+
+        A batch of consecutive rows inserted into all-zero bits is a fresh
+        fill. If the cache's last fresh fill has the same seed, lane, length,
+        k and first row, and ends at or before this batch, its bytes are
+        copied and only the rows past it are inserted: setting bits is an OR,
+        so the bits of a prefix ORed with those of the rest equal the bits of
+        the whole (the union property of Bloom filters). Afterwards the batch
+        becomes the cache's fill.
+        """
+        rows, geometry = self.rows, None
+        if isinstance(rows, slice) and rows.stop > rows.start and not bits._buf.any():
+            geometry = (family.seed, family.lane, bits.length_bits, k, rows.start)
+            last = self.cache._fill
+            if last is not None and last[0] == geometry and last[1] <= rows.stop:
+                bits._writable()
+                bits._buf[:] = last[2]
+                rows = slice(last[1], rows.stop)
+        if k and (rows.stop > rows.start if isinstance(rows, slice) else len(rows)):
+            batch = ProbeRows(self.cache, rows)
+            bits.set_hashed(*batch.pairs(family), k, cached=batch.cached(family, bits.length_bits))
+        if geometry is not None:
+            self.cache._fill = (geometry, self.rows.stop, bits._buf.copy())

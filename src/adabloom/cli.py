@@ -17,7 +17,7 @@ from .disjoint import allocate_disjoint
 from .learned import sandwich_allocate
 from .scores import gen_synthetic, load_scored_csv, min_sample_size, save_scored_csv
 from .serialize import load_filter, save_filter
-from .tuning import GRIDS, PARAMS, build, check_grid, tune
+from .tuning import GRIDS, PARAMS, build, check_grid, check_model_bits, tune
 
 
 def _floats(text: str) -> list[float]:
@@ -79,6 +79,10 @@ def _cmd_build(args) -> int:
             raise SystemExit(f"bad {flag}: method {args.method!r} takes no such parameter")
         if name in taken and name not in params and name not in ("k", "k_min"):
             raise SystemExit(f"{flag} is required for method {args.method!r}")
+    try:
+        check_model_bits(args.method, args.model_bits)
+    except ValueError as exc:
+        raise SystemExit(f"bad --model-bits: {exc}") from exc
     dataset = load_scored_csv(args.data)
     try:
         filt = build(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **params)

@@ -149,15 +149,27 @@ class ScoredDataset:
         ``key_order`` / ``nonkey_order`` give, per position, the index
         into this dataset's keys / non-keys.
 
-        The view also caches probe indices, which every tuner candidate
-        probes again: per side (keys, non-keys) one ``bits.ProbeCache``
-        holding at most one ``int32`` matrix of the first
-        ``bits.CACHED_COLUMNS`` probes of every item, for one (seed, lane,
-        R), 48 bytes per item. A geometry is cached the second time in a row
-        it is asked for and replaces the last one, so the lane-0 stages at
-        the full bitmap of ``lbf``, ``ada`` and a ``sandwich`` reduced to
-        ``lbf`` reuse it from candidate to candidate, while the per-group
-        lanes of ``disjoint`` build nothing. ``insert_keys`` and
+        The view also caches the hash work every tuner candidate repeats:
+        per side (keys, non-keys) one ``bits.ProbeCache`` holding
+
+        - the final pairs of lanes 0 and 1 for one seed each, built on first
+          use: 8 bytes per item for lane 0 (``h_b | 1``; h_a is the base
+          hash) and 16 for lane 1, so 24 bytes per item;
+        - at most one ``int32`` matrix of the first ``bits.CACHED_COLUMNS``
+          probes of every item, for one (seed, lane, R), 48 bytes per item.
+          A geometry is cached the second time in a row it is asked for and
+          replaces the last one, so the lane-0 stages at the full bitmap of
+          ``lbf``, ``ada`` and a ``sandwich`` reduced to ``lbf`` reuse it
+          from candidate to candidate, while the per-group lanes of
+          ``disjoint`` build nothing;
+        - the bytes of the last fresh fill, R / 8 bytes: a fresh stage of
+          the same seed, lane, R and k whose keys extend that fill's starts
+          from them (see ``bits.ProbeRows.insert``). The backups of ``lbf``
+          at ascending tau, of the ``sandwich`` candidates that reduce to
+          ``lbf`` and the first stage of ``ada`` at ascending c are such
+          stages.
+
+        None of it holds counts or FPRs. ``insert_keys`` and
         ``GatedBloom.contains_batch`` read it through ``probe_rows``.
         """
         return self._cached("by_score", lambda: _ScoreOrderedView(self))

@@ -106,13 +106,14 @@ class StandardBloom:
                        rows: ProbeRows | None = None) -> np.ndarray:
         """Batch membership test from base-hash arrays of the master seed.
 
-        ``rows``, from a score-ordered view, lets the probe read cached columns.
+        With ``rows``, from a score-ordered view, the batch's hashes are read
+        from the view instead (``ProbeRows.pairs``: the held final pairs of
+        lanes 0 and 1, no remix) and the probe reads its cached columns.
         """
-        a, b = self.family.remix_pairs(base_a, base_b)
-        return self.bits.test_hashed(a, b, self.k, cached=self._cached(rows))
-
-    def _cached(self, rows: ProbeRows | None):
-        return None if rows is None else rows.cached(self.family, self.bits.length_bits)
+        if rows is None:
+            return self.bits.test_hashed(*self.family.remix_pairs(base_a, base_b), self.k)
+        return self.bits.test_hashed(*rows.pairs(self.family), self.k,
+                                     cached=rows.cached(self.family, self.bits.length_bits))
 
     def expected_fpr(self) -> float:
         return expected_fpr_standard(self.size_bits, self.n_inserted, self.k)
@@ -196,17 +197,21 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
     """Insert each key into every stage whose [lo, hi) holds its score.
 
     Sets each stage's ``n_inserted`` to its key count, then freezes the bits.
-    On a score-ordered view each stage's keys are a slice, and the inserts
-    read its cached probe columns.
+    On a score-ordered view each stage's keys are a slice, inserted by
+    ``ProbeRows.insert``: it reads the view's final pairs and cached probe
+    columns, and a fresh stage that extends the view's last fresh fill of
+    the same geometry (an ``lbf`` backup at a larger tau, with the same R
+    and k) starts from that fill's bytes and inserts only the keys past it.
     """
     rows = dataset.probe_rows(keys=True)
     for lo, hi, stage in stages:
         sel, stage.n_inserted = _stage_items(dataset.key_scores, lo, hi, rows is not None)
-        if stage.n_inserted:
+        if rows is not None:
+            rows.select(sel).insert(stage.bits, stage.family, stage.k)
+        elif stage.n_inserted:
             base_a, base_b = dataset.key_pairs(seed)
             a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
-            stage.bits.set_hashed(a, b, stage.k,
-                                  cached=stage._cached(None if rows is None else rows.select(sel)))
+            stage.bits.set_hashed(a, b, stage.k)
     for _, _, stage in stages:
         stage.bits.freeze()
 

@@ -47,6 +47,7 @@ __all__ = [
     "GRIDS",
     "PARAMS",
     "check_grid",
+    "check_model_bits",
     "build",
     "default_tau_grid",
     "tune_lbf",
@@ -162,13 +163,15 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
     """The ``method`` filter over ``dataset``'s keys, with ``params`` named by ``PARAMS``.
 
     ``k`` (standard) defaults to ``optimal_k``, ``k_min`` (ada) to 0, and g =
-    k_max - k_min + 1. ValueError on a missing or stray parameter or a value
-    a builder refuses. Builders are looked up in this module at call time,
-    so a wrapped one (perfbench's tracer installs them) is the one called.
+    k_max - k_min + 1. ValueError on a missing or stray parameter, on
+    ``model_bits`` that ``check_model_bits`` refuses, or on a value a builder
+    refuses. Builders are looked up in this module at call time, so a wrapped
+    one (perfbench's tracer installs them) is the one called.
     """
     taken = PARAMS.get(method)
     if taken is None or not set(taken) >= set(params) >= set(taken) - {"k", "k_min"}:
         raise ValueError(f"method {method!r} takes parameters {taken}, got {tuple(params)}")
+    check_model_bits(method, model_bits)
     if method == "standard":  # inserted from the cached key pairs, not by hashing the ids again
         k = optimal_k(bitmap_bits, dataset.n) if params.get("k") is None else params["k"]
         bloom = StandardBloom(BitVector(bitmap_bits), k, HashFamily(seed))
@@ -280,6 +283,13 @@ def check_grid(name: str, values) -> None:
     for value in values:
         if not valid(value):
             raise ValueError(f"{rule}, got {value}")
+
+
+def check_model_bits(method: str, model_bits: int) -> None:
+    """ValueError if ``method`` takes no model bits: ``standard`` has no score model."""
+    if method == "standard" and model_bits:
+        raise ValueError(f"method 'standard' has no score model, so model_bits must be 0, "
+                         f"got {model_bits}")
 
 
 def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,

@@ -1,10 +1,11 @@
 """The ``adabloom`` command line, called in-process through ``cli.main``."""
 
 import json
+from unittest import mock
 
 import pytest
 
-from adabloom import tuning
+from adabloom import cli, tuning
 from adabloom.adaptive import fpr_upper_bound
 from adabloom.bench import METHODS, rows_to_csv, run_sweep
 from adabloom.cli import main
@@ -103,6 +104,15 @@ def test_build_exits_with_one_line_when_a_builder_refuses(method, extra, message
               "--out", str(tmp_path / "f.adbf")] + extra)
     assert str(exc.value).startswith(f"cannot build {method}: ")
     assert message in str(exc.value) and "\n" not in str(exc.value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_build_standard_refuses_model_bits(data, tmp_path):
+    with mock.patch.object(cli, "load_scored_csv", side_effect=AssertionError):
+        with pytest.raises(SystemExit, match="^bad --model-bits: method 'standard' has no score "
+                                             "model, so model_bits must be 0, got 300$"):
+            main(["build", "--method", "standard", "--data", str(data), "--bitmap-bits", "12kb",
+                  "--model-bits", "300", "--out", str(tmp_path / "f.adbf")])
     assert not any(tmp_path.iterdir())
 
 

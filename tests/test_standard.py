@@ -216,3 +216,85 @@ class TestStageRanges:
             filt.contains_batch(a[turned], b[turned], view.key_scores[turned],
                                 rows=rows.select(turned))
         assert filt.contains_batch(a[turned], b[turned], view.key_scores[turned]).all()
+
+
+class TestPrefixFills:
+    """A fresh stage on the view that extends the view's last fresh fill of the same
+    seed, lane, R, k and first row starts from its bytes; the bits are the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(SCORES | st.just(math.nan), max_size=80),
+           steps=st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.25]), HIS | SCORES,
+                                    st.sampled_from([1, 4, 64]), st.sampled_from([40, 3000]),
+                                    st.sampled_from([0, 1, 3])), min_size=1, max_size=12),
+           order=st.sampled_from(["drawn", "ascending", "descending"]),
+           seed=st.integers(0, 2**32))
+    def test_extended_fill_equals_fresh_fill(self, keys, steps, order, seed):
+        # drawn from few values, so taus repeat and (R, k, lane) runs occur
+        if order != "drawn":
+            steps = sorted(steps, key=lambda step: step[1], reverse=order == "descending")
+        ds = scored(keys, [0.5])
+        view = ds.by_score()
+        for spec in steps:
+            want = fresh_stages([spec], seed)
+            insert_keys(ds, seed, want)
+            got = fresh_stages([spec], seed)
+            insert_keys(view, seed, got)
+            assert got[0][2].n_inserted == want[0][2].n_inserted
+            assert got[0][2].bits.to_bytes() == want[0][2].bits.to_bytes()
+            assert got[0][2].bits.frozen
+
+    def test_only_the_keys_past_the_fill_are_inserted(self, monkeypatch):
+        ds = scored([i / 100 for i in range(100)] + [math.nan], [0.5])
+        view = ds.by_score()
+        inserted = []
+        kernel = BitVector.set_hashed
+
+        def spy(self, a, b, k, *, cached=None):
+            inserted.append(len(a))
+            return kernel(self, a, b, k, cached=cached)
+        monkeypatch.setattr(BitVector, "set_hashed", spy)
+
+        def insert(spec, seed=1):
+            """The view's stage, after checking it against the dataset's."""
+            want = fresh_stages([spec], seed)
+            insert_keys(ds, seed, want)
+            inserted.clear()
+            got = fresh_stages([spec], seed)
+            insert_keys(view, seed, got)
+            assert got[0][2].bits.to_bytes() == want[0][2].bits.to_bytes()
+            return list(inserted)
+
+        # the NaN key sorts last, and no bound holds it but an open end
+        runs = [insert((0.0, tau, 3000, 4, 0)) for tau in (0.1, 0.3, 0.3, 0.55, math.inf)]
+        assert runs == [[10], [20], [], [25], [46]]
+        # another k, R, lane, seed or first row, or a shorter range: a fresh fill
+        runs = [insert(spec, seed) for spec, seed in (
+            ((0.0, 0.95, 3000, 5, 0), 1), ((0.0, 0.95, 3001, 5, 0), 1),
+            ((0.0, 0.95, 3001, 5, 1), 1), ((0.0, 0.95, 3001, 5, 1), 2),
+            ((0.05, 0.95, 3001, 5, 1), 2), ((0.05, 0.9, 3001, 5, 1), 2))]
+        assert runs == [[95], [95], [95], [95], [90], [85]]
+
+    def test_bits_already_set_are_not_a_fresh_fill(self):
+        ds = scored([i / 100 for i in range(100)], [0.5])
+        view = ds.by_score()
+
+        def shared_array(dataset, preset):
+            """Two stages on one array, as ada's, over bits ``preset`` already set."""
+            shared = BitVector(3001)
+            shared.set_bits(preset)
+            stages = [(0.0, 0.3, StandardBloom(shared, 5, HashFamily(1))),
+                      (0.0, 0.6, StandardBloom(shared, 5, HashFamily(1)))]
+            insert_keys(dataset, 1, stages)
+            assert [stage.n_inserted for _, _, stage in stages] == [30, 60]
+            return shared.to_bytes()
+
+        # the first stage matches the last fill, but its bits are not all zero
+        insert_keys(view, 1, fresh_stages([(0.0, 0.2, 3001, 5, 0)], 1))
+        assert shared_array(view, [7, 2000]) == shared_array(ds, [7, 2000])
+        # on all-zero bits the first stage is a fill: of its own bits, not the array's
+        assert shared_array(view, []) == shared_array(ds, [])
+        want, got = (fresh_stages([(0.0, 0.4, 3001, 5, 0)], 1) for _ in range(2))
+        insert_keys(ds, 1, want)
+        insert_keys(view, 1, got)
+        assert got[0][2].bits.to_bytes() == want[0][2].bits.to_bytes()

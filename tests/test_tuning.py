@@ -1,16 +1,26 @@
 import math
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adabloom import bits, tuning
 from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import measure_fpr
-from adabloom.disjoint import build_disjoint
+from adabloom.bits import PAIR_LANES, BitVector, HashFamily
+from adabloom.disjoint import InfeasibleBudgetError, build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
-from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_by_ratio
+from adabloom.scores import (
+    InsufficientDataError,
+    ScoredDataset,
+    ScoredItem,
+    gen_synthetic,
+    partition_by_ratio,
+)
 from adabloom.serialize import dump_filter
-from adabloom.standard import build_standard, optimal_k
+from adabloom.standard import StandardBloom, build_standard, insert_keys, optimal_k
 from adabloom.tuning import (
     GRIDS,
     NoFeasibleCandidateError,
@@ -152,7 +162,8 @@ class TestBuild:
     @pytest.mark.parametrize("method, params, reference", BUILDS,
                              ids=[f"{m}-{'-'.join(p)}" for m, p, _ in BUILDS])
     def test_equals_the_methods_own_builder(self, ds, method, params, reference, on_view):
-        got = build(method, ds.by_score() if on_view else ds, 9000, 5, 300, **params)
+        model_bits = 0 if method == "standard" else 300  # standard has no score model
+        got = build(method, ds.by_score() if on_view else ds, 9000, 5, model_bits, **params)
         want = reference(ds)
         assert type(got) is type(want)
         assert _stages(got) == _stages(want)
@@ -175,6 +186,14 @@ class TestBuild:
     def test_rejects_a_missing_or_stray_parameter(self, ds, method, params):
         with pytest.raises(ValueError, match=f"method '{method}' takes parameters"):
             build(method, ds, 9000, **params)
+
+    def test_standard_refuses_model_bits(self, ds):
+        # the baseline has no score model to charge them to
+        with mock.patch.object(tuning, "insert_keys", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="'standard' has no score model, so model_bits "
+                                                 "must be 0, got 300"):
+                build("standard", ds, 9000, 5, 300)
+        assert build("standard", ds, 9000, 5, 0).n_inserted == ds.n
 
     @pytest.mark.parametrize("n", [0, 10])
     def test_standard_rejects_a_negative_k_with_or_without_keys(self, n):
@@ -373,6 +392,10 @@ class TestWarmView:
         answers = want.contains_batch(*ds.nonkey_pairs(1), ds.nonkey_scores)
         view = ds.by_score()
         for _ in range(3):  # cold, then the cache is built, then read
+            # a fresh fill of every key at the builds' seed, lane and R, so that
+            # no build extends the last one's fill: each inserts through the cache
+            insert_keys(view, 1, ((0.0, math.inf, StandardBloom(BitVector(9000), 1,
+                                                                HashFamily(1))),))
             filt = build(view)
             assert dump_filter(filt) == dump_filter(want)
             got = filt.contains_batch(*view.nonkey_pairs(1), view.nonkey_scores,
@@ -400,6 +423,54 @@ class TestWarmView:
         assert dump_filter(warm.filter) == dump_filter(cold.filter)
         if tune is not tune_disjoint:  # its stages differ in lane: no geometry repeats
             assert cache_reads["test_hashed"] > reads["test_hashed"]
+
+
+# one build's (method, params), from few values, so that geometries repeat
+BUILD_STEPS = st.one_of(
+    st.tuples(st.just("standard"), st.sampled_from([{}, {"k": 0}, {"k": 3}])),
+    st.tuples(st.sampled_from(["lbf", "sandwich"]),
+              st.fixed_dictionaries({"tau": st.sampled_from([0.0, 0.2, 0.5, 0.6, 0.9, 1.0])})),
+    st.tuples(st.just("ada"), st.fixed_dictionaries({"k_max": st.integers(0, 6),
+                                                     "c": st.sampled_from([1.5, 2.0, 3.0])})),
+    st.tuples(st.just("disjoint"), st.fixed_dictionaries({"g": st.integers(1, 6),
+                                                          "c": st.sampled_from([1.5, 2.0])})),
+)
+
+
+class TestViewCaches:
+    """A run of builds on one view, whose caches carry over from build to build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(BUILD_STEPS, st.sampled_from([300, 2000]),
+                                    st.sampled_from([0, 1, 2**40 + 3])),
+                          min_size=1, max_size=8),
+           data_seed=st.integers(0, 3), data=st.data())
+    def test_builds_and_answers_equal_the_datasets(self, steps, data_seed, data):
+        ds = gen_synthetic(120, 150, seed=data_seed)
+        view = ds.by_score()
+        holdout = np.array(data.draw(st.lists(st.booleans(), min_size=view.m, max_size=view.m)))
+        for (method, params), bitmap_bits, seed in steps:
+            try:
+                want = build(method, ds, bitmap_bits, seed, **params)
+            except (InsufficientDataError, InfeasibleBudgetError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    build(method, view, bitmap_bits, seed, **params)
+                continue
+            got = build(method, view, bitmap_bits, seed, **params)
+            # every stage has the same bits, k and key count
+            assert _stages(got) == _stages(want)
+            for keys in (False, True):
+                a, b = view.key_pairs(seed) if keys else view.nonkey_pairs(seed)
+                scores = view.key_scores if keys else view.nonkey_scores
+                rows = view.probe_rows(keys=keys)
+                plain = got.contains_batch(a, b, scores)
+                assert (got.contains_batch(a, b, scores, rows=rows) == plain).all()
+                if not keys:  # holdout rows: an index array
+                    assert (got.contains_batch(a[holdout], b[holdout], scores[holdout],
+                                               rows=rows.select(holdout)) == plain[holdout]).all()
+                # the view keeps the final pairs of lanes 0 and 1 only, one seed each
+                held = rows.cache._lanes
+                assert set(held) <= set(range(PAIR_LANES)) and len(held) <= 2
 
 
 class TestRobustness:
