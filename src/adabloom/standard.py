@@ -101,14 +101,15 @@ class StandardBloom:
         """
         return self.bits.test_bits(self.family.iter_indices(item, self.k, self.bits.length_bits))
 
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+    def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
                        scores: np.ndarray | None = None, *,
                        rows: ProbeRows | None = None) -> np.ndarray:
         """Batch membership test from base-hash arrays of the master seed.
 
         With ``rows``, from a score-ordered view, the batch's hashes are read
         from the view instead (``ProbeRows.pairs``: the held final pairs of
-        lanes 0 and 1, no remix) and the probe reads its cached columns.
+        lanes 0 and 1, no remix), so ``base_a`` and ``base_b`` are not read
+        and may be None, and the probe reads its cached columns.
         """
         if rows is None:
             return self.bits.test_hashed(*self.family.remix_pairs(base_a, base_b), self.k)
@@ -167,15 +168,17 @@ class GatedBloom:
             raise ValueError(f"score must be in [0, 1], got {score}")
         return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
 
-    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+    def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
                        scores: np.ndarray | None = None, *,
                        rows: ProbeRows | None = None) -> np.ndarray:
         """Batch ``contains`` from base-hash arrays of the master seed.
 
-        ``rows`` gives the items' rows in a score-ordered view's probe cache;
-        a batch with rows must be in ascending score order (see ``ProbeRows``),
-        or ValueError: its stages pick score ranges, and a range of an
-        unordered batch would send keys to the wrong stages.
+        ``rows`` gives the items' rows in a score-ordered view's probe cache,
+        from which every stage reads its hashes: then ``base_a`` and ``base_b``
+        are not read and may be None. A batch with rows must be in ascending
+        score order (see ``ProbeRows``), or ValueError: its stages pick score
+        ranges, and a range of an unordered batch would send keys to the
+        wrong stages.
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
@@ -187,9 +190,10 @@ class GatedBloom:
             sel, count = _stage_items(scores, lo, hi, rows is not None, out)
             if count == len(scores):  # every item, none yet rejected: no copies
                 out = stage.contains_batch(base_a, base_b, rows=rows)
-            elif count:
-                out[sel] = stage.contains_batch(
-                    base_a[sel], base_b[sel], rows=None if rows is None else rows.select(sel))
+            elif count and rows is None:
+                out[sel] = stage.contains_batch(base_a[sel], base_b[sel])
+            elif count:  # the stage reads its pairs from the view: gather no base pairs
+                out[sel] = stage.contains_batch(None, None, rows=rows.select(sel))
         return out
 
 

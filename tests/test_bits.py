@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -54,6 +55,30 @@ mixed_item = st.one_of(
     st.binary(max_size=300).map(bytearray),
     st.binary(max_size=300).map(memoryview),
 )
+ascii_text = st.text(st.characters(max_codepoint=127), max_size=40)
+non_ascii_text = st.text(st.characters(min_codepoint=128), min_size=1, max_size=10)
+
+
+def with_one(items, item):
+    """Lists from ``items`` with one ``item`` inserted at a drawn position."""
+    return st.tuples(items, item, st.integers(0, 80)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+# Id lists of base_pairs's two kinds of chunk: ASCII text is joined and encoded
+# once, anything else is converted id by id.
+ID_LISTS = {
+    "ascii_str": st.lists(ascii_text, max_size=80),
+    "non_ascii_str": with_one(st.lists(st.one_of(ascii_text, st.text(max_size=20)), max_size=80),
+                              non_ascii_text),
+    "str_and_bytes_likes": with_one(st.lists(st.one_of(ascii_text, mixed_item), max_size=80),
+                                    st.one_of(st.binary(max_size=40),
+                                              st.binary(max_size=40).map(bytearray),
+                                              st.binary(max_size=40).map(memoryview))),
+    "numpy_str": st.lists(st.one_of(ascii_text, st.text(max_size=20)).map(np.str_), max_size=80),
+    "empty_ids": st.lists(st.one_of(st.sampled_from(["", b"", np.str_("")]), ascii_text),
+                          max_size=80),
+}
 
 
 def scalar_pairs(fam, items):
@@ -79,8 +104,11 @@ class TestBasePairs:
         assert a.shape == b.shape == (0,)
 
     def test_bad_item_raises(self):
-        with pytest.raises(TypeError):
-            HashFamily(1).base_pairs(["a", 3])
+        for bad in (3, None, 1.5):
+            for items in (["a", bad], ["a", "b", bad, "c"], [bad], ["é", bad]):
+                with pytest.raises(TypeError, match=re.escape(
+                        f"items must be bytes or str, got {type(bad).__name__}")):
+                    HashFamily(1).base_pairs(items)
 
     def test_one_chunk_plus_one(self):
         fam = HashFamily(5)
@@ -110,6 +138,42 @@ class TestBasePairs:
         fam = HashFamily(seed)
         with mock.patch.object(bits, "_SCALAR_TAIL_ROWS", tail_rows):
             assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    @pytest.mark.parametrize("tail_rows", [0, bits._SCALAR_TAIL_ROWS])
+    @pytest.mark.parametrize("kind", sorted(ID_LISTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_id_kinds_equal_scalar(self, kind, tail_rows, data, seed):
+        items = data.draw(ID_LISTS[kind], label=kind)
+        fam = HashFamily(seed)
+        with mock.patch.object(bits, "_SCALAR_TAIL_ROWS", tail_rows):
+            assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    # chunks of a few ids, each all-ASCII text (joined) or anything else (per id)
+    @pytest.mark.parametrize("tail_rows", [0, bits._SCALAR_TAIL_ROWS])
+    @settings(max_examples=100, deadline=None)
+    @given(chunk=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_joined_and_fallback_chunks_equal_scalar(self, tail_rows, chunk, data, seed):
+        groups = data.draw(st.lists(st.one_of(
+            st.lists(ascii_text, min_size=chunk, max_size=chunk),
+            st.lists(mixed_item, min_size=chunk, max_size=chunk)), max_size=6))
+        items = [item for group in groups for item in group]
+        items += data.draw(st.lists(mixed_item, max_size=chunk - 1))
+        fam = HashFamily(seed)
+        with mock.patch.object(bits, "_SCALAR_TAIL_ROWS", tail_rows), \
+                mock.patch.object(bits, "_HASH_CHUNK", chunk):
+            assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    def test_ascii_chunk_is_joined_and_the_next_falls_back(self):
+        fam = HashFamily(12)
+        joined = [f"id-{i}" for i in range(bits._HASH_CHUNK)]
+        fallback = [f"clé-{i}" for i in range(100)] + [b"raw", memoryview(b"view")]
+        items = joined + fallback
+        with mock.patch.object(bits, "_item_bytes", wraps=bits._item_bytes) as per_id:
+            got = batch_pairs(fam, items)
+        # the ASCII chunk never converts an id on its own; the other converts every id
+        assert per_id.call_count == len(fallback)
+        assert got == scalar_pairs(fam, items)
 
 
 class TestHashFamily:

@@ -473,6 +473,26 @@ class TestViewCaches:
                 assert set(held) <= set(range(PAIR_LANES)) and len(held) <= 2
 
 
+    @pytest.mark.parametrize("method, params", [
+        ("standard", {}), ("lbf", {"tau": 0.6}), ("sandwich", {"tau": 0.6}),
+        ("ada", {"k_max": 5, "c": 2.0}), ("disjoint", {"g": 4, "c": 1.5})])
+    def test_answers_with_rows_read_no_base_pairs(self, method, params):
+        ds = gen_synthetic(300, 400, seed=5)
+        view = ds.by_score()
+        filt = build(method, view, 4000, 7, **params)
+        holdout = np.arange(view.m) % 3 != 0
+        for keys in (False, True):
+            a, b = view.key_pairs(7) if keys else view.nonkey_pairs(7)
+            scores = view.key_scores if keys else view.nonkey_scores
+            rows = view.probe_rows(keys=keys)
+            plain = filt.contains_batch(a, b, scores)
+            # with rows every stage reads its pairs from the view, so no base pairs are needed
+            assert (filt.contains_batch(None, None, scores, rows=rows) == plain).all()
+            if not keys:
+                assert (filt.contains_batch(None, None, scores[holdout],
+                                            rows=rows.select(holdout)) == plain[holdout]).all()
+
+
 class TestRobustness:
     def test_retuning_c_at_fixed_kmax_stays_close(self, synth_bench):
         budget = 200_000
