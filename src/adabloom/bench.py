@@ -22,10 +22,10 @@ import timeit
 from dataclasses import dataclass
 
 from .scores import ScoredDataset
-from .tuning import GRIDS, NoFeasibleCandidateError, _measure, build, check_grid, tune
+from .tuning import NoFeasibleCandidateError, _measure, build, check_grids, tune
 
-__all__ = ["SweepRow", "METHODS", "run_sweep", "measure_fpr", "rows_to_csv", "write_csv",
-           "CSV_HEADER", "parse_budget"]
+__all__ = ["SweepRow", "METHODS", "check_methods", "run_sweep", "measure_fpr", "rows_to_csv",
+           "write_csv", "CSV_HEADER", "parse_budget"]
 
 METHODS = ("standard", "lbf", "sandwich", "ada", "disjoint")
 
@@ -87,34 +87,29 @@ def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
     return sorted(reps)[1] * 1e9 / max(1, view.m)
 
 
+def check_methods(methods) -> None:
+    """ValueError naming the ``methods`` that ``METHODS`` does not list."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+
+
 def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int = 0,
               timing: bool = False, **grids) -> list[SweepRow]:
     """One tuned row per (budget, method, seed), sorted by that triple.
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
-    method's tuner, which ignores the ones it does not take. An unknown or
-    empty one, or a value ``tuning.check_grid`` rejects, raises before any
-    cell runs.
+    method's tuner, which ignores the ones it does not take. One that
+    ``tuning.check_grids`` rejects raises before any cell runs.
     """
     budgets = [int(b) for b in budgets]
     methods = list(methods)
     seeds = [int(s) for s in seeds]
     if not budgets or not methods or not seeds:
         raise ValueError("budgets, methods and seeds must be non-empty")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-    grid_names = {name for names in GRIDS.values() for name in names}
-    bad_grids = set(grids) - grid_names
-    if bad_grids:
-        raise ValueError(f"unknown grid overrides {sorted(bad_grids)}")
+    check_methods(methods)
     grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
-    empty = sorted(name for name, values in grids.items() if values == ())
-    if empty:
-        raise ValueError(f"empty grid overrides {empty}")
-    for name, values in grids.items():
-        if values is not None:
-            check_grid(name, values)
+    check_grids(grids)
 
     view = dataset.by_score()
     rows = []

@@ -1,8 +1,19 @@
-"""Command-line interface: dataset generation, builds, queries, sweeps.
+"""Command-line interface: dataset generation, builds, queries, sweeps, bounds.
 
 Run ``adabloom <subcommand> --help`` (or ``python -m adabloom``) for
 per-command flags. Budgets and bit sizes accept a ``kb`` suffix for
 kilobits (1 Kb = 1000 bits).
+
+The flags that carry a choice's parameters come from the tables that
+state them: ``build``'s from ``tuning.PARAMS``, the grid flags of
+``tune`` and ``bench`` from ``tuning.GRIDS``, and ``bound``'s from
+``_BOUNDS``, one entry per op. Bad input ends the command with one line
+on stderr and a non-zero exit, with no file written, and flags are
+checked before any file is read: ``bad --<flag>: ...`` for a flag the
+method or op does not take or a value that cannot be parsed or used,
+``--<flag> is required for ...`` for a missing one, ``cannot load
+<path>: ...`` for a missing or malformed input file, and ``cannot
+build|tune|evaluate ...: ...`` when the library refuses the request.
 """
 
 from __future__ import annotations
@@ -12,12 +23,12 @@ import json
 import sys
 
 from .adaptive import fpr_upper_bound
-from .bench import METHODS, parse_budget, run_sweep, write_csv
+from .bench import METHODS, check_methods, parse_budget, run_sweep, write_csv
 from .disjoint import allocate_disjoint
 from .learned import sandwich_allocate
 from .scores import gen_synthetic, load_scored_csv, min_sample_size, save_scored_csv
 from .serialize import load_filter, save_filter
-from .tuning import GRIDS, PARAMS, build, check_grid, check_model_bits, tune
+from .tuning import GRIDS, OPTIONAL, PARAMS, build, check_grids, check_model_bits, tune
 
 
 def _floats(text: str) -> list[float]:
@@ -31,29 +42,82 @@ def _ints(text: str) -> list[int]:
 # every grid override, with its element type
 _GRID_KINDS = {name: kind for names in GRIDS.values() for name, kind in names.items()}
 
+# each ``bound`` op: its function, the flags it takes in call order with
+# their types, and how its value prints
+_BOUNDS = {
+    "eq3": (fpr_upper_bound, {"c": float, "alpha": float, "g": int, "k_max": int}, repr),
+    "lemma1": (min_sample_size, {"k_groups": int, "epsilon": float, "delta": float}, str),
+    "sandwich-alloc": (sandwich_allocate, {"fp": float, "fn": float, "budget": float},
+                       lambda bits: "b1={!r} b2={!r}".format(*bits)),
+    "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": parse_budget, "n_per_group": _ints,
+                                           "c": float, "g": int},
+                       lambda shares: ",".join(str(x) for x in shares)),
+}
+_BOUND_FLAGS = {op: flags for op, (_, flags, _) in _BOUNDS.items()}
 
-def _grids(args, taken=None) -> dict:
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_flags(parser, tables: dict, optional=()) -> None:
+    """One flag per name in ``tables`` (choice -> {name: type}); its help names the choices."""
+    for name, kind in {n: k for names in tables.values() for n, k in names.items()}.items():
+        takers = ", ".join(choice for choice, names in tables.items() if name in names)
+        parser.add_argument(_flag(name), type=kind,
+                            help=takers + (" (optional)" if name in optional else ""))
+
+
+def _chosen(args, what: str, tables: dict, optional=()) -> dict:
+    """The flags that ``tables`` lists for the choice ``args.<what>``, by name.
+
+    Exits ``bad --<flag>: <what> '<choice>' takes no such parameter`` on a
+    flag only other choices take, or ``--<flag> is required for <what>
+    '<choice>'`` on a missing one that ``optional`` does not name.
+    """
+    choice = getattr(args, what)
+    for name in dict.fromkeys(name for names in tables.values() for name in names):
+        given = getattr(args, name) is not None
+        if given and name not in tables[choice]:
+            raise SystemExit(f"bad {_flag(name)}: {what} {choice!r} takes no such parameter")
+        if not given and name in tables[choice] and name not in optional:
+            raise SystemExit(f"{_flag(name)} is required for {what} {choice!r}")
+    return {name: getattr(args, name) for name in tables[choice] if getattr(args, name) is not None}
+
+
+def _values(flag: str, kind, text: str, check=lambda values: None) -> list:
+    """The comma-separated values in ``text`` as ``kind``, which ``check`` accepts.
+
+    Exits ``bad <flag>: …`` on a value ``kind`` or ``check`` refuses (with
+    ValueError) or on an empty list.
+    """
+    try:
+        values = [kind(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
+            raise ValueError("no values")
+        check(values)
+    except ValueError as exc:
+        raise SystemExit(f"bad {flag}: {exc}") from exc
+    return values
+
+
+def _grids(args, method=None) -> dict:
     """The grid overrides given on the command line, typed as ``GRIDS`` names them.
 
-    Exits ``bad --<flag>: …`` on a flag outside ``taken`` (the names a
-    method takes, None for any), a malformed or empty list, or a value
-    ``check_grid`` rejects.
+    Exits ``bad --<flag>: …`` on a malformed list or one that ``check_grids``
+    refuses for ``method`` (None: for any tuner).
     """
-    grids = {}
-    for name, kind in _GRID_KINDS.items():
-        text = getattr(args, name)
-        if text is None:
-            continue
-        try:
-            if taken is not None and name not in taken:
-                raise ValueError(f"method {args.method!r} takes no such grid")
-            grids[name] = [kind(x) for x in text.split(",") if x.strip()]
-            if not grids[name]:
-                raise ValueError("no values")
-            check_grid(name, grids[name])
-        except ValueError as exc:
-            raise SystemExit(f"bad --{name.replace('_', '-')}: {exc}") from exc
-    return grids
+    return {name: _values(_flag(name), kind, getattr(args, name),
+                          lambda values: check_grids({name: values}, method))
+            for name, kind in _GRID_KINDS.items() if getattr(args, name) is not None}
+
+
+def _load(loader, path):
+    """``loader(path)``; exits ``cannot load <path>: …`` on a missing or malformed file."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load {path}: {exc}") from exc
 
 
 def _beta_pair(text: str) -> tuple[float, float]:
@@ -71,19 +135,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    taken = PARAMS[args.method]
-    params = {name: getattr(args, name) for name in taken if getattr(args, name) is not None}
-    for name in (n for names in PARAMS.values() for n in names):
-        flag = "--" + name.replace("_", "-")
-        if getattr(args, name) is not None and name not in taken:
-            raise SystemExit(f"bad {flag}: method {args.method!r} takes no such parameter")
-        if name in taken and name not in params and name not in ("k", "k_min"):
-            raise SystemExit(f"{flag} is required for method {args.method!r}")
+    params = _chosen(args, "method", PARAMS, OPTIONAL)
     try:
         check_model_bits(args.method, args.model_bits)
     except ValueError as exc:
         raise SystemExit(f"bad --model-bits: {exc}") from exc
-    dataset = load_scored_csv(args.data)
+    dataset = _load(load_scored_csv, args.data)
     try:
         filt = build(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **params)
     except ValueError as exc:
@@ -94,7 +151,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    filt = load_filter(args.filter)
+    filt = _load(load_filter, args.filter)
     try:
         positive = filt.contains(args.id, args.score)
     except ValueError as exc:
@@ -107,10 +164,12 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     grids = _grids(args)
-    dataset = load_scored_csv(args.data)
-    rows = run_sweep(dataset, [parse_budget(b) for b in args.budgets.split(",")],
-                     args.methods.split(","), _ints(args.seeds),
-                     model_bits=args.model_bits, timing=args.timing, **grids)
+    budgets = _values("--budgets", parse_budget, args.budgets)
+    methods = _values("--methods", str, args.methods, check_methods)
+    seeds = _values("--seeds", int, args.seeds)
+    dataset = _load(load_scored_csv, args.data)
+    rows = run_sweep(dataset, budgets, methods, seeds, model_bits=args.model_bits,
+                     timing=args.timing, **grids)
     write_csv(rows, args.out)
     ok = sum(1 for row in rows if row.status.startswith("ok"))
     print(f"wrote {len(rows)} rows ({ok} ok) to {args.out}")
@@ -118,9 +177,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    grids = _grids(args, GRIDS[args.method])
-    dataset = load_scored_csv(args.data)
-    res = tune(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **grids)
+    grids = _grids(args, args.method)
+    dataset = _load(load_scored_csv, args.data)
+    try:
+        res = tune(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **grids)
+    except ValueError as exc:
+        raise SystemExit(f"cannot tune {args.method}: {exc}") from exc
     report = {
         "method": res.method,
         "chosen": res.params,
@@ -141,17 +203,13 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.op == "eq3":
-        value = fpr_upper_bound(args.c, args.alpha, args.g, args.k_max)
-        print(f"{value!r}")
-    elif args.op == "lemma1":
-        print(min_sample_size(args.k_groups, args.epsilon, args.delta))
-    elif args.op == "sandwich-alloc":
-        b1, b2 = sandwich_allocate(args.fp, args.fn, args.budget)
-        print(f"b1={b1!r} b2={b2!r}")
-    else:  # disjoint-alloc
-        shares = allocate_disjoint(args.bitmap_bits, _ints(args.n_per_group), args.c, args.g)
-        print(",".join(str(x) for x in shares))
+    function, flags, show = _BOUNDS[args.op]
+    params = _chosen(args, "op", _BOUND_FLAGS)
+    try:
+        value = function(*(params[name] for name in flags))
+    except (ValueError, ArithmeticError) as exc:
+        raise SystemExit(f"cannot evaluate {args.op}: {exc}") from exc
+    print(show(value))
     return 0
 
 
@@ -174,12 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bitmap-bits", type=parse_budget, required=True)
     p.add_argument("--model-bits", type=parse_budget, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None, help="standard: hash count (default optimal)")
-    p.add_argument("--tau", type=float, default=None, help="lbf/sandwich: score threshold")
-    p.add_argument("--k-max", type=int, default=None, help="ada: largest hash count")
-    p.add_argument("--k-min", type=int, default=None, help="ada: smallest hash count (default 0)")
-    p.add_argument("--c", type=float, default=None, help="ada/disjoint: non-key count ratio")
-    p.add_argument("--g", type=int, default=None, help="disjoint: group count")
+    _add_flags(p, PARAMS, OPTIONAL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -196,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--model-bits", type=parse_budget, default=0)
     for name in _GRID_KINDS:
-        p.add_argument("--" + name.replace("_", "-"), default=None)
+        p.add_argument(_flag(name), default=None)
     p.add_argument("--timing", action="store_true",
                    help="fill timing columns (off by default so output is reproducible)")
     p.add_argument("--out", required=True)
@@ -209,25 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-bits", type=parse_budget, default=0)
     p.add_argument("--seed", type=int, default=0)
     for name in _GRID_KINDS:
-        p.add_argument("--" + name.replace("_", "-"), default=None)
+        p.add_argument(_flag(name), default=None)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("bound", help="evaluate the analytical formulas standalone")
-    p.add_argument("--op", choices=["eq3", "lemma1", "sandwich-alloc", "disjoint-alloc"],
-                   required=True)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--k-groups", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--fp", type=float, default=None)
-    p.add_argument("--fn", type=float, default=None)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--bitmap-bits", type=parse_budget, default=None)
-    p.add_argument("--n-per-group", default=None)
+    p.add_argument("--op", choices=list(_BOUNDS), required=True)
+    _add_flags(p, _BOUND_FLAGS)
     p.set_defaults(func=_cmd_bound)
 
     return parser

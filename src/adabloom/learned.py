@@ -101,10 +101,9 @@ def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tup
     if budget_bits_per_key < 0:
         raise ValueError(f"budget must be >= 0, got {budget_bits_per_key}")
     arg = f_p / ((1.0 - f_p) * (1.0 / f_n - 1.0))
-    b2 = f_n * math.log(arg) / math.log(OPTIMAL_FPR_BASE)
-    if not math.isfinite(b2):
-        logger.debug("sandwich allocation degenerate (b2=%r); using backup only", b2)
+    if arg == 0.0:  # underflow (tiny f_p or f_n): b2* tends to +inf, all bits to the backup
         return 0.0, float(budget_bits_per_key)
+    b2 = f_n * math.log(arg) / math.log(OPTIMAL_FPR_BASE)
     if b2 <= 0.0:
         return float(budget_bits_per_key), 0.0
     if b2 >= budget_bits_per_key:

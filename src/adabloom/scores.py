@@ -290,7 +290,7 @@ def load_scored_csv(path) -> ScoredDataset:
             except ValueError:
                 raise DatasetError(f"{path}: line {lineno}: malformed score {raw_score!r}") from None
             if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-                raise DatasetError(f"{path}: line {lineno}: score {raw_score} outside [0, 1]")
+                raise DatasetError(f"{path}: line {lineno}: score {raw_score!r} outside [0, 1]")
             if raw_label not in ("key", "nonkey"):
                 raise DatasetError(f"{path}: line {lineno}: label must be key or nonkey, got {raw_label!r}")
             items.append(ScoredItem(raw_id, score, raw_label == "key"))

@@ -46,7 +46,8 @@ __all__ = [
     "DEFAULT_G_GRID",
     "GRIDS",
     "PARAMS",
-    "check_grid",
+    "OPTIONAL",
+    "check_grids",
     "check_model_bits",
     "build",
     "default_tau_grid",
@@ -69,9 +70,11 @@ GRIDS = {
     "ada": {"kmax_grid": int, "c_grid": float},
     "disjoint": {"g_grid": int, "c_grid": float},
 }
-# the parameters each method's build takes; "k" and "k_min" may be left out
-PARAMS = {"standard": ("k",), "lbf": ("tau",), "sandwich": ("tau",),
-          "ada": ("k_max", "c", "k_min"), "disjoint": ("g", "c")}
+# the parameters each method's build takes, with their types
+PARAMS = {"standard": {"k": int}, "lbf": {"tau": float}, "sandwich": {"tau": float},
+          "ada": {"k_max": int, "c": float, "k_min": int}, "disjoint": {"g": int, "c": float}}
+# the parameters a build may be given without (k defaults to optimal_k, k_min to 0)
+OPTIONAL = ("k", "k_min")
 # per grid override, the values every build refuses, whatever the candidate
 _GRID_LIMITS = {
     "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
@@ -168,8 +171,8 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
     refuses. Builders are looked up in this module at call time, so a wrapped
     one (perfbench's tracer installs them) is the one called.
     """
-    taken = PARAMS.get(method)
-    if taken is None or not set(taken) >= set(params) >= set(taken) - {"k", "k_min"}:
+    taken = tuple(PARAMS.get(method, ()))
+    if method not in PARAMS or not set(taken) >= set(params) >= set(taken) - set(OPTIONAL):
         raise ValueError(f"method {method!r} takes parameters {taken}, got {tuple(params)}")
     check_model_bits(method, model_bits)
     if method == "standard":  # inserted from the cached key pairs, not by hashing the ids again
@@ -273,16 +276,27 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
                    {"g_grid": list(g_grid), "c_grid": list(c_grid)})
 
 
-def check_grid(name: str, values) -> None:
-    """ValueError naming the first value of grid override ``name`` that no build takes.
+def check_grids(grids: dict, method: str | None = None) -> None:
+    """ValueError on the first override in ``grids`` that ``method``'s tuner cannot use.
 
-    Such a value (tau outside [0, 1] or NaN, k_max < 0, c <= 1 or NaN,
-    g < 1) fails every candidate it is part of.
+    That is a name ``GRIDS[method]`` does not list (with no ``method``, a
+    name no tuner takes), an empty grid, or a value that fails every
+    candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1
+    or NaN, g < 1. An override of None stands for the default grid.
     """
-    valid, rule = _GRID_LIMITS[name]
-    for value in values:
-        if not valid(value):
-            raise ValueError(f"{rule}, got {value}")
+    taken = _GRID_LIMITS if method is None else GRIDS[method]
+    for name, values in grids.items():
+        if values is None:
+            continue
+        if name not in taken:
+            raise ValueError(f"method {method!r} takes no such grid" if method
+                             else f"no tuner takes a grid override {name!r}")
+        if len(values) == 0:
+            raise ValueError(f"empty grid overrides [{name!r}]")
+        valid, rule = _GRID_LIMITS[name]
+        for value in values:
+            if not valid(value):
+                raise ValueError(f"{rule}, got {value}")
 
 
 def check_model_bits(method: str, model_bits: int) -> None:
@@ -296,15 +310,13 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
          model_bits: int = 0, **grids) -> TuneResult:
     """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names, ignoring the rest.
 
-    Raises ValueError on an override value ``check_grid`` rejects. The
+    Raises ValueError on an override ``check_grids`` rejects. The
     tuner is looked up in this module at call time, so a wrapped
     ``tune_*`` (perfbench's tracer installs them) is the one called.
     """
     if method not in GRIDS:
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
     grids = {name: grids.get(name) for name in GRIDS[method]}
-    for name, values in grids.items():
-        if values is not None:
-            check_grid(name, values)
+    check_grids(grids, method)
     tuner = globals()[_TUNERS[method]]
     return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits, **grids)

@@ -1,5 +1,6 @@
 """The ``adabloom`` command line, called in-process through ``cli.main``."""
 
+import argparse
 import json
 from unittest import mock
 
@@ -243,3 +244,113 @@ def test_bound_prints_each_function_value(capsys):
           "--n-per-group", "100,100,50", "--c", "2", "--g", "3"])
     shares = allocate_disjoint(2000, [100, 100, 50], 2.0, 3)
     assert capsys.readouterr().out.strip() == ",".join(map(str, shares))
+
+
+# one full, valid flag set per ``bound`` op
+BOUND_ARGS = {
+    "eq3": ["--c", "2", "--alpha", "0.3", "--g", "3", "--k-max", "4"],
+    "lemma1": ["--k-groups", "5", "--epsilon", "0.1", "--delta", "0.05"],
+    "sandwich-alloc": ["--fp", "0.01", "--fn", "0.5", "--budget", "8"],
+    "disjoint-alloc": ["--bitmap-bits", "2000", "--n-per-group", "100,100,50", "--c", "2",
+                       "--g", "3"],
+}
+
+
+@pytest.mark.parametrize("op, argv, message", [
+    ("eq3", ["--c", "2"], "--alpha is required for op 'eq3'"),
+    ("lemma1", BOUND_ARGS["lemma1"][:4], "--delta is required for op 'lemma1'"),
+    ("sandwich-alloc", ["--fp", "0.01", "--budget", "8"],
+     "--fn is required for op 'sandwich-alloc'"),
+    ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + BOUND_ARGS["disjoint-alloc"][4:],
+     "--n-per-group is required for op 'disjoint-alloc'"),
+    ("eq3", BOUND_ARGS["eq3"] + ["--fp", "0.1"], "bad --fp: op 'eq3' takes no such parameter"),
+    ("lemma1", BOUND_ARGS["lemma1"] + ["--c", "2"], "bad --c: op 'lemma1' takes no such parameter"),
+    ("sandwich-alloc", BOUND_ARGS["sandwich-alloc"] + ["--g", "3"],
+     "bad --g: op 'sandwich-alloc' takes no such parameter"),
+    ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"] + ["--alpha", "0.3"],
+     "bad --alpha: op 'disjoint-alloc' takes no such parameter"),
+    ("eq3", ["--c", "0.5"] + BOUND_ARGS["eq3"][2:],
+     "cannot evaluate eq3: ratio c must be > 1, got 0.5"),
+    ("lemma1", ["--k-groups", "1"] + BOUND_ARGS["lemma1"][2:],
+     "cannot evaluate lemma1: bound needs k_groups >= 2, got 1"),
+    ("sandwich-alloc", ["--fp", "0"] + BOUND_ARGS["sandwich-alloc"][2:],
+     "cannot evaluate sandwich-alloc: f_p must be in (0, 1), got 0.0"),
+    ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + ["--n-per-group", "100,100"]
+     + BOUND_ARGS["disjoint-alloc"][4:],
+     "cannot evaluate disjoint-alloc: need 3 key counts, got 2")])
+def test_bound_refuses_with_one_line(op, argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--op", op] + argv)
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
+
+
+def _flag_names(command):
+    """The ``--`` flags of ``adabloom <command>`` as argument names, ``--help`` aside."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt[2:].replace("-", "_") for action in sub.choices[command]._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+
+
+def test_build_and_bound_flags_are_the_tables_names():
+    fixed = {"method", "data", "bitmap_bits", "model_bits", "seed", "out"}
+    assert _flag_names("build") - fixed == {n for names in tuning.PARAMS.values() for n in names}
+    assert _flag_names("bound") - {"op"} == {n for _, flags, _ in cli._BOUNDS.values()
+                                             for n in flags}
+
+
+def test_tune_exits_with_one_line_when_the_tuner_refuses(data, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--method", "ada", "--data", str(data), "--bitmap-bits", "0",
+              "--report", str(tmp_path / "r.json")])
+    assert str(exc.value) == "cannot tune ada: bitmap_bits must be >= 1, got 0"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [None, b"not a filter container", b""])
+def test_query_of_a_missing_or_junk_file_exits_with_one_line(content, tmp_path):
+    path = tmp_path / "f.adbf"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--filter", str(path), "--id", "x", "--score", "0.5"])
+    assert str(exc.value).startswith(f"cannot load {path}: ")
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--methods", "lbf,bogus", "unknown methods ['bogus']"),
+    ("--methods", ",", "no values"),
+    ("--budgets", "3x", "invalid literal"),
+    ("--seeds", "a", "invalid literal")])
+def test_bench_refuses_a_bad_list_before_loading_data(flag, value, message, data, tmp_path):
+    with mock.patch.object(cli, "load_scored_csv", side_effect=AssertionError("loaded")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(data), "--budgets", "12kb", "--out",
+                  str(tmp_path / "b.csv"), flag, value])
+    assert str(exc.value).startswith(f"bad {flag}: ") and message in str(exc.value)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["build", "tune", "bench"])
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"), ("id,score\n", "expected header"),
+    ("id,score,label\nk1,0.5,key\nk1,0.6,key\n", "line 3: duplicate id"),
+    ('id,score,label\nk1,"2\n",key\n', "line 2: score '2\\n' outside [0, 1]")])
+def test_a_missing_or_malformed_data_file_exits_with_one_line(command, content, message,
+                                                               tmp_path):
+    path = tmp_path / "in" / "data.csv"
+    path.parent.mkdir()
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = {"build": ["--method", "lbf", "--tau", "0.5", "--bitmap-bits", "12kb",
+                      "--out", str(out / "f.adbf")],
+            "tune": ["--method", "lbf", "--bitmap-bits", "12kb", "--report", str(out / "r.json")],
+            "bench": ["--budgets", "12kb", "--out", str(out / "b.csv")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(path)] + args)
+    assert str(exc.value).startswith(f"cannot load {path}: ") and message in str(exc.value)
+    assert "\n" not in str(exc.value)
+    assert not any(out.iterdir())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adabloom.bench import measure_fpr
 from adabloom.learned import (
@@ -82,6 +83,21 @@ class TestSandwichAllocate:
         for fp, fn in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)]:
             with pytest.raises(ValueError):
                 sandwich_allocate(fp, fn, 8.0)
+
+    # rates anywhere in (0, 1), subnormals included: a tiny f_p or f_n
+    # underflows the log argument to 0, where every bit goes to the backup
+    @settings(max_examples=300, deadline=None)
+    @given(fp=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           fn=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           budget=st.floats(0.0, 1e6))
+    @example(fp=1e-320, fn=1e-10, budget=8.0)
+    @example(fp=0.5, fn=1e-320, budget=8.0)
+    @example(fp=1e-300, fn=1e-300, budget=8.0)
+    def test_shares_are_finite_and_fill_the_budget(self, fp, fn, budget):
+        b1, b2 = sandwich_allocate(fp, fn, budget)
+        assert math.isfinite(b1) and math.isfinite(b2)
+        assert b1 >= 0.0 and b2 >= 0.0
+        assert b1 + b2 == pytest.approx(budget, rel=1e-12)
 
 
 class TestSandwichedBloom:

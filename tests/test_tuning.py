@@ -129,6 +129,16 @@ def test_tune_rejects_out_of_range_grid_values(method, grids, wrapped_tuners):
     assert tune(other, ds, 3000, **grids).method == other
 
 
+@pytest.mark.parametrize("grids, method, message", [
+    ({"g_grid": [3]}, "ada", "method 'ada' takes no such grid"),
+    ({"k_grid": [3]}, None, "no tuner takes a grid override 'k_grid'"),
+    ({"kmax_grid": None, "c_grid": []}, "ada", "empty grid overrides ['c_grid']"),
+    ({"c_grid": [2.0], "tau_grid": [0.5, 1.5]}, None, "tau must be in [0, 1], got 1.5")])
+def test_check_grids_names_the_first_bad_override(grids, method, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tuning.check_grids(grids, method)
+
+
 def _ids(ds):
     return [it.id for it in ds.keys]
 
