@@ -40,8 +40,6 @@ __all__ = [
     "kmax_from_lbf",
 ]
 
-_CA_BRANCH_TOL = 1e-9  # |c*alpha - 1| below this selects the limit branch
-
 
 @dataclass(frozen=True)
 class AdaptiveParams:
@@ -183,7 +181,15 @@ def fpr_upper_bound(c: float, alpha: float, g: int, k_max: int) -> float:
 
     Equals the direct sum exactly when p_j / p_{j+1} = c for all j and
     K_j steps down by one from k_max; dominates it when the ratios are
-    at least c. The c*alpha = 1 singularity is handled by its limit.
+    at least c. Raises ValueError for k_max < g - 1, whose ladder would
+    need negative hash counts.
+
+    With x = 1 / (c * alpha) the bound is ((c - 1) / c) / (1 - c**-g) *
+    alpha**k_max * (1 + x + ... + x**(g-1)). It is evaluated in logs, with
+    x**(g-1) factored out of the sum when x > 1, so that the sum is over a
+    ratio y <= 1 and taken as expm1(g ln y) / expm1(ln y) (g at y = 1). No
+    power of c, alpha or x over g is formed: at g = 2000 those overflow or
+    underflow a double while the bound does not.
     """
     if c <= 1.0:
         raise ValueError(f"ratio c must be > 1, got {c}")
@@ -191,12 +197,14 @@ def fpr_upper_bound(c: float, alpha: float, g: int, k_max: int) -> float:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")
-    ca = c * alpha
-    if abs(ca - 1.0) < _CA_BRANCH_TOL:
-        return g * (1.0 - c) / (1.0 - c**g) * alpha ** (k_max - g + 1)
-    return ((1.0 - c) * (1.0 - ca**g)
-            / ((1.0 / alpha - c) * (alpha**g - ca**g))
-            * alpha**k_max)
+    if k_max < g - 1:
+        raise ValueError(f"k_max={k_max} < g - 1 = {g - 1}: hash counts would go negative")
+    log_x = -math.log(c) - math.log(alpha)
+    log_y = -abs(log_x)
+    log_sum = (g - 1) * max(log_x, 0.0) + math.log(
+        math.expm1(g * log_y) / math.expm1(log_y) if log_y else g)
+    scale = (c - 1.0) / c / -math.expm1(-g * math.log(c))
+    return scale * math.exp(k_max * math.log(alpha) + log_sum)
 
 
 def kmax_from_lbf(k_lbf: int, g: int) -> tuple[int, int]:

@@ -21,6 +21,8 @@ import time
 import timeit
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scores import ScoredDataset
 from .tuning import NoFeasibleCandidateError, _measure, build, check_grids, tune
 
@@ -137,7 +139,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                     # raises on a key score outside [0, 1], which tuning never queries
                     hits = filt.contains_batch(*view.key_pairs(seed), view.key_scores,
                                                rows=view.probe_rows(keys=True))
-                    fnr = 1.0 - (float(hits.mean()) if view.n else 1.0)
+                    fnr = 1.0 - (np.count_nonzero(hits) / view.n if view.n else 1.0)
                     query_ns = _query_ns(filt, view, seed) if timing else None
                 except (NoFeasibleCandidateError, ValueError) as exc:
                     rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits,

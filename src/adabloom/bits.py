@@ -67,8 +67,11 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   lanes of the default grids;
 - the first ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an
   ``int32`` matrix. ``set_hashed`` and ``test_hashed`` take that matrix and
-  their items' rows in it as ``cached``; insert marks the cached columns
-  directly;
+  their items' rows in it as ``cached``. Insert marks the cached columns
+  directly, cast to ``intp`` up to ``_SLAB`` at a time: numpy scatters
+  ``int32`` indices on a slow cast path (400k indices into 300k bools took
+  2.4 ms as ``int32``, 1.6 ms cast first), and an ``intp`` matrix would hold
+  4.8 MB more on the benchmark's sweep;
 - the last fresh fill: the bytes of the last range of items inserted into
   all-zero bits, with its geometry (seed, lane, R, k, first row). A fresh
   range with that geometry that reaches at least as far starts from those
@@ -79,15 +82,25 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   with tau, so a tau sweep inserts each key once per run of equal k.
 
 ``test_hashed`` walks the first ``CACHED_COLUMNS`` columns one at a time
-over the items that are still all hits, whether or not they are cached,
-gathering with ``take`` and dropping the items that missed with
-``flatnonzero`` and ``take`` (on numpy 2.4 twice as fast as ``compress``
-for three arrays); at the optimal k a filter is about half full, so a
-non-key costs about two probes. Only the column source differs:
+over the items that are still all hits, whether or not they are cached; at
+the optimal k a filter is about half full, so a non-key costs about two
+probes. The walk keeps one array, the positions of the survivors (none
+until the first miss). Per column it tests the survivors, finds the hits
+with ``flatnonzero`` and, if any item missed, gathers the positions and the
+column source at them with ``take`` (on numpy 2.4 twice as fast as
+``compress``). A column that drops nothing, as every column of a batch of
+keys, is told by its hit count equal to the survivor count, with no
+separate ``all`` pass. That is four numpy passes per column where keeping
+positions and rows apart took six: in a profiled sweep pass (50k/50k, 150
+and 300 Kb, seed 1101, 2-core Xeon, numpy 2.4) ``test_hashed`` took 1.55
+instead of 1.93 s, and ``set_hashed``, with the ``intp`` cast below, 0.93
+instead of 1.11 s. Only the column source differs:
 
-- cached, column i is read from the matrix at the surviving rows and
-  tested against an unpacked copy of the bits (R bytes, as large as
-  insert's marks);
+- cached, column i is read from the matrix at the survivors and tested
+  against an unpacked copy of the bits (R bytes, as large as insert's
+  marks). The matrix of a range of rows is first cut to the range (a
+  view), so a survivor's position indexes its own columns; index rows are
+  gathered at the survivors instead;
 - uncached, it is the running sum h = a + i*b, kept per survivor and
   advanced by b per column (the same 64-bit wrap as a + i*b), reduced by R
   and tested in the packed bytes as ``buf[idx >> 3] & mask[idx & 7]``, so
@@ -381,7 +394,10 @@ class BitVector:
         Marks them in slabs of ``_SLAB // n`` columns (at least one) in a
         ``bool`` array, then ORs it in packed, so repeated calls accumulate.
         ``cached`` is ``(columns, rows)`` from :meth:`ProbeRows.cached`: the
-        first ``len(columns)`` probes are marked from the matrix instead.
+        first ``len(columns)`` probes are marked from the ``int32`` matrix
+        instead, in slabs of the same width cast to ``intp``, since numpy
+        scatters ``int32`` indices about 1.5x slower than the cast and the
+        ``intp`` scatter together.
         """
         self._writable()
         if k < 0:
@@ -390,13 +406,13 @@ class BitVector:
             return
         r = np.uint64(self._nbits)
         marks = np.zeros(self._nbits, dtype=bool)
+        width = max(1, _SLAB // len(a))
         start = 0
         if cached is not None:
             columns, rows = cached
             start = min(k, len(columns))
-            for column in columns[:start]:
-                marks[column[rows]] = True
-        width = max(1, _SLAB // len(a))
+            for i in range(0, start, width):
+                marks[columns[i:min(start, i + width), rows].astype(np.intp)] = True
         for i in range(start, k, width):
             cols = np.arange(i, min(k, i + width), dtype=np.uint64)
             idx = a + b * cols[:, None]
@@ -410,21 +426,27 @@ class BitVector:
         Walks the first ``CACHED_COLUMNS`` columns one at a time over the
         items that are still all hits: from ``cached``, as in
         :meth:`set_hashed`, against an unpacked copy of the bits, or else
-        from the running sum a + i*b against the packed bytes. The columns
-        past them are probed in slabs of 1, 2, 4, ... columns (at most
-        ``_SLAB`` probes each) over the survivors.
+        from the running sum a + i*b against the packed bytes. Per column it
+        keeps the survivors' positions (None until the first miss) and,
+        uncached, their running sums and strides, or, cached with index
+        rows, their rows; a range of rows reads the matrix cut to the range,
+        at the positions. The columns past the walk are probed in slabs of
+        1, 2, 4, ... columns (at most ``_SLAB`` probes each) over the
+        survivors.
         """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
         n = len(a)
         r, buf = np.uint64(self._nbits), self._buf
-        pos = np.arange(n)
+        alive = None  # positions of the items that hit every column so far; None: all
         i, stop = 0, min(k, CACHED_COLUMNS)
         if stop and n:
             if cached is None:
                 h, step = a, b  # h: the survivors' running sum a + i*b
             else:
                 columns, rows = cached
+                if isinstance(rows, slice):  # then a position indexes its own columns
+                    columns, rows = columns[:, rows], None
                 bits = np.unpackbits(buf, bitorder="little").view(bool)
             while True:
                 if cached is None:
@@ -432,22 +454,25 @@ class BitVector:
                     hit = (buf.take((idx >> np.uint64(3)).view(np.intp))
                            & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
                 else:
-                    hit = bits.take(columns[i][rows])
+                    at = alive if rows is None else rows
+                    hit = bits.take(columns[i] if at is None else columns[i].take(at))
                 i += 1
+                kept = np.flatnonzero(hit)
                 # a batch of keys hits everywhere: then there is nothing to drop
-                kept = None if hit.all() else np.flatnonzero(hit)
-                if kept is not None:
-                    pos = pos.take(kept)
-                if i == stop or not pos.size:
+                dropped = len(kept) < len(hit)
+                if dropped:
+                    alive = kept if alive is None else alive.take(kept)
+                if i == stop or not len(kept):
                     break
                 if cached is None:
-                    if kept is not None:
+                    if dropped:
                         h, step = h.take(kept), step.take(kept)
                     h = h + step  # wraps at 64 bits, as a + i*b does
-                elif kept is not None:
-                    rows = kept + rows.start if isinstance(rows, slice) else rows.take(kept)
-            if i < k and pos.size:
-                a, b = a.take(pos), b.take(pos)
+                elif dropped and rows is not None:
+                    rows = rows.take(kept)
+            if i < k and alive is not None:
+                a, b = a.take(alive), b.take(alive)
+        pos = np.arange(n) if alive is None else alive
         width = 1
         while i < k and pos.size:
             cols = np.arange(i, i + min(width, k - i, max(1, _SLAB // pos.size)),

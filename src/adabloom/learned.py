@@ -24,6 +24,8 @@ from __future__ import annotations
 import logging
 import math
 
+import numpy as np
+
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset
 from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
@@ -80,8 +82,8 @@ def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
     """Backup filter over the keys scoring below tau, k = Round((R/n0) ln 2)."""
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
-    backup = _stage(bitmap_bits, int((dataset.key_scores < tau).sum()), seed)
-    fp_above = float((dataset.nonkey_scores >= tau).mean()) if dataset.m else None
+    backup = _stage(bitmap_bits, np.count_nonzero(dataset.key_scores < tau), seed)
+    fp_above = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else None
     filt = LearnedBloom(tau, backup, bitmap_bits, model_bits, fp_above)
     insert_keys(dataset, seed, filt.stages)
     return filt
@@ -163,9 +165,9 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
     n = dataset.n
-    below_mask = dataset.key_scores < tau
-    f_n = float(below_mask.mean()) if n else 0.0
-    f_p = float((dataset.nonkey_scores >= tau).mean()) if dataset.m else 0.0
+    below = np.count_nonzero(dataset.key_scores < tau)
+    f_n = below / n if n else 0.0
+    f_p = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else 0.0
 
     fallback = None
     if n == 0:
@@ -183,7 +185,7 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
         b2_bits = bitmap_bits
     b1_bits = bitmap_bits - b2_bits
 
-    backup = _stage(b2_bits, int(below_mask.sum()), seed)
+    backup = _stage(b2_bits, below, seed)
     initial = _stage(b1_bits, n, seed, _INITIAL_LANE) if b1_bits > 0 else None
     filt = SandwichedBloom(tau, initial, backup, bitmap_bits, b1_bits, b2_bits, model_bits,
                            f_p if dataset.m else None, f_n if n else None, fallback)

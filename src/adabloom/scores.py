@@ -262,38 +262,44 @@ def load_scored_csv(path) -> ScoredDataset:
     """Read a dataset CSV with header ``id,score,label``.
 
     id must be non-empty and comma-free, score a decimal in [0, 1],
-    label ``key`` or ``nonkey``. Errors name the offending 1-based line.
+    label ``key`` or ``nonkey``. Errors are ``DatasetError`` naming the
+    offending 1-based line, also for a row the ``csv`` module refuses (a
+    field over its size limit, say).
     """
     items: list[ScoredItem] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected header id,score,label") from None
-        if tuple(header) != CSV_HEADER:
-            raise DatasetError(f"{path}: line 1: expected header id,score,label, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            raw_id, raw_score, raw_label = row
-            if not raw_id or "," in raw_id:
-                raise DatasetError(f"{path}: line {lineno}: id must be non-empty and comma-free")
-            if raw_id in seen:
-                raise DatasetError(f"{path}: line {lineno}: duplicate id {raw_id!r}")
-            seen.add(raw_id)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                score = float(raw_score)
-            except ValueError:
-                raise DatasetError(f"{path}: line {lineno}: malformed score {raw_score!r}") from None
-            if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-                raise DatasetError(f"{path}: line {lineno}: score {raw_score!r} outside [0, 1]")
-            if raw_label not in ("key", "nonkey"):
-                raise DatasetError(f"{path}: line {lineno}: label must be key or nonkey, got {raw_label!r}")
-            items.append(ScoredItem(raw_id, score, raw_label == "key"))
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"{path}: empty file, expected header id,score,label") from None
+            if tuple(header) != CSV_HEADER:
+                raise DatasetError(f"{path}: line 1: expected header id,score,label, got {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise DatasetError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                raw_id, raw_score, raw_label = row
+                if not raw_id or "," in raw_id:
+                    raise DatasetError(f"{path}: line {lineno}: id must be non-empty and comma-free")
+                if raw_id in seen:
+                    raise DatasetError(f"{path}: line {lineno}: duplicate id {raw_id!r}")
+                seen.add(raw_id)
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise DatasetError(f"{path}: line {lineno}: malformed score {raw_score!r}") from None
+                if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+                    raise DatasetError(f"{path}: line {lineno}: score {raw_score!r} outside [0, 1]")
+                if raw_label not in ("key", "nonkey"):
+                    raise DatasetError(
+                        f"{path}: line {lineno}: label must be key or nonkey, got {raw_label!r}")
+                items.append(ScoredItem(raw_id, score, raw_label == "key"))
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     return ScoredDataset(items)
 
 

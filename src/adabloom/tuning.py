@@ -142,7 +142,7 @@ def _measure(filt, view: ScoredDataset, seed: int, subset=None) -> float:
         if len(scores) == 0:
             raise ValueError("empty evaluation split")
     hits = filt.contains_batch(a, b, scores, rows=rows)
-    return float(hits.mean())
+    return np.count_nonzero(hits) / len(hits)
 
 
 def _holdout_split(view: ScoredDataset, fraction: float, seed: int):

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,11 +203,34 @@ class TestFprUpperBound:
             bound = fpr_upper_bound(c, alpha, g, k_max)
             assert direct <= bound * (1 + 1e-12)
 
+    # c**g, alpha**g and (c*alpha)**g overflow or underflow a double at these g;
+    # the direct sum is taken at 60 digits
+    @pytest.mark.parametrize("g", [1500, 2000, 5000])
+    def test_large_g_matches_mpmath(self, g):
+        rng = np.random.default_rng(g)
+        cases = [(2.0, 0.9, 1999), (2.0, 0.3, 1999), (1.01, 0.995, g - 1), (1.2, 1 / 1.2, g + 3)]
+        cases += [(float(rng.uniform(1.001, 1.2)), float(rng.uniform(0.8, 0.999)),
+                   int(rng.integers(g - 1, g + 50))) for _ in range(4)]
+        for c, alpha, k_max in cases:
+            k_max = max(k_max, g - 1)
+            with mpmath.workdps(60):
+                cm, am = mpmath.mpf(c), mpmath.mpf(alpha)
+                direct = float((cm - 1) / (cm**g - 1) * mpmath.fsum(
+                    cm ** (g - j) * am ** (k_max - j + 1) for j in range(1, g + 1)))
+            bound = fpr_upper_bound(c, alpha, g, k_max)
+            if direct < sys.float_info.min:
+                assert bound < sys.float_info.min
+            else:
+                assert abs(bound - direct) <= 1e-9 * direct
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fpr_upper_bound(1.0, 0.3, 3, 4)
         with pytest.raises(ValueError):
             fpr_upper_bound(2.0, 1.0, 3, 4)
+        with pytest.raises(ValueError, match="k_max=1 < g - 1 = 2"):
+            fpr_upper_bound(2.0, 0.3, 3, 1)  # the ladder 1, 0, -1
+        assert fpr_upper_bound(2.0, 0.3, 3, 2) > 0.0
 
 
 class TestKmaxSelection:

@@ -56,7 +56,9 @@ mixed_item = st.one_of(
     st.binary(max_size=300).map(memoryview),
 )
 ascii_text = st.text(st.characters(max_codepoint=127), max_size=40)
-non_ascii_text = st.text(st.characters(min_codepoint=128), min_size=1, max_size=10)
+# a lone surrogate has no UTF-8 bytes; test_bad_item_raises checks its refusal
+non_ascii_text = st.text(st.characters(min_codepoint=128, exclude_categories=("Cs",)),
+                         min_size=1, max_size=10)
 
 
 def with_one(items, item):
@@ -109,6 +111,12 @@ class TestBasePairs:
                 with pytest.raises(TypeError, match=re.escape(
                         f"items must be bytes or str, got {type(bad).__name__}")):
                     HashFamily(1).base_pairs(items)
+        # a lone surrogate cannot be encoded: both paths refuse it alike
+        for items in (["\ud800"], ["a", "\ud800"], ["é", "\ud800"]):
+            with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+                HashFamily(1).base_pairs(items)
+            with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+                scalar_pairs(HashFamily(1), items)
 
     def test_one_chunk_plus_one(self):
         fam = HashFamily(5)
@@ -469,12 +477,14 @@ class TestSlabKernels:
 
 class TestProbeWalk:
     # at 0.97 load most items survive the walk and cross into the slabs; a
-    # tiny slab makes the columns past the walk take several slabs
+    # tiny slab makes the columns past the walk take several slabs. Load 0
+    # drops every item at the first column, load 1 never drops one.
     @pytest.mark.parametrize("slab", [bits._SLAB, 7])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 200),
            k=st.sampled_from([0, 1, CACHED_COLUMNS - 1, CACHED_COLUMNS, CACHED_COLUMNS + 1, 300]),
-           r=st.sampled_from([1, 7, 3001, 2**14 + 3]), load=st.sampled_from([0.5, 0.97]),
+           r=st.sampled_from([1, 7, 3001, 2**14 + 3]),
+           load=st.sampled_from([0.0, 0.5, 0.97, 1.0]),
            seed=st.integers(0, 2**64 - 1), lane=st.sampled_from([0, 2]))
     def test_uncached_equals_per_item(self, slab, n, k, r, load, seed, lane):
         fam = HashFamily(seed, lane)
@@ -541,7 +551,7 @@ class TestProbeCache:
             fast.set_hashed(a[rows.rows], b[rows.rows], k, cached=cached)
             slow.set_hashed(a[rows.rows], b[rows.rows], k)
             assert fast.to_bytes() == slow.to_bytes()
-        load = data.draw(st.sampled_from([0.5, 0.97]))
+        load = data.draw(st.sampled_from([0.0, 0.5, 0.97, 1.0]))
         for bv in (fast, random_bits(r, load, seed % 1000)):
             for positions, contiguous in ((range(n), True), (range(lo, hi), True),
                                           (scattered, False), (scattered[::-1], False)):

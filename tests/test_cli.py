@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -235,6 +236,9 @@ def test_out_of_range_grid_value_exits_with_message(command, flag, value, method
 def test_bound_prints_each_function_value(capsys):
     main(["bound", "--op", "eq3", "--c", "2", "--alpha", "0.3", "--g", "3", "--k-max", "4"])
     assert capsys.readouterr().out.strip() == repr(fpr_upper_bound(2.0, 0.3, 3, 4))
+    # c**g overflows a double here; the bound itself is about 3.8e-92
+    main(["bound", "--op", "eq3", "--c", "2", "--alpha", "0.9", "--g", "2000", "--k-max", "1999"])
+    assert math.isclose(float(capsys.readouterr().out), 3.8188e-92, rel_tol=1e-4)
     main(["bound", "--op", "lemma1", "--k-groups", "5", "--epsilon", "0.1", "--delta", "0.05"])
     assert capsys.readouterr().out.strip() == str(min_sample_size(5, 0.1, 0.05))
     main(["bound", "--op", "sandwich-alloc", "--fp", "0.01", "--fn", "0.5", "--budget", "8"])
@@ -277,7 +281,9 @@ BOUND_ARGS = {
      "cannot evaluate sandwich-alloc: f_p must be in (0, 1), got 0.0"),
     ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + ["--n-per-group", "100,100"]
      + BOUND_ARGS["disjoint-alloc"][4:],
-     "cannot evaluate disjoint-alloc: need 3 key counts, got 2")])
+     "cannot evaluate disjoint-alloc: need 3 key counts, got 2"),
+    ("eq3", BOUND_ARGS["eq3"][:4] + ["--g", "2000", "--k-max", "4"],
+     "cannot evaluate eq3: k_max=4 < g - 1 = 1999: hash counts would go negative")])
 def test_bound_refuses_with_one_line(op, argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--op", op] + argv)
@@ -336,7 +342,9 @@ def test_bench_refuses_a_bad_list_before_loading_data(flag, value, message, data
 @pytest.mark.parametrize("content, message", [
     (None, "No such file"), ("id,score\n", "expected header"),
     ("id,score,label\nk1,0.5,key\nk1,0.6,key\n", "line 3: duplicate id"),
-    ('id,score,label\nk1,"2\n",key\n', "line 2: score '2\\n' outside [0, 1]")])
+    ('id,score,label\nk1,"2\n",key\n', "line 2: score '2\\n' outside [0, 1]"),
+    pytest.param("id,score,label\n" + "k" * 200_000 + ",0.5,key\n",
+                 "line 2: field larger than field limit", id="200k-char-id")])
 def test_a_missing_or_malformed_data_file_exits_with_one_line(command, content, message,
                                                                tmp_path):
     path = tmp_path / "in" / "data.csv"

@@ -70,6 +70,14 @@ class TestCsvLoading:
         with pytest.raises(DatasetError, match="header"):
             load_scored_csv(write_csv(tmp_path, "id,value,label\na,0.9,key\n"))
 
+    def test_row_the_csv_module_refuses(self, tmp_path):
+        # a field over csv.field_size_limit() (131072 characters by default)
+        text = "id,score,label\na,0.9,key\n" + "x" * 200_000 + ",0.1,nonkey\n"
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DatasetError) as exc:
+            load_scored_csv(path)
+        assert str(exc.value).startswith(f"{path}: line 3: field larger than field limit")
+
     def test_roundtrip(self, tmp_path):
         ds = gen_synthetic(50, 70, seed=4)
         path = tmp_path / "round.csv"
