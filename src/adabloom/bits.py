@@ -20,19 +20,24 @@ produce identical indices.
 tests compare the batch path against it. ``HashFamily.base_pairs`` hashes
 a batch column-wise instead, in chunks of ``_HASH_CHUNK`` items, which
 bounds the temporaries. Each chunk becomes one ``bytes`` buffer holding its
-ids end to end, plus the byte length of each id (``_chunk_bytes``):
+ids, plus the start and byte length of each id (``_chunk_bytes``):
 
-- a chunk of ``str`` ids whose joined text is ASCII is joined and encoded
-  once, and its lengths are the ids' character counts;
+- a chunk of ``str`` ids whose joined text is ASCII is joined with a NUL
+  between ids and encoded once, and one compare of the bytes with 0 finds
+  where each id ends. On 8192 ``q…`` ids this took 113 us where taking the
+  lengths with ``len`` per id took 250 us, and the whole chunk 179 instead
+  of 292 us (2-core Xeon, numpy 2.4, best of 300). If an id holds a NUL
+  itself, the lengths are taken per id;
 - any other chunk (``bytes``, ``bytearray``, ``memoryview``, non-ASCII
   text, a mix) converts each id as ``base_pair`` does and joins the bytes.
 
 Both give the bytes the per-item path hashes, and a bad id raises the same
 ``TypeError``. Converting id by id took about 35 of the 57 ms that hashing
 100k ASCII ids took; with the chunks joined, hashing them takes about 20 ms
-(2-core Xeon, numpy 2.4). With the ids sorted longest first, step j xors
+(2-core Xeon, numpy 2.4), and a batch of 10k ``q…`` ids 0.97 instead of
+1.25 ms with the separator. With the ids sorted longest first, step j xors
 byte j of every id longer than j bytes (a prefix of the rows, read from
-the buffer at the id's offset plus j) into its states and multiplies them
+the buffer at the id's start plus j) into its states and multiplies them
 by the FNV prime, for both salts in one ``(2, n)`` array. Once no more than
 ``_SCALAR_TAIL_ROWS`` ids of a chunk are still active, they finish in the
 Python loop from their current states, reading the rest of each id as a
@@ -81,10 +86,17 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   the view a ``lbf`` backup holds the keys below tau, a prefix that grows
   with tau, so a tau sweep inserts each key once per run of equal k.
 
-``test_hashed`` walks the first ``CACHED_COLUMNS`` columns one at a time
-over the items that are still all hits, whether or not they are cached; at
-the optimal k a filter is about half full, so a non-key costs about two
-probes. The walk keeps one array, the positions of the survivors (none
+``test_hashed`` tests a batch of at most ``_SMALL_BATCH`` (2**14) probes,
+n * k, as one slab: the ``(k, n)`` indices at once, in the packed bytes,
+cached or not. A walk pays a dozen numpy calls per column whatever the
+batch size, while a slab computes all n * k probes, where the walk drops an
+item at its first miss; on uncached batches at half load with k = 10
+(R = 300k, 2-core Xeon, numpy 2.4, best of 300) the walk took 113 us and
+the slab 68 us for 1250 items, about even at 2500, and 224 us against
+470 us for 10k. A larger batch walks the first ``CACHED_COLUMNS`` columns
+one at a time over the items that are still all hits, whether or not they
+are cached; at the optimal k a filter is about half full, so a non-key
+costs about two probes. The walk keeps one array, the positions of the survivors (none
 until the first miss). Per column it tests the survivors, finds the hits
 with ``flatnonzero`` and, if any item missed, gathers the positions and the
 column source at them with ``take`` (on numpy 2.4 twice as fast as
@@ -116,6 +128,18 @@ slabs of 1, 2, 4, ... columns: at k = 10**6, three items that hit
 everywhere take about 60 slabs, not a numpy call per column. ``CACHED_COLUMNS``
 is 12: about 0.5 ** 12 (0.02%) of non-keys reach column 13, and the
 default ``ada`` ladder tops out at k = 12.
+
+An uncached batch may give each item its own hash count, range and bit
+offset, with which ``GatedBloom`` probes all its disjoint stages in one call
+(see ``standard``). The items then walk longest count first, ordered by a
+radix sort of the counts as 8- or 16-bit keys, so the walkers that reach
+their count at a column are a suffix of the walkers and leave as hits by a
+slice; an item with count 0 leaves before the first column, and only a
+column at which the last walker's count ends looks for the cut. A range per
+item is reduced with ``%``, a hardware division per index (libdivide needs
+one divisor), and the offset is added after it, so probe i of item j tests
+bit ``offset_j + (a_j + i*b_j) mod r_j`` of the stages' arrays laid end to
+end.
 """
 
 from __future__ import annotations
@@ -149,7 +173,11 @@ _HASH_CHUNK = 1 << 13
 # A numpy step costs 5-10 us however few rows it covers, the Python loop
 # 0.3-0.5 us per byte and row (both salts): they break even near 20 rows.
 _SCALAR_TAIL_ROWS = 16
+# Joins the ASCII ids of a chunk, so that their ends are found in the bytes.
+_SEPARATOR = "\x00"
 _SLAB = 1 << 16  # probes per slab: 512 KiB per uint64 temporary, whatever k and n
+# A probe batch of at most this many probes (n * k) is tested as one slab.
+_SMALL_BATCH = 1 << 14
 # Probe columns a ProbeCache holds: a filter at the optimal k is about half
 # full, so 0.5 ** 12 of non-keys reach column 13; the default ada ladder
 # tops out at k = 12.
@@ -191,18 +219,17 @@ def _base_hash(data: bytes, salt: int) -> int:
     return _avalanche(h)
 
 
-def _fnv1a_columns(buf: bytes, lengths: np.ndarray,
+def _fnv1a_columns(buf: bytes, starts: np.ndarray, lengths: np.ndarray,
                    salts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """FNV-1a states of every id under both salts, before the finalizer.
 
-    The ids are ``buf`` cut at ``lengths`` (bytes per id, in order).
-    Returns the ``(2, n)`` states in the order longest id first, and that
-    order as indices into ``lengths``.
+    Id j is ``buf[starts[j]:starts[j] + lengths[j]]``. Returns the ``(2, n)``
+    states in the order longest id first, and that order as indices into
+    ``lengths``.
     """
     n = len(lengths)
     order = np.argsort(-lengths, kind="stable")
-    ends = np.cumsum(lengths)
-    pos = (ends - lengths)[order]
+    pos = starts[order]
     # longer[j]: how many ids are longer than j bytes, i.e. the active prefix
     longer = (n - np.cumsum(np.bincount(lengths))).tolist()
     data = np.frombuffer(buf, dtype=np.uint8)
@@ -214,7 +241,7 @@ def _fnv1a_columns(buf: bytes, lengths: np.ndarray,
         if rows <= _SCALAR_TAIL_ROWS:
             # the loop of _base_hash, resumed at byte j, both salts per byte
             tail_a, tail_b = state[:, :rows].tolist()
-            spans = zip(pos[:rows].tolist(), ends[order[:rows]].tolist())
+            spans = zip(pos[:rows].tolist(), (starts + lengths)[order[:rows]].tolist())
             for row, (start, stop) in enumerate(spans):
                 ha, hb = tail_a[row], tail_b[row]
                 for byte in buf[start:stop]:
@@ -240,22 +267,30 @@ def _item_bytes(item: bytes | str) -> bytes:
     raise TypeError(f"items must be bytes or str, got {type(item).__name__}")
 
 
-def _chunk_bytes(chunk: list) -> tuple[bytes, np.ndarray]:
-    """The ids of a chunk as one buffer, and the byte length of each id.
+def _chunk_bytes(chunk: list) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The ids of a chunk as one buffer, with the start and byte length of each id.
 
-    A chunk of ``str`` ids whose joined text is ASCII is joined and encoded
-    once, one byte per character; any other chunk is converted id by id.
+    A chunk of ``str`` ids whose joined text is ASCII is joined with a NUL
+    between ids and encoded once, and one compare of the bytes with 0 finds
+    where the ids end. If an id holds a NUL itself, the lengths are taken id
+    by id instead. Any other chunk is converted id by id and joined without
+    separators.
     """
     try:
-        text = "".join(chunk)
+        text = _SEPARATOR.join(chunk)
     except TypeError:  # an id that is not a str
         text = None
     if text is not None and text.isascii():
-        buf, data = text.encode("ascii"), chunk
-    else:
-        data = [_item_bytes(item) for item in chunk]
-        buf = b"".join(data)
-    return buf, np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+        buf = text.encode("ascii")
+        if text.count(_SEPARATOR) == len(chunk) - 1:  # the separators are the only NULs
+            cuts = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
+            starts = np.concatenate(([0], cuts + 1))
+            return buf, starts, np.append(cuts, len(buf)) - starts
+        lengths = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
+        return buf, np.cumsum(lengths + 1) - lengths - 1, lengths
+    data = [_item_bytes(item) for item in chunk]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    return b"".join(data), np.cumsum(lengths) - lengths, lengths
 
 
 class HashFamily:
@@ -302,8 +337,7 @@ class HashFamily:
         out = np.empty((2, len(items)), dtype=np.uint64)
         salts = (self._salt_a, self._salt_b)
         for lo in range(0, len(items), _HASH_CHUNK):
-            buf, lengths = _chunk_bytes(items[lo:lo + _HASH_CHUNK])
-            state, order = _fnv1a_columns(buf, lengths, salts)
+            state, order = _fnv1a_columns(*_chunk_bytes(items[lo:lo + _HASH_CHUNK]), salts)
             out[:, lo + order] = _avalanche_array(state)
         return out[0], out[1]
 
@@ -321,6 +355,20 @@ class HashFamily:
             a = _avalanche_array(a ^ np.uint64(self._lane_a))
             b = _avalanche_array(b ^ np.uint64(self._lane_b))
         return a, b | np.uint64(1)
+
+    @staticmethod
+    def remix_each(families, which: np.ndarray, a: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`remix_pairs` item by item, item j on the lane of
+        ``families[which[j]]``, in one pass over the batch."""
+        salt_a = np.array([f._lane_a for f in families], dtype=np.uint64).take(which)
+        salt_b = np.array([f._lane_b for f in families], dtype=np.uint64).take(which)
+        mixed_a = _avalanche_array(a ^ salt_a)
+        mixed_b = _avalanche_array(b ^ salt_b)
+        if not all(f.lane for f in families):  # lane 0 keeps the base pair
+            lane0 = np.array([not f.lane for f in families]).take(which)
+            mixed_a, mixed_b = np.where(lane0, a, mixed_a), np.where(lane0, b, mixed_b)
+        return mixed_a, mixed_b | np.uint64(1)
 
     def indices(self, item: bytes | str, k: int, r: int) -> list[int]:
         """First k member hashes of ``item`` reduced to [0, r)."""
@@ -420,74 +468,133 @@ class BitVector:
             marks[idx.view(np.intp)] = True
         self._buf |= np.packbits(marks, bitorder="little")
 
-    def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None) -> np.ndarray:
+    def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None,
+                    counts=None, ranges=None, offsets=None) -> np.ndarray:
         """Boolean array: are all of the first k positions set, per item.
 
-        Walks the first ``CACHED_COLUMNS`` columns one at a time over the
-        items that are still all hits: from ``cached``, as in
-        :meth:`set_hashed`, against an unpacked copy of the bits, or else
-        from the running sum a + i*b against the packed bytes. Per column it
-        keeps the survivors' positions (None until the first miss) and,
-        uncached, their running sums and strides, or, cached with index
-        rows, their rows; a range of rows reads the matrix cut to the range,
-        at the positions. The columns past the walk are probed in slabs of
-        1, 2, 4, ... columns (at most ``_SLAB`` probes each) over the
-        survivors.
+        An uncached batch may give each item its own geometry: ``counts`` its
+        hash count (at most k; 0 passes the item), ``ranges`` its range r_j
+        and ``offsets`` the bit where that range starts (both ``uint64``, the
+        offsets multiples of 8), so that probe i of item j tests bit
+        ``offsets[j] + (a_j + i*b_j) mod r_j``. ``GatedBloom`` probes its stages
+        that overlap no earlier stage so, in one call.
+
+        A batch of at most ``_SMALL_BATCH`` probes (n * k) is tested as one
+        slab. A larger one walks the first ``CACHED_COLUMNS`` columns one at a
+        time over the items that are still all hits: from ``cached``, as in
+        :meth:`set_hashed`, against an unpacked copy of the bits, or else from
+        the running sum a + i*b against the packed bytes; the columns past
+        the walk are probed in slabs of 1, 2, 4, ... columns (at most
+        ``_SLAB`` probes each). The walkers are kept as their positions (None
+        until the first miss) and, uncached, their running sums and strides,
+        or, cached with index rows, their rows; a range of rows reads the
+        matrix cut to the range, at the positions. With ``counts`` the items
+        walk longest count first, so the walkers a column takes past their
+        count are a suffix of them and leave, as hits, by a slice.
         """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
+        if cached is not None and not (counts is None and ranges is None and offsets is None):
+            raise ValueError("per-item counts, ranges and offsets need an uncached batch")
         n = len(a)
-        r, buf = np.uint64(self._nbits), self._buf
-        alive = None  # positions of the items that hit every column so far; None: all
-        i, stop = 0, min(k, CACHED_COLUMNS)
-        if stop and n:
-            if cached is None:
-                h, step = a, b  # h: the survivors' running sum a + i*b
-            else:
-                columns, rows = cached
-                if isinstance(rows, slice):  # then a position indexes its own columns
-                    columns, rows = columns[:, rows], None
-                bits = np.unpackbits(buf, bitorder="little").view(bool)
-            while True:
-                if cached is None:
-                    idx = h - h // r * r
-                    hit = (buf.take((idx >> np.uint64(3)).view(np.intp))
-                           & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
+        r = np.uint64(self._nbits) if ranges is None else ranges
+        if n * k <= _SMALL_BATCH:
+            cols = np.arange(k)[:, None]
+            hit = self._probe(a + b * cols.astype(np.uint64), r, offsets)
+            if counts is not None:
+                hit |= cols >= counts  # the columns past an item's count
+            return hit.all(axis=0)
+        order = None
+        if counts is not None:
+            # a radix sort: the keys fit 8 or 16 bits unless k is huge
+            order = np.argsort((k - counts).astype(np.min_scalar_type(k)), kind="stable")
+            a, b, counts = a.take(order), b.take(order), counts.take(order)
+            if ranges is not None:
+                r = r.take(order)
+            if offsets is not None:
+                offsets = offsets.take(order)
+            below = -counts  # ascending: item j walks column i iff below[j] < -i
+        res = np.zeros(n, dtype=bool)  # the items that passed their count, in walk order
+        alive = None  # positions of the walkers, ascending; None: the first m items
+        m, i, width = n, 0, 1
+        h = rows = None  # uncached: the walkers' running sum a + i*b at column hcol
+        if cached is not None:
+            columns, rows = cached
+            if isinstance(rows, slice):  # then a position indexes its own columns
+                columns, rows = columns[:, rows], None
+            bits = np.unpackbits(self._buf, bitorder="little").view(bool)
+        while m:
+            if counts is None:
+                live = m if i < k else 0
+            elif counts[m - 1 if alive is None else alive[m - 1]] > i:  # the last one's is least
+                live = m
+            else:  # how many walkers have a count above i: a prefix of them
+                live = int(np.searchsorted(below, -i))
+                live = min(m, live) if alive is None else int(np.searchsorted(alive, live))
+            if live < m:  # the rest hit every column of their count
+                if alive is None:
+                    res[live:m] = True
                 else:
-                    at = alive if rows is None else rows
-                    hit = bits.take(columns[i] if at is None else columns[i].take(at))
-                i += 1
-                kept = np.flatnonzero(hit)
-                # a batch of keys hits everywhere: then there is nothing to drop
-                dropped = len(kept) < len(hit)
-                if dropped:
-                    alive = kept if alive is None else alive.take(kept)
-                if i == stop or not len(kept):
+                    res[alive[live:]] = True
+                    alive = alive[:live]
+                m = live
+                if h is not None:
+                    h, step = h[:m], step[:m]
+                if r.ndim:
+                    r = r[:m]
+                if offsets is not None:
+                    offsets = offsets[:m]
+                if not m:
                     break
-                if cached is None:
-                    if dropped:
-                        h, step = h.take(kept), step.take(kept)
-                    h = h + step  # wraps at 64 bits, as a + i*b does
-                elif dropped and rows is not None:
+            w = 1
+            if i >= CACHED_COLUMNS:
+                w = min(width, k - i, max(1, _SLAB // m))
+                width *= 2
+            if cached is not None and i < CACHED_COLUMNS:
+                at = alive if rows is None else rows
+                hit = bits.take(columns[i] if at is None else columns[i].take(at))
+            else:
+                if h is None:  # the first column computed from the pairs
+                    h, step = (a[:m], b[:m]) if alive is None else (a.take(alive), b.take(alive))
+                    hcol = 0
+                if hcol < i:  # wraps at 64 bits, as a + i*b does
+                    h = h + step if i == hcol + 1 else h + step * np.uint64(i - hcol)
+                    hcol = i
+                if w == 1:
+                    hit = self._probe(h, r, offsets)
+                else:
+                    cols = np.arange(w)[:, None]
+                    hit = self._probe(h + step * cols.astype(np.uint64), r, offsets)
+                    if counts is not None:
+                        hit |= cols + i >= (counts[:m] if alive is None else counts.take(alive))
+                    hit = hit.all(axis=0)
+            i += w
+            kept = np.flatnonzero(hit)
+            # a batch of keys hits everywhere: then there is nothing to drop
+            if len(kept) < m:
+                alive = kept if alive is None else alive.take(kept)
+                m = len(kept)
+                if h is not None:
+                    h, step = h.take(kept), step.take(kept)
+                if rows is not None:
                     rows = rows.take(kept)
-            if i < k and alive is not None:
-                a, b = a.take(alive), b.take(alive)
-        pos = np.arange(n) if alive is None else alive
-        width = 1
-        while i < k and pos.size:
-            cols = np.arange(i, i + min(width, k - i, max(1, _SLAB // pos.size)),
-                             dtype=np.uint64)
-            idx = a + b * cols[:, None]
-            idx -= idx // r * r
-            hit = ((buf[(idx >> np.uint64(3)).view(np.intp)]
-                    & _BYTE_MASKS[(idx & np.uint64(7)).view(np.intp)]) != 0).all(axis=0)
-            i += len(cols)
-            width *= 2
-            if not hit.all():
-                pos, a, b = pos[hit], a[hit], b[hit]
-        result = np.zeros(n, dtype=bool)
-        result[pos] = True
-        return result
+                if r.ndim:
+                    r = r.take(kept)
+                if offsets is not None:
+                    offsets = offsets.take(kept)
+        if order is None:
+            return res
+        out = np.empty(n, dtype=bool)
+        out[order] = res
+        return out
+
+    def _probe(self, h: np.ndarray, r, offsets) -> np.ndarray:
+        """The bits at ``offsets + h mod r``, tested in the packed bytes."""
+        idx = h % r if r.ndim else h - h // r * r
+        if offsets is not None:
+            idx += offsets
+        return (self._buf.take((idx >> np.uint64(3)).view(np.intp))
+                & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
 
     def popcount(self) -> int:
         return int(np.unpackbits(self._buf).sum())

@@ -154,6 +154,8 @@ def _cmd_query(args) -> int:
     filt = _load(load_filter, args.filter)
     try:
         positive = filt.contains(args.id, args.score)
+    except UnicodeError as exc:  # argv decodes bytes that are not UTF-8 as lone surrogates
+        raise SystemExit(f"bad --id: {exc}") from exc
     except ValueError as exc:
         if args.score is None:
             raise SystemExit("--score is required for learned filter kinds") from exc

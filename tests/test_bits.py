@@ -172,6 +172,13 @@ class TestBasePairs:
                 mock.patch.object(bits, "_HASH_CHUNK", chunk):
             assert batch_pairs(fam, items) == scalar_pairs(fam, items)
 
+    def test_ascii_ids_holding_the_separator(self):
+        fam = HashFamily(13)
+        items = [f"n{i}" for i in range(50)] + ["a\x00b", "\x00", ""] + [f"m{i}" for i in range(50)]
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+        starts = bits._chunk_bytes(items)[1]
+        assert starts.tolist() == np.cumsum([0] + [len(x) + 1 for x in items[:-1]]).tolist()
+
     def test_ascii_chunk_is_joined_and_the_next_falls_back(self):
         fam = HashFamily(12)
         joined = [f"id-{i}" for i in range(bits._HASH_CHUNK)]
@@ -223,6 +230,16 @@ class TestHashFamily:
         base = HashFamily(9)
         lane = HashFamily(9, lane=2)
         assert base.pair(b"x") != lane.pair(b"x")
+
+    @pytest.mark.parametrize("lanes", [[1, 2, 5], [0, 3], [0]])
+    def test_remix_each_is_remix_pairs_per_item(self, lanes):
+        families = [HashFamily(21, lane) for lane in lanes]
+        a, b = families[0].base_pairs([f"r{i}" for i in range(300)])
+        which = np.arange(300) % len(lanes)
+        got = HashFamily.remix_each(families, which, a, b)
+        for j, fam in enumerate(families):
+            want = fam.remix_pairs(a[which == j], b[which == j])
+            assert (got[0][which == j] == want[0]).all() and (got[1][which == j] == want[1]).all()
 
     def test_batch_matches_scalar(self):
         fam = HashFamily(123, lane=4)
@@ -478,7 +495,8 @@ class TestSlabKernels:
 class TestProbeWalk:
     # at 0.97 load most items survive the walk and cross into the slabs; a
     # tiny slab makes the columns past the walk take several slabs. Load 0
-    # drops every item at the first column, load 1 never drops one.
+    # drops every item at the first column, load 1 never drops one. A small
+    # batch rule of 0 walks the batches that the rule probes as one slab.
     @pytest.mark.parametrize("slab", [bits._SLAB, 7])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 200),
@@ -491,9 +509,11 @@ class TestProbeWalk:
         items = [f"w{i}" for i in range(n)]
         a, b = fam.remix_pairs(*fam.base_pairs(items))
         bv = random_bits(r, load, seed % 1000)
-        with mock.patch.object(bits, "_SLAB", slab):
-            got = bv.test_hashed(a, b, k)
-        assert got.tolist() == [bv.test_bits(fam.indices(item, k, r)) for item in items]
+        want = [bv.test_bits(fam.indices(item, k, r)) for item in items]
+        for small in (bits._SMALL_BATCH, 0):
+            with mock.patch.object(bits, "_SLAB", slab), \
+                    mock.patch.object(bits, "_SMALL_BATCH", small):
+                assert bv.test_hashed(a, b, k).tolist() == want
 
     def test_huge_k_hands_over_to_slabs(self):
         # a walk of 10**6 single columns would take seconds
@@ -514,6 +534,90 @@ class TestProbeWalk:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def per_item_test(bv, a, b, counts, ranges, offsets):
+    """Item j passes iff bit offsets[j] + (a_j + i*b_j) mod ranges[j] is set for every
+    i below counts[j], probed one column at a time over every item."""
+    buf = np.frombuffer(bv.to_bytes(), dtype=np.uint8)
+    out = np.ones(len(a), dtype=bool)
+    for i in range(int(counts.max(initial=0))):
+        idx = (offsets + (a + b * np.uint64(i)) % ranges).astype(np.intp)
+        out &= ((buf[idx >> 3] & bits._BYTE_MASKS[idx & 7]) != 0) | (counts <= i)
+    return out
+
+
+def joined_arrays(sizes, load, seed):
+    """Random arrays of these sizes laid end to end, each from a byte boundary, and
+    the bit each starts at."""
+    arrays = [random_bits(r, load, seed + i) for i, r in enumerate(sizes)]
+    starts = np.cumsum([0] + [8 * len(x.to_bytes()) for x in arrays])
+    joined = b"".join(x.to_bytes() for x in arrays)
+    return BitVector.from_bytes(joined, 8 * len(joined)), starts[:-1].astype(np.uint64)
+
+
+class TestPerItemGeometry:
+    """``test_hashed`` with a count, range and offset per item, as ``GatedBloom`` walks
+    its stages: the small-batch slab and the walk answer alike."""
+
+    # k = 16 runs past CACHED_COLUMNS, so the walk hands over to slabs; at load 0.9
+    # about 0.9 ** 12 of the items with a count above 12 get there
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("per_item", ["counts", "counts and arrays", "arrays"])
+    def test_slab_and_walk_agree_at_the_rule(self, extra, per_item):
+        k = 16
+        n = bits._SMALL_BATCH // k + extra  # 2**14 probes, then one item more
+        rng = np.random.default_rng(n)
+        a, b = hashed(14, [f"s{i}" for i in range(n)])
+        counts = ranges = offsets = None
+        if "counts" in per_item:
+            counts = rng.integers(0, k + 1, n)
+            counts[:4] = (0, k, CACHED_COLUMNS, CACHED_COLUMNS + 1)
+        if "arrays" in per_item:
+            sizes = np.array([3001, 64, 811, 1], dtype=np.uint64)
+            bv, starts = joined_arrays(sizes.tolist(), 0.9, n)
+            which = rng.integers(0, len(sizes), n)
+            ranges, offsets = sizes[which], starts[which]
+        else:
+            bv = random_bits(3001, 0.9, n)
+        want = per_item_test(bv, a, b, np.full(n, k) if counts is None else counts,
+                             np.full(n, bv.length_bits, np.uint64) if ranges is None else ranges,
+                             np.zeros(n, np.uint64) if offsets is None else offsets)
+        assert 0 < want.sum() < n
+        assert (n * k <= bits._SMALL_BATCH) == (not extra)
+        for small in (bits._SMALL_BATCH, 0, 2**30):  # by the rule, always walk, always slab
+            with mock.patch.object(bits, "_SMALL_BATCH", small):
+                got = bv.test_hashed(a, b, k, counts=counts, ranges=ranges, offsets=offsets)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("small", [bits._SMALL_BATCH, 0])
+    @pytest.mark.parametrize("slab", [bits._SLAB, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 300),
+           k=st.sampled_from([0, 1, CACHED_COLUMNS, CACHED_COLUMNS + 1, 40]),
+           sizes=st.lists(st.sampled_from([1, 7, 64, 3001]), min_size=1, max_size=3),
+           load=st.sampled_from([0.0, 0.5, 0.97, 1.0]), seed=st.integers(0, 2**32),
+           data=st.data())
+    def test_equals_per_item(self, small, slab, n, k, sizes, load, seed, data):
+        a, b = hashed(seed, [f"p{i}" for i in range(n)])
+        bv, starts = joined_arrays(sizes, load, seed)
+        counts = np.array(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n)),
+                          dtype=np.intp)
+        which = np.array(data.draw(st.lists(st.integers(0, len(sizes) - 1),
+                                            min_size=n, max_size=n)), dtype=np.intp)
+        ranges, offsets = np.array(sizes, dtype=np.uint64)[which], starts[which]
+        with mock.patch.object(bits, "_SLAB", slab), mock.patch.object(bits, "_SMALL_BATCH", small):
+            got = bv.test_hashed(a, b, k, counts=counts, ranges=ranges, offsets=offsets)
+        assert got.tolist() == per_item_test(bv, a, b, counts, ranges, offsets).tolist()
+
+    def test_cached_batches_take_no_per_item_geometry(self):
+        fam = HashFamily(15)
+        items = [f"c{i}" for i in range(40)]
+        cache = warm_cache(fam, items, 500)
+        a, b = hashed(15, items)
+        with pytest.raises(ValueError, match="uncached"):
+            BitVector(500).test_hashed(a, b, 3, counts=np.full(40, 3),
+                                       cached=ProbeRows(cache, slice(0, 40)).cached(fam, 500))
 
 
 def warm_cache(fam, items, r):
@@ -557,8 +661,10 @@ class TestProbeCache:
                                           (scattered, False), (scattered[::-1], False)):
                 rows = as_rows(list(positions), contiguous)
                 want = bv.test_hashed(a[rows], b[rows], k)
-                assert (bv.test_hashed(a[rows], b[rows], k,
-                                       cached=ProbeRows(cache, rows).cached(fam, r)) == want).all()
+                with mock.patch.object(bits, "_SMALL_BATCH", 0):  # walk the cached columns
+                    got = bv.test_hashed(a[rows], b[rows], k,
+                                         cached=ProbeRows(cache, rows).cached(fam, r))
+                assert (got == want).all()
 
     def test_matrix_is_the_probe_indices(self):
         fam = HashFamily(5, 3)

@@ -161,6 +161,17 @@ def test_query_with_out_of_range_score_exits(built):
         main(["query", "--filter", str(paths["lbf"]), "--id", ds.keys[0].id, "--score", "1.5"])
 
 
+# score 0 reaches a stage of every kind, so the id is hashed
+@pytest.mark.parametrize("method, score", [("standard", [])] + [
+    (method, ["--score", "0"]) for method in sorted(BUILD_ARGS)])
+def test_query_of_an_id_that_is_not_utf8_exits_with_one_line(method, score, built):
+    _, paths = built
+    with pytest.raises(SystemExit) as exc:  # argv decodes byte 0xff as a lone surrogate
+        main(["query", "--filter", str(paths[method]), "--id", "\udcff"] + score)
+    assert str(exc.value).startswith("bad --id: ")
+    assert "surrogates not allowed" in str(exc.value) and "\n" not in str(exc.value)
+
+
 @pytest.mark.parametrize("method", sorted(TUNERS))
 def test_tune_calls_the_tuner_it_names(method, data, tmp_path, wrapped_tuners):
     assert main(["tune", "--method", method, "--data", str(data), "--bitmap-bits", "12kb",

@@ -1,11 +1,18 @@
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adabloom import bits, standard
+from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bits import BitVector, HashFamily
-from adabloom.scores import ScoredDataset, ScoredItem
+from adabloom.disjoint import build_disjoint
+from adabloom.learned import build_lbf, build_sandwiched
+from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_by_ratio
+from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import (
     DEFAULT_K_CAP,
     GatedBloom,
@@ -216,6 +223,122 @@ class TestStageRanges:
             filt.contains_batch(a[turned], b[turned], view.key_scores[turned],
                                 rows=rows.select(turned))
         assert filt.contains_batch(a[turned], b[turned], view.key_scores[turned]).all()
+
+
+def stage_mask_reference(filt, base_a, base_b, scores):
+    """A batch answered stage by stage, each stage over a boolean mask of the items
+    it holds that no earlier stage rejected, every probe one column at a time."""
+    stages = ((0.0, math.inf, filt),) if isinstance(filt, StandardBloom) else filt.stages
+    out = np.ones(len(scores), dtype=bool)
+    for lo, hi, stage in stages:
+        sel = out & (scores >= lo) & (scores < hi)
+        a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
+        buf = np.frombuffer(stage.bits.to_bytes(), dtype=np.uint8)
+        hit = np.ones(len(a), dtype=bool)
+        for i in range(stage.k):
+            idx = ((a + b * np.uint64(i)) % np.uint64(stage.bits.length_bits)).astype(np.intp)
+            hit &= (buf[idx >> 3] & (1 << (idx & 7))) != 0
+        out[sel] = hit
+    return out
+
+
+QUERY_SEED = 11
+
+
+@pytest.fixture(scope="module")
+def query_filters():
+    """The five kinds at the query benchmark's fixed parameters: 50k keys, 200k
+    non-keys, 300 Kb, tau 0.5, ada k_max 8 with c 2, disjoint g 8 with c 2."""
+    ds = gen_synthetic(50_000, 200_000, seed=QUERY_SEED)
+    r, seed = 300_000, QUERY_SEED
+    ada = AdaptiveParams.from_ratio(partition_by_ratio(ds, 9, 2.0), 8, 0, 2.0)
+    return ds, {
+        "standard": build_standard([it.id for it in ds.keys], r, optimal_k(r, ds.n), seed),
+        "lbf": build_lbf(ds, r, 0.5, seed),
+        "sandwich": build_sandwiched(ds, r, 0.5, seed),
+        "ada": build_ada(ds, r, ada, seed),
+        "disjoint": build_disjoint(ds, r, 8, 2.0, seed),
+    }
+
+
+class TestOneWalk:
+    """A batch without probe rows probes the stages that overlap no earlier stage in
+    one walk, with a count, range and offset per item; the answers are the stages'."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("kind", ["standard", "lbf", "sandwich", "ada", "disjoint"])
+    def test_large_unordered_batches_answer_as_stage_masks(self, query_filters, kind, loaded):
+        ds, built = query_filters
+        filt = loads_filter(dump_filter(built[kind])) if loaded else built[kind]
+        rng = np.random.default_rng(len(kind))
+        picks = rng.choice(ds.n, 6000, replace=False)
+        scores = np.concatenate([ds.key_scores[picks], rng.beta(1.0, 3.0, 18_000)])
+        # scores on every stage bound, and on the ends of [0, 1]
+        bounds = [x for lo, hi, _ in getattr(filt, "stages", ()) for x in (lo, hi) if x <= 1.0]
+        scores[6000:8000] = rng.choice(np.array(bounds + [0.0, 1.0]), 2000)
+        ids = [ds.keys[i].id for i in picks] + [f"q{i}" for i in range(18_000)]
+        order = rng.permutation(len(ids))
+        ids, scores = [ids[i] for i in order], scores[order]
+        a, b = HashFamily(QUERY_SEED).base_pairs(ids)
+        want = stage_mask_reference(filt, a, b, scores).tolist()
+        for block in (standard._WALK_ITEMS, 5000):  # one walk, then blocks of 5000 items
+            with mock.patch.object(standard, "_WALK_ITEMS", block):
+                got = (filt.contains_batch(a, b) if kind == "standard"
+                       else filt.contains_batch(a, b, scores))
+            assert got.tolist() == want
+        assert got[order < 6000].all()
+        assert 0 < np.count_nonzero(got[order >= 6000]) < 18_000
+
+    @pytest.mark.parametrize("small", [bits._SMALL_BATCH, 0])
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(SCORES, max_size=60), nonkeys=st.lists(SCORES, min_size=1, max_size=200),
+           spec=STAGES, sandwich=st.booleans(), seed=st.integers(0, 2**32))
+    def test_equals_scalar_contains(self, small, keys, nonkeys, spec, sandwich, seed):
+        if sandwich:  # the later, overlapping stages are probed after the walk
+            spec = [(0.0, math.inf, 60, 2, 1)] + spec
+        ds = scored(keys, nonkeys)
+        filt = GatedBloom(fresh_stages(spec, seed), seed)
+        insert_keys(ds, seed, filt.stages)
+        for items in (ds.keys, ds.nonkeys):
+            a, b = HashFamily(seed).base_pairs([it.id for it in items])
+            with mock.patch.object(bits, "_SMALL_BATCH", small):
+                got = filt.contains_batch(a, b, np.array([it.score for it in items]))
+            assert got.tolist() == [filt.contains(it.id, it.score) for it in items]
+
+    def test_bounds_closer_than_a_score_cell(self):
+        # two bounds in one cell of the stage lookup: each score is found by searchsorted
+        near = 0.3 + 1e-6
+        spec = [(0.0, 0.3, 3000, 4, 1), (0.3, near, 300, 2, 2), (near, math.inf, 3000, 6, 3)]
+        scores = [0.3 - 1e-9, 0.3, 0.3 + 5e-7, near, near + 1e-9, 0.5, 0.25, 1.0] * 40
+        ds = scored(scores, scores)
+        filt = GatedBloom(fresh_stages(spec, 2), 2)
+        insert_keys(ds, 2, filt.stages)
+        for items in (ds.keys, ds.nonkeys):
+            a, b = HashFamily(2).base_pairs([it.id for it in items])
+            got = filt.contains_batch(a, b, np.array([it.score for it in items]))
+            assert got.tolist() == [filt.contains(it.id, it.score) for it in items]
+        assert filt._walk.cells is None
+        assert 0 < np.count_nonzero(got) < len(got)
+
+    def test_huge_k_stage_answers_quickly(self):
+        # a walk of 10**6 single columns would take seconds
+        full = BitVector.from_bytes(b"\xff" * 125, 1000)
+        filt = GatedBloom(((0.0, 0.5, StandardBloom(full, 10**6, HashFamily(12))),
+                           (0.5, math.inf, StandardBloom(BitVector(64).freeze(), 3,
+                                                         HashFamily(12, 2)))), 12)
+        a, b = HashFamily(12).base_pairs(["x", "y", "z", "w"])
+        t0 = time.perf_counter()
+        got = filt.contains_batch(a, b, np.array([0.1, 0.2, 0.7, 0.3]))
+        assert time.perf_counter() - t0 < 0.5
+        assert got.tolist() == [True, True, False, True]
+
+    def test_a_batch_before_the_bits_freeze_sees_later_inserts(self):
+        filt = GatedBloom(fresh_stages([(0.0, 0.5, 300, 3, 1), (0.5, math.inf, 500, 4, 2)], 5), 5)
+        a, b = HashFamily(5).base_pairs(["k0", "k1"])
+        scores = np.array([0.2, 0.8])
+        assert not filt.contains_batch(a, b, scores).any()
+        insert_keys(scored(scores, [0.5]), 5, filt.stages)
+        assert filt.contains_batch(a, b, scores).all()
 
 
 class TestPrefixFills:

@@ -375,9 +375,9 @@ def cache_reads(monkeypatch):
     for name in reads:
         kernel = getattr(bits.BitVector, name)
 
-        def spy(self, a, b, k, *, cached=None, _kernel=kernel, _name=name):
+        def spy(self, a, b, k, *, cached=None, _kernel=kernel, _name=name, **per_item):
             reads[_name] += cached is not None
-            return _kernel(self, a, b, k, cached=cached)
+            return _kernel(self, a, b, k, cached=cached, **per_item)
         monkeypatch.setattr(bits.BitVector, name, spy)
     return reads
 
