@@ -26,10 +26,10 @@ ids, plus the start and byte length of each id (``_chunk_bytes``):
   between ids and encoded once, and one compare of the bytes with 0 finds
   where each id ends. On 8192 ``q…`` ids this took 113 us where taking the
   lengths with ``len`` per id took 250 us, and the whole chunk 179 instead
-  of 292 us (2-core Xeon, numpy 2.4, best of 300). If an id holds a NUL
-  itself, the lengths are taken per id;
+  of 292 us (2-core Xeon, numpy 2.4, best of 300);
 - any other chunk (``bytes``, ``bytearray``, ``memoryview``, non-ASCII
-  text, a mix) converts each id as ``base_pair`` does and joins the bytes.
+  text, an id holding a NUL, a mix) converts each id as ``base_pair`` does
+  and joins the bytes.
 
 Both give the bytes the per-item path hashes, and a bad id raises the same
 ``TypeError``. Converting id by id took about 35 of the 57 ms that hashing
@@ -270,24 +270,20 @@ def _item_bytes(item: bytes | str) -> bytes:
 def _chunk_bytes(chunk: list) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The ids of a chunk as one buffer, with the start and byte length of each id.
 
-    A chunk of ``str`` ids whose joined text is ASCII is joined with a NUL
-    between ids and encoded once, and one compare of the bytes with 0 finds
-    where the ids end. If an id holds a NUL itself, the lengths are taken id
-    by id instead. Any other chunk is converted id by id and joined without
-    separators.
+    A chunk of ``str`` ids whose joined text is ASCII and holds no NUL but
+    the separators is joined with a NUL between ids and encoded once, and
+    one compare of the bytes with 0 finds where the ids end. Any other
+    chunk is converted id by id and joined without separators.
     """
     try:
         text = _SEPARATOR.join(chunk)
     except TypeError:  # an id that is not a str
         text = None
-    if text is not None and text.isascii():
+    if text is not None and text.isascii() and text.count(_SEPARATOR) == len(chunk) - 1:
         buf = text.encode("ascii")
-        if text.count(_SEPARATOR) == len(chunk) - 1:  # the separators are the only NULs
-            cuts = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
-            starts = np.concatenate(([0], cuts + 1))
-            return buf, starts, np.append(cuts, len(buf)) - starts
-        lengths = np.fromiter(map(len, chunk), dtype=np.intp, count=len(chunk))
-        return buf, np.cumsum(lengths + 1) - lengths - 1, lengths
+        cuts = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
+        starts = np.concatenate(([0], cuts + 1))
+        return buf, starts, np.append(cuts, len(buf)) - starts
     data = [_item_bytes(item) for item in chunk]
     lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
     return b"".join(data), np.cumsum(lengths) - lengths, lengths

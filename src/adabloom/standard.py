@@ -38,19 +38,22 @@ items, and a NaN key score sorts last and counts as above every bound.
 
 A batch query without rows (a query batch, a plain dataset) is answered
 by one probe walk over the stages that overlap no earlier stage
-(``_Walk``). Their intervals are disjoint, so each item gets its stage
-once, from a table of score cells, is remixed once on that stage's lane,
-and all items walk in one ``BitVector.test_hashed`` call with a hash
-count (0 outside every stage, which passes), range and bit offset each;
-the offsets point into the stages' arrays laid end to end, and ``ada``'s
-stages, on one array, keep one range and no offsets. One stage alone
-gathers its items and walks them with no counts. A stage that overlaps an
-earlier one is probed afterwards, on the survivors inside its interval. A
-batch of more than ``_WALK_ITEMS`` (2**15) items walks in blocks of that
-many, which bounds the walk's per-item arrays to a few MiB.
+(``_Walk``), if there are at least two. Their intervals are disjoint, so
+each item gets its stage once, by ``searchsorted`` of its score in their
+bounds, is remixed once on that stage's lane, and all items walk in one
+``BitVector.test_hashed`` call with a hash count (0 outside every stage,
+which passes), range and bit offset each; the offsets point into the
+stages' arrays laid end to end, and ``ada``'s stages, on one array, keep
+one range and no offsets. The other stages are probed afterwards, one at
+a time, on the survivors inside their interval: a stage that overlaps an
+earlier one (a sandwich's backup), and a stage that would walk alone
+(``lbf``'s backup, the sandwich's initial filter). A batch of more than
+``_WALK_ITEMS`` (2**15) items walks in blocks of that many, which bounds
+the walk's per-item arrays to a few MiB.
 On one 10k batch of the benchmark's query workload (2-core Xeon, numpy
-2.4, best of 100, raw) ``ada`` took 0.42 ms where a walk per stage took
-1.26 ms, and ``disjoint`` 0.74 instead of 1.63 ms. Batches with rows keep
+2.4, best of 4 x 1000, raw) ``ada`` took 0.48 ms where a walk per stage
+took 1.18 ms, and ``disjoint`` 0.78 instead of 1.52 ms; ``searchsorted``
+alone took 0.21 ms for 10k scores and 18 bounds. Batches with rows keep
 a walk per stage, which reads cached columns and held pairs: on the 50k
 non-keys of a score-ordered view, ``disjoint`` at g = 8 and 150 Kb took
 2.0 ms with rows and 4.6 ms in one walk without.
@@ -169,8 +172,6 @@ def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
     return sel, sel.stop - i0
 
 
-# Score cells of the stage lookup: cell c is [c / _CELLS, (c + 1) / _CELLS).
-_CELLS = 1 << 12
 # Items per walk: a larger batch walks in blocks of this many. The walk holds
 # about 130 bytes per item (pairs, stage tables, its order and survivors), so
 # one 400k batch on ``disjoint`` peaked at 50 MiB unblocked.
@@ -186,14 +187,13 @@ class _Walk(NamedTuple):
     item. Their distinct bounds cut the scores into pieces: a score's piece
     is the number of bounds at or below it, and per-piece tables give each
     item its stage's count (0 outside every stage), lane, range and offset.
-    One stage alone gathers its items instead, which walk with no counts.
-    The ``later`` stages overlap an earlier one (a sandwich's backup) and
-    are probed afterwards, on the survivors inside their interval.
+    The ``later`` stages are probed afterwards, one at a time, on the
+    survivors inside their interval: those that overlap an earlier one (a
+    sandwich's backup), and every stage if fewer than two would walk, since
+    one stage alone needs no counts.
     """
 
     bounds: np.ndarray  # the walked stages' distinct bounds, ascending; open ends infinite
-    cells: tuple | None  # per score cell: the bounds at or below its start, and the one inside
-    span: tuple | None  # the walked stage's [lo, hi) if there is only one
     counts: np.ndarray  # per piece: its stage's k, or 0
     k: int  # the largest count
     family: HashFamily | None  # the stages' one family, or None: ``families`` per piece
@@ -213,6 +213,8 @@ class _Walk(NamedTuple):
             elif span[0] < span[1]:  # an empty interval holds no score
                 walked.append((span, stage))
             spans.append(span)
+        if len(walked) < 2:
+            walked, later = [], list(stages)
         bounds = np.unique(np.array([end for span, _ in walked for end in span], dtype=np.float64))
         # piece p holds the scores from bounds[p - 1] up to bounds[p]
         holders = [None] + [next((stage for (lo, hi), stage in walked if lo <= x < hi), None)
@@ -231,44 +233,19 @@ class _Walk(NamedTuple):
             bits = BitVector.from_bytes(b"".join(array.to_bytes() for array in arrays), start)
             ranges = np.array([stage.bits.length_bits for stage in at], dtype=np.uint64)
             offsets = np.array([starts[id(stage.bits)] for stage in at], dtype=np.uint64)
-        # A cell with at most one bound inside gives a score its piece in two
-        # gathers and a compare, where searchsorted branches its way down: on
-        # 10k scores and 18 bounds, 57 against 324 us (2-core Xeon, numpy 2.4).
-        cells = None
-        if walked:
-            edges = np.arange(_CELLS + 2) / _CELLS
-            below = np.searchsorted(bounds, edges[:-1], side="right")
-            inside = np.searchsorted(bounds, edges[1:]) - below
-            if inside.max() <= 1:
-                cells = (below, np.where(inside, bounds[np.minimum(below, len(bounds) - 1)],
-                                         np.inf))
-        return cls(bounds, cells, walked[0][0] if len(walked) == 1 else None, counts,
-                   int(counts.max(initial=0)), families[0] if same else None, families, bits,
-                   ranges, offsets, tuple(later))
+        return cls(bounds, counts, int(counts.max(initial=0)), families[0] if same else None,
+                   families, bits, ranges, offsets, tuple(later))
 
     def answer(self, base_a: np.ndarray, base_b: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The walked stages' answers: True where an item's stage holds it, or it has none."""
+        if not len(self.bounds):
+            return np.ones(len(scores), dtype=bool)
         if len(scores) > _WALK_ITEMS:
             return np.concatenate([
                 self.answer(base_a[i:i + _WALK_ITEMS], base_b[i:i + _WALK_ITEMS],
                             scores[i:i + _WALK_ITEMS])
                 for i in range(0, len(scores), _WALK_ITEMS)])
-        if self.span is not None:  # one stage: its items walk with no counts to order them by
-            lo, hi = self.span
-            remix = self.family.remix_pairs
-            if lo == -math.inf and hi == math.inf:
-                return self.bits.test_hashed(*remix(base_a, base_b), self.k)
-            out = np.ones(len(scores), dtype=bool)
-            sel = np.flatnonzero((scores >= lo) & (scores < hi))
-            out[sel] = self.bits.test_hashed(*remix(base_a.take(sel), base_b.take(sel)), self.k)
-            return out
-        if not len(self.bounds):
-            return np.ones(len(scores), dtype=bool)
-        if self.cells is None:
-            piece = np.searchsorted(self.bounds, scores, side="right")
-        else:
-            cell = (scores * _CELLS).astype(np.intp)
-            piece = self.cells[0].take(cell) + (scores >= self.cells[1].take(cell))
+        piece = np.searchsorted(self.bounds, scores, side="right")
         if self.family is not None:
             a, b = self.family.remix_pairs(base_a, base_b)
         else:
@@ -309,7 +286,8 @@ class GatedBloom:
         score order (see ``ProbeRows``), or ValueError: its stages pick score
         ranges, and a range of an unordered batch would send keys to the
         wrong stages. A batch without rows is answered by one walk over the
-        stages that overlap no earlier stage (see ``_Walk``).
+        stages that overlap no earlier stage, if there are two or more (see
+        ``_Walk``).
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")

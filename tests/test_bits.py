@@ -176,8 +176,9 @@ class TestBasePairs:
         fam = HashFamily(13)
         items = [f"n{i}" for i in range(50)] + ["a\x00b", "\x00", ""] + [f"m{i}" for i in range(50)]
         assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+        # the chunk is converted id by id, and its ids are joined without separators
         starts = bits._chunk_bytes(items)[1]
-        assert starts.tolist() == np.cumsum([0] + [len(x) + 1 for x in items[:-1]]).tolist()
+        assert starts.tolist() == np.cumsum([0] + [len(x) for x in items[:-1]]).tolist()
 
     def test_ascii_chunk_is_joined_and_the_next_falls_back(self):
         fam = HashFamily(12)
