@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset, ScorePartition
-from .standard import GatedBloom, StandardBloom, insert_keys
+from .standard import GatedBloom, StandardBloom, alpha_load, insert_keys
 
 __all__ = [
     "AdaptiveParams",
@@ -149,19 +149,6 @@ def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
     insert_keys(dataset, seed, filt.stages)
     filt.bits.freeze()  # also when every K_j is 0 and there is no stage
     return filt
-
-
-def alpha_load(r: int, n_per_group, k_per_group) -> float:
-    """Probability a given bit is set: 1 - (1 - 1/R)^(sum_t n_t K_t)."""
-    if r < 1:
-        raise ValueError(f"filter size r must be >= 1, got {r}")
-    if len(n_per_group) != len(k_per_group):
-        raise ValueError(
-            f"group count mismatch: {len(n_per_group)} key counts vs {len(k_per_group)} hash counts")
-    total = sum(int(n) * int(k) for n, k in zip(n_per_group, k_per_group))
-    if total == 0:
-        return 0.0
-    return -math.expm1(total * math.log1p(-1.0 / r))
 
 
 def expected_fpr_ada(p, k_per_group, alpha: float) -> float:

@@ -102,7 +102,8 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
     method's tuner, which ignores the ones it does not take. One that
-    ``tuning.check_grids`` rejects raises before any cell runs.
+    ``tuning.check_grids`` rejects, and a score that ``ScoredDataset.validate``
+    rejects, raise before any cell runs.
     """
     budgets = [int(b) for b in budgets]
     methods = list(methods)
@@ -112,6 +113,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     check_methods(methods)
     grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
     check_grids(grids)
+    dataset.validate()
 
     view = dataset.by_score()
     rows = []
@@ -141,6 +143,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                                                rows=view.probe_rows(keys=True))
                     fnr = 1.0 - (np.count_nonzero(hits) / view.n if view.n else 1.0)
                     query_ns = _query_ns(filt, view, seed) if timing else None
+                    analytical = filt.expected_fpr()
                 except (NoFeasibleCandidateError, ValueError) as exc:
                     rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits,
                                          float("nan"), None, float("nan"), None, None, seed,
@@ -150,8 +153,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                 if method == "sandwich" and filt.reduced_to_lbf:
                     status = "ok-reduced-to-lbf"
                 rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits, fpr,
-                                     filt.expected_fpr(), fnr, build_ms, query_ns,
-                                     seed, status))
+                                     analytical, fnr, build_ms, query_ns, seed, status))
     return rows
 
 

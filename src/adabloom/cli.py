@@ -13,7 +13,8 @@ checked before any file is read: ``bad --<flag>: ...`` for a flag the
 method or op does not take or a value that cannot be parsed or used,
 ``--<flag> is required for ...`` for a missing one, ``cannot load
 <path>: ...`` for a missing or malformed input file, and ``cannot
-build|tune|evaluate ...: ...`` when the library refuses the request.
+generate|build|tune|evaluate ...: ...`` when the library refuses the
+request.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ def _beta_pair(text: str) -> tuple[float, float]:
 
 
 def _cmd_gen(args) -> int:
-    dataset = gen_synthetic(args.keys, args.nonkeys, args.key_beta, args.nonkey_beta, args.seed)
+    try:
+        dataset = gen_synthetic(args.keys, args.nonkeys, args.key_beta, args.nonkey_beta, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"cannot generate: {exc}") from exc
     save_scored_csv(dataset, args.out)
     print(f"wrote {len(dataset)} items ({dataset.n} keys, {dataset.m} nonkeys) to {args.out}")
     return 0

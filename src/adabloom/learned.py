@@ -6,7 +6,11 @@ are accepted outright, everything else falls through to a Bloom filter
 holding exactly the keys that score below tau. The sandwiched variant
 (Mitzenmacher, 2018) adds an initial Bloom filter over all keys in
 front of the threshold, with the bit budget split between the two
-filters by a closed-form allocation.
+filters by a closed-form allocation. So a learned filter is a sandwich
+whose initial filter has 0 bits: ``LearnedBloom`` is a
+``SandwichedBloom`` with no initial stage, and ``build_lbf`` and
+``build_sandwiched`` share one step that checks the budget and tau and
+counts the rates f_p and f_n below.
 
 Writing f_p for the fraction of non-keys at or above tau, f_n for the
 fraction of keys below it, and mu = 0.5^ln2, the optimal backup size in
@@ -54,41 +58,6 @@ def _stage(bitmap_bits: int, n: int, seed: int, lane: int = 0) -> StandardBloom:
                          HashFamily(seed, lane), n)
 
 
-class LearnedBloom(GatedBloom):
-    """Score threshold in front of a backup Bloom filter; zero FNR."""
-
-    __slots__ = ("tau", "backup", "bitmap_bits", "fp_above")
-
-    def __init__(self, tau: float, backup: StandardBloom, bitmap_bits: int,
-                 model_bits: int = 0, fp_above: float | None = None):
-        _check_tau(tau)
-        super().__init__(((0.0, tau, backup),), backup.seed, model_bits)
-        self.tau = tau
-        self.backup = backup
-        self.bitmap_bits = bitmap_bits
-        # fraction of build-time non-keys scoring >= tau, kept for analytics
-        self.fp_above = fp_above
-
-    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
-
-    def expected_fpr(self) -> float | None:
-        if self.fp_above is None:
-            return None
-        return self.fp_above + (1.0 - self.fp_above) * self.backup.expected_fpr()
-
-
-def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
-              model_bits: int = 0) -> LearnedBloom:
-    """Backup filter over the keys scoring below tau, k = Round((R/n0) ln 2)."""
-    if bitmap_bits < 0:
-        raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
-    backup = _stage(bitmap_bits, np.count_nonzero(dataset.key_scores < tau), seed)
-    fp_above = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else None
-    filt = LearnedBloom(tau, backup, bitmap_bits, model_bits, fp_above)
-    insert_keys(dataset, seed, filt.stages)
-    return filt
-
-
 def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tuple[float, float]:
     """Split a per-key bit budget between initial and backup filter.
 
@@ -124,6 +93,7 @@ class SandwichedBloom(GatedBloom):
                  fp_above: float | None = None, fn_below: float | None = None,
                  fallback_reason: str | None = None):
         _check_tau(tau)
+        tau = float(tau)  # a numpy float32 bound would meet Python-float scores in float32
         stages = ((0.0, tau, backup),)
         if initial is not None:
             stages = ((0.0, math.inf, initial),) + stages
@@ -134,6 +104,7 @@ class SandwichedBloom(GatedBloom):
         self.bitmap_bits = bitmap_bits
         self.b1_bits = b1_bits
         self.b2_bits = b2_bits
+        # fractions of build-time non-keys scoring >= tau and keys below it, for analytics
         self.fp_above = fp_above
         self.fn_below = fn_below
         self.fallback_reason = fallback_reason
@@ -149,9 +120,46 @@ class SandwichedBloom(GatedBloom):
         if self.fp_above is None:
             return None
         through = self.fp_above + (1.0 - self.fp_above) * self.backup.expected_fpr()
-        if self.initial is None:
-            return through
-        return self.initial.expected_fpr() * through
+        return through if self.initial is None else self.initial.expected_fpr() * through
+
+
+class LearnedBloom(SandwichedBloom):
+    """Score threshold in front of a backup Bloom filter: a sandwich with no initial filter."""
+
+    __slots__ = ()
+
+    def __init__(self, tau: float, backup: StandardBloom, bitmap_bits: int,
+                 model_bits: int = 0, fp_above: float | None = None):
+        super().__init__(tau, None, backup, bitmap_bits, 0, bitmap_bits, model_bits, fp_above)
+
+    contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
+
+
+def _rates(dataset: ScoredDataset, bitmap_bits: int, tau: float):
+    """(keys below tau, f_p, f_n) for a build at ``tau``; ValueError on a bad budget or tau.
+
+    f_p is the fraction of non-keys scoring >= tau, f_n that of keys below
+    it; each is None when the dataset has no non-keys / no keys.
+    """
+    if bitmap_bits < 0:
+        raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
+    _check_tau(tau)
+    below = np.count_nonzero(dataset.key_scores < tau)
+    f_p = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else None
+    return below, f_p, below / dataset.n if dataset.n else None
+
+
+def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
+              model_bits: int = 0) -> LearnedBloom:
+    """Backup filter over the keys scoring below tau, k = Round((R/n0) ln 2).
+
+    The sandwich's backup-only case: ``build_sandwiched`` gives the same bits
+    wherever its allocation leaves the initial filter nothing.
+    """
+    below, f_p, _ = _rates(dataset, bitmap_bits, tau)
+    filt = LearnedBloom(tau, _stage(bitmap_bits, below, seed), bitmap_bits, model_bits, f_p)
+    insert_keys(dataset, seed, filt.stages)
+    return filt
 
 
 def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
@@ -159,20 +167,16 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
     """Sandwiched filter with the bit split chosen by ``sandwich_allocate``.
 
     f_p and f_n are estimated on the build dataset itself. When either
-    rate hits 0 or 1 the allocation formula is undefined and the whole
-    budget goes to the backup filter (plain learned-filter behavior).
+    rate is missing or hits 0 or 1 the allocation formula is undefined and
+    the whole budget goes to the backup filter (plain learned-filter
+    behavior).
     """
-    if bitmap_bits < 0:
-        raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
+    below, f_p, f_n = _rates(dataset, bitmap_bits, tau)
     n = dataset.n
-    below = np.count_nonzero(dataset.key_scores < tau)
-    f_n = below / n if n else 0.0
-    f_p = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else 0.0
-
     fallback = None
     if n == 0:
         fallback = "no keys"
-    elif not 0.0 < f_p < 1.0:
+    elif f_p is None or not 0.0 < f_p < 1.0:
         fallback = f"f_p={f_p} outside (0, 1)"
     elif not 0.0 < f_n < 1.0:
         fallback = f"f_n={f_n} outside (0, 1)"
@@ -188,6 +192,6 @@ def build_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed:
     backup = _stage(b2_bits, below, seed)
     initial = _stage(b1_bits, n, seed, _INITIAL_LANE) if b1_bits > 0 else None
     filt = SandwichedBloom(tau, initial, backup, bitmap_bits, b1_bits, b2_bits, model_bits,
-                           f_p if dataset.m else None, f_n if n else None, fallback)
+                           f_p, f_n, fallback)
     insert_keys(dataset, seed, filt.stages)
     return filt

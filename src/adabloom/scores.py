@@ -46,7 +46,7 @@ CSV_HEADER = ("id", "score", "label")
 
 
 class DatasetError(ValueError):
-    """A scored-CSV row failed parsing or validation."""
+    """A scored-CSV row or a dataset's score failed parsing or validation."""
 
 
 class InsufficientDataError(ValueError):
@@ -68,7 +68,8 @@ class ScoredDataset:
     """Immutable collection of scored items; the universe for build and eval.
 
     Caches numpy views of scores and per-seed base-hash pairs, so that
-    tuning sweeps touching the same dataset do not recompute them.
+    tuning sweeps touching the same dataset do not recompute them. Scores
+    are not checked on construction; ``validate`` checks them all.
 
     ``by_score`` gives the same dataset with keys and non-keys each in
     ascending score order, which the tuners build and measure every
@@ -102,11 +103,24 @@ class ScoredDataset:
 
     @property
     def key_scores(self) -> np.ndarray:
-        return self._cached("key_scores", lambda: np.array([it.score for it in self.keys]))
+        return self._cached("key_scores",
+                            lambda: np.array([it.score for it in self.keys], dtype=np.float64))
 
     @property
     def nonkey_scores(self) -> np.ndarray:
-        return self._cached("nonkey_scores", lambda: np.array([it.score for it in self.nonkeys]))
+        return self._cached("nonkey_scores",
+                            lambda: np.array([it.score for it in self.nonkeys], dtype=np.float64))
+
+    def validate(self) -> None:
+        """DatasetError naming the first key's, else non-key's, score that is NaN or outside [0, 1].
+
+        Vectorized over the score arrays; the items are read only to name the bad one.
+        """
+        scores = np.concatenate([self.key_scores, self.nonkey_scores])
+        inside = (scores >= 0.0) & (scores <= 1.0)
+        if not inside.all():
+            bad = (self.keys + self.nonkeys)[int(np.argmin(inside))]
+            raise DatasetError(f"{bad.label} {bad.id!r}: score {bad.score!r} outside [0, 1]")
 
     @property
     def sorted_nonkey_scores(self) -> np.ndarray:
@@ -246,12 +260,13 @@ def _permuted(items: tuple, order: np.ndarray) -> tuple:
 
 
 def check_scores(scores) -> np.ndarray:
-    """``scores`` as an array; ValueError if any is NaN or outside [0, 1].
+    """``scores`` as a float64 array; ValueError if any is NaN or outside [0, 1].
 
     The batch twin of the check every scalar ``contains`` makes, so that
-    both paths reject the same scores.
+    both paths reject the same scores and meet the stage bounds in float64:
+    in float32 a bound can round onto a score on its other side.
     """
-    scores = np.asarray(scores)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
         bad = scores[~((scores >= 0.0) & (scores <= 1.0))].flat[0]
         raise ValueError(f"score must be in [0, 1], got {bad}")
@@ -327,8 +342,8 @@ def gen_synthetic(
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     for name, (a, b) in (("key_shape", key_shape), ("nonkey_shape", nonkey_shape)):
-        if a <= 0 or b <= 0:
-            raise ValueError(f"{name} parameters must be > 0, got {(a, b)}")
+        if not (0 < a < math.inf and 0 < b < math.inf):  # also rejects NaN
+            raise ValueError(f"{name} parameters must be finite and > 0, got {(a, b)}")
     rng = np.random.default_rng(seed)
     key_scores = rng.beta(key_shape[0], key_shape[1], size=n)
     nonkey_scores = rng.beta(nonkey_shape[0], nonkey_shape[1], size=m)

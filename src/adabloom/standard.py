@@ -6,16 +6,20 @@ n inserted keys and K hash functions is
 
     (1 - (1 - 1/R)^(K*n))^K
 
-and the FPR-minimizing hash count for a given load is K = (R/n) ln 2,
-at which point the FPR per bit-per-key approaches 0.5^ln2 (~0.6185).
+the K-th power of the bit load that ``alpha_load`` gives for one group
+of n keys (the adaptive filter's load sums n_t K_t over its groups; one
+bit set by any probe has load 1). The FPR-minimizing hash count for a
+given load is K = (R/n) ln 2, at which point the FPR per bit-per-key
+approaches 0.5^ln2 (~0.6185).
 
 A :class:`GatedBloom` is a tuple of stages ``(lo, hi, StandardBloom)``.
 A query with score s passes iff every stage whose interval [lo, hi)
 holds s passes; a key goes into every stage whose interval holds its
 score. The four learned filters are such stage tuples:
 
-- learned: ``((0, tau, backup),)``, so scores >= tau pass outright;
 - sandwiched: ``((0, inf, initial), (0, tau, backup))``;
+- learned: the sandwich with no initial stage, ``((0, tau, backup),)``,
+  so scores >= tau pass outright;
 - adaptive: one stage per group with K_j > 0, all on one shared array;
 - disjoint: one stage per group with R_j > 0, each with its own array
   and hash lane.
@@ -75,6 +79,7 @@ __all__ = [
     "build_standard",
     "insert_keys",
     "expected_fpr_standard",
+    "alpha_load",
     "optimal_k",
     "OPTIMAL_FPR_BASE",
     "DEFAULT_K_CAP",
@@ -273,6 +278,7 @@ class GatedBloom:
             raise ValueError(f"{type(self).__name__} queries need a score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {score}")
+        score = float(score)  # as in ``check_scores``: a float32 would meet the bounds in float32
         return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
 
     def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
@@ -352,18 +358,30 @@ def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> St
     return bloom
 
 
-def expected_fpr_standard(r: int, n: int, k: int) -> float:
-    """Expected FPR of an r-bit filter holding n keys with k hashes."""
+def alpha_load(r: int, n_per_group, k_per_group) -> float:
+    """Probability a given bit is set: 1 - (1 - 1/R)^(sum_t n_t K_t).
+
+    One bit that any probe sets is set (load 1); no probe sets nothing.
+    """
     if r < 1:
         raise ValueError(f"filter size r must be >= 1, got {r}")
+    if len(n_per_group) != len(k_per_group):
+        raise ValueError(
+            f"group count mismatch: {len(n_per_group)} key counts vs {len(k_per_group)} hash counts")
+    total = sum(int(n) * int(k) for n, k in zip(n_per_group, k_per_group))
+    if total == 0 or r == 1:
+        return float(total > 0)
+    return -math.expm1(total * math.log1p(-1.0 / r))
+
+
+def expected_fpr_standard(r: int, n: int, k: int) -> float:
+    """Expected FPR of an r-bit filter holding n keys with k hashes: the one-group load ** k.
+
+    Zero probes accept everything (0.0 ** 0 is 1).
+    """
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    if k == 0:
-        return 1.0  # zero probes accept everything
-    if n == 0:
-        return 0.0
-    load = -math.expm1(k * n * math.log1p(-1.0 / r))
-    return load ** k
+    return alpha_load(r, (n,), (k,)) ** k
 
 
 def optimal_k(r: int, n: int, k_cap: int = DEFAULT_K_CAP) -> int:

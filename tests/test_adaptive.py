@@ -126,6 +126,14 @@ class TestAnalytics:
         got = alpha_load(10**4, (300, 400, 500), (4, 3, 2))
         assert got == pytest.approx(0.28824177803674683, rel=1e-9)
 
+    def test_alpha_load_one_bit(self):
+        assert alpha_load(1, (4397, 0), (1, 2)) == 1.0
+        assert alpha_load(1, (0, 5), (3, 0)) == 0.0
+
+    def test_alpha_load_is_the_one_in_standard(self):
+        from adabloom import standard
+        assert alpha_load is standard.alpha_load
+
     def test_alpha_load_length_mismatch(self):
         with pytest.raises(ValueError):
             alpha_load(1000, (1, 2), (3,))

@@ -7,7 +7,7 @@ import pytest
 from adabloom.bench import CSV_HEADER, measure_fpr, parse_budget, rows_to_csv, run_sweep
 from adabloom.bits import HashFamily
 from adabloom.cli import main
-from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
+from adabloom.scores import DatasetError, ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
 from adabloom.standard import build_standard, expected_fpr_standard, optimal_k
 from adabloom.tuning import GRIDS, build, tune
 
@@ -98,11 +98,44 @@ class TestRunSweep:
         assert math.isnan(rows[0].empirical_fpr)
 
     @pytest.mark.parametrize("is_key", [True, False])
-    def test_nan_score_is_diagnostic_row(self, is_key):
-        items = gen_synthetic(300, 300, seed=1).items + (ScoredItem("x", float("nan"), is_key),)
-        rows = run_sweep(ScoredDataset(items), budgets=[3000], methods=["ada", "lbf"],
-                         seeds=[0], **SMALL_GRIDS)
-        assert [r.status for r in rows] == ["infeasible: score must be in [0, 1], got nan"] * 2
+    def test_bad_score_raises_before_any_cell(self, is_key):
+        label = "key" if is_key else "nonkey"
+        for score in (float("nan"), 1.5, -1e-300):
+            items = gen_synthetic(300, 300, seed=1).items + (ScoredItem("x", score, is_key),)
+            with mock.patch("adabloom.bench.tune", side_effect=AssertionError("a cell ran")), \
+                    pytest.raises(DatasetError) as exc:
+                run_sweep(ScoredDataset(items), budgets=[3000], methods=["ada", "lbf"],
+                          seeds=[0], **SMALL_GRIDS)
+            assert str(exc.value) == f"{label} 'x': score {score!r} outside [0, 1]"
+
+    def test_one_bit_group_is_an_ok_cell_with_finite_analytics(self):
+        # the tuned disjoint cell picks g = 9, c = 2.8 and gives group 8's
+        # 4397 keys R = 1 bit with k = 1, whose expected FPR is 1
+        ds = gen_synthetic(50_000, 50_000, seed=1507)
+        res = tune("disjoint", ds, 300_000, 1507)
+        params = res.filter.params
+        assert (params.g, params.c) == (9, 2.8)
+        one_bit = [j for j, r in enumerate(params.r_per_group) if r == 1]
+        assert one_bit and all(res.filter.filters[j].expected_fpr() == 1.0 for j in one_bit)
+        assert math.isfinite(res.filter.expected_fpr())
+        (row,) = run_sweep(ds, [300_000], ["disjoint"], [1507])
+        assert row.status == "ok" and row.analytical_fpr == res.filter.expected_fpr()
+
+    def test_failing_analytics_is_an_infeasible_cell(self, synth_small):
+        with mock.patch("adabloom.learned.SandwichedBloom.expected_fpr",
+                        side_effect=ValueError("math domain error")):
+            rows = run_sweep(synth_small, budgets=[30_000], methods=["lbf", "standard"],
+                             seeds=[0], tau_grid=(0.6,))
+        assert [r.status for r in rows] == ["infeasible: math domain error", "ok"]
+
+    def test_first_bad_key_score_is_named(self):
+        # a NaN key and a non-key scored 1.5: every learned cell used to read
+        # "infeasible: score must be in [0, 1]", and the standard cell "ok"
+        items = gen_synthetic(300, 300, seed=1).items + (
+            ScoredItem("n-bad", 1.5, False), ScoredItem("k-bad", float("nan"), True))
+        with pytest.raises(DatasetError, match="^key 'k-bad': score nan outside"):
+            run_sweep(ScoredDataset(items), budgets=[3000], methods=["standard", "lbf"],
+                      seeds=[0], **SMALL_GRIDS)
 
     def test_standard_row_has_analytical_fpr(self, rows):
         std = [r for r in rows if r.method == "standard"]

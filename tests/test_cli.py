@@ -302,6 +302,21 @@ def test_bound_refuses_with_one_line(op, argv, message, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--keys", "-5", "--nonkeys", "10"], "cannot generate: n and m must be >= 0"),
+    (["--keys", "10", "--nonkeys", "10", "--key-beta", "0,1"],
+     "cannot generate: key_shape parameters must be finite and > 0, got (0.0, 1.0)"),
+    (["--keys", "10", "--nonkeys", "10", "--nonkey-beta", "nan,2"],
+     "cannot generate: nonkey_shape parameters must be finite and > 0, got (nan, 2.0)")])
+def test_gen_refuses_with_one_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "ds.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--out", str(out)] + argv)
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def _flag_names(command):
     """The ``--`` flags of ``adabloom <command>`` as argument names, ``--help`` aside."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from adabloom.bench import measure_fpr
 from adabloom.learned import (
+    LearnedBloom,
+    SandwichedBloom,
     build_lbf,
     build_sandwiched,
     sandwich_allocate,
@@ -48,6 +50,18 @@ class TestLearnedBloom:
         filt = build_lbf(ds, 10_000, 0.0, seed=5)
         # backup holds nothing; a below-tau probe cannot collide
         assert not filt.backup.contains("fresh-item")
+
+    def test_is_a_sandwich_with_no_initial_filter(self, synth_small):
+        filt = build_lbf(synth_small, 30_000, 0.7, seed=1)
+        assert isinstance(filt, SandwichedBloom) and filt.reduced_to_lbf
+        assert (filt.initial, filt.b1_bits, filt.b2_bits) == (None, 0, 30_000)
+        assert filt.stages == ((0.0, 0.7, filt.backup),)
+        # the sandwich's formula, with no initial filter
+        fp = np.count_nonzero(synth_small.nonkey_scores >= 0.7) / synth_small.m
+        assert filt.expected_fpr() == fp + (1.0 - fp) * filt.backup.expected_fpr()
+        assert LearnedBloom.__slots__ == () and "expected_fpr" not in vars(LearnedBloom)
+        # perfbench's tracer wraps each class's own contains_batch
+        assert "contains_batch" in vars(LearnedBloom) and "contains_batch" in vars(SandwichedBloom)
 
     def test_score_validation(self, synth_small):
         filt = build_lbf(synth_small, 10_000, 0.5, seed=1)

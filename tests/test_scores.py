@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adabloom.adaptive import AdaptiveParams, build_ada
-from adabloom.bits import HashFamily
+from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import build_disjoint
-from adabloom.learned import build_lbf, build_sandwiched
+from adabloom.learned import LearnedBloom, SandwichedBloom, build_lbf, build_sandwiched
 from adabloom.scores import (
     DatasetError,
     InsufficientDataError,
@@ -22,7 +24,7 @@ from adabloom.scores import (
     save_scored_csv,
     _sample_bound,
 )
-from adabloom.standard import build_standard
+from adabloom.standard import GatedBloom, StandardBloom, build_standard, insert_keys
 
 
 def write_csv(tmp_path, text):
@@ -213,6 +215,51 @@ class TestScorePolicy:
                     filt.contains_batch(a, b, np.array([score]))
                 continue
             assert filt.contains_batch(a, b, np.array([score])).tolist() == [scalar]
+
+    def test_check_scores_gives_float64(self):
+        scores = np.array([0.25, 0.30000002], dtype=np.float32)
+        assert check_scores(scores).dtype == np.float64
+        assert check_scores(scores).tolist() == [float(s) for s in scores]
+
+    @pytest.mark.parametrize("shape", ["lbf", "sandwich"])
+    def test_float32_score_meets_the_bound_in_float64(self, shape):
+        # one stage over [0, 0.30000002) on empty bits: a score inside it is
+        # rejected. np.float32(0.30000002) is below the bound in float64 but
+        # equal to it in float32, where a float32 batch used to pass it.
+        hi = 0.30000002
+        backup = StandardBloom(BitVector(64), 3, HashFamily(1))
+        backup.bits.freeze()
+        if shape == "lbf":
+            filt = LearnedBloom(hi, backup, 64)
+        else:  # an initial stage with 0 hashes passes everything
+            initial = StandardBloom(BitVector(8), 0, HashFamily(1, 1))
+            initial.bits.freeze()
+            filt = SandwichedBloom(hi, initial, backup, 72, 8, 64)
+        a, b = HashFamily(1).base_pairs(["q", "r"])
+        score = np.float32(hi)
+        assert float(score) < hi and score == np.float32(hi)
+        assert filt.contains("q", score) is False
+        for dtype in (np.float32, np.float64):
+            scores = np.array([score, 0.9], dtype=dtype)
+            assert filt.contains_batch(a, b, scores).tolist() == [False, True]
+
+    def test_float32_key_score_below_a_bound_is_found(self):
+        # a key scored s just below the bound t between two stages, where
+        # float32(t) == s: compared in float32 a scalar query would send it to
+        # the upper stage, which does not hold it
+        s = float(np.float32(0.3))
+        t = float(np.nextafter(s, 1.0))
+        assert np.float32(t) == np.float32(s)
+        for item_score in (s, np.float32(s)):  # the dataset's scores are float64 either way
+            ds = ScoredDataset([ScoredItem("key", item_score, True), ScoredItem("n", 0.9, False)])
+            lower, upper = (StandardBloom(BitVector(64), 3, HashFamily(4, lane)) for lane in (1, 2))
+            filt = GatedBloom(((0.0, t, lower), (t, math.inf, upper)), 4)
+            insert_keys(ds, 4, filt.stages)
+            assert lower.n_inserted == 1 and upper.n_inserted == 0
+            a, b = ds.key_pairs(4)
+            for score in (s, np.float32(s)):
+                assert filt.contains("key", score)
+                assert filt.contains_batch(a, b, np.array([score], dtype=type(score))).all()
 
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -1e-9, float("inf")])
     def test_batch_rejects_bad_score_among_good(self, filters, bad):

@@ -17,6 +17,7 @@ from adabloom.standard import (
     DEFAULT_K_CAP,
     GatedBloom,
     StandardBloom,
+    alpha_load,
     build_standard,
     expected_fpr_standard,
     insert_keys,
@@ -106,6 +107,21 @@ class TestExpectedFpr:
 
     def test_reference_value(self):
         assert expected_fpr_standard(1000, 100, 7) == pytest.approx(FPR_1000_100_7, rel=1e-12)
+
+    def test_one_bit(self):
+        # one bit that any key sets is set: every probe passes (log1p(-1) is not taken)
+        assert expected_fpr_standard(1, 4397, 1) == 1.0
+        assert expected_fpr_standard(1, 1, 5) == 1.0
+        assert expected_fpr_standard(1, 0, 3) == 0.0
+        assert expected_fpr_standard(1, 9, 0) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(2, 10**6), n=st.integers(0, 10**5), k=st.integers(0, 70))
+    def test_is_the_one_group_load_to_the_k(self, r, n, k):
+        # the closed form as written before it became alpha_load's one-group case
+        want = 1.0 if k == 0 else (-math.expm1(k * n * math.log1p(-1.0 / r))) ** k
+        assert expected_fpr_standard(r, n, k) == want == alpha_load(r, (n,), (k,)) ** k
+        assert expected_fpr_standard(r, np.int64(n), k) == want
 
     @settings(max_examples=60, deadline=None)
     @given(r=st.integers(10, 10**6), n=st.integers(1, 10**5), k=st.integers(1, 30))
