@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition
+from .scores import ScoredDataset, ScorePartition, check_ratio
 from .standard import GatedBloom, StandardBloom, alpha_load, insert_keys
 
 __all__ = [
@@ -64,8 +64,8 @@ class AdaptiveParams:
             raise ValueError(f"hash counts must be >= 0, got {ks}")
         if any(ks[i] < ks[i + 1] for i in range(len(ks) - 1)):
             raise ValueError(f"hash counts must be non-increasing, got {ks}")
-        if self.c is not None and self.c <= 1.0:
-            raise ValueError(f"ratio c must be > 1, got {self.c}")
+        if self.c is not None:
+            check_ratio(self.c)
 
     @classmethod
     def from_ratio(cls, partition: ScorePartition, k_max: int, k_min: int = 0,
@@ -178,8 +178,7 @@ def fpr_upper_bound(c: float, alpha: float, g: int, k_max: int) -> float:
     power of c, alpha or x over g is formed: at g = 2000 those overflow or
     underflow a double while the bound does not.
     """
-    if c <= 1.0:
-        raise ValueError(f"ratio c must be > 1, got {c}")
+    check_ratio(c)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if g < 1:

@@ -63,10 +63,16 @@ class SweepRow:
 
 
 def parse_budget(text: str) -> int:
-    """Budget in bits; a 'kb' suffix means kilobits (1 Kb = 1000 bits)."""
+    """Budget in bits; a 'kb' suffix means kilobits (1 Kb = 1000 bits).
+
+    ValueError on a malformed, infinite or NaN value.
+    """
     text = text.strip().lower()
     if text.endswith("kb"):
-        return int(round(float(text[:-2]) * 1000))
+        bits = float(text[:-2]) * 1000
+        if not math.isfinite(bits):
+            raise ValueError(f"budget must be finite, got {text!r}")
+        return int(round(bits))
     return int(text)
 
 

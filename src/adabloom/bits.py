@@ -96,17 +96,18 @@ the slab 68 us for 1250 items, about even at 2500, and 224 us against
 470 us for 10k. A larger batch walks the first ``CACHED_COLUMNS`` columns
 one at a time over the items that are still all hits, whether or not they
 are cached; at the optimal k a filter is about half full, so a non-key
-costs about two probes. The walk keeps one array, the positions of the survivors (none
-until the first miss). Per column it tests the survivors, finds the hits
-with ``flatnonzero`` and, if any item missed, gathers the positions and the
-column source at them with ``take`` (on numpy 2.4 twice as fast as
-``compress``). A column that drops nothing, as every column of a batch of
-keys, is told by its hit count equal to the survivor count, with no
-separate ``all`` pass. That is four numpy passes per column where keeping
-positions and rows apart took six: in a profiled sweep pass (50k/50k, 150
-and 300 Kb, seed 1101, 2-core Xeon, numpy 2.4) ``test_hashed`` took 1.55
-instead of 1.93 s, and ``set_hashed``, with the ``intp`` cast below, 0.93
-instead of 1.11 s. Only the column source differs:
+costs about two probes. The walk keeps one array, the positions of the
+survivors (none until the first miss, unless the items have counts, below).
+Per column it tests the survivors, finds the hits with ``flatnonzero`` and,
+if any item missed, gathers the positions and the column source at them
+with ``take`` (on numpy 2.4 twice as fast as ``compress``). A column that
+drops nothing, as every column of a batch of keys, is told by its hit
+count equal to the survivor count, with no separate ``all`` pass. That is
+four numpy passes per column where keeping positions and rows apart took
+six: in a profiled sweep pass (50k/50k, 150 and 300 Kb, seed 1101, 2-core
+Xeon, numpy 2.4) ``test_hashed`` took 1.55 instead of 1.93 s, and
+``set_hashed``, with the ``intp`` cast below, 0.93 instead of 1.11 s. Only
+the column source differs:
 
 - cached, column i is read from the matrix at the survivors and tested
   against an unpacked copy of the bits (R bytes, as large as insert's
@@ -129,13 +130,18 @@ everywhere take about 60 slabs, not a numpy call per column. ``CACHED_COLUMNS``
 is 12: about 0.5 ** 12 (0.02%) of non-keys reach column 13, and the
 default ``ada`` ladder tops out at k = 12.
 
-An uncached batch may give each item its own hash count, range and bit
-offset, with which ``GatedBloom`` probes all its disjoint stages in one call
-(see ``standard``). The items then walk longest count first, ordered by a
-radix sort of the counts as 8- or 16-bit keys, so the walkers that reach
-their count at a column are a suffix of the walkers and leave as hits by a
-slice; an item with count 0 leaves before the first column, and only a
-column at which the last walker's count ends looks for the cut. A range per
+An uncached batch may give each item its own hash count, and a range and
+bit offset together, with which ``GatedBloom`` probes all its disjoint
+stages in one call (see ``standard``). The walkers' positions then start in
+the order of a radix sort of the counts, longest first, as 8- or 16-bit
+keys; their counts, ranges and offsets are taken into that order once and
+cut or taken together with them at every drop, while the pairs are gathered
+at the positions by the first uncached column. The walkers past their count
+at a column are a suffix of them, those whose own counts are at most the
+column, and are marked as hits at their positions, in item order, so no
+answer is unsorted; an item with count 0 leaves before the first column,
+and only a column at which the last walker's count ends looks for the cut.
+A fixed k is the same loop with one count for every walker. A range per
 item is reduced with ``%``, a hardware division per index (libdivide needs
 one divisor), and the offset is added after it, so probe i of item j tests
 bit ``offset_j + (a_j + i*b_j) mod r_j`` of the stages' arrays laid end to
@@ -469,11 +475,12 @@ class BitVector:
         """Boolean array: are all of the first k positions set, per item.
 
         An uncached batch may give each item its own geometry: ``counts`` its
-        hash count (at most k; 0 passes the item), ``ranges`` its range r_j
-        and ``offsets`` the bit where that range starts (both ``uint64``, the
-        offsets multiples of 8), so that probe i of item j tests bit
-        ``offsets[j] + (a_j + i*b_j) mod r_j``. ``GatedBloom`` probes its stages
-        that overlap no earlier stage so, in one call.
+        hash count (at most k; 0 passes the item), and, given together,
+        ``ranges`` its range r_j and ``offsets`` the bit where that range
+        starts (both ``uint64``, the offsets multiples of 8), so that probe i
+        of item j tests bit ``offsets[j] + (a_j + i*b_j) mod r_j``.
+        ``GatedBloom`` probes its stages with disjoint intervals so, in one
+        call.
 
         A batch of at most ``_SMALL_BATCH`` probes (n * k) is tested as one
         slab. A larger one walks the first ``CACHED_COLUMNS`` columns one at a
@@ -484,14 +491,18 @@ class BitVector:
         ``_SLAB`` probes each). The walkers are kept as their positions (None
         until the first miss) and, uncached, their running sums and strides,
         or, cached with index rows, their rows; a range of rows reads the
-        matrix cut to the range, at the positions. With ``counts`` the items
-        walk longest count first, so the walkers a column takes past their
-        count are a suffix of them and leave, as hits, by a slice.
+        matrix cut to the range, at the positions. With ``counts`` the
+        positions start sorted longest count first, and the walkers' counts,
+        ranges and offsets are kept in their order, so the walkers a column
+        takes past their count are a suffix of them, written as hits at
+        their positions.
         """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
         if cached is not None and not (counts is None and ranges is None and offsets is None):
             raise ValueError("per-item counts, ranges and offsets need an uncached batch")
+        if (ranges is None) != (offsets is None):
+            raise ValueError("per-item ranges and offsets are given together")
         n = len(a)
         r = np.uint64(self._nbits) if ranges is None else ranges
         if n * k <= _SMALL_BATCH:
@@ -500,18 +511,14 @@ class BitVector:
             if counts is not None:
                 hit |= cols >= counts  # the columns past an item's count
             return hit.all(axis=0)
-        order = None
+        res = np.zeros(n, dtype=bool)  # the items that passed their count
+        alive = None  # positions of the walkers; None: the first m items
         if counts is not None:
-            # a radix sort: the keys fit 8 or 16 bits unless k is huge
-            order = np.argsort((k - counts).astype(np.min_scalar_type(k)), kind="stable")
-            a, b, counts = a.take(order), b.take(order), counts.take(order)
-            if ranges is not None:
-                r = r.take(order)
-            if offsets is not None:
-                offsets = offsets.take(order)
-            below = -counts  # ascending: item j walks column i iff below[j] < -i
-        res = np.zeros(n, dtype=bool)  # the items that passed their count, in walk order
-        alive = None  # positions of the walkers, ascending; None: the first m items
+            # a radix sort, longest count first: the keys fit 8 or 16 bits unless k is huge
+            alive = np.argsort((k - counts).astype(np.min_scalar_type(k)), kind="stable")
+            counts = counts.take(alive)
+            if r.ndim:
+                r, offsets = r.take(alive), offsets.take(alive)
         m, i, width = n, 0, 1
         h = rows = None  # uncached: the walkers' running sum a + i*b at column hcol
         if cached is not None:
@@ -520,28 +527,17 @@ class BitVector:
                 columns, rows = columns[:, rows], None
             bits = np.unpackbits(self._buf, bitorder="little").view(bool)
         while m:
-            if counts is None:
-                live = m if i < k else 0
-            elif counts[m - 1 if alive is None else alive[m - 1]] > i:  # the last one's is least
-                live = m
-            else:  # how many walkers have a count above i: a prefix of them
-                live = int(np.searchsorted(below, -i))
-                live = min(m, live) if alive is None else int(np.searchsorted(alive, live))
-            if live < m:  # the rest hit every column of their count
-                if alive is None:
-                    res[live:m] = True
-                else:
-                    res[alive[live:]] = True
-                    alive = alive[:live]
-                m = live
+            if (k if counts is None else counts[m - 1]) <= i:  # the last walker's count is least
+                # the walkers past their count, a suffix, hit every column of it
+                live = 0 if counts is None else m - int(np.searchsorted(counts[::-1], i, "right"))
+                res[slice(live, m) if alive is None else alive[live:]] = True
+                if not live:
+                    break
+                m, alive, counts = live, alive[:live], counts[:live]
                 if h is not None:
                     h, step = h[:m], step[:m]
                 if r.ndim:
-                    r = r[:m]
-                if offsets is not None:
-                    offsets = offsets[:m]
-                if not m:
-                    break
+                    r, offsets = r[:m], offsets[:m]
             w = 1
             if i >= CACHED_COLUMNS:
                 w = min(width, k - i, max(1, _SLAB // m))
@@ -562,7 +558,7 @@ class BitVector:
                     cols = np.arange(w)[:, None]
                     hit = self._probe(h + step * cols.astype(np.uint64), r, offsets)
                     if counts is not None:
-                        hit |= cols + i >= (counts[:m] if alive is None else counts.take(alive))
+                        hit |= cols + i >= counts
                     hit = hit.all(axis=0)
             i += w
             kept = np.flatnonzero(hit)
@@ -575,20 +571,14 @@ class BitVector:
                 if rows is not None:
                     rows = rows.take(kept)
                 if r.ndim:
-                    r = r.take(kept)
-                if offsets is not None:
-                    offsets = offsets.take(kept)
-        if order is None:
-            return res
-        out = np.empty(n, dtype=bool)
-        out[order] = res
-        return out
+                    r, offsets = r.take(kept), offsets.take(kept)
+                if counts is not None:
+                    counts = counts.take(kept)
+        return res
 
     def _probe(self, h: np.ndarray, r, offsets) -> np.ndarray:
         """The bits at ``offsets + h mod r``, tested in the packed bytes."""
-        idx = h % r if r.ndim else h - h // r * r
-        if offsets is not None:
-            idx += offsets
+        idx = h % r + offsets if r.ndim else h - h // r * r
         return (self._buf.take((idx >> np.uint64(3)).view(np.intp))
                 & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
 

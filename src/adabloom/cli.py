@@ -40,6 +40,16 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _budget(flag: str):
+    """``parse_budget`` as a flag type that exits ``bad <flag>: …`` in one line."""
+    def parse(text: str) -> int:
+        try:
+            return parse_budget(text)
+        except ValueError as exc:
+            raise SystemExit(f"bad {flag}: {exc}") from exc
+    return parse
+
+
 # every grid override, with its element type
 _GRID_KINDS = {name: kind for names in GRIDS.values() for name, kind in names.items()}
 
@@ -50,8 +60,8 @@ _BOUNDS = {
     "lemma1": (min_sample_size, {"k_groups": int, "epsilon": float, "delta": float}, str),
     "sandwich-alloc": (sandwich_allocate, {"fp": float, "fn": float, "budget": float},
                        lambda bits: "b1={!r} b2={!r}".format(*bits)),
-    "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": parse_budget, "n_per_group": _ints,
-                                           "c": float, "g": int},
+    "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": _budget("--bitmap-bits"),
+                                           "n_per_group": _ints, "c": float, "g": int},
                        lambda shares: ",".join(str(x) for x in shares)),
 }
 _BOUND_FLAGS = {op: flags for op, (_, flags, _) in _BOUNDS.items()}
@@ -235,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build one filter and serialize it")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bitmap-bits", type=parse_budget, required=True)
-    p.add_argument("--model-bits", type=parse_budget, default=0)
+    p.add_argument("--bitmap-bits", type=_budget("--bitmap-bits"), required=True)
+    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
     p.add_argument("--seed", type=int, default=0)
     _add_flags(p, PARAMS, OPTIONAL)
     p.add_argument("--out", required=True)
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", required=True, help="comma list of total bits (kb suffix ok)")
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--seeds", default="0")
-    p.add_argument("--model-bits", type=parse_budget, default=0)
+    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
     for name in _GRID_KINDS:
         p.add_argument(_flag(name), default=None)
     p.add_argument("--timing", action="store_true",
@@ -264,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="hyper-parameter search, output JSON report")
     p.add_argument("--method", choices=list(GRIDS), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bitmap-bits", type=parse_budget, required=True)
-    p.add_argument("--model-bits", type=parse_budget, default=0)
+    p.add_argument("--bitmap-bits", type=_budget("--bitmap-bits"), required=True)
+    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
     p.add_argument("--seed", type=int, default=0)
     for name in _GRID_KINDS:
         p.add_argument(_flag(name), default=None)

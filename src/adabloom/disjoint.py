@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition, partition_by_ratio
+from .scores import ScoredDataset, ScorePartition, check_ratio, partition_by_ratio
 from .standard import (
     OPTIMAL_FPR_BASE,
     GatedBloom,
@@ -112,8 +112,7 @@ def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[i
     """
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
-    if c <= 1.0:
-        raise ValueError(f"ratio c must be > 1, got {c}")
+    check_ratio(c)
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")
     if len(n_per_group) != g:
@@ -178,8 +177,10 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
 
     Groups below the top with no keys take one reject-all bit (nothing
     inserted, one probe) instead of entering the equalization, which
-    would otherwise divide by their key count.
+    would otherwise divide by their key count. ValueError unless c is
+    finite and > 1, as ``allocate_disjoint`` requires.
     """
+    check_ratio(c)
     g = partition.g
     n_per_group = partition.n_per_group
     empty = [i for i in range(g - 1) if n_per_group[i] == 0]

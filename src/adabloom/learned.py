@@ -69,8 +69,8 @@ def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tup
         raise ValueError(f"f_p must be in (0, 1), got {f_p}")
     if not 0.0 < f_n < 1.0:
         raise ValueError(f"f_n must be in (0, 1), got {f_n}")
-    if budget_bits_per_key < 0:
-        raise ValueError(f"budget must be >= 0, got {budget_bits_per_key}")
+    if not 0.0 <= budget_bits_per_key < math.inf:  # also rejects NaN
+        raise ValueError(f"budget must be finite and >= 0, got {budget_bits_per_key}")
     arg = f_p / ((1.0 - f_p) * (1.0 / f_n - 1.0))
     if arg == 0.0:  # underflow (tiny f_p or f_n): b2* tends to +inf, all bits to the backup
         return 0.0, float(budget_bits_per_key)

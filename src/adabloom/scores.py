@@ -273,6 +273,14 @@ def check_scores(scores) -> np.ndarray:
     return scores
 
 
+def check_ratio(c: float) -> None:
+    """ValueError unless the group ratio c is finite and > 1 (NaN is neither)."""
+    if not c < math.inf:
+        raise ValueError(f"ratio c must be finite, got {c}")
+    if not c > 1.0:
+        raise ValueError(f"ratio c must be > 1, got {c}")
+
+
 def load_scored_csv(path) -> ScoredDataset:
     """Read a dataset CSV with header ``id,score,label``.
 
@@ -467,8 +475,8 @@ def partition_by_ratio(dataset: ScoredDataset, g: int, c: float) -> ScorePartiti
     """
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")
-    if g > 1 and c <= 1.0:
-        raise ValueError(f"ratio c must be > 1, got {c}")
+    if g > 1:
+        check_ratio(c)
     if dataset.m < g:
         raise InsufficientDataError(f"need at least g={g} non-keys, have {dataset.m}")
     if g == 1:
@@ -495,9 +503,8 @@ def partition_below_threshold(dataset: ScoredDataset, tau: float, g: int, c: flo
     if len(below) < g - 1:
         raise InsufficientDataError(
             f"need at least {g - 1} non-keys below tau={tau}, have {len(below)}")
+    # every cut is a midpoint of two scores below tau, so below tau too
     cuts = _geometric_cuts(below, g - 1, c) if g > 2 else []
-    if cuts and cuts[-1] >= tau:
-        raise InsufficientDataError(f"cut points collide with tau={tau}")
     thresholds = (0.0, *cuts, tau, 1.0)
     return partition_from_thresholds(dataset, thresholds)
 

@@ -41,16 +41,16 @@ rejected; it narrows to the survivors inside its range. Keys without rows
 items, and a NaN key score sorts last and counts as above every bound.
 
 A batch query without rows (a query batch, a plain dataset) is answered
-by one probe walk over the stages that overlap no earlier stage
-(``_Walk``), if there are at least two. Their intervals are disjoint, so
-each item gets its stage once, by ``searchsorted`` of its score in their
-bounds, is remixed once on that stage's lane, and all items walk in one
+by one probe walk over stages with disjoint intervals, picked in one pass
+by lower bound (``_Walk``), if there are at least two. So each item gets
+its stage once, by ``searchsorted`` of its score in their bounds, is
+remixed once on that stage's lane, and all items walk in one
 ``BitVector.test_hashed`` call with a hash count (0 outside every stage,
 which passes), range and bit offset each; the offsets point into the
 stages' arrays laid end to end, and ``ada``'s stages, on one array, keep
 one range and no offsets. The other stages are probed afterwards, one at
-a time, on the survivors inside their interval: a stage that overlaps an
-earlier one (a sandwich's backup), and a stage that would walk alone
+a time, on the survivors inside their interval: a stage that overlaps a
+walked one (a sandwich's backup), and a stage that would walk alone
 (``lbf``'s backup, the sandwich's initial filter). A batch of more than
 ``_WALK_ITEMS`` (2**15) items walks in blocks of that many, which bounds
 the walk's per-item arrays to a few MiB.
@@ -83,6 +83,7 @@ __all__ = [
     "optimal_k",
     "OPTIMAL_FPR_BASE",
     "DEFAULT_K_CAP",
+    "MAX_K",
 ]
 
 LN2 = math.log(2.0)
@@ -93,6 +94,10 @@ LN2 = math.log(2.0)
 OPTIMAL_FPR_BASE = 0.5 ** LN2
 
 DEFAULT_K_CAP = 64
+# The largest hash count a filter takes: a query that hits probes k bits, so a
+# loaded k of 2**31 on a full filter would run for minutes. 2**20 probes take
+# about 0.4 s scalar and 0.1 s batched; the library's builders stop at 64.
+MAX_K = 1 << 20
 
 
 def round_half_away(x: float) -> int:
@@ -108,6 +113,8 @@ class StandardBloom:
     def __init__(self, bits: BitVector, k: int, family: HashFamily, n_inserted: int = 0):
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
+        if k > MAX_K:
+            raise ValueError(f"hash count k must be <= {MAX_K}, got {k}")
         self.bits = bits
         self.k = k
         self.family = family
@@ -178,24 +185,30 @@ def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
 
 
 # Items per walk: a larger batch walks in blocks of this many. The walk holds
-# about 130 bytes per item (pairs, stage tables, its order and survivors), so
-# one 400k batch on ``disjoint`` peaked at 50 MiB unblocked.
+# about 110 bytes per item (pairs, stage tables, the walkers' positions and
+# their counts, ranges and offsets in walk order), so one 400k batch on
+# ``disjoint`` peaked at 42 MiB unblocked (tracemalloc).
 _WALK_ITEMS = 1 << 15
 
 
 class _Walk(NamedTuple):
     """How ``GatedBloom.contains_batch`` answers a batch without probe rows.
 
-    The stages that overlap no earlier stage hold disjoint score intervals,
-    so each item is in at most one of them, and all of them are probed in
-    one ``test_hashed`` walk with a hash count, range and bit offset per
-    item. Their distinct bounds cut the scores into pieces: a score's piece
-    is the number of bounds at or below it, and per-piece tables give each
-    item its stage's count (0 outside every stage), lane, range and offset.
+    The walked stages are picked in one pass over the stages by lower
+    bound: a stage walks if it starts at or past the end of the last one
+    picked. They hold disjoint score intervals, so each item is in at most
+    one of them, and all of them are probed in one ``test_hashed`` walk
+    with a hash count, range and bit offset per item. Their distinct bounds
+    cut the scores into pieces: a score's piece is the number of bounds at
+    or below it, and per-piece tables give each item its stage's count (0
+    outside every stage), lane, range and offset; a piece's stage is the
+    walked stage that starts at the piece's lower bound, found in a dict.
     The ``later`` stages are probed afterwards, one at a time, on the
-    survivors inside their interval: those that overlap an earlier one (a
+    survivors inside their interval: those that overlap a walked one (a
     sandwich's backup), and every stage if fewer than two would walk, since
-    one stage alone needs no counts.
+    one stage alone needs no counts. A query passes iff every stage that
+    holds its score does, so which of two overlapping stages walks does not
+    change an answer.
     """
 
     bounds: np.ndarray  # the walked stages' distinct bounds, ascending; open ends infinite
@@ -210,20 +223,21 @@ class _Walk(NamedTuple):
 
     @classmethod
     def of(cls, stages) -> "_Walk":
-        walked, later, spans = [], [], []
-        for lo, hi, stage in stages:
+        walked, later, end = [], [], -math.inf
+        for lo, hi, stage in sorted(stages, key=lambda s: s[0]):  # one pass by lower bound
             span = (-math.inf if lo <= 0.0 else lo, math.inf if hi > 1.0 else hi)
-            if any(max(span[0], s[0]) < min(span[1], s[1]) for s in spans):
-                later.append((lo, hi, stage))
-            elif span[0] < span[1]:  # an empty interval holds no score
+            if end <= span[0] < span[1]:  # at or past the last walked end, and not empty
                 walked.append((span, stage))
-            spans.append(span)
+                end = span[1]
+            else:
+                later.append((lo, hi, stage))
         if len(walked) < 2:
             walked, later = [], list(stages)
-        bounds = np.unique(np.array([end for span, _ in walked for end in span], dtype=np.float64))
-        # piece p holds the scores from bounds[p - 1] up to bounds[p]
-        holders = [None] + [next((stage for (lo, hi), stage in walked if lo <= x < hi), None)
-                            for x in bounds]
+        bounds = np.unique(np.array([x for span, _ in walked for x in span], dtype=np.float64))
+        # piece p holds the scores from bounds[p - 1] up to bounds[p]: no walked stage
+        # starts or ends inside another, so its stage is the one starting at bounds[p - 1]
+        by_start = {lo: stage for (lo, _), stage in walked}
+        holders = [None] + [by_start.get(x) for x in bounds.tolist()]
         at = [stage or walked[0][1] for stage in holders] if walked else []
         counts = np.array([stage.k if stage else 0 for stage in holders], dtype=np.intp)
         families = tuple(stage.family for stage in at)
@@ -291,8 +305,8 @@ class GatedBloom:
         are not read and may be None. A batch with rows must be in ascending
         score order (see ``ProbeRows``), or ValueError: its stages pick score
         ranges, and a range of an unordered batch would send keys to the
-        wrong stages. A batch without rows is answered by one walk over the
-        stages that overlap no earlier stage, if there are two or more (see
+        wrong stages. A batch without rows is answered by one walk over
+        stages with disjoint intervals, if there are two or more (see
         ``_Walk``).
         """
         if scores is None:

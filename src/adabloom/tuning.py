@@ -79,7 +79,7 @@ OPTIONAL = ("k", "k_min")
 _GRID_LIMITS = {
     "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
     "kmax_grid": (lambda k_max: k_max >= 0, "k_max must be >= 0"),
-    "c_grid": (lambda c: c > 1.0, "c must be > 1"),
+    "c_grid": (lambda c: 1.0 < c < math.inf, "c must be finite and > 1"),  # False on NaN
     "g_grid": (lambda g: g >= 1, "g must be >= 1"),
 }
 # each tuned method's tuner, by name (see ``tune``)
@@ -281,8 +281,8 @@ def check_grids(grids: dict, method: str | None = None) -> None:
 
     That is a name ``GRIDS[method]`` does not list (with no ``method``, a
     name no tuner takes), an empty grid, or a value that fails every
-    candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1
-    or NaN, g < 1. An override of None stands for the default grid.
+    candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1,
+    infinite or NaN, g < 1. An override of None stands for the default grid.
     """
     taken = _GRID_LIMITS if method is None else GRIDS[method]
     for name, values in grids.items():

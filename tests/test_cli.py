@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import struct
+import time
 from unittest import mock
 
 import pytest
@@ -388,3 +390,67 @@ def test_a_missing_or_malformed_data_file_exits_with_one_line(command, content, 
     assert str(exc.value).startswith(f"cannot load {path}: ") and message in str(exc.value)
     assert "\n" not in str(exc.value)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, argv, message", [
+    ("bound", ["--op", "eq3", "--c", "{v}", "--alpha", "0.3", "--g", "3", "--k-max", "4"],
+     "cannot evaluate eq3: ratio c must be finite, got {v}"),
+    ("bound", ["--op", "sandwich-alloc", "--fp", "0.1", "--fn", "0.2", "--budget", "{v}"],
+     "cannot evaluate sandwich-alloc: budget must be finite and >= 0, got {v}"),
+    ("bound", ["--op", "disjoint-alloc", "--bitmap-bits", "1000", "--n-per-group", "10,10,10",
+               "--c", "{v}", "--g", "3"],
+     "cannot evaluate disjoint-alloc: ratio c must be finite, got {v}"),
+    ("bound", ["--op", "disjoint-alloc", "--bitmap-bits", "{v}kb", "--n-per-group", "10,10",
+               "--c", "2", "--g", "2"], "bad --bitmap-bits: budget must be finite, got '{v}kb'"),
+    ("build", ["--method", "ada", "--k-max", "4", "--c", "{v}"],
+     "cannot build ada: ratio c must be finite, got {v}"),
+    ("build", ["--method", "disjoint", "--g", "4", "--c", "{v}"],
+     "cannot build disjoint: ratio c must be finite, got {v}"),
+    ("build", ["--method", "disjoint", "--g", "1", "--c", "{v}"],
+     "cannot build disjoint: ratio c must be finite, got {v}"),
+    ("build", ["--method", "lbf", "--tau", "0.5", "--bitmap-bits", "{v}kb"],
+     "bad --bitmap-bits: budget must be finite, got '{v}kb'"),
+    ("build", ["--method", "lbf", "--tau", "0.5", "--model-bits", "{v}kb"],
+     "bad --model-bits: budget must be finite, got '{v}kb'"),
+    ("tune", ["--method", "ada", "--c-grid", "{v}"],
+     "bad --c-grid: c must be finite and > 1, got {v}"),
+    ("tune", ["--method", "lbf", "--bitmap-bits", "{v}kb"],
+     "bad --bitmap-bits: budget must be finite, got '{v}kb'"),
+    ("bench", ["--c-grid", "2,{v}"], "bad --c-grid: c must be finite and > 1, got {v}"),
+    ("bench", ["--budgets", "8kb,{v}kb"], "bad --budgets: budget must be finite, got '{v}kb'")])
+def test_a_non_finite_value_exits_with_one_line(command, argv, message, value, data, tmp_path,
+                                                 capsys):
+    defaults = {"build": ["--data", str(data), "--bitmap-bits", "12kb",
+                          "--out", str(tmp_path / "f.adbf")],
+                "tune": ["--data", str(data), "--bitmap-bits", "12kb",
+                         "--report", str(tmp_path / "r.json")],
+                "bench": ["--data", str(data), "--budgets", "8kb",
+                          "--out", str(tmp_path / "b.csv")],
+                "bound": []}[command]
+    with pytest.raises(SystemExit) as exc:  # a later flag overrides the default
+        main([command] + defaults + [arg.format(v=value) for arg in argv])
+    assert str(exc.value) == message.format(v=value)
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_query_of_a_container_with_a_huge_hash_count_exits_at_once(tmp_path):
+    # 47 bytes: 64 bits, all set, k = 2**31; each hit would probe 2**31 bits
+    path = tmp_path / "huge-k.adbf"
+    path.write_bytes(b"ADBF" + struct.pack("<HBQQIQI", 1, 1, 7, 64, 2**31, 1, 0) + b"\xff" * 8)
+    assert path.stat().st_size == 47
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--filter", str(path), "--id", "x"])
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == (f"cannot load {path}: invalid filter parameters: "
+                              f"hash count k must be <= 1048576, got {2**31}")
+
+
+def test_build_refuses_a_hash_count_past_the_bound(data, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--method", "standard", "--data", str(data), "--bitmap-bits", "12kb",
+              "--k", str(2**20 + 1), "--out", str(tmp_path / "f.adbf")])
+    assert str(exc.value) == "cannot build standard: hash count k must be <= 1048576, got 1048577"
+    assert not any(tmp_path.iterdir())

@@ -1,0 +1,184 @@
+"""Every argument check in the library, called once with a bad argument.
+
+One row per refusal: the call, the exception type it must raise (exactly,
+not a subclass) and a fragment of its message.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from adabloom.adaptive import AdaptiveParams, expected_fpr_ada, fpr_upper_bound, kmax_from_lbf
+from adabloom.bench import parse_budget, run_sweep
+from adabloom.bits import BitVector, HashFamily
+from adabloom.disjoint import (
+    InfeasibleBudgetError,
+    allocate_disjoint,
+    build_disjoint_from_partition,
+)
+from adabloom.learned import build_lbf, build_sandwiched, sandwich_allocate
+from adabloom.scores import (
+    DatasetError,
+    InsufficientDataError,
+    ScoredDataset,
+    ScoredItem,
+    ScorePartition,
+    gen_synthetic,
+    load_scored_csv,
+    partition_below_threshold,
+    partition_by_ratio,
+)
+from adabloom.serialize import dump_filter
+from adabloom.standard import (
+    MAX_K,
+    StandardBloom,
+    alpha_load,
+    expected_fpr_standard,
+    optimal_k,
+)
+from adabloom.tuning import _measure, check_grids, default_tau_grid
+
+NAN, INF = float("nan"), float("inf")
+DS = gen_synthetic(60, 60, seed=3)
+KEYS_ONLY = ScoredDataset([ScoredItem("k0", 0.5, True)])
+TWO = ScorePartition((0.0, 0.5, 1.0), (3, 3), (3, 3))
+KEYLESS = ScorePartition((0.0, 0.3, 0.6, 1.0), (0, 0, 5), (2, 2, 2))
+PAIR = HashFamily(1).base_pairs(["x", "y"])
+
+
+def _csv(text):
+    def load(tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return load_scored_csv(path)
+    return load
+
+
+# (id, call with tmp_path, exception type, message fragment)
+REFUSALS = [
+    # adaptive
+    ("ada-params-negative-k", lambda _: AdaptiveParams(TWO, (1, -1)), ValueError,
+     "hash counts must be >= 0, got (1, -1)"),
+    ("ada-params-c-1", lambda _: AdaptiveParams(TWO, (1, 0), 1.0), ValueError,
+     "ratio c must be > 1, got 1.0"),
+    ("ada-params-c-nan", lambda _: AdaptiveParams(TWO, (1, 0), NAN), ValueError,
+     "ratio c must be finite, got nan"),
+    ("ada-params-c-inf", lambda _: AdaptiveParams(TWO, (1, 0), INF), ValueError,
+     "ratio c must be finite, got inf"),
+    ("from-ratio-kmax-below-kmin", lambda _: AdaptiveParams.from_ratio(TWO, 0, 1), ValueError,
+     "need k_max >= k_min >= 0, got (0, 1)"),
+    ("expected-fpr-ada-lengths", lambda _: expected_fpr_ada((1.0,), (1, 0), 0.5), ValueError,
+     "group count mismatch: 1 probabilities vs 2 hash counts"),
+    ("expected-fpr-ada-alpha", lambda _: expected_fpr_ada((1.0,), (1,), 1.5), ValueError,
+     "alpha must be in [0, 1], got 1.5"),
+    ("expected-fpr-ada-alpha-nan", lambda _: expected_fpr_ada((1.0,), (1,), NAN), ValueError,
+     "alpha must be in [0, 1], got nan"),
+    ("eq3-g-0", lambda _: fpr_upper_bound(2.0, 0.5, 0, 3), ValueError,
+     "group count g must be >= 1, got 0"),
+    ("eq3-c-nan", lambda _: fpr_upper_bound(NAN, 0.5, 3, 3), ValueError,
+     "ratio c must be finite, got nan"),
+    ("eq3-c-inf", lambda _: fpr_upper_bound(INF, 0.5, 3, 3), ValueError,
+     "ratio c must be finite, got inf"),
+    ("kmax-from-lbf-g-1", lambda _: kmax_from_lbf(3, 1), ValueError,
+     "group count g must be >= 2, got 1"),
+    ("kmax-from-lbf-k-0", lambda _: kmax_from_lbf(0, 2), ValueError, "k_lbf must be >= 1, got 0"),
+    # disjoint
+    ("allocate-negative-bits", lambda _: allocate_disjoint(-1, (3, 3), 2.0, 2), ValueError,
+     "bitmap_bits must be >= 0, got -1"),
+    ("allocate-c-1", lambda _: allocate_disjoint(100, (3, 3), 1.0, 2), ValueError,
+     "ratio c must be > 1, got 1.0"),
+    ("allocate-c-nan", lambda _: allocate_disjoint(100, (3, 3), NAN, 2), ValueError,
+     "ratio c must be finite, got nan"),
+    ("allocate-c-inf", lambda _: allocate_disjoint(100, (3, 3), INF, 2), ValueError,
+     "ratio c must be finite, got inf"),
+    ("allocate-g-0", lambda _: allocate_disjoint(100, (), 2.0, 0), ValueError,
+     "group count g must be >= 1, got 0"),
+    ("disjoint-keyless-over-budget",
+     lambda _: build_disjoint_from_partition(DS, 1, KEYLESS, 2.0, 0), InfeasibleBudgetError,
+     "budget 1 cannot cover 2 keyless groups"),
+    ("disjoint-partition-c-half", lambda _: build_disjoint_from_partition(DS, 100, TWO, 0.5, 0),
+     ValueError, "ratio c must be > 1, got 0.5"),
+    ("disjoint-partition-c-1", lambda _: build_disjoint_from_partition(DS, 100, TWO, 1.0, 0),
+     ValueError, "ratio c must be > 1, got 1.0"),
+    ("disjoint-partition-c-nan", lambda _: build_disjoint_from_partition(DS, 100, TWO, NAN, 0),
+     ValueError, "ratio c must be finite, got nan"),
+    # learned
+    ("sandwich-allocate-negative", lambda _: sandwich_allocate(0.1, 0.2, -1), ValueError,
+     "budget must be finite and >= 0, got -1"),
+    ("sandwich-allocate-nan", lambda _: sandwich_allocate(0.1, 0.2, NAN), ValueError,
+     "budget must be finite and >= 0, got nan"),
+    ("sandwich-allocate-inf", lambda _: sandwich_allocate(0.1, 0.2, INF), ValueError,
+     "budget must be finite and >= 0, got inf"),
+    ("lbf-negative-bits", lambda _: build_lbf(DS, -1, 0.5, 0), ValueError,
+     "bitmap_bits must be >= 0, got -1"),
+    ("sandwich-negative-bits", lambda _: build_sandwiched(DS, -1, 0.5, 0), ValueError,
+     "bitmap_bits must be >= 0, got -1"),
+    # scores
+    ("csv-empty-file", _csv(""), DatasetError, "empty file, expected header id,score,label"),
+    ("csv-empty-id", _csv("id,score,label\n,0.5,key\n"), DatasetError,
+     "line 2: id must be non-empty and comma-free"),
+    ("csv-comma-id", _csv('id,score,label\n"a,b",0.5,key\n'), DatasetError,
+     "line 2: id must be non-empty and comma-free"),
+    ("partition-counts-length", lambda _: ScorePartition((0.0, 1.0), (1, 2), (1,)), ValueError,
+     "per-group counts must have one entry per group"),
+    ("partition-by-ratio-c-nan", lambda _: partition_by_ratio(DS, 3, NAN), ValueError,
+     "ratio c must be finite, got nan"),
+    ("partition-by-ratio-c-inf", lambda _: partition_by_ratio(DS, 3, INF), ValueError,
+     "ratio c must be finite, got inf"),
+    ("below-threshold-g-1", lambda _: partition_below_threshold(DS, 0.5, 1, 2.0), ValueError,
+     "need g >= 2 to pin a top threshold, got 1"),
+    ("below-threshold-tau-1", lambda _: partition_below_threshold(DS, 1.0, 3, 2.0), ValueError,
+     "tau must be in (0, 1), got 1.0"),
+    ("below-threshold-tau-nan", lambda _: partition_below_threshold(DS, NAN, 3, 2.0), ValueError,
+     "tau must be in (0, 1), got nan"),
+    ("below-threshold-too-few", lambda _: partition_below_threshold(DS, 1e-9, 3, 2.0),
+     InsufficientDataError, "need at least 2 non-keys below tau=1e-09, have 0"),
+    # standard
+    ("alpha-load-r-0", lambda _: alpha_load(0, (1,), (1,)), ValueError,
+     "filter size r must be >= 1, got 0"),
+    ("expected-fpr-standard-negative", lambda _: expected_fpr_standard(10, -1, 1), ValueError,
+     "n and k must be >= 0"),
+    ("optimal-k-negative", lambda _: optimal_k(-1, 1), ValueError, "r and n must be >= 0"),
+    ("standard-k-past-bound", lambda _: StandardBloom(BitVector(64), MAX_K + 1, HashFamily(1)),
+     ValueError, f"hash count k must be <= {MAX_K}, got {MAX_K + 1}"),
+    # tuning and bench
+    ("tau-grid-no-nonkeys", lambda _: default_tau_grid(KEYS_ONLY), ValueError,
+     "cannot derive a tau grid without non-keys"),
+    ("measure-empty-split",
+     lambda _: _measure(None, DS.by_score(), 0, np.zeros(DS.m, dtype=bool)), ValueError,
+     "empty evaluation split"),
+    ("c-grid-inf", lambda _: check_grids({"c_grid": [2.0, INF]}), ValueError,
+     "c must be finite and > 1, got inf"),
+    ("c-grid-nan", lambda _: check_grids({"c_grid": [NAN]}, "disjoint"), ValueError,
+     "c must be finite and > 1, got nan"),
+    ("run-sweep-no-budgets", lambda _: run_sweep(DS, [], ["lbf"], [0]), ValueError,
+     "budgets, methods and seeds must be non-empty"),
+    ("run-sweep-no-methods", lambda _: run_sweep(DS, [1000], [], [0]), ValueError,
+     "budgets, methods and seeds must be non-empty"),
+    ("run-sweep-no-seeds", lambda _: run_sweep(DS, [1000], ["lbf"], []), ValueError,
+     "budgets, methods and seeds must be non-empty"),
+    ("parse-budget-inf", lambda _: parse_budget("infkb"), ValueError,
+     "budget must be finite, got 'infkb'"),
+    ("parse-budget-nan", lambda _: parse_budget("nanKb"), ValueError,
+     "budget must be finite, got 'nankb'"),
+    ("parse-budget-overflow", lambda _: parse_budget("1e308kb"), ValueError,
+     "budget must be finite, got '1e308kb'"),
+    # bits and serialize
+    ("set-hashed-negative-k", lambda _: BitVector(64).set_hashed(*PAIR, -1), ValueError,
+     "hash count k must be >= 0, got -1"),
+    ("test-hashed-negative-k", lambda _: BitVector(64).test_hashed(*PAIR, -1), ValueError,
+     "hash count k must be >= 0, got -1"),
+    ("test-hashed-ranges-without-offsets",
+     lambda _: BitVector(64).test_hashed(*PAIR, 1, ranges=np.full(2, 64, dtype=np.uint64)),
+     ValueError, "per-item ranges and offsets are given together"),
+    ("dump-unknown-type", lambda _: dump_filter(object()), TypeError, "cannot serialize object"),
+]
+
+
+@pytest.mark.parametrize("call, exc, fragment", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal(call, exc, fragment, tmp_path):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call(tmp_path)
+    assert type(info.value) is exc

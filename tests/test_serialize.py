@@ -1,4 +1,5 @@
 import struct
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -11,7 +12,7 @@ from adabloom.disjoint import build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import gen_synthetic, partition_by_ratio
 from adabloom.serialize import FormatError, dump_filter, load_filter, loads_filter, save_filter
-from adabloom.standard import build_standard
+from adabloom.standard import MAX_K, build_standard
 
 
 def probe_set(dataset, count=3000):
@@ -208,6 +209,34 @@ def test_bad_tau_raises_format_error(small_built, tau):
     struct.pack_into("<d", blob, LBF_TAU, tau)
     with pytest.raises(FormatError, match="tau must be in"):
         loads_filter(bytes(blob))
+
+
+def _full_container(kind, k):
+    """A 64-bit container with every bit set and hash count k: 47 bytes for the
+    standard kind; ada's is one group over [0, 1]."""
+    if kind == "standard":
+        body = struct.pack("<BQ", 0x01, 7) + struct.pack("<QIQI", 64, k, 1, 0)
+    else:
+        body = (struct.pack("<BQQQd", 0x04, 7, 0, 64, float("nan"))
+                + struct.pack("<I2dQQI", 1, 0.0, 1.0, 1, 1, k))
+    return b"ADBF" + struct.pack("<H", 1) + body + b"\xff" * 8
+
+
+@pytest.mark.parametrize("kind", ["standard", "ada"])
+def test_hash_count_past_the_bound_is_refused_at_once(kind):
+    # a full filter probes k bits per query: k = 2**31 would run for minutes
+    blob = _full_container(kind, MAX_K)
+    assert len(_full_container("standard", 1)) == 47
+    filt = loads_filter(blob)
+    a, b = HashFamily(7).base_pairs(["x", "y"])
+    answers = filt.contains_batch(a, b) if kind == "standard" else filt.contains_batch(
+        a, b, np.array([0.2, 0.9]))
+    assert answers.all()
+    for k in (MAX_K + 1, 2**31):
+        t0 = time.perf_counter()
+        with pytest.raises(FormatError, match=f"hash count k must be <= {MAX_K}, got {k}"):
+            loads_filter(_full_container(kind, k))
+        assert time.perf_counter() - t0 < 1.0
 
 
 _FUZZ = {}

@@ -15,6 +15,7 @@ from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_
 from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import (
     DEFAULT_K_CAP,
+    MAX_K,
     GatedBloom,
     StandardBloom,
     alpha_load,
@@ -40,6 +41,11 @@ class TestBuild:
         filt = build_standard(keys, 1000, 7, seed=0)
         assert filt.bits.popcount() <= 700
         assert filt.n_inserted == 100
+
+    def test_hash_count_is_bounded(self):
+        assert StandardBloom(BitVector(64), MAX_K, HashFamily(1)).k == MAX_K
+        with pytest.raises(ValueError, match=f"hash count k must be <= {MAX_K}, got {MAX_K + 1}"):
+            StandardBloom(BitVector(64), MAX_K + 1, HashFamily(1))
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
@@ -278,8 +284,9 @@ def query_filters():
 
 
 class TestOneWalk:
-    """A batch without probe rows probes the stages that overlap no earlier stage in
-    one walk, with a count, range and offset per item; the answers are the stages'."""
+    """A batch without probe rows probes stages with disjoint intervals, picked by lower
+    bound, in one walk, with a count, range and offset per item; the answers are the
+    stages'."""
 
     @pytest.mark.parametrize("loaded", [False, True])
     @pytest.mark.parametrize("kind", ["standard", "lbf", "sandwich", "ada", "disjoint"])
@@ -345,6 +352,24 @@ class TestOneWalk:
         got = filt.contains_batch(a, b, np.array([0.1, 0.2, 0.7, 0.3]))
         assert time.perf_counter() - t0 < 2.0
         assert got.tolist() == [True, True, False, True]
+
+    def test_twenty_thousand_stages_answer_the_first_batch_quickly(self):
+        # the walk is planned in one pass by lower bound, not each stage against every
+        # earlier one: at 4000 stages that took about 5 s
+        g = 20_000
+        spec = [(j / g, (j + 1) / g if j + 1 < g else math.inf, 64, 2, 1 + j % 3)
+                for j in range(g)]
+        rng = np.random.default_rng(20)
+        ds = scored(rng.random(200), rng.random(200))
+        filt = GatedBloom(fresh_stages(spec, 20), 20)
+        insert_keys(ds, 20, filt.stages)
+        a, b = HashFamily(20).base_pairs([it.id for it in ds.items])
+        scores = np.array([it.score for it in ds.items])
+        t0 = time.perf_counter()
+        got = filt.contains_batch(a, b, scores)
+        assert time.perf_counter() - t0 < 1.0
+        assert got.tolist() == [filt.contains(it.id, it.score) for it in ds.items]
+        assert got[:200].all()
 
     def test_a_batch_before_the_bits_freeze_sees_later_inserts(self):
         filt = GatedBloom(fresh_stages([(0.0, 0.5, 300, 3, 1), (0.5, math.inf, 500, 4, 2)], 5), 5)
