@@ -359,16 +359,24 @@ class HashFamily:
         return a, b | np.uint64(1)
 
     @staticmethod
-    def remix_each(families, which: np.ndarray, a: np.ndarray,
+    def lane_salts(families) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Per family, its two lane salts and whether it is on lane 0 (None if
+        none is), as arrays for :meth:`remix_each`; make them once per plan."""
+        salt_a = np.array([f._lane_a for f in families], dtype=np.uint64)
+        salt_b = np.array([f._lane_b for f in families], dtype=np.uint64)
+        lane0 = None if all(f.lane for f in families) else np.array([not f.lane for f in families])
+        return salt_a, salt_b, lane0
+
+    @staticmethod
+    def remix_each(salts, which: np.ndarray, a: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`remix_pairs` item by item, item j on the lane of
-        ``families[which[j]]``, in one pass over the batch."""
-        salt_a = np.array([f._lane_a for f in families], dtype=np.uint64).take(which)
-        salt_b = np.array([f._lane_b for f in families], dtype=np.uint64).take(which)
-        mixed_a = _avalanche_array(a ^ salt_a)
-        mixed_b = _avalanche_array(b ^ salt_b)
-        if not all(f.lane for f in families):  # lane 0 keeps the base pair
-            lane0 = np.array([not f.lane for f in families]).take(which)
+        """:meth:`remix_pairs` item by item, item j on the lane of family
+        ``which[j]`` of ``salts`` (see :meth:`lane_salts`), in one pass over the batch."""
+        salt_a, salt_b, lane0 = salts
+        mixed_a = _avalanche_array(a ^ salt_a.take(which))
+        mixed_b = _avalanche_array(b ^ salt_b.take(which))
+        if lane0 is not None:  # lane 0 keeps the base pair
+            lane0 = lane0.take(which)
             mixed_a, mixed_b = np.where(lane0, a, mixed_a), np.where(lane0, b, mixed_b)
         return mixed_a, mixed_b | np.uint64(1)
 

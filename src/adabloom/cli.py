@@ -40,14 +40,17 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _budget(flag: str):
-    """``parse_budget`` as a flag type that exits ``bad <flag>: …`` in one line."""
-    def parse(text: str) -> int:
+def _add_typed(parser, flag: str, parse, **kwargs) -> None:
+    """``flag``, parsed by ``parse``: its ValueError exits ``bad <flag>: …`` in one line.
+
+    Every typed flag is added so; argparse's own refusal takes two lines.
+    """
+    def typed(text: str):
         try:
-            return parse_budget(text)
+            return parse(text)
         except ValueError as exc:
             raise SystemExit(f"bad {flag}: {exc}") from exc
-    return parse
+    parser.add_argument(flag, type=typed, **kwargs)
 
 
 # every grid override, with its element type
@@ -60,7 +63,7 @@ _BOUNDS = {
     "lemma1": (min_sample_size, {"k_groups": int, "epsilon": float, "delta": float}, str),
     "sandwich-alloc": (sandwich_allocate, {"fp": float, "fn": float, "budget": float},
                        lambda bits: "b1={!r} b2={!r}".format(*bits)),
-    "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": _budget("--bitmap-bits"),
+    "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": parse_budget,
                                            "n_per_group": _ints, "c": float, "g": int},
                        lambda shares: ",".join(str(x) for x in shares)),
 }
@@ -75,8 +78,8 @@ def _add_flags(parser, tables: dict, optional=()) -> None:
     """One flag per name in ``tables`` (choice -> {name: type}); its help names the choices."""
     for name, kind in {n: k for names in tables.values() for n, k in names.items()}.items():
         takers = ", ".join(choice for choice, names in tables.items() if name in names)
-        parser.add_argument(_flag(name), type=kind,
-                            help=takers + (" (optional)" if name in optional else ""))
+        _add_typed(parser, _flag(name), kind,
+                   help=takers + (" (optional)" if name in optional else ""))
 
 
 def _chosen(args, what: str, tables: dict, optional=()) -> dict:
@@ -134,7 +137,7 @@ def _load(loader, path):
 def _beta_pair(text: str) -> tuple[float, float]:
     parts = _floats(text)
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated shapes, got {text!r}")
+        raise ValueError(f"expected two comma-separated shapes, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -234,20 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic scored dataset CSV")
-    p.add_argument("--keys", type=int, required=True)
-    p.add_argument("--nonkeys", type=int, required=True)
-    p.add_argument("--key-beta", type=_beta_pair, default=(3.0, 1.0), metavar="A,B")
-    p.add_argument("--nonkey-beta", type=_beta_pair, default=(1.0, 3.0), metavar="A,B")
-    p.add_argument("--seed", type=int, default=0)
+    _add_typed(p, "--keys", int, required=True)
+    _add_typed(p, "--nonkeys", int, required=True)
+    _add_typed(p, "--key-beta", _beta_pair, default=(3.0, 1.0), metavar="A,B")
+    _add_typed(p, "--nonkey-beta", _beta_pair, default=(1.0, 3.0), metavar="A,B")
+    _add_typed(p, "--seed", int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("build", help="build one filter and serialize it")
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bitmap-bits", type=_budget("--bitmap-bits"), required=True)
-    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_typed(p, "--bitmap-bits", parse_budget, required=True)
+    _add_typed(p, "--model-bits", parse_budget, default=0)
+    _add_typed(p, "--seed", int, default=0)
     _add_flags(p, PARAMS, OPTIONAL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="query a serialized filter")
     p.add_argument("--filter", required=True)
     p.add_argument("--id", required=True)
-    p.add_argument("--score", type=float, default=None)
+    _add_typed(p, "--score", float, default=None)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("bench", help="FPR-vs-memory sweep, output CSV")
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", required=True, help="comma list of total bits (kb suffix ok)")
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--seeds", default="0")
-    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
+    _add_typed(p, "--model-bits", parse_budget, default=0)
     for name in _GRID_KINDS:
         p.add_argument(_flag(name), default=None)
     p.add_argument("--timing", action="store_true",
@@ -274,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="hyper-parameter search, output JSON report")
     p.add_argument("--method", choices=list(GRIDS), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bitmap-bits", type=_budget("--bitmap-bits"), required=True)
-    p.add_argument("--model-bits", type=_budget("--model-bits"), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_typed(p, "--bitmap-bits", parse_budget, required=True)
+    _add_typed(p, "--model-bits", parse_budget, default=0)
+    _add_typed(p, "--seed", int, default=0)
     for name in _GRID_KINDS:
         p.add_argument(_flag(name), default=None)
     p.add_argument("--report", required=True)

@@ -214,8 +214,8 @@ class _Walk(NamedTuple):
     bounds: np.ndarray  # the walked stages' distinct bounds, ascending; open ends infinite
     counts: np.ndarray  # per piece: its stage's k, or 0
     k: int  # the largest count
-    family: HashFamily | None  # the stages' one family, or None: ``families`` per piece
-    families: tuple
+    family: HashFamily | None  # the stages' one family, or None: ``salts`` per piece
+    salts: tuple | None  # ``HashFamily.lane_salts`` of the pieces' families, made once
     bits: BitVector | None  # the stages' one array, or their arrays end to end
     ranges: np.ndarray | None  # per piece, if several arrays: the stage's range
     offsets: np.ndarray | None  # and the bit its array starts at, on a byte boundary
@@ -253,7 +253,8 @@ class _Walk(NamedTuple):
             ranges = np.array([stage.bits.length_bits for stage in at], dtype=np.uint64)
             offsets = np.array([starts[id(stage.bits)] for stage in at], dtype=np.uint64)
         return cls(bounds, counts, int(counts.max(initial=0)), families[0] if same else None,
-                   families, bits, ranges, offsets, tuple(later))
+                   None if same else HashFamily.lane_salts(families), bits, ranges, offsets,
+                   tuple(later))
 
     def answer(self, base_a: np.ndarray, base_b: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The walked stages' answers: True where an item's stage holds it, or it has none."""
@@ -268,7 +269,7 @@ class _Walk(NamedTuple):
         if self.family is not None:
             a, b = self.family.remix_pairs(base_a, base_b)
         else:
-            a, b = HashFamily.remix_each(self.families, piece, base_a, base_b)
+            a, b = HashFamily.remix_each(self.salts, piece, base_a, base_b)
         per_item = {"counts": self.counts.take(piece)}
         if self.ranges is not None:
             per_item.update(ranges=self.ranges.take(piece), offsets=self.offsets.take(piece))

@@ -237,7 +237,7 @@ class TestHashFamily:
         families = [HashFamily(21, lane) for lane in lanes]
         a, b = families[0].base_pairs([f"r{i}" for i in range(300)])
         which = np.arange(300) % len(lanes)
-        got = HashFamily.remix_each(families, which, a, b)
+        got = HashFamily.remix_each(HashFamily.lane_salts(families), which, a, b)
         for j, fam in enumerate(families):
             want = fam.remix_pairs(a[which == j], b[which == j])
             assert (got[0][which == j] == want[0]).all() and (got[1][which == j] == want[1]).all()

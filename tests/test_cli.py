@@ -319,6 +319,34 @@ def test_gen_refuses_with_one_line(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["query", "--filter", "{lbf}", "--id", "x", "--score", "abc"],
+     "bad --score: could not convert string to float: 'abc'"),
+    (["gen", "--keys", "abc", "--nonkeys", "10", "--out", "{out}"],
+     "bad --keys: invalid literal for int() with base 10: 'abc'"),
+    (["gen", "--keys", "10", "--nonkeys", "10", "--key-beta", "1", "--out", "{out}"],
+     "bad --key-beta: expected two comma-separated shapes, got '1'")])
+def test_a_value_a_typed_flag_cannot_parse_exits_with_one_line(argv, message, built, tmp_path,
+                                                                capsys):
+    out = tmp_path / "ds.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(lbf=built[1]["lbf"], out=out) for arg in argv])
+    assert str(exc.value) == message
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+
+
+def test_every_typed_flag_refuses_junk_in_one_line():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [(command, action) for command, parser in sub.choices.items()
+             for action in parser._actions if action.type is not None]
+    assert len(typed) > 20
+    for command, action in typed:
+        flag = action.option_strings[0]
+        with pytest.raises(SystemExit, match=f"^bad {flag}: "):
+            action.type("junk")
+
+
 def _flag_names(command):
     """The ``--`` flags of ``adabloom <command>`` as argument names, ``--help`` aside."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -9,6 +9,10 @@ unless a change of results is intended and said so.
 The container hashes were recorded from the per-kind filter classes that
 the score-gated stage kernel of ``standard.py`` replaced: the same keys
 must set the same bits and the v1 container must keep its byte layout.
+
+The dataset pins were recorded from the one-``ScoredItem``-per-row dataset
+that the columnar one replaced: a generated dataset, its CSV and its
+fingerprint must keep their bytes.
 """
 
 import hashlib
@@ -22,7 +26,13 @@ from adabloom.bench import METHODS, rows_to_csv, run_sweep
 from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import build_disjoint, build_disjoint_from_partition
 from adabloom.learned import build_lbf, build_sandwiched
-from adabloom.scores import gen_synthetic, partition_by_ratio, partition_from_thresholds
+from adabloom.scores import (
+    gen_synthetic,
+    load_scored_csv,
+    partition_by_ratio,
+    partition_from_thresholds,
+    save_scored_csv,
+)
 from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import build_standard, optimal_k
 
@@ -89,6 +99,12 @@ SET_HASHED_SHA256 = {
 SWEEP_SMALL_SHA256 = "0dd654569260e3420312aa6f4b9da3682483dff38ed57d163245e14a17413805"
 SWEEP_QUICK_SHA256 = "5ad9a032a111cd58e1323ec29a129e1acfefd98f47e5651597cac2d0e10ac079"
 
+# gen_synthetic(2000, 2000, seed=3): its fingerprint(), and the sha256 and
+# size of its save_scored_csv file
+DATASET_FINGERPRINT = "cf36da6d65be978166630e0c77cf580708e3bd71dc9be24fc31aec7be8121dd2"
+DATASET_CSV_SHA256 = "4e70219c79f89c1df90640a9be6b8f472ae1c6e41edeb1280130eb125cd81066"
+DATASET_CSV_BYTES = 135_311
+
 # the grids of scripts/reproduce_tradeoff.py --quick
 QUICK_GRIDS = dict(tau_grid=(0.3, 0.5, 0.7, 0.8, 0.9), kmax_grid=(4, 8, 12),
                    c_grid=(1.6, 2.2, 2.8), g_grid=(4, 8, 12))
@@ -106,6 +122,19 @@ def test_set_hashed_golden(n):
         bv = BitVector(r)
         bv.set_hashed(a, b, k)
         assert _sha256(bv.to_bytes()) == SET_HASHED_SHA256[(n, k, r)], (n, k, r)
+
+
+def test_dataset_golden(tmp_path):
+    dataset = gen_synthetic(2000, 2000, seed=3)
+    assert dataset.fingerprint() == DATASET_FINGERPRINT
+    path, again = tmp_path / "ds.csv", tmp_path / "again.csv"
+    save_scored_csv(dataset, path)
+    data = path.read_bytes()
+    assert (_sha256(data), len(data)) == (DATASET_CSV_SHA256, DATASET_CSV_BYTES)
+    loaded = load_scored_csv(path)
+    assert loaded.fingerprint() == DATASET_FINGERPRINT
+    save_scored_csv(loaded, again)
+    assert again.read_bytes() == data
 
 
 def test_sweep_golden_small():

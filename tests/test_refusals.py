@@ -120,6 +120,10 @@ REFUSALS = [
      "line 2: id must be non-empty and comma-free"),
     ("csv-comma-id", _csv('id,score,label\n"a,b",0.5,key\n'), DatasetError,
      "line 2: id must be non-empty and comma-free"),
+    ("columns-lengths", lambda _: ScoredDataset.from_columns(["a", "b"], [0.5], [True, False]),
+     ValueError, "columns of 2 ids, (1,) scores and (2,) labels do not make rows"),
+    ("columns-2d", lambda _: ScoredDataset.from_columns(["a"], [[0.5]], [True]), ValueError,
+     "columns of 1 ids, (1, 1) scores and (1,) labels do not make rows"),
     ("partition-counts-length", lambda _: ScorePartition((0.0, 1.0), (1, 2), (1,)), ValueError,
      "per-group counts must have one entry per group"),
     ("partition-by-ratio-c-nan", lambda _: partition_by_ratio(DS, 3, NAN), ValueError,
@@ -132,6 +136,12 @@ REFUSALS = [
      "tau must be in (0, 1), got 1.0"),
     ("below-threshold-tau-nan", lambda _: partition_below_threshold(DS, NAN, 3, 2.0), ValueError,
      "tau must be in (0, 1), got nan"),
+    ("below-threshold-c-half", lambda _: partition_below_threshold(DS, 0.5, 4, 0.5), ValueError,
+     "ratio c must be > 1, got 0.5"),
+    ("below-threshold-c-nan", lambda _: partition_below_threshold(DS, 0.5, 4, NAN), ValueError,
+     "ratio c must be finite, got nan"),
+    ("below-threshold-c-inf", lambda _: partition_below_threshold(DS, 0.5, 3, INF), ValueError,
+     "ratio c must be finite, got inf"),
     ("below-threshold-too-few", lambda _: partition_below_threshold(DS, 1e-9, 3, 2.0),
      InsufficientDataError, "need at least 2 non-keys below tau=1e-09, have 0"),
     # standard

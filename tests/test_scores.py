@@ -1,4 +1,11 @@
+import csv
+import hashlib
+import io
 import math
+import os
+import tempfile
+from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +15,9 @@ from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import LearnedBloom, SandwichedBloom, build_lbf, build_sandwiched
+from adabloom import scores
 from adabloom.scores import (
+    CSV_HEADER,
     DatasetError,
     InsufficientDataError,
     ScoredDataset,
@@ -22,6 +31,7 @@ from adabloom.scores import (
     partition_by_ratio,
     partition_from_thresholds,
     save_scored_csv,
+    _ROW_BLOCK,
     _sample_bound,
 )
 from adabloom.standard import GatedBloom, StandardBloom, build_standard, insert_keys
@@ -80,12 +90,147 @@ class TestCsvLoading:
             load_scored_csv(path)
         assert str(exc.value).startswith(f"{path}: line 3: field larger than field limit")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["x,zap,key"], "malformed score 'zap'"),
+        (["x,1.5,key"], "score '1.5' outside [0, 1]"),
+        (["x,nan,key"], "score 'nan' outside [0, 1]"),
+        (["k0000005,0.5,nonkey"], "duplicate id 'k0000005'"),  # first copy in the first block
+        (["x,0.5,key", "x,0.5,nonkey"], "duplicate id 'x'"),
+        ([",0.5,key"], "id must be non-empty and comma-free"),
+        (['"x,y",0.5,key'], "id must be non-empty and comma-free"),
+        (["x,0.5,maybe"], "label must be key or nonkey, got 'maybe'"),
+        (["x,0.5"], "expected 3 fields, got 2")])
+    def test_a_bad_row_after_the_first_block_names_its_line(self, rows, message, tmp_path):
+        # one blank row in the first block: blank rows are skipped but counted
+        good = [f"k{i:07d},0.5,key" for i in range(_ROW_BLOCK + 37)]
+        lines = ["id,score,label"] + good[:9] + [""] + good[9:] + rows + ["z,0.5,key"]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load_scored_csv(path)
+        assert str(exc.value) == f"{path}: line {len(lines) - 1}: {message}"
+
+    def test_rows_before_a_row_the_csv_module_refuses_are_checked_first(self, tmp_path):
+        good = [f"k{i:07d},0.5,key" for i in range(_ROW_BLOCK + 5)]
+        big = "x" * 200_000 + ",0.1,nonkey"
+        path = write_csv(tmp_path, "\n".join(["id,score,label"] + good + ["y,0.5,no", big]))
+        with pytest.raises(DatasetError) as exc:
+            load_scored_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line {_ROW_BLOCK + 7}: label must be key or nonkey, got 'no'")
+        path = write_csv(tmp_path, "\n".join(["id,score,label"] + good + [big]))
+        with pytest.raises(DatasetError) as exc:
+            load_scored_csv(path)
+        assert str(exc.value).startswith(f"{path}: line {_ROW_BLOCK + 7}: field larger than")
+
+    def test_blocks_of_rows_load_as_one(self, tmp_path):
+        ds = gen_synthetic(_ROW_BLOCK + 3, _ROW_BLOCK - 2, seed=8)
+        path = tmp_path / "blocks.csv"
+        save_scored_csv(ds, path)
+        back = load_scored_csv(path)
+        assert back.ids == ds.ids
+        assert back.scores.tolist() == ds.scores.tolist()
+        assert back.is_key.tolist() == ds.is_key.tolist()
+        assert (back.n, back.m) == (ds.n, ds.m)
+
+    def test_an_id_the_csv_module_quotes_round_trips(self, tmp_path):
+        items = (ScoredItem('a"b', 0.5, True), ScoredItem("c\nd", 0.25, False),
+                 ScoredItem("e", 1.0, True))
+        path = tmp_path / "quoted.csv"
+        save_scored_csv(ScoredDataset(items), path)
+        assert path.read_text() == (
+            'id,score,label\n"a""b",0.5,key\n"c\nd",0.25,nonkey\ne,1.0,key\n')
+        assert load_scored_csv(path).items == items
+
     def test_roundtrip(self, tmp_path):
         ds = gen_synthetic(50, 70, seed=4)
         path = tmp_path / "round.csv"
         save_scored_csv(ds, path)
         back = load_scored_csv(path)
         assert back.fingerprint() == ds.fingerprint()
+
+
+class TestColumns:
+    def test_generated_columns(self):
+        ds = gen_synthetic(3, 2, seed=1)
+        assert ds.ids == ["k0000000", "k0000001", "k0000002", "n0000000", "n0000001"]
+        assert ds.is_key.tolist() == [True, True, True, False, False]
+        assert ds.scores.dtype == np.float64 and len(ds.scores) == len(ds) == 5
+        assert ds.key_ids == ds.ids[:3] and ds.nonkey_ids == ds.ids[3:]
+        assert (ds.key_scores == ds.scores[:3]).all() and (ds.nonkey_scores == ds.scores[3:]).all()
+        assert "items" not in ds._cache
+        items = ds.items
+        assert ds.items is items
+        assert items == tuple(map(ScoredItem, ds.ids, ds.scores.tolist(), ds.is_key.tolist()))
+        assert ds.keys == items[:3] and ds.nonkeys == items[3:]
+
+    def test_the_items_constructor_keeps_its_items(self):
+        items = (ScoredItem("b", 0.2, False), ScoredItem("a", 0.9, True),
+                 ScoredItem("c", 0.5, False))
+        ds = ScoredDataset(items)
+        assert ds.items is items
+        assert (ds.n, ds.m, len(ds)) == (1, 2, 3)
+        assert ds.key_ids == ["a"] and ds.nonkey_ids == ["b", "c"]  # read from the sides' items
+        assert "ids" not in ds._cache and "scores" not in ds._cache
+        assert ds.ids == ["b", "a", "c"] and ds.scores.tolist() == [0.2, 0.9, 0.5]
+        assert ds.keys == items[1:2] and ds.nonkeys == (items[0], items[2])
+        again = ScoredDataset(items)
+        assert again.ids == ds.ids and again.key_ids == ["a"]  # picked from the ids column
+
+    def test_from_columns_equals_the_items_constructor(self):
+        ds = gen_synthetic(20, 30, seed=2)
+        again = ScoredDataset.from_columns(list(ds.ids), ds.scores.tolist(), ds.is_key.tolist())
+        assert again.items == ScoredDataset(ds.items).items == ds.items
+        assert again.fingerprint() == ScoredDataset(ds.items).fingerprint() == ds.fingerprint()
+
+    def test_validate_names_the_bad_row_without_building_items(self):
+        ds = gen_synthetic(3, 4, seed=1)
+        for row, message in ((5, "nonkey 'n0000002': score 1.5"), (1, "key 'k0000001': score 1.5")):
+            scores = ds.scores.copy()
+            scores[row] = 1.5
+            bad = ScoredDataset.from_columns(ds.ids, scores, ds.is_key)
+            with pytest.raises(DatasetError, match=rf"^{message} outside \[0, 1\]$"):
+                bad.validate()
+            assert "items" not in bad._cache
+
+    def test_view_columns_are_the_parents_permuted(self):
+        ds = gen_synthetic(30, 40, seed=5)
+        view = ds.by_score()
+        assert "ids" not in view._cache and "items" not in view._cache
+        assert view.ids == ([ds.key_ids[i] for i in view.key_order]
+                            + [ds.nonkey_ids[i] for i in view.nonkey_order])
+        assert view.scores.tolist() == view.key_scores.tolist() + view.nonkey_scores.tolist()
+        assert view.is_key.tolist() == [True] * 30 + [False] * 40
+        assert sorted(view.items, key=lambda it: it.id) == sorted(ds.items, key=lambda it: it.id)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(st.text(max_size=6), st.floats(0.0, 1.0), st.booleans()),
+                         max_size=12),
+           block=st.integers(1, 5))
+    def test_text_equals_the_per_row_reference(self, rows, block):
+        # the per-row loops that the block writers replaced, over any ids, in blocks of any size
+        items = tuple(ScoredItem(*row) for row in rows)
+        with mock.patch.object(scores, "_ROW_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+            for ds in (ScoredDataset(items), ScoredDataset(items).by_score()):
+                digest, text = hashlib.sha256(), io.StringIO()
+                csv.writer(text, lineterminator="\n").writerow(CSV_HEADER)
+                for it in ds.items:
+                    digest.update(f"{it.id},{it.score!r},{it.label}\n".encode("utf-8"))
+                    csv.writer(text, lineterminator="\n").writerow(
+                        (it.id, repr(it.score), it.label))
+                path = os.path.join(tmp, "ds.csv")
+                save_scored_csv(ds, path)
+                with open(path, newline="", encoding="utf-8") as fh:
+                    assert fh.read() == text.getvalue()
+                assert ds.fingerprint() == digest.hexdigest()
+                ids = "".join(ds.ids)
+                if all(ds.ids) and len(set(ds.ids)) == len(ds) and not set(ids) & set(",\r\n"):
+                    assert load_scored_csv(path).items == ds.items
+
+    def test_a_scored_item_has_slots_and_is_frozen(self):
+        item = ScoredItem("a", 0.5, True)
+        assert not hasattr(item, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            item.score = 0.1
 
 
 class TestSynthetic:

@@ -371,6 +371,26 @@ class TestOneWalk:
         assert got.tolist() == [filt.contains(it.id, it.score) for it in ds.items]
         assert got[:200].all()
 
+    def test_a_walk_makes_its_lane_salts_once(self, monkeypatch):
+        # three stages on lanes 0, 1 and 2: each batch remixes per piece from the plan's salts
+        filt = GatedBloom(fresh_stages([(0.0, 0.3, 300, 3, 0), (0.3, 0.6, 400, 2, 1),
+                                        (0.6, math.inf, 500, 4, 2)], 5), 5)
+        rng = np.random.default_rng(5)
+        ds = scored(rng.random(40), rng.random(40))
+        insert_keys(ds, 5, filt.stages)
+        for _, _, stage in filt.stages:
+            stage.bits.freeze()
+        calls = []
+        original = HashFamily.lane_salts
+        monkeypatch.setattr(HashFamily, "lane_salts",
+                            staticmethod(lambda families: calls.append(1) or original(families)))
+        a, b = HashFamily(5).base_pairs(ds.ids)
+        answers = [filt.contains_batch(a, b, ds.scores).tolist() for _ in range(3)]
+        assert calls == [1]
+        assert answers[0] == answers[2] == [filt.contains(i, s) for i, s in
+                                            zip(ds.ids, ds.scores.tolist())]
+        assert answers[0][:40] == [True] * 40
+
     def test_a_batch_before_the_bits_freeze_sees_later_inserts(self):
         filt = GatedBloom(fresh_stages([(0.0, 0.5, 300, 3, 1), (0.5, math.inf, 500, 4, 2)], 5), 5)
         a, b = HashFamily(5).base_pairs(["k0", "k1"])
