@@ -130,13 +130,10 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
             row_model_bits = 0 if method == "standard" else model_bits
             bitmap_bits = budget - row_model_bits
             for seed in sorted(seeds):
-                if bitmap_bits <= 0:
-                    rows.append(SweepRow(method, budget, max(0, bitmap_bits), row_model_bits,
-                                         float("nan"), None, float("nan"), None, None, seed,
-                                         f"infeasible: model ({model_bits} bits) exceeds budget"))
-                    continue
                 t0 = time.perf_counter()
                 try:
+                    if bitmap_bits <= 0:
+                        raise ValueError(f"model ({model_bits} bits) exceeds budget")
                     if method == "standard":
                         filt = build(method, view, bitmap_bits, seed)
                         fpr = _measure(filt, view, seed) if view.m else 0.0
@@ -151,7 +148,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                     query_ns = _query_ns(filt, view, seed) if timing else None
                     analytical = filt.expected_fpr()
                 except (NoFeasibleCandidateError, ValueError) as exc:
-                    rows.append(SweepRow(method, budget, bitmap_bits, row_model_bits,
+                    rows.append(SweepRow(method, budget, max(0, bitmap_bits), row_model_bits,
                                          float("nan"), None, float("nan"), None, None, seed,
                                          f"infeasible: {exc}"))
                     continue

@@ -13,13 +13,16 @@ Layout (all integers little-endian, floats IEEE-754 binary64 LE):
 
 Nothing follows the last block.
 
-Standard sub-block (reused by the learned kinds):
-
-    r u64 | k u32 | n u64 | lane u32 | bits ceil(r/8) bytes
+The layout functions below (``_plain``, ``_lbf``, ``_sandwich``,
+``_ada``, ``_disjoint``, and the ``_standard`` and ``_partition`` steps
+they share) are the specification of each kind's body. Each states its
+fields once, in order: given a filter it writes them, given none it
+reads them and builds the filter. A None float is stored as NaN.
 
 The learned kinds store their thresholds, allocations and realized
 group counts so a loaded filter answers queries and reports the same
-analytics as the one that was saved.
+analytics as the one that was saved. Version 1 does not store
+``SandwichedBloom.fallback_reason``: a loaded sandwich reports None.
 """
 
 from __future__ import annotations
@@ -39,27 +42,39 @@ __all__ = ["save_filter", "load_filter", "dump_filter", "loads_filter", "FormatE
 MAGIC = b"ADBF"
 VERSION = 1
 
-KIND_STANDARD = 0x01
-KIND_LBF = 0x02
-KIND_SANDWICH = 0x03
-KIND_ADA = 0x04
-KIND_DISJOINT = 0x05
-
 
 class FormatError(ValueError):
     """The byte stream is not a valid filter container."""
 
 
-def _pack(fmt: str, *values) -> bytes:
-    return struct.pack("<" + fmt, *values)
+class _Codec(BytesIO):
+    """A container's byte stream: each step writes the values it is given, or reads them."""
 
+    def fields(self, fmt: str, values: tuple | None = None) -> tuple:
+        """Pack ``values`` as the struct ``fmt``, or with None unpack and return the next ones."""
+        if values is not None:
+            self.write(struct.pack("<" + fmt, *values))
+            return values
+        size = struct.calcsize("<" + fmt)
+        data = self.read(size)
+        if len(data) != size:
+            raise FormatError("truncated filter container")
+        return struct.unpack("<" + fmt, data)
 
-def _read(fh: BytesIO, fmt: str):
-    size = struct.calcsize("<" + fmt)
-    data = fh.read(size)
-    if len(data) != size:
-        raise FormatError("truncated filter container")
-    return struct.unpack("<" + fmt, data)
+    def bits(self, r: int, vector: BitVector | None = None) -> BitVector:
+        """Write ``vector``, or with None read a frozen r-bit vector whose padding bits are 0."""
+        if vector is not None:
+            self.write(vector.to_bytes())
+            return vector
+        if r < 1:
+            raise FormatError(f"bit array length must be >= 1, got {r}")
+        nbytes = (r + 7) // 8
+        data = self.read(nbytes)
+        if len(data) != nbytes:
+            raise FormatError("truncated bit array")
+        if data[-1] >> (r % 8 or 8):
+            raise FormatError(f"bits set past the end of a {r}-bit array")
+        return BitVector.from_bytes(data, r)
 
 
 def _opt_float(x: float | None) -> float:
@@ -70,89 +85,100 @@ def _from_opt(x: float) -> float | None:
     return None if x != x else x
 
 
-def _read_bits(fh: BytesIO, r: int) -> BitVector:
-    """A frozen r-bit vector from the next ceil(r/8) bytes; padding bits must be 0."""
-    if r < 1:
-        raise FormatError(f"bit array length must be >= 1, got {r}")
-    nbytes = (r + 7) // 8
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise FormatError("truncated bit array")
-    if data[-1] >> (r % 8 or 8):
-        raise FormatError(f"bits set past the end of a {r}-bit array")
-    return BitVector.from_bytes(data, r)
+# Every layout takes the codec and the filter to write, or None to read one.
+# A filter or partition is always truthy, so ``f and ...`` is None when reading.
+
+def _standard(io: _Codec, seed: int, bloom: StandardBloom | None = None) -> StandardBloom:
+    """Standard sub-block: r u64 | k u32 | n u64 | lane u32 | bits."""
+    r, k, n, lane = io.fields("QIQI", bloom and (bloom.size_bits, bloom.k, bloom.n_inserted,
+                                                 bloom.family.lane))
+    bits = io.bits(r, bloom and bloom.bits)
+    return bloom or StandardBloom(bits, k, HashFamily(seed, lane), n)
 
 
-def _write_standard_block(fh: BytesIO, bloom: StandardBloom) -> None:
-    fh.write(_pack("QIQI", bloom.size_bits, bloom.k, bloom.n_inserted, bloom.family.lane))
-    fh.write(bloom.bits.to_bytes())
+def _partition(io: _Codec, p: ScorePartition | None = None) -> ScorePartition:
+    """g u32 | thresholds (g + 1) f64 | keys per group g u64 | non-keys per group g u64."""
+    (g,) = io.fields("I", p and (p.g,))
+    thresholds = io.fields(f"{g + 1}d", p and p.thresholds)
+    n_per_group = io.fields(f"{g}Q", p and p.n_per_group)
+    m_per_group = io.fields(f"{g}Q", p and p.m_per_group)
+    return p or ScorePartition(thresholds, n_per_group, m_per_group)
 
 
-def _read_standard_block(fh: BytesIO, seed: int) -> StandardBloom:
-    r, k, n, lane = _read(fh, "QIQI")
-    return StandardBloom(_read_bits(fh, r), k, HashFamily(seed, lane), n)
+def _plain(io: _Codec, f: StandardBloom | None = None) -> StandardBloom:
+    """seed u64 | standard sub-block."""
+    (seed,) = io.fields("Q", f and (f.seed,))
+    return _standard(io, seed, f)
 
 
-def _write_partition(fh: BytesIO, partition: ScorePartition) -> None:
-    g = partition.g
-    fh.write(_pack("I", g))
-    fh.write(_pack(f"{g + 1}d", *partition.thresholds))
-    fh.write(_pack(f"{g}Q", *partition.n_per_group))
-    fh.write(_pack(f"{g}Q", *partition.m_per_group))
+def _lbf(io: _Codec, f: LearnedBloom | None = None) -> LearnedBloom:
+    """seed u64 | model bits u64 | bitmap bits u64 | tau f64 | f_p f64 | backup sub-block."""
+    seed, model_bits, bitmap_bits, tau, fp = io.fields("QQQdd", f and (
+        f.seed, f.model_bits, f.bitmap_bits, f.tau, _opt_float(f.fp_above)))
+    backup = _standard(io, seed, f and f.backup)
+    return f or LearnedBloom(tau, backup, bitmap_bits, model_bits, _from_opt(fp))
 
 
-def _read_partition(fh: BytesIO) -> ScorePartition:
-    (g,) = _read(fh, "I")
-    thresholds = _read(fh, f"{g + 1}d")
-    n_per_group = _read(fh, f"{g}Q")
-    m_per_group = _read(fh, f"{g}Q")
-    return ScorePartition(tuple(thresholds), tuple(n_per_group), tuple(m_per_group))
+def _sandwich(io: _Codec, f: SandwichedBloom | None = None) -> SandwichedBloom:
+    """seed, model bits, bitmap bits u64 | tau f64 | b1, b2 u64 | f_p, f_n f64 |
+    has initial u8 | initial sub-block if it has one | backup sub-block."""
+    seed, model_bits, bitmap_bits, tau, b1, b2, fp, fn, has_initial = io.fields(
+        "QQQdQQddB", f and (f.seed, f.model_bits, f.bitmap_bits, f.tau, f.b1_bits, f.b2_bits,
+                            _opt_float(f.fp_above), _opt_float(f.fn_below),
+                            f.initial is not None))
+    initial = _standard(io, seed, f and f.initial) if has_initial else None
+    backup = _standard(io, seed, f and f.backup)
+    return f or SandwichedBloom(tau, initial, backup, bitmap_bits, b1, b2, model_bits,
+                                _from_opt(fp), _from_opt(fn))
+
+
+def _ada(io: _Codec, f: AdaptiveBloom | None = None) -> AdaptiveBloom:
+    """seed, model bits, r u64 | c f64 | partition | k per group g u32 | bits."""
+    seed, model_bits, r, c = io.fields("QQQd", f and (f.seed, f.model_bits, f.bitmap_bits,
+                                                      _opt_float(f.params.c)))
+    partition = _partition(io, f and f.params.partition)
+    k_per_group = io.fields(f"{partition.g}I", f and f.params.k_per_group)
+    bits = io.bits(r, f and f.bits)
+    return f or AdaptiveBloom(bits, AdaptiveParams(partition, k_per_group, _from_opt(c)),
+                              HashFamily(seed), model_bits)
+
+
+def _disjoint(io: _Codec, f: DisjointBloom | None = None) -> DisjointBloom:
+    """seed, model bits u64 | c f64 | partition | r per group g u64 | k per group g u32 |
+    then per group with r > 0: n u64 | bits (lane j + 1 for group j)."""
+    seed, model_bits, c = io.fields("QQd", f and (f.seed, f.model_bits, f.params.c))
+    partition = _partition(io, f and f.params.partition)
+    r_per_group = io.fields(f"{partition.g}Q", f and f.params.r_per_group)
+    k_per_group = io.fields(f"{partition.g}I", f and f.params.k_per_group)
+    filters = []
+    for j, (r, k) in enumerate(zip(r_per_group, k_per_group)):
+        sub = f and f.filters[j]
+        if r:
+            (n,) = io.fields("Q", sub and (sub.n_inserted,))
+            bits = io.bits(r, sub and sub.bits)
+            sub = sub or StandardBloom(bits, k, HashFamily(seed, lane=j + 1), n)
+        filters.append(sub)
+    return f or DisjointBloom(tuple(filters), DisjointParams(partition, c, r_per_group,
+                                                             k_per_group), seed, model_bits)
+
+
+# class -> (kind byte, layout); dump_filter takes the first class in a filter's MRO
+_LAYOUTS = {StandardBloom: (0x01, _plain), LearnedBloom: (0x02, _lbf),
+            SandwichedBloom: (0x03, _sandwich), AdaptiveBloom: (0x04, _ada),
+            DisjointBloom: (0x05, _disjoint)}
+_BY_KIND = dict(_LAYOUTS.values())
 
 
 def dump_filter(filt) -> bytes:
     """Serialize any built filter variant to bytes."""
-    fh = BytesIO()
-    fh.write(MAGIC)
-    if isinstance(filt, StandardBloom):
-        fh.write(_pack("HB", VERSION, KIND_STANDARD))
-        fh.write(_pack("Q", filt.family.seed))
-        _write_standard_block(fh, filt)
-    elif isinstance(filt, LearnedBloom):
-        fh.write(_pack("HB", VERSION, KIND_LBF))
-        fh.write(_pack("QQQdd", filt.backup.family.seed, filt.model_bits,
-                       filt.bitmap_bits, filt.tau, _opt_float(filt.fp_above)))
-        _write_standard_block(fh, filt.backup)
-    elif isinstance(filt, SandwichedBloom):
-        fh.write(_pack("HB", VERSION, KIND_SANDWICH))
-        fh.write(_pack("QQQdQQddB", filt.backup.family.seed, filt.model_bits,
-                       filt.bitmap_bits, filt.tau, filt.b1_bits, filt.b2_bits,
-                       _opt_float(filt.fp_above), _opt_float(filt.fn_below),
-                       1 if filt.initial is not None else 0))
-        if filt.initial is not None:
-            _write_standard_block(fh, filt.initial)
-        _write_standard_block(fh, filt.backup)
-    elif isinstance(filt, AdaptiveBloom):
-        params = filt.params
-        fh.write(_pack("HB", VERSION, KIND_ADA))
-        fh.write(_pack("QQQd", filt.family.seed, filt.model_bits, filt.bitmap_bits,
-                       _opt_float(params.c)))
-        _write_partition(fh, params.partition)
-        fh.write(_pack(f"{params.g}I", *params.k_per_group))
-        fh.write(filt.bits.to_bytes())
-    elif isinstance(filt, DisjointBloom):
-        params = filt.params
-        fh.write(_pack("HB", VERSION, KIND_DISJOINT))
-        fh.write(_pack("QQd", filt.seed, filt.model_bits, params.c))
-        _write_partition(fh, params.partition)
-        fh.write(_pack(f"{params.g}Q", *params.r_per_group))
-        fh.write(_pack(f"{params.g}I", *params.k_per_group))
-        for sub in filt.filters:
-            if sub is not None:
-                fh.write(_pack("Q", sub.n_inserted))
-                fh.write(sub.bits.to_bytes())
-    else:
+    cls = next((c for c in type(filt).__mro__ if c in _LAYOUTS), None)
+    if cls is None:
         raise TypeError(f"cannot serialize {type(filt).__name__}")
-    return fh.getvalue()
+    kind, layout = _LAYOUTS[cls]
+    io = _Codec()
+    io.fields("4sHB", (MAGIC, VERSION, kind))
+    layout(io, filt)
+    return io.getvalue()
 
 
 def loads_filter(data: bytes):
@@ -160,64 +186,23 @@ def loads_filter(data: bytes):
 
     Raises :class:`FormatError` unless ``data`` is exactly one container.
     """
-    fh = BytesIO(data)
-    filt = _read_filter(fh)
-    if fh.read(1):
-        raise FormatError("trailing bytes after the last block")
-    return filt
-
-
-def _read_filter(fh: BytesIO):
-    if fh.read(4) != MAGIC:
+    io = _Codec(data)
+    if io.read(4) != MAGIC:
         raise FormatError("bad magic; not a filter container")
-    version, kind = _read(fh, "HB")
+    version, kind = io.fields("HB")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
+    if kind not in _BY_KIND:
+        raise FormatError(f"unknown filter kind 0x{kind:02x}")
     try:
-        return _read_kind(fh, kind)
+        filt = _BY_KIND[kind](io)
     except FormatError:
         raise
     except ValueError as exc:  # the parameters fail a constructor's checks
         raise FormatError(f"invalid filter parameters: {exc}") from exc
-
-
-def _read_kind(fh: BytesIO, kind: int):
-    if kind == KIND_STANDARD:
-        (seed,) = _read(fh, "Q")
-        return _read_standard_block(fh, seed)
-    if kind == KIND_LBF:
-        seed, model_bits, bitmap_bits, tau, fp_above = _read(fh, "QQQdd")
-        backup = _read_standard_block(fh, seed)
-        return LearnedBloom(tau, backup, bitmap_bits, model_bits, _from_opt(fp_above))
-    if kind == KIND_SANDWICH:
-        seed, model_bits, bitmap_bits, tau, b1, b2, fp, fn, has_initial = _read(fh, "QQQdQQddB")
-        initial = _read_standard_block(fh, seed) if has_initial else None
-        backup = _read_standard_block(fh, seed)
-        return SandwichedBloom(tau, initial, backup, bitmap_bits, b1, b2, model_bits,
-                               _from_opt(fp), _from_opt(fn))
-    if kind == KIND_ADA:
-        seed, model_bits, r, c = _read(fh, "QQQd")
-        partition = _read_partition(fh)
-        k_per_group = _read(fh, f"{partition.g}I")
-        params = AdaptiveParams(partition, tuple(k_per_group), _from_opt(c))
-        return AdaptiveBloom(_read_bits(fh, r), params, HashFamily(seed), model_bits)
-    if kind == KIND_DISJOINT:
-        seed, model_bits, c = _read(fh, "QQd")
-        partition = _read_partition(fh)
-        g = partition.g
-        r_per_group = _read(fh, f"{g}Q")
-        k_per_group = _read(fh, f"{g}I")
-        filters = []
-        for i, r_i in enumerate(r_per_group):
-            if r_i == 0:
-                filters.append(None)
-                continue
-            (n_inserted,) = _read(fh, "Q")
-            filters.append(StandardBloom(_read_bits(fh, r_i), k_per_group[i],
-                                         HashFamily(seed, lane=i + 1), n_inserted))
-        params = DisjointParams(partition, c, tuple(r_per_group), tuple(k_per_group))
-        return DisjointBloom(tuple(filters), params, seed, model_bits)
-    raise FormatError(f"unknown filter kind 0x{kind:02x}")
+    if io.read(1):
+        raise FormatError("trailing bytes after the last block")
+    return filt
 
 
 def save_filter(filt, path) -> None:

@@ -93,9 +93,11 @@ class TestRunSweep:
     def test_model_exceeding_budget_is_diagnostic_row(self, synth_small):
         rows = run_sweep(synth_small, budgets=[20_000], methods=["ada"], seeds=[0],
                          model_bits=25_000, **SMALL_GRIDS)
-        assert len(rows) == 1
-        assert rows[0].status.startswith("infeasible")
-        assert math.isnan(rows[0].empirical_fpr)
+        (row,) = rows
+        assert (row.bitmap_bits, row.model_bits, row.status) == (
+            0, 25_000, "infeasible: model (25000 bits) exceeds budget")
+        assert math.isnan(row.empirical_fpr) and math.isnan(row.fnr)
+        assert (row.analytical_fpr, row.build_ms, row.query_ns_p50) == (None, None, None)
 
     @pytest.mark.parametrize("is_key", [True, False])
     def test_bad_score_raises_before_any_cell(self, is_key):

@@ -17,6 +17,7 @@ fingerprint must keep their bytes.
 
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +151,9 @@ def test_sweep_golden_quick(synth_bench):
     assert _sha256(rows_to_csv(rows).encode()) == SWEEP_QUICK_SHA256
 
 
-# sha256 of dump_filter(filter) for the filters built by _container_fixtures
+# sha256 of dump_filter(filter) for the filters built by container_fixtures,
+# whose v1 bytes are committed as V1_FIXTURES / "<name>.adbf"
+V1_FIXTURES = Path(__file__).parent / "data" / "v1"
 DUMP_SHA256 = {
     "standard": "18fce1b0a174c672155b13862b4a41889789fef15fecbb10f7db4dd00a877c03",
     "lbf": "355889b6b3437cf5a9c7b8340c60c4e9e1f8352bd1ca147f9341287541e1dcfa",
@@ -198,8 +201,23 @@ def test_dump_golden(name, container_fixtures):
 @pytest.mark.parametrize("name", sorted(DUMP_SHA256))
 def test_loaded_fixture_answers_like_built(name, container_fixtures):
     ds, filters = container_fixtures
-    built = filters[name]
-    loaded = loads_filter(dump_filter(built))
+    _assert_answers_like(filters[name], loads_filter(dump_filter(filters[name])), ds)
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_SHA256))
+def test_committed_v1_container_loads_and_dumps_back(name, container_fixtures):
+    # tests/data/v1 holds the bytes that the v1 writer wrote, one file per pin;
+    # a field read back into the wrong place dumps different bytes
+    ds, filters = container_fixtures
+    data = (V1_FIXTURES / f"{name}.adbf").read_bytes()
+    assert _sha256(data) == DUMP_SHA256[name]
+    loaded = loads_filter(data)
+    assert dump_filter(loaded) == data
+    _assert_answers_like(filters[name], loaded, ds)
+
+
+def _assert_answers_like(built, loaded, ds):
+    """``loaded`` answers 567 probes (every third item, 300 fresh ids) as ``built`` does."""
     rng = np.random.default_rng(17)
     ids = [it.id for it in ds.items[::3]] + [f"fresh-{i}" for i in range(300)]
     scores = np.concatenate([[it.score for it in ds.items[::3]], rng.uniform(0, 1, 300)])

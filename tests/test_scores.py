@@ -141,6 +141,16 @@ class TestCsvLoading:
             'id,score,label\n"a""b",0.5,key\n"c\nd",0.25,nonkey\ne,1.0,key\n')
         assert load_scored_csv(path).items == items
 
+    @pytest.mark.parametrize("bad", ["", "a,b", "e\rf"])
+    def test_an_id_the_loader_cannot_read_is_refused_before_the_file(self, tmp_path, bad):
+        items = (ScoredItem("x", 0.5, True), ScoredItem(bad, 0.25, False),
+                 ScoredItem("y,z", 1.0, True))
+        path = tmp_path / "refused.csv"
+        with pytest.raises(DatasetError) as exc:
+            save_scored_csv(ScoredDataset(items), path)
+        assert str(exc.value) == f"{path}: id {bad!r} must be non-empty and hold no comma or CR"
+        assert not path.exists()
+
     def test_roundtrip(self, tmp_path):
         ds = gen_synthetic(50, 70, seed=4)
         path = tmp_path / "round.csv"
@@ -217,13 +227,18 @@ class TestColumns:
                     digest.update(f"{it.id},{it.score!r},{it.label}\n".encode("utf-8"))
                     csv.writer(text, lineterminator="\n").writerow(
                         (it.id, repr(it.score), it.label))
+                assert ds.fingerprint() == digest.hexdigest()
                 path = os.path.join(tmp, "ds.csv")
+                ids = "".join(ds.ids)
+                if not all(ds.ids) or set(ids) & set(",\r"):  # the loader cannot read them
+                    with pytest.raises(DatasetError, match="must be non-empty and hold no comma"):
+                        save_scored_csv(ds, path)
+                    assert not os.path.exists(path)
+                    continue
                 save_scored_csv(ds, path)
                 with open(path, newline="", encoding="utf-8") as fh:
                     assert fh.read() == text.getvalue()
-                assert ds.fingerprint() == digest.hexdigest()
-                ids = "".join(ds.ids)
-                if all(ds.ids) and len(set(ds.ids)) == len(ds) and not set(ids) & set(",\r\n"):
+                if len(set(ds.ids)) == len(ds) and "\n" not in ids:
                     assert load_scored_csv(path).items == ds.items
 
     def test_a_scored_item_has_slots_and_is_frozen(self):
