@@ -20,29 +20,42 @@ produce identical indices.
 tests compare the batch path against it. ``HashFamily.base_pairs`` hashes
 a batch column-wise instead, in chunks of ``_HASH_CHUNK`` items, which
 bounds the temporaries. Each chunk becomes one ``bytes`` buffer holding its
-ids, plus the start and byte length of each id (``_chunk_bytes``):
+ids (``_chunk_bytes``):
 
 - a chunk of ``str`` ids whose joined text is ASCII is joined with a NUL
-  between ids and encoded once, and one compare of the bytes with 0 finds
-  where each id ends. On 8192 ``q…`` ids this took 113 us where taking the
-  lengths with ``len`` per id took 250 us, and the whole chunk 179 instead
-  of 292 us (2-core Xeon, numpy 2.4, best of 300);
+  between ids and encoded once. On 8192 ``q…`` ids this took 113 us where
+  taking the lengths with ``len`` per id took 250 us (2-core Xeon, numpy
+  2.4, best of 300);
 - any other chunk (``bytes``, ``bytearray``, ``memoryview``, non-ASCII
   text, an id holding a NUL, a mix) converts each id as ``base_pair`` does
   and joins the bytes.
 
 Both give the bytes the per-item path hashes, and a bad id raises the same
 ``TypeError``. Converting id by id took about 35 of the 57 ms that hashing
-100k ASCII ids took; with the chunks joined, hashing them takes about 20 ms
-(2-core Xeon, numpy 2.4), and a batch of 10k ``q…`` ids 0.97 instead of
-1.25 ms with the separator. With the ids sorted longest first, step j xors
-byte j of every id longer than j bytes (a prefix of the rows, read from
-the buffer at the id's start plus j) into its states and multiplies them
-by the FNV prime, for both salts in one ``(2, n)`` array. Once no more than
-``_SCALAR_TAIL_ROWS`` ids of a chunk are still active, they finish in the
-Python loop from their current states, reading the rest of each id as a
-slice of the buffer, so one long id among short ones costs what it costs
-the per-item loop.
+100k ASCII ids took when every chunk was hashed as below.
+
+If more than ``_SCALAR_TAIL_ROWS`` ids of a chunk have one byte length L,
+the buffer is already a matrix of their bytes: ``(n, L + 1)`` for the
+joined text, which is then n * (L + 1) - 1 bytes long with a NUL at every
+(L + 1)-th byte, and ``(n, L)`` for the per-id join. Byte column j is a
+strided view, xored into the states of both salts in one ``(2, n)`` array
+that is the chunk's own slice of the output, in item order: no sort, no
+gather, no scatter, and the finalizer runs in place there. A batch of 10k
+``q…`` ids (8 bytes each, as in the benchmark's query batches) took
+0.69 ms where sorting them as below took 1.48 ms, and 100k of them 6.6
+instead of 12.6 ms (2-core Xeon, numpy 2.4, best of 15 x 20, raw).
+
+Any other chunk takes the start and length of each id: of the joined text
+from one compare of its bytes with 0, of the per-id join from the ids'
+lengths. With the ids sorted longest first, step j xors byte j of every id
+longer than j bytes (a prefix of the rows, read from the buffer at the
+id's start plus j) into its states and multiplies them by the FNV prime.
+Once no more than ``_SCALAR_TAIL_ROWS`` ids of a chunk are still active,
+they finish in the Python loop from their current states, reading the rest
+of each id as a slice of the buffer, so one long id among short ones costs
+what it costs the per-item loop. The finished states go back to item order
+by one scatter per salt: 98 us on an 8192-id chunk, where one 2-D fancy
+scatter of both took 191 us.
 
 ``BitVector.set_hashed`` computes w probe columns of a batch at once, as
 the ``(w, n)`` slab ``(a + b * cols[:, None]) % R`` of at most ``_SLAB``
@@ -167,6 +180,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# _avalanche's shift and multipliers as numpy scalars: numpy 1.x cannot apply a
+# Python int to a uint64 array in place
+_SHIFT = np.uint64(33)
+_FMIX_A = np.uint64(0xFF51AFD7ED558CCD)
+_FMIX_B = np.uint64(0xC4CEB9FE1A85EC53)
 
 _BYTE_MASKS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
@@ -211,11 +229,16 @@ def _avalanche(h: int) -> int:
 
 
 def _avalanche_array(h: np.ndarray) -> np.ndarray:
-    h = h ^ (h >> np.uint64(33))
-    h = h * np.uint64(0xFF51AFD7ED558CCD)
-    h = h ^ (h >> np.uint64(33))
-    h = h * np.uint64(0xC4CEB9FE1A85EC53)
-    return h ^ (h >> np.uint64(33))
+    """``_avalanche`` of every element of a ``uint64`` array, in place; returns it."""
+    t = h >> _SHIFT
+    h ^= t
+    h *= _FMIX_A
+    np.right_shift(h, _SHIFT, out=t)
+    h ^= t
+    h *= _FMIX_B
+    np.right_shift(h, _SHIFT, out=t)
+    h ^= t
+    return h
 
 
 def _base_hash(data: bytes, salt: int) -> int:
@@ -225,24 +248,30 @@ def _base_hash(data: bytes, salt: int) -> int:
     return _avalanche(h)
 
 
-def _fnv1a_columns(buf: bytes, starts: np.ndarray, lengths: np.ndarray,
-                   salts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """FNV-1a states of every id under both salts, before the finalizer.
+def _fnv1a_columns(state: np.ndarray, buf, starts: np.ndarray | None,
+                   lengths: np.ndarray | None) -> np.ndarray | None:
+    """Run FNV-1a over the ids of a chunk under both salts, in ``state``.
 
-    Id j is ``buf[starts[j]:starts[j] + lengths[j]]``. Returns the ``(2, n)``
-    states in the order longest id first, and that order as indices into
-    ``lengths``.
+    ``state`` is ``(2, n)``, each row its salt's offset basis; the finalizer
+    is left to the caller. If ``starts`` is None, ``buf`` is the ``(n, L)``
+    byte matrix of ids of one length (see ``_chunk_bytes``): byte column j
+    is xored into the states in item order, and None is returned.
+    Otherwise id j is ``buf[starts[j]:starts[j] + lengths[j]]``, the states
+    end in the order longest id first, and that order is returned, as
+    indices into ``lengths``.
     """
+    prime = np.uint64(_FNV_PRIME)
+    if starts is None:
+        for column in buf.T:  # byte j of every id, a strided view
+            state ^= column
+            state *= prime
+        return None
     n = len(lengths)
     order = np.argsort(-lengths, kind="stable")
     pos = starts[order]
     # longer[j]: how many ids are longer than j bytes, i.e. the active prefix
     longer = (n - np.cumsum(np.bincount(lengths))).tolist()
     data = np.frombuffer(buf, dtype=np.uint8)
-    state = np.empty((2, n), dtype=np.uint64)
-    state[0] = _FNV_OFFSET ^ salts[0]
-    state[1] = _FNV_OFFSET ^ salts[1]
-    prime = np.uint64(_FNV_PRIME)
     for j, rows in enumerate(longer[:-1]):
         if rows <= _SCALAR_TAIL_ROWS:
             # the loop of _base_hash, resumed at byte j, both salts per byte
@@ -260,7 +289,7 @@ def _fnv1a_columns(buf: bytes, starts: np.ndarray, lengths: np.ndarray,
         active ^= data[pos[:rows]]
         active *= prime
         pos[:rows] += 1
-    return state, order
+    return order
 
 
 def _item_bytes(item: bytes | str) -> bytes:
@@ -273,26 +302,40 @@ def _item_bytes(item: bytes | str) -> bytes:
     raise TypeError(f"items must be bytes or str, got {type(item).__name__}")
 
 
-def _chunk_bytes(chunk: list) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """The ids of a chunk as one buffer, with the start and byte length of each id.
+def _chunk_bytes(chunk: list) -> tuple:
+    """The ids of a chunk as one buffer: ``(buf, starts, lengths)``, the start
+    and byte length of each id in ``buf``, or ``(rows, None, None)``.
 
-    A chunk of ``str`` ids whose joined text is ASCII and holds no NUL but
-    the separators is joined with a NUL between ids and encoded once, and
-    one compare of the bytes with 0 finds where the ids end. Any other
-    chunk is converted id by id and joined without separators.
+    ``rows`` is given for more than ``_SCALAR_TAIL_ROWS`` ids of one byte
+    length L (fewer finish in the Python loop): the ``(n, L)`` matrix of
+    their bytes, a strided view of the buffer. A chunk of ``str`` ids whose
+    joined text is ASCII and holds no NUL but the separators is joined with
+    a NUL between ids and encoded once. Its ids have one length L if the
+    text is n * (L + 1) - 1 bytes long and every (L + 1)-th byte is a NUL:
+    those are then all n - 1 NULs. Otherwise one compare of the bytes with
+    0 finds where the ids end. Any other chunk is converted id by id and
+    joined without separators.
     """
+    n = len(chunk)
     try:
         text = _SEPARATOR.join(chunk)
     except TypeError:  # an id that is not a str
         text = None
-    if text is not None and text.isascii() and text.count(_SEPARATOR) == len(chunk) - 1:
+    if text is not None and text.isascii() and text.count(_SEPARATOR) == n - 1:
         buf = text.encode("ascii")
+        width = len(chunk[0]) + 1  # an id and its separator
+        if (n > _SCALAR_TAIL_ROWS and len(buf) == n * width - 1
+                and not np.ndarray(n - 1, np.uint8, buf, width - 1, (width,)).any()):
+            return np.ndarray((n, width - 1), np.uint8, buf, 0, (width, 1)), None, None
         cuts = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
         starts = np.concatenate(([0], cuts + 1))
         return buf, starts, np.append(cuts, len(buf)) - starts
     data = [_item_bytes(item) for item in chunk]
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    return b"".join(data), np.cumsum(lengths) - lengths, lengths
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=n)
+    buf = b"".join(data)
+    if n > _SCALAR_TAIL_ROWS and (lengths == lengths[0]).all():
+        return np.ndarray((n, len(data[0])), np.uint8, buf), None, None
+    return buf, np.cumsum(lengths) - lengths, lengths
 
 
 class HashFamily:
@@ -332,15 +375,29 @@ class HashFamily:
         Equal, item by item, to :meth:`base_pair`, computed column-wise in
         chunks of ``_HASH_CHUNK`` items, each hashed from one buffer of its
         ids' bytes: a chunk of ASCII ``str`` ids is joined and encoded once,
-        any other is converted id by id (see the module docstring). Raises
-        TypeError on an item that is not bytes, bytearray, memoryview or str.
+        any other is converted id by id, and the ids of a chunk of one byte
+        length are hashed as the rows of a byte matrix (see the module
+        docstring). Raises TypeError on an item that is not bytes,
+        bytearray, memoryview or str.
         """
         items = list(items)
         out = np.empty((2, len(items)), dtype=np.uint64)
-        salts = (self._salt_a, self._salt_b)
+        basis = np.array([[_FNV_OFFSET ^ self._salt_a], [_FNV_OFFSET ^ self._salt_b]],
+                         dtype=np.uint64)
         for lo in range(0, len(items), _HASH_CHUNK):
-            state, order = _fnv1a_columns(*_chunk_bytes(items[lo:lo + _HASH_CHUNK]), salts)
-            out[:, lo + order] = _avalanche_array(state)
+            chunk = items[lo:lo + _HASH_CHUNK]
+            buf, starts, lengths = _chunk_bytes(chunk)
+            # ids of one length are hashed in item order, so in place; others sorted
+            if starts is None:
+                state = out[:, lo:lo + len(chunk)]
+            else:
+                state = np.empty((2, len(chunk)), dtype=np.uint64)
+            state[...] = basis
+            order = _fnv1a_columns(state, buf, starts, lengths)
+            _avalanche_array(state)
+            if order is not None:
+                order += lo
+                out[0, order], out[1, order] = state
         return out[0], out[1]
 
     def pair(self, item: bytes | str) -> tuple[int, int]:

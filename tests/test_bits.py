@@ -192,6 +192,84 @@ class TestBasePairs:
         assert got == scalar_pairs(fam, items)
 
 
+# Chunks of ids of one byte length, hashed as the rows of a strided byte matrix.
+ONE_LENGTH = {
+    "ascii_str": [f"q{i:07d}" for i in range(300)],
+    "bytes": [f"b{i:05d}".encode() for i in range(300)],
+    "memoryview": [memoryview(f"m{i:05d}".encode()) for i in range(300)],
+    "bytes_likes_and_str": [kind(f"{i:06d}".encode()) for i in range(300)
+                            for kind in (bytes, bytearray, memoryview, bytes.decode)],
+    # 3 bytes each in UTF-8, of 2 and 3 characters
+    "non_ascii_str": [("é" if i % 2 else "ab") + str(i % 10) for i in range(300)],
+    "empty": ["", b"", np.str_("")] * 100,
+    "holding_nul": [f"a\x00{i % 10}" for i in range(150)] + [b"\x00\x00\x00", "\x00xy"] * 75,
+}
+
+
+class TestOneLengthChunks:
+    """A chunk of more than ``_SCALAR_TAIL_ROWS`` ids of one byte length is hashed as an
+    (n, L) byte matrix, in item order: the same pairs as ``base_pair``."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_LENGTH))
+    def test_equals_scalar(self, kind):
+        items = ONE_LENGTH[kind]
+        rows, starts, _ = bits._chunk_bytes(items)
+        assert starts is None and rows.shape[0] == len(items)
+        fam = HashFamily(21)
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    # tail_rows 0 takes the matrix for any number of ids
+    @pytest.mark.parametrize("tail_rows", [0, bits._SCALAR_TAIL_ROWS])
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(0, 24), data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_drawn_ids_of_one_length_equal_scalar(self, tail_rows, length, data, seed):
+        one = st.one_of(
+            st.text(st.characters(max_codepoint=127), min_size=length, max_size=length),
+            st.tuples(st.sampled_from([bytes, bytearray, memoryview]),
+                      st.binary(min_size=length, max_size=length)).map(lambda t: t[0](t[1])))
+        items = data.draw(st.lists(one, min_size=1, max_size=60))
+        fam = HashFamily(seed)
+        with mock.patch.object(bits, "_SCALAR_TAIL_ROWS", tail_rows):
+            assert (bits._chunk_bytes(items)[1] is None) == (len(items) > tail_rows)
+            assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    def test_ids_of_one_length_in_text_of_that_size(self):
+        # n * (L + 1) - 1 bytes of joined text with lengths 7 and 9 among the 8s:
+        # the NULs are not every ninth byte, so the chunk is cut at its NULs
+        items = [f"q{i:07d}" for i in range(40)]
+        items[5], items[6] = "q123456", "q12345678"
+        assert bits._chunk_bytes(items)[1] is not None
+        fam = HashFamily(22)
+        assert batch_pairs(fam, items) == scalar_pairs(fam, items)
+
+    @pytest.mark.parametrize("first", ["one_length", "mixed"])
+    def test_chunk_boundary_between_one_length_and_mixed(self, first):
+        one_length = [f"k{i:07d}" for i in range(bits._HASH_CHUNK)]
+        mixed = [f"s{i}" for i in range(bits._HASH_CHUNK - 2)] + [b"raw", "clé"]
+        items = one_length + mixed if first == "one_length" else mixed + one_length
+        fam = HashFamily(23)
+        with mock.patch.object(bits, "_fnv1a_columns", wraps=bits._fnv1a_columns) as hasher:
+            got = batch_pairs(fam, items)
+        assert got == scalar_pairs(fam, items)
+        # the chunk of one length is a matrix (no starts), the other is cut
+        starts = [call.args[2] is None for call in hasher.call_args_list]
+        assert starts == ([True, False] if first == "one_length" else [False, True])
+
+    def test_one_length_chunk_takes_no_sort_or_gather(self):
+        items = [f"q{i:07d}" for i in range(bits._HASH_CHUNK + 100)]
+        fam = HashFamily(24)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as cuts, \
+                mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as gather_source, \
+                mock.patch.object(bits, "_fnv1a_columns", wraps=bits._fnv1a_columns) as hasher:
+            got = batch_pairs(fam, items)
+        # no sort by length, no NUL scan, and no flat byte array to gather from
+        assert argsort.call_count == cuts.call_count == gather_source.call_count == 0
+        assert [call.args[1].shape for call in hasher.call_args_list] == [
+            (bits._HASH_CHUNK, 8), (100, 8)]
+        assert got == scalar_pairs(fam, items)
+
+
 class TestHashFamily:
     def test_deterministic_across_instances(self):
         f1 = HashFamily(42)

@@ -399,6 +399,41 @@ class TestOneWalk:
         insert_keys(scored(scores, [0.5]), 5, filt.stages)
         assert filt.contains_batch(a, b, scores).all()
 
+    def test_scalar_contains_probes_only_the_stages_holding_the_score(self, monkeypatch):
+        # 2000 disjoint stages, a gap, and two later stages over them (a sandwich's
+        # backup, an empty interval)
+        g = 2000
+        spec = [(j / g, (j + 1) / g, 64, 2, 1 + j % 3) for j in range(g - 10)]
+        spec += [(0.999, math.inf, 64, 2, 2), (0.0, 0.25, 4000, 3, 0), (0.6, 0.6, 64, 1, 1)]
+        rng = np.random.default_rng(30)
+        ds = scored(rng.random(300), rng.random(300))
+        filt = GatedBloom(fresh_stages(spec, 30), 30)
+        insert_keys(ds, 30, filt.stages)
+        reads = []
+
+        class Stages(tuple):  # counts the scans of the stage list
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        filt.stages = Stages(filt.stages)
+        probed = []
+        original = StandardBloom.contains
+        monkeypatch.setattr(StandardBloom, "contains",
+                            lambda self, item, score=None: probed.append(self) or original(self, item))
+        bounds = [x for lo, hi, *_ in spec for x in (lo, hi) if x <= 1.0]
+        queries = list(zip(ds.ids, ds.scores.tolist())) + [
+            (f"b{i}", score) for i, score in enumerate(bounds[::7] + [0.0, 0.9955, 0.999, 1.0])]
+        for item, score in queries:
+            holding = [stage for lo, hi, stage in tuple.__iter__(filt.stages) if lo <= score < hi]
+            want = all(original(stage, item) for stage in holding)
+            probed.clear()
+            assert filt.contains(item, score) == want
+            # at most the stages holding the score, and all of them if the item passes
+            assert all(any(stage is held for held in holding) for stage in probed)
+            assert len(probed) <= len(holding) and (not want or len(probed) == len(holding))
+        assert reads == [1]  # once, to plan; each query bisects the plan's bounds
+
 
 class TestPrefixFills:
     """A fresh stage on the view that extends the view's last fresh fill of the same
