@@ -180,11 +180,12 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-# _avalanche's shift and multipliers as numpy scalars: numpy 1.x cannot apply a
-# Python int to a uint64 array in place
+# _avalanche's shift and multipliers and the FNV prime as numpy scalars: numpy
+# 1.x cannot apply a Python int to a uint64 array in place
 _SHIFT = np.uint64(33)
 _FMIX_A = np.uint64(0xFF51AFD7ED558CCD)
 _FMIX_B = np.uint64(0xC4CEB9FE1A85EC53)
+_PRIME = np.uint64(_FNV_PRIME)
 
 _BYTE_MASKS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
@@ -248,24 +249,15 @@ def _base_hash(data: bytes, salt: int) -> int:
     return _avalanche(h)
 
 
-def _fnv1a_columns(state: np.ndarray, buf, starts: np.ndarray | None,
-                   lengths: np.ndarray | None) -> np.ndarray | None:
+def _fnv1a_columns(state: np.ndarray, buf: bytes, starts: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
     """Run FNV-1a over the ids of a chunk under both salts, in ``state``.
 
     ``state`` is ``(2, n)``, each row its salt's offset basis; the finalizer
-    is left to the caller. If ``starts`` is None, ``buf`` is the ``(n, L)``
-    byte matrix of ids of one length (see ``_chunk_bytes``): byte column j
-    is xored into the states in item order, and None is returned.
-    Otherwise id j is ``buf[starts[j]:starts[j] + lengths[j]]``, the states
-    end in the order longest id first, and that order is returned, as
-    indices into ``lengths``.
+    is left to the caller. Id j is ``buf[starts[j]:starts[j] + lengths[j]]``.
+    The states end in the order longest id first, and that order is
+    returned, as indices into ``lengths``.
     """
-    prime = np.uint64(_FNV_PRIME)
-    if starts is None:
-        for column in buf.T:  # byte j of every id, a strided view
-            state ^= column
-            state *= prime
-        return None
     n = len(lengths)
     order = np.argsort(-lengths, kind="stable")
     pos = starts[order]
@@ -287,7 +279,7 @@ def _fnv1a_columns(state: np.ndarray, buf, starts: np.ndarray | None,
             break
         active = state[:, :rows]
         active ^= data[pos[:rows]]
-        active *= prime
+        active *= _PRIME
         pos[:rows] += 1
     return order
 
@@ -387,17 +379,18 @@ class HashFamily:
         for lo in range(0, len(items), _HASH_CHUNK):
             chunk = items[lo:lo + _HASH_CHUNK]
             buf, starts, lengths = _chunk_bytes(chunk)
-            # ids of one length are hashed in item order, so in place; others sorted
-            if starts is None:
+            if starts is None:  # ids of one length: hashed in item order, in place
                 state = out[:, lo:lo + len(chunk)]
+                state[...] = basis
+                for column in buf.T:  # byte j of every id, a strided view
+                    state ^= column
+                    state *= _PRIME
+                _avalanche_array(state)
             else:
                 state = np.empty((2, len(chunk)), dtype=np.uint64)
-            state[...] = basis
-            order = _fnv1a_columns(state, buf, starts, lengths)
-            _avalanche_array(state)
-            if order is not None:
-                order += lo
-                out[0, order], out[1, order] = state
+                state[...] = basis
+                order = _fnv1a_columns(state, buf, starts, lengths) + lo
+                out[0, order], out[1, order] = _avalanche_array(state)
         return out[0], out[1]
 
     def pair(self, item: bytes | str) -> tuple[int, int]:

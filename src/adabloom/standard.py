@@ -42,8 +42,8 @@ items, and a NaN key score sorts last and counts as above every bound.
 
 A batch query without rows (a query batch, a plain dataset) is answered
 by one probe walk over stages with disjoint intervals, picked in one pass
-by lower bound (``_Plan``), if there are at least two (``_Walk``). So each
-item gets its stage once, by ``searchsorted`` of its score in their bounds, is
+by lower bound (``_Walk``), if there are at least two. So each item gets
+its stage once, by ``searchsorted`` of its score in their bounds, is
 remixed once on that stage's lane, and all items walk in one
 ``BitVector.test_hashed`` call with a hash count (0 outside every stage,
 which passes), range and bit offset each; the offsets point into the
@@ -53,11 +53,7 @@ a time, on the survivors inside their interval: a stage that overlaps a
 walked one (a sandwich's backup), and a stage that would walk alone
 (``lbf``'s backup, the sandwich's initial filter). A batch of more than
 ``_WALK_ITEMS`` (2**15) items walks in blocks of that many, which bounds
-the walk's per-item arrays to a few MiB. A scalar ``contains`` finds its
-walked stage in the same plan by ``bisect`` and then tests the later
-stages that hold its score: on a 20,000-stage filter a call took 10-15 us,
-where testing every stage's interval took 560-620 us (2-core Xeon, raw,
-best of 5 x 1000 calls, 3 runs).
+the walk's per-item arrays to a few MiB.
 On one 10k batch of the benchmark's query workload (2-core Xeon, numpy
 2.4, best of 4 x 1000, raw) ``ada`` took 0.48 ms where a walk per stage
 took 1.18 ms, and ``disjoint`` 0.78 instead of 1.52 ms; ``searchsorted``
@@ -69,7 +65,6 @@ non-keys of a score-ordered view, ``disjoint`` at g = 8 and 150 Kb took
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterable, NamedTuple
 
@@ -196,29 +191,38 @@ def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
 _WALK_ITEMS = 1 << 15
 
 
-class _Plan(NamedTuple):
-    """How ``GatedBloom`` finds the stages that hold a score, without probe rows.
+class _Walk(NamedTuple):
+    """How ``GatedBloom.contains_batch`` answers a batch without probe rows.
 
     The walked stages are picked in one pass over the stages by lower
     bound: a stage walks if it starts at or past the end of the last one
-    picked. They hold disjoint score intervals, so each score is in at
-    most one of them. Their distinct bounds cut the scores into pieces: a
-    score's piece is the number of bounds at or below it, and a piece's
-    stage is the walked stage that starts at the piece's lower bound (or
-    None), found in a dict. The ``later`` stages are probed on their own:
-    those that overlap a walked one (a sandwich's backup), and every stage
-    if fewer than two would walk, since one stage alone needs no counts. A
-    query passes iff every stage that holds its score does, so which of two
-    overlapping stages walks does not change an answer. A plan reads no
-    bits, so it holds before the arrays freeze.
+    picked. They hold disjoint score intervals, so each item is in at most
+    one of them, and all of them are probed in one ``test_hashed`` walk
+    with a hash count, range and bit offset per item. Their distinct bounds
+    cut the scores into pieces: a score's piece is the number of bounds at
+    or below it, and per-piece tables give each item its stage's count (0
+    outside every stage), lane, range and offset; a piece's stage is the
+    walked stage that starts at the piece's lower bound, found in a dict.
+    The ``later`` stages are probed afterwards, one at a time, on the
+    survivors inside their interval: those that overlap a walked one (a
+    sandwich's backup), and every stage if fewer than two would walk, since
+    one stage alone needs no counts. A query passes iff every stage that
+    holds its score does, so which of two overlapping stages walks does not
+    change an answer.
     """
 
-    bounds: tuple  # the walked stages' distinct bounds, ascending; open ends infinite
-    holders: tuple  # per piece: its walked stage, or None
+    bounds: np.ndarray  # the walked stages' distinct bounds, ascending; open ends infinite
+    counts: np.ndarray  # per piece: its stage's k, or 0
+    k: int  # the largest count
+    family: HashFamily | None  # the stages' one family, or None: ``salts`` per piece
+    salts: tuple | None  # ``HashFamily.lane_salts`` of the pieces' families, made once
+    bits: BitVector | None  # the stages' one array, or their arrays end to end
+    ranges: np.ndarray | None  # per piece, if several arrays: the stage's range
+    offsets: np.ndarray | None  # and the bit its array starts at, on a byte boundary
     later: tuple
 
     @classmethod
-    def of(cls, stages) -> "_Plan":
+    def of(cls, stages) -> "_Walk":
         walked, later, end = [], [], -math.inf
         for lo, hi, stage in sorted(stages, key=lambda s: s[0]):  # one pass by lower bound
             span = (-math.inf if lo <= 0.0 else lo, math.inf if hi > 1.0 else hi)
@@ -229,39 +233,16 @@ class _Plan(NamedTuple):
                 later.append((lo, hi, stage))
         if len(walked) < 2:
             walked, later = [], list(stages)
-        bounds = sorted({x for span, _ in walked for x in span})
+        bounds = np.unique(np.array([x for span, _ in walked for x in span], dtype=np.float64))
         # piece p holds the scores from bounds[p - 1] up to bounds[p]: no walked stage
         # starts or ends inside another, so its stage is the one starting at bounds[p - 1]
         by_start = {lo: stage for (lo, _), stage in walked}
-        return cls(tuple(bounds), (None, *map(by_start.get, bounds)), tuple(later))
-
-
-class _Walk(NamedTuple):
-    """How ``GatedBloom.contains_batch`` probes a plan's walked stages.
-
-    All of them are probed in one ``test_hashed`` walk with a hash count,
-    range and bit offset per item: a score's piece is found by
-    ``searchsorted`` in the plan's bounds, and per-piece tables give each
-    item its stage's count (0 outside every stage), lane, range and offset.
-    """
-
-    bounds: np.ndarray  # the plan's bounds, for ``searchsorted``
-    counts: np.ndarray  # per piece: its stage's k, or 0
-    k: int  # the largest count
-    family: HashFamily | None  # the stages' one family, or None: ``salts`` per piece
-    salts: tuple | None  # ``HashFamily.lane_salts`` of the pieces' families, made once
-    bits: BitVector | None  # the stages' one array, or their arrays end to end
-    ranges: np.ndarray | None  # per piece, if several arrays: the stage's range
-    offsets: np.ndarray | None  # and the bit its array starts at, on a byte boundary
-
-    @classmethod
-    def of(cls, plan: _Plan) -> "_Walk":
-        walked = [stage for stage in plan.holders if stage is not None]
-        at = [stage or walked[0] for stage in plan.holders] if walked else []
-        counts = np.array([stage.k if stage else 0 for stage in plan.holders], dtype=np.intp)
+        holders = [None] + [by_start.get(x) for x in bounds.tolist()]
+        at = [stage or walked[0][1] for stage in holders] if walked else []
+        counts = np.array([stage.k if stage else 0 for stage in holders], dtype=np.intp)
         families = tuple(stage.family for stage in at)
         same = len({(f.seed, f.lane) for f in families}) == 1
-        arrays = list({id(stage.bits): stage.bits for stage in walked}.values())
+        arrays = list({id(stage.bits): stage.bits for _, stage in walked}.values())
         bits, ranges, offsets = (arrays or [None])[0], None, None
         if len(arrays) > 1:
             start, starts = 0, {}
@@ -271,9 +252,9 @@ class _Walk(NamedTuple):
             bits = BitVector.from_bytes(b"".join(array.to_bytes() for array in arrays), start)
             ranges = np.array([stage.bits.length_bits for stage in at], dtype=np.uint64)
             offsets = np.array([starts[id(stage.bits)] for stage in at], dtype=np.uint64)
-        return cls(np.array(plan.bounds, dtype=np.float64), counts, int(counts.max(initial=0)),
-                   families[0] if same else None,
-                   None if same else HashFamily.lane_salts(families), bits, ranges, offsets)
+        return cls(bounds, counts, int(counts.max(initial=0)), families[0] if same else None,
+                   None if same else HashFamily.lane_salts(families), bits, ranges, offsets,
+                   tuple(later))
 
     def answer(self, base_a: np.ndarray, base_b: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The walked stages' answers: True where an item's stage holds it, or it has none."""
@@ -298,36 +279,22 @@ class _Walk(NamedTuple):
 class GatedBloom:
     """Score-gated Bloom stages; see the module docstring. Zero FNR."""
 
-    __slots__ = ("stages", "seed", "model_bits", "_plan", "_walk")
+    __slots__ = ("stages", "seed", "model_bits", "_walk")
 
     def __init__(self, stages, seed: int, model_bits: int = 0):
         self.stages: tuple[tuple[float, float, StandardBloom], ...] = tuple(stages)
         self.seed = seed
         self.model_bits = model_bits
-        self._plan: _Plan | None = None  # made on the first query
         self._walk: _Walk | None = None  # made on the first batch once every array is frozen
 
-    def _planned(self) -> _Plan:
-        if self._plan is None:
-            self._plan = _Plan.of(self.stages)
-        return self._plan
-
     def contains(self, item: bytes | str, score: float | None = None) -> bool:
-        """True iff every stage whose [lo, hi) holds ``score`` holds the item.
-
-        The stages are found in the plan (``_Plan``): the score's piece's
-        stage by a bisect in the walked stages' bounds, then the later ones.
-        """
+        """True iff every stage whose [lo, hi) holds ``score`` holds the item."""
         if score is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {score}")
         score = float(score)  # as in ``check_scores``: a float32 would meet the bounds in float32
-        plan = self._planned()
-        stage = plan.holders[bisect.bisect_right(plan.bounds, score)]
-        if stage is not None and not stage.contains(item):
-            return False
-        return all(stage.contains(item) for lo, hi, stage in plan.later if lo <= score < hi)
+        return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
 
     def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
                        scores: np.ndarray | None = None, *,
@@ -341,7 +308,7 @@ class GatedBloom:
         ranges, and a range of an unordered batch would send keys to the
         wrong stages. A batch without rows is answered by one walk over
         stages with disjoint intervals, if there are two or more (see
-        ``_Plan`` and ``_Walk``).
+        ``_Walk``).
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
@@ -350,10 +317,10 @@ class GatedBloom:
         if rows is None:
             walk = self._walk
             if walk is None:
-                walk = _Walk.of(self._planned())
+                walk = _Walk.of(stages)
                 if all(stage.bits.frozen for _, _, stage in stages):
                     self._walk = walk
-            out, stages = walk.answer(base_a, base_b, scores), self._planned().later
+            out, stages = walk.answer(base_a, base_b, scores), walk.later
         elif not (scores[1:] >= scores[:-1]).all():
             raise ValueError("a batch with probe rows must be in ascending score order")
         else:

@@ -251,22 +251,27 @@ class TestOneLengthChunks:
         with mock.patch.object(bits, "_fnv1a_columns", wraps=bits._fnv1a_columns) as hasher:
             got = batch_pairs(fam, items)
         assert got == scalar_pairs(fam, items)
-        # the chunk of one length is a matrix (no starts), the other is cut
-        starts = [call.args[2] is None for call in hasher.call_args_list]
-        assert starts == ([True, False] if first == "one_length" else [False, True])
+        # the chunk of one length is a matrix, only the other is cut and sorted
+        assert hasher.call_count == 1 and "clé".encode() in hasher.call_args.args[1]
 
     def test_one_length_chunk_takes_no_sort_or_gather(self):
         items = [f"q{i:07d}" for i in range(bits._HASH_CHUNK + 100)]
         fam = HashFamily(24)
+        shapes, chunk_bytes = [], bits._chunk_bytes
+
+        def spy(chunk):
+            got = chunk_bytes(chunk)
+            shapes.append(got[0].shape)
+            return got
+
         with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
                 mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as cuts, \
                 mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as gather_source, \
-                mock.patch.object(bits, "_fnv1a_columns", wraps=bits._fnv1a_columns) as hasher:
+                mock.patch.object(bits, "_chunk_bytes", spy):
             got = batch_pairs(fam, items)
         # no sort by length, no NUL scan, and no flat byte array to gather from
         assert argsort.call_count == cuts.call_count == gather_source.call_count == 0
-        assert [call.args[1].shape for call in hasher.call_args_list] == [
-            (bits._HASH_CHUNK, 8), (100, 8)]
+        assert shapes == [(bits._HASH_CHUNK, 8), (100, 8)]
         assert got == scalar_pairs(fam, items)
 
 
