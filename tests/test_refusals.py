@@ -116,6 +116,10 @@ REFUSALS = [
      "bitmap_bits must be >= 0, got -1"),
     # scores
     ("csv-empty-file", _csv(""), DatasetError, "empty file, expected header id,score,label"),
+    ("gen-float-n", lambda _: gen_synthetic(2.5, 3), ValueError,
+     "n and m must be integers, got 2.5 and 3"),
+    ("gen-str-m", lambda _: gen_synthetic(3, "3"), ValueError,
+     "n and m must be integers, got 3 and '3'"),
     ("csv-empty-id", _csv("id,score,label\n,0.5,key\n"), DatasetError,
      "line 2: id must be non-empty and comma-free"),
     ("csv-comma-id", _csv('id,score,label\n"a,b",0.5,key\n'), DatasetError,

@@ -158,6 +158,23 @@ class TestCsvLoading:
         back = load_scored_csv(path)
         assert back.fingerprint() == ds.fingerprint()
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; the writer adds none
+        ds = gen_synthetic(5, 4, seed=4)
+        path = tmp_path / "ds.csv"
+        save_scored_csv(ds, path)
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_scored_csv(bom).fingerprint() == ds.fingerprint()
+        bad = write_csv(tmp_path, "\ufeffid,score,label\na,1.5,key\n")
+        with pytest.raises(DatasetError, match=r"line 2: score '1.5' outside"):
+            load_scored_csv(bad)
+        with pytest.raises(DatasetError, match="empty file"):
+            load_scored_csv(write_csv(tmp_path, "\ufeff"))
+        with pytest.raises(DatasetError, match=r"got \['\\ufeffid'"):  # only a leading one
+            load_scored_csv(write_csv(tmp_path, "\ufeff\ufeffid,score,label\n"))
+
 
 class TestColumns:
     def test_generated_columns(self):
@@ -185,6 +202,42 @@ class TestColumns:
         assert ds.keys == items[1:2] and ds.nonkeys == (items[0], items[2])
         again = ScoredDataset(items)
         assert again.ids == ds.ids and again.key_ids == ["a"]  # picked from the ids column
+
+    @staticmethod
+    def _columnar(kind, tmp_path):
+        ds = gen_synthetic(30, 40, seed=6)
+        if kind == "loaded":  # with keys and non-keys interleaved
+            order = np.random.default_rng(6).permutation(len(ds))
+            path = tmp_path / "ds.csv"
+            save_scored_csv(ScoredDataset.from_columns(
+                [ds.ids[i] for i in order], ds.scores[order], ds.is_key[order]), path)
+            ds = load_scored_csv(path)
+        return ds.by_score() if kind == "view" else ds
+
+    @pytest.mark.parametrize("kind", ["generated", "loaded", "view"])
+    @pytest.mark.parametrize("side, other", [("keys", "nonkeys"), ("nonkeys", "keys")])
+    def test_a_side_is_built_from_its_own_columns(self, kind, side, other, tmp_path):
+        ds = self._columnar(kind, tmp_path)
+        items = getattr(ds, side)
+        assert "items" not in ds._cache and other not in ds._cache
+        assert getattr(ds, side) is items
+        assert len(items) == (ds.n if side == "keys" else ds.m)
+
+    @pytest.mark.parametrize("kind", ["generated", "loaded", "view"])
+    def test_the_sides_are_the_side_rows_of_items(self, kind, tmp_path):
+        ds = self._columnar(kind, tmp_path)
+        keys, nonkeys = ds.keys, ds.nonkeys
+        rows = ds.items
+        assert keys + nonkeys == (tuple(it for it in rows if it.is_key)
+                                  + tuple(it for it in rows if not it.is_key))
+        assert all(it.is_key is True for it in keys) and not any(it.is_key for it in nonkeys)
+
+    def test_the_sides_of_given_items_are_those_items(self):
+        items = [ScoredItem(f"i{i}", i / 10, i % 3 == 0) for i in range(10)]
+        ds = ScoredDataset(items)
+        assert all(ds.keys[j] is it for j, it in enumerate(items[0::3]))
+        assert all(ds.nonkeys[j] is it
+                   for j, it in enumerate(it for it in items if not it.is_key))
 
     def test_from_columns_equals_the_items_constructor(self):
         ds = gen_synthetic(20, 30, seed=2)
@@ -252,6 +305,24 @@ class TestSynthetic:
     def test_empty(self):
         ds = gen_synthetic(0, 0)
         assert len(ds) == 0
+
+    @pytest.mark.parametrize("n, m", [(0, 5), (5, 0)])
+    def test_one_side_empty(self, n, m):
+        ds = gen_synthetic(n, m, seed=2)
+        assert (ds.n, ds.m, len(ds)) == (n, m, 5)
+        assert ds.ids == [f"k{i:07d}" for i in range(n)] + [f"n{i:07d}" for i in range(m)]
+        assert ds.keys == tuple(ds.items[:n]) and ds.nonkeys == tuple(ds.items[n:])
+        assert ds.validate() is None
+
+    @pytest.mark.parametrize("start, stop", [(9_999_990, 10_000_010), (0, 0), (0, 1),
+                                             (95, 105), (99_999_999, 100_000_001)])
+    def test_numbered_ids_equal_format(self, start, stop):
+        # the width grows from 7 digits at 10**7, as "{:07d}" does
+        assert scores._numbered_ids("k", start, stop) == list(
+            map("k{:07d}".format, range(start, stop)))
+
+    def test_integral_sizes_of_any_type_are_taken(self):
+        assert gen_synthetic(np.int64(3), True, seed=1).ids == gen_synthetic(3, 1, seed=1).ids
 
     def test_key_scores_higher_on_average(self):
         ds = gen_synthetic(10_000, 10_000, seed=2)
