@@ -40,7 +40,6 @@ from .scores import (
     ScoredDataset,
     ScoredItem,
     ScorePartition,
-    estimate_group_probs,
     gen_synthetic,
     load_scored_csv,
     min_sample_size,

@@ -109,7 +109,7 @@ class AdaptiveBloom(GatedBloom):
         n = params.partition.n_per_group
         stages = [(*params.partition.interval(j), StandardBloom(bits, k, family, n[j]))
                   for j, k in enumerate(params.k_per_group) if k]
-        super().__init__(stages, family.seed, model_bits)
+        super().__init__(stages, family.seed, model_bits, params.partition.shares)
         self.bits = bits
         self.params = params
         self.family = family
@@ -123,17 +123,7 @@ class AdaptiveBloom(GatedBloom):
         return alpha_load(self.bitmap_bits, self.params.partition.n_per_group,
                           self.params.k_per_group)
 
-    def load_observed(self) -> float:
-        """Realized fraction of set bits, for cross-checking ``alpha``."""
-        return self.bits.load_fraction()
-
     contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
-
-    def expected_fpr(self) -> float | None:
-        p_hat = self.params.partition.p_hat
-        if p_hat is None:
-            return None
-        return expected_fpr_ada(p_hat, self.params.k_per_group, self.alpha())
 
 
 def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,

@@ -25,14 +25,7 @@ import numpy as np
 
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset, ScorePartition, check_ratio, partition_by_ratio
-from .standard import (
-    OPTIMAL_FPR_BASE,
-    GatedBloom,
-    StandardBloom,
-    expected_fpr_standard,
-    insert_keys,
-    optimal_k,
-)
+from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
 __all__ = [
     "DisjointParams",
@@ -149,7 +142,7 @@ class DisjointBloom(GatedBloom):
                  seed: int, model_bits: int = 0):
         stages = [(*params.partition.interval(j), f) for j, f in enumerate(filters)
                   if f is not None]
-        super().__init__(stages, seed, model_bits)
+        super().__init__(stages, seed, model_bits, params.partition.shares)
         self.filters = filters
         self.params = params
 
@@ -158,16 +151,6 @@ class DisjointBloom(GatedBloom):
         return sum(self.params.r_per_group)
 
     contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
-
-    def expected_fpr(self) -> float | None:
-        p_hat = self.params.partition.p_hat
-        if p_hat is None:
-            return None
-        total = 0.0
-        for p, r, n, k in zip(p_hat, self.params.r_per_group,
-                              self.params.partition.n_per_group, self.params.k_per_group):
-            total += p * (1.0 if r == 0 else expected_fpr_standard(r, n, k))
-        return total
 
 
 def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,

@@ -97,7 +97,9 @@ class SandwichedBloom(GatedBloom):
         stages = ((0.0, tau, backup),)
         if initial is not None:
             stages = ((0.0, math.inf, initial),) + stages
-        super().__init__(stages, backup.seed, model_bits)
+        shares = None if fp_above is None else ((0.0, tau, 1.0 - fp_above),
+                                                (tau, math.inf, fp_above))
+        super().__init__(stages, backup.seed, model_bits, shares)
         self.tau = tau
         self.initial = initial
         self.backup = backup
@@ -115,12 +117,6 @@ class SandwichedBloom(GatedBloom):
         return self.initial is None
 
     contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
-
-    def expected_fpr(self) -> float | None:
-        if self.fp_above is None:
-            return None
-        through = self.fp_above + (1.0 - self.fp_above) * self.backup.expected_fpr()
-        return through if self.initial is None else self.initial.expected_fpr() * through
 
 
 class LearnedBloom(SandwichedBloom):

@@ -46,7 +46,6 @@ __all__ = [
     "partition_by_ratio",
     "partition_from_thresholds",
     "partition_below_threshold",
-    "estimate_group_probs",
     "min_sample_size",
 ]
 
@@ -648,6 +647,13 @@ class ScorePartition:
             return None
         return tuple(mj / self.m for mj in self.m_per_group)
 
+    @property
+    def shares(self) -> tuple[tuple[float, float, float], ...] | None:
+        """(lo, hi, p_j) per group: its ``interval`` and ``p_hat``; None when m = 0."""
+        p_hat = self.p_hat
+        return None if p_hat is None else tuple((*self.interval(j), p)
+                                                for j, p in enumerate(p_hat))
+
     def group_index(self, score: float) -> int:
         if not (0.0 <= score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {score}")
@@ -755,14 +761,6 @@ def partition_below_threshold(dataset: ScoredDataset, tau: float, g: int, c: flo
     cuts = _geometric_cuts(below, g - 1, c) if g > 2 else []
     thresholds = (0.0, *cuts, tau, 1.0)
     return partition_from_thresholds(dataset, thresholds)
-
-
-def estimate_group_probs(partition: ScorePartition) -> tuple[float, ...]:
-    """p_hat_j = m_j / m; raises when the partition saw no non-keys."""
-    p = partition.p_hat
-    if p is None:
-        raise ValueError("cannot estimate group probabilities from zero non-keys")
-    return p
 
 
 def _sample_bound(k_groups: int, epsilon: float, delta: float) -> float:

@@ -27,7 +27,27 @@ score. The four learned filters are such stage tuples:
 A bound lo <= 0 or hi > 1 is an open end, so the top group's stage, with
 hi = inf, holds the score 1. Both query paths of a ``GatedBloom`` raise
 ``ValueError`` on a missing, NaN or out-of-range score; ``StandardBloom``
-takes a score too and ignores it.
+takes a score too and ignores it. A batch without rows whose hash arrays
+and scores differ in length is refused with ``ValueError`` before any probe.
+
+Each learned filter also gives ``shares``: pieces ``(lo, hi, share)`` of
+the score axis with their share of the build's non-keys, or None when the
+build had none. ``lbf`` and the sandwich give [0, tau) with 1 - f_p and
+[tau, inf) with f_p; ``ada`` and ``disjoint`` give each group's interval
+with its p_j (``ScorePartition.shares``). ``GatedBloom.expected_fpr`` is
+one formula on that table for all four:
+
+- the load of each bit array is ``alpha_load`` over the stages on it, so
+  ``ada``'s stages share one load and every other stage has its own;
+- a stage's FPR is its array's load to the power of its k;
+- a non-key in a piece passes with the product of the FPRs of the stages
+  that hold the piece (1 if none does), and the expected FPR is the
+  ``math.fsum`` over the pieces of share times that product;
+- a stage over the whole score axis (lo <= 0 and hi > 1: the sandwich's
+  initial filter) holds every piece, so its FPR multiplies the sum once.
+
+For ``ada`` this is the paper's sum_j p_j alpha^K_j (``expected_fpr_ada``),
+for the sandwich F_initial * (f_p + (1 - f_p) F_backup).
 
 ``insert_keys`` and a batch query that comes with ``ProbeRows`` pick each
 stage's items with ``_stage_items``. A batch with rows is in ascending
@@ -143,9 +163,11 @@ class StandardBloom:
         With ``rows``, from a score-ordered view, the batch's hashes are read
         from the view instead (``ProbeRows.pairs``: the held final pairs of
         lanes 0 and 1, no remix), so ``base_a`` and ``base_b`` are not read
-        and may be None, and the probe reads its cached columns.
+        and may be None, and the probe reads its cached columns. Without
+        rows, arrays of different lengths are refused (ValueError).
         """
         if rows is None:
+            _check_lengths(base_a, base_b, scores)
             return self.bits.test_hashed(*self.family.remix_pairs(base_a, base_b), self.k)
         return self.bits.test_hashed(*rows.pairs(self.family), self.k,
                                      cached=rows.cached(self.family, self.bits.length_bits))
@@ -155,6 +177,15 @@ class StandardBloom:
 
     def __repr__(self) -> str:
         return f"StandardBloom(r={self.size_bits}, k={self.k}, n={self.n_inserted})"
+
+
+def _check_lengths(base_a, base_b, scores) -> None:
+    """ValueError naming the lengths unless the batch's arrays (None aside) are equally long."""
+    named = [(name, len(x)) for name, x in zip(("base_a", "base_b", "scores"),
+                                               (base_a, base_b, scores)) if x is not None]
+    if len({n for _, n in named}) > 1:
+        raise ValueError("batch arrays differ in length: "
+                         + ", ".join(f"{name} {n}" for name, n in named))
 
 
 def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
@@ -279,12 +310,14 @@ class _Walk(NamedTuple):
 class GatedBloom:
     """Score-gated Bloom stages; see the module docstring. Zero FNR."""
 
-    __slots__ = ("stages", "seed", "model_bits", "_walk")
+    __slots__ = ("stages", "seed", "model_bits", "shares", "_walk")
 
-    def __init__(self, stages, seed: int, model_bits: int = 0):
+    def __init__(self, stages, seed: int, model_bits: int = 0, shares=None):
         self.stages: tuple[tuple[float, float, StandardBloom], ...] = tuple(stages)
         self.seed = seed
         self.model_bits = model_bits
+        # (lo, hi, share of the build's non-keys) per score piece; None without non-keys
+        self.shares: tuple[tuple[float, float, float], ...] | None = shares
         self._walk: _Walk | None = None  # made on the first batch once every array is frozen
 
     def contains(self, item: bytes | str, score: float | None = None) -> bool:
@@ -315,6 +348,7 @@ class GatedBloom:
         scores = check_scores(scores)
         stages = self.stages
         if rows is None:
+            _check_lengths(base_a, base_b, scores)
             walk = self._walk
             if walk is None:
                 walk = _Walk.of(stages)
@@ -334,6 +368,29 @@ class GatedBloom:
             elif count:  # the stage reads its pairs from the view: gather no base pairs
                 out[sel] = stage.contains_batch(None, None, rows=rows.select(sel))
         return out
+
+    def expected_fpr(self) -> float | None:
+        """Expected FPR from the stage table and the shares; None without non-keys.
+
+        See the module docstring.
+        """
+        if self.shares is None:
+            return None
+        on_array = {}
+        for _, _, stage in self.stages:
+            on_array.setdefault(id(stage.bits), []).append(stage)
+        load = {key: alpha_load(held[0].size_bits, [s.n_inserted for s in held],
+                                [s.k for s in held]) for key, held in on_array.items()}
+        whole, gated = 1.0, []
+        for lo, hi, stage in self.stages:
+            fpr = load[id(stage.bits)] ** stage.k
+            if lo <= 0.0 and hi > 1.0:
+                whole *= fpr
+            else:
+                gated.append((lo, hi, fpr))
+        return whole * math.fsum(
+            share * math.prod(f for lo, hi, f in gated if lo <= piece_lo and piece_hi <= hi)
+            for piece_lo, piece_hi, share in self.shares)
 
 
 def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:

@@ -104,14 +104,14 @@ class TuneResult:
 
     @property
     def total_bits(self) -> int:
-        return account_memory(self.bitmap_bits, self.model_bits, True)
+        return account_memory(self.bitmap_bits, self.model_bits)
 
 
-def account_memory(bitmap_bits: int, model_bits: int, include_model: bool) -> int:
+def account_memory(bitmap_bits: int, model_bits: int) -> int:
     """Total budget charged to a method; learned methods pay for the model."""
     if bitmap_bits < 0 or model_bits < 0:
         raise ValueError("bit counts must be >= 0")
-    return bitmap_bits + (model_bits if include_model else 0)
+    return bitmap_bits + model_bits
 
 
 def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:

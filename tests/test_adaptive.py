@@ -92,7 +92,7 @@ class TestBuildAndQuery:
         part = partition_by_ratio(synth_bench, 8, 1.8)
         params = AdaptiveParams.from_ratio(part, 10, 3, c=1.8)
         ada = build_ada(synth_bench, 400_000, params, seed=26)
-        assert abs(ada.load_observed() - ada.alpha()) < 0.05
+        assert abs(ada.bits.load_fraction() - ada.alpha()) < 0.05
 
     def test_per_group_fpr_tracks_alpha_power(self, synth_bench):
         part = partition_by_ratio(synth_bench, 6, 1.5)

@@ -98,7 +98,7 @@ SET_HASHED_SHA256 = {
 
 # sha256 of rows_to_csv(run_sweep(...)) with timing off
 SWEEP_SMALL_SHA256 = "0dd654569260e3420312aa6f4b9da3682483dff38ed57d163245e14a17413805"
-SWEEP_QUICK_SHA256 = "5ad9a032a111cd58e1323ec29a129e1acfefd98f47e5651597cac2d0e10ac079"
+SWEEP_QUICK_SHA256 = "7431648c9fae0940e09c92c93ddd2d1318ee1b67656a9212bb4b663fe4a70895"
 
 # gen_synthetic(2000, 2000, seed=3): its fingerprint(), and the sha256 and
 # size of its save_scored_csv file

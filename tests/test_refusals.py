@@ -34,6 +34,7 @@ from adabloom.standard import (
     MAX_K,
     StandardBloom,
     alpha_load,
+    build_standard,
     expected_fpr_standard,
     optimal_k,
 )
@@ -154,6 +155,22 @@ REFUSALS = [
     ("expected-fpr-standard-negative", lambda _: expected_fpr_standard(10, -1, 1), ValueError,
      "n and k must be >= 0"),
     ("optimal-k-negative", lambda _: optimal_k(-1, 1), ValueError, "r and n must be >= 0"),
+    ("standard-batch-b-longer",
+     lambda _: build_standard(["x"], 64, 2, 1).contains_batch(PAIR[0][:1], PAIR[1]), ValueError,
+     "batch arrays differ in length: base_a 1, base_b 2"),
+    ("standard-batch-one-score",
+     lambda _: build_standard(["x"], 64, 2, 1).contains_batch(*PAIR, np.array([0.1])),
+     ValueError, "batch arrays differ in length: base_a 2, base_b 2, scores 1"),
+    ("gated-batch-one-score",
+     lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(*DS.key_pairs(1), np.array([0.1])),
+     ValueError, "batch arrays differ in length: base_a 60, base_b 60, scores 1"),
+    ("gated-batch-a-shorter",
+     lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(
+         DS.key_pairs(1)[0][:59], DS.key_pairs(1)[1], DS.key_scores), ValueError,
+     "batch arrays differ in length: base_a 59, base_b 60, scores 60"),
+    ("gated-batch-scores-longer",
+     lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(*PAIR, DS.key_scores), ValueError,
+     "batch arrays differ in length: base_a 2, base_b 2, scores 60"),
     ("standard-k-past-bound", lambda _: StandardBloom(BitVector(64), MAX_K + 1, HashFamily(1)),
      ValueError, f"hash count k must be <= {MAX_K}, got {MAX_K + 1}"),
     # tuning and bench

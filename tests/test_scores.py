@@ -23,7 +23,6 @@ from adabloom.scores import (
     ScoredDataset,
     ScoredItem,
     check_scores,
-    estimate_group_probs,
     gen_synthetic,
     load_scored_csv,
     min_sample_size,
@@ -642,23 +641,24 @@ class TestGroupLookup:
 class TestGroupProbs:
     def test_geometric_example(self):
         ds = gen_synthetic(100, 700, seed=3)
-        probs = estimate_group_probs(partition_by_ratio(ds, 3, 2.0))
+        probs = partition_by_ratio(ds, 3, 2.0).p_hat
         assert probs == pytest.approx((4 / 7, 2 / 7, 1 / 7))
 
     def test_single_group(self):
         ds = gen_synthetic(10, 10, seed=0)
-        assert estimate_group_probs(partition_by_ratio(ds, 1, 2.0)) == (1.0,)
+        assert partition_by_ratio(ds, 1, 2.0).p_hat == (1.0,)
 
     def test_sums_to_one(self):
         ds = gen_synthetic(100, 100_000, seed=12)
-        probs = estimate_group_probs(partition_by_ratio(ds, 8, 1.5))
+        probs = partition_by_ratio(ds, 8, 1.5).p_hat
         assert abs(sum(probs) - 1.0) < 1e-12
 
-    def test_zero_nonkeys_rejected(self):
+    def test_zero_nonkeys_give_none(self):
         ds = ScoredDataset([ScoredItem("a", 0.5, True)])
         part = partition_from_thresholds(ds, (0.0, 0.5, 1.0))
-        with pytest.raises(ValueError):
-            estimate_group_probs(part)
+        assert part.p_hat is None and part.shares is None
+        params = AdaptiveParams.with_hash_counts(part, (1, 0))
+        assert build_ada(ds, 64, params, seed=1).expected_fpr() is None
 
 
 class TestMinSampleSize:

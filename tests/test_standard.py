@@ -77,6 +77,23 @@ class TestQuery:
         a, b = fam.remix_pairs(*fam.base_pairs(keys))
         assert filt.bits.test_hashed(a, b, filt.k).all()
 
+    @pytest.mark.parametrize("kind", ["standard", "lbf", "ada", "disjoint"])
+    def test_a_mismatched_batch_is_refused_before_any_probe(self, kind):
+        # one score for 2000 keys used to gate all of them; a longer base_b was cut short
+        ds = gen_synthetic(2000, 2000, seed=1)
+        filt = {"standard": lambda: build_standard([it.id for it in ds.keys], 20_000, 7, 1),
+                "lbf": lambda: build_lbf(ds, 20_000, 0.5, 1),
+                "ada": lambda: build_ada(
+                    ds, 20_000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 4, 2.0), 5, 2), 1),
+                "disjoint": lambda: build_disjoint(ds, 20_000, 4, 2.0, 1)}[kind]()
+        a, b = ds.key_pairs(1)
+        with mock.patch.object(BitVector, "test_hashed", side_effect=AssertionError("probed")):
+            for args in ((a, b, ds.key_scores[:1]), (a, b[:1000], ds.key_scores),
+                         (a[:5], b, ds.key_scores[:5])):
+                with pytest.raises(ValueError, match="^batch arrays differ in length: "):
+                    filt.contains_batch(*args)
+        assert filt.contains_batch(a, b, ds.key_scores).all()
+
     def test_k_zero_accepts_everything(self):
         filt = build_standard(["a"], 100, 0, seed=0)
         assert filt.contains("never-inserted")

@@ -37,17 +37,14 @@ from adabloom.tuning import (
 
 class TestAccountMemory:
     def test_model_charged(self):
-        assert account_memory(200_000, 146_000, True) == 346_000
-
-    def test_model_waived(self):
-        assert account_memory(200_000, 146_000, False) == 200_000
+        assert account_memory(200_000, 146_000) == 346_000
 
     def test_zero(self):
-        assert account_memory(0, 0, True) == 0
+        assert account_memory(0, 0) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            account_memory(-1, 0, True)
+            account_memory(-1, 0)
 
 
 class TestTauSweep:
