@@ -17,7 +17,7 @@ from .adaptive import (
     fpr_upper_bound,
     kmax_from_lbf,
 )
-from .bench import SweepRow, measure_fpr, run_sweep
+from .bench import SweepRow, run_sweep
 from .bits import BitVector, HashFamily
 from .disjoint import (
     DisjointBloom,
@@ -59,7 +59,6 @@ from .standard import (
 )
 from .tuning import (
     TuneResult,
-    account_memory,
     tune_ada,
     tune_disjoint,
     tune_lbf,

@@ -24,7 +24,7 @@ with K probes at the same bit budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bits import BitVector, HashFamily
 from .scores import ScoredDataset, ScorePartition, check_ratio
@@ -132,9 +132,17 @@ def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
 
     Groups with K_j = 0 write nothing: their members are accepted on
     score alone and must not contribute to the array load.
+
+    The filter's partition counts ``dataset``'s keys per group, so that its
+    stages, ``alpha`` and a saved container hold the keys inserted: a
+    partition cut on other data has its key counts replaced and keeps its
+    non-key counts, and so its shares.
     """
     if bitmap_bits < 1:
         raise ValueError(f"bitmap_bits must be >= 1, got {bitmap_bits}")
+    n_per_group = dataset._group_counts(params.partition.thresholds, dataset.key_scores)
+    if n_per_group != params.partition.n_per_group:
+        params = replace(params, partition=replace(params.partition, n_per_group=n_per_group))
     filt = AdaptiveBloom(BitVector(bitmap_bits), params, HashFamily(seed), model_bits)
     insert_keys(dataset, seed, filt.stages)
     filt.bits.freeze()  # also when every K_j is 0 and there is no stage

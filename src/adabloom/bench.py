@@ -19,20 +19,17 @@ from __future__ import annotations
 import math
 import time
 import timeit
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .scores import ScoredDataset
-from .tuning import NoFeasibleCandidateError, _measure, build, check_grids, tune
+from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
 
-__all__ = ["SweepRow", "METHODS", "check_methods", "run_sweep", "measure_fpr", "rows_to_csv",
-           "write_csv", "CSV_HEADER", "parse_budget"]
+__all__ = ["SweepRow", "METHODS", "check_methods", "run_sweep", "rows_to_csv", "write_csv",
+           "CSV_HEADER", "parse_budget"]
 
-METHODS = ("standard", "lbf", "sandwich", "ada", "disjoint")
-
-CSV_HEADER = ("method,total_bits,bitmap_bits,model_bits,empirical_fpr,analytical_fpr,"
-              "fnr,build_ms,query_ns_p50,seed,status")
+METHODS = tuple(PARAMS)
 
 
 @dataclass
@@ -50,16 +47,12 @@ class SweepRow:
     status: str
 
     def csv_line(self) -> str:
-        def num(x):
-            if x is None or (isinstance(x, float) and math.isnan(x)):
-                return ""
-            return repr(float(x))
+        """The fields under ``CSV_HEADER``: a float one as ``repr(float(x))``, None or NaN empty."""
+        return ",".join("" if x is None or x != x else repr(float(x)) if "float" in str(f.type)
+                        else str(x) for f, x in zip(fields(self), astuple(self)))  # x != x: NaN
 
-        return ",".join([
-            self.method, str(self.total_bits), str(self.bitmap_bits), str(self.model_bits),
-            num(self.empirical_fpr), num(self.analytical_fpr), num(self.fnr),
-            num(self.build_ms), num(self.query_ns_p50), str(self.seed), self.status,
-        ])
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def parse_budget(text: str) -> int:
@@ -74,17 +67,6 @@ def parse_budget(text: str) -> int:
             raise ValueError(f"budget must be finite, got {text!r}")
         return int(round(bits))
     return int(text)
-
-
-def measure_fpr(filt, negatives) -> tuple[float, int]:
-    """(empirical FPR, false positive count) over non-key items."""
-    negatives = list(negatives)
-    if not negatives:
-        raise ValueError("cannot measure FPR over zero negatives")
-    if any(it.is_key for it in negatives):
-        raise ValueError("negatives must all be labeled nonkey")
-    positives = sum(1 for it in negatives if filt.contains(it.id, it.score))
-    return positives / len(negatives), positives
 
 
 def _query_ns(filt, view: ScoredDataset, seed: int) -> float:

@@ -24,9 +24,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 from operator import index, itemgetter
 
 import numpy as np
@@ -411,8 +410,9 @@ def load_scored_csv(path) -> ScoredDataset:
     found.) Errors are ``DatasetError`` naming the offending 1-based line,
     also for a row the ``csv`` module refuses (a field over its size limit,
     say). Rows are read and checked in blocks of ``_ROW_BLOCK``, each
-    column with C-level maps; only a block that fails a check is walked row
-    by row, to name its first bad row.
+    column with C-level maps, by ``_block_columns``, the one statement of
+    the row rules; only a block that fails is checked again by it a row at
+    a time, to name its first bad row's line.
 
     The ids read so far are kept where the garbage collector does not walk
     them at each full collection: in tuples, which it stops tracking, and
@@ -436,9 +436,16 @@ def load_scored_csv(path) -> ScoredDataset:
             raise DatasetError(f"{path}: line 1: expected header id,score,label, got {header!r}")
         lineno = 2
         while block := list(islice(rows, _ROW_BLOCK)):
-            columns = _block_columns(block, seen)
-            if columns is None:
-                _raise_first_bad_row(path, block, lineno, set(chain.from_iterable(id_blocks)))
+            try:
+                columns = _block_columns(block, seen)
+            except ValueError:  # the same check, a row at a time, names the first bad line
+                seen = dict.fromkeys(chain.from_iterable(id_blocks))
+                for line, row in enumerate(block, start=lineno):
+                    try:
+                        _block_columns([row], seen)
+                    except ValueError as exc:
+                        raise DatasetError(f"{path}: line {line}: {exc}") from None
+                raise
             id_blocks.append(columns[0])
             scores.append(columns[1])
             is_key.append(columns[2])
@@ -464,58 +471,44 @@ def _rows_until_refused(reader, path, refused: list):
 
 
 def _block_columns(block: list[list[str]], seen: dict[str, None]):
-    """(ids, scores, is_key) of a block of CSV rows, or None if a row fails a check.
+    """(ids, scores, is_key) of a block of CSV rows; ValueError if a row breaks a rule.
 
-    Empty rows are skipped. Adds the block's ids to ``seen``.
+    The one statement of the row rules, each checked over the whole block:
+    3 fields; an id that is non-empty, comma-free and not in ``seen``; a
+    score that parses as a float in [0, 1]; a label ``key`` or ``nonkey``.
+    The message is that of the first rule in this order that a row breaks,
+    naming the first such row's value; so on a block of one row it is that
+    row's, which ``load_scored_csv`` uses to name a bad row's line. Empty
+    rows are skipped. Adds the block's ids to ``seen``.
     """
     if set(map(len, block)) - {3}:
         block = list(filter(None, block))
         if set(map(len, block)) - {3}:
-            return None
+            raise ValueError(f"expected 3 fields, got {next(n for n in map(len, block) if n != 3)}")
     # one map per column: ``zip(*block)`` would make an iterator per row for the gc to track
     ids = tuple(map(itemgetter(0), block))
     raw_scores, labels = (list(map(itemgetter(i), block)) for i in (1, 2))
     before = len(seen)
     seen.update(dict.fromkeys(ids))
-    if not all(ids) or "," in "".join(ids) or len(seen) != before + len(ids):
-        return None
+    if not all(ids) or "," in "".join(ids):
+        raise ValueError("id must be non-empty and comma-free")
+    if len(seen) != before + len(ids):
+        # ``seen`` keeps insertion order: the first repeat is the first id that added no key
+        dup = next(i for i, new in zip_longest(ids, islice(seen, before, None)) if i != new)
+        raise ValueError(f"duplicate id {dup!r}")
+    rest = iter(raw_scores)  # after a score that does not parse, the scores behind it
     try:
-        scores = np.array(list(map(float, raw_scores)), dtype=np.float64)
+        scores = np.array(list(map(float, rest)), dtype=np.float64)
     except ValueError:
-        return None
+        raise ValueError(f"malformed score {raw_scores[-len(list(rest)) - 1]!r}") from None
     is_key = np.fromiter(map("key".__eq__, labels), dtype=bool, count=len(labels))
-    if not ((scores >= 0.0) & (scores <= 1.0)).all():  # also rejects NaN
-        return None
+    inside = (scores >= 0.0) & (scores <= 1.0)  # False on NaN
+    if not inside.all():
+        raise ValueError(f"score {raw_scores[int(inside.argmin())]!r} outside [0, 1]")
     if np.count_nonzero(is_key) + labels.count("nonkey") != len(labels):
-        return None
+        bad = next(label for label in labels if label not in _LABELS)
+        raise ValueError(f"label must be key or nonkey, got {bad!r}")
     return ids, scores, is_key
-
-
-def _raise_first_bad_row(path, block: list[list[str]], lineno: int, seen: set[str]) -> None:
-    """DatasetError for the first row of ``block`` (on line ``lineno`` on) that fails a check.
-
-    ``seen`` holds the ids of the rows before the block.
-    """
-    for lineno, row in enumerate(block, start=lineno):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DatasetError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-        raw_id, raw_score, raw_label = row
-        if not raw_id or "," in raw_id:
-            raise DatasetError(f"{path}: line {lineno}: id must be non-empty and comma-free")
-        if raw_id in seen:
-            raise DatasetError(f"{path}: line {lineno}: duplicate id {raw_id!r}")
-        seen.add(raw_id)
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise DatasetError(f"{path}: line {lineno}: malformed score {raw_score!r}") from None
-        if not 0.0 <= score <= 1.0:  # also rejects NaN
-            raise DatasetError(f"{path}: line {lineno}: score {raw_score!r} outside [0, 1]")
-        if raw_label not in ("key", "nonkey"):
-            raise DatasetError(
-                f"{path}: line {lineno}: label must be key or nonkey, got {raw_label!r}")
 
 
 def save_scored_csv(dataset: ScoredDataset, path) -> None:
@@ -610,9 +603,9 @@ class ScorePartition:
     """Thresholds 0 = t_0 < t_1 < ... < t_g = 1 plus realized group counts.
 
     A score s lands in the unique group j with t_{j-1} <= s < t_j
-    (s = 1 goes to group g). Groups are 1-based in the math and in
-    ``group_of``; ``group_index`` gives the 0-based variant used for
-    array indexing.
+    (s = 1 goes to group g). Groups are 1-based in the math and 0-based
+    here: ``group_indices`` gives a score's group and ``interval`` a
+    group's scores.
     """
 
     thresholds: tuple[float, ...]
@@ -654,18 +647,10 @@ class ScorePartition:
         return None if p_hat is None else tuple((*self.interval(j), p)
                                                 for j, p in enumerate(p_hat))
 
-    def group_index(self, score: float) -> int:
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        return bisect_right(self.thresholds, score, 1, self.g) - 1
-
     def interval(self, j: int) -> tuple[float, float]:
         """[lo, hi) of 0-based group j; the top group's hi is inf, so it holds 1."""
         t = self.thresholds
         return t[j], (t[j + 1] if j + 1 < self.g else math.inf)
-
-    def group_of(self, score: float) -> int:
-        return self.group_index(score) + 1
 
     def group_indices(self, scores: np.ndarray) -> np.ndarray:
         """Vectorized 0-based group lookup."""

@@ -164,10 +164,11 @@ class StandardBloom:
         from the view instead (``ProbeRows.pairs``: the held final pairs of
         lanes 0 and 1, no remix), so ``base_a`` and ``base_b`` are not read
         and may be None, and the probe reads its cached columns. Without
-        rows, arrays of different lengths are refused (ValueError).
+        rows, a missing base array or arrays of different lengths are
+        refused (ValueError).
         """
         if rows is None:
-            _check_lengths(base_a, base_b, scores)
+            _check_batch(base_a, base_b, scores)
             return self.bits.test_hashed(*self.family.remix_pairs(base_a, base_b), self.k)
         return self.bits.test_hashed(*rows.pairs(self.family), self.k,
                                      cached=rows.cached(self.family, self.bits.length_bits))
@@ -179,8 +180,13 @@ class StandardBloom:
         return f"StandardBloom(r={self.size_bits}, k={self.k}, n={self.n_inserted})"
 
 
-def _check_lengths(base_a, base_b, scores) -> None:
-    """ValueError naming the lengths unless the batch's arrays (None aside) are equally long."""
+def _check_batch(base_a, base_b, scores) -> None:
+    """ValueError unless a batch without probe rows has both base arrays, all equally long.
+
+    ``scores`` may be None; a length mismatch names the lengths.
+    """
+    if base_a is None or base_b is None:
+        raise ValueError("a batch without probe rows needs base_a and base_b")
     named = [(name, len(x)) for name, x in zip(("base_a", "base_b", "scores"),
                                                (base_a, base_b, scores)) if x is not None]
     if len({n for _, n in named}) > 1:
@@ -348,7 +354,7 @@ class GatedBloom:
         scores = check_scores(scores)
         stages = self.stages
         if rows is None:
-            _check_lengths(base_a, base_b, scores)
+            _check_batch(base_a, base_b, scores)
             walk = self._walk
             if walk is None:
                 walk = _Walk.of(stages)

@@ -56,7 +56,6 @@ __all__ = [
     "tune_ada",
     "tune_disjoint",
     "tune",
-    "account_memory",
 ]
 
 DEFAULT_C_GRID = tuple(round(1.2 + 0.2 * i, 1) for i in range(10))  # 1.2 .. 3.0
@@ -104,14 +103,8 @@ class TuneResult:
 
     @property
     def total_bits(self) -> int:
-        return account_memory(self.bitmap_bits, self.model_bits)
-
-
-def account_memory(bitmap_bits: int, model_bits: int) -> int:
-    """Total budget charged to a method; learned methods pay for the model."""
-    if bitmap_bits < 0 or model_bits < 0:
-        raise ValueError("bit counts must be >= 0")
-    return bitmap_bits + model_bits
+        """Total budget charged to the method; learned methods pay for the model."""
+        return self.bitmap_bits + self.model_bits
 
 
 def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:

@@ -14,7 +14,8 @@ from adabloom.adaptive import (
     kmax_from_lbf,
 )
 from adabloom.learned import build_lbf
-from adabloom.scores import partition_by_ratio, partition_from_thresholds
+from adabloom.scores import gen_synthetic, partition_by_ratio, partition_from_thresholds
+from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import build_standard
 
 
@@ -84,9 +85,28 @@ class TestBuildAndQuery:
         part = partition_by_ratio(synth_small, 2, 4.0)
         only_low = AdaptiveParams.with_hash_counts(part, (5, 0))
         ada = build_ada(synth_small, 60_000, only_low, seed=25)
-        low_keys = [it.id for it in synth_small.keys if part.group_index(it.score) == 0]
+        groups = part.group_indices(synth_small.key_scores)
+        low_keys = [i for i, j in zip(synth_small.key_ids, groups) if j == 0]
         plain = build_standard(low_keys, 60_000, 5, seed=25)
         assert ada.bits.to_bytes() == plain.bits.to_bytes()
+
+    def test_partition_cut_on_other_data_takes_the_built_key_counts(self):
+        part = partition_by_ratio(gen_synthetic(2000, 2000, seed=1), 4, 2.0)
+        params = AdaptiveParams.with_hash_counts(part, (5, 4, 3, 2))
+        ada = build_ada(gen_synthetic(1000, 3000, seed=2), 12_000, params, seed=3)
+        kept = ada.params.partition
+        assert kept.n_per_group == tuple(stage.n_inserted for _, _, stage in ada.stages)
+        assert kept.n_per_group != part.n_per_group
+        assert (kept.thresholds, kept.m_per_group) == (part.thresholds, part.m_per_group)
+        assert loads_filter(dump_filter(ada)).expected_fpr() == ada.expected_fpr()
+        assert abs(ada.alpha() - ada.bits.load_fraction()) < 0.01
+
+    def test_partition_of_the_build_data_is_kept(self, synth_small):
+        params = AdaptiveParams.from_ratio(partition_by_ratio(synth_small, 3, 2.0), 4, 2)
+        assert build_ada(synth_small, 50_000, params, seed=3).params is params
+        view = synth_small.by_score()
+        params = AdaptiveParams.from_ratio(partition_by_ratio(view, 3, 2.0), 4, 2)
+        assert build_ada(view, 50_000, params, seed=3).params is params
 
     def test_load_matches_formula(self, synth_bench):
         part = partition_by_ratio(synth_bench, 8, 1.8)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adabloom.bench import measure_fpr
 from adabloom.learned import (
     LearnedBloom,
     SandwichedBloom,
@@ -151,11 +150,3 @@ class TestSandwichedBloom:
         sandwich = tune_sandwiched(synth_small, budget, seed=10)
         sigma = math.sqrt(max(lbf.fpr, 1e-9) * (1 - lbf.fpr) / synth_small.m)
         assert sandwich.fpr <= lbf.fpr + 3 * sigma
-
-
-def test_measure_fpr_validates_labels(synth_small):
-    filt = build_lbf(synth_small, 10_000, 0.5, seed=1)
-    with pytest.raises(ValueError):
-        measure_fpr(filt, [])
-    with pytest.raises(ValueError):
-        measure_fpr(filt, [synth_small.keys[0]])

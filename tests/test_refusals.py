@@ -171,6 +171,11 @@ REFUSALS = [
     ("gated-batch-scores-longer",
      lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(*PAIR, DS.key_scores), ValueError,
      "batch arrays differ in length: base_a 2, base_b 2, scores 60"),
+    ("standard-batch-no-pairs", lambda _: build_standard(["a", "b"], 100, 3, 1).contains_batch(
+        None, None), ValueError, "a batch without probe rows needs base_a and base_b"),
+    ("gated-batch-no-pairs", lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(
+        None, None, np.array([0.1, 0.7])), ValueError,
+     "a batch without probe rows needs base_a and base_b"),
     ("standard-k-past-bound", lambda _: StandardBloom(BitVector(64), MAX_K + 1, HashFamily(1)),
      ValueError, f"hash count k must be <= {MAX_K}, got {MAX_K + 1}"),
     # tuning and bench

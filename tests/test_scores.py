@@ -108,6 +108,19 @@ class TestCsvLoading:
             load_scored_csv(path)
         assert str(exc.value) == f"{path}: line {len(lines) - 1}: {message}"
 
+    @pytest.mark.parametrize("rows, message", [
+        (["x,0.5,maybe", "y,0.5"], "label must be key or nonkey, got 'maybe'"),
+        (["x,zap,key", "k0000005,0.5,nonkey"], "malformed score 'zap'")])
+    def test_the_first_of_two_bad_rows_in_a_block_names_its_line(self, rows, message, tmp_path):
+        # the block check meets the second row's rule (field count, duplicate id)
+        # before the first row's (label, score); the message names the first row
+        good = [f"k{i:07d},0.5,key" for i in range(_ROW_BLOCK + 37)]
+        lines = ["id,score,label"] + good + rows + ["z,0.5,key"]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load_scored_csv(path)
+        assert str(exc.value) == f"{path}: line {len(lines) - 2}: {message}"
+
     def test_rows_before_a_row_the_csv_module_refuses_are_checked_first(self, tmp_path):
         good = [f"k{i:07d},0.5,key" for i in range(_ROW_BLOCK + 5)]
         big = "x" * 200_000 + ",0.1,nonkey"
@@ -609,33 +622,28 @@ class TestGroupLookup:
     def test_boundaries(self):
         ds = gen_synthetic(100, 700, seed=3)
         part = partition_by_ratio(ds, 3, 2.0)
-        assert part.group_of(0.0) == 1
-        assert part.group_of(1.0) == part.g
         tau1 = part.thresholds[1]
-        assert part.group_of(tau1) == 2  # [t_{j-1}, t_j): boundary goes up
+        first, last, at_tau1 = part.group_indices(np.array([0.0, 1.0, tau1])).tolist()
+        assert first == 0
+        assert last == part.g - 1
+        assert at_tau1 == 1  # [t_{j-1}, t_j): boundary goes up
 
-    def test_vector_matches_scalar(self):
+    def test_vector_matches_intervals(self):
         ds = gen_synthetic(1000, 1000, seed=6)
         part = partition_by_ratio(ds, 5, 1.6)
         scores = np.linspace(0, 1, 257)
         vec = part.group_indices(scores)
-        assert [part.group_index(float(s)) for s in scores] == list(vec)
+        assert all(part.interval(j)[0] <= s < part.interval(j)[1] for s, j in zip(scores, vec))
 
     @settings(max_examples=200, deadline=None)
     @given(score=st.floats(0.0, 1.0, allow_nan=False))
     def test_every_score_has_exactly_one_group(self, score):
         ds = gen_synthetic(200, 700, seed=3)
         part = partition_by_ratio(ds, 4, 2.0)
-        j = part.group_of(score)
-        assert 1 <= j <= part.g
-        lo, hi = part.thresholds[j - 1], part.thresholds[j]
-        assert (lo <= score < hi) or (score == 1.0 and j == part.g)
-
-    def test_rejects_out_of_range_score(self):
-        ds = gen_synthetic(10, 20, seed=1)
-        part = partition_by_ratio(ds, 2, 2.0)
-        with pytest.raises(ValueError):
-            part.group_of(1.5)
+        j = int(part.group_indices(np.array([score]))[0])
+        assert 0 <= j < part.g
+        holding = [i for i in range(part.g) if part.interval(i)[0] <= score < part.interval(i)[1]]
+        assert holding == [j]
 
 
 class TestGroupProbs:

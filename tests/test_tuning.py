@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from adabloom import bits, tuning
 from adabloom.adaptive import AdaptiveParams, build_ada
-from adabloom.bench import measure_fpr
 from adabloom.bits import PAIR_LANES, BitVector, HashFamily
 from adabloom.disjoint import InfeasibleBudgetError, build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
@@ -24,7 +23,7 @@ from adabloom.standard import StandardBloom, build_standard, insert_keys, optima
 from adabloom.tuning import (
     GRIDS,
     NoFeasibleCandidateError,
-    account_memory,
+    TuneResult,
     build,
     default_tau_grid,
     tune,
@@ -35,16 +34,12 @@ from adabloom.tuning import (
 )
 
 
-class TestAccountMemory:
+class TestTotalBits:
     def test_model_charged(self):
-        assert account_memory(200_000, 146_000) == 346_000
+        assert TuneResult("lbf", {}, 0.0, 200_000, 146_000, None).total_bits == 346_000
 
     def test_zero(self):
-        assert account_memory(0, 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            account_memory(-1, 0)
+        assert TuneResult("lbf", {}, 0.0, 0, 0, None).total_bits == 0
 
 
 class TestTauSweep:
@@ -57,8 +52,8 @@ class TestTauSweep:
         res = tune_lbf(synth_small, 50_000, tau_grid=[1.0], seed=1)
         filt = res.filter
         assert filt.backup.n_inserted == synth_small.n
-        assert res.fpr == pytest.approx(
-            measure_fpr(filt, synth_small.nonkeys)[0])
+        hits = filt.contains_batch(*synth_small.nonkey_pairs(1), synth_small.nonkey_scores)
+        assert res.fpr == pytest.approx(np.count_nonzero(hits) / len(hits))
 
     def test_sweep_beats_endpoints(self, synth_small):
         grid = default_tau_grid(synth_small)
@@ -247,7 +242,8 @@ class TestGridSearch:
         k = optimal_k(budget, part.n_per_group[0])
         lbf = build_lbf(synth_bench, budget, tau, seed=7)
         assert lbf.backup.k == k
-        lbf_fpr = measure_fpr(lbf, synth_bench.nonkeys)[0]
+        hits = lbf.contains_batch(*synth_bench.nonkey_pairs(7), synth_bench.nonkey_scores)
+        lbf_fpr = np.count_nonzero(hits) / len(hits)
         res = tune_ada(synth_bench, budget, kmax_grid=[k, 4, 8], c_grid=[c], seed=7)
         assert res.fpr <= lbf_fpr
 
