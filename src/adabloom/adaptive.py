@@ -34,11 +34,22 @@ __all__ = [
     "AdaptiveParams",
     "AdaptiveBloom",
     "build_ada",
+    "check_ladder",
     "alpha_load",
     "expected_fpr_ada",
     "fpr_upper_bound",
     "kmax_from_lbf",
 ]
+
+
+def check_ladder(k_max: int, k_min: int) -> None:
+    """ValueError unless k_max >= k_min >= 0: the ends of a step-one ladder.
+
+    ``AdaptiveParams.from_ratio`` and ``tuning.build('ada', ...)`` both check
+    it, the latter before g = k_max - k_min + 1 is derived from them.
+    """
+    if k_min < 0 or k_max < k_min:
+        raise ValueError(f"need k_max >= k_min >= 0, got ({k_max}, {k_min})")
 
 
 @dataclass(frozen=True)
@@ -71,8 +82,7 @@ class AdaptiveParams:
     def from_ratio(cls, partition: ScorePartition, k_max: int, k_min: int = 0,
                    c: float | None = None) -> "AdaptiveParams":
         g = partition.g
-        if k_min < 0 or k_max < k_min:
-            raise ValueError(f"need k_max >= k_min >= 0, got ({k_max}, {k_min})")
+        check_ladder(k_max, k_min)
         if k_max - k_min != g - 1:
             raise ValueError(f"k_max - k_min must equal g - 1 = {g - 1}, got {k_max - k_min}")
         return cls(partition, tuple(range(k_max, k_min - 1, -1)), c)

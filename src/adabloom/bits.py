@@ -97,7 +97,8 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   bits is an OR, so this is the union of two Bloom filters of one geometry
   (Broder & Mitzenmacher 2004), bit for bit the filter of all the items. On
   the view a ``lbf`` backup holds the keys below tau, a prefix that grows
-  with tau, so a tau sweep inserts each key once per run of equal k.
+  with tau, so backups built at ascending tau insert each key once per run
+  of equal k; ``ada``'s first stage at ascending c extends the same way.
 
 ``test_hashed`` tests a batch of at most ``_SMALL_BATCH`` (2**14) probes,
 n * k, as one slab: the ``(k, n)`` indices at once, in the packed bytes,
@@ -676,9 +677,10 @@ class ProbeCache:
       pairs: each would cost 16 bytes per item more, and a 12-group
       ``disjoint`` uses lanes 1 to 11;
     - at most one ``int32`` matrix, ``columns[i, j] = (a_j + i * b_j) mod r``
-      for one geometry (seed, lane, r): it is built the second time in a row
-      the same geometry is asked for, replacing the last one, so a geometry
-      asked for once costs nothing. There is no matrix for r >= 2**31;
+      for one geometry (seed, lane, r): :meth:`columns` builds it the second
+      time in a row the same geometry is asked for, replacing the last one,
+      so a geometry asked for once costs nothing, and :meth:`matrix` at once.
+      There is no matrix for r >= 2**31;
     - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
       last row and a copy of its bytes, r / 8 bytes.
     """
@@ -708,7 +710,21 @@ class ProbeCache:
         """The matrix for this family's seed and lane at range r, or None."""
         geometry = (family.seed, family.lane, r)
         repeated, self._asked = geometry == self._asked, geometry
-        if repeated and geometry != self._built and r < 1 << 31:
+        if repeated:
+            self._build(family, r)
+        return self._columns if geometry == self._built else None
+
+    def matrix(self, family: HashFamily, r: int) -> np.ndarray | None:
+        """The matrix for this family's seed and lane at range r, built now if
+        it is not the one held; None for r >= 2**31. For a caller that reads
+        the columns many times over, as ``learned.count_lbf_fprs`` does."""
+        self._asked = (family.seed, family.lane, r)
+        self._build(family, r)
+        return self._columns if self._asked == self._built else None
+
+    def _build(self, family: HashFamily, r: int) -> None:
+        geometry = (family.seed, family.lane, r)
+        if geometry != self._built and r < 1 << 31:
             self._columns = self._built = None  # the old matrix goes first
             a, b = self.pairs(family, slice(None))
             columns = np.empty((CACHED_COLUMNS, len(a)), dtype=np.int32)
@@ -719,7 +735,6 @@ class ProbeCache:
                 idx -= idx // np.uint64(r) * np.uint64(r)
                 columns[i:i + len(cols)] = idx
             self._columns, self._built = columns, geometry
-        return self._columns if geometry == self._built else None
 
 
 class ProbeRows(NamedTuple):

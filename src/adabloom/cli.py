@@ -32,25 +32,35 @@ from .serialize import load_filter, save_filter
 from .tuning import GRIDS, OPTIONAL, PARAMS, build, check_grids, check_model_bits, tune
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _list(kind, check=lambda values: None):
+    """A parser of comma-separated ``kind`` values that ``check`` accepts.
+
+    Every list flag is parsed by one. It raises ValueError on a value
+    ``kind`` or ``check`` refuses, or on a list with no values.
+    """
+    def parse(text: str) -> list:
+        values = [kind(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
+            raise ValueError("no values")
+        check(values)
+        return values
+    return parse
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parsed(flag: str, parse, text: str):
+    """``parse(text)``; its ValueError exits ``bad <flag>: …`` in one line."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"bad {flag}: {exc}") from exc
 
 
 def _add_typed(parser, flag: str, parse, **kwargs) -> None:
-    """``flag``, parsed by ``parse``: its ValueError exits ``bad <flag>: …`` in one line.
+    """``flag``, parsed by ``parse`` through ``_parsed``.
 
     Every typed flag is added so; argparse's own refusal takes two lines.
     """
-    def typed(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise SystemExit(f"bad {flag}: {exc}") from exc
-    parser.add_argument(flag, type=typed, **kwargs)
+    parser.add_argument(flag, type=lambda text: _parsed(flag, parse, text), **kwargs)
 
 
 # every grid override, with its element type
@@ -64,7 +74,7 @@ _BOUNDS = {
     "sandwich-alloc": (sandwich_allocate, {"fp": float, "fn": float, "budget": float},
                        lambda bits: "b1={!r} b2={!r}".format(*bits)),
     "disjoint-alloc": (allocate_disjoint, {"bitmap_bits": parse_budget,
-                                           "n_per_group": _ints, "c": float, "g": int},
+                                           "n_per_group": _list(int), "c": float, "g": int},
                        lambda shares: ",".join(str(x) for x in shares)),
 }
 _BOUND_FLAGS = {op: flags for op, (_, flags, _) in _BOUNDS.items()}
@@ -99,31 +109,19 @@ def _chosen(args, what: str, tables: dict, optional=()) -> dict:
     return {name: getattr(args, name) for name in tables[choice] if getattr(args, name) is not None}
 
 
-def _values(flag: str, kind, text: str, check=lambda values: None) -> list:
-    """The comma-separated values in ``text`` as ``kind``, which ``check`` accepts.
-
-    Exits ``bad <flag>: …`` on a value ``kind`` or ``check`` refuses (with
-    ValueError) or on an empty list.
-    """
-    try:
-        values = [kind(x.strip()) for x in text.split(",") if x.strip()]
-        if not values:
-            raise ValueError("no values")
-        check(values)
-    except ValueError as exc:
-        raise SystemExit(f"bad {flag}: {exc}") from exc
-    return values
-
-
 def _grids(args, method=None) -> dict:
     """The grid overrides given on the command line, typed as ``GRIDS`` names them.
 
     Exits ``bad --<flag>: …`` on a malformed list or one that ``check_grids``
     refuses for ``method`` (None: for any tuner).
     """
-    return {name: _values(_flag(name), kind, getattr(args, name),
-                          lambda values: check_grids({name: values}, method))
-            for name, kind in _GRID_KINDS.items() if getattr(args, name) is not None}
+    grids = {}
+    for name, kind in _GRID_KINDS.items():
+        text = getattr(args, name)
+        if text is not None:
+            parse = _list(kind, lambda values, name=name: check_grids({name: values}, method))
+            grids[name] = _parsed(_flag(name), parse, text)
+    return grids
 
 
 def _load(loader, path):
@@ -135,7 +133,7 @@ def _load(loader, path):
 
 
 def _beta_pair(text: str) -> tuple[float, float]:
-    parts = _floats(text)
+    parts = _list(float)(text)
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated shapes, got {text!r}")
     return parts[0], parts[1]
@@ -183,11 +181,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     grids = _grids(args)
-    budgets = _values("--budgets", parse_budget, args.budgets)
-    methods = _values("--methods", str, args.methods, check_methods)
-    seeds = _values("--seeds", int, args.seeds)
     dataset = _load(load_scored_csv, args.data)
-    rows = run_sweep(dataset, budgets, methods, seeds, model_bits=args.model_bits,
+    rows = run_sweep(dataset, args.budgets, args.methods, args.seeds, model_bits=args.model_bits,
                      timing=args.timing, **grids)
     write_csv(rows, args.out)
     ok = sum(1 for row in rows if row.status.startswith("ok"))
@@ -263,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="FPR-vs-memory sweep, output CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--budgets", required=True, help="comma list of total bits (kb suffix ok)")
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--seeds", default="0")
+    _add_typed(p, "--budgets", _list(parse_budget), required=True,
+               help="comma list of total bits (kb suffix ok)")
+    _add_typed(p, "--methods", _list(str, check_methods), default=",".join(METHODS))
+    _add_typed(p, "--seeds", _list(int), default="0")
     _add_typed(p, "--model-bits", parse_budget, default=0)
     for name in _GRID_KINDS:
         p.add_argument(_flag(name), default=None)

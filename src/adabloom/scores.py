@@ -282,17 +282,17 @@ class ScoredDataset:
           hash) and 16 for lane 1, so 24 bytes per item;
         - at most one ``int32`` matrix of the first ``bits.CACHED_COLUMNS``
           probes of every item, for one (seed, lane, R), 48 bytes per item.
-          A geometry is cached the second time in a row it is asked for and
-          replaces the last one, so the lane-0 stages at the full bitmap of
-          ``lbf``, ``ada`` and a ``sandwich`` reduced to ``lbf`` reuse it
-          from candidate to candidate, while the per-group lanes of
-          ``disjoint`` build nothing;
+          A geometry is cached the second time in a row it is asked for, or
+          at once for ``learned.count_lbf_fprs``, and replaces the last one,
+          so the lane-0 stages at the full bitmap of ``lbf``, ``ada`` and a
+          ``sandwich`` reduced to ``lbf`` reuse it from candidate to
+          candidate, while the per-group lanes of ``disjoint`` build nothing;
         - the bytes of the last fresh fill, R / 8 bytes: a fresh stage of
           the same seed, lane, R and k whose keys extend that fill's starts
-          from them (see ``bits.ProbeRows.insert``). The backups of ``lbf``
-          at ascending tau, of the ``sandwich`` candidates that reduce to
-          ``lbf`` and the first stage of ``ada`` at ascending c are such
-          stages.
+          from them (see ``bits.ProbeRows.insert``). The first stage of
+          ``ada`` at ascending c is such a stage, as are ``lbf`` backups
+          built at ascending tau, which the tuners count instead
+          (``learned.count_lbf_fprs``).
 
         None of it holds counts or FPRs. ``insert_keys`` and
         ``GatedBloom.contains_batch`` read it through ``probe_rows``.

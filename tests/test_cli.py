@@ -295,6 +295,8 @@ BOUND_ARGS = {
     ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + ["--n-per-group", "100,100"]
      + BOUND_ARGS["disjoint-alloc"][4:],
      "cannot evaluate disjoint-alloc: need 3 key counts, got 2"),
+    ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + ["--n-per-group", ","]
+     + BOUND_ARGS["disjoint-alloc"][4:], "bad --n-per-group: no values"),
     ("eq3", BOUND_ARGS["eq3"][:4] + ["--g", "2000", "--k-max", "4"],
      "cannot evaluate eq3: k_max=4 < g - 1 = 1999: hash counts would go negative")])
 def test_bound_refuses_with_one_line(op, argv, message, capsys):
@@ -325,7 +327,9 @@ def test_gen_refuses_with_one_line(argv, message, tmp_path, capsys):
     (["gen", "--keys", "abc", "--nonkeys", "10", "--out", "{out}"],
      "bad --keys: invalid literal for int() with base 10: 'abc'"),
     (["gen", "--keys", "10", "--nonkeys", "10", "--key-beta", "1", "--out", "{out}"],
-     "bad --key-beta: expected two comma-separated shapes, got '1'")])
+     "bad --key-beta: expected two comma-separated shapes, got '1'"),
+    (["gen", "--keys", "10", "--nonkeys", "10", "--key-beta", ",", "--out", "{out}"],
+     "bad --key-beta: no values")])
 def test_a_value_a_typed_flag_cannot_parse_exits_with_one_line(argv, message, built, tmp_path,
                                                                 capsys):
     out = tmp_path / "ds.csv"
@@ -383,6 +387,7 @@ def test_query_of_a_missing_or_junk_file_exits_with_one_line(content, tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--methods", "lbf,bogus", "unknown methods ['bogus']"),
     ("--methods", ",", "no values"),
+    ("--budgets", ",", "no values"),
     ("--budgets", "3x", "invalid literal"),
     ("--seeds", "a", "invalid literal")])
 def test_bench_refuses_a_bad_list_before_loading_data(flag, value, message, data, tmp_path):

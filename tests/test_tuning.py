@@ -86,7 +86,11 @@ class TestTieRules:
 
     @pytest.mark.parametrize("tune", [tune_lbf, tune_sandwiched])
     def test_tau_sweeps_take_the_last_tau(self, tune, synth_small):
-        with mock.patch("adabloom.tuning._measure", return_value=0.25):
+        # a built candidate is measured, one of lbf geometry counted: both give 0.25
+        def count(view, bitmap_bits, taus, seed, subset=None):
+            return [0.25] * len(taus)
+        with mock.patch("adabloom.tuning._measure", return_value=0.25), \
+                mock.patch("adabloom.tuning.count_lbf_fprs", side_effect=count):
             res = tune(synth_small, 40_000, tau_grid=[0.7, 0.3, 0.5], seed=1)
         assert res.params == {"tau": 0.5}
         assert res.fpr == 0.25
@@ -375,6 +379,22 @@ def cache_reads(monkeypatch):
     return reads
 
 
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """Per ``ProbeCache.matrix`` call (the tau counter's), whether it read the matrix
+    the view held before the call, rather than building one."""
+    reads = []
+    matrix = bits.ProbeCache.matrix
+
+    def spy(self, family, r):
+        held = self._columns
+        columns = matrix(self, family, r)
+        reads.append(columns is not None and columns is held)
+        return columns
+    monkeypatch.setattr(bits.ProbeCache, "matrix", spy)
+    return reads
+
+
 class TestWarmView:
     """A view whose probe cache is built gives the same filters and tuner results."""
 
@@ -415,16 +435,19 @@ class TestWarmView:
 
     @pytest.mark.parametrize("holdout", [0.0, 0.3])
     @pytest.mark.parametrize("tune, grids", TUNERS, ids=lambda x: getattr(x, "__name__", ""))
-    def test_tuners_agree_on_cold_and_warm_views(self, tune, grids, holdout, cache_reads):
+    def test_tuners_agree_on_cold_and_warm_views(self, tune, grids, holdout, cache_reads,
+                                                 matrix_reads):
         cold = tune(gen_synthetic(1500, 1500, seed=5), 9000, seed=2, holdout_fraction=holdout,
                     **grids)
         view = gen_synthetic(1500, 1500, seed=5).by_score()
         tune(view, 9000, seed=2, holdout_fraction=holdout, **grids)
-        reads = dict(cache_reads)
+        reads, counted = dict(cache_reads), len(matrix_reads)
         warm = tune(view, 9000, seed=2, holdout_fraction=holdout, **grids)
         assert (warm.params, warm.fpr, warm.candidates) == (cold.params, cold.fpr, cold.candidates)
         assert dump_filter(warm.filter) == dump_filter(cold.filter)
-        if tune is not tune_disjoint:  # its stages differ in lane: no geometry repeats
+        if tune in (tune_lbf, tune_sandwiched):  # the warm count read both sides' held matrix
+            assert matrix_reads[counted:] == [True, True]
+        elif tune is not tune_disjoint:  # its stages differ in lane: no geometry repeats
             assert cache_reads["test_hashed"] > reads["test_hashed"]
 
 
