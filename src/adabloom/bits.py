@@ -57,16 +57,27 @@ what it costs the per-item loop. The finished states go back to item order
 by one scatter per salt: 98 us on an 8192-id chunk, where one 2-D fancy
 scatter of both took 191 us.
 
+A ``BitVector`` holds one ``bool`` byte per bit and packs them only for the
+container (see its docstring), so every kernel indexes the bits directly:
+an insert is one scatter of ``True``, a probe one ``take``, with no byte and
+mask per bit. Against packed bits, where an insert marked an R-byte array
+and packed and ORed it in per call, a 10-key insert into 300k bits took 7
+instead of 32 us, and over six traced perfbench sweep passes (2-core Xeon,
+numpy 2.4, raw) inserts took 0.47 instead of 0.54 s and probes 0.49
+instead of 0.70 s. A probe reads R bytes instead of R / 8, which still paid
+on a half-full loaded filter probed with 10k items at k = 8: 143-181 us at
+R = 300k-1M against 199-378 us packed, and 177-247 against 222-384 us at
+R = 4M (three runs each on a shared host).
+
 ``BitVector.set_hashed`` computes w probe columns of a batch at once, as
 the ``(w, n)`` slab ``(a + b * cols[:, None]) % R`` of at most ``_SLAB``
-probes, which bounds memory for any k, marks them in a ``bool`` array of
-R entries and ORs it, packed, into the bits. ``_SLAB`` is 2**16, so each
-``uint64`` temporary is 512 KiB, well inside a core's 2 MiB L2: inserting
-50k keys with k = 4 into 300k bits took 1.6 ms, 2.9 ms at 2**18. Every
-kernel reduces by R as ``idx -= idx // R * R``: the same remainder as
-``% R``, but numpy divides a ``uint64`` array by a scalar without hardware
-division (libdivide) and takes remainders with it; on 200k indices this
-took 0.45 instead of 0.9 ms.
+probes, which bounds memory for any k, and sets the bits at them.
+``_SLAB`` is 2**16, so each ``uint64`` temporary is 512 KiB, well inside a
+core's L2: inserting 50k keys with k = 4 into 300k bits took 2.3 ms, 2.6 ms
+at 2**18. Every kernel reduces by R as ``idx -= idx // R * R``: the same
+remainder as ``% R``, but numpy divides a ``uint64`` array by a scalar
+without hardware division (libdivide) and takes remainders with it; on
+200k indices this took 0.45 instead of 0.9 ms.
 
 Probe i of an item depends only on its base pair, its lane, i and R, not
 on which filter is probed, and a tuner builds and measures hundreds of
@@ -85,32 +96,33 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   lanes of the default grids;
 - the first ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an
   ``int32`` matrix. ``set_hashed`` and ``test_hashed`` take that matrix and
-  their items' rows in it as ``cached``. Insert marks the cached columns
+  their items' rows in it as ``cached``. Insert sets the cached columns
   directly, cast to ``intp`` up to ``_SLAB`` at a time: numpy scatters
   ``int32`` indices on a slow cast path (400k indices into 300k bools took
   2.4 ms as ``int32``, 1.6 ms cast first), and an ``intp`` matrix would hold
   4.8 MB more on the benchmark's sweep;
-- the last fresh fill: the bytes of the last range of items inserted into
-  all-zero bits, with its geometry (seed, lane, R, k, first row). A fresh
-  range with that geometry that reaches at least as far starts from those
-  bytes and inserts only the items past them (``ProbeRows.insert``). Setting
-  bits is an OR, so this is the union of two Bloom filters of one geometry
-  (Broder & Mitzenmacher 2004), bit for bit the filter of all the items. On
-  the view a ``lbf`` backup holds the keys below tau, a prefix that grows
-  with tau, so backups built at ascending tau insert each key once per run
-  of equal k; ``ada``'s first stage at ascending c extends the same way.
+- the last fresh fill: a copy of the bits (R bytes) of the last range of
+  items inserted into all-zero bits, with its geometry (seed, lane, R, k,
+  first row). A fresh range with that geometry that reaches at least as far
+  starts from those bits and inserts only the items past them
+  (``ProbeRows.insert``). Setting bits is an OR, so this is the union of
+  two Bloom filters of one geometry (Broder & Mitzenmacher 2004), bit for
+  bit the filter of all the items. On the view a ``lbf`` backup holds the
+  keys below tau, a prefix that grows with tau, so backups built at
+  ascending tau insert each key once per run of equal k; ``ada``'s first
+  stage at ascending c extends the same way.
 
 ``test_hashed`` tests a batch of at most ``_SMALL_BATCH`` (2**14) probes,
-n * k, as one slab: the ``(k, n)`` indices at once, in the packed bytes,
-cached or not. A walk pays a dozen numpy calls per column whatever the
-batch size, while a slab computes all n * k probes, where the walk drops an
-item at its first miss; on uncached batches at half load with k = 10
-(R = 300k, 2-core Xeon, numpy 2.4, best of 300) the walk took 113 us and
-the slab 68 us for 1250 items, about even at 2500, and 224 us against
-470 us for 10k. A larger batch walks the first ``CACHED_COLUMNS`` columns
-one at a time over the items that are still all hits, whether or not they
-are cached; at the optimal k a filter is about half full, so a non-key
-costs about two probes. The walk keeps one array, the positions of the
+n * k, as one slab: the ``(k, n)`` indices at once, cached or not. A walk
+pays a dozen numpy calls per column whatever the batch size, while a slab
+computes all n * k probes, where the walk drops an item at its first miss;
+on uncached batches at half load with k = 10 (R = 300k, 2-core Xeon, numpy
+2.4, best of 15 x 20) the walk took 82 us and the slab 60 us for 1250
+items, about even at 2500, and 160 us against 401 us for 10k. A larger
+batch walks the first ``CACHED_COLUMNS`` columns one at a time over the
+items that are still all hits, whether or not they are cached; at the
+optimal k a filter is about half full, so a non-key costs about two
+probes. The walk keeps one array, the positions of the
 survivors (none until the first miss, unless the items have counts, below).
 Per column it tests the survivors, finds the hits with ``flatnonzero`` and,
 if any item missed, gathers the positions and the column source at them
@@ -123,26 +135,21 @@ Xeon, numpy 2.4) ``test_hashed`` took 1.55 instead of 1.93 s, and
 ``set_hashed``, with the ``intp`` cast below, 0.93 instead of 1.11 s. Only
 the column source differs:
 
-- cached, column i is read from the matrix at the survivors and tested
-  against an unpacked copy of the bits (R bytes, as large as insert's
-  marks). The matrix of a range of rows is first cut to the range (a
-  view), so a survivor's position indexes its own columns; index rows are
-  gathered at the survivors instead;
+- cached, column i is read from the matrix at the survivors. The matrix
+  of a range of rows is first cut to the range (a view), so a survivor's
+  position indexes its own columns; index rows are gathered at the
+  survivors instead;
 - uncached, it is the running sum h = a + i*b, kept per survivor and
-  advanced by b per column (the same 64-bit wrap as a + i*b), reduced by R
-  and tested in the packed bytes as ``buf[idx >> 3] & mask[idx & 7]``, so
-  no R-byte copy is made, whatever R a loaded container has.
+  advanced by b per column (the same 64-bit wrap as a + i*b), reduced by R.
 
-Each source keeps the gather that suits it (2-core Xeon, numpy 2.4, 50k
-non-keys at R = 300k and k = 8): cached, the unpacked gather took 0.6 ms
-and a packed one 0.8 ms; uncached, the packed walk took 1.1 ms against
-2.9 ms for the slab probe, and an unpacked walk, unpacking included, was
-about 15% faster at R = 150k-300k but slower at R = 1M with 10k items.
-Columns past the walk, on the few items that survive it, are probed in
-slabs of 1, 2, 4, ... columns: at k = 10**6, three items that hit
-everywhere take about 60 slabs, not a numpy call per column. ``CACHED_COLUMNS``
-is 12: about 0.5 ** 12 (0.02%) of non-keys reach column 13, and the
-default ``ada`` ladder tops out at k = 12.
+Either way the column's bits are one ``take`` of the bits, and no copy of
+them is made. On 50k non-keys at R = 300k and k = 8 (2-core Xeon, numpy
+2.4) the cached walk took 0.54 ms, the uncached one 0.67 ms and one slab
+of all 8 columns 9.1 ms. Columns past the walk, on the few items that
+survive it, are probed in slabs of 1, 2, 4, ... columns: at k = 10**6,
+three items that hit everywhere take about 60 slabs, not a numpy call per
+column. ``CACHED_COLUMNS`` is 12: about 0.5 ** 12 (0.02%) of non-keys
+reach column 13, and the default ``ada`` ladder tops out at k = 12.
 
 An uncached batch may give each item its own hash count, and a range and
 bit offset together, with which ``GatedBloom`` probes all its disjoint
@@ -187,8 +194,6 @@ _SHIFT = np.uint64(33)
 _FMIX_A = np.uint64(0xFF51AFD7ED558CCD)
 _FMIX_B = np.uint64(0xC4CEB9FE1A85EC53)
 _PRIME = np.uint64(_FNV_PRIME)
-
-_BYTE_MASKS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
 # Items per numpy pass of base_pairs. Each pass allocates index and state
 # arrays of 8 to 16 bytes per item and a copy of the chunk's id bytes.
@@ -446,22 +451,42 @@ class HashFamily:
         return (((a + i * b) & _MASK64) % r for i in range(k))
 
 
-class BitVector:
-    """Fixed-length packed bit array; insert-only and freezable.
+def _check_length(length_bits: int) -> int:
+    if length_bits < 1:
+        raise ValueError(f"bit vector length must be >= 1, got {length_bits}")
+    return int(length_bits)
 
-    Bit i lives at byte i // 8, position i % 8 (LSB first), the same
-    layout used by the serialization container. After :meth:`freeze`
-    the vector is immutable and safe for concurrent readers.
+
+class BitVector:
+    """Fixed-length bit array, one ``bool`` byte per bit; insert-only and freezable.
+
+    A vector of R bits takes R bytes in memory, so that inserts scatter and
+    probes gather bits directly, and R / 8 bytes on disk: :meth:`to_bytes`
+    packs bit i into byte i // 8 at position i % 8 (LSB first), the layout
+    of the serialization container, and :meth:`from_bytes` unpacks it.
+    After :meth:`freeze` the vector is immutable and safe for concurrent
+    readers.
     """
 
-    __slots__ = ("_nbits", "_buf", "_frozen")
+    __slots__ = ("_nbits", "_bits", "_frozen")
 
     def __init__(self, length_bits: int):
-        if length_bits < 1:
-            raise ValueError(f"bit vector length must be >= 1, got {length_bits}")
-        self._nbits = int(length_bits)
-        self._buf = np.zeros((self._nbits + 7) // 8, dtype=np.uint8)
+        self._nbits = _check_length(length_bits)
+        self._bits = np.zeros(self._nbits, dtype=bool)
         self._frozen = False
+
+    @classmethod
+    def _of(cls, bits: np.ndarray, frozen: bool) -> "BitVector":
+        """A vector over ``bits``, a non-empty ``bool`` array, which it keeps."""
+        bv = cls.__new__(cls)
+        bv._nbits, bv._bits, bv._frozen = len(bits), bits, frozen
+        return bv
+
+    @classmethod
+    def joined(cls, vectors: Iterable["BitVector"]) -> "BitVector":
+        """The vectors' bits laid end to end in one frozen vector: bit i of a
+        vector is bit i plus the lengths of the vectors before it."""
+        return cls._of(np.concatenate([v._bits for v in vectors]), frozen=True)
 
     @property
     def length_bits(self) -> int:
@@ -481,32 +506,31 @@ class BitVector:
 
     def set_bits(self, indices: Iterable[int]) -> None:
         self._writable()
-        buf, nbits = self._buf, self._nbits
+        bits, nbits = self._bits, self._nbits
         for idx in indices:
             if not 0 <= idx < nbits:
                 raise IndexError(f"bit index {idx} out of range for {nbits}-bit vector")
-            buf[idx >> 3] |= _BYTE_MASKS[idx & 7]
+            bits[idx] = True
 
     def test_bits(self, indices: Iterable[int]) -> bool:
         """True iff every listed bit is set; vacuously true for no indices."""
-        buf, nbits = self._buf, self._nbits
+        bits, nbits = self._bits, self._nbits
         for idx in indices:
             if not 0 <= idx < nbits:
                 raise IndexError(f"bit index {idx} out of range for {nbits}-bit vector")
-            if not buf[idx >> 3] & _BYTE_MASKS[idx & 7]:
+            if not bits[idx]:
                 return False
         return True
 
     def set_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None) -> None:
         """Set the first k double-hashing positions for a batch of items.
 
-        Marks them in slabs of ``_SLAB // n`` columns (at least one) in a
-        ``bool`` array, then ORs it in packed, so repeated calls accumulate.
-        ``cached`` is ``(columns, rows)`` from :meth:`ProbeRows.cached`: the
-        first ``len(columns)`` probes are marked from the ``int32`` matrix
-        instead, in slabs of the same width cast to ``intp``, since numpy
-        scatters ``int32`` indices about 1.5x slower than the cast and the
-        ``intp`` scatter together.
+        Scatters them into the bits in slabs of ``_SLAB // n`` columns (at
+        least one), so repeated calls accumulate. ``cached`` is ``(columns,
+        rows)`` from :meth:`ProbeRows.cached`: the first ``len(columns)``
+        probes are read from the ``int32`` matrix instead, in slabs of the
+        same width cast to ``intp``, since numpy scatters ``int32`` indices
+        about 1.5x slower than the cast and the ``intp`` scatter together.
         """
         self._writable()
         if k < 0:
@@ -514,20 +538,19 @@ class BitVector:
         if k == 0 or len(a) == 0:
             return
         r = np.uint64(self._nbits)
-        marks = np.zeros(self._nbits, dtype=bool)
+        bits = self._bits
         width = max(1, _SLAB // len(a))
         start = 0
         if cached is not None:
             columns, rows = cached
             start = min(k, len(columns))
             for i in range(0, start, width):
-                marks[columns[i:min(start, i + width), rows].astype(np.intp)] = True
+                bits[columns[i:min(start, i + width), rows].astype(np.intp)] = True
         for i in range(start, k, width):
             cols = np.arange(i, min(k, i + width), dtype=np.uint64)
             idx = a + b * cols[:, None]
             idx -= idx // r * r
-            marks[idx.view(np.intp)] = True
-        self._buf |= np.packbits(marks, bitorder="little")
+            bits[idx.view(np.intp)] = True
 
     def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None,
                     counts=None, ranges=None, offsets=None) -> np.ndarray:
@@ -536,18 +559,16 @@ class BitVector:
         An uncached batch may give each item its own geometry: ``counts`` its
         hash count (at most k; 0 passes the item), and, given together,
         ``ranges`` its range r_j and ``offsets`` the bit where that range
-        starts (both ``uint64``, the offsets multiples of 8), so that probe i
-        of item j tests bit ``offsets[j] + (a_j + i*b_j) mod r_j``.
-        ``GatedBloom`` probes its stages with disjoint intervals so, in one
-        call.
+        starts (both ``uint64``), so that probe i of item j tests bit
+        ``offsets[j] + (a_j + i*b_j) mod r_j``. ``GatedBloom`` probes its
+        stages with disjoint intervals so, in one call.
 
         A batch of at most ``_SMALL_BATCH`` probes (n * k) is tested as one
         slab. A larger one walks the first ``CACHED_COLUMNS`` columns one at a
         time over the items that are still all hits: from ``cached``, as in
-        :meth:`set_hashed`, against an unpacked copy of the bits, or else from
-        the running sum a + i*b against the packed bytes; the columns past
-        the walk are probed in slabs of 1, 2, 4, ... columns (at most
-        ``_SLAB`` probes each). The walkers are kept as their positions (None
+        :meth:`set_hashed`, or else from the running sum a + i*b; the
+        columns past the walk are probed in slabs of 1, 2, 4, ... columns
+        (at most ``_SLAB`` probes each). The walkers are kept as their positions (None
         until the first miss) and, uncached, their running sums and strides,
         or, cached with index rows, their rows; a range of rows reads the
         matrix cut to the range, at the positions. With ``counts`` the
@@ -584,7 +605,6 @@ class BitVector:
             columns, rows = cached
             if isinstance(rows, slice):  # then a position indexes its own columns
                 columns, rows = columns[:, rows], None
-            bits = np.unpackbits(self._buf, bitorder="little").view(bool)
         while m:
             if (k if counts is None else counts[m - 1]) <= i:  # the last walker's count is least
                 # the walkers past their count, a suffix, hit every column of it
@@ -603,7 +623,7 @@ class BitVector:
                 width *= 2
             if cached is not None and i < CACHED_COLUMNS:
                 at = alive if rows is None else rows
-                hit = bits.take(columns[i] if at is None else columns[i].take(at))
+                hit = self._bits.take(columns[i] if at is None else columns[i].take(at))
             else:
                 if h is None:  # the first column computed from the pairs
                     h, step = (a[:m], b[:m]) if alive is None else (a.take(alive), b.take(alive))
@@ -636,29 +656,32 @@ class BitVector:
         return res
 
     def _probe(self, h: np.ndarray, r, offsets) -> np.ndarray:
-        """The bits at ``offsets + h mod r``, tested in the packed bytes."""
+        """The bits at ``offsets + h mod r``."""
         idx = h % r + offsets if r.ndim else h - h // r * r
-        return (self._buf.take((idx >> np.uint64(3)).view(np.intp))
-                & _BYTE_MASKS.take((idx & np.uint64(7)).view(np.intp))) != 0
+        return self._bits.take(idx.view(np.intp))
 
     def popcount(self) -> int:
-        return int(np.unpackbits(self._buf).sum())
+        return int(np.count_nonzero(self._bits))
 
     def load_fraction(self) -> float:
         return self.popcount() / self._nbits
 
     def to_bytes(self) -> bytes:
-        return self._buf.tobytes()
+        """The bits packed, LSB first: (R + 7) // 8 bytes, the padding bits 0."""
+        return np.packbits(self._bits, bitorder="little").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, length_bits: int, frozen: bool = True) -> "BitVector":
-        bv = cls(length_bits)
-        expected = (length_bits + 7) // 8
+        """The vector :meth:`to_bytes` packed; ValueError on a wrong length or a set
+        padding bit past ``length_bits``."""
+        expected = (_check_length(length_bits) + 7) // 8
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes for {length_bits} bits, got {len(data)}")
-        bv._buf[:] = np.frombuffer(data, dtype=np.uint8)
-        bv._frozen = frozen
-        return bv
+        if data[-1] >> (length_bits % 8 or 8):
+            raise ValueError(f"bits set past the end of a {length_bits}-bit array")
+        packed = np.frombuffer(data, dtype=np.uint8)
+        bits = np.unpackbits(packed, count=length_bits, bitorder="little").view(bool)
+        return cls._of(bits, frozen)
 
     def __repr__(self) -> str:
         return f"BitVector({self._nbits} bits, {self.popcount()} set)"
@@ -682,7 +705,7 @@ class ProbeCache:
       so a geometry asked for once costs nothing, and :meth:`matrix` at once.
       There is no matrix for r >= 2**31;
     - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
-      last row and a copy of its bytes, r / 8 bytes.
+      last row and a copy of its bits, r bytes.
     """
 
     __slots__ = ("_pairs", "_lanes", "_fill", "_asked", "_built", "_columns")
@@ -782,15 +805,15 @@ class ProbeRows(NamedTuple):
         becomes the cache's fill.
         """
         rows, geometry = self.rows, None
-        if isinstance(rows, slice) and rows.stop > rows.start and not bits._buf.any():
+        if isinstance(rows, slice) and rows.stop > rows.start and not bits._bits.any():
             geometry = (family.seed, family.lane, bits.length_bits, k, rows.start)
             last = self.cache._fill
             if last is not None and last[0] == geometry and last[1] <= rows.stop:
                 bits._writable()
-                bits._buf[:] = last[2]
+                bits._bits[:] = last[2]
                 rows = slice(last[1], rows.stop)
         if k and (rows.stop > rows.start if isinstance(rows, slice) else len(rows)):
             batch = ProbeRows(self.cache, rows)
             bits.set_hashed(*batch.pairs(family), k, cached=batch.cached(family, bits.length_bits))
         if geometry is not None:
-            self.cache._fill = (geometry, self.rows.stop, bits._buf.copy())
+            self.cache._fill = (geometry, self.rows.stop, bits._bits.copy())

@@ -158,11 +158,13 @@ def _rates(dataset: ScoredDataset, bitmap_bits: int, tau: float):
     """(keys below tau, f_p, f_n) for a build at ``tau``; ValueError on a bad budget or tau.
 
     f_p is the fraction of non-keys scoring >= tau, f_n that of keys below
-    it; each is None when the dataset has no non-keys / no keys.
+    it; each is None when the dataset has no non-keys / no keys. A
+    score-ordered view counts them by ``searchsorted``, a plain dataset by
+    masks.
     """
     _check_build(bitmap_bits, tau)
-    below = np.count_nonzero(dataset.key_scores < tau)
-    f_p = np.count_nonzero(dataset.nonkey_scores >= tau) / dataset.m if dataset.m else None
+    below, above = dataset._tau_counts(tau)
+    f_p = above / dataset.m if dataset.m else None
     return below, f_p, below / dataset.n if dataset.n else None
 
 

@@ -261,6 +261,12 @@ class ScoredDataset:
         idx = np.searchsorted(np.asarray(thresholds[1:-1]), scores, side="right")
         return tuple(np.bincount(idx, minlength=len(thresholds) - 1).tolist())
 
+    def _tau_counts(self, tau: float) -> tuple[int, int]:
+        """(keys scoring below tau, non-keys scoring at or above it); a NaN score
+        counts in neither."""
+        return (int(np.count_nonzero(self.key_scores < tau)),
+                int(np.count_nonzero(self.nonkey_scores >= tau)))
+
     def _cached(self, tag: str, make):
         if tag not in self._cache:
             self._cache[tag] = make()
@@ -287,7 +293,7 @@ class ScoredDataset:
           so the lane-0 stages at the full bitmap of ``lbf``, ``ada`` and a
           ``sandwich`` reduced to ``lbf`` reuse it from candidate to
           candidate, while the per-group lanes of ``disjoint`` build nothing;
-        - the bytes of the last fresh fill, R / 8 bytes: a fresh stage of
+        - a copy of the bits of the last fresh fill, R bytes: a fresh stage of
           the same seed, lane, R and k whose keys extend that fill's starts
           from them (see ``bits.ProbeRows.insert``). The first stage of
           ``ada`` at ascending c is such a stage, as are ``lbf`` backups
@@ -366,6 +372,12 @@ class _ScoreOrderedView(ScoredDataset):
         # the numbers of scores below its two bounds
         below = np.searchsorted(scores, thresholds[1:-1], side="left")
         return tuple(np.diff(below, prepend=0, append=len(scores)).tolist())
+
+    def _tau_counts(self, tau: float) -> tuple[int, int]:
+        # scores are sorted, NaN last: the non-NaN scores are those at or below inf
+        scores = self.nonkey_scores
+        above = np.searchsorted(scores, np.inf, side="right") - np.searchsorted(scores, tau)
+        return int(np.searchsorted(self.key_scores, tau)), int(above)
 
     def _hash_pairs(self, seed: int, keys: bool) -> tuple[np.ndarray, np.ndarray]:
         tag = ("pairs", seed, keys)

@@ -66,15 +66,14 @@ class _Codec(BytesIO):
         if vector is not None:
             self.write(vector.to_bytes())
             return vector
-        if r < 1:
-            raise FormatError(f"bit array length must be >= 1, got {r}")
         nbytes = (r + 7) // 8
         data = self.read(nbytes)
         if len(data) != nbytes:
             raise FormatError("truncated bit array")
-        if data[-1] >> (r % 8 or 8):
-            raise FormatError(f"bits set past the end of a {r}-bit array")
-        return BitVector.from_bytes(data, r)
+        try:  # a length below 1 or a set padding bit
+            return BitVector.from_bytes(data, r)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
 
 def _opt_float(x: float | None) -> float:

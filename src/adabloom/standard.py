@@ -66,14 +66,15 @@ by lower bound (``_Walk``), if there are at least two. So each item gets
 its stage once, by ``searchsorted`` of its score in their bounds, is
 remixed once on that stage's lane, and all items walk in one
 ``BitVector.test_hashed`` call with a hash count (0 outside every stage,
-which passes), range and bit offset each; the offsets point into the
-stages' arrays laid end to end, and ``ada``'s stages, on one array, keep
-one range and no offsets. The other stages are probed afterwards, one at
-a time, on the survivors inside their interval: a stage that overlaps a
-walked one (a sandwich's backup), and a stage that would walk alone
-(``lbf``'s backup, the sandwich's initial filter). A batch of more than
-``_WALK_ITEMS`` (2**15) items walks in blocks of that many, which bounds
-the walk's per-item arrays to a few MiB.
+which passes), range and bit offset each; the offsets point into one
+copy of the stages' arrays laid end to end, made with the walk, and
+``ada``'s stages, on one array, keep one range and no offsets. The other
+stages are probed afterwards, one at a time, on the survivors inside
+their interval: a stage that overlaps a walked one (a sandwich's backup),
+and a stage that would walk alone (``lbf``'s backup, the sandwich's
+initial filter). A batch of more than ``_WALK_ITEMS`` (2**15) items walks
+in blocks of that many, which bounds the walk's per-item arrays to a few
+MiB.
 On one 10k batch of the benchmark's query workload (2-core Xeon, numpy
 2.4, best of 4 x 1000, raw) ``ada`` took 0.48 ms where a walk per stage
 took 1.18 ms, and ``disjoint`` 0.78 instead of 1.52 ms; ``searchsorted``
@@ -240,6 +241,9 @@ class _Walk(NamedTuple):
     or below it, and per-piece tables give each item its stage's count (0
     outside every stage), lane, range and offset; a piece's stage is the
     walked stage that starts at the piece's lower bound, found in a dict.
+    Stages on several arrays are probed in one copy of them laid end to
+    end, one ``np.concatenate`` (``BitVector.joined``), so an offset is the
+    sum of the lengths of the arrays before the stage's.
     The ``later`` stages are probed afterwards, one at a time, on the
     survivors inside their interval: those that overlap a walked one (a
     sandwich's backup), and every stage if fewer than two would walk, since
@@ -255,7 +259,7 @@ class _Walk(NamedTuple):
     salts: tuple | None  # ``HashFamily.lane_salts`` of the pieces' families, made once
     bits: BitVector | None  # the stages' one array, or their arrays end to end
     ranges: np.ndarray | None  # per piece, if several arrays: the stage's range
-    offsets: np.ndarray | None  # and the bit its array starts at, on a byte boundary
+    offsets: np.ndarray | None  # and the bit its array starts at
     later: tuple
 
     @classmethod
@@ -285,8 +289,8 @@ class _Walk(NamedTuple):
             start, starts = 0, {}
             for array in arrays:
                 starts[id(array)] = start
-                start += 8 * len(array.to_bytes())
-            bits = BitVector.from_bytes(b"".join(array.to_bytes() for array in arrays), start)
+                start += array.length_bits
+            bits = BitVector.joined(arrays)
             ranges = np.array([stage.bits.length_bits for stage in at], dtype=np.uint64)
             offsets = np.array([starts[id(stage.bits)] for stage in at], dtype=np.uint64)
         return cls(bounds, counts, int(counts.max(initial=0)), families[0] if same else None,

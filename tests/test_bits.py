@@ -410,6 +410,24 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector.from_bytes(b"\x00", 21)
 
+    @pytest.mark.parametrize("r", [1, 7, 21, 4999])
+    def test_from_bytes_refuses_a_set_padding_bit(self, r):
+        data = bytearray((r + 7) // 8)
+        data[-1] = 0x80  # bit 8 * len(data) - 1, past r - 1
+        with pytest.raises(ValueError, match="past the end"):
+            BitVector.from_bytes(bytes(data), r)
+        data[-1] = 1 << (r - 1) % 8  # the last bit is not padding
+        assert BitVector.from_bytes(bytes(data), r).test_bits([r - 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), r=st.integers(1, 5000))
+    def test_bytes_roundtrip_any_length(self, data, r):
+        packed = bytearray(data.draw(st.binary(min_size=(r + 7) // 8, max_size=(r + 7) // 8)))
+        packed[-1] &= (1 << (r % 8 or 8)) - 1  # the padding bits past r are 0
+        bv = BitVector.from_bytes(bytes(packed), r)
+        assert bv.to_bytes() == packed
+        assert bv.popcount() == sum(bin(byte).count("1") for byte in packed)
+
 
 class TestBatchPaths:
     @pytest.mark.parametrize("n_items,k,r", [(100, 7, 5003), (30, 300, 4096), (5, 9000, 2**14)])
@@ -444,12 +462,17 @@ def hashed(seed, items, lane=0):
     return fam.remix_pairs(*fam.base_pairs(items))
 
 
+# Bit i % 8 of a packed byte: the models below test in the container's packed
+# layout, independently of the vector's own store.
+BYTE_MASKS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
+
+
 def per_probe_set(a, b, k, r):
     """Bytes of an r-bit vector after setting the k probes one column at a time."""
     buf = np.zeros((r + 7) // 8, dtype=np.uint8)
     for i in range(k):
         idx = ((a + b * np.uint64(i)) % np.uint64(r)).astype(np.intp)
-        np.bitwise_or.at(buf, idx >> 3, bits._BYTE_MASKS[idx & 7])
+        np.bitwise_or.at(buf, idx >> 3, BYTE_MASKS[idx & 7])
     return buf.tobytes()
 
 
@@ -458,7 +481,7 @@ def per_probe_test(bv, a, b, k):
     out = np.ones(len(a), dtype=bool)
     for i in range(k):
         idx = ((a + b * np.uint64(i)) % np.uint64(bv.length_bits)).astype(np.intp)
-        out &= (buf[idx >> 3] & bits._BYTE_MASKS[idx & 7]) != 0
+        out &= (buf[idx >> 3] & BYTE_MASKS[idx & 7]) != 0
     return out
 
 
@@ -608,7 +631,7 @@ class TestProbeWalk:
         assert time.perf_counter() - t0 < 2.0
 
     def test_uncached_probe_makes_no_unpacked_copy(self):
-        r = 2**27  # 16 MiB packed; an unpacked copy would be 128 MiB
+        r = 2**24  # one byte per bit: a copy of the bits would be 16 MiB
         full = BitVector.from_bytes(b"\xff" * (r // 8), r)
         a, b = hashed(13, [f"t{i}" for i in range(16)])
         tracemalloc.start()
@@ -627,7 +650,7 @@ def per_item_test(bv, a, b, counts, ranges, offsets):
     out = np.ones(len(a), dtype=bool)
     for i in range(int(counts.max(initial=0))):
         idx = (offsets + (a + b * np.uint64(i)) % ranges).astype(np.intp)
-        out &= ((buf[idx >> 3] & bits._BYTE_MASKS[idx & 7]) != 0) | (counts <= i)
+        out &= ((buf[idx >> 3] & BYTE_MASKS[idx & 7]) != 0) | (counts <= i)
     return out
 
 

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from adabloom.learned import (
     LearnedBloom,
     SandwichedBloom,
+    _rates,
     build_lbf,
     build_sandwiched,
     sandwich_allocate,
 )
-from adabloom.scores import gen_synthetic
+from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic
 from adabloom.standard import OPTIMAL_FPR_BASE, build_standard
 from adabloom.tuning import tune_lbf, tune_sandwiched
 
@@ -66,6 +67,31 @@ class TestLearnedBloom:
         filt = build_lbf(synth_small, 10_000, 0.5, seed=1)
         with pytest.raises(ValueError):
             filt.contains("x", 1.5)
+
+
+# scores drawn from a few values, NaN among them, so that ties are common
+tied_scores = st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, math.nan]) | st.floats(0.0, 1.0),
+                       max_size=30)
+
+
+class TestRates:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=tied_scores, nonkeys=tied_scores,
+           tau=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    def test_view_counts_equal_the_masks(self, keys, nonkeys, tau):
+        # the view counts by searchsorted on its sorted scores, NaN last; a NaN
+        # score is neither below tau nor at or above it
+        dataset = ScoredDataset([ScoredItem(f"k{i}", s, True) for i, s in enumerate(keys)]
+                                + [ScoredItem(f"n{i}", s, False) for i, s in enumerate(nonkeys)])
+        below = int(np.count_nonzero(np.array(keys, dtype=float) < tau))
+        above = int(np.count_nonzero(np.array(nonkeys, dtype=float) >= tau))
+        want = (below, above / len(nonkeys) if nonkeys else None,
+                below / len(keys) if keys else None)
+        for data in (dataset, dataset.by_score()):
+            assert data._tau_counts(tau) == (below, above)
+            got = _rates(data, 0, tau)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
 
 
 class TestSandwichAllocate:
