@@ -90,8 +90,10 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
     method's tuner, which ignores the ones it does not take. One that
-    ``tuning.check_grids`` rejects, and a score that ``ScoredDataset.validate``
-    rejects, raise before any cell runs.
+    ``tuning.check_grids`` rejects (a keyword no grid names, such as
+    ``holdout_fraction``: a cell is tuned and counted on every non-key),
+    and a score that ``ScoredDataset.validate`` rejects, raise before any
+    cell runs.
     """
     budgets = [int(b) for b in budgets]
     methods = list(methods)
@@ -99,8 +101,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     if not budgets or not methods or not seeds:
         raise ValueError("budgets, methods and seeds must be non-empty")
     check_methods(methods)
-    grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
-    check_grids(grids)
+    grids = check_grids(grids)
     dataset.validate()
 
     view = dataset.by_score()

@@ -89,11 +89,19 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
 
 - the final pairs of lanes 0 and 1, built once per seed, which every stage
   on those lanes reads at its rows (a view of a range, a gather of index
-  rows) instead of remixing its slice of the base pairs. Lanes 2 and up,
-  ``disjoint``'s groups past the first, still remix per stage: on the
-  benchmark's sweep (50k/50k, seed 1101, 2-core Xeon) peak RSS was 76.9 MB
-  without held pairs, 79.4 MB with lanes 0 and 1 and 94.3 MB with all 12
-  lanes of the default grids;
+  rows) instead of remixing its slice of the base pairs;
+- per lane from 2 up (``disjoint``'s groups past the first) the final
+  pairs of every row asked for so far under one seed, in a window of the
+  items' length over an anonymous memory map. A row is remixed the first
+  time a stage on its lane reads it, so once per view and seed, not once
+  per candidate and budget, and a page of the window takes memory only
+  once a row on it is written: 16 bytes per (lane, row) served. On the
+  benchmark's sweep (50k/50k, 150 and 300 Kb, default grids, seeds 1101
+  and 2601) the stages of a pass asked for 8.9-9.0M such pairs, 450k-457k
+  distinct ones, and the windows' written pages held 7.4-7.5 MB; peak RSS
+  went 67.3 -> 74.1 MB (perfbench medians, 10 runs each). Full windows
+  from ``np.empty`` would take memory as soon as the heap reused pages
+  that were already resident;
 - the first ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an
   ``int32`` matrix. ``set_hashed`` and ``test_hashed`` take that matrix and
   their items' rows in it as ``cached``. Insert sets the cached columns
@@ -171,6 +179,7 @@ end.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -213,8 +222,9 @@ _SMALL_BATCH = 1 << 14
 # full, so 0.5 ** 12 of non-keys reach column 13; the default ada ladder
 # tops out at k = 12.
 CACHED_COLUMNS = 12
-# Hash lanes whose final pairs a ProbeCache keeps: lane 0 (every stage but the
-# ones below) and lane 1 (the sandwiched initial filter, disjoint's group 1).
+# Hash lanes whose final pairs a ProbeCache builds for all its items at once:
+# lane 0 (every stage but the ones below) and lane 1 (the sandwiched initial
+# filter, disjoint's group 1). Higher lanes hold the rows asked for so far.
 PAIR_LANES = 2
 
 
@@ -344,7 +354,8 @@ class HashFamily:
     per-item base hashes are computed once and remixed per lane. The
     disjoint filter gives each group its own lane and the sandwiched
     filter its initial filter lane 1. A ``ProbeCache`` keeps the remixed
-    pairs of lanes 0 and 1 of its items; other lanes are remixed per batch.
+    pairs of lanes 0 and 1 of all its items, and of each other lane those
+    of the items asked for so far.
     """
 
     __slots__ = ("seed", "lane", "_salt_a", "_salt_b", "_lane_a", "_lane_b")
@@ -695,10 +706,12 @@ class ProbeCache:
     - the final pairs ``(h_a, h_b | 1)`` of lanes 0 and 1 (``PAIR_LANES``),
       each built once per seed on first use: lane 0 shares h_a with the base
       pairs and adds ``h_b | 1``, lane 1 adds both remixed arrays, so the two
-      cost 24 bytes per item. A new seed replaces a lane's pairs, so at most
-      two lanes are held. Other lanes are remixed per batch from the base
-      pairs: each would cost 16 bytes per item more, and a 12-group
-      ``disjoint`` uses lanes 1 to 11;
+      cost 24 bytes per item;
+    - per lane from 2 up, a window of the final pairs under one seed: a
+      ``(2, n)`` ``uint64`` array over an anonymous memory map, zero until a
+      row is asked for and remixed. A stride ``h_b | 1`` is odd, so a zero
+      one marks a row not remixed yet. The pages of a window take memory
+      only once written, so it costs 16 bytes per row served;
     - at most one ``int32`` matrix, ``columns[i, j] = (a_j + i * b_j) mod r``
       for one geometry (seed, lane, r): :meth:`columns` builds it the second
       time in a row the same geometry is asked for, replacing the last one,
@@ -706,6 +719,8 @@ class ProbeCache:
       There is no matrix for r >= 2**31;
     - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
       last row and a copy of its bits, r bytes.
+
+    A new seed replaces a lane's pairs or window, so each lane holds one.
     """
 
     __slots__ = ("_pairs", "_lanes", "_fill", "_asked", "_built", "_columns")
@@ -717,17 +732,30 @@ class ProbeCache:
         self._asked = self._built = self._columns = None
 
     def pairs(self, family: HashFamily, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Final pairs of the items at ``rows`` (a slice or an index array) for
-        this family: for lanes 0 and 1 the held arrays at ``rows``, for the
-        others the base pairs at ``rows``, remixed."""
-        if family.lane >= PAIR_LANES:
-            a, b = self._pairs(family.seed)
-            return family.remix_pairs(a[rows], b[rows])
+        """Final pairs of the items at ``rows`` (a slice or an integer index
+        array) for this family: the held arrays at ``rows``, after remixing
+        the rows of a lane's window that no stage asked for before."""
         held = self._lanes.get(family.lane)
         if held is None or held[0] != family.seed:
-            held = self._lanes[family.lane] = (
-                family.seed, *family.remix_pairs(*self._pairs(family.seed)))
-        return held[1][rows], held[2][rows]
+            base = self._pairs(family.seed)
+            if family.lane < PAIR_LANES:
+                held = (family.seed, *family.remix_pairs(*base))
+            else:
+                held = (family.seed, *_zeroed(len(base[0])))
+            self._lanes[family.lane] = held
+        a, b = held[1], held[2]
+        strides = b[rows]
+        if family.lane >= PAIR_LANES and not strides.all():
+            new = np.flatnonzero(strides == 0)
+            if isinstance(rows, slice):
+                start, _, step = rows.indices(len(b))
+                at = start + step * new
+            else:
+                at = rows.take(new)
+            base_a, base_b = self._pairs(family.seed)
+            a[at], b[at] = family.remix_pairs(base_a.take(at), base_b.take(at))
+            strides = b[rows]
+        return a[rows], strides
 
     def columns(self, family: HashFamily, r: int) -> np.ndarray | None:
         """The matrix for this family's seed and lane at range r, or None."""
@@ -758,6 +786,14 @@ class ProbeCache:
                 idx -= idx // np.uint64(r) * np.uint64(r)
                 columns[i:i + len(cols)] = idx
             self._columns, self._built = columns, geometry
+
+
+def _zeroed(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two zero ``uint64`` arrays of length n over one anonymous memory map,
+    whose pages take memory only once written."""
+    buf = mmap.mmap(-1, max(1, 16 * n))
+    window = np.frombuffer(buf, dtype=np.uint64, count=2 * n).reshape(2, n)
+    return window[0], window[1]
 
 
 class ProbeRows(NamedTuple):

@@ -272,6 +272,10 @@ class ScoredDataset:
             self._cache[tag] = make()
         return self._cache[tag]
 
+    def _memo(self, tag, make):
+        """``make()``; a score-ordered view keeps it under ``tag`` instead."""
+        return make()
+
     def by_score(self) -> "ScoredDataset":
         """This dataset with keys and non-keys each in stable ascending score order.
 
@@ -280,12 +284,18 @@ class ScoredDataset:
         ``nonkey_order`` give, per position, the index into this dataset's
         keys / non-keys.
 
-        The view also caches the hash work every tuner candidate repeats:
-        per side (keys, non-keys) one ``bits.ProbeCache`` holding
+        The view also caches the work every tuner candidate repeats. Per
+        side (keys, non-keys) one ``bits.ProbeCache`` holds
 
         - the final pairs of lanes 0 and 1 for one seed each, built on first
           use: 8 bytes per item for lane 0 (``h_b | 1``; h_a is the base
           hash) and 16 for lane 1, so 24 bytes per item;
+        - per lane from 2 up, the final pairs under one seed of the rows any
+          stage asked for so far, each remixed once, in a window whose pages
+          take memory only once written: 16 bytes per (lane, row) served,
+          about 7.5 MB on the benchmark's sweep (50k/50k, default grids),
+          where a pass asks for about 9M pairs, each remixed per stage
+          before (see ``bits``);
         - at most one ``int32`` matrix of the first ``bits.CACHED_COLUMNS``
           probes of every item, for one (seed, lane, R), 48 bytes per item.
           A geometry is cached the second time in a row it is asked for, or
@@ -300,8 +310,13 @@ class ScoredDataset:
           built at ascending tau, which the tuners count instead
           (``learned.count_lbf_fprs``).
 
-        None of it holds counts or FPRs. ``insert_keys`` and
-        ``GatedBloom.contains_batch`` read it through ``probe_rows``.
+        ``insert_keys`` and ``GatedBloom.contains_batch`` read these through
+        ``probe_rows``. The view also keeps each partition that
+        ``partition_by_ratio`` cut from it, one per (g, c), since no
+        partition depends on the budget or the seed: a pass of the
+        benchmark's two-budget sweep asks for 120 distinct ones 440 times.
+        A partition holds the view's own group counts; nothing on the view
+        holds filter bits or FPRs.
         """
         return self._cached("by_score", lambda: _ScoreOrderedView(self))
 
@@ -363,6 +378,8 @@ class _ScoreOrderedView(ScoredDataset):
 
     def by_score(self) -> ScoredDataset:
         return self
+
+    _memo = ScoredDataset._cached  # a view keeps what it makes
 
     def probe_rows(self, keys: bool) -> ProbeRows:
         return ProbeRows(self._probes[keys], slice(0, self.n if keys else self.m))
@@ -720,7 +737,9 @@ def partition_by_ratio(dataset: ScoredDataset, g: int, c: float) -> ScorePartiti
 
     Thresholds are placed at empirical quantiles of the non-key score
     distribution targeting m_j proportional to c^(g-j); key counts are
-    then derived against the same thresholds.
+    then derived against the same thresholds. A score-ordered view cuts
+    each (g, c) once and returns that partition again after (see
+    ``ScoredDataset.by_score``); a plain dataset cuts it at every call.
     """
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")
@@ -728,12 +747,12 @@ def partition_by_ratio(dataset: ScoredDataset, g: int, c: float) -> ScorePartiti
         check_ratio(c)
     if dataset.m < g:
         raise InsufficientDataError(f"need at least g={g} non-keys, have {dataset.m}")
-    if g == 1:
-        thresholds: tuple[float, ...] = (0.0, 1.0)
-    else:
-        cuts = _geometric_cuts(dataset.sorted_nonkey_scores, g, c)
-        thresholds = (0.0, *cuts, 1.0)
-    return partition_from_thresholds(dataset, thresholds)
+
+    def cut() -> ScorePartition:
+        cuts = _geometric_cuts(dataset.sorted_nonkey_scores, g, c) if g > 1 else []
+        return partition_from_thresholds(dataset, (0.0, *cuts, 1.0))
+
+    return dataset._memo(("partition", g, c if g > 1 else None), cut)  # c is unused at g = 1
 
 
 def partition_below_threshold(dataset: ScoredDataset, tau: float, g: int, c: float) -> ScorePartition:

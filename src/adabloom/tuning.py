@@ -153,12 +153,17 @@ def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
 
     Drawn in the dataset's item order, deterministic per seed, then
     permuted onto the view, so the same non-keys are held out either way.
+    ValueError if either side would be empty, naming both counts.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+    count = int(round(view.m * fraction))
+    if not 0 < count < view.m:
+        raise ValueError(f"holdout fraction {fraction} of {view.m} non-keys leaves "
+                         f"{view.m - count} to tune on and {count} held out; "
+                         f"both need at least one")
     rng = np.random.default_rng((seed, 0x401D))
     holdout = np.zeros(view.m, dtype=bool)
-    count = int(round(view.m * fraction))
     holdout[rng.permutation(view.m)[:count]] = True
     holdout = holdout[view.nonkey_order]
     return ~holdout, holdout
@@ -303,8 +308,9 @@ def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=
                    {"g_grid": list(g_grid), "c_grid": list(c_grid)})
 
 
-def check_grids(grids: dict, method: str | None = None) -> None:
-    """ValueError on the first override in ``grids`` that ``method``'s tuner cannot use.
+def check_grids(grids: dict, method: str | None = None) -> dict:
+    """``grids`` with each override as a tuple; ValueError on the first
+    override that ``method``'s tuner cannot use.
 
     That is a name ``GRIDS[method]`` does not list (with no ``method``, a
     name no tuner takes), an empty grid, or a value that fails every
@@ -312,18 +318,21 @@ def check_grids(grids: dict, method: str | None = None) -> None:
     infinite or NaN, g < 1. An override of None stands for the default grid.
     """
     taken = _GRID_LIMITS if method is None else GRIDS[method]
-    for name, values in grids.items():
-        if values is None:
-            continue
+    for name in grids:
         if name not in taken:
             raise ValueError(f"method {method!r} takes no such grid" if method
                              else f"no tuner takes a grid override {name!r}")
+    grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
+    for name, values in grids.items():
+        if values is None:
+            continue
         if len(values) == 0:
             raise ValueError(f"empty grid overrides [{name!r}]")
         valid, rule = _GRID_LIMITS[name]
         for value in values:
             if not valid(value):
                 raise ValueError(f"{rule}, got {value}")
+    return grids
 
 
 def check_model_bits(method: str, model_bits: int) -> None:
@@ -334,16 +343,19 @@ def check_model_bits(method: str, model_bits: int) -> None:
 
 
 def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
-         model_bits: int = 0, **grids) -> TuneResult:
-    """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names, ignoring the rest.
+         model_bits: int = 0, holdout_fraction: float = 0.0, **grids) -> TuneResult:
+    """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names,
+    ignoring those only another method's grids name.
 
-    Raises ValueError on an override ``check_grids`` rejects. The
-    tuner is looked up in this module at call time, so a wrapped
-    ``tune_*`` (perfbench's tracer installs them) is the one called.
+    Raises ValueError naming a keyword that no tuner's grid names, and on
+    an override ``check_grids`` rejects. The tuner is looked up in this
+    module at call time, so a wrapped ``tune_*`` (perfbench's tracer
+    installs them) is the one called.
     """
     if method not in GRIDS:
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
-    grids = {name: grids.get(name) for name in GRIDS[method]}
-    check_grids(grids, method)
+    check_grids(dict.fromkeys(grids))  # the names alone
+    grids = check_grids({name: grids.get(name) for name in GRIDS[method]}, method)
     tuner = globals()[_TUNERS[method]]
-    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits, **grids)
+    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits,
+                 holdout_fraction=holdout_fraction, **grids)

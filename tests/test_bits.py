@@ -773,6 +773,39 @@ class TestProbeCache:
                                          cached=ProbeRows(cache, rows).cached(fam, r))
                 assert (got == want).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 400), data=st.data())
+    def test_windows_remix_each_row_once_per_seed(self, n, data):
+        items = [f"w{i}" for i in range(n)]
+        base = {seed: HashFamily(seed).base_pairs(items) for seed in (1, 2**40 + 7)}
+        cache = ProbeCache(base.__getitem__)
+        remix = HashFamily.remix_pairs
+        remixed = []  # the rows of each remix the cache makes
+        bounds = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+        rows = (bounds.map(lambda lo_hi: slice(*lo_hi))
+                | st.sets(st.integers(0, n - 1)).map(lambda s: np.array(sorted(s), dtype=np.intp)))
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(sorted(base)), st.integers(2, 12), rows),
+                                   min_size=1, max_size=12))
+        served = {}  # lane -> (seed, the rows asked for under it)
+        with mock.patch.object(HashFamily, "remix_pairs",
+                               lambda fam, a, b: remixed.append(len(a)) or remix(fam, a, b)):
+            for seed, lane, at in steps:
+                fam = HashFamily(seed, lane)
+                remixed.clear()
+                got_a, got_b = cache.pairs(fam, at)
+                want_a, want_b = remix(fam, base[seed][0][at], base[seed][1][at])
+                assert got_a.dtype == got_b.dtype == np.uint64
+                assert got_a.tolist() == want_a.tolist() and got_b.tolist() == want_b.tolist()
+                # a new seed starts the lane's window over; a row already served is not remixed
+                if served.get(lane, (seed,))[0] != seed:
+                    del served[lane]
+                asked = set(np.arange(n)[at].tolist())
+                known = served.setdefault(lane, (seed, set()))[1]
+                assert sum(remixed) == len(asked - known)
+                known |= asked
+                # the window holds the rows served so far and no other
+                assert np.flatnonzero(cache._lanes[lane][2]).tolist() == sorted(known)
+
     def test_matrix_is_the_probe_indices(self):
         fam = HashFamily(5, 3)
         items = [f"m{i}" for i in range(50)]

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import tempfile
 from dataclasses import FrozenInstanceError
 from unittest import mock
@@ -616,6 +617,34 @@ class TestPartition:
         m = part.m_per_group[:-1]
         for hi, lo in zip(m, m[1:]):
             assert 1.7 <= hi / lo <= 2.3
+
+
+class TestPartitionMemo:
+    """A score-ordered view cuts each (g, c) once; a plain dataset keeps no partition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 5), m=st.integers(0, 60), tied=st.booleans(),
+           asks=st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1.2, 1.5, 2, 2.0, 3.0])),
+                         min_size=1, max_size=8))
+    def test_view_partitions_equal_fresh_ones(self, seed, m, tied, asks):
+        ds = gen_synthetic(30, m, seed=seed)
+        if tied:  # scores on a coarse grid: tie blocks cross the cuts
+            ds = ScoredDataset.from_columns(ds.ids, np.round(ds.scores, 1), ds.is_key)
+        view = ds.by_score()
+        kept = {}
+        for g, c in asks:
+            try:
+                want = partition_by_ratio(ds, g, c)
+            except InsufficientDataError as exc:
+                with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
+                    partition_by_ratio(view, g, c)
+                continue
+            got = partition_by_ratio(view, g, c)
+            assert got == want == partition_from_thresholds(view, got.thresholds)
+            # the same object for a (g, c) asked before; c is unused at g = 1
+            assert got is kept.setdefault((g, c if g > 1 else None), got)
+            assert partition_by_ratio(ds, g, c) is not want
+        assert not [tag for tag in ds._cache if "partition" in tag]
 
 
 class TestGroupLookup:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from adabloom import bits, tuning
 from adabloom.adaptive import AdaptiveParams, build_ada
+from adabloom.bench import run_sweep
 from adabloom.bits import PAIR_LANES, BitVector, HashFamily
 from adabloom.disjoint import InfeasibleBudgetError, build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
@@ -123,6 +124,35 @@ def test_tune_rejects_out_of_range_grid_values(method, grids, wrapped_tuners):
     # a method ignores the overrides it does not take
     other = next(m for m, names in GRIDS.items() if not set(grids) & set(names))
     assert tune(other, ds, 3000, **grids).method == other
+
+
+class TestTuneKeywords:
+    """``tune`` passes ``holdout_fraction`` on and refuses a keyword no grid names."""
+
+    def test_tune_passes_the_holdout_fraction_on(self):
+        ds = gen_synthetic(5000, 5000, seed=1)
+        got = tune("lbf", ds, 30000, seed=3, holdout_fraction=0.3)
+        want = tune_lbf(ds, 30000, seed=3, holdout_fraction=0.3)
+        assert got.fpr == want.fpr == pytest.approx(0.01267, abs=1e-5)
+        assert (got.params, got.candidates) == (want.params, want.candidates)
+
+    def test_tune_names_a_keyword_no_grid_takes(self, wrapped_tuners):
+        with pytest.raises(ValueError, match="no tuner takes a grid override 'kmax_gird'"):
+            tune("lbf", gen_synthetic(5000, 5000, seed=1), 30000, seed=3, kmax_gird=[3])
+        assert all(m.call_count == 0 for m in wrapped_tuners.values())
+
+    def test_run_sweep_names_the_holdout_fraction(self, wrapped_tuners):
+        with pytest.raises(ValueError, match="no tuner takes a grid override 'holdout_fraction'"):
+            run_sweep(gen_synthetic(5000, 5000, seed=1), [30000], ["lbf"], [3],
+                      holdout_fraction=0.3)
+        assert all(m.call_count == 0 for m in wrapped_tuners.values())
+
+    def test_an_empty_side_of_the_holdout_is_refused_before_any_build(self):
+        with mock.patch.object(tuning, "build", wraps=tuning.build) as built, \
+                pytest.raises(ValueError, match=re.escape(
+                    "holdout fraction 1e-05 of 3000 non-keys leaves 3000 to tune on and 0 held out")):
+            tune_disjoint(gen_synthetic(3000, 3000, seed=1), 18000, seed=3, holdout_fraction=1e-5)
+        assert built.call_count == 0
 
 
 @pytest.mark.parametrize("grids, method, message", [
@@ -494,9 +524,16 @@ class TestViewCaches:
                 if not keys:  # holdout rows: an index array
                     assert (got.contains_batch(a[holdout], b[holdout], scores[holdout],
                                                rows=rows.select(holdout)) == plain[holdout]).all()
-                # the view keeps the final pairs of lanes 0 and 1 only, one seed each
-                held = rows.cache._lanes
-                assert set(held) <= set(range(PAIR_LANES)) and len(held) <= 2
+                # the view keeps one seed's final pairs per lane: all rows of lanes 0
+                # and 1, the rows asked for so far of the others (a zero stride is a
+                # row not asked for, since a stride is odd)
+                for lane, (lane_seed, held_a, held_b) in rows.cache._lanes.items():
+                    served = np.flatnonzero(held_b)
+                    assert lane >= PAIR_LANES or len(served) == len(held_b)
+                    base_a, base_b = (view.key_pairs if keys else view.nonkey_pairs)(lane_seed)
+                    want_a, want_b = HashFamily(lane_seed, lane).remix_pairs(base_a[served],
+                                                                             base_b[served])
+                    assert (held_a[served] == want_a).all() and (held_b[served] == want_b).all()
 
 
     @pytest.mark.parametrize("method, params", [
