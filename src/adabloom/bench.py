@@ -24,10 +24,11 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .scores import ScoredDataset
+from .standard import check_model_count
 from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
 
-__all__ = ["SweepRow", "METHODS", "check_methods", "run_sweep", "rows_to_csv", "write_csv",
-           "CSV_HEADER", "parse_budget"]
+__all__ = ["SweepRow", "METHODS", "check_budgets", "check_methods", "run_sweep", "rows_to_csv",
+           "write_csv", "CSV_HEADER", "parse_budget"]
 
 METHODS = tuple(PARAMS)
 
@@ -58,15 +59,19 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 def parse_budget(text: str) -> int:
     """Budget in bits; a 'kb' suffix means kilobits (1 Kb = 1000 bits).
 
-    ValueError on a malformed, infinite or NaN value.
+    ValueError on a malformed, infinite, NaN or negative value.
     """
     text = text.strip().lower()
     if text.endswith("kb"):
         bits = float(text[:-2]) * 1000
         if not math.isfinite(bits):
             raise ValueError(f"budget must be finite, got {text!r}")
-        return int(round(bits))
-    return int(text)
+        bits = int(round(bits))
+    else:
+        bits = int(text)
+    if bits < 0:
+        raise ValueError(f"budget must be >= 0, got {text!r}")
+    return bits
 
 
 def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
@@ -75,6 +80,13 @@ def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
     reps = timeit.repeat(lambda: filt.contains_batch(a, b, view.nonkey_scores, rows=rows),
                          number=1, repeat=3)
     return sorted(reps)[1] * 1e9 / max(1, view.m)
+
+
+def check_budgets(budgets) -> None:
+    """ValueError naming the ``budgets`` below 1 bit, which no filter fits in."""
+    small = [b for b in budgets if b < 1]
+    if small:
+        raise ValueError(f"budgets must be >= 1 bit, got {small}")
 
 
 def check_methods(methods) -> None:
@@ -89,10 +101,11 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     """One tuned row per (budget, method, seed), sorted by that triple.
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
-    method's tuner, which ignores the ones it does not take. One that
+    method's tuner, which ignores the ones it does not take. A budget below
+    1 bit, an unknown method, a negative ``model_bits``, an override that
     ``tuning.check_grids`` rejects (a keyword no grid names, such as
     ``holdout_fraction``: a cell is tuned and counted on every non-key),
-    and a score that ``ScoredDataset.validate`` rejects, raise before any
+    and a score that ``ScoredDataset.validate`` rejects raise before any
     cell runs.
     """
     budgets = [int(b) for b in budgets]
@@ -100,7 +113,9 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     seeds = [int(s) for s in seeds]
     if not budgets or not methods or not seeds:
         raise ValueError("budgets, methods and seeds must be non-empty")
+    check_budgets(budgets)
     check_methods(methods)
+    check_model_count(model_bits)
     grids = check_grids(grids)
     dataset.validate()
 

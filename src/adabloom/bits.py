@@ -69,15 +69,19 @@ on a half-full loaded filter probed with 10k items at k = 8: 143-181 us at
 R = 300k-1M against 199-378 us packed, and 177-247 against 222-384 us at
 R = 4M (three runs each on a shared host).
 
-``BitVector.set_hashed`` computes w probe columns of a batch at once, as
-the ``(w, n)`` slab ``(a + b * cols[:, None]) % R`` of at most ``_SLAB``
-probes, which bounds memory for any k, and sets the bits at them.
-``_SLAB`` is 2**16, so each ``uint64`` temporary is 512 KiB, well inside a
-core's L2: inserting 50k keys with k = 4 into 300k bits took 2.3 ms, 2.6 ms
-at 2**18. Every kernel reduces by R as ``idx -= idx // R * R``: the same
-remainder as ``% R``, but numpy divides a ``uint64`` array by a scalar
-without hardware division (libdivide) and takes remainders with it; on
-200k indices this took 0.45 instead of 0.9 ms.
+One kernel, ``_probes``, computes the probes of a batch: columns first to
+stop - 1 as the ``(w, n)`` slab ``(a + b * cols[:, None]) mod R``. Every
+batch probe goes through it: ``set_hashed``'s and ``test_hashed``'s slabs,
+the walk's columns, the cached matrix below and ``ProbeRows.probe``; only
+the scalar reference ``HashFamily.iter_indices`` states the rule again.
+``BitVector.set_hashed`` sets the bits of slabs of at most ``_SLAB``
+probes, which bounds memory for any k. ``_SLAB`` is 2**16, so each
+``uint64`` temporary is 512 KiB, well inside a core's L2: inserting 50k
+keys with k = 4 into 300k bits took 2.3 ms, 2.6 ms at 2**18. The kernel
+reduces by a scalar R as ``idx - idx // R * R``: the same remainder as
+``% R``, but numpy divides a ``uint64`` array by a scalar without hardware
+division (libdivide) and takes remainders with it; on 200k indices this
+took 0.45 instead of 0.9 ms.
 
 Probe i of an item depends only on its base pair, its lane, i and R, not
 on which filter is probed, and a tuner builds and measures hundreds of
@@ -104,7 +108,8 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   that were already resident;
 - the first ``CACHED_COLUMNS`` probe indices of one (seed, lane, R) as an
   ``int32`` matrix. ``set_hashed`` and ``test_hashed`` take that matrix and
-  their items' rows in it as ``cached``. Insert sets the cached columns
+  their items' rows in it as ``cached``, and ``ProbeRows.probe`` reads one
+  column of it, as ``learned.count_lbf_fprs`` does. Insert sets the cached columns
   directly, cast to ``intp`` up to ``_SLAB`` at a time: numpy scatters
   ``int32`` indices on a slow cast path (400k indices into 300k bools took
   2.4 ms as ``int32``, 1.6 ms cast first), and an ``intp`` matrix would hold
@@ -462,6 +467,25 @@ class HashFamily:
         return (((a + i * b) & _MASK64) % r for i in range(k))
 
 
+def _probes(a: np.ndarray, b: np.ndarray, first: int, stop: int, r,
+            offsets=None) -> np.ndarray:
+    """Probes ``first``..``stop - 1`` of the items with final pairs (a, b), as a
+    ``(stop - first, n)`` ``intp`` array of bit indices ``offsets + (a + i*b) mod r``.
+
+    The sums wrap at 64 bits. r is a ``uint64`` scalar, or, together with
+    ``offsets``, one ``uint64`` range per item, reduced with ``%``. Probe 0
+    alone is a reduction of ``a``, with no product: a walk that keeps the
+    running sum a + i*b asks so for probe i.
+    """
+    idx = (a[None] if (first, stop) == (0, 1)
+           else a + b * np.arange(first, stop, dtype=np.uint64)[:, None])
+    if r.ndim:
+        return (idx % r + offsets).view(np.intp)
+    out = idx // r
+    out *= r
+    return np.subtract(idx, out, out=out).view(np.intp)
+
+
 def _check_length(length_bits: int) -> int:
     if length_bits < 1:
         raise ValueError(f"bit vector length must be >= 1, got {length_bits}")
@@ -558,10 +582,7 @@ class BitVector:
             for i in range(0, start, width):
                 bits[columns[i:min(start, i + width), rows].astype(np.intp)] = True
         for i in range(start, k, width):
-            cols = np.arange(i, min(k, i + width), dtype=np.uint64)
-            idx = a + b * cols[:, None]
-            idx -= idx // r * r
-            bits[idx.view(np.intp)] = True
+            bits[_probes(a, b, i, min(k, i + width), r)] = True
 
     def test_hashed(self, a: np.ndarray, b: np.ndarray, k: int, *, cached=None,
                     counts=None, ranges=None, offsets=None) -> np.ndarray:
@@ -597,10 +618,9 @@ class BitVector:
         n = len(a)
         r = np.uint64(self._nbits) if ranges is None else ranges
         if n * k <= _SMALL_BATCH:
-            cols = np.arange(k)[:, None]
-            hit = self._probe(a + b * cols.astype(np.uint64), r, offsets)
+            hit = self._bits.take(_probes(a, b, 0, k, r, offsets))
             if counts is not None:
-                hit |= cols >= counts  # the columns past an item's count
+                hit |= np.arange(k)[:, None] >= counts  # the columns past an item's count
             return hit.all(axis=0)
         res = np.zeros(n, dtype=bool)  # the items that passed their count
         alive = None  # positions of the walkers; None: the first m items
@@ -642,14 +662,11 @@ class BitVector:
                 if hcol < i:  # wraps at 64 bits, as a + i*b does
                     h = h + step if i == hcol + 1 else h + step * np.uint64(i - hcol)
                     hcol = i
-                if w == 1:
-                    hit = self._probe(h, r, offsets)
-                else:
-                    cols = np.arange(w)[:, None]
-                    hit = self._probe(h + step * cols.astype(np.uint64), r, offsets)
-                    if counts is not None:
-                        hit |= cols + i >= counts
-                    hit = hit.all(axis=0)
+                # probe j of the pairs (h, step) is probe i + j of (a, b)
+                hit = self._bits.take(_probes(h, step, 0, w, r, offsets))
+                if counts is not None and w > 1:
+                    hit |= np.arange(i, i + w)[:, None] >= counts
+                hit = hit[0] if w == 1 else hit.all(axis=0)
             i += w
             kept = np.flatnonzero(hit)
             # a batch of keys hits everywhere: then there is nothing to drop
@@ -665,11 +682,6 @@ class BitVector:
                 if counts is not None:
                     counts = counts.take(kept)
         return res
-
-    def _probe(self, h: np.ndarray, r, offsets) -> np.ndarray:
-        """The bits at ``offsets + h mod r``."""
-        idx = h % r + offsets if r.ndim else h - h // r * r
-        return self._bits.take(idx.view(np.intp))
 
     def popcount(self) -> int:
         return int(np.count_nonzero(self._bits))
@@ -715,8 +727,9 @@ class ProbeCache:
     - at most one ``int32`` matrix, ``columns[i, j] = (a_j + i * b_j) mod r``
       for one geometry (seed, lane, r): :meth:`columns` builds it the second
       time in a row the same geometry is asked for, replacing the last one,
-      so a geometry asked for once costs nothing, and :meth:`matrix` at once.
-      There is no matrix for r >= 2**31;
+      so a geometry asked for once costs nothing. Every reader asks so, the
+      tau counter too, which asks once per probe column it reads (see
+      :meth:`ProbeRows.probe`). There is no matrix for r >= 2**31;
     - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
       last row and a copy of its bits, r bytes.
 
@@ -761,31 +774,16 @@ class ProbeCache:
         """The matrix for this family's seed and lane at range r, or None."""
         geometry = (family.seed, family.lane, r)
         repeated, self._asked = geometry == self._asked, geometry
-        if repeated:
-            self._build(family, r)
-        return self._columns if geometry == self._built else None
-
-    def matrix(self, family: HashFamily, r: int) -> np.ndarray | None:
-        """The matrix for this family's seed and lane at range r, built now if
-        it is not the one held; None for r >= 2**31. For a caller that reads
-        the columns many times over, as ``learned.count_lbf_fprs`` does."""
-        self._asked = (family.seed, family.lane, r)
-        self._build(family, r)
-        return self._columns if self._asked == self._built else None
-
-    def _build(self, family: HashFamily, r: int) -> None:
-        geometry = (family.seed, family.lane, r)
-        if geometry != self._built and r < 1 << 31:
+        if repeated and geometry != self._built and r < 1 << 31:
             self._columns = self._built = None  # the old matrix goes first
             a, b = self.pairs(family, slice(None))
             columns = np.empty((CACHED_COLUMNS, len(a)), dtype=np.int32)
             width = max(1, _SLAB // max(1, len(a)))
             for i in range(0, CACHED_COLUMNS, width):
-                cols = np.arange(i, min(CACHED_COLUMNS, i + width), dtype=np.uint64)
-                idx = a + b * cols[:, None]
-                idx -= idx // np.uint64(r) * np.uint64(r)
-                columns[i:i + len(cols)] = idx
+                stop = min(CACHED_COLUMNS, i + width)
+                columns[i:stop] = _probes(a, b, i, stop, np.uint64(r))
             self._columns, self._built = columns, geometry
+        return self._columns if geometry == self._built else None
 
 
 def _zeroed(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -817,12 +815,24 @@ class ProbeRows(NamedTuple):
         if isinstance(rows, slice):
             if isinstance(sel, slice):
                 return ProbeRows(self.cache, slice(rows.start + sel.start, rows.start + sel.stop))
+            if sel.dtype != bool:  # offset: a few rows take no range of the batch's length
+                return ProbeRows(self.cache, rows.start + sel)
             rows = np.arange(rows.start, rows.stop)
         return ProbeRows(self.cache, rows[sel])
 
     def pairs(self, family: HashFamily) -> tuple[np.ndarray, np.ndarray]:
         """The batch's final pairs for this family (see :meth:`ProbeCache.pairs`)."""
         return self.cache.pairs(family, self.rows)
+
+    def probe(self, family: HashFamily, i: int, r: int) -> np.ndarray:
+        """Probe i of the batch's items for this family on range r, as bit
+        indices: the cache's column (see :meth:`ProbeCache.columns`) if it
+        holds one, else the kernel's, from the batch's final pairs."""
+        columns = self.cache.columns(family, r) if i < CACHED_COLUMNS else None
+        if columns is None:
+            return _probes(*self.pairs(family), i, i + 1, np.uint64(r))[0]
+        rows = self.rows
+        return columns[i, rows] if isinstance(rows, slice) else columns[i].take(rows)
 
     def cached(self, family: HashFamily, r: int):
         """``cached`` for ``set_hashed`` / ``test_hashed``, or None on a miss."""

@@ -12,7 +12,8 @@ on stderr and a non-zero exit, with no file written, and flags are
 checked before any file is read: ``bad --<flag>: ...`` for a flag the
 method or op does not take or a value that cannot be parsed or used,
 ``--<flag> is required for ...`` for a missing one, ``cannot load
-<path>: ...`` for a missing or malformed input file, and ``cannot
+<path>: ...`` for a missing or malformed input file, ``cannot write
+<path>: ...`` for an output path that cannot be written, and ``cannot
 generate|build|tune|evaluate ...: ...`` when the library refuses the
 request.
 """
@@ -24,7 +25,7 @@ import json
 import sys
 
 from .adaptive import fpr_upper_bound
-from .bench import METHODS, check_methods, parse_budget, run_sweep, write_csv
+from .bench import METHODS, check_budgets, check_methods, parse_budget, run_sweep, write_csv
 from .disjoint import allocate_disjoint
 from .learned import sandwich_allocate
 from .scores import gen_synthetic, load_scored_csv, min_sample_size, save_scored_csv
@@ -132,6 +133,20 @@ def _load(loader, path):
         raise SystemExit(f"cannot load {path}: {exc}") from exc
 
 
+def _save(writer, value, path) -> None:
+    """``writer(value, path)``; exits ``cannot write <path>: …`` on a path it cannot write."""
+    try:
+        writer(value, path)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(report: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
 def _beta_pair(text: str) -> tuple[float, float]:
     parts = _list(float)(text)
     if len(parts) != 2:
@@ -144,7 +159,7 @@ def _cmd_gen(args) -> int:
         dataset = gen_synthetic(args.keys, args.nonkeys, args.key_beta, args.nonkey_beta, args.seed)
     except ValueError as exc:
         raise SystemExit(f"cannot generate: {exc}") from exc
-    save_scored_csv(dataset, args.out)
+    _save(save_scored_csv, dataset, args.out)
     print(f"wrote {len(dataset)} items ({dataset.n} keys, {dataset.m} nonkeys) to {args.out}")
     return 0
 
@@ -160,7 +175,7 @@ def _cmd_build(args) -> int:
         filt = build(args.method, dataset, args.bitmap_bits, args.seed, args.model_bits, **params)
     except ValueError as exc:
         raise SystemExit(f"cannot build {args.method}: {exc}") from exc
-    save_filter(filt, args.out)
+    _save(save_filter, filt, args.out)
     print(f"built {args.method} filter over {dataset.n} keys, saved to {args.out}")
     return 0
 
@@ -184,7 +199,7 @@ def _cmd_bench(args) -> int:
     dataset = _load(load_scored_csv, args.data)
     rows = run_sweep(dataset, args.budgets, args.methods, args.seeds, model_bits=args.model_bits,
                      timing=args.timing, **grids)
-    write_csv(rows, args.out)
+    _save(write_csv, rows, args.out)
     ok = sum(1 for row in rows if row.status.startswith("ok"))
     print(f"wrote {len(rows)} rows ({ok} ok) to {args.out}")
     return 0
@@ -209,9 +224,7 @@ def _cmd_tune(args) -> int:
         "grids": res.grids,
         "candidates": res.candidates,
     }
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _save(_write_json, report, args.report)
     print(f"best {args.method}: {res.params} fpr={res.fpr:.6g}; report at {args.report}")
     return 0
 
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="FPR-vs-memory sweep, output CSV")
     p.add_argument("--data", required=True)
-    _add_typed(p, "--budgets", _list(parse_budget), required=True,
+    _add_typed(p, "--budgets", _list(parse_budget, check_budgets), required=True,
                help="comma list of total bits (kb suffix ok)")
     _add_typed(p, "--methods", _list(str, check_methods), default=",".join(METHODS))
     _add_typed(p, "--seeds", _list(int), default="0")

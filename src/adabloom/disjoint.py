@@ -142,7 +142,8 @@ class DisjointBloom(GatedBloom):
                  seed: int, model_bits: int = 0):
         stages = [(*params.partition.interval(j), f) for j, f in enumerate(filters)
                   if f is not None]
-        super().__init__(stages, seed, model_bits, params.partition.shares)
+        # as every stage's family holds it: mod 2**64, so the container can store it
+        super().__init__(stages, HashFamily(seed).seed, model_bits, params.partition.shares)
         self.filters = filters
         self.params = params
 

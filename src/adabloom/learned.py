@@ -31,7 +31,11 @@ filter: per bit, the first key row that sets it at k probes, grown as k
 grows, and per non-key, the largest first row over its probes, compared
 with each tau's key count. On the two-budget sweep (50k/50k, 150 and
 300 Kb, 2-core Xeon, numpy 2.4, raw) it counted a budget's 198 taus in
-about 0.035 s, where building and measuring each took about 0.13 s.
+about 0.035 s, where building and measuring each took about 0.13 s. It
+reads every probe of either side through ``bits.ProbeRows.probe``: a
+column of the view's cached matrix, which the view builds when the counter
+asks for one geometry the second time, as for every other reader, or else
+the column ``bits`` computes from the final pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import CACHED_COLUMNS, BitVector, HashFamily, ProbeRows
+from .bits import BitVector, HashFamily, ProbeRows
 from .scores import ScoredDataset, check_scores
 from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
@@ -197,16 +201,6 @@ def scored_nonkeys(view: ScoredDataset, subset=None) -> tuple[np.ndarray, ProbeR
     return scores, rows
 
 
-def _probe(a: np.ndarray, b: np.ndarray, columns, i: int, r: np.uint64, rows) -> np.ndarray:
-    """Probe i of the items at ``rows`` on one lane and range r: read from the cached
-    ``int32`` matrix if it holds column i, else (a + i*b) mod r from the final pairs."""
-    if columns is not None and i < CACHED_COLUMNS:
-        return columns[i, rows] if isinstance(rows, slice) else columns[i].take(rows)
-    h = a[rows] + b[rows] * np.uint64(i)  # wraps at 64 bits, as every probe kernel does
-    h -= h // r * r
-    return h.view(np.intp)
-
-
 def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int,
                    subset=None) -> list[float]:
     """Per tau, the FPR that ``build_lbf`` at it would measure, without building it.
@@ -240,30 +234,27 @@ def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int,
     groups = {k: ts for k, ts in groups.items()
               if max(n_below[t] for t in ts) and max(j_below[t] for t in ts)}
     if groups:
-        size = max(1, bitmap_bits)
-        family, key_rows = HashFamily(seed), view.probe_rows(keys=True)
-        keys = (*key_rows.pairs(family), key_rows.cache.matrix(family, size))
-        nonkeys = (*view.probe_rows(keys=False).pairs(family), rows.cache.matrix(family, size))
-        first = np.full(size, view.n, dtype=np.int32)  # view.n: no key row sets the bit
+        family, keys = HashFamily(seed), view.probe_rows(keys=True)
+        first = np.full(max(1, bitmap_bits), view.n, dtype=np.int32)  # view.n: no key row sets it
         done = 0  # the probe columns in first
         for k in sorted(groups):
             ts = groups[k]
             passes = _group_passes(first, done, k, [n_below[t] for t in ts],
-                                   [j_below[t] for t in ts], keys, nonkeys, rows.rows)
+                                   [j_below[t] for t in ts], family, keys, rows)
             for t, more in zip(ts, passes):
                 passed[t] += more
             done = k
     return list(np.array(passed, dtype=np.intp) / len(scores))  # as the tuner divides its hits
 
 
-def _group_passes(first: np.ndarray, done: int, k: int, ns, js, keys, nonkeys,
-                  rows) -> list[int]:
+def _group_passes(first: np.ndarray, done: int, k: int, ns, js, family: HashFamily,
+                  keys: ProbeRows, nonkeys: ProbeRows) -> list[int]:
     """Per tau of one k, with n_tau in ``ns`` and j_tau in ``js``, how many of the
     j_tau scored non-keys below it pass its backup.
 
-    ``first`` holds first_{done}; ``keys`` and ``nonkeys`` are each side's
-    lane-0 final pairs and cached matrix (or None), ``rows`` the scored
-    non-keys' rows in the view (a slice or an index array).
+    ``first`` holds first_{done}; ``keys`` are the view's key rows and
+    ``nonkeys`` the scored non-keys' rows, each probed on ``family``'s lane
+    by ``ProbeRows.probe``.
 
     - first grows to first_k by one ``np.minimum.at`` per new probe column,
       over the key rows [0, top), top being the group's largest n_tau. A
@@ -275,27 +266,24 @@ def _group_passes(first: np.ndarray, done: int, k: int, ns, js, keys, nonkeys,
     - A tau of the group counts the survivors in its prefix of the scored
       non-keys whose largest first row is below its own n_tau.
     """
-    r = np.uint64(len(first))
+    r = len(first)
     top = max(ns)
-    key_at = np.arange(top, dtype=np.int32)
+    key_at, inserted = np.arange(top, dtype=np.int32), keys.select(slice(0, top))
     for i in range(done, k):
-        np.minimum.at(first, _probe(*keys, i, r, slice(0, top)), key_at)
-    # the non-keys below the group's largest tau that every probe so far passes, by
-    # position among the scored ones (a slice until the first drop), their rows in the
-    # view and the largest first row of their probes so far
+        np.minimum.at(first, inserted.probe(family, i, r), key_at)
+    # the non-keys below the group's largest tau that every probe so far passes: their
+    # positions among the scored ones (a slice until the first drop), their rows and the
+    # largest first row of their probes so far
     span = live = max(js)
-    alive = view_rows = slice(0, span)
-    if not isinstance(rows, slice):
-        view_rows = rows[:span]
+    alive, walkers = slice(0, span), nonkeys.select(slice(0, span))
     need = None
     for i in range(k):
-        hit = first.take(_probe(*nonkeys, i, r, view_rows))
+        hit = first.take(walkers.probe(family, i, r))
         need = hit if need is None else np.maximum(need, hit)
         kept = np.flatnonzero(hit < top)
         if len(kept) < live:
             alive = kept if isinstance(alive, slice) else alive.take(kept)
-            view_rows = alive if isinstance(rows, slice) else view_rows.take(kept)
-            need, live = need.take(kept), len(kept)
+            walkers, need, live = walkers.select(kept), need.take(kept), len(kept)
             if not live:
                 return [0] * len(ns)
     cuts = np.searchsorted(np.arange(span)[alive], js).tolist()  # survivors below each tau

@@ -298,8 +298,9 @@ class ScoredDataset:
           before (see ``bits``);
         - at most one ``int32`` matrix of the first ``bits.CACHED_COLUMNS``
           probes of every item, for one (seed, lane, R), 48 bytes per item.
-          A geometry is cached the second time in a row it is asked for, or
-          at once for ``learned.count_lbf_fprs``, and replaces the last one,
+          A geometry is cached the second time in a row it is asked for (the
+          tau counter of ``learned.count_lbf_fprs`` asks once per probe
+          column, so at its second column) and replaces the last one,
           so the lane-0 stages at the full bitmap of ``lbf``, ``ada`` and a
           ``sandwich`` reduced to ``lbf`` reuse it from candidate to
           candidate, while the per-group lanes of ``disjoint`` build nothing;

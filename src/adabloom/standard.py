@@ -101,6 +101,7 @@ __all__ = [
     "insert_keys",
     "expected_fpr_standard",
     "alpha_load",
+    "check_model_count",
     "optimal_k",
     "OPTIMAL_FPR_BASE",
     "DEFAULT_K_CAP",
@@ -119,6 +120,13 @@ DEFAULT_K_CAP = 64
 # loaded k of 2**31 on a full filter would run for minutes. 2**20 probes take
 # about 0.4 s scalar and 0.1 s batched; the library's builders stop at 64.
 MAX_K = 1 << 20
+
+
+def check_model_count(model_bits: int) -> int:
+    """``model_bits``, the bits a filter charges to its score model; ValueError if negative."""
+    if model_bits < 0:
+        raise ValueError(f"model_bits must be >= 0, got {model_bits}")
+    return model_bits
 
 
 def round_half_away(x: float) -> int:
@@ -325,7 +333,7 @@ class GatedBloom:
     def __init__(self, stages, seed: int, model_bits: int = 0, shares=None):
         self.stages: tuple[tuple[float, float, StandardBloom], ...] = tuple(stages)
         self.seed = seed
-        self.model_bits = model_bits
+        self.model_bits = check_model_count(model_bits)
         # (lo, hi, share of the build's non-keys) per score piece; None without non-keys
         self.shares: tuple[tuple[float, float, float], ...] | None = shares
         self._walk: _Walk | None = None  # made on the first batch once every array is frozen

@@ -49,7 +49,7 @@ from .disjoint import InfeasibleBudgetError, build_disjoint
 from .learned import (build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split,
                       scored_nonkeys)
 from .scores import InsufficientDataError, ScoredDataset, partition_by_ratio
-from .standard import StandardBloom, insert_keys, optimal_k
+from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
 
 __all__ = [
     "TuneResult",
@@ -214,6 +214,7 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: i
     """
     if not axis:
         raise ValueError(f"empty {method} grid")
+    check_model_bits(method, model_bits)
     view = dataset.by_score()
     tune_on = holdout = None
     if holdout_fraction:
@@ -320,7 +321,7 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
     taken = _GRID_LIMITS if method is None else GRIDS[method]
     for name in grids:
         if name not in taken:
-            raise ValueError(f"method {method!r} takes no such grid" if method
+            raise ValueError(f"method {method!r} takes no such grid {name!r}" if method
                              else f"no tuner takes a grid override {name!r}")
     grids = {name: None if values is None else tuple(values) for name, values in grids.items()}
     for name, values in grids.items():
@@ -336,7 +337,9 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
 
 
 def check_model_bits(method: str, model_bits: int) -> None:
-    """ValueError if ``method`` takes no model bits: ``standard`` has no score model."""
+    """ValueError on a negative ``model_bits``, or on any if ``method`` takes
+    none: ``standard`` has no score model."""
+    check_model_count(model_bits)
     if method == "standard" and model_bits:
         raise ValueError(f"method 'standard' has no score model, so model_bits must be 0, "
                          f"got {model_bits}")

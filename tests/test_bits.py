@@ -806,6 +806,30 @@ class TestProbeCache:
                 # the window holds the rows served so far and no other
                 assert np.flatnonzero(cache._lanes[lane][2]).tolist() == sorted(known)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), lane=st.sampled_from([0, 1, 4]),
+           r=st.sampled_from([1, 7, 4099, 2**31 + 11]), data=st.data())
+    def test_probe_is_the_scalar_probe(self, n, lane, r, data):
+        """Probe i of a batch, asked for cold and then with the matrix held, at a
+        slice of rows, an index array picked from it and a boolean mask."""
+        fam = HashFamily(3, lane)
+        items = [f"p{i}" for i in range(n)]
+        pairs = fam.base_pairs(items)
+        cache = ProbeCache(lambda seed: pairs)
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        batch = ProbeRows(cache, slice(lo, hi))
+        picked = np.array(sorted(data.draw(st.sets(st.integers(0, hi - lo - 1)))), dtype=np.intp)
+        mask = np.zeros(hi - lo, dtype=bool)
+        mask[picked] = True
+        for i in (0, 1, CACHED_COLUMNS - 1, CACHED_COLUMNS, 40):
+            for rows in (batch, batch.select(picked), batch.select(mask)):
+                at = np.arange(n)[rows.rows].tolist()
+                assert at == list(range(lo, hi)) or at == (lo + picked).tolist()
+                want = [fam.indices(items[j], i + 1, r)[i] for j in at]
+                assert rows.probe(fam, i, r).tolist() == want  # the matrix is built on the 2nd ask
+        assert (cache.columns(fam, r) is None) == (r >= 2**31)
+
     def test_matrix_is_the_probe_indices(self):
         fam = HashFamily(5, 3)
         items = [f"m{i}" for i in range(50)]

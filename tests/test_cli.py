@@ -120,6 +120,16 @@ def test_build_standard_refuses_model_bits(data, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_disjoint_at_a_negative_seed_builds_and_queries(data, built, tmp_path, capsys):
+    path = tmp_path / "d.adbf"
+    assert main(["build", "--method", "disjoint", "--g", "3", "--c", "2", "--seed=-1",
+                 "--data", str(data), "--bitmap-bits", "12kb", "--out", str(path)]) == 0
+    assert load_filter(path).seed == 2**64 - 1
+    key = built[0].keys[0]
+    assert main(["query", "--filter", str(path), "--id", key.id, "--score", str(key.score)]) == 0
+    assert capsys.readouterr().out.endswith("positive\n")
+
+
 @pytest.mark.parametrize("method", sorted(BUILD_ARGS))
 def test_query_of_a_key_exits_0(method, built, capsys):
     ds, paths = built
@@ -423,6 +433,45 @@ def test_a_missing_or_malformed_data_file_exits_with_one_line(command, content, 
     assert str(exc.value).startswith(f"cannot load {path}: ") and message in str(exc.value)
     assert "\n" not in str(exc.value)
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, args", [
+    ("gen", ["--keys", "30", "--nonkeys", "30", "--out"]),
+    ("build", ["--method", "lbf", "--tau", "0.5", "--bitmap-bits", "2kb", "--out"]),
+    ("tune", ["--method", "lbf", "--tau-grid", "0.5", "--bitmap-bits", "2kb", "--report"]),
+    ("bench", ["--methods", "lbf", "--tau-grid", "0.5", "--budgets", "2kb", "--out"])])
+def test_an_unwritable_output_path_exits_with_one_line(command, args, data, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    data_args = [] if command == "gen" else ["--data", str(data)]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + data_args + args + [str(path)])
+    assert str(exc.value).startswith(f"cannot write {path}: ") and "No such file" in str(exc.value)
+    assert "\n" not in str(exc.value)
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("build", ["--method", "lbf", "--tau", "0.5", "--model-bits=-500"],
+     "bad --model-bits: budget must be >= 0, got '-500'"),
+    ("tune", ["--method", "lbf", "--model-bits=-500"],
+     "bad --model-bits: budget must be >= 0, got '-500'"),
+    ("bench", ["--methods", "lbf", "--model-bits=-500"],
+     "bad --model-bits: budget must be >= 0, got '-500'"),
+    ("bench", ["--budgets=-5kb,0"], "bad --budgets: budget must be >= 0, got '-5kb'"),
+    ("bench", ["--budgets", "0,2kb"], "bad --budgets: budgets must be >= 1 bit, got [0]"),
+    ("build", ["--method", "lbf", "--tau", "0.5", "--bitmap-bits=-1"],
+     "bad --bitmap-bits: budget must be >= 0, got '-1'")])
+def test_a_negative_count_exits_with_one_line(command, argv, message, data, tmp_path, capsys):
+    defaults = {"build": ["--bitmap-bits", "2kb", "--out", str(tmp_path / "f.adbf")],
+                "tune": ["--bitmap-bits", "2kb", "--report", str(tmp_path / "r.json")],
+                "bench": ["--budgets", "2kb", "--out", str(tmp_path / "b.csv")]}[command]
+    with mock.patch.object(cli, "load_scored_csv", side_effect=AssertionError), \
+            pytest.raises(SystemExit) as exc:  # a later flag overrides the default
+        main([command, "--data", str(data)] + defaults + argv)
+    assert str(exc.value) == message
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -44,9 +44,11 @@ def _measured(view, bitmap_bits, taus, seed, subset):
 
 
 def _warm(view, bitmap_bits, seed):
-    """Hold both sides' probe matrix for the lane-0 family of ``seed`` at this budget."""
+    """Hold both sides' probe matrix for the lane-0 family of ``seed`` at this budget:
+    a cache builds the matrix of a geometry asked for twice in a row."""
     for keys in (True, False):
-        view.probe_rows(keys).cache.matrix(HashFamily(seed), max(1, bitmap_bits))
+        for _ in range(2):
+            view.probe_rows(keys).cache.columns(HashFamily(seed), max(1, bitmap_bits))
 
 
 @settings(max_examples=150, deadline=None)

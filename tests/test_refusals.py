@@ -9,12 +9,19 @@ import re
 import numpy as np
 import pytest
 
-from adabloom.adaptive import AdaptiveParams, expected_fpr_ada, fpr_upper_bound, kmax_from_lbf
+from adabloom.adaptive import (
+    AdaptiveParams,
+    build_ada,
+    expected_fpr_ada,
+    fpr_upper_bound,
+    kmax_from_lbf,
+)
 from adabloom.bench import parse_budget, run_sweep
 from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import (
     InfeasibleBudgetError,
     allocate_disjoint,
+    build_disjoint,
     build_disjoint_from_partition,
 )
 from adabloom.learned import build_lbf, build_sandwiched, sandwich_allocate
@@ -38,7 +45,7 @@ from adabloom.standard import (
     expected_fpr_standard,
     optimal_k,
 )
-from adabloom.tuning import _measure, check_grids, default_tau_grid
+from adabloom.tuning import _measure, check_grids, default_tau_grid, tune_lbf
 
 NAN, INF = float("nan"), float("inf")
 DS = gen_synthetic(60, 60, seed=3)
@@ -200,6 +207,27 @@ REFUSALS = [
      "budget must be finite, got 'nankb'"),
     ("parse-budget-overflow", lambda _: parse_budget("1e308kb"), ValueError,
      "budget must be finite, got '1e308kb'"),
+    ("parse-budget-negative", lambda _: parse_budget("-500"), ValueError,
+     "budget must be >= 0, got '-500'"),
+    ("parse-budget-negative-kb", lambda _: parse_budget("-5kb"), ValueError,
+     "budget must be >= 0, got '-5kb'"),
+    ("run-sweep-budget-below-one-bit", lambda _: run_sweep(DS, [0, 1000, -5], ["lbf"], [0]),
+     ValueError, "budgets must be >= 1 bit, got [0, -5]"),
+    ("tune-lbf-negative-model-bits", lambda _: tune_lbf(DS, 2000, seed=3, model_bits=-500),
+     ValueError, "model_bits must be >= 0, got -500"),
+    ("run-sweep-negative-model-bits",
+     lambda _: run_sweep(DS, [1000], ["lbf"], [0], model_bits=-500), ValueError,
+     "model_bits must be >= 0, got -500"),
+    # every filter that stores a model-bit count
+    ("lbf-negative-model-bits", lambda _: build_lbf(DS, 1000, 0.5, 0, -500), ValueError,
+     "model_bits must be >= 0, got -500"),
+    ("sandwich-negative-model-bits", lambda _: build_sandwiched(DS, 1000, 0.5, 0, -500),
+     ValueError, "model_bits must be >= 0, got -500"),
+    ("ada-negative-model-bits", lambda _: build_ada(
+        DS, 1000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.0), 2, 0, 2.0), 0, -500),
+     ValueError, "model_bits must be >= 0, got -500"),
+    ("disjoint-negative-model-bits", lambda _: build_disjoint(DS, 1000, 3, 2.0, 0, -500),
+     ValueError, "model_bits must be >= 0, got -500"),
     # bits and serialize
     ("set-hashed-negative-k", lambda _: BitVector(64).set_hashed(*PAIR, -1), ValueError,
      "hash count k must be >= 0, got -1"),

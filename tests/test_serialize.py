@@ -50,6 +50,29 @@ def test_roundtrip_preserves_decisions(kind, built, synth_small):
     assert decisions(restored, probes, scored) == decisions(original, probes, scored)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+@pytest.mark.parametrize("kind", ["standard", "lbf", "sandwich", "ada", "disjoint"])
+def test_a_seed_outside_u64_is_kept_mod_2_64(kind, seed, synth_small):
+    """Every kind stores the seed as its hash family holds it, so its container
+    round-trips and the loaded filter answers like the built one."""
+    ds = synth_small
+    filt = {
+        "standard": lambda: build_standard([it.id for it in ds.keys], 6000, 4, seed),
+        "lbf": lambda: build_lbf(ds, 6000, 0.7, seed),
+        "sandwich": lambda: build_sandwiched(ds, 12_000, 0.6, seed),
+        "ada": lambda: build_ada(ds, 6000, AdaptiveParams.from_ratio(
+            partition_by_ratio(ds, 3, 2.0), 2, 0, c=2.0), seed),
+        "disjoint": lambda: build_disjoint(ds, 2000, 3, 2.0, seed),
+    }[kind]()
+    assert filt.seed == HashFamily(seed).seed
+    data = dump_filter(filt)
+    restored = loads_filter(data)
+    assert restored.seed == filt.seed and dump_filter(restored) == data
+    probes = probe_set(ds)
+    scored = kind != "standard"
+    assert decisions(restored, probes, scored) == decisions(filt, probes, scored)
+
+
 def test_roundtrip_preserves_analytics(built):
     for kind in ("ada", "disjoint", "lbf", "sandwich", "standard"):
         original = built[kind]

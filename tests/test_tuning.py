@@ -155,8 +155,33 @@ class TestTuneKeywords:
         assert built.call_count == 0
 
 
+class TestNegativeModelBits:
+    """A negative model-bit count is refused before any candidate or cell."""
+
+    @pytest.mark.parametrize("method", sorted(GRIDS))
+    def test_tune_refuses_before_any_build(self, method):
+        with mock.patch.object(tuning, "build", wraps=tuning.build) as built, \
+                pytest.raises(ValueError, match=re.escape("model_bits must be >= 0, got -500")):
+            tune(method, gen_synthetic(300, 300, seed=1), 3000, seed=3, model_bits=-500)
+        assert built.call_count == 0
+
+    @pytest.mark.parametrize("method", sorted(tuning.PARAMS))
+    def test_check_model_bits_refuses_for_every_method(self, method):
+        with pytest.raises(ValueError, match=re.escape("model_bits must be >= 0, got -1")):
+            tuning.check_model_bits(method, -1)
+
+    @pytest.mark.parametrize("methods", [["standard"], ["lbf", "ada"]])
+    def test_run_sweep_refuses_before_any_cell(self, methods, wrapped_tuners):
+        with mock.patch.object(tuning, "build", wraps=tuning.build) as built, \
+                pytest.raises(ValueError, match=re.escape("model_bits must be >= 0, got -500")):
+            run_sweep(gen_synthetic(300, 300, seed=1), [2000], methods, [3], model_bits=-500)
+        assert built.call_count == 0
+        assert all(m.call_count == 0 for m in wrapped_tuners.values())
+
+
 @pytest.mark.parametrize("grids, method, message", [
     ({"g_grid": [3]}, "ada", "method 'ada' takes no such grid"),
+    ({"tau_grid": [0.5], "g_grid": [3]}, "ada", "method 'ada' takes no such grid 'tau_grid'"),
     ({"k_grid": [3]}, None, "no tuner takes a grid override 'k_grid'"),
     ({"kmax_grid": None, "c_grid": []}, "ada", "empty grid overrides ['c_grid']"),
     ({"c_grid": [2.0], "tau_grid": [0.5, 1.5]}, None, "tau must be in [0, 1], got 1.5")])
@@ -411,17 +436,20 @@ def cache_reads(monkeypatch):
 
 @pytest.fixture
 def matrix_reads(monkeypatch):
-    """Per ``ProbeCache.matrix`` call (the tau counter's), whether it read the matrix
-    the view held before the call, rather than building one."""
+    """Per ``ProbeRows.probe`` call (the tau counter's) of a cached column, the
+    cache it read and whether it read the matrix that cache held before the
+    call, rather than building one or computing the column: a column read
+    from the matrix is ``int32``, a computed one ``intp``."""
     reads = []
-    matrix = bits.ProbeCache.matrix
+    probe = bits.ProbeRows.probe
 
-    def spy(self, family, r):
-        held = self._columns
-        columns = matrix(self, family, r)
-        reads.append(columns is not None and columns is held)
-        return columns
-    monkeypatch.setattr(bits.ProbeCache, "matrix", spy)
+    def spy(self, family, i, r):
+        held = self.cache._columns
+        column = probe(self, family, i, r)
+        if i < bits.CACHED_COLUMNS:
+            reads.append((self.cache, column.dtype == np.int32 and self.cache._columns is held))
+        return column
+    monkeypatch.setattr(bits.ProbeRows, "probe", spy)
     return reads
 
 
@@ -476,7 +504,10 @@ class TestWarmView:
         assert (warm.params, warm.fpr, warm.candidates) == (cold.params, cold.fpr, cold.candidates)
         assert dump_filter(warm.filter) == dump_filter(cold.filter)
         if tune in (tune_lbf, tune_sandwiched):  # the warm count read both sides' held matrix
-            assert matrix_reads[counted:] == [True, True]
+            warm_reads = matrix_reads[counted:]
+            assert all(read for _, read in warm_reads)
+            assert {id(cache) for cache, _ in warm_reads} == \
+                {id(view.probe_rows(keys).cache) for keys in (True, False)}
         elif tune is not tune_disjoint:  # its stages differ in lane: no geometry repeats
             assert cache_reads["test_hashed"] > reads["test_hashed"]
 
