@@ -165,5 +165,7 @@ def rows_to_csv(rows) -> str:
 
 
 def write_csv(rows, path) -> None:
+    """Write ``rows_to_csv(rows)`` to ``path``; rows it refuses open no file."""
+    text = rows_to_csv(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+        fh.write(text)

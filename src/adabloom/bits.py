@@ -113,17 +113,15 @@ candidates repeat; the score-ordered view of a dataset keeps one per side
   directly, cast to ``intp`` up to ``_SLAB`` at a time: numpy scatters
   ``int32`` indices on a slow cast path (400k indices into 300k bools took
   2.4 ms as ``int32``, 1.6 ms cast first), and an ``intp`` matrix would hold
-  4.8 MB more on the benchmark's sweep;
-- the last fresh fill: a copy of the bits (R bytes) of the last range of
-  items inserted into all-zero bits, with its geometry (seed, lane, R, k,
-  first row). A fresh range with that geometry that reaches at least as far
-  starts from those bits and inserts only the items past them
-  (``ProbeRows.insert``). Setting bits is an OR, so this is the union of
-  two Bloom filters of one geometry (Broder & Mitzenmacher 2004), bit for
-  bit the filter of all the items. On the view a ``lbf`` backup holds the
-  keys below tau, a prefix that grows with tau, so backups built at
-  ascending tau insert each key once per run of equal k; ``ada``'s first
-  stage at ascending c extends the same way.
+  4.8 MB more on the benchmark's sweep.
+
+The view holds hash work only: each stage inserts its keys into its own
+bits with ``set_hashed``, from the view's pairs and cached columns.
+Starting a stage from the kept bits of an earlier one of the same
+geometry over fewer keys skipped 1.7% of a sweep pass's insert probes
+(50k/50k, 150 and 300 Kb), and keeping, scanning and copying those bits
+cost more than that saved: the pass took 4-5% more CPU time with it
+(2-core Xeon, CPU time of four alternations in one process, two seeds).
 
 ``test_hashed`` tests a batch of at most ``_SMALL_BATCH`` (2**14) probes,
 n * k, as one slab: the ``(k, n)`` indices at once, cached or not. A walk
@@ -729,19 +727,16 @@ class ProbeCache:
       time in a row the same geometry is asked for, replacing the last one,
       so a geometry asked for once costs nothing. Every reader asks so, the
       tau counter too, which asks once per probe column it reads (see
-      :meth:`ProbeRows.probe`). There is no matrix for r >= 2**31;
-    - the last fresh fill (see :meth:`ProbeRows.insert`): its geometry, its
-      last row and a copy of its bits, r bytes.
+      :meth:`ProbeRows.probe`). There is no matrix for r >= 2**31.
 
     A new seed replaces a lane's pairs or window, so each lane holds one.
     """
 
-    __slots__ = ("_pairs", "_lanes", "_fill", "_asked", "_built", "_columns")
+    __slots__ = ("_pairs", "_lanes", "_asked", "_built", "_columns")
 
     def __init__(self, pairs):
         self._pairs = pairs
         self._lanes: dict[int, tuple] = {}  # lane -> (seed, h_a, h_b)
-        self._fill = None
         self._asked = self._built = self._columns = None
 
     def pairs(self, family: HashFamily, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -838,28 +833,3 @@ class ProbeRows(NamedTuple):
         """``cached`` for ``set_hashed`` / ``test_hashed``, or None on a miss."""
         columns = self.cache.columns(family, r)
         return None if columns is None else (columns, self.rows)
-
-    def insert(self, bits: BitVector, family: HashFamily, k: int) -> None:
-        """``bits.set_hashed`` of the batch's items for this family.
-
-        A batch of consecutive rows inserted into all-zero bits is a fresh
-        fill. If the cache's last fresh fill has the same seed, lane, length,
-        k and first row, and ends at or before this batch, its bytes are
-        copied and only the rows past it are inserted: setting bits is an OR,
-        so the bits of a prefix ORed with those of the rest equal the bits of
-        the whole (the union property of Bloom filters). Afterwards the batch
-        becomes the cache's fill.
-        """
-        rows, geometry = self.rows, None
-        if isinstance(rows, slice) and rows.stop > rows.start and not bits._bits.any():
-            geometry = (family.seed, family.lane, bits.length_bits, k, rows.start)
-            last = self.cache._fill
-            if last is not None and last[0] == geometry and last[1] <= rows.stop:
-                bits._writable()
-                bits._bits[:] = last[2]
-                rows = slice(last[1], rows.stop)
-        if k and (rows.stop > rows.start if isinstance(rows, slice) else len(rows)):
-            batch = ProbeRows(self.cache, rows)
-            bits.set_hashed(*batch.pairs(family), k, cached=batch.cached(family, bits.length_bits))
-        if geometry is not None:
-            self.cache._fill = (geometry, self.rows.stop, bits._bits.copy())

@@ -13,15 +13,18 @@ checked before any file is read: ``bad --<flag>: ...`` for a flag the
 method or op does not take or a value that cannot be parsed or used,
 ``--<flag> is required for ...`` for a missing one, ``cannot load
 <path>: ...`` for a missing or malformed input file, ``cannot write
-<path>: ...`` for an output path that cannot be written, and ``cannot
-generate|build|tune|evaluate ...: ...`` when the library refuses the
-request.
+<path>: ...`` for an output path that cannot be written (at once, before
+any work, if it is a directory or its directory is missing or is not
+one), and ``cannot generate|build|tune|evaluate ...: ...`` when the
+library refuses the request.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .adaptive import fpr_upper_bound
@@ -133,6 +136,19 @@ def _load(loader, path):
         raise SystemExit(f"cannot load {path}: {exc}") from exc
 
 
+def _check_output(path) -> None:
+    """Exits ``cannot write <path>: …`` if ``path`` is a directory, or the
+    directory it is in is missing or is not one; ``main`` asks before any work."""
+    where = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code, where = errno.EISDIR, path
+    elif not os.path.isdir(where):
+        code = errno.ENOTDIR if os.path.exists(where) else errno.ENOENT
+    else:
+        return
+    raise SystemExit(f"cannot write {path}: {OSError(code, os.strerror(code), where)}")
+
+
 def _save(writer, value, path) -> None:
     """``writer(value, path)``; exits ``cannot write <path>: …`` on a path it cannot write."""
     try:
@@ -142,9 +158,9 @@ def _save(writer, value, path) -> None:
 
 
 def _write_json(report: dict, path) -> None:
+    text = json.dumps(report, indent=2) + "\n"  # before the file opens: a failure writes none
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _beta_pair(text: str) -> tuple[float, float]:
@@ -304,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in vars(args).keys() & {"out", "report"}:
+        _check_output(getattr(args, name))
     return args.func(args)
 
 

@@ -303,13 +303,7 @@ class ScoredDataset:
           column, so at its second column) and replaces the last one,
           so the lane-0 stages at the full bitmap of ``lbf``, ``ada`` and a
           ``sandwich`` reduced to ``lbf`` reuse it from candidate to
-          candidate, while the per-group lanes of ``disjoint`` build nothing;
-        - a copy of the bits of the last fresh fill, R bytes: a fresh stage of
-          the same seed, lane, R and k whose keys extend that fill's starts
-          from them (see ``bits.ProbeRows.insert``). The first stage of
-          ``ada`` at ascending c is such a stage, as are ``lbf`` backups
-          built at ascending tau, which the tuners count instead
-          (``learned.count_lbf_fprs``).
+          candidate, while the per-group lanes of ``disjoint`` build nothing.
 
         ``insert_keys`` and ``GatedBloom.contains_batch`` read these through
         ``probe_rows``. The view also keeps each partition that

@@ -205,8 +205,10 @@ def loads_filter(data: bytes):
 
 
 def save_filter(filt, path) -> None:
+    """Write ``dump_filter(filt)`` to ``path``; a filter it refuses opens no file."""
+    data = dump_filter(filt)
     with open(path, "wb") as fh:
-        fh.write(dump_filter(filt))
+        fh.write(data)
 
 
 def load_filter(path):

@@ -415,18 +415,20 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
     """Insert each key into every stage whose [lo, hi) holds its score.
 
     Sets each stage's ``n_inserted`` to its key count, then freezes the bits.
-    On a score-ordered view each stage's keys are a slice, inserted by
-    ``ProbeRows.insert``: it reads the view's final pairs and cached probe
-    columns, and a fresh stage that extends the view's last fresh fill of
-    the same geometry (an ``lbf`` backup at a larger tau, with the same R
-    and k) starts from that fill's bytes and inserts only the keys past it.
+    On a score-ordered view each stage's keys are a slice of the view's
+    rows, inserted from the view's final pairs and cached probe columns; a
+    stage with no keys or k = 0 asks the view for no geometry.
     """
     rows = dataset.probe_rows(keys=True)
     for lo, hi, stage in stages:
         sel, stage.n_inserted = _stage_items(dataset.key_scores, lo, hi, rows is not None)
+        if not (stage.n_inserted and stage.k):
+            continue
         if rows is not None:
-            rows.select(sel).insert(stage.bits, stage.family, stage.k)
-        elif stage.n_inserted:
+            batch = rows.select(sel)
+            stage.bits.set_hashed(*batch.pairs(stage.family), stage.k,
+                                  cached=batch.cached(stage.family, stage.bits.length_bits))
+        else:
             base_a, base_b = dataset.key_pairs(seed)
             a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
             stage.bits.set_hashed(a, b, stage.k)

@@ -11,12 +11,12 @@ import pytest
 
 from adabloom import cli, tuning
 from adabloom.adaptive import fpr_upper_bound
-from adabloom.bench import METHODS, rows_to_csv, run_sweep
+from adabloom.bench import METHODS, rows_to_csv, run_sweep, write_csv
 from adabloom.cli import main
 from adabloom.disjoint import allocate_disjoint
 from adabloom.learned import sandwich_allocate
 from adabloom.scores import load_scored_csv, min_sample_size
-from adabloom.serialize import dump_filter, load_filter
+from adabloom.serialize import dump_filter, load_filter, save_filter
 
 BUILD_ARGS = {
     "standard": [],
@@ -449,6 +449,51 @@ def test_an_unwritable_output_path_exits_with_one_line(command, args, data, tmp_
     assert "\n" not in str(exc.value)
     assert capsys.readouterr().out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("where", ["missing", "file", "directory"])
+@pytest.mark.parametrize("command, args", [
+    ("gen", ["--keys", "30", "--nonkeys", "30", "--out"]),
+    ("build", ["--method", "lbf", "--tau", "0.5", "--bitmap-bits", "2kb", "--out"]),
+    ("tune", ["--method", "lbf", "--tau-grid", "0.5", "--bitmap-bits", "2kb", "--report"]),
+    ("bench", ["--methods", "lbf", "--tau-grid", "0.5", "--budgets", "2kb", "--out"])])
+def test_an_unwritable_output_path_is_refused_before_any_work(command, args, where, data,
+                                                              tmp_path, capsys):
+    path = tmp_path / where / "out"
+    if where == "file":
+        path.parent.write_bytes(b"kept")
+    elif where == "directory":  # the output path is itself a directory
+        path.mkdir(parents=True)
+    named = path if where == "directory" else path.parent  # the path the message names
+    data_args = [] if command == "gen" else ["--data", str(data)]
+    work = ("gen_synthetic", "load_scored_csv", "run_sweep", "tune", "build")
+    with mock.patch.multiple(cli, **{name: mock.DEFAULT for name in work}) as patched, \
+            pytest.raises(SystemExit) as exc:
+        for stub in patched.values():
+            stub.side_effect = AssertionError("work before the output path was checked")
+        main([command] + data_args + args + [str(path)])
+    reason = {"missing": "No such file or directory", "file": "Not a directory",
+              "directory": "Is a directory"}[where]
+    assert str(exc.value).startswith(f"cannot write {path}: ")
+    assert str(exc.value).endswith(f"{reason}: {str(named)!r}")
+    assert capsys.readouterr().out == ""
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == {
+        "missing": [], "file": ["file"], "directory": ["directory", "directory/out"]}[where]
+    assert where != "file" or path.parent.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("writer, value, error", [
+    (save_filter, object(), TypeError),
+    (write_csv, [object()], AttributeError),
+    (cli._write_json, {"x": object()}, TypeError)], ids=["filter", "csv", "json"])
+def test_a_failed_write_leaves_no_file_and_keeps_an_old_one(writer, value, error, tmp_path):
+    old = tmp_path / "old"
+    old.write_bytes(b"ADBF\x01 kept")
+    for path in (old, tmp_path / "new"):
+        with pytest.raises(error):
+            writer(value, path)
+    assert old.read_bytes() == b"ADBF\x01 kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["old"]
 
 
 @pytest.mark.parametrize("command, argv, message", [

@@ -444,8 +444,8 @@ class TestOneWalk:
 
 
 class TestPrefixFills:
-    """A fresh stage on the view that extends the view's last fresh fill of the same
-    seed, lane, R, k and first row starts from its bytes; the bits are the same."""
+    """Stages on the view whose keys grow or repeat a prefix of the keys, as
+    ``lbf`` backups at ascending tau do, get the bits the dataset's stages get."""
 
     @settings(max_examples=150, deadline=None)
     @given(keys=st.lists(SCORES | st.just(math.nan), max_size=80),
@@ -468,37 +468,6 @@ class TestPrefixFills:
             assert got[0][2].n_inserted == want[0][2].n_inserted
             assert got[0][2].bits.to_bytes() == want[0][2].bits.to_bytes()
             assert got[0][2].bits.frozen
-
-    def test_only_the_keys_past_the_fill_are_inserted(self, monkeypatch):
-        ds = scored([i / 100 for i in range(100)] + [math.nan], [0.5])
-        view = ds.by_score()
-        inserted = []
-        kernel = BitVector.set_hashed
-
-        def spy(self, a, b, k, *, cached=None):
-            inserted.append(len(a))
-            return kernel(self, a, b, k, cached=cached)
-        monkeypatch.setattr(BitVector, "set_hashed", spy)
-
-        def insert(spec, seed=1):
-            """The view's stage, after checking it against the dataset's."""
-            want = fresh_stages([spec], seed)
-            insert_keys(ds, seed, want)
-            inserted.clear()
-            got = fresh_stages([spec], seed)
-            insert_keys(view, seed, got)
-            assert got[0][2].bits.to_bytes() == want[0][2].bits.to_bytes()
-            return list(inserted)
-
-        # the NaN key sorts last, and no bound holds it but an open end
-        runs = [insert((0.0, tau, 3000, 4, 0)) for tau in (0.1, 0.3, 0.3, 0.55, math.inf)]
-        assert runs == [[10], [20], [], [25], [46]]
-        # another k, R, lane, seed or first row, or a shorter range: a fresh fill
-        runs = [insert(spec, seed) for spec, seed in (
-            ((0.0, 0.95, 3000, 5, 0), 1), ((0.0, 0.95, 3001, 5, 0), 1),
-            ((0.0, 0.95, 3001, 5, 1), 1), ((0.0, 0.95, 3001, 5, 1), 2),
-            ((0.05, 0.95, 3001, 5, 1), 2), ((0.05, 0.9, 3001, 5, 1), 2))]
-        assert runs == [[95], [95], [95], [95], [90], [85]]
 
     def test_bits_already_set_are_not_a_fresh_fill(self):
         ds = scored([i / 100 for i in range(100)], [0.5])

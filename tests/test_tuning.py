@@ -473,8 +473,8 @@ class TestWarmView:
         answers = want.contains_batch(*ds.nonkey_pairs(1), ds.nonkey_scores)
         view = ds.by_score()
         for _ in range(3):  # cold, then the cache is built, then read
-            # a fresh fill of every key at the builds' seed, lane and R, so that
-            # no build extends the last one's fill: each inserts through the cache
+            # an insert of every key at the builds' seed, lane and R: it asks the
+            # cache for their geometry, as each build does
             insert_keys(view, 1, ((0.0, math.inf, StandardBloom(BitVector(9000), 1,
                                                                 HashFamily(1))),))
             filt = build(view)
@@ -585,6 +585,29 @@ class TestViewCaches:
             if not keys:
                 assert (filt.contains_batch(None, None, scores[holdout],
                                             rows=rows.select(holdout)) == plain[holdout]).all()
+
+    def test_the_view_holds_hash_work_only(self):
+        # every tuner on one view: the caches hold hash pairs and probe columns,
+        # and no filter's bits (a bit array is bool)
+        view = gen_synthetic(1500, 1500, seed=5).by_score()
+        for tune, grids in TestWarmView.TUNERS:
+            tune(view, 9000, seed=2, **grids)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+
+        held = [array for keys in (True, False)
+                for slot in bits.ProbeCache.__slots__
+                for array in arrays(getattr(view.probe_rows(keys=keys).cache, slot))]
+        assert held
+        assert {array.dtype for array in held} <= {np.dtype(np.uint64), np.dtype(np.int32)}
 
 
 class TestRobustness:
