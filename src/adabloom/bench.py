@@ -134,7 +134,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                         raise ValueError(f"model ({model_bits} bits) exceeds budget")
                     if method == "standard":
                         filt = build(method, view, bitmap_bits, seed)
-                        fpr = _measure(filt, view, seed) if view.m else 0.0
+                        fpr = _measure(filt, view) if view.m else 0.0
                     else:
                         res = tune(method, dataset, bitmap_bits, seed, row_model_bits, **grids)
                         filt, fpr = res.filter, res.fpr  # holdout 0: over every non-key

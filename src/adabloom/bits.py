@@ -794,7 +794,7 @@ class ProbeRows(NamedTuple):
 
     A batch that comes with rows is in ascending score order: it is one
     side of a score-ordered view, or an order-keeping subset of one (a
-    holdout split, a score range, the survivors within a range). The
+    score range, the survivors within a range). The
     stage loops of ``standard`` rely on it to pick a score range by
     ``searchsorted``. Its hashes are the cache's items' hashes at ``rows``,
     under the seed of the family that reads them.

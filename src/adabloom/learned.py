@@ -185,41 +185,33 @@ def build_lbf(dataset: ScoredDataset, bitmap_bits: int, tau: float, seed: int,
     return filt
 
 
-def scored_nonkeys(view: ScoredDataset, subset=None) -> tuple[np.ndarray, ProbeRows]:
-    """(scores, rows) of the non-keys of ``view = dataset.by_score()`` a tuner scores on.
-
-    All of them, or the ones ``subset`` (a mask or index array over them)
-    picks; ValueError if there are none.
-    """
+def scored_nonkeys(view: ScoredDataset) -> tuple[np.ndarray, ProbeRows]:
+    """(scores, rows) of the non-keys of ``view = dataset.by_score()``, which a
+    tuner scores on; ValueError if there are none."""
     if view.m == 0:
         raise ValueError("cannot measure FPR without non-keys")
-    scores, rows = view.nonkey_scores, view.probe_rows(keys=False)
-    if subset is not None:
-        scores, rows = scores[subset], rows.select(subset)
-        if len(scores) == 0:
-            raise ValueError("empty evaluation split")
-    return scores, rows
+    return view.nonkey_scores, view.probe_rows(keys=False)
 
 
-def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int,
-                   subset=None) -> list[float]:
+def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int) -> list[float]:
     """Per tau, the FPR that ``build_lbf`` at it would measure, without building it.
 
     Equal, float for float, to the tuner's count over the non-keys of
-    ``view = dataset.by_score()`` (or ``subset`` of them, as in
-    ``scored_nonkeys``) of ``build_lbf(view, bitmap_bits, tau, seed)``, with
-    the same refusals. The backup at tau holds the view's key rows
-    [0, n_tau) with k = ``optimal_k(bitmap_bits, n_tau)`` lane-0 probes, so
-    its bit p is set iff first_k[p] < n_tau, where first_k[p] is the least
-    key row whose first k probes hit p. A non-key below tau passes iff the
-    largest first_k over its k probes is below n_tau; those at or above tau
-    pass outright, and with k = 0 so does every non-key. The other taus are
-    counted in groups of one k, in ascending k (see ``_group_passes``).
+    ``view = dataset.by_score()`` of ``build_lbf(view, bitmap_bits, tau,
+    seed)``, with the same refusals. Every non-key of the view is counted:
+    ``tuning.tune`` holds non-keys out by splitting the dataset, not here.
+    The backup at tau holds the view's key rows [0, n_tau) with k =
+    ``optimal_k(bitmap_bits, n_tau)`` lane-0 probes, so its bit p is set iff
+    first_k[p] < n_tau, where first_k[p] is the least key row whose first k
+    probes hit p. A non-key below tau passes iff the largest first_k over
+    its k probes is below n_tau; those at or above tau pass outright, and
+    with k = 0 so does every non-key. The other taus are counted in groups
+    of one k, in ascending k (see ``_group_passes``).
     """
     taus = [float(tau) for tau in taus]
     for tau in taus:
         _check_build(bitmap_bits, tau)
-    scores, rows = scored_nonkeys(view, subset)
+    scores, rows = scored_nonkeys(view)
     check_scores(scores)  # as the batch query would
     grid = np.array(taus, dtype=np.float64)
     n_below = np.searchsorted(view.key_scores, grid).tolist()  # n_tau (NaN keys sort last)

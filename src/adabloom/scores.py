@@ -25,7 +25,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, compress, islice, repeat, zip_longest
 from operator import index, itemgetter
 
 import numpy as np
@@ -137,6 +137,11 @@ class ScoredDataset:
         dataset._set_is_key(is_key)
         dataset._cache.update(ids=ids, scores=scores)
         return dataset
+
+    def _pick(self, rows: np.ndarray) -> "ScoredDataset":
+        """The dataset of the rows the bool mask ``rows`` keeps, in this dataset's order."""
+        return ScoredDataset.from_columns(list(compress(self.ids, rows.tolist())),
+                                          self.scores[rows], self.is_key[rows])
 
     def _set_is_key(self, is_key: np.ndarray) -> None:
         """The label column, n and m counted from it, and an empty cache."""
@@ -401,13 +406,19 @@ class _ScoreOrderedView(ScoredDataset):
 
 
 def check_scores(scores) -> np.ndarray:
-    """``scores`` as a float64 array; ValueError if any is NaN or outside [0, 1].
+    """``scores`` as a float64 array; ValueError naming the shape and dtype unless
+    they are a 1-D array of bools, ints or floats, or if any is NaN or outside [0, 1].
 
     The batch twin of the check every scalar ``contains`` makes, so that
-    both paths reject the same scores and meet the stage bounds in float64:
-    in float32 a bound can round onto a score on its other side.
+    both paths reject the same scores (a string among them too) and meet the
+    stage bounds in float64: in float32 a bound can round onto a score on
+    its other side.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.ndim != 1 or scores.dtype.kind not in "biuf":
+        raise ValueError(f"scores must be a 1-D array of real numbers, got shape "
+                         f"{scores.shape}, dtype {scores.dtype}")
+    scores = scores.astype(np.float64, copy=False)
     if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
         bad = scores[~((scores >= 0.0) & (scores <= 1.0))].flat[0]
         raise ValueError(f"score must be in [0, 1], got {bad}")

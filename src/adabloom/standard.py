@@ -120,6 +120,8 @@ DEFAULT_K_CAP = 64
 # loaded k of 2**31 on a full filter would run for minutes. 2**20 probes take
 # about 0.4 s scalar and 0.1 s batched; the library's builders stop at 64.
 MAX_K = 1 << 20
+# the scalar scores a query takes: those whose array ``check_scores`` takes (bool, int, float)
+_REAL = (int, float, np.integer, np.floating, np.bool_)
 
 
 def check_model_count(model_bits: int) -> int:
@@ -190,12 +192,19 @@ class StandardBloom:
 
 
 def _check_batch(base_a, base_b, scores) -> None:
-    """ValueError unless a batch without probe rows has both base arrays, all equally long.
+    """ValueError unless a batch without probe rows has both base arrays, each a 1-D
+    ``uint64`` array, all equally long.
 
-    ``scores`` may be None; a length mismatch names the lengths.
+    ``scores`` may be None; a refused base array is named with its shape and
+    dtype, a length mismatch with the lengths.
     """
     if base_a is None or base_b is None:
         raise ValueError("a batch without probe rows needs base_a and base_b")
+    for name, x in (("base_a", base_a), ("base_b", base_b)):
+        if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.uint64):
+            got = (f"shape {x.shape}, dtype {x.dtype}" if isinstance(x, np.ndarray)
+                   else type(x).__name__)
+            raise ValueError(f"{name} must be a 1-D uint64 array, got {got}")
     named = [(name, len(x)) for name, x in zip(("base_a", "base_b", "scores"),
                                                (base_a, base_b, scores)) if x is not None]
     if len({n for _, n in named}) > 1:
@@ -342,6 +351,8 @@ class GatedBloom:
         """True iff every stage whose [lo, hi) holds ``score`` holds the item."""
         if score is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
+        if not isinstance(score, _REAL):  # as ``check_scores`` refuses a batch of them
+            raise ValueError(f"score must be a real number, got {type(score).__name__} {score!r}")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {score}")
         score = float(score)  # as in ``check_scores``: a float32 would meet the bounds in float32

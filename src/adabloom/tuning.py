@@ -17,8 +17,14 @@ keys and non-keys each in ascending score order. The filters are
 bit-identical and the FPR counts equal to those on the dataset itself,
 but each candidate cuts the score axis anew, and on sorted scores its
 group counts are one ``searchsorted`` and each of its stages picks one
-range of rows, not a boolean mask over all of them. A holdout split is
-still drawn in the dataset's item order.
+range of rows, not a boolean mask over all of them.
+
+A tuner scores every non-key of the dataset it is given. To report an
+FPR on non-keys that shaped no candidate, ``tune`` takes a
+``holdout_fraction``: it splits the dataset in two before any grid,
+partition or sandwich split is computed (``_holdout_split``), runs the
+tuner on every key and the other non-keys, and counts the winner once
+on the held-out ones.
 
 The candidates of ``lbf`` geometry are counted, not built: every ``lbf``
 tau, and every ``sandwich`` tau whose split (``learned.sandwich_split``,
@@ -46,8 +52,7 @@ import numpy as np
 from .adaptive import AdaptiveParams, build_ada, check_ladder
 from .bits import BitVector, HashFamily
 from .disjoint import InfeasibleBudgetError, build_disjoint
-from .learned import (build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split,
-                      scored_nonkeys)
+from .learned import build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split, scored_nonkeys
 from .scores import InsufficientDataError, ScoredDataset, partition_by_ratio
 from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
 
@@ -136,25 +141,27 @@ def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:
     return tuple(float(t) for t in np.unique(qs))
 
 
-def _measure(filt, view: ScoredDataset, seed: int, subset=None) -> float:
+def _measure(filt, view: ScoredDataset) -> float:
     """Empirical FPR over the non-keys of ``view = dataset.by_score()`` (batch path).
 
-    Over all of them, or ``subset`` (see ``learned.scored_nonkeys``). The
-    batch reads its hashes from the view at its rows, under the filter's
-    own seed, which ``seed`` names: no base pairs are gathered.
+    The batch reads its hashes from the view at its rows, under the
+    filter's own seed: no base pairs are gathered.
     """
-    scores, rows = scored_nonkeys(view, subset)
+    scores, rows = scored_nonkeys(view)
     hits = filt.contains_batch(None, None, scores, rows=rows)
     return np.count_nonzero(hits) / len(hits)
 
 
-def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
-    """(tune mask, holdout mask) over the non-keys of ``view = dataset.by_score()``.
+def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
+    """(tune side, held-out side) of ``dataset``, each a dataset in score order.
 
-    Drawn in the dataset's item order, deterministic per seed, then
-    permuted onto the view, so the same non-keys are held out either way.
-    ValueError if either side would be empty, naming both counts.
+    The tune side holds every key and the non-keys not held out, the
+    held-out side the other non-keys: ``fraction`` of them, drawn in the
+    dataset's item order (a view's parent's), deterministic per seed, so a
+    dataset and its view hold out the same ones. ValueError if either side
+    would be empty, naming both counts.
     """
+    view = dataset.by_score()
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
     count = int(round(view.m * fraction))
@@ -163,10 +170,10 @@ def _holdout_split(view: ScoredDataset, fraction: float, seed: int):
                          f"{view.m - count} to tune on and {count} held out; "
                          f"both need at least one")
     rng = np.random.default_rng((seed, 0x401D))
-    holdout = np.zeros(view.m, dtype=bool)
-    holdout[rng.permutation(view.m)[:count]] = True
-    holdout = holdout[view.nonkey_order]
-    return ~holdout, holdout
+    held = np.zeros(view.m, dtype=bool)
+    held[rng.permutation(view.m)[:count]] = True
+    held = np.concatenate([np.zeros(view.n, dtype=bool), held[view.nonkey_order]])
+    return view._pick(~held), view._pick(held)
 
 
 def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
@@ -201,25 +208,19 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
 
 
 def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: int,
-            model_bits: int, holdout_fraction: float, grids: dict,
-            ties_to_last: bool = False, count=None) -> TuneResult:
-    """Argmin of the FPR over the params in ``axis``.
+            model_bits: int, grids: dict, ties_to_last: bool = False, count=None) -> TuneResult:
+    """Argmin of the FPR over the params in ``axis``, over every non-key of ``dataset``.
 
-    ``count(view, subset)``, if given, gives per candidate its FPR over the
-    tuning non-keys, or None; a candidate with None is built by ``build``
-    and measured. A counted winner is built once the search is over. The
-    first strict improvement wins, or with ``ties_to_last`` the last of
-    equal FPRs. With ``holdout_fraction`` set, that share of the non-keys is
-    left out of the search and the winner re-measured on it.
+    ``count(view)``, if given, gives per candidate its FPR, or None; a
+    candidate with None is built by ``build`` and measured. A counted
+    winner is built once the search is over. The first strict improvement
+    wins, or with ``ties_to_last`` the last of equal FPRs.
     """
     if not axis:
         raise ValueError(f"empty {method} grid")
     check_model_bits(method, model_bits)
     view = dataset.by_score()
-    tune_on = holdout = None
-    if holdout_fraction:
-        tune_on, holdout = _holdout_split(view, holdout_fraction, seed)
-    counted = [None] * len(axis) if count is None else count(view, tune_on)
+    counted = [None] * len(axis) if count is None else count(view)
     best = None
     candidates = []
     for params, fpr in zip(axis, counted):
@@ -230,7 +231,7 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: i
             except (InsufficientDataError, InfeasibleBudgetError) as exc:
                 candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
                 continue
-            fpr = _measure(filt, view, seed, subset=tune_on)
+            fpr = _measure(filt, view)
         candidates.append({"params": params, "fpr": fpr, "status": "ok"})
         if best is None or fpr < best[0] or (ties_to_last and fpr == best[0]):
             best = (fpr, params, filt)
@@ -239,14 +240,12 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: i
     fpr, params, filt = best
     if filt is None:
         filt = build(method, view, bitmap_bits, seed, model_bits, **params)
-    if holdout is not None:
-        fpr = _measure(filt, view, seed, subset=holdout)
     return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt, candidates,
                       grids)
 
 
 def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, seed: int,
-               model_bits: int, holdout_fraction: float) -> TuneResult:
+               model_bits: int) -> TuneResult:
     """The tau sweep of ``lbf`` or ``sandwich``, each candidate of ``lbf`` geometry counted.
 
     Those are every ``lbf`` tau and every ``sandwich`` tau whose split gives
@@ -256,56 +255,51 @@ def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, 
     tau_grid = default_tau_grid(dataset.by_score()) if tau_grid is None else tau_grid
     taus = [float(t) for t in tau_grid]
 
-    def count(view, subset):
+    def count(view):
         fprs = [None] * len(taus)
         of_lbf = [i for i, tau in enumerate(taus)
                   if method == "lbf" or sandwich_split(view, bitmap_bits, tau).b1_bits == 0]
         if of_lbf:
-            counts = count_lbf_fprs(view, bitmap_bits, [taus[i] for i in of_lbf], seed, subset)
+            counts = count_lbf_fprs(view, bitmap_bits, [taus[i] for i in of_lbf], seed)
             for i, fpr in zip(of_lbf, counts):
                 fprs[i] = fpr
         return fprs
 
     # ties break toward larger tau (smaller backup filter)
     return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus], seed, model_bits,
-                   holdout_fraction, {"tau_grid": taus}, ties_to_last=True, count=count)
+                   {"tau_grid": taus}, ties_to_last=True, count=count)
 
 
 def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
-             model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
-    """Pick the tau minimizing empirical FPR for the learned filter.
-
-    With ``holdout_fraction`` set, that share of the non-keys is held
-    out of the sweep and the returned FPR is re-measured on it.
-    """
-    return _sweep_tau("lbf", dataset, bitmap_bits, tau_grid, seed, model_bits, holdout_fraction)
+             model_bits: int = 0) -> TuneResult:
+    """Pick the tau minimizing empirical FPR for the learned filter."""
+    return _sweep_tau("lbf", dataset, bitmap_bits, tau_grid, seed, model_bits)
 
 
 def tune_sandwiched(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
-                    model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
+                    model_bits: int = 0) -> TuneResult:
     """Same tau sweep for the sandwiched filter (allocation is per tau)."""
-    return _sweep_tau("sandwich", dataset, bitmap_bits, tau_grid, seed, model_bits,
-                      holdout_fraction)
+    return _sweep_tau("sandwich", dataset, bitmap_bits, tau_grid, seed, model_bits)
 
 
 def tune_ada(dataset: ScoredDataset, bitmap_bits: int, kmax_grid=None, c_grid=None,
-             seed: int = 0, model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
+             seed: int = 0, model_bits: int = 0) -> TuneResult:
     """Full (k_max, c) grid with k_min = 0, so each k_max implies g = k_max + 1."""
     kmax_grid = DEFAULT_KMAX_GRID if kmax_grid is None else tuple(kmax_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(c_grid)
     # grids iterate smallest-first, so ties resolve toward the smaller values
     axis = [{"k_max": k, "c": c} for k in sorted(kmax_grid) for c in sorted(c_grid)]
-    return _search("ada", dataset, bitmap_bits, axis, seed, model_bits, holdout_fraction,
+    return _search("ada", dataset, bitmap_bits, axis, seed, model_bits,
                    {"kmax_grid": list(kmax_grid), "c_grid": list(c_grid)})
 
 
 def tune_disjoint(dataset: ScoredDataset, bitmap_bits: int, g_grid=None, c_grid=None,
-                  seed: int = 0, model_bits: int = 0, holdout_fraction: float = 0.0) -> TuneResult:
+                  seed: int = 0, model_bits: int = 0) -> TuneResult:
     """Full (g, c) grid with the top group fixed at zero bits."""
     g_grid = DEFAULT_G_GRID if g_grid is None else tuple(g_grid)
     c_grid = DEFAULT_C_GRID if c_grid is None else tuple(c_grid)
     axis = [{"g": g, "c": c} for g in sorted(g_grid) for c in sorted(c_grid)]
-    return _search("disjoint", dataset, bitmap_bits, axis, seed, model_bits, holdout_fraction,
+    return _search("disjoint", dataset, bitmap_bits, axis, seed, model_bits,
                    {"g_grid": list(g_grid), "c_grid": list(c_grid)})
 
 
@@ -350,15 +344,25 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
     """Run ``method``'s tuner with the overrides ``GRIDS[method]`` names,
     ignoring those only another method's grids name.
 
-    Raises ValueError naming a keyword that no tuner's grid names, and on
-    an override ``check_grids`` rejects. The tuner is looked up in this
-    module at call time, so a wrapped ``tune_*`` (perfbench's tracer
-    installs them) is the one called.
+    With ``holdout_fraction`` set, the tuner runs on the tune side of
+    ``_holdout_split(dataset, holdout_fraction, seed)``, so the held-out
+    non-keys shape no grid, partition, split or candidate, and the
+    returned ``fpr`` is the winner's, counted on the held-out side alone.
+    Raises ValueError naming a keyword that no tuner's grid names, on an
+    override ``check_grids`` rejects, and on a fraction that leaves either
+    side empty, each before any candidate is built. The tuner is looked up
+    in this module at call time, so a wrapped ``tune_*`` (perfbench's
+    tracer installs them) is the one called.
     """
     if method not in GRIDS:
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
     check_grids(dict.fromkeys(grids))  # the names alone
     grids = check_grids({name: grids.get(name) for name in GRIDS[method]}, method)
     tuner = globals()[_TUNERS[method]]
-    return tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits,
-                 holdout_fraction=holdout_fraction, **grids)
+    held_out = None
+    if holdout_fraction:
+        dataset, held_out = _holdout_split(dataset, holdout_fraction, seed)
+    res = tuner(dataset, bitmap_bits, seed=seed, model_bits=model_bits, **grids)
+    if held_out is not None:
+        res.fpr = _measure(res.filter, held_out.by_score())
+    return res

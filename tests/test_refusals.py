@@ -5,6 +5,7 @@ not a subclass) and a fragment of its message.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,9 +189,8 @@ REFUSALS = [
     # tuning and bench
     ("tau-grid-no-nonkeys", lambda _: default_tau_grid(KEYS_ONLY), ValueError,
      "cannot derive a tau grid without non-keys"),
-    ("measure-empty-split",
-     lambda _: _measure(None, DS.by_score(), 0, np.zeros(DS.m, dtype=bool)), ValueError,
-     "empty evaluation split"),
+    ("measure-no-nonkeys", lambda _: _measure(None, KEYS_ONLY.by_score()), ValueError,
+     "cannot measure FPR without non-keys"),
     ("c-grid-inf", lambda _: check_grids({"c_grid": [2.0, INF]}), ValueError,
      "c must be finite and > 1, got inf"),
     ("c-grid-nan", lambda _: check_grids({"c_grid": [NAN]}, "disjoint"), ValueError,
@@ -246,3 +246,42 @@ def test_refusal(call, exc, fragment, tmp_path):
     with pytest.raises(exc, match=re.escape(fragment)) as info:
         call(tmp_path)
     assert type(info.value) is exc
+
+
+ADA = build_ada(DS, 2000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.0), 2, 0, 2.0), 1)
+STANDARD = build_standard(["x"], 64, 2, 1)
+FIVE = HashFamily(1).base_pairs(["a", "b", "c", "d", "e"])
+SCORES = np.linspace(0.1, 0.9, 5)
+
+# (id, query, message fragment): arrays of the wrong shape or dtype, and scores
+# that are not real numbers
+MALFORMED = [
+    ("ada-batch-2d-scores", lambda: ADA.contains_batch(*FIVE, SCORES[:, None]),
+     "scores must be a 1-D array of real numbers, got shape (5, 1), dtype float64"),
+    ("ada-batch-string-scores", lambda: ADA.contains_batch(*FIVE, ["0.5"] * 5),
+     "scores must be a 1-D array of real numbers, got shape (5,), dtype <U3"),
+    ("ada-batch-int64-bases",
+     lambda: ADA.contains_batch(*(x.astype(np.int64) for x in FIVE), SCORES),
+     "base_a must be a 1-D uint64 array, got shape (5,), dtype int64"),
+    ("ada-batch-list-base-b", lambda: ADA.contains_batch(FIVE[0], FIVE[1].tolist(), SCORES),
+     "base_b must be a 1-D uint64 array, got list"),
+    ("standard-batch-2d-bases",
+     lambda: STANDARD.contains_batch(FIVE[0][:, None], FIVE[1][:, None]),
+     "base_a must be a 1-D uint64 array, got shape (5, 1), dtype uint64"),
+    ("ada-scalar-string-score", lambda: ADA.contains("a", "0.5"),
+     "score must be a real number, got str '0.5'"),
+    ("ada-scalar-array-score", lambda: ADA.contains("a", np.array([0.5])),
+     "score must be a real number, got ndarray array([0.5])"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_a_malformed_query_is_refused_before_any_probe(call, fragment):
+    with mock.patch.object(BitVector, "test_hashed") as batch, \
+            mock.patch.object(BitVector, "test_bits") as scalar, \
+            mock.patch.object(HashFamily, "remix_pairs") as remix, \
+            pytest.raises(ValueError, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert batch.call_count == scalar.call_count == remix.call_count == 0

@@ -6,6 +6,8 @@ import os
 import re
 import tempfile
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -459,6 +461,22 @@ class TestScorePolicy:
                     filt.contains_batch(a, b, np.array([score]))
                 continue
             assert filt.contains_batch(a, b, np.array([score])).tolist() == [scalar]
+
+    @pytest.mark.parametrize("score", ["0.5", b"0.5", 0.5j, Decimal("0.5"), Fraction(1, 2),
+                                       [0.5], None])
+    def test_a_score_that_is_not_a_real_number_is_refused_either_way(self, filters, score):
+        a, b = HashFamily(5).base_pairs(["k0000003"])
+        for filt in filters:
+            with pytest.raises(ValueError, match="score"):
+                filt.contains("k0000003", score)
+            with pytest.raises(ValueError, match="scores must be a 1-D array of real numbers"):
+                filt.contains_batch(a, b, [score])
+
+    @pytest.mark.parametrize("score", [True, 0, 1, np.int8(1), np.bool_(False), np.float32(0.5)])
+    def test_bools_and_ints_are_real_numbers_either_way(self, filters, score):
+        a, b = HashFamily(5).base_pairs(["k0000003"])
+        for filt in filters:
+            assert filt.contains_batch(a, b, [score]).tolist() == [filt.contains("k0000003", score)]
 
     def test_check_scores_gives_float64(self):
         scores = np.array([0.25, 0.30000002], dtype=np.float32)
