@@ -36,6 +36,11 @@ from .serialize import load_filter, save_filter
 from .tuning import GRIDS, OPTIONAL, PARAMS, build, check_grids, check_model_bits, tune
 
 
+# The most bits that ``query`` loads from a container, its arrays together: 2**30
+# bits are a 128 MiB container and take 1 GiB once loaded, one byte per bit.
+QUERY_MAX_BITS = 1 << 30
+
+
 def _list(kind, check=lambda values: None):
     """A parser of comma-separated ``kind`` values that ``check`` accepts.
 
@@ -197,7 +202,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    filt = _load(load_filter, args.filter)
+    filt = _load(lambda path: load_filter(path, QUERY_MAX_BITS), args.filter)
     try:
         positive = filt.contains(args.id, args.score)
     except UnicodeError as exc:  # argv decodes bytes that are not UTF-8 as lone surrogates

@@ -50,6 +50,9 @@ class FormatError(ValueError):
 class _Codec(BytesIO):
     """A container's byte stream: each step writes the values it is given, or reads them."""
 
+    max_bits: int | None = None  # the most bits that a read's arrays may hold in all; None: any
+    bits_read = 0
+
     def fields(self, fmt: str, values: tuple | None = None) -> tuple:
         """Pack ``values`` as the struct ``fmt``, or with None unpack and return the next ones."""
         if values is not None:
@@ -66,6 +69,9 @@ class _Codec(BytesIO):
         if vector is not None:
             self.write(vector.to_bytes())
             return vector
+        if self.max_bits is not None and self.bits_read + r > self.max_bits:
+            raise FormatError(f"bit arrays of more than max_bits = {self.max_bits} bits")
+        self.bits_read += r
         nbytes = (r + 7) // 8
         data = self.read(nbytes)
         if len(data) != nbytes:
@@ -180,12 +186,18 @@ def dump_filter(filt) -> bytes:
     return io.getvalue()
 
 
-def loads_filter(data: bytes):
+def loads_filter(data: bytes, max_bits: int | None = None):
     """Reconstruct a filter from ``dump_filter`` output.
 
     Raises :class:`FormatError` unless ``data`` is exactly one container.
+    A loaded array holds one byte per bit, 8 times its container bytes, so
+    a caller can bound the memory an untrusted container asks for:
+    with ``max_bits``, a container whose bit arrays hold more bits than
+    that in all (every ``disjoint`` group's array counts) is refused before
+    the array that passes the bound is read. None sets no bound.
     """
     io = _Codec(data)
+    io.max_bits = max_bits
     if io.read(4) != MAGIC:
         raise FormatError("bad magic; not a filter container")
     version, kind = io.fields("HB")
@@ -211,6 +223,7 @@ def save_filter(filt, path) -> None:
         fh.write(data)
 
 
-def load_filter(path):
+def load_filter(path, max_bits: int | None = None):
+    """``loads_filter`` of the bytes of the file at ``path``."""
     with open(path, "rb") as fh:
-        return loads_filter(fh.read())
+        return loads_filter(fh.read(), max_bits)

@@ -575,6 +575,21 @@ def test_query_of_a_container_with_a_huge_hash_count_exits_at_once(tmp_path):
                               f"hash count k must be <= 1048576, got {2**31}")
 
 
+def test_query_refuses_a_container_past_its_bit_bound(built, monkeypatch, capsys):
+    ds, paths = built
+    key = ds.keys[0]
+    path = paths["disjoint"]
+    size = sum(stage.bits.length_bits for _, _, stage in load_filter(path).stages)
+    args = ["query", "--filter", str(path), "--id", key.id, "--score", str(key.score)]
+    assert cli.QUERY_MAX_BITS == 2**30
+    monkeypatch.setattr(cli, "QUERY_MAX_BITS", size)
+    assert main(args) == 0
+    monkeypatch.setattr(cli, "QUERY_MAX_BITS", size - 1)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(exc.value) == f"cannot load {path}: bit arrays of more than max_bits = {size - 1} bits"
+
+
 def test_build_refuses_a_hash_count_past_the_bound(data, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--method", "standard", "--data", str(data), "--bitmap-bits", "12kb",

@@ -25,6 +25,7 @@ from adabloom.scores import (
     InsufficientDataError,
     ScoredDataset,
     ScoredItem,
+    ScorePartition,
     check_scores,
     gen_synthetic,
     load_scored_csv,
@@ -217,6 +218,28 @@ class TestColumns:
         assert ds.keys == items[1:2] and ds.nonkeys == (items[0], items[2])
         again = ScoredDataset(items)
         assert again.ids == ds.ids and again.key_ids == ["a"]  # picked from the ids column
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=st.lists(st.sampled_from([True, False, 0, 1, 2, 255, np.True_, np.False_]),
+                          max_size=30),
+           odd=st.sampled_from([None, 300, -1, 0.5, 0.0]), ids_first=st.booleans())
+    def test_the_items_constructor_equals_the_per_row_reference(self, flags, odd, ids_first):
+        # flags that ``bytes`` takes, and a list where one odd flag makes it refuse them all
+        for labels in (flags, flags + [odd]):
+            items = tuple(ScoredItem(f"i{j}", j / 64, flag) for j, flag in enumerate(labels))
+            is_key = np.array(labels, dtype=bool)  # the label column as the parent read it
+            key_rows, nonkey_rows = np.flatnonzero(is_key).tolist(), np.flatnonzero(~is_key).tolist()
+            ds = ScoredDataset(items)
+            if ids_first:  # the sides' ids are picked from the ids column
+                assert ds.ids == [it.id for it in items]
+            assert ds.is_key.dtype == bool and ds.is_key.tolist() == is_key.tolist()
+            assert (ds.n, ds.m) == (len(key_rows), len(nonkey_rows))
+            assert ds.key_ids == [items[i].id for i in key_rows]
+            assert ds.nonkey_ids == [items[i].id for i in nonkey_rows]
+            assert ds.keys == tuple(items[i] for i in key_rows)
+            assert ds.nonkeys == tuple(items[i] for i in nonkey_rows)
+            assert all(got is items[i] for got, i in zip(ds.keys, key_rows))
+            assert all(got is items[i] for got, i in zip(ds.nonkeys, nonkey_rows))
 
     @staticmethod
     def _columnar(kind, tmp_path):
@@ -663,6 +686,78 @@ class TestPartitionMemo:
             assert got is kept.setdefault((g, c if g > 1 else None), got)
             assert partition_by_ratio(ds, g, c) is not want
         assert not [tag for tag in ds._cache if "partition" in tag]
+
+
+@st.composite
+def bounds_and_scores(draw, open_ends: bool):
+    """Ascending bounds, from none to past ``COMPARE_BOUNDS``, and scores among them:
+    NaN, -0.0, 0.0, 1.0, every bound, and any float in [0, 1]. With ``open_ends``,
+    -inf and inf may bound them, as they do a walk's."""
+    count = draw(st.integers(0, scores.COMPARE_BOUNDS + 4))
+    bounds = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                  min_size=count, max_size=count, unique=True)))
+    if open_ends:
+        bounds = [-math.inf] * draw(st.booleans()) + bounds + [math.inf] * draw(st.booleans())
+    special = st.sampled_from([math.nan, -0.0, 0.0, 1.0] + bounds)
+    values = draw(st.lists(special | st.floats(0.0, 1.0), max_size=120))
+    return np.array(bounds, dtype=np.float64), np.array(values, dtype=np.float64)
+
+
+def search_pieces(bounds, values):
+    """The placement by binary search that the compares replace."""
+    return np.searchsorted(bounds, values, side="right")
+
+
+class TestPlacement:
+    """Unordered scores are placed by comparing them with each bound, up to
+    ``COMPARE_BOUNDS`` bounds, and by binary search past it: the same values either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bounds_and_scores(open_ends=True))
+    def test_pieces_equal_the_search(self, case):
+        bounds, values = case
+        got = scores.score_pieces(bounds, values)
+        assert got.dtype == np.intp
+        assert got.tolist() == search_pieces(bounds, values).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bounds_and_scores(open_ends=False))
+    def test_group_indices_and_counts_equal_the_search(self, case):
+        inner, values = case
+        g = len(inner) + 1
+        part = ScorePartition((0.0, *inner.tolist(), 1.0), (0,) * g, (0,) * g)
+        want = search_pieces(inner, values)
+        assert part.group_indices(values).tolist() == want.tolist()
+        counts = ScoredDataset([])._group_counts(part.thresholds, values)
+        assert counts == tuple(np.bincount(want, minlength=g).tolist())
+        assert all(type(n) is int for n in counts)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, scores.COMPARE_BOUNDS, scores.COMPARE_BOUNDS + 1,
+                                       4 * scores.COMPARE_BOUNDS])
+    def test_either_side_of_the_limit(self, count):
+        rng = np.random.default_rng(count)
+        bounds = np.unique(rng.random(count))
+        values = np.concatenate([rng.random(5000), bounds, [math.nan, -0.0, 0.0, 1.0]])
+        rng.shuffle(values)
+        assert (scores.score_pieces(bounds, values) == search_pieces(bounds, values)).all()
+        # float32 scores meet the bounds in float64, as in the search
+        single = np.concatenate([values, bounds]).astype(np.float32)
+        assert (scores.score_pieces(bounds, single) == search_pieces(bounds, single)).all()
+        thresholds = (0.0, *bounds.tolist(), 1.0)
+        counts = ScoredDataset([])._group_counts(thresholds, values)
+        assert counts == tuple(np.bincount(search_pieces(bounds, values),
+                                           minlength=len(bounds) + 1).tolist())
+
+    @pytest.mark.parametrize("thresholds", [(0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_group_counts_are_python_ints(self, thresholds):
+        # a container packs them as integers: at g = 1 there is no inner threshold
+        values = np.array([0.0, 0.5, 0.7, 1.0, math.nan])
+        counts = ScoredDataset([])._group_counts(thresholds, values)
+        assert counts == ((5,) if len(thresholds) == 2 else (1, 4))
+        assert all(type(n) is int for n in counts)
+        ds = ScoredDataset.from_columns(["a", "b", "c"], [0.2, 0.6, 0.9], [True, False, True])
+        part = partition_from_thresholds(ds, thresholds)
+        assert all(type(n) is int for n in part.n_per_group + part.m_per_group)
 
 
 class TestGroupLookup:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adabloom.adaptive import AdaptiveParams, build_ada
-from adabloom.bits import HashFamily
+from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import gen_synthetic, partition_by_ratio
@@ -176,6 +176,35 @@ def test_padding_bits_rejected_in_first_array(odd_built):
     blob[end + (r + 7) // 8 - 1] |= 0x80
     with pytest.raises(FormatError, match="past the end"):
         loads_filter(bytes(blob))
+
+
+def array_bits(filt):
+    """The lengths of a filter's bit arrays, in container order."""
+    stages = getattr(filt, "stages", ((0.0, 0.0, filt),))
+    return list({id(stage.bits): stage.bits.length_bits for _, _, stage in stages}.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_bits_refuses_a_container_one_bit_over_it(kind, odd_built, monkeypatch, tmp_path):
+    # the bound counts every array; the one that passes it is neither read nor unpacked
+    filt = odd_built[kind]
+    sizes = array_bits(filt)
+    assert len(sizes) == {"sandwich": 2, "disjoint": 4}.get(kind, 1)  # a disjoint group has 0 bits
+    blob = dump_filter(filt)
+    path = tmp_path / "f.adbf"
+    path.write_bytes(blob)
+    assert dump_filter(loads_filter(blob, max_bits=sum(sizes))) == blob
+    assert dump_filter(load_filter(path, max_bits=sum(sizes))) == blob
+    unpacked = []
+    original = BitVector.from_bytes
+    monkeypatch.setattr(BitVector, "from_bytes",
+                        lambda data, r: unpacked.append(r) or original(data, r))
+    for load, source in ((loads_filter, blob), (load_filter, path)):
+        unpacked.clear()
+        with pytest.raises(FormatError, match=f"^bit arrays of more than max_bits = "
+                                              f"{sum(sizes) - 1} bits$"):
+            load(source, max_bits=sum(sizes) - 1)
+        assert unpacked == sizes[:-1]
 
 
 def test_empty_bit_array_rejected(built):
