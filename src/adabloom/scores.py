@@ -275,18 +275,11 @@ class ScoredDataset:
     def _group_counts(self, thresholds: tuple[float, ...], scores: np.ndarray) -> tuple[int, ...]:
         """Scores per group of ``thresholds``, as ``ScorePartition.group_indices`` places them.
 
-        A group's count is the difference of the numbers of scores below its
-        two bounds, each one compare and count over the scores (``score_pieces``
-        says why; a NaN is below none, so it counts in the top group); past
-        ``COMPARE_BOUNDS`` inner thresholds, a ``bincount`` of the pieces.
-        The counts are Python ints, which a container packs as integers.
+        A ``bincount`` of the ``score_pieces`` of the inner thresholds, as
+        Python ints, which a container packs as integers.
         """
-        inner = thresholds[1:-1]
-        if len(inner) > COMPARE_BOUNDS:  # the pieces are searched
-            pieces = score_pieces(np.asarray(inner), scores)
-            return tuple(np.bincount(pieces, minlength=len(thresholds) - 1).tolist())
-        below = [0, *(int(np.count_nonzero(scores < t)) for t in inner), len(scores)]
-        return tuple(hi - lo for lo, hi in zip(below, below[1:]))
+        pieces = score_pieces(np.asarray(thresholds[1:-1]), scores)
+        return tuple(np.bincount(pieces, minlength=len(thresholds) - 1).tolist())
 
     def _tau_counts(self, tau: float) -> tuple[int, int]:
         """(keys scoring below tau, non-keys scoring at or above it); a NaN score
@@ -714,11 +707,10 @@ class ScorePartition:
         return score_pieces(np.asarray(self.thresholds[1:-1]), scores)
 
 
-# The most bounds that ``score_pieces`` and ``ScoredDataset._group_counts`` compare
-# every score with; past it they search. Per-item pieces by compares took 265 against
-# 381 us for 10k scores and 64 bounds, 10.4 against 12.2 ms for 300k, and were level
-# or slower at 128; counts by compares took 13.5 against 18.3 ms for 300k scores and
-# 128 thresholds (2-core Xeon, numpy 2.4, medians of 15-101 runs).
+# The most bounds that ``score_pieces`` compares every score with; past it it searches.
+# Pieces by compares took 265 against 381 us for 10k scores and 64 bounds, 10.4 against
+# 12.2 ms for 300k, and were level or slower at 128 (2-core Xeon, numpy 2.4, medians of
+# 15-101 runs).
 COMPARE_BOUNDS = 64
 
 

@@ -262,9 +262,10 @@ class _Walk(NamedTuple):
     or below it (``scores.score_pieces``), and per-piece tables give each
     item its stage's count (0 outside every stage), lane, range and
     offset; a piece's stage is the walked stage that starts at the
-    piece's lower bound, found in a dict. Stages on several arrays are probed in one copy of them laid end to
-    end, one ``np.concatenate`` (``BitVector.joined``), so an offset is the
-    sum of the lengths of the arrays before the stage's.
+    piece's lower bound, found in a dict. Stages on several arrays are
+    probed in one copy of them laid end to end, one ``np.concatenate``
+    (``BitVector.joined``), so an offset is the sum of the lengths of the
+    arrays before the stage's.
     The ``later`` stages are probed afterwards, one at a time, on the
     survivors inside their interval: those that overlap a walked one (a
     sandwich's backup), and every stage if fewer than two would walk, since
