@@ -8,6 +8,11 @@ pivot of empirical FPR by method and budget on stdout.
 
     python3 scripts/reproduce_tradeoff.py --out results.csv
     python3 scripts/reproduce_tradeoff.py --quick --out quick.csv
+
+Flags are checked as ``adabloom bench`` checks them, before any work: a
+budget that is not a finite number of Kb, or is below 1 bit, and an
+``--out`` whose directory is missing each end the run with one line on
+stderr.
 """
 
 import argparse
@@ -15,7 +20,8 @@ import sys
 import time
 from collections import defaultdict
 
-from adabloom.bench import METHODS, rows_to_csv, run_sweep
+from adabloom.bench import METHODS, check_budgets, parse_budget, run_sweep, write_csv
+from adabloom.cli import _add_typed, _check_output, _list, _save
 from adabloom.scores import gen_synthetic
 
 
@@ -24,14 +30,17 @@ def main() -> int:
     parser.add_argument("--keys", type=int, default=50_000)
     parser.add_argument("--nonkeys", type=int, default=50_000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--budgets-kb", default="50,100,150,200,250,300,350,400,450,500")
+    _add_typed(parser, "--budgets-kb", _list(lambda kb: parse_budget(kb + "kb"), check_budgets),
+               default="50,100,150,200,250,300,350,400,450,500")
     parser.add_argument("--quick", action="store_true",
-                        help="coarser grids and three budgets, for a fast look")
+                        help="coarser grids and every (len // 3)-th budget, for a fast look; "
+                             "of the ten default budgets that runs four: 50, 200, 350 and 500 Kb")
     parser.add_argument("--out", default="tradeoff.csv")
     args = parser.parse_args()
+    _check_output(args.out)
 
     dataset = gen_synthetic(args.keys, args.nonkeys, seed=args.seed)
-    budgets = [int(float(kb) * 1000) for kb in args.budgets_kb.split(",")]
+    budgets = args.budgets_kb
     grids = {}
     if args.quick:
         budgets = budgets[:: max(1, len(budgets) // 3)]
@@ -42,8 +51,7 @@ def main() -> int:
     rows = run_sweep(dataset, budgets, METHODS, seeds=[args.seed], timing=True, **grids)
     elapsed = time.perf_counter() - t0
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows))
+    _save(write_csv, rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out} in {elapsed:.0f}s\n")
 
     by_budget = defaultdict(dict)

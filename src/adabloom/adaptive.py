@@ -57,10 +57,9 @@ class AdaptiveParams:
     """Partition plus one hash count per group (non-increasing in j).
 
     ``from_ratio`` builds the step-one ladder K_j = k_max - (j - 1) used
-    by the tuning strategy; ``with_hash_counts`` accepts any
-    non-increasing ladder, which the reduction identities (a threshold
-    filter is the g=2 ladder (K, 0)) and the head-to-head comparison
-    protocols need.
+    by the tuning strategy; the constructor accepts any non-increasing
+    ladder, which the reduction identities (a threshold filter is the g=2
+    ladder (K, 0)) and the head-to-head comparison protocols need.
     """
 
     partition: ScorePartition
@@ -86,23 +85,6 @@ class AdaptiveParams:
         if k_max - k_min != g - 1:
             raise ValueError(f"k_max - k_min must equal g - 1 = {g - 1}, got {k_max - k_min}")
         return cls(partition, tuple(range(k_max, k_min - 1, -1)), c)
-
-    @classmethod
-    def with_hash_counts(cls, partition: ScorePartition, k_per_group,
-                         c: float | None = None) -> "AdaptiveParams":
-        return cls(partition, tuple(int(k) for k in k_per_group), c)
-
-    @property
-    def g(self) -> int:
-        return self.partition.g
-
-    @property
-    def k_max(self) -> int:
-        return self.k_per_group[0]
-
-    @property
-    def k_min(self) -> int:
-        return self.k_per_group[-1]
 
 
 class AdaptiveBloom(GatedBloom):

@@ -98,7 +98,7 @@ def check_methods(methods) -> None:
 
 def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int = 0,
               timing: bool = False, **grids) -> list[SweepRow]:
-    """One tuned row per (budget, method, seed), sorted by that triple.
+    """One tuned row per distinct (budget, method, seed), sorted by method, budget and seed.
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
     method's tuner, which ignores the ones it does not take. A budget below
@@ -121,13 +121,13 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
 
     view = dataset.by_score()
     rows = []
-    for method in sorted(methods):
-        for budget in sorted(budgets):
+    for method in sorted(set(methods)):
+        for budget in sorted(set(budgets)):
             # the standard baseline has no model: it gets the model's
             # share of the budget as extra bitmap instead
             row_model_bits = 0 if method == "standard" else model_bits
             bitmap_bits = budget - row_model_bits
-            for seed in sorted(seeds):
+            for seed in sorted(set(seeds)):
                 t0 = time.perf_counter()
                 try:
                     if bitmap_bits <= 0:

@@ -509,17 +509,17 @@ class BitVector:
         self._frozen = False
 
     @classmethod
-    def _of(cls, bits: np.ndarray, frozen: bool) -> "BitVector":
-        """A vector over ``bits``, a non-empty ``bool`` array, which it keeps."""
+    def _of(cls, bits: np.ndarray) -> "BitVector":
+        """A frozen vector over ``bits``, a non-empty ``bool`` array, which it keeps."""
         bv = cls.__new__(cls)
-        bv._nbits, bv._bits, bv._frozen = len(bits), bits, frozen
+        bv._nbits, bv._bits, bv._frozen = len(bits), bits, True
         return bv
 
     @classmethod
     def joined(cls, vectors: Iterable["BitVector"]) -> "BitVector":
         """The vectors' bits laid end to end in one frozen vector: bit i of a
         vector is bit i plus the lengths of the vectors before it."""
-        return cls._of(np.concatenate([v._bits for v in vectors]), frozen=True)
+        return cls._of(np.concatenate([v._bits for v in vectors]))
 
     @property
     def length_bits(self) -> int:
@@ -684,17 +684,14 @@ class BitVector:
     def popcount(self) -> int:
         return int(np.count_nonzero(self._bits))
 
-    def load_fraction(self) -> float:
-        return self.popcount() / self._nbits
-
     def to_bytes(self) -> bytes:
         """The bits packed, LSB first: (R + 7) // 8 bytes, the padding bits 0."""
         return np.packbits(self._bits, bitorder="little").tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, length_bits: int, frozen: bool = True) -> "BitVector":
-        """The vector :meth:`to_bytes` packed; ValueError on a wrong length or a set
-        padding bit past ``length_bits``."""
+    def from_bytes(cls, data: bytes, length_bits: int) -> "BitVector":
+        """The frozen vector :meth:`to_bytes` packed; ValueError on a wrong length or a
+        set padding bit past ``length_bits``."""
         expected = (_check_length(length_bits) + 7) // 8
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes for {length_bits} bits, got {len(data)}")
@@ -702,7 +699,7 @@ class BitVector:
             raise ValueError(f"bits set past the end of a {length_bits}-bit array")
         packed = np.frombuffer(data, dtype=np.uint8)
         bits = np.unpackbits(packed, count=length_bits, bitorder="little").view(bool)
-        return cls._of(bits, frozen)
+        return cls._of(bits)
 
     def __repr__(self) -> str:
         return f"BitVector({self._nbits} bits, {self.popcount()} set)"

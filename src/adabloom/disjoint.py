@@ -81,27 +81,15 @@ def _round_to_budget(shares: dict[int, float], bitmap_bits: int, g: int) -> list
     return out
 
 
-def _allocate(bitmap_bits: int, n_per_group, c: float, groups: list[int]) -> list[int]:
-    """Integer shares over ``groups`` summing to ``bitmap_bits``; every other group gets 0.
-
-    With no group to take bits (g = 1, or no keyed group below the top)
-    only a zero budget is feasible.
-    """
-    if not groups:
-        if bitmap_bits:
-            raise InfeasibleBudgetError(
-                f"no keyed group below the top to take {bitmap_bits} bits")
-        return [0] * len(n_per_group)
-    eta = math.log(c) / math.log(OPTIMAL_FPR_BASE)
-    shares = _solve_shares(bitmap_bits, n_per_group, eta, groups)
-    return _round_to_budget(shares, bitmap_bits, len(n_per_group))
-
-
 def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[int]:
     """Bit budget per group solving the equal-false-positive-count system.
 
-    Group g is fixed at zero bits. Returns integer shares summing to
-    ``bitmap_bits`` exactly.
+    Group g is fixed at zero bits. A keyless group below it takes one
+    reject-all bit (nothing inserted, one probe) instead of entering the
+    equalization, which would otherwise divide by its key count. Returns
+    integer shares summing to ``bitmap_bits`` exactly. InfeasibleBudgetError
+    when the budget cannot cover the keyless groups, or when bits are left
+    over with no keyed group below the top to take them (g = 1, say).
     """
     if bitmap_bits < 0:
         raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
@@ -110,9 +98,23 @@ def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[i
         raise ValueError(f"group count g must be >= 1, got {g}")
     if len(n_per_group) != g:
         raise ValueError(f"need {g} key counts, got {len(n_per_group)}")
-    if any(n < 1 for n in n_per_group[: g - 1]):
-        raise ValueError(f"groups 1..g-1 must hold at least one key, got {list(n_per_group)}")
-    return _allocate(bitmap_bits, n_per_group, c, list(range(g - 1)))
+    if any(n < 0 for n in n_per_group):
+        raise ValueError(f"key counts must be >= 0, got {list(n_per_group)}")
+    empty = [i for i in range(g - 1) if n_per_group[i] == 0]
+    spare = bitmap_bits - len(empty)
+    if spare < 0:
+        raise InfeasibleBudgetError(
+            f"budget {bitmap_bits} cannot cover {len(empty)} keyless groups")
+    occupied = [i for i in range(g - 1) if n_per_group[i]]
+    shares = [0] * g
+    if occupied:
+        eta = math.log(c) / math.log(OPTIMAL_FPR_BASE)
+        shares = _round_to_budget(_solve_shares(spare, n_per_group, eta, occupied), spare, g)
+    elif spare:
+        raise InfeasibleBudgetError(f"no keyed group below the top to take {spare} bits")
+    for i in empty:
+        shares[i] = 1
+    return shares
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,6 @@ class DisjointParams:
     c: float
     r_per_group: tuple[int, ...]
     k_per_group: tuple[int, ...]
-
-    @property
-    def g(self) -> int:
-        return self.partition.g
 
 
 class DisjointBloom(GatedBloom):
@@ -157,24 +155,12 @@ class DisjointBloom(GatedBloom):
 def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
                                   partition: ScorePartition, c: float, seed: int,
                                   model_bits: int = 0) -> DisjointBloom:
-    """Disjoint filter over an existing partition.
+    """Disjoint filter over an existing partition, its bits shared by ``allocate_disjoint``.
 
-    Groups below the top with no keys take one reject-all bit (nothing
-    inserted, one probe) instead of entering the equalization, which
-    would otherwise divide by their key count. ValueError unless c is
-    finite and > 1, as ``allocate_disjoint`` requires.
+    A keyless group's one bit stays clear, so the group rejects every query.
     """
-    check_ratio(c)
-    g = partition.g
     n_per_group = partition.n_per_group
-    empty = [i for i in range(g - 1) if n_per_group[i] == 0]
-    if bitmap_bits < len(empty):
-        raise InfeasibleBudgetError(
-            f"budget {bitmap_bits} cannot cover {len(empty)} keyless groups")
-    occupied = [i for i in range(g - 1) if n_per_group[i]]
-    r_per_group = _allocate(bitmap_bits - len(empty), n_per_group, c, occupied)
-    for i in empty:
-        r_per_group[i] = 1
+    r_per_group = allocate_disjoint(bitmap_bits, n_per_group, c, partition.g)
 
     k_per_group = []
     for r_i, n_i in zip(r_per_group, n_per_group):

@@ -103,7 +103,13 @@ def sandwich_allocate(f_p: float, f_n: float, budget_bits_per_key: float) -> tup
 
 
 class SandwichedBloom(GatedBloom):
-    """Initial filter, then score threshold, then backup filter; zero FNR."""
+    """Initial filter, then score threshold, then backup filter; zero FNR.
+
+    ValueError unless the fields agree with the filters: ``bitmap_bits`` is
+    ``b1_bits + b2_bits``, an initial filter of ``b1_bits`` bits is present
+    exactly when ``b1_bits > 0``, and the backup holds ``max(1, b2_bits)``
+    bits, as ``build_sandwiched`` makes them.
+    """
 
     __slots__ = ("tau", "initial", "backup", "bitmap_bits", "b1_bits", "b2_bits",
                  "fp_above", "fn_below", "fallback_reason")
@@ -113,6 +119,16 @@ class SandwichedBloom(GatedBloom):
                  fp_above: float | None = None, fn_below: float | None = None,
                  fallback_reason: str | None = None):
         _check_tau(tau)
+        if bitmap_bits != b1_bits + b2_bits:
+            raise ValueError(f"bitmap_bits {bitmap_bits} is not b1_bits {b1_bits} + "
+                             f"b2_bits {b2_bits}")
+        b1_held = initial.size_bits if initial is not None else 0
+        if b1_held != b1_bits:
+            raise ValueError(f"initial filter of {b1_held} bits (0: none), "
+                             f"need b1_bits = {b1_bits}")
+        if backup.size_bits != max(1, b2_bits):
+            raise ValueError(f"backup of {backup.size_bits} bits, need max(1, b2_bits) = "
+                             f"{max(1, b2_bits)}")
         tau = float(tau)  # a numpy float32 bound would meet Python-float scores in float32
         stages = ((0.0, tau, backup),)
         if initial is not None:

@@ -676,10 +676,6 @@ class ScorePartition:
         return len(self.thresholds) - 1
 
     @property
-    def n(self) -> int:
-        return sum(self.n_per_group)
-
-    @property
     def m(self) -> int:
         return sum(self.m_per_group)
 

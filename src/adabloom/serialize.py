@@ -131,6 +131,8 @@ def _sandwich(io: _Codec, f: SandwichedBloom | None = None) -> SandwichedBloom:
         "QQQdQQddB", f and (f.seed, f.model_bits, f.bitmap_bits, f.tau, f.b1_bits, f.b2_bits,
                             _opt_float(f.fp_above), _opt_float(f.fn_below),
                             f.initial is not None))
+    if has_initial > 1:
+        raise FormatError(f"has-initial byte must be 0 or 1, got {has_initial}")
     initial = _standard(io, seed, f and f.initial) if has_initial else None
     backup = _standard(io, seed, f and f.backup)
     return f or SandwichedBloom(tau, initial, backup, bitmap_bits, b1, b2, model_bits,

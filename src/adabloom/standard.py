@@ -492,15 +492,14 @@ def expected_fpr_standard(r: int, n: int, k: int) -> float:
     return alpha_load(r, (n,), (k,)) ** k
 
 
-def optimal_k(r: int, n: int, k_cap: int = DEFAULT_K_CAP) -> int:
-    """FPR-minimizing hash count min(k_cap, Round((r/n) ln 2)); k_cap when n = 0.
+def optimal_k(r: int, n: int) -> int:
+    """FPR-minimizing hash count min(DEFAULT_K_CAP, Round((r/n) ln 2)); the cap when n = 0.
 
-    Past the default cap of 64 (above about 92 bits per key) the expected
-    FPR is below 1e-19 either way, while every insert and every hit costs
-    k probes.
+    Past the cap of 64 (above about 92 bits per key) the expected FPR is
+    below 1e-19 either way, while every insert and every hit costs k probes.
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     if n == 0:
-        return k_cap
-    return min(k_cap, round_half_away(r / n * LN2))
+        return DEFAULT_K_CAP
+    return min(DEFAULT_K_CAP, round_half_away(r / n * LN2))

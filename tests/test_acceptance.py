@@ -213,7 +213,7 @@ def test_criterion_06_adaptive_beats_threshold_filter(bench_ds, lbf_500k):
                 chosen = (c, partition)
         assert chosen is not None, g
         c, partition = chosen
-        params = AdaptiveParams.with_hash_counts(partition, counts, c=c)
+        params = AdaptiveParams(partition, counts, c=c)
         filt = build_ada(bench_ds, budget, params, seed=1)
         fpr, fnr = _fpr_and_fnr(filt, bench_ds, 1)
         assert fnr == 0.0
@@ -315,7 +315,7 @@ def test_criterion_10_reduction_identities(bench_ds):
     lbf = build_lbf(bench_ds, r, tau, seed=4)
     part2 = partition_from_thresholds(bench_ds, (0.0, tau, 1.0))
     ada2 = build_ada(bench_ds, r,
-                     AdaptiveParams.with_hash_counts(part2, (lbf.backup.k, 0)), seed=4)
+                     AdaptiveParams(part2, (lbf.backup.k, 0)), seed=4)
     assert ada2.bits.to_bytes() == lbf.backup.bits.to_bytes()
     rng = np.random.default_rng(8)
     probes = [(f"p{i}", float(s)) for i, s in enumerate(rng.uniform(0, 1, 1000))]

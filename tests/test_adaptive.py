@@ -24,7 +24,7 @@ class TestParams:
         part = partition_by_ratio(synth_small, 5, 2.0)
         params = AdaptiveParams.from_ratio(part, 6, 2, c=2.0)
         assert params.k_per_group == (6, 5, 4, 3, 2)
-        assert (params.k_max, params.k_min) == (6, 2)
+        assert (params.k_per_group[0], params.k_per_group[-1]) == (6, 2)
 
     def test_from_ratio_rejects_wrong_span(self, synth_small):
         part = partition_by_ratio(synth_small, 5, 2.0)
@@ -34,12 +34,12 @@ class TestParams:
     def test_explicit_counts_must_be_non_increasing(self, synth_small):
         part = partition_by_ratio(synth_small, 3, 2.0)
         with pytest.raises(ValueError):
-            AdaptiveParams.with_hash_counts(part, (2, 3, 1))
+            AdaptiveParams(part, (2, 3, 1))
 
     def test_counts_must_cover_groups(self, synth_small):
         part = partition_by_ratio(synth_small, 3, 2.0)
         with pytest.raises(ValueError):
-            AdaptiveParams.with_hash_counts(part, (4, 3))
+            AdaptiveParams(part, (4, 3))
 
 
 class TestReductions:
@@ -55,7 +55,7 @@ class TestReductions:
         r = 80_000
         lbf = build_lbf(synth_small, r, tau, seed=22)
         part = partition_from_thresholds(synth_small, (0.0, tau, 1.0))
-        params = AdaptiveParams.with_hash_counts(part, (lbf.backup.k, 0))
+        params = AdaptiveParams(part, (lbf.backup.k, 0))
         ada = build_ada(synth_small, r, params, seed=22)
         assert ada.bits.to_bytes() == lbf.backup.bits.to_bytes()
         rng = np.random.default_rng(5)
@@ -83,7 +83,7 @@ class TestBuildAndQuery:
 
     def test_zero_hash_groups_add_no_load(self, synth_small):
         part = partition_by_ratio(synth_small, 2, 4.0)
-        only_low = AdaptiveParams.with_hash_counts(part, (5, 0))
+        only_low = AdaptiveParams(part, (5, 0))
         ada = build_ada(synth_small, 60_000, only_low, seed=25)
         groups = part.group_indices(synth_small.key_scores)
         low_keys = [i for i, j in zip(synth_small.key_ids, groups) if j == 0]
@@ -92,14 +92,14 @@ class TestBuildAndQuery:
 
     def test_partition_cut_on_other_data_takes_the_built_key_counts(self):
         part = partition_by_ratio(gen_synthetic(2000, 2000, seed=1), 4, 2.0)
-        params = AdaptiveParams.with_hash_counts(part, (5, 4, 3, 2))
+        params = AdaptiveParams(part, (5, 4, 3, 2))
         ada = build_ada(gen_synthetic(1000, 3000, seed=2), 12_000, params, seed=3)
         kept = ada.params.partition
         assert kept.n_per_group == tuple(stage.n_inserted for _, _, stage in ada.stages)
         assert kept.n_per_group != part.n_per_group
         assert (kept.thresholds, kept.m_per_group) == (part.thresholds, part.m_per_group)
         assert loads_filter(dump_filter(ada)).expected_fpr() == ada.expected_fpr()
-        assert abs(ada.alpha() - ada.bits.load_fraction()) < 0.01
+        assert abs(ada.alpha() - ada.bits.popcount() / ada.bits.length_bits) < 0.01
 
     def test_partition_of_the_build_data_is_kept(self, synth_small):
         params = AdaptiveParams.from_ratio(partition_by_ratio(synth_small, 3, 2.0), 4, 2)
@@ -112,7 +112,7 @@ class TestBuildAndQuery:
         part = partition_by_ratio(synth_bench, 8, 1.8)
         params = AdaptiveParams.from_ratio(part, 10, 3, c=1.8)
         ada = build_ada(synth_bench, 400_000, params, seed=26)
-        assert abs(ada.bits.load_fraction() - ada.alpha()) < 0.05
+        assert abs(ada.bits.popcount() / ada.bits.length_bits - ada.alpha()) < 0.05
 
     def test_per_group_fpr_tracks_alpha_power(self, synth_bench):
         part = partition_by_ratio(synth_bench, 6, 1.5)

@@ -85,6 +85,14 @@ class TestRunSweep:
         triples = [(r.method, r.total_bits, r.seed) for r in rows]
         assert triples == sorted(triples)
 
+    def test_repeated_values_run_once(self):
+        ds = gen_synthetic(1000, 1000, seed=2)
+        once = run_sweep(ds, [3000, 6000], ["lbf", "standard"], [0], tau_grid=(0.6,))
+        assert len(once) == 4
+        assert run_sweep(ds, [6000, 3000, 3000.0, 6000], ["lbf", "standard", "lbf"], [0, 0],
+                         tau_grid=(0.6,)) == once
+        assert run_sweep(ds, [3000, 3000], ["lbf", "lbf"], [0, 0], tau_grid=(0.6,)) == once[:1]
+
     def test_fair_budget_accounting(self, synth_small):
         rows = run_sweep(synth_small, budgets=[80_000], methods=["standard", "lbf"],
                          seeds=[0], model_bits=30_000, tau_grid=(0.6,))
@@ -123,7 +131,7 @@ class TestRunSweep:
         ds = gen_synthetic(50_000, 50_000, seed=1507)
         res = tune("disjoint", ds, 300_000, 1507)
         params = res.filter.params
-        assert (params.g, params.c) == (9, 2.8)
+        assert (params.partition.g, params.c) == (9, 2.8)
         one_bit = [j for j, r in enumerate(params.r_per_group) if r == 1]
         assert one_bit and all(res.filter.filters[j].expected_fpr() == 1.0 for j in one_bit)
         assert math.isfinite(res.filter.expected_fpr())

@@ -487,7 +487,9 @@ def per_probe_test(bv, a, b, k):
 
 def random_bits(r, load, seed):
     marks = np.random.default_rng(seed).random(r) < load
-    return BitVector.from_bytes(np.packbits(marks, bitorder="little").tobytes(), r, frozen=False)
+    bv = BitVector(r)
+    bv.set_bits(np.flatnonzero(marks).tolist())
+    return bv
 
 
 class TestSlabKernels:

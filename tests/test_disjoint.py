@@ -9,7 +9,7 @@ from adabloom.disjoint import (
     build_disjoint,
     build_disjoint_from_partition,
 )
-from adabloom.scores import ScoredDataset, ScoredItem, partition_from_thresholds
+from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_from_thresholds
 from adabloom.standard import OPTIMAL_FPR_BASE
 
 ETA2 = math.log(2.0) / math.log(OPTIMAL_FPR_BASE)  # offset per group at c=2
@@ -42,9 +42,22 @@ class TestAllocation:
         shares = allocate_disjoint(10_000, (10, 200, 3000, 999), 1.5, 4)
         assert shares[-1] == 0
 
-    def test_rejects_empty_filtered_group(self):
-        with pytest.raises(ValueError):
-            allocate_disjoint(1000, (10, 0, 5), 2.0, 3)
+    def test_keyless_filtered_group_takes_one_bit(self):
+        # one reject-all bit, as the builder gives it
+        assert allocate_disjoint(1000, (10, 0, 5), 2.0, 3) == [999, 1, 0]
+        assert allocate_disjoint(2, (0, 0, 5), 2.0, 3) == [1, 1, 0]
+        with pytest.raises(InfeasibleBudgetError, match="^no keyed group below the top to take "
+                                                         "1 bits$"):
+            allocate_disjoint(3, (0, 0, 5), 2.0, 3)
+
+    def test_keyless_first_group_as_the_builder_shares_it(self):
+        ds = gen_synthetic(2000, 2000, seed=3)
+        part = partition_from_thresholds(ds, (0.0, 0.001, 0.5, 0.9, 1.0))
+        assert part.n_per_group == (0, 255, 1172, 573)
+        shares = allocate_disjoint(8000, part.n_per_group, 2.0, 4)
+        assert shares == [1, 1732, 6267, 0]
+        filt = build_disjoint_from_partition(ds, 8000, part, 2.0, 3)
+        assert filt.params.r_per_group == tuple(shares)
 
     def test_single_group_cannot_take_budget(self):
         with pytest.raises(InfeasibleBudgetError):

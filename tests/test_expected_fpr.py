@@ -125,7 +125,7 @@ class TestEdges:
 
     def test_ada_with_no_stage(self):
         part = partition_by_ratio(self.DS, 4, 2.0)
-        filt = build_ada(self.DS, 3000, AdaptiveParams.with_hash_counts(part, (0, 0, 0, 0)), 3)
+        filt = build_ada(self.DS, 3000, AdaptiveParams(part, (0, 0, 0, 0)), 3)
         assert filt.stages == ()
         assert assert_matches_reference(filt) == math.fsum(part.p_hat) == pytest.approx(1.0)
 
@@ -145,7 +145,7 @@ class TestEdges:
         ds = ScoredDataset([ScoredItem(f"k{i}", i / 10, True) for i in range(10)])
         part = partition_from_thresholds(ds, (0.0, 0.5, 1.0))
         filters = [build_lbf(ds, 100, 0.5, 1), build_sandwiched(ds, 100, 0.5, 1),
-                   build_ada(ds, 100, AdaptiveParams.with_hash_counts(part, (2, 1)), 1),
+                   build_ada(ds, 100, AdaptiveParams(part, (2, 1)), 1),
                    build_disjoint_from_partition(ds, 100, part, 2.0, 1)]
         for filt in filters:
             assert filt.shares is None and filt.expected_fpr() is None

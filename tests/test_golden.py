@@ -182,7 +182,7 @@ def container_fixtures():
         "disjoint": build_disjoint(ds, 3000, 4, 2.0, 3),
         "lbf_tau0": build_lbf(ds, 3000, 0.0, 3),
         "sandwich_reduced": build_sandwiched(ds, 300, 0.6, 3),
-        "ada_flat": build_ada(ds, 3000, AdaptiveParams.with_hash_counts(part, (2, 2, 2, 2)), 3),
+        "ada_flat": build_ada(ds, 3000, AdaptiveParams(part, (2, 2, 2, 2)), 3),
         "disjoint_keyless": build_disjoint_from_partition(ds, 3000, keyless, 2.0, 3),
         "disjoint_g1": build_disjoint(ds, 0, 1, 2.0, 3),
     }

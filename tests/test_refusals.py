@@ -25,7 +25,13 @@ from adabloom.disjoint import (
     build_disjoint,
     build_disjoint_from_partition,
 )
-from adabloom.learned import build_lbf, build_sandwiched, sandwich_allocate
+from adabloom.learned import (
+    LearnedBloom,
+    SandwichedBloom,
+    build_lbf,
+    build_sandwiched,
+    sandwich_allocate,
+)
 from adabloom.scores import (
     DatasetError,
     InsufficientDataError,
@@ -54,6 +60,10 @@ KEYS_ONLY = ScoredDataset([ScoredItem("k0", 0.5, True)])
 TWO = ScorePartition((0.0, 0.5, 1.0), (3, 3), (3, 3))
 KEYLESS = ScorePartition((0.0, 0.3, 0.6, 1.0), (0, 0, 5), (2, 2, 2))
 PAIR = HashFamily(1).base_pairs(["x", "y"])
+
+
+def _stage(r):
+    return StandardBloom(BitVector(r), 1, HashFamily(1))
 
 
 def _csv(text):
@@ -103,6 +113,10 @@ REFUSALS = [
      "ratio c must be finite, got inf"),
     ("allocate-g-0", lambda _: allocate_disjoint(100, (), 2.0, 0), ValueError,
      "group count g must be >= 1, got 0"),
+    ("allocate-negative-key-count", lambda _: allocate_disjoint(100, (3, -1), 2.0, 2),
+     ValueError, "key counts must be >= 0, got [3, -1]"),
+    ("allocate-keyless-over-budget", lambda _: allocate_disjoint(1, (0, 0, 5), 2.0, 3),
+     InfeasibleBudgetError, "budget 1 cannot cover 2 keyless groups"),
     ("disjoint-keyless-over-budget",
      lambda _: build_disjoint_from_partition(DS, 1, KEYLESS, 2.0, 0), InfeasibleBudgetError,
      "budget 1 cannot cover 2 keyless groups"),
@@ -123,6 +137,17 @@ REFUSALS = [
      "bitmap_bits must be >= 0, got -1"),
     ("sandwich-negative-bits", lambda _: build_sandwiched(DS, -1, 0.5, 0), ValueError,
      "bitmap_bits must be >= 0, got -1"),
+    ("sandwich-bitmap-not-the-sum",
+     lambda _: SandwichedBloom(0.5, None, _stage(64), 65, 0, 64), ValueError,
+     "bitmap_bits 65 is not b1_bits 0 + b2_bits 64"),
+    ("sandwich-initial-without-b1",
+     lambda _: SandwichedBloom(0.5, _stage(8), _stage(64), 64, 0, 64), ValueError,
+     "initial filter of 8 bits (0: none), need b1_bits = 0"),
+    ("sandwich-b1-without-initial",
+     lambda _: SandwichedBloom(0.5, None, _stage(64), 72, 8, 64), ValueError,
+     "initial filter of 0 bits (0: none), need b1_bits = 8"),
+    ("lbf-backup-smaller-than-the-budget", lambda _: LearnedBloom(0.5, _stage(64), 10**9),
+     ValueError, "backup of 64 bits, need max(1, b2_bits) = 1000000000"),
     # scores
     ("csv-empty-file", _csv(""), DatasetError, "empty file, expected header id,score,label"),
     ("gen-float-n", lambda _: gen_synthetic(2.5, 3), ValueError,

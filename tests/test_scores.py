@@ -807,7 +807,7 @@ class TestGroupProbs:
         ds = ScoredDataset([ScoredItem("a", 0.5, True)])
         part = partition_from_thresholds(ds, (0.0, 0.5, 1.0))
         assert part.p_hat is None and part.shares is None
-        params = AdaptiveParams.with_hash_counts(part, (1, 0))
+        params = AdaptiveParams(part, (1, 0))
         assert build_ada(ds, 64, params, seed=1).expected_fpr() is None
 
 

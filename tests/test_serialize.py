@@ -219,6 +219,7 @@ def small_built():
     ds = gen_synthetic(300, 300, seed=1)
     return ds, {
         "lbf": build_lbf(ds, 3000, 0.7, seed=2),
+        "sandwich": build_sandwiched(ds, 3000, 0.6, seed=4),
         "ada": build_ada(ds, 3000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 3, 2.0),
                                                              2, 0, c=2.0), seed=3),
     }
@@ -226,6 +227,10 @@ def small_built():
 
 ADA_THRESHOLDS = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQd") + struct.calcsize("<I")
 LBF_TAU = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQ")
+# the offset of each v1 lbf / sandwich field past the seed and model bits
+BITMAP_BITS = 4 + struct.calcsize("<HB") + struct.calcsize("<QQ")
+B1_BITS, B2_BITS, HAS_INITIAL = (BITMAP_BITS + struct.calcsize(f) for f in ("<Qd", "<QdQ",
+                                                                             "<QdQQdd"))
 
 
 @pytest.mark.parametrize("index, value, message", [
@@ -244,7 +249,7 @@ def test_bad_ada_thresholds_raise_format_error(small_built, index, value, messag
 
 def test_bad_ada_hash_counts_raise_format_error(small_built):
     filt = small_built[1]["ada"]
-    g = filt.params.g
+    g = filt.params.partition.g
     at = ADA_THRESHOLDS + struct.calcsize(f"<{g + 1}d{g}Q{g}Q")
     blob = bytearray(dump_filter(filt))
     assert struct.unpack_from(f"<{g}I", blob, at) == (2, 1, 0)
@@ -260,6 +265,27 @@ def test_bad_tau_raises_format_error(small_built, tau):
     assert struct.unpack_from("<d", blob, LBF_TAU) == (filt.tau,)
     struct.pack_into("<d", blob, LBF_TAU, tau)
     with pytest.raises(FormatError, match="tau must be in"):
+        loads_filter(bytes(blob))
+
+
+@pytest.mark.parametrize("kind, edits, message", [
+    # the bitmap field is the sum of the two filters' fields
+    ("sandwich", [(BITMAP_BITS, "Q", 3000, 3001)], r"bitmap_bits 3001 is not b1_bits 2389 \+ "),
+    # the initial filter holds b1 bits, with the sum kept
+    ("sandwich", [(B1_BITS, "Q", 2389, 2390), (B2_BITS, "Q", 611, 610)],
+     r"initial filter of 2389 bits \(0: none\), need b1_bits = 2390$"),
+    # an lbf whose bitmap field claims 10**9 bits over a 3000-bit backup
+    ("lbf", [(BITMAP_BITS, "Q", 3000, 10**9)],
+     r"backup of 3000 bits, need max\(1, b2_bits\) = 1000000000$"),
+    ("sandwich", [(HAS_INITIAL, "B", 1, 2)], "has-initial byte must be 0 or 1, got 2$"),
+])
+def test_sandwich_fields_that_disagree_with_its_arrays_raise_format_error(kind, edits, message,
+                                                                           small_built):
+    blob = bytearray(dump_filter(small_built[1][kind]))
+    for at, fmt, was, value in edits:
+        assert struct.unpack_from("<" + fmt, blob, at) == (was,)
+        struct.pack_into("<" + fmt, blob, at, value)
+    with pytest.raises(FormatError, match=message):
         loads_filter(bytes(blob))
 
 

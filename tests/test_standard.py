@@ -65,7 +65,8 @@ class TestBuild:
         loads = []
         for seed in range(30):
             keys = [f"k{seed}-{i}" for i in range(100)]
-            loads.append(build_standard(keys, 1000, 7, seed).bits.load_fraction())
+            bits = build_standard(keys, 1000, 7, seed).bits
+            loads.append(bits.popcount() / bits.length_bits)
         assert abs(np.mean(loads) - LOAD_1000_100_7) < 0.05
 
 
@@ -168,16 +169,12 @@ class TestOptimalK:
 
     def test_no_keys_gets_cap(self):
         assert optimal_k(1000, 0) == DEFAULT_K_CAP
-        assert optimal_k(1000, 0, k_cap=16) == 16
 
     def test_cap_holds_for_every_n(self):
         assert DEFAULT_K_CAP == 64
         assert optimal_k(10**6, 100) == 64
-        assert optimal_k(10**6, 100, k_cap=10**4) == 6931
         # Round((r/n) ln 2) reaches 65 just above 93 bits per key
         assert optimal_k(9300, 100) == 64 and optimal_k(9400, 100) == 64
-        assert optimal_k(9300, 100, k_cap=10**4) == 64
-        assert optimal_k(9400, 100, k_cap=10**4) == 65
 
     def test_never_negative(self):
         assert optimal_k(1, 10**9) == 0
