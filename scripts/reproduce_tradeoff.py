@@ -10,9 +10,10 @@ pivot of empirical FPR by method and budget on stdout.
     python3 scripts/reproduce_tradeoff.py --quick --out quick.csv
 
 Flags are checked as ``adabloom bench`` checks them, before any work: a
-budget that is not a finite number of Kb, or is below 1 bit, and an
-``--out`` whose directory is missing each end the run with one line on
-stderr.
+key or non-key count that is not an integer >= 0, a seed that is not an
+integer, a budget that is not a finite number of Kb, or is below 1 bit,
+and an ``--out`` whose directory is missing each end the run with one
+line on stderr.
 """
 
 import argparse
@@ -25,11 +26,19 @@ from adabloom.cli import _add_typed, _check_output, _list, _save
 from adabloom.scores import gen_synthetic
 
 
+def _count(text: str) -> int:
+    """An item count: an integer >= 0, or ValueError."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"count must be >= 0, got {n}")
+    return n
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--keys", type=int, default=50_000)
-    parser.add_argument("--nonkeys", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=7)
+    _add_typed(parser, "--keys", _count, default=50_000)
+    _add_typed(parser, "--nonkeys", _count, default=50_000)
+    _add_typed(parser, "--seed", int, default=7)
     _add_typed(parser, "--budgets-kb", _list(lambda kb: parse_budget(kb + "kb"), check_budgets),
                default="50,100,150,200,250,300,350,400,450,500")
     parser.add_argument("--quick", action="store_true",

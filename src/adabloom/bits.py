@@ -162,6 +162,20 @@ three items that hit everywhere take about 60 slabs, not a numpy call per
 column. ``CACHED_COLUMNS`` is 12: about 0.5 ** 12 (0.02%) of non-keys
 reach column 13, and the default ``ada`` ladder tops out at k = 12.
 
+The small-batch rule also ends a walk. At a column computed from the
+pairs (every column of an uncached walk, and those past
+``CACHED_COLUMNS``), once the m survivors' remaining probes, m times the
+largest count left, fit ``_SMALL_BATCH``, the columns left are one slab
+and the walk stops; cached columns are still read one at a time. So a
+stage with a high k probes its few survivors in a few calls instead of
+one per column. On a 10k batch of the benchmark's query workload (seed
+41: 2500 keys and 7500 fresh non-keys) ``lbf``'s backup, k = 34 at
+tau = 0.5 with 333 of the keys below tau, took 17 kernel calls and 0.39
+ms, and 6 calls and 0.21 ms by this rule; the five filters took 44 calls
+and 20 (2-core Xeon, numpy 2.4, best of 7 x 50). The tuners' sweep
+reads cached columns and probes many items per column, and its time did
+not move.
+
 An uncached batch may give each item its own hash count, and a range and
 bit offset together, with which ``GatedBloom`` probes all its disjoint
 stages in one call (see ``standard``). The walkers' positions then start in
@@ -598,14 +612,16 @@ class BitVector:
         time over the items that are still all hits: from ``cached``, as in
         :meth:`set_hashed`, or else from the running sum a + i*b; the
         columns past the walk are probed in slabs of 1, 2, 4, ... columns
-        (at most ``_SLAB`` probes each). The walkers are kept as their positions (None
-        until the first miss) and, uncached, their running sums and strides,
-        or, cached with index rows, their rows; a range of rows reads the
-        matrix cut to the range, at the positions. With ``counts`` the
-        positions start sorted longest count first, and the walkers' counts,
-        ranges and offsets are kept in their order, so the walkers a column
-        takes past their count are a suffix of them, written as hits at
-        their positions.
+        (at most ``_SLAB`` probes each). At a column computed from the pairs,
+        once the walkers' remaining probes (their number times the largest
+        count left) fit ``_SMALL_BATCH``, the rest is one slab. The walkers
+        are kept as their positions (None until the first miss) and,
+        uncached, their running sums and strides, or, cached with index rows,
+        their rows; a range of rows reads the matrix cut to the range, at the
+        positions. With ``counts`` the positions start sorted longest count
+        first, and the walkers' counts, ranges and offsets are kept in their
+        order, so the walkers a column takes past their count are a suffix of
+        them, written as hits at their positions.
         """
         if k < 0:
             raise ValueError(f"hash count k must be >= 0, got {k}")
@@ -647,9 +663,13 @@ class BitVector:
                 if r.ndim:
                     r, offsets = r[:m], offsets[:m]
             w = 1
-            if i >= CACHED_COLUMNS:
-                w = min(width, k - i, max(1, _SLAB // m))
-                width *= 2
+            if cached is None or i >= CACHED_COLUMNS:  # a column computed from the pairs
+                rest = (k if counts is None else int(counts[0])) - i  # the longest walker's
+                if m * rest <= _SMALL_BATCH:  # few enough probes left: finish in one slab
+                    w = rest
+                elif i >= CACHED_COLUMNS:
+                    w = min(width, k - i, max(1, _SLAB // m))
+                    width *= 2
             if cached is not None and i < CACHED_COLUMNS:
                 at = alive if rows is None else rows
                 hit = self._bits.take(columns[i] if at is None else columns[i].take(at))

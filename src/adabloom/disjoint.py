@@ -19,7 +19,7 @@ over the rest, so the realized shares always sum to the budget exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,6 +158,10 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
     """Disjoint filter over an existing partition, its bits shared by ``allocate_disjoint``.
 
     A keyless group's one bit stays clear, so the group rejects every query.
+    As in ``build_ada``, the filter's partition counts ``dataset``'s keys per
+    group, so that a saved container's partition agrees with the keys each
+    group's filter holds: a partition cut on other data has its key counts
+    replaced after the allocation, and keeps its non-key counts.
     """
     n_per_group = partition.n_per_group
     r_per_group = allocate_disjoint(bitmap_bits, n_per_group, c, partition.g)
@@ -171,6 +175,9 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
         else:
             k_per_group.append(max(1, optimal_k(r_i, n_i)))
 
+    built = dataset._group_counts(partition.thresholds, dataset.key_scores)
+    if built != n_per_group:
+        partition = replace(partition, n_per_group=built)
     params = DisjointParams(partition, c, tuple(r_per_group), tuple(k_per_group))
     filters = tuple(StandardBloom(BitVector(r), k, HashFamily(seed, lane=i + 1)) if r else None
                     for i, (r, k) in enumerate(zip(r_per_group, k_per_group)))

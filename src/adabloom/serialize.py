@@ -152,7 +152,8 @@ def _ada(io: _Codec, f: AdaptiveBloom | None = None) -> AdaptiveBloom:
 
 def _disjoint(io: _Codec, f: DisjointBloom | None = None) -> DisjointBloom:
     """seed, model bits u64 | c f64 | partition | r per group g u64 | k per group g u32 |
-    then per group with r > 0: n u64 | bits (lane j + 1 for group j)."""
+    then per group with r > 0: n u64, equal to the partition's count | bits (lane j + 1
+    for group j)."""
     seed, model_bits, c = io.fields("QQd", f and (f.seed, f.model_bits, f.params.c))
     partition = _partition(io, f and f.params.partition)
     r_per_group = io.fields(f"{partition.g}Q", f and f.params.r_per_group)
@@ -162,6 +163,9 @@ def _disjoint(io: _Codec, f: DisjointBloom | None = None) -> DisjointBloom:
         sub = f and f.filters[j]
         if r:
             (n,) = io.fields("Q", sub and (sub.n_inserted,))
+            if n != partition.n_per_group[j]:
+                raise FormatError(f"group {j} holds {n} keys, its partition "
+                                  f"{partition.n_per_group[j]}")
             bits = io.bits(r, sub and sub.bits)
             sub = sub or StandardBloom(bits, k, HashFamily(seed, lane=j + 1), n)
         filters.append(sub)

@@ -601,11 +601,17 @@ class TestSlabKernels:
         assert got.dtype == bool and got.shape == (0,)
 
 
+# ``_SMALL_BATCH`` values for the probe kernel tests: the rule's own; 0, which walks
+# every batch to its end a column at a time; 2**30, which probes every batch here as
+# one slab; and 64, at which a walk over a few hundred items finishes partway, in one
+# slab, once its survivors' remaining probes fit
+SMALL_BATCH_RULES = (bits._SMALL_BATCH, 0, 2**30, 64)
+
+
 class TestProbeWalk:
     # at 0.97 load most items survive the walk and cross into the slabs; a
     # tiny slab makes the columns past the walk take several slabs. Load 0
-    # drops every item at the first column, load 1 never drops one. A small
-    # batch rule of 0 walks the batches that the rule probes as one slab.
+    # drops every item at the first column, load 1 never drops one.
     @pytest.mark.parametrize("slab", [bits._SLAB, 7])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 200),
@@ -619,10 +625,27 @@ class TestProbeWalk:
         a, b = fam.remix_pairs(*fam.base_pairs(items))
         bv = random_bits(r, load, seed % 1000)
         want = [bv.test_bits(fam.indices(item, k, r)) for item in items]
-        for small in (bits._SMALL_BATCH, 0):
+        for small in SMALL_BATCH_RULES:
             with mock.patch.object(bits, "_SLAB", slab), \
                     mock.patch.object(bits, "_SMALL_BATCH", small):
                 assert bv.test_hashed(a, b, k).tolist() == want
+
+    def test_a_walk_ends_in_one_slab_once_the_rest_fits(self, monkeypatch):
+        # 4096 items at k = 10 on a half-full array: about 2048 survive column 0 with 9
+        # columns left, more probes than a small batch; about 1024 survive column 1 with
+        # 8 left, and one slab probes those
+        n, k = 4096, 10
+        a, b = hashed(16, [f"e{i}" for i in range(n)])
+        bv = random_bits(3001, 0.5, 16)
+        widths = []
+        probes = bits._probes
+        monkeypatch.setattr(bits, "_probes", lambda a, b, first, stop, *rest: (
+            widths.append(stop - first) or probes(a, b, first, stop, *rest)))
+        got = bv.test_hashed(a, b, k)
+        assert widths == [1, 1, k - 2]
+        want = per_item_test(bv, a, b, np.full(n, k), np.full(n, 3001, np.uint64),
+                             np.zeros(n, np.uint64))
+        assert got.tolist() == want.tolist() and 0 < want.sum() < n
 
     def test_huge_k_hands_over_to_slabs(self):
         # a walk of 10**6 single columns would take seconds
@@ -694,12 +717,12 @@ class TestPerItemGeometry:
                              np.zeros(n, np.uint64) if offsets is None else offsets)
         assert 0 < want.sum() < n
         assert (n * k <= bits._SMALL_BATCH) == (not extra)
-        for small in (bits._SMALL_BATCH, 0, 2**30):  # by the rule, always walk, always slab
+        for small in SMALL_BATCH_RULES:
             with mock.patch.object(bits, "_SMALL_BATCH", small):
                 got = bv.test_hashed(a, b, k, counts=counts, ranges=ranges, offsets=offsets)
             assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("small", [bits._SMALL_BATCH, 0])
+    @pytest.mark.parametrize("small", SMALL_BATCH_RULES)
     @pytest.mark.parametrize("slab", [bits._SLAB, 7])
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 300),
@@ -770,10 +793,12 @@ class TestProbeCache:
                                           (scattered, False), (scattered[::-1], False)):
                 rows = as_rows(list(positions), contiguous)
                 want = bv.test_hashed(a[rows], b[rows], k)
-                with mock.patch.object(bits, "_SMALL_BATCH", 0):  # walk the cached columns
-                    got = bv.test_hashed(a[rows], b[rows], k,
-                                         cached=ProbeRows(cache, rows).cached(fam, r))
-                assert (got == want).all()
+                # walk the cached columns, then past them to the end or to a last slab
+                for small in (0, 64):
+                    with mock.patch.object(bits, "_SMALL_BATCH", small):
+                        got = bv.test_hashed(a[rows], b[rows], k,
+                                             cached=ProbeRows(cache, rows).cached(fam, r))
+                    assert (got == want).all()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 400), data=st.data())

@@ -9,7 +9,14 @@ from adabloom.disjoint import (
     build_disjoint,
     build_disjoint_from_partition,
 )
-from adabloom.scores import ScoredDataset, ScoredItem, gen_synthetic, partition_from_thresholds
+from adabloom.scores import (
+    ScoredDataset,
+    ScoredItem,
+    gen_synthetic,
+    partition_by_ratio,
+    partition_from_thresholds,
+)
+from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import OPTIMAL_FPR_BASE
 
 ETA2 = math.log(2.0) / math.log(OPTIMAL_FPR_BASE)  # offset per group at c=2
@@ -58,6 +65,21 @@ class TestAllocation:
         assert shares == [1, 1732, 6267, 0]
         filt = build_disjoint_from_partition(ds, 8000, part, 2.0, 3)
         assert filt.params.r_per_group == tuple(shares)
+
+    def test_partition_cut_on_other_data_takes_the_built_key_counts(self):
+        # as build_ada keeps them: a saved container's partition agrees with its filters
+        part = partition_by_ratio(gen_synthetic(2000, 2000, seed=1), 4, 2.0)
+        filt = build_disjoint_from_partition(gen_synthetic(1000, 3000, seed=2), 12_000, part,
+                                             2.0, seed=3)
+        kept = filt.params.partition
+        assert kept.n_per_group != part.n_per_group
+        assert (kept.thresholds, kept.m_per_group) == (part.thresholds, part.m_per_group)
+        assert [kept.n_per_group[j] for j, f in enumerate(filt.filters) if f] == [
+            f.n_inserted for f in filt.filters if f]
+        assert filt.params.r_per_group == tuple(allocate_disjoint(12_000, part.n_per_group,
+                                                                  2.0, 4))
+        loaded = loads_filter(dump_filter(filt))
+        assert loaded.params == filt.params and loaded.expected_fpr() == filt.expected_fpr()
 
     def test_single_group_cannot_take_budget(self):
         with pytest.raises(InfeasibleBudgetError):

@@ -42,6 +42,30 @@ def test_bad_budgets_exit_with_one_line_before_any_work(value, message, run, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--keys", "-5", "count must be >= 0, got -5"),
+    ("--nonkeys", "-1", "count must be >= 0, got -1"),
+    ("--keys", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("--nonkeys", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("--seed", "x", "invalid literal for int() with base 10: 'x'")])
+def test_bad_sizes_and_seed_exit_with_one_line_before_any_work(flag, value, message, run,
+                                                               tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    with mock.patch.object(run.module, "gen_synthetic", side_effect=AssertionError("ran")), \
+            pytest.raises(SystemExit) as exc:
+        run(flag, value, "--out", str(out))
+    assert str(exc.value) == f"bad {flag}: {message}"
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+
+
+def test_sizes_and_seed_reach_the_dataset(run, tmp_path):
+    with mock.patch.object(run.module, "gen_synthetic") as gen, \
+            mock.patch.object(run.module, "run_sweep", return_value=[]):
+        run("--keys", "0", "--nonkeys", "30", "--seed=-2", "--out", str(tmp_path / "q.csv"))
+    gen.assert_called_once_with(0, 30, seed=-2)
+
+
 def test_out_under_a_missing_directory_exits_before_the_sweep(run, tmp_path, capsys):
     out = tmp_path / "missing" / "q.csv"
     with mock.patch.object(run.module, "gen_synthetic", side_effect=AssertionError("ran")), \

@@ -222,6 +222,7 @@ def small_built():
         "sandwich": build_sandwiched(ds, 3000, 0.6, seed=4),
         "ada": build_ada(ds, 3000, AdaptiveParams.from_ratio(partition_by_ratio(ds, 3, 2.0),
                                                              2, 0, c=2.0), seed=3),
+        "disjoint": build_disjoint(ds, 3000, 3, 2.0, seed=2),
     }
 
 
@@ -231,6 +232,9 @@ LBF_TAU = 4 + struct.calcsize("<HB") + struct.calcsize("<QQQ")
 BITMAP_BITS = 4 + struct.calcsize("<HB") + struct.calcsize("<QQ")
 B1_BITS, B2_BITS, HAS_INITIAL = (BITMAP_BITS + struct.calcsize(f) for f in ("<Qd", "<QdQ",
                                                                              "<QdQQdd"))
+# group 0's key count in a v1 disjoint partition of 3 groups: past the seed, model bits,
+# c, g and the 4 thresholds
+DISJOINT_N0 = BITMAP_BITS + struct.calcsize("<dI4d")
 
 
 @pytest.mark.parametrize("index, value, message", [
@@ -278,9 +282,12 @@ def test_bad_tau_raises_format_error(small_built, tau):
     ("lbf", [(BITMAP_BITS, "Q", 3000, 10**9)],
      r"backup of 3000 bits, need max\(1, b2_bits\) = 1000000000$"),
     ("sandwich", [(HAS_INITIAL, "B", 1, 2)], "has-initial byte must be 0 or 1, got 2$"),
+    # the partition's key count of a group with bits is the count its filter holds
+    ("disjoint", [(DISJOINT_N0, "Q", 6, 10**9)],
+     "group 0 holds 6 keys, its partition 1000000000$"),
 ])
-def test_sandwich_fields_that_disagree_with_its_arrays_raise_format_error(kind, edits, message,
-                                                                           small_built):
+def test_fields_that_disagree_with_the_arrays_raise_format_error(kind, edits, message,
+                                                                  small_built):
     blob = bytearray(dump_filter(small_built[1][kind]))
     for at, fmt, was, value in edits:
         assert struct.unpack_from("<" + fmt, blob, at) == (was,)

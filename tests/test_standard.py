@@ -199,8 +199,39 @@ def scored(key_scores, nonkey_scores):
                          + [ScoredItem(f"n{i}", s, False) for i, s in enumerate(nonkey_scores)])
 
 
+def stage_mask(scores, lo, hi, alive=None):
+    """The items ``lo <= score < hi`` that ``alive`` keeps, as a boolean mask: lo <= 0
+    and hi > 1 are open ends, and a NaN score is above every bound."""
+    sel = np.ones(len(scores), dtype=bool)
+    if hi <= 1.0:
+        sel &= scores < hi
+    if lo > 0.0:
+        sel &= ~(scores < lo)
+    return sel if alive is None else sel & alive
+
+
 class TestStageRanges:
-    """On a score-ordered view the stages pick score ranges; elsewhere masks. Same items."""
+    """On a score-ordered view the stages pick score ranges; elsewhere positions. Same
+    items."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(SCORES | st.just(math.nan), max_size=80),
+           lo=st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+           hi=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, math.inf]), data=st.data())
+    def test_unordered_selection_is_the_masks_positions(self, scores, lo, hi, data):
+        scores = np.array(scores, dtype=np.float64)
+        n = len(scores)
+        alive = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+        alive = None if alive is None else np.array(alive, dtype=bool)
+        want = np.flatnonzero(stage_mask(scores, lo, hi, alive))
+        sel, count = standard._stage_items(scores, lo, hi, False, alive)
+        assert count == len(want)
+        if isinstance(sel, slice):  # a stage over the whole axis that drops no survivor
+            assert lo <= 0.0 and hi > 1.0 and (alive is None or alive.all())
+            assert sel == slice(0, n)
+        else:
+            assert sel.dtype == np.intp and sel.tolist() == want.tolist()
+
 
     @settings(max_examples=120, deadline=None)
     @given(keys=st.lists(SCORES | st.just(math.nan), max_size=60), spec=STAGES,
@@ -211,6 +242,13 @@ class TestStageRanges:
         ds = scored(keys, [0.5])
         want = fresh_stages(spec, seed)
         insert_keys(ds, seed, want)
+        base_a, base_b = ds.key_pairs(seed)
+        for lo, hi, stage in want:  # each stage holds the keys of its mask, NaN ones on top
+            sel = stage_mask(ds.key_scores, lo, hi)
+            ref = BitVector(stage.size_bits)
+            ref.set_hashed(*stage.family.remix_pairs(base_a[sel], base_b[sel]), stage.k)
+            assert stage.n_inserted == np.count_nonzero(sel)
+            assert stage.bits.to_bytes() == ref.to_bytes()
         view = ds.by_score()
         for _ in range(3):  # cold, then the probe cache is built, then read
             got = fresh_stages(spec, seed)
@@ -341,6 +379,28 @@ class TestOneWalk:
             with mock.patch.object(bits, "_SMALL_BATCH", small):
                 got = filt.contains_batch(a, b, np.array([it.score for it in items]))
             assert got.tolist() == [filt.contains(it.id, it.score) for it in items]
+
+    def test_a_high_k_stage_finishes_its_walk_in_one_slab(self, query_filters, monkeypatch):
+        # a batch of the query benchmark's shape, 2500 keys and 7500 Beta(1, 3) non-keys:
+        # lbf's backup (k = 34 at tau 0.5) probed its few keys left column by column in
+        # 17 kernel calls; once their remaining probes fit a small batch, one slab ends it
+        ds, built = query_filters
+        filt = built["lbf"]
+        assert filt.backup.k > 30
+        rng = np.random.default_rng(41)
+        picks = rng.choice(ds.n, 2500, replace=False)
+        ids = [ds.keys[i].id for i in picks] + [f"q{i:07d}" for i in range(7500)]
+        scores = np.concatenate([ds.key_scores[picks], rng.beta(1.0, 3.0, 7500)])
+        order = rng.permutation(len(ids))
+        a, b = HashFamily(QUERY_SEED).base_pairs([ids[i] for i in order])
+        scores = scores[order]
+        calls = []
+        probes = bits._probes
+        monkeypatch.setattr(bits, "_probes", lambda *args: calls.append(1) or probes(*args))
+        got = filt.contains_batch(a, b, scores)
+        assert len(calls) <= 7
+        assert got.tolist() == stage_mask_reference(filt, a, b, scores).tolist()
+        assert got[order < 2500].all()
 
     def test_bounds_a_millionth_apart(self):
         near = 0.3 + 1e-6
