@@ -832,6 +832,12 @@ class ProbeRows(NamedTuple):
             rows = np.arange(rows.start, rows.stop)
         return ProbeRows(self.cache, rows[sel])
 
+    @property
+    def size(self) -> int:
+        """The batch's item count."""
+        rows = self.rows
+        return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+
     def pairs(self, family: HashFamily) -> tuple[np.ndarray, np.ndarray]:
         """The batch's final pairs for this family (see :meth:`ProbeCache.pairs`)."""
         return self.cache.pairs(family, self.rows)

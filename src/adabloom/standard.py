@@ -28,7 +28,8 @@ A bound lo <= 0 or hi > 1 is an open end, so the top group's stage, with
 hi = inf, holds the score 1. Both query paths of a ``GatedBloom`` raise
 ``ValueError`` on a missing, NaN or out-of-range score; ``StandardBloom``
 takes a score too and ignores it. A batch without rows whose hash arrays
-and scores differ in length is refused with ``ValueError`` before any probe.
+and scores differ in length, and a batch with rows whose scores and rows
+differ in length, are refused with ``ValueError`` before any probe.
 
 Each learned filter also gives ``shares``: pieces ``(lo, hi, share)`` of
 the score axis with their share of the build's non-keys, or None when the
@@ -68,20 +69,37 @@ above every bound. On a 10k batch with 7k items selected at random, two
 positions 8 us (2-core Xeon, numpy 2.4, best of 5 x 1000).
 
 A batch query without rows (a query batch, a plain dataset) is answered
-by one probe walk over stages with disjoint intervals, picked in one pass
-by lower bound (``_Walk``), if there are at least two. So each item gets
-its stage once, by ``scores.score_pieces`` of its score in their bounds,
-is remixed once on that stage's lane, and all items walk in one
-``BitVector.test_hashed`` call with a hash count (0 outside every stage,
-which passes), range and bit offset each; the offsets point into one
-copy of the stages' arrays laid end to end, made with the walk, and
-``ada``'s stages, on one array, keep one range and no offsets. The other
-stages are probed afterwards, one at a time, on the survivors inside
-their interval: a stage that overlaps a walked one (a sandwich's backup),
-and a stage that would walk alone (``lbf``'s backup, the sandwich's
-initial filter). A batch of more than ``_WALK_ITEMS`` (2**15) items walks
-in blocks of that many, which bounds the walk's per-item arrays to a few
-MiB.
+by one probe walk over stages with disjoint intervals, picked in one
+pass by lower bound (``_Walk``), if there are at least two. So each item
+gets its stage once, by ``scores.score_pieces`` of its score in their
+bounds, is remixed once on that stage's lane, and all items of a block
+(below) walk in one ``BitVector.test_hashed`` call with a hash count (0
+outside every stage, which passes), range and bit offset each; the
+offsets point into one copy of the stages' arrays laid end to end, made
+with the walk, and ``ada``'s stages, on one array, keep one range and no
+offsets. The other stages are probed afterwards, one at a time, on the
+survivors inside their interval: a stage that overlaps a walked one (a
+sandwich's backup), and a stage that would walk alone (``lbf``'s backup,
+the sandwich's initial filter).
+
+Every batch without rows, of a ``GatedBloom`` or a ``StandardBloom``, is
+answered in blocks of ``_WALK_ITEMS`` (2**15) items, the walk and every
+later stage alike: its arrays and scores are checked whole, before any
+probe, then each block is gathered, remixed and probed on its own, and
+the blocks' answers are joined. So what a batch allocates past its
+answers is bounded by a block. One 400k-item batch of random base pairs
+and Beta(1, 3) scores, on filters of the build benchmark's parameters
+(100k keys, 1 Mb, tau 0.5), peaked above its inputs at 1.8 MB on
+``lbf``, 1.5 MB on the sandwich and 1.2 MB on ``standard``, where
+probing the later stages (or the standard filter) on the whole batch
+took 18.1, 14.1 and 10.7 MB; ``ada`` (2.5 MB) and ``disjoint`` (4.1 MB)
+walked in blocks before (tracemalloc). Nor did it take longer, since a
+block's temporaries stay in the L2 cache: in three alternating runs
+``lbf`` took 8.6-13.4 ms where it took 13.7-17.6 ms whole, the sandwich
+9.1-14.1 against 14.5-17.6 ms and ``standard`` 5.8-9.7 against 7.7-10.4
+ms (2-core Xeon, numpy 2.4, CPU time, median of 9 calls each). No batch
+of the query benchmark (10k items) spans two blocks.
+
 On one 10k batch of the benchmark's query workload (2-core Xeon, numpy
 2.4, best of 4 x 1000, raw) ``ada`` took 0.48 ms where a walk per stage
 took 1.18 ms, and ``disjoint`` 0.78 instead of 1.52 ms. Of that, placing
@@ -185,13 +203,17 @@ class StandardBloom:
         With ``rows``, from a score-ordered view, the batch's hashes are read
         from the view instead (``ProbeRows.pairs``: the held final pairs of
         lanes 0 and 1, no remix), so ``base_a`` and ``base_b`` are not read
-        and may be None, and the probe reads its cached columns. Without
-        rows, a missing base array or arrays of different lengths are
-        refused (ValueError).
+        and may be None, and the probe reads its cached columns; scores, if
+        given, must be as many as the rows. Without rows, a missing base
+        array or arrays of different lengths are refused, and the batch is
+        remixed and probed in blocks of ``_WALK_ITEMS`` items. A refused
+        batch raises ValueError before any probe.
         """
         if rows is None:
             _check_batch(base_a, base_b, scores)
-            return self.bits.test_hashed(*self.family.remix_pairs(base_a, base_b), self.k)
+            return _in_blocks(lambda a, b: self.bits.test_hashed(
+                *self.family.remix_pairs(a, b), self.k), base_a, base_b)
+        _check_rows(scores, rows)
         return self.bits.test_hashed(*rows.pairs(self.family), self.k,
                                      cached=rows.cached(self.family, self.bits.length_bits))
 
@@ -221,6 +243,22 @@ def _check_batch(base_a, base_b, scores) -> None:
     if len({n for _, n in named}) > 1:
         raise ValueError("batch arrays differ in length: "
                          + ", ".join(f"{name} {n}" for name, n in named))
+
+
+def _check_rows(scores, rows: ProbeRows) -> None:
+    """ValueError if a batch with probe rows has scores of another length than its rows."""
+    if scores is not None and len(scores) != rows.size:
+        raise ValueError(f"batch arrays differ in length: scores {len(scores)}, rows {rows.size}")
+
+
+def _in_blocks(answer, *arrays: np.ndarray) -> np.ndarray:
+    """``answer(*arrays)`` of a batch without probe rows, called on each block of at
+    most ``_WALK_ITEMS`` items of the arrays and concatenated; one call if they fit one."""
+    n = len(arrays[0])
+    if n <= _WALK_ITEMS:
+        return answer(*arrays)
+    return np.concatenate([answer(*(x[i:i + _WALK_ITEMS] for x in arrays))
+                           for i in range(0, n, _WALK_ITEMS)])
 
 
 def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
@@ -258,16 +296,20 @@ def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
     return sel, sel.stop - i0
 
 
-# Items per walk: a larger batch walks in blocks of this many. The walk holds
-# about 110 bytes per item (pairs, stage tables, the walkers' positions and
-# their counts, ranges and offsets in walk order), so one 400k batch on
-# ``disjoint`` peaked at 42 MiB unblocked (tracemalloc).
+# Items per block: a batch without probe rows is answered this many items at a
+# time, its walk and every later stage alike. The walk holds about 110 bytes per
+# item (pairs, stage tables, the walkers' positions and their counts, ranges and
+# offsets in walk order), so one 400k batch on ``disjoint`` peaked at 42 MiB
+# unblocked; ``lbf``'s backup, probed after the walk, took 18.1 MB on one 400k
+# batch unblocked and 1.8 MB in blocks (tracemalloc).
 _WALK_ITEMS = 1 << 15
 
 
 class _Walk(NamedTuple):
-    """How ``GatedBloom.contains_batch`` answers a batch without probe rows.
+    """How ``GatedBloom.contains_batch`` answers a block of a batch without probe rows.
 
+    The batch comes in blocks of at most ``_WALK_ITEMS`` items, and each
+    block is walked, then probed on the ``later`` stages, before the next.
     The walked stages are picked in one pass over the stages by lower
     bound: a stage walks if it starts at or past the end of the last one
     picked. They hold disjoint score intervals, so each item is in at most
@@ -338,11 +380,6 @@ class _Walk(NamedTuple):
         """The walked stages' answers: True where an item's stage holds it, or it has none."""
         if not len(self.bounds):
             return np.ones(len(scores), dtype=bool)
-        if len(scores) > _WALK_ITEMS:
-            return np.concatenate([
-                self.answer(base_a[i:i + _WALK_ITEMS], base_b[i:i + _WALK_ITEMS],
-                            scores[i:i + _WALK_ITEMS])
-                for i in range(0, len(scores), _WALK_ITEMS)])
         piece = score_pieces(self.bounds, scores)
         if self.family is not None:
             a, b = self.family.remix_pairs(base_a, base_b)
@@ -388,35 +425,29 @@ class GatedBloom:
         are not read and may be None. A batch with rows must be in ascending
         score order (see ``ProbeRows``), or ValueError: its stages pick score
         ranges, and a range of an unordered batch would send keys to the
-        wrong stages. A batch without rows is answered by one walk over
-        stages with disjoint intervals, if there are two or more (see
-        ``_Walk``).
+        wrong stages, and as many scores as rows, or ValueError. A batch
+        without rows is answered in blocks of ``_WALK_ITEMS`` items, each by
+        one walk over stages with disjoint intervals, if there are two or
+        more (see ``_Walk``), and then the later stages.
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
         scores = check_scores(scores)
-        stages = self.stages
         if rows is None:
             _check_batch(base_a, base_b, scores)
             walk = self._walk
             if walk is None:
-                walk = _Walk.of(stages)
-                if all(stage.bits.frozen for _, _, stage in stages):
+                walk = _Walk.of(self.stages)
+                if all(stage.bits.frozen for _, _, stage in self.stages):
                     self._walk = walk
-            out, stages = walk.answer(base_a, base_b, scores), walk.later
-        elif not (scores[1:] >= scores[:-1]).all():
+            return _in_blocks(lambda a, b, s: _probe_stages(walk.later, a, b, s,
+                                                            walk.answer(a, b, s)),
+                              base_a, base_b, scores)
+        _check_rows(scores, rows)
+        if not (scores[1:] >= scores[:-1]).all():
             raise ValueError("a batch with probe rows must be in ascending score order")
-        else:
-            out = np.ones(len(scores), dtype=bool)
-        for lo, hi, stage in stages:
-            sel, count = _stage_items(scores, lo, hi, rows is not None, out)
-            if count == len(scores):  # every item, none yet rejected: no copies
-                out = stage.contains_batch(base_a, base_b, rows=rows)
-            elif count and rows is None:  # ``sel`` holds positions
-                out[sel] = stage.contains_batch(base_a.take(sel), base_b.take(sel))
-            elif count:  # the stage reads its pairs from the view: gather no base pairs
-                out[sel] = stage.contains_batch(None, None, rows=rows.select(sel))
-        return out
+        return _probe_stages(self.stages, None, None, scores, np.ones(len(scores), dtype=bool),
+                             rows)
 
     def expected_fpr(self) -> float | None:
         """Expected FPR from the stage table and the shares; None without non-keys.
@@ -440,6 +471,21 @@ class GatedBloom:
         return whole * math.fsum(
             share * math.prod(f for lo, hi, f in gated if lo <= piece_lo and piece_hi <= hi)
             for piece_lo, piece_hi, share in self.shares)
+
+
+def _probe_stages(stages, base_a, base_b, scores: np.ndarray, out: np.ndarray,
+                  rows: ProbeRows | None = None) -> np.ndarray:
+    """``out`` with each stage's answers on the items inside its interval that ``out``
+    still passes: those of the batch's base pairs, or of ``rows`` if given."""
+    for lo, hi, stage in stages:
+        sel, count = _stage_items(scores, lo, hi, rows is not None, out)
+        if count == len(scores):  # every item, none yet rejected: no copies
+            out = stage.contains_batch(base_a, base_b, rows=rows)
+        elif count and rows is None:  # ``sel`` holds positions
+            out[sel] = stage.contains_batch(base_a.take(sel), base_b.take(sel))
+        elif count:  # the stage reads its pairs from the view: gather no base pairs
+            out[sel] = stage.contains_batch(None, None, rows=rows.select(sel))
+    return out
 
 
 def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:

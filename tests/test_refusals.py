@@ -277,9 +277,15 @@ ADA = build_ada(DS, 2000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.
 STANDARD = build_standard(["x"], 64, 2, 1)
 FIVE = HashFamily(1).base_pairs(["a", "b", "c", "d", "e"])
 SCORES = np.linspace(0.1, 0.9, 5)
+VIEW = DS.by_score()
+ROWS = VIEW.probe_rows(keys=False)  # the view's 60 non-keys
+LBF = build_lbf(DS, 2000, 0.5, 1)
+DISJOINT = build_disjoint(DS, 2000, 3, 2.0, 1)
+RISING = np.linspace(0.0, 1.0, 65)  # ascending scores, five more than the rows
 
-# (id, query, message fragment): arrays of the wrong shape or dtype, and scores
-# that are not real numbers
+# (id, query, message fragment): arrays of the wrong shape or dtype, scores that are
+# not real numbers, and batches whose scores and probe rows differ in length (fewer
+# scores used to gate every row, and the rows past them went unprobed)
 MALFORMED = [
     ("ada-batch-2d-scores", lambda: ADA.contains_batch(*FIVE, SCORES[:, None]),
      "scores must be a 1-D array of real numbers, got shape (5, 1), dtype float64"),
@@ -293,6 +299,23 @@ MALFORMED = [
     ("standard-batch-2d-bases",
      lambda: STANDARD.contains_batch(FIVE[0][:, None], FIVE[1][:, None]),
      "base_a must be a 1-D uint64 array, got shape (5, 1), dtype uint64"),
+    ("lbf-rows-fewer-scores",
+     lambda: LBF.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
+     "batch arrays differ in length: scores 10, rows 60"),
+    ("lbf-rows-more-scores", lambda: LBF.contains_batch(None, None, RISING, rows=ROWS),
+     "batch arrays differ in length: scores 65, rows 60"),
+    ("ada-rows-fewer-scores",
+     lambda: ADA.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
+     "batch arrays differ in length: scores 10, rows 60"),
+    ("disjoint-rows-more-scores", lambda: DISJOINT.contains_batch(None, None, RISING, rows=ROWS),
+     "batch arrays differ in length: scores 65, rows 60"),
+    ("disjoint-index-rows-fewer-scores",
+     lambda: DISJOINT.contains_batch(None, None, VIEW.nonkey_scores[:10],
+                                     rows=ROWS.select(np.arange(0, 60, 2))),
+     "batch arrays differ in length: scores 10, rows 30"),
+    ("standard-rows-fewer-scores",
+     lambda: STANDARD.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
+     "batch arrays differ in length: scores 10, rows 60"),
     ("ada-scalar-string-score", lambda: ADA.contains("a", "0.5"),
      "score must be a real number, got str '0.5'"),
     ("ada-scalar-array-score", lambda: ADA.contains("a", np.array([0.5])),

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -356,7 +357,7 @@ class TestOneWalk:
         ids, scores = [ids[i] for i in order], scores[order]
         a, b = HashFamily(QUERY_SEED).base_pairs(ids)
         want = stage_mask_reference(filt, a, b, scores).tolist()
-        for block in (standard._WALK_ITEMS, 5000):  # one walk, then blocks of 5000 items
+        for block in (standard._WALK_ITEMS, 5000):  # one block, then blocks of 5000 items
             with mock.patch.object(standard, "_WALK_ITEMS", block):
                 got = (filt.contains_batch(a, b) if kind == "standard"
                        else filt.contains_batch(a, b, scores))
@@ -498,6 +499,144 @@ class TestOneWalk:
             # at most the stages holding the score, and all of them if the item passes
             assert all(any(stage is held for held in holding) for stage in probed)
             assert len(probed) <= len(holding) and (not want or len(probed) == len(holding))
+
+
+BLOCK = 64  # ``_WALK_ITEMS`` in the block tests
+
+
+@pytest.fixture(scope="module")
+def small_filters():
+    """The five kinds on 2000 keys and 2000 non-keys at 20 Kb, tau 0.5, ada k_max 5 with
+    c 2, disjoint g 4 with c 2, each as built and as loaded from its dump."""
+    ds = gen_synthetic(2000, 2000, seed=7)
+    r, seed = 20_000, 7
+    ada = AdaptiveParams.from_ratio(partition_by_ratio(ds, 6, 2.0), 5, 0, 2.0)
+    built = {
+        "standard": build_standard([it.id for it in ds.keys], r, optimal_k(r, ds.n), seed),
+        "lbf": build_lbf(ds, r, 0.5, seed),
+        "sandwich": build_sandwiched(ds, r, 0.5, seed),
+        "ada": build_ada(ds, r, ada, seed),
+        "disjoint": build_disjoint(ds, r, 4, 2.0, seed),
+    }
+    return ds, {(kind, loaded): loads_filter(dump_filter(filt)) if loaded else filt
+                for kind, filt in built.items() for loaded in (False, True)}
+
+
+def block_batch(ds, n, shuffle):
+    """The first n of: a block of keys, a block of non-keys scored at or above 0.5 (no
+    item in ``lbf``'s backup or the sandwich's), more keys, then Beta(1, 3) non-keys;
+    shuffled if asked. Returns the base pairs, the scores and which items are keys."""
+    rng = np.random.default_rng(n)
+    keys = rng.choice(ds.n, BLOCK + n // 4, replace=False)
+    ids = [ds.keys[i].id for i in keys[:BLOCK]] + [f"h{i}" for i in range(BLOCK)]
+    scores = [ds.key_scores[keys[:BLOCK]], rng.uniform(0.5, 1.0, BLOCK)]
+    ids += [ds.keys[i].id for i in keys[BLOCK:]] + [f"q{i}" for i in range(n)]
+    scores += [ds.key_scores[keys[BLOCK:]], rng.beta(1.0, 3.0, n)]
+    is_key = np.repeat([True, False, True, False], [BLOCK, BLOCK, len(keys) - BLOCK, n])
+    order = rng.permutation(n) if shuffle else np.arange(n)
+    a, b = HashFamily(7).base_pairs([ids[i] for i in order])
+    return a, b, np.concatenate(scores)[order], is_key[order]
+
+
+def ask(filt, a, b, scores):
+    return filt.contains_batch(a, b) if isinstance(filt, StandardBloom) else \
+        filt.contains_batch(a, b, scores)
+
+
+KINDS = ["standard", "lbf", "sandwich", "ada", "disjoint"]
+
+
+class TestBlocks:
+    """A batch without probe rows is answered in blocks of ``_WALK_ITEMS`` items, the walk
+    and every later stage alike, after its arrays and scores are checked whole."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_answer_as_stage_masks(self, small_filters, kind, loaded, monkeypatch):
+        ds, filters = small_filters
+        filt = filters[kind, loaded]
+        monkeypatch.setattr(standard, "_WALK_ITEMS", BLOCK)
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 3):
+            for shuffle in (False, True):
+                a, b, scores, is_key = block_batch(ds, n, shuffle)
+                got = ask(filt, a, b, scores)
+                assert got.dtype == bool and got.shape == (n,)
+                assert got.tolist() == stage_mask_reference(filt, a, b, scores).tolist()
+                assert got[is_key].all()
+        assert not got[~is_key].all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_probe_takes_at_most_a_block(self, small_filters, kind, monkeypatch):
+        # the blocks' probe calls take as many items in all as the batch's calls in one
+        # block; before, only the walk was blocked, and lbf's backup took every item below
+        # tau in one call
+        ds, filters = small_filters
+        filt = filters[kind, False]
+        a, b, scores, _ = block_batch(ds, 5 * BLOCK + 3, True)
+        calls = []
+        probe = bits.BitVector.test_hashed
+        monkeypatch.setattr(bits.BitVector, "test_hashed",
+                            lambda self, *args, **kw: calls.append(len(args[0]))
+                            or probe(self, *args, **kw))
+        ask(filt, a, b, scores)
+        assert sum(calls) <= (2 if kind == "sandwich" else 1) * len(a)
+        whole = list(calls)
+        calls.clear()
+        monkeypatch.setattr(standard, "_WALK_ITEMS", BLOCK)
+        ask(filt, a, b, scores)
+        assert max(calls) <= BLOCK and sum(calls) == sum(whole)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_bad_last_block_is_refused_before_any_probe(self, small_filters, kind,
+                                                          monkeypatch):
+        ds, filters = small_filters
+        filt = filters[kind, True]
+        monkeypatch.setattr(standard, "_WALK_ITEMS", BLOCK)
+        a, b, scores, _ = block_batch(ds, 2 * BLOCK + 1, True)
+        nan, high = scores.copy(), scores.copy()
+        nan[-1], high[-1] = math.nan, 1.5
+        cases = [((a, b[:-1], scores), "^batch arrays differ in length: "),
+                 ((a, b, scores[:-1]), "^batch arrays differ in length: ")]
+        if kind != "standard":  # a standard filter takes a score and ignores it
+            cases += [((a, b, nan), "^score must be in \\[0, 1\\], got nan$"),
+                      ((a, b, high), "^score must be in \\[0, 1\\], got 1.5$")]
+        calls = []
+        probes = bits._probes
+        monkeypatch.setattr(bits, "_probes", lambda *args: calls.append(1) or probes(*args))
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                filt.contains_batch(*args)
+        assert calls == []
+        ask(filt, a, b, scores)
+        assert calls
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["standard", "lbf", "sandwich"])
+def test_a_large_batch_allocates_a_few_blocks(query_filters, kind):
+    # one 400k batch on random base pairs (no ids hashed): with only the walk blocked,
+    # it peaked at 10.4 (standard), 18.1 (lbf) and 13.6 MB (sandwich) above its inputs,
+    # and half the batch at half that
+    filt = query_filters[1][kind]
+    rng = np.random.default_rng(400)
+    a, b = (rng.integers(0, 2**64, 400_000, dtype=np.uint64) for _ in range(2))
+    scores = rng.beta(1.0, 3.0, 400_000)
+    ask(filt, a[:10], b[:10], scores[:10])  # what a first batch makes once
+    peak = {n: traced_peak(lambda: ask(filt, a[:n], b[:n], scores[:n]))
+            for n in (200_000, 400_000)}
+    assert peak[400_000] < 6_000_000
+    # the answers take a byte per item, and their blocks another until joined
+    assert peak[400_000] - peak[200_000] < 2 * 200_000 + 100_000
 
 
 class TestPrefixFills:
