@@ -27,13 +27,14 @@ import math
 from dataclasses import dataclass, replace
 
 from .bits import BitVector, HashFamily
-from .scores import ScoredDataset, ScorePartition, check_ratio
+from .scores import ScoredDataset, ScorePartition, check_ratio, is_integer
 from .standard import GatedBloom, StandardBloom, alpha_load, insert_keys
 
 __all__ = [
     "AdaptiveParams",
     "AdaptiveBloom",
     "build_ada",
+    "plan_ada",
     "check_ladder",
     "alpha_load",
     "expected_fpr_ada",
@@ -43,11 +44,14 @@ __all__ = [
 
 
 def check_ladder(k_max: int, k_min: int) -> None:
-    """ValueError unless k_max >= k_min >= 0: the ends of a step-one ladder.
+    """ValueError unless k_max >= k_min >= 0 are integers: the ends of a step-one ladder.
 
     ``AdaptiveParams.from_ratio`` and ``tuning.build('ada', ...)`` both check
-    it, the latter before g = k_max - k_min + 1 is derived from them.
+    it, the latter before g = k_max - k_min + 1 is derived from them, so a
+    fractional k_max is refused by its own name, not as a fractional g.
     """
+    if not (is_integer(k_max) and is_integer(k_min)):
+        raise ValueError(f"need integers k_max >= k_min >= 0, got ({k_max}, {k_min})")
     if k_min < 0 or k_max < k_min:
         raise ValueError(f"need k_max >= k_min >= 0, got ({k_max}, {k_min})")
 
@@ -118,24 +122,33 @@ class AdaptiveBloom(GatedBloom):
     contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
 
-def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
-              seed: int, model_bits: int = 0) -> AdaptiveBloom:
-    """Insert each key with its group's hash count into one shared array.
+def plan_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
+             seed: int, model_bits: int = 0) -> AdaptiveBloom:
+    """The filter ``build_ada`` makes, with no key inserted yet.
 
-    Groups with K_j = 0 write nothing: their members are accepted on
-    score alone and must not contribute to the array load.
-
-    The filter's partition counts ``dataset``'s keys per group, so that its
-    stages, ``alpha`` and a saved container hold the keys inserted: a
-    partition cut on other data has its key counts replaced and keeps its
-    non-key counts, and so its shares.
+    Its stages already hold their key counts, so its ``expected_fpr`` is the
+    built filter's. The filter's partition counts ``dataset``'s keys per
+    group, so that its stages, ``alpha`` and a saved container hold the keys
+    inserted: a partition cut on other data has its key counts replaced and
+    keeps its non-key counts, and so its shares.
     """
     if bitmap_bits < 1:
         raise ValueError(f"bitmap_bits must be >= 1, got {bitmap_bits}")
     n_per_group = dataset._group_counts(params.partition.thresholds, dataset.key_scores)
     if n_per_group != params.partition.n_per_group:
         params = replace(params, partition=replace(params.partition, n_per_group=n_per_group))
-    filt = AdaptiveBloom(BitVector(bitmap_bits), params, HashFamily(seed), model_bits)
+    return AdaptiveBloom(BitVector(bitmap_bits), params, HashFamily(seed), model_bits)
+
+
+def build_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
+              seed: int, model_bits: int = 0) -> AdaptiveBloom:
+    """Insert each key with its group's hash count into one shared array.
+
+    Groups with K_j = 0 write nothing: their members are accepted on
+    score alone and must not contribute to the array load. The filter is
+    ``plan_ada``'s.
+    """
+    filt = plan_ada(dataset, bitmap_bits, params, seed, model_bits)
     insert_keys(dataset, seed, filt.stages)
     filt.bits.freeze()  # also when every K_j is 0 and there is no stage
     return filt

@@ -34,6 +34,7 @@ __all__ = [
     "allocate_disjoint",
     "build_disjoint",
     "build_disjoint_from_partition",
+    "plan_disjoint",
 ]
 
 
@@ -152,13 +153,13 @@ class DisjointBloom(GatedBloom):
     contains_batch = GatedBloom.contains_batch  # perfbench traces each class's own attribute
 
 
-def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
-                                  partition: ScorePartition, c: float, seed: int,
-                                  model_bits: int = 0) -> DisjointBloom:
-    """Disjoint filter over an existing partition, its bits shared by ``allocate_disjoint``.
+def plan_disjoint(dataset: ScoredDataset, bitmap_bits: int, partition: ScorePartition,
+                  c: float, seed: int, model_bits: int = 0) -> DisjointBloom:
+    """The filter ``build_disjoint_from_partition`` makes, with no key inserted yet.
 
-    A keyless group's one bit stays clear, so the group rejects every query.
-    As in ``build_ada``, the filter's partition counts ``dataset``'s keys per
+    Its bits are shared by ``allocate_disjoint``, and each stage already
+    holds its key count, so its ``expected_fpr`` is the built filter's. As
+    in ``build_ada``, the filter's partition counts ``dataset``'s keys per
     group, so that a saved container's partition agrees with the keys each
     group's filter holds: a partition cut on other data has its key counts
     replaced after the allocation, and keeps its non-key counts.
@@ -179,9 +180,20 @@ def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
     if built != n_per_group:
         partition = replace(partition, n_per_group=built)
     params = DisjointParams(partition, c, tuple(r_per_group), tuple(k_per_group))
-    filters = tuple(StandardBloom(BitVector(r), k, HashFamily(seed, lane=i + 1)) if r else None
-                    for i, (r, k) in enumerate(zip(r_per_group, k_per_group)))
-    filt = DisjointBloom(filters, params, seed, model_bits)
+    filters = tuple(StandardBloom(BitVector(r), k, HashFamily(seed, lane=i + 1), n)
+                    if r else None
+                    for i, (r, k, n) in enumerate(zip(r_per_group, k_per_group, built)))
+    return DisjointBloom(filters, params, seed, model_bits)
+
+
+def build_disjoint_from_partition(dataset: ScoredDataset, bitmap_bits: int,
+                                  partition: ScorePartition, c: float, seed: int,
+                                  model_bits: int = 0) -> DisjointBloom:
+    """Disjoint filter over an existing partition: ``plan_disjoint``'s, its keys inserted.
+
+    A keyless group's one bit stays clear, so the group rejects every query.
+    """
+    filt = plan_disjoint(dataset, bitmap_bits, partition, c, seed, model_bits)
     insert_keys(dataset, seed, filt.stages)
     return filt
 

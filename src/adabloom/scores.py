@@ -440,6 +440,15 @@ def check_scores(scores) -> np.ndarray:
     return scores
 
 
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` takes ``value``: a Python or numpy integer, not a float."""
+    try:
+        index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def check_ratio(c: float) -> None:
     """ValueError unless the group ratio c is finite and > 1 (NaN is neither)."""
     if not c < math.inf:
@@ -784,7 +793,11 @@ def partition_by_ratio(dataset: ScoredDataset, g: int, c: float) -> ScorePartiti
     then derived against the same thresholds. A score-ordered view cuts
     each (g, c) once and returns that partition again after (see
     ``ScoredDataset.by_score``); a plain dataset cuts it at every call.
+    A g that is not an integer is refused (``is_integer``): g = 2.5 would
+    cut 3 groups.
     """
+    if not is_integer(g):
+        raise ValueError(f"g must be an integer >= 1, got {g}")
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")
     if g > 1:
@@ -804,8 +817,11 @@ def partition_below_threshold(dataset: ScoredDataset, tau: float, g: int, c: flo
 
     Used for head-to-head comparisons against a threshold filter: the
     top threshold is pinned to the other filter's tau and the g-1
-    groups underneath split the remaining non-keys with ratio c.
+    groups underneath split the remaining non-keys with ratio c. A g that
+    is not an integer is refused, as in ``partition_by_ratio``.
     """
+    if not is_integer(g):
+        raise ValueError(f"g must be an integer >= 2, got {g}")
     if g < 2:
         raise ValueError(f"need g >= 2 to pin a top threshold, got {g}")
     if not 0.0 < tau < 1.0:

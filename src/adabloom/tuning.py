@@ -2,15 +2,15 @@
 
 Threshold filters sweep tau over non-key score percentiles; the
 adaptive filter sweeps (k_max, c) with k_min fixed at 0 (so g = k_max + 1);
-the disjoint filter sweeps (g, c). All four share one search loop: every
-candidate is scored at the full bit budget by empirical FPR on the
-dataset's own non-keys, argmin wins. A tie goes to the larger tau
-(smaller backup filter) or to the first, smallest (k_max, c) / (g, c)
-point. Infeasible candidates are skipped with a diagnostic recorded in
-the candidate log, so a report never has silent gaps. ``GRIDS`` names
-the grid overrides each method takes; ``tune(method, ...)`` runs that
-method's tuner and ``build(method, ...)`` builds one filter from its
-``PARAMS``, for the tuners, the sweep harness and the command line alike.
+the disjoint filter sweeps (g, c). Every candidate is scored at the full
+bit budget by empirical FPR on the dataset's own non-keys, argmin wins
+(``_search``). A tie goes to the larger tau (smaller backup filter) or to
+the first, smallest (k_max, c) / (g, c) point. Infeasible candidates are
+skipped with a diagnostic recorded in the candidate log, so a report
+never has silent gaps. ``GRIDS`` names the grid overrides each method
+takes; ``tune(method, ...)`` runs that method's tuner and ``build(method,
+...)`` builds one filter from its ``PARAMS``, for the tuners, the sweep
+harness and the command line alike.
 
 Every candidate is scored on ``dataset.by_score()``, the same items with
 keys and non-keys each in ascending score order. The filters are
@@ -38,6 +38,38 @@ logs are those of building every candidate. On the two-budget sweep
 raw) ``tune_lbf`` went from 0.26 to 0.07 s and ``tune_sandwiched`` from
 0.75 to 0.61 s, the whole sweep from 2.0 to 1.66 s.
 
+The grid tuners (``tune_ada``, ``tune_disjoint``) count each candidate
+only while it can still win (``_bounded_search``):
+
+- **Order.** Each candidate's stage table (n, R and k per stage) is known
+  before any key is inserted: the partition is memoised on the view, and
+  ``disjoint`` shares its bits by ``allocate_disjoint``. ``_plan`` makes
+  that filter, and the candidates are ranked by its
+  ``GatedBloom.expected_fpr``, ties by grid index, before any is built.
+- **Count.** In that order each candidate is built, counted and dropped,
+  one at a time. Its non-keys are counted in blocks from the top score
+  down, the first of 4096 items and each next one twice as long
+  (``_count_bounded``). The count stops once it is strictly above the
+  least full count so far, since the candidate can no longer win. A tie is
+  counted in full and the lower grid index wins, as it did in grid order.
+- **Log.** The candidate log stays in grid order. A stopped candidate is
+  ``{"params", "fpr": None, "fpr_at_least": count so far / m, "status":
+  "stopped"}``. Every full count, the winner's included, is the FPR a full
+  measure gives, float for float, so the winner and its filter are too.
+
+Holding every built candidate to sort them afterwards raised perfbench's
+``sweep`` peak RSS from 73.3 to 104.5 MB, so each is planned, not built,
+to be ranked. On the two-budget sweep 18-50% of the non-key probes were
+done per cell (seeds 7, 1507 and 3). At seed 7 (best of 3, raw CPU)
+measuring took ``ada`` 0.071 -> 0.035 s at 150 Kb and 0.052 -> 0.026 s
+at 300 Kb, ``disjoint`` 0.083 -> 0.055 s and 0.094 -> 0.043 s, and
+perfbench's ``sweep`` pass went 1.234 -> 1.141 ref s (-7.5%, lower in 10
+of 10 pairs). The ``sandwich`` tau sweep measures its built candidates in
+full: its blocks alternate two geometries, the initial filter's and the
+backup's, in ``ProbeCache.columns``, which holds one matrix, and counting
+the built candidates in blocks took 0.13 -> 0.31 s at 150 Kb and 0.17 ->
+0.31-0.36 s at 300 Kb (seed 7).
+
 Memory accounting follows the benchmark convention that a learned
 method's budget includes its score model: total = bitmap + model bits.
 """
@@ -49,11 +81,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import AdaptiveParams, build_ada, check_ladder
+from .adaptive import AdaptiveParams, build_ada, check_ladder, plan_ada
 from .bits import BitVector, HashFamily
-from .disjoint import InfeasibleBudgetError, build_disjoint
+from .disjoint import InfeasibleBudgetError, build_disjoint, plan_disjoint
 from .learned import build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split, scored_nonkeys
-from .scores import InsufficientDataError, ScoredDataset, partition_by_ratio
+from .scores import (InsufficientDataError, ScoredDataset, check_scores, is_integer,
+                     partition_by_ratio)
 from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
 
 __all__ = [
@@ -95,10 +128,13 @@ OPTIONAL = ("k", "k_min")
 # per grid override, the values every build refuses, whatever the candidate
 _GRID_LIMITS = {
     "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
-    "kmax_grid": (lambda k_max: k_max >= 0, "k_max must be >= 0"),
+    "kmax_grid": (lambda k_max: is_integer(k_max) and k_max >= 0, "k_max must be an integer >= 0"),
     "c_grid": (lambda c: 1.0 < c < math.inf, "c must be finite and > 1"),  # False on NaN
-    "g_grid": (lambda g: g >= 1, "g must be >= 1"),
+    "g_grid": (lambda g: is_integer(g) and g >= 1, "g must be an integer >= 1"),
 }
+# non-keys in the first block of a bounded count (``_count_bounded``); each next block
+# holds twice as many
+_FIRST_BLOCK = 4096
 # each tuned method's tuner, by name (see ``tune``)
 _TUNERS = {"lbf": "tune_lbf", "sandwich": "tune_sandwiched", "ada": "tune_ada",
            "disjoint": "tune_disjoint"}
@@ -141,15 +177,37 @@ def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:
     return tuple(float(t) for t in np.unique(qs))
 
 
-def _measure(filt, view: ScoredDataset) -> float:
-    """Empirical FPR over the non-keys of ``view = dataset.by_score()`` (batch path).
+def _count(filt, scores: np.ndarray, rows) -> int:
+    """False positives of ``filt`` among the non-keys at ``rows`` of a score-ordered
+    view, whose scores are ``scores`` (batch path).
 
     The batch reads its hashes from the view at its rows, under the
     filter's own seed: no base pairs are gathered.
     """
+    return int(np.count_nonzero(filt.contains_batch(None, None, scores, rows=rows)))
+
+
+def _measure(filt, view: ScoredDataset) -> float:
+    """Empirical FPR over the non-keys of ``view = dataset.by_score()``."""
     scores, rows = scored_nonkeys(view)
-    hits = filt.contains_batch(None, None, scores, rows=rows)
-    return np.count_nonzero(hits) / len(hits)
+    return _count(filt, scores, rows) / len(scores)
+
+
+def _count_bounded(filt, scores: np.ndarray, rows, bound: int | None) -> tuple[int, bool]:
+    """(false positives of ``filt`` counted, whether every non-key was counted).
+
+    The non-keys of a view, ``scores`` and ``rows``, are counted in blocks
+    from the top score down, the first of ``_FIRST_BLOCK`` items and each
+    next one twice as long, until the count is above ``bound``; with no
+    bound, in one block.
+    """
+    stop, count = len(scores), 0
+    size = stop if bound is None else _FIRST_BLOCK
+    while stop and (bound is None or count <= bound):
+        start = max(0, stop - size)
+        count += _count(filt, scores[start:stop], rows.select(slice(start, stop)))
+        stop, size = start, 2 * size
+    return count, stop == 0
 
 
 def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
@@ -200,41 +258,60 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
         return builder(dataset, bitmap_bits, params["tau"], seed, model_bits)
     if method == "disjoint":
         return build_disjoint(dataset, bitmap_bits, params["g"], params["c"], seed, model_bits)
+    return build_ada(dataset, bitmap_bits, _ladder(dataset, params), seed, model_bits)
+
+
+def _ladder(dataset: ScoredDataset, params: dict) -> AdaptiveParams:
+    """The ``AdaptiveParams`` of ``ada``'s ``params``: g = k_max - k_min + 1 groups."""
     k_max, k_min, c = params["k_max"], params.get("k_min", 0), params["c"]
     check_ladder(k_max, k_min)  # before g is derived from them
     partition = partition_by_ratio(dataset, k_max - k_min + 1, c)
-    return build_ada(dataset, bitmap_bits, AdaptiveParams.from_ratio(partition, k_max, k_min, c),
-                     seed, model_bits)
+    return AdaptiveParams.from_ratio(partition, k_max, k_min, c)
+
+
+def _plan(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int, model_bits: int,
+          params: dict):
+    """The ``ada`` or ``disjoint`` filter that ``build`` makes from ``params``, before
+    any key is inserted, with the same refusals: its stage table (n, R and k
+    per stage) and shares, and so its ``expected_fpr``, are the built filter's."""
+    if method == "ada":
+        return plan_ada(dataset, bitmap_bits, _ladder(dataset, params), seed, model_bits)
+    partition = partition_by_ratio(dataset, params["g"], params["c"])
+    return plan_disjoint(dataset, bitmap_bits, partition, params["c"], seed, model_bits)
 
 
 def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: int,
-            model_bits: int, grids: dict, ties_to_last: bool = False, count=None) -> TuneResult:
+            model_bits: int, grids: dict, count=None) -> TuneResult:
     """Argmin of the FPR over the params in ``axis``, over every non-key of ``dataset``.
 
-    ``count(view)``, if given, gives per candidate its FPR, or None; a
-    candidate with None is built by ``build`` and measured. A counted
-    winner is built once the search is over. The first strict improvement
-    wins, or with ``ties_to_last`` the last of equal FPRs.
+    With ``count`` (the tau sweeps), ``count(view)`` gives per candidate its
+    FPR, or None; a candidate with None is built by ``build`` and measured
+    in full, a counted winner is built once the search is over, and the last
+    of equal FPRs wins (``_full_search``). A sandwich is measured in full
+    because blocks of it alternate its two geometries in
+    ``ProbeCache.columns``, which holds one: in blocks, counting the built
+    candidates took 0.13 -> 0.31 s at 150 Kb and 0.17 -> 0.31-0.36 s at
+    300 Kb (seed 7).
+
+    Without it (the grid tuners, ``_bounded_search``) the candidates are
+    ranked by the expected FPR of their stage tables before any is built,
+    ties by grid index, then built one at a time in that order. Each counts
+    its non-keys from the top score down in blocks of 4096, 8192, ...
+    items and stops once its count is strictly above the least full count
+    so far; it is logged, in grid order, as ``{"params", "fpr": None,
+    "fpr_at_least", "status": "stopped"}``. A tie is counted in full and the
+    first of equal FPRs in grid order wins. On the two-budget sweep this
+    did 18-50% of the non-key probes per cell.
     """
     if not axis:
         raise ValueError(f"empty {method} grid")
     check_model_bits(method, model_bits)
     view = dataset.by_score()
-    counted = [None] * len(axis) if count is None else count(view)
-    best = None
-    candidates = []
-    for params, fpr in zip(axis, counted):
-        filt = None
-        if fpr is None:
-            try:
-                filt = build(method, view, bitmap_bits, seed, model_bits, **params)
-            except (InsufficientDataError, InfeasibleBudgetError) as exc:
-                candidates.append({"params": params, "fpr": None, "status": f"skipped: {exc}"})
-                continue
-            fpr = _measure(filt, view)
-        candidates.append({"params": params, "fpr": fpr, "status": "ok"})
-        if best is None or fpr < best[0] or (ties_to_last and fpr == best[0]):
-            best = (fpr, params, filt)
+    if count is None:
+        candidates, best = _bounded_search(method, view, bitmap_bits, axis, seed, model_bits)
+    else:
+        candidates, best = _full_search(method, view, bitmap_bits, axis, seed, model_bits,
+                                        count(view))
     if best is None:
         raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
     fpr, params, filt = best
@@ -242,6 +319,72 @@ def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: i
         filt = build(method, view, bitmap_bits, seed, model_bits, **params)
     return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt, candidates,
                       grids)
+
+
+def _skipped(params: dict, exc: Exception) -> dict:
+    return {"params": params, "fpr": None, "status": f"skipped: {exc}"}
+
+
+def _full_search(method, view, bitmap_bits, axis, seed, model_bits, counted):
+    """(candidate log, (fpr, params, filter or None) of the last least FPR, or None)."""
+    candidates, best = [], None
+    for params, fpr in zip(axis, counted):
+        filt = None
+        if fpr is None:
+            try:
+                filt = build(method, view, bitmap_bits, seed, model_bits, **params)
+            except (InsufficientDataError, InfeasibleBudgetError) as exc:
+                candidates.append(_skipped(params, exc))
+                continue
+            fpr = _measure(filt, view)
+        candidates.append({"params": params, "fpr": fpr, "status": "ok"})
+        if best is None or fpr <= best[0]:
+            best = (fpr, params, filt)
+    return candidates, best
+
+
+def _bounded_search(method, view, bitmap_bits, axis, seed, model_bits):
+    """(candidate log in grid order, (fpr, params, filter) of the first least FPR, or None).
+
+    Every candidate is planned first (``_plan``), in grid order, so a
+    refusal comes where building them in grid order raised it, and the
+    non-key scores are checked after the first feasible one, where its
+    measure checked them. The feasible candidates are then built one at a
+    time, in ascending order of their planned expected FPR (ties by grid
+    index), and counted by ``_count_bounded`` against the least full count
+    so far: one whose count passes it cannot win and is logged as stopped,
+    with its count so far as a lower bound. Only the best filter is held.
+    """
+    candidates = [None] * len(axis)
+    ranked, nonkeys = [], None
+    for i, params in enumerate(axis):
+        try:
+            plan = _plan(method, view, bitmap_bits, seed, model_bits, params)
+        except (InsufficientDataError, InfeasibleBudgetError) as exc:
+            candidates[i] = _skipped(params, exc)
+            continue
+        if nonkeys is None:
+            nonkeys = scored_nonkeys(view)
+            check_scores(nonkeys[0])
+        ranked.append((plan.expected_fpr(), i))
+    if not ranked:
+        return candidates, None
+    scores, rows = nonkeys
+    m = len(scores)
+    best = None  # (count, grid index, filter) of the least full count, the first on a tie
+    for _, i in sorted(ranked):
+        params = axis[i]
+        filt = build(method, view, bitmap_bits, seed, model_bits, **params)
+        count, whole = _count_bounded(filt, scores, rows, None if best is None else best[0])
+        if not whole:
+            candidates[i] = {"params": params, "fpr": None, "fpr_at_least": count / m,
+                             "status": "stopped"}
+            continue
+        candidates[i] = {"params": params, "fpr": count / m, "status": "ok"}
+        if best is None or (count, i) < best[:2]:
+            best = (count, i, filt)
+    count, i, filt = best
+    return candidates, (count / m, axis[i], filt)
 
 
 def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, seed: int,
@@ -267,7 +410,7 @@ def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, 
 
     # ties break toward larger tau (smaller backup filter)
     return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus], seed, model_bits,
-                   {"tau_grid": taus}, ties_to_last=True, count=count)
+                   {"tau_grid": taus}, count=count)
 
 
 def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,
@@ -310,7 +453,8 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
     That is a name ``GRIDS[method]`` does not list (with no ``method``, a
     name no tuner takes), an empty grid, or a value that fails every
     candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1,
-    infinite or NaN, g < 1. An override of None stands for the default grid.
+    infinite or NaN, g < 1, or a k_max or g that is not an integer (a
+    Python or numpy one). An override of None stands for the default grid.
     """
     taken = _GRID_LIMITS if method is None else GRIDS[method]
     for name in grids:
@@ -350,7 +494,8 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
     returned ``fpr`` is the winner's, counted on the held-out side alone.
     Raises ValueError naming a keyword that no tuner's grid names, on an
     override ``check_grids`` rejects, and on a fraction that leaves either
-    side empty, each before any candidate is built. The tuner is looked up
+    side empty, and ``DatasetError`` naming a score that is NaN or outside
+    [0, 1] (``ScoredDataset.validate``), each before any candidate is built. The tuner is looked up
     in this module at call time, so a wrapped ``tune_*`` (perfbench's
     tracer installs them) is the one called.
     """
@@ -358,6 +503,7 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
     check_grids(dict.fromkeys(grids))  # the names alone
     grids = check_grids({name: grids.get(name) for name in GRIDS[method]}, method)
+    dataset.validate()
     tuner = globals()[_TUNERS[method]]
     held_out = None
     if holdout_fraction:

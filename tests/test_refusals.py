@@ -164,12 +164,16 @@ REFUSALS = [
      "columns of 1 ids, (1, 1) scores and (1,) labels do not make rows"),
     ("partition-counts-length", lambda _: ScorePartition((0.0, 1.0), (1, 2), (1,)), ValueError,
      "per-group counts must have one entry per group"),
+    ("partition-by-ratio-g-fraction", lambda _: partition_by_ratio(DS, 2.5, 2.0), ValueError,
+     "g must be an integer >= 1, got 2.5"),
     ("partition-by-ratio-c-nan", lambda _: partition_by_ratio(DS, 3, NAN), ValueError,
      "ratio c must be finite, got nan"),
     ("partition-by-ratio-c-inf", lambda _: partition_by_ratio(DS, 3, INF), ValueError,
      "ratio c must be finite, got inf"),
     ("below-threshold-g-1", lambda _: partition_below_threshold(DS, 0.5, 1, 2.0), ValueError,
      "need g >= 2 to pin a top threshold, got 1"),
+    ("below-threshold-g-fraction", lambda _: partition_below_threshold(DS, 0.5, 2.5, 2.0),
+     ValueError, "g must be an integer >= 2, got 2.5"),
     ("below-threshold-tau-1", lambda _: partition_below_threshold(DS, 1.0, 3, 2.0), ValueError,
      "tau must be in (0, 1), got 1.0"),
     ("below-threshold-tau-nan", lambda _: partition_below_threshold(DS, NAN, 3, 2.0), ValueError,

@@ -609,6 +609,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_by_ratio(ds, 3, 1.0)
 
+    def test_g_is_an_integer(self):
+        # a numpy integer is one; a fractional g would cut the groups of the next integer
+        ds = gen_synthetic(100, 700, seed=3)
+        assert partition_by_ratio(ds, np.int64(3), 2.0) == partition_by_ratio(ds, 3, 2.0)
+        assert partition_below_threshold(ds, 0.8, np.int32(3), 2.0).g == 3
+        for g in (2.5, 3.0):
+            with pytest.raises(ValueError, match=re.escape(f"g must be an integer >= 1, got {g}")):
+                partition_by_ratio(ds, g, 2.0)
+
     def test_tie_block_absorbed_whole(self):
         # 6 copies of 0.2 straddle the 4/2 cut; the whole block stays low
         items = [ScoredItem(f"n{i}", s, False)

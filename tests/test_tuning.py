@@ -14,6 +14,7 @@ from adabloom.bits import PAIR_LANES, BitVector, HashFamily
 from adabloom.disjoint import InfeasibleBudgetError, build_disjoint
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import (
+    DatasetError,
     InsufficientDataError,
     ScoredDataset,
     ScoredItem,
@@ -28,6 +29,7 @@ from adabloom.tuning import (
     TuneResult,
     _holdout_split,
     _measure,
+    _plan,
     build,
     default_tau_grid,
     tune,
@@ -104,7 +106,10 @@ class TestTieRules:
         (tune_disjoint, {"g_grid": [4, 3], "c_grid": [2.5, 1.5]}, {"g": 3, "c": 1.5}),
     ])
     def test_grids_take_the_first_point(self, tune, grids, first, synth_small):
-        with mock.patch("adabloom.tuning._measure", return_value=0.25):
+        # every block of every candidate counts a quarter of its non-keys
+        def count(filt, scores, rows):
+            return len(scores) // 4
+        with mock.patch("adabloom.tuning._count", side_effect=count):
             res = tune(synth_small, 40_000, seed=1, **grids)
         assert res.params == first
         assert res.candidates[0]["params"] == first
@@ -117,8 +122,9 @@ def test_tune_has_no_standard_tuner(synth_small):
 
 @pytest.mark.parametrize("method, grids", [
     ("lbf", {"tau_grid": [0.5, 1.5]}), ("sandwich", {"tau_grid": [float("nan")]}),
-    ("ada", {"kmax_grid": [-1]}), ("ada", {"c_grid": [1.0]}),
-    ("disjoint", {"g_grid": [0]}), ("disjoint", {"c_grid": [2.0, 0.5]})])
+    ("ada", {"kmax_grid": [-1]}), ("ada", {"c_grid": [1.0]}), ("ada", {"kmax_grid": [3, 3.5]}),
+    ("disjoint", {"g_grid": [0]}), ("disjoint", {"c_grid": [2.0, 0.5]}),
+    ("disjoint", {"g_grid": [2.5]})])
 def test_tune_rejects_out_of_range_grid_values(method, grids, wrapped_tuners):
     ds = gen_synthetic(300, 300, seed=1)
     with pytest.raises(ValueError, match=" must be "):
@@ -181,10 +187,30 @@ class TestNegativeModelBits:
     ({"tau_grid": [0.5], "g_grid": [3]}, "ada", "method 'ada' takes no such grid 'tau_grid'"),
     ({"k_grid": [3]}, None, "no tuner takes a grid override 'k_grid'"),
     ({"kmax_grid": None, "c_grid": []}, "ada", "empty grid overrides ['c_grid']"),
-    ({"c_grid": [2.0], "tau_grid": [0.5, 1.5]}, None, "tau must be in [0, 1], got 1.5")])
+    ({"c_grid": [2.0], "tau_grid": [0.5, 1.5]}, None, "tau must be in [0, 1], got 1.5"),
+    ({"g_grid": [3, 2.5]}, "disjoint", "g must be an integer >= 1, got 2.5"),
+    ({"g_grid": [3.0]}, "disjoint", "g must be an integer >= 1, got 3.0"),
+    ({"kmax_grid": [3.5]}, "ada", "k_max must be an integer >= 0, got 3.5")])
 def test_check_grids_names_the_first_bad_override(grids, method, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         tuning.check_grids(grids, method)
+
+
+def test_check_grids_takes_numpy_integers():
+    grids = {"g_grid": np.arange(2, 5), "c_grid": [2.0]}
+    assert tuning.check_grids(grids, "disjoint") == {"g_grid": (2, 3, 4), "c_grid": (2.0,)}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 1.5])
+@pytest.mark.parametrize("method", sorted(GRIDS))
+def test_tune_refuses_a_bad_score_before_any_tuner(method, bad, wrapped_tuners):
+    ds = gen_synthetic(500, 500, seed=3)
+    scores = ds.scores.copy()
+    scores[7] = bad  # a key's
+    ds = ScoredDataset.from_columns(ds.ids, scores, np.arange(1000) < 500)
+    with pytest.raises(DatasetError, match=re.escape(f"key 'k0000007': score {bad} outside [0, 1]")):
+        tune(method, ds, 3000, seed=3)
+    assert all(m.call_count == 0 for m in wrapped_tuners.values())
 
 
 def _ids(ds):
@@ -258,7 +284,7 @@ class TestBuild:
         with pytest.raises(ValueError, match="hash count k must be >= 0, got -1"):
             build("standard", gen_synthetic(n, 10, seed=1), 100, k=-1)
 
-    @pytest.mark.parametrize("k_max, k_min", [(2, 3), (-1, 0), (2, -1)])
+    @pytest.mark.parametrize("k_max, k_min", [(2, 3), (-1, 0), (2, -1), (3.5, 0), (3, 0.5)])
     def test_ada_names_k_max_and_k_min(self, ds, k_max, k_min):
         # checked before a partition into g = k_max - k_min + 1 groups is cut
         with mock.patch.object(tuning, "partition_by_ratio", side_effect=AssertionError):
@@ -318,6 +344,114 @@ class TestGridSearch:
     def test_disjoint_single_filtered_group(self, synth_small):
         res = tune_disjoint(synth_small, 40_000, g_grid=[2], c_grid=[2.0], seed=10)
         assert res.filter.params.r_per_group == (40_000, 0)
+
+
+def _full_search(method, dataset, bitmap_bits, axis, seed):
+    """The grid search measuring every candidate in full, in grid order: per candidate
+    its FPR (None if skipped), and the (fpr, params, filter) of the first least one."""
+    view = dataset.by_score()
+    fprs, best = [], None
+    for params in axis:
+        try:
+            filt = build(method, view, bitmap_bits, seed, **params)
+        except (InsufficientDataError, InfeasibleBudgetError):
+            fprs.append(None)
+            continue
+        hits = filt.contains_batch(*view.nonkey_pairs(seed), view.nonkey_scores)
+        fprs.append(np.count_nonzero(hits) / len(hits))
+        if best is None or fprs[-1] < best[0]:
+            best = (fprs[-1], params, filt)
+    return fprs, best
+
+
+class TestBoundedSearch:
+    """The grid tuners count each candidate only while it can still win."""
+
+    # up to 13k non-keys: counts of one, two and three blocks (4096, 8192, ...)
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(["ada", "disjoint"]), n=st.integers(20, 800),
+           m=st.integers(20, 13_000) | st.integers(4097, 13_000)
+           | st.sampled_from([4096, 4097, 12_288, 12_289]),
+           bits_per_key=st.integers(1, 12),
+           data_seed=st.integers(0, 20), seed=st.integers(0, 3),
+           first=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+           c_grid=st.lists(st.sampled_from([1.2, 1.5, 2.0, 3.0]), min_size=1, max_size=3,
+                           unique=True))
+    def test_equals_the_full_measure(self, method, n, m, bits_per_key, data_seed, seed, first,
+                                     c_grid):
+        ds = gen_synthetic(n, m, seed=data_seed)
+        bitmap_bits = n * bits_per_key
+        name = "k_max" if method == "ada" else "g"
+        axis = [{name: x, "c": c} for x in sorted(first) for c in sorted(c_grid)]
+        fprs, best = _full_search(method, ds, bitmap_bits, axis, seed)
+        tuner = tune_ada if method == "ada" else tune_disjoint
+        grids = {"kmax_grid" if method == "ada" else "g_grid": first, "c_grid": c_grid}
+        if best is None:
+            with pytest.raises(NoFeasibleCandidateError):
+                tuner(ds, bitmap_bits, seed=seed, **grids)
+            return
+        res = tuner(ds, bitmap_bits, seed=seed, **grids)
+        assert (res.params, res.fpr) == (best[1], best[0])
+        assert dump_filter(res.filter) == dump_filter(best[2])
+        assert [c["params"] for c in res.candidates] == axis
+        for candidate, fpr in zip(res.candidates, fprs):
+            if fpr is None:
+                assert candidate["status"].startswith("skipped: ")
+            elif candidate["status"] == "ok":
+                assert candidate["fpr"] == fpr
+            else:
+                assert candidate["status"] == "stopped" and candidate["fpr"] is None
+                assert candidate["fpr_at_least"] <= fpr
+                assert fpr > res.fpr
+
+    def test_stopped_candidates_are_lower_bounds(self, synth_small):
+        res = tune_disjoint(synth_small, 60_000, seed=4)
+        stopped = [c for c in res.candidates if c["status"] == "stopped"]
+        assert stopped
+        assert all(set(c) == {"params", "fpr", "fpr_at_least", "status"} for c in stopped)
+        assert all(c["fpr_at_least"] > res.fpr for c in stopped)
+        ok = [c for c in res.candidates if c["status"] == "ok"]
+        assert res.fpr == min(c["fpr"] for c in ok)
+        assert res.params == next(c["params"] for c in ok if c["fpr"] == res.fpr)
+
+    def test_a_tie_goes_to_the_earlier_grid_point(self, synth_small):
+        # k_max = 8 comes first by expected FPR, and is counted first; with every
+        # candidate counting no false positive, the earlier grid point still wins
+        axis = [{"k_max": 2, "c": 2.0}, {"k_max": 8, "c": 2.0}]
+        planned = [_plan("ada", synth_small.by_score(), 40_000, 1, 0, p).expected_fpr()
+                   for p in axis]
+        assert planned[1] < planned[0]
+        with mock.patch.object(tuning, "build", wraps=tuning.build) as built, \
+                mock.patch("adabloom.tuning._count", return_value=0):
+            res = tune_ada(synth_small, 40_000, kmax_grid=[2, 8], c_grid=[2.0], seed=1)
+        assert [c.kwargs["k_max"] for c in built.call_args_list] == [8, 2]
+        assert res.params == axis[0] and res.fpr == 0.0
+        assert [c["status"] for c in res.candidates] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("tune, grid", [(tune_ada, "kmax_grid"), (tune_disjoint, "g_grid")])
+    def test_a_bad_nonkey_score_is_refused_before_a_later_candidate(self, tune, grid):
+        # in grid order the first candidate was measured, and its scores refused,
+        # before the second was built and its c = inf refused
+        ds = gen_synthetic(100, 500, seed=3)
+        scores = ds.scores.copy()
+        scores[-1] = float("nan")  # a non-key's
+        ds = ScoredDataset.from_columns(ds.ids, scores, np.arange(600) < 100)
+        with pytest.raises(ValueError, match=re.escape("score must be in [0, 1], got nan")):
+            tune(ds, 3000, c_grid=[2.0, float("inf")], seed=1, **{grid: [3]})
+
+    @pytest.mark.parametrize("method, params", [
+        ("ada", {"k_max": 5, "c": 2.0}), ("ada", {"k_max": 0, "c": 1.5}),
+        ("disjoint", {"g": 4, "c": 2.0}), ("disjoint", {"g": 9, "c": 1.5})])
+    def test_the_plan_is_the_built_filter_before_insert(self, method, params):
+        ds = gen_synthetic(300, 2000, seed=2)
+        plan = _plan(method, ds, 3000, 5, 0, params)
+        filt = build(method, ds, 3000, 5, **params)
+        table = [[(lo, hi, stage.size_bits, stage.k, stage.n_inserted)
+                  for lo, hi, stage in f.stages] for f in (plan, filt)]
+        assert table[0] == table[1]
+        assert plan.shares == filt.shares
+        assert plan.expected_fpr() == filt.expected_fpr()
+        assert not any(stage.bits.to_bytes().strip(b"\0") for _, _, stage in plan.stages)
 
 
 class TestHoldout:
