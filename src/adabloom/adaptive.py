@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bits import BitVector, HashFamily
+from .bits import BitVector, HashFamily, _check_count
 from .scores import ScoredDataset, ScorePartition, check_ratio, is_integer
 from .standard import GatedBloom, StandardBloom, alpha_load, insert_keys
 
@@ -132,8 +132,7 @@ def plan_ada(dataset: ScoredDataset, bitmap_bits: int, params: AdaptiveParams,
     inserted: a partition cut on other data has its key counts replaced and
     keeps its non-key counts, and so its shares.
     """
-    if bitmap_bits < 1:
-        raise ValueError(f"bitmap_bits must be >= 1, got {bitmap_bits}")
+    _check_count("bitmap_bits", bitmap_bits, 1)
     n_per_group = dataset._group_counts(params.partition.thresholds, dataset.key_scores)
     if n_per_group != params.partition.n_per_group:
         params = replace(params, partition=replace(params.partition, n_per_group=n_per_group))

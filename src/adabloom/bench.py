@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .scores import ScoredDataset
+from .scores import ScoredDataset, is_integer
 from .standard import check_model_count
 from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
 
@@ -83,7 +83,11 @@ def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
 
 
 def check_budgets(budgets) -> None:
-    """ValueError naming the ``budgets`` below 1 bit, which no filter fits in."""
+    """ValueError naming the ``budgets`` that are not integers (Python or numpy
+    ones), or else those below 1 bit, which no filter fits in."""
+    fractional = [b for b in budgets if not is_integer(b)]
+    if fractional:
+        raise ValueError(f"budgets must be integers, got {fractional}")
     small = [b for b in budgets if b < 1]
     if small:
         raise ValueError(f"budgets must be >= 1 bit, got {small}")
@@ -101,23 +105,24 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
     """One tuned row per distinct (budget, method, seed), sorted by method, budget and seed.
 
     Grid overrides, named in ``tuning.GRIDS``, pass through to each
-    method's tuner, which ignores the ones it does not take. A budget below
-    1 bit, an unknown method, a negative ``model_bits``, an override that
-    ``tuning.check_grids`` rejects (a keyword no grid names, such as
-    ``holdout_fraction``: a cell is tuned and counted on every non-key),
-    and a score that ``ScoredDataset.validate`` rejects raise before any
-    cell runs.
+    method's tuner, which ignores the ones it does not take. A budget or
+    seed that is not an integer, a budget below 1 bit, an unknown method, a
+    negative ``model_bits`` and an override that ``tuning.check_grids``
+    rejects (a keyword no grid names, such as ``holdout_fraction``: a cell
+    is tuned and counted on every non-key) raise before any cell runs, as
+    does the ``DatasetError`` of a dataset whose scores are first read here.
     """
-    budgets = [int(b) for b in budgets]
-    methods = list(methods)
-    seeds = [int(s) for s in seeds]
+    budgets, methods, seeds = list(budgets), list(methods), list(seeds)
     if not budgets or not methods or not seeds:
         raise ValueError("budgets, methods and seeds must be non-empty")
     check_budgets(budgets)
     check_methods(methods)
+    fractional = [s for s in seeds if not is_integer(s)]
+    if fractional:
+        raise ValueError(f"seeds must be integers, got {fractional}")
     check_model_count(model_bits)
     grids = check_grids(grids)
-    dataset.validate()
+    budgets, seeds = [int(b) for b in budgets], [int(s) for s in seeds]
 
     view = dataset.by_score()
     rows = []
@@ -139,7 +144,6 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                         res = tune(method, dataset, bitmap_bits, seed, row_model_bits, **grids)
                         filt, fpr = res.filter, res.fpr  # holdout 0: over every non-key
                     build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
-                    # raises on a key score outside [0, 1], which tuning never queries
                     hits = filt.contains_batch(*view.key_pairs(seed), view.key_scores,
                                                rows=view.probe_rows(keys=True))
                     fnr = 1.0 - (np.count_nonzero(hits) / view.n if view.n else 1.0)

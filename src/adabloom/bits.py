@@ -197,6 +197,7 @@ end.
 from __future__ import annotations
 
 import mmap
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -498,10 +499,27 @@ def _probes(a: np.ndarray, b: np.ndarray, first: int, stop: int, r,
     return np.subtract(idx, out, out=out).view(np.intp)
 
 
-def _check_length(length_bits: int) -> int:
-    if length_bits < 1:
-        raise ValueError(f"bit vector length must be >= 1, got {length_bits}")
-    return int(length_bits)
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` takes ``value``: a Python or numpy integer, not a float."""
+    try:
+        index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer (``is_integer``) >= ``least``.
+
+    The check of every bit count and budget. A fractional count is refused,
+    not truncated: no integer shares sum to it, so ``allocate_disjoint``
+    would never place its remainder.
+    """
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return index(value)
 
 
 class BitVector:
@@ -518,7 +536,7 @@ class BitVector:
     __slots__ = ("_nbits", "_bits", "_frozen")
 
     def __init__(self, length_bits: int):
-        self._nbits = _check_length(length_bits)
+        self._nbits = _check_count("bit vector length", length_bits, 1)
         self._bits = np.zeros(self._nbits, dtype=bool)
         self._frozen = False
 
@@ -712,7 +730,7 @@ class BitVector:
     def from_bytes(cls, data: bytes, length_bits: int) -> "BitVector":
         """The frozen vector :meth:`to_bytes` packed; ValueError on a wrong length or a
         set padding bit past ``length_bits``."""
-        expected = (_check_length(length_bits) + 7) // 8
+        expected = (_check_count("bit vector length", length_bits, 1) + 7) // 8
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes for {length_bits} bits, got {len(data)}")
         if data[-1] >> (length_bits % 8 or 8):
@@ -822,14 +840,12 @@ class ProbeRows(NamedTuple):
 
     def select(self, sel: slice | np.ndarray) -> "ProbeRows":
         """The rows of the batch items ``sel`` picks: a slice of positions (which
-        keeps a slice of rows), an index array or a boolean mask."""
+        keeps a slice of rows) or an index array of positions."""
         rows = self.rows
         if isinstance(rows, slice):
             if isinstance(sel, slice):
                 return ProbeRows(self.cache, slice(rows.start + sel.start, rows.start + sel.stop))
-            if sel.dtype != bool:  # offset: a few rows take no range of the batch's length
-                return ProbeRows(self.cache, rows.start + sel)
-            rows = np.arange(rows.start, rows.stop)
+            return ProbeRows(self.cache, rows.start + sel)  # offset: no range of the batch's length
         return ProbeRows(self.cache, rows[sel])
 
     @property

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import BitVector, HashFamily
+from .bits import BitVector, HashFamily, _check_count
 from .scores import ScoredDataset, ScorePartition, check_ratio, partition_by_ratio
 from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
@@ -91,9 +91,10 @@ def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[i
     integer shares summing to ``bitmap_bits`` exactly. InfeasibleBudgetError
     when the budget cannot cover the keyless groups, or when bits are left
     over with no keyed group below the top to take them (g = 1, say).
+    ValueError on a ``bitmap_bits`` that is not an integer, whose shares
+    could never sum to it.
     """
-    if bitmap_bits < 0:
-        raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
+    _check_count("bitmap_bits", bitmap_bits, 0)
     check_ratio(c)
     if g < 1:
         raise ValueError(f"group count g must be >= 1, got {g}")

@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bits import BitVector, HashFamily, ProbeRows
-from .scores import ScoredDataset, check_scores
+from .bits import BitVector, HashFamily, ProbeRows, _check_count
+from .scores import ScoredDataset
 from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
 __all__ = [
@@ -169,8 +169,7 @@ class LearnedBloom(SandwichedBloom):
 
 def _check_build(bitmap_bits: int, tau: float) -> None:
     """ValueError on a budget or tau that no threshold build takes."""
-    if bitmap_bits < 0:
-        raise ValueError(f"bitmap_bits must be >= 0, got {bitmap_bits}")
+    _check_count("bitmap_bits", bitmap_bits, 0)
     _check_tau(tau)
 
 
@@ -209,12 +208,13 @@ def scored_nonkeys(view: ScoredDataset) -> tuple[np.ndarray, ProbeRows]:
     return view.nonkey_scores, view.probe_rows(keys=False)
 
 
-def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int) -> list[float]:
+def count_lbf_fprs(dataset: ScoredDataset, bitmap_bits: int, taus, seed: int) -> list[float]:
     """Per tau, the FPR that ``build_lbf`` at it would measure, without building it.
 
     Equal, float for float, to the tuner's count over the non-keys of
     ``view = dataset.by_score()`` of ``build_lbf(view, bitmap_bits, tau,
-    seed)``, with the same refusals. Every non-key of the view is counted:
+    seed)``, with the same refusals; the count runs on that view, so a
+    dataset and its view give the same FPRs. Every non-key is counted:
     ``tuning.tune`` holds non-keys out by splitting the dataset, not here.
     The backup at tau holds the view's key rows [0, n_tau) with k =
     ``optimal_k(bitmap_bits, n_tau)`` lane-0 probes, so its bit p is set iff
@@ -227,10 +227,10 @@ def count_lbf_fprs(view: ScoredDataset, bitmap_bits: int, taus, seed: int) -> li
     taus = [float(tau) for tau in taus]
     for tau in taus:
         _check_build(bitmap_bits, tau)
+    view = dataset.by_score()
     scores, rows = scored_nonkeys(view)
-    check_scores(scores)  # as the batch query would
     grid = np.array(taus, dtype=np.float64)
-    n_below = np.searchsorted(view.key_scores, grid).tolist()  # n_tau (NaN keys sort last)
+    n_below = np.searchsorted(view.key_scores, grid).tolist()  # n_tau
     j_below = np.searchsorted(scores, grid).tolist()  # scored non-keys below tau
     passed = [len(scores) - j for j in j_below]  # at or above tau: past the backup
     groups: dict[int, list[int]] = {}

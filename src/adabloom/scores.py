@@ -9,8 +9,11 @@ shape such classifiers produce in practice.
 A ``ScoredDataset`` holds its items as three columns: the ids, a float64
 score array and a bool key mask. Generating, loading, saving and
 fingerprinting work on the columns, block by block; the ``ScoredItem``
-tuples (``items``, ``keys``, ``nonkeys``) are built on first access, each
-side's ``keys`` or ``nonkeys`` from that side's own columns.
+tuples (``items``, ``keys``) are built on first access, ``keys`` from the
+key columns alone. A dataset's score column holds no NaN and no score
+outside [0, 1]: ``ScoredDataset._checked`` refuses one, with a
+``DatasetError``, when the column is made, so no builder, tuner or sweep
+checks a dataset's scores again.
 
 The adaptive variants split [0, 1] into g groups at thresholds chosen
 so the non-key counts fall geometrically, m_j / m_{j+1} = c, with group
@@ -30,7 +33,7 @@ from operator import index, itemgetter
 
 import numpy as np
 
-from .bits import HashFamily, ProbeCache, ProbeRows
+from .bits import HashFamily, ProbeCache, ProbeRows, is_integer
 
 __all__ = [
     "ScoredItem",
@@ -65,10 +68,6 @@ class ScoredItem:
     score: float
     is_key: bool
 
-    @property
-    def label(self) -> str:
-        return "key" if self.is_key else "nonkey"
-
 
 # Rows per block when a dataset is written, fingerprinted or read from CSV:
 # each block is checked or formatted by C-level maps over its columns. Fewer
@@ -91,17 +90,23 @@ class ScoredDataset:
     build the columns directly (``from_columns``), so none of them makes a
     ``ScoredItem`` per row. ``ScoredDataset(items)`` keeps the given tuple
     as ``items``, reads ``is_key`` from it at once and the ids and scores
-    on first use. Otherwise ``items``, ``keys`` and ``nonkeys`` are tuples
-    of ``ScoredItem`` built on first access and cached: ``keys`` from the
-    key ids and scores alone and ``nonkeys`` from the non-key ones, so
-    asking for one side builds neither ``items`` nor the other side. Once
-    ``items`` exist (always, for a dataset made from items) the sides are
-    picked from them, so they hold the same objects.
+    on first use. Otherwise ``items`` and ``keys`` are tuples of
+    ``ScoredItem`` built on first access and cached, ``keys`` from the key
+    ids and scores alone, so asking for them does not build ``items``.
+    Once ``items`` exist (always, for a dataset made from items) ``keys``
+    are picked from them, so they hold the same objects.
+
+    The score column is checked where it is made (``_checked``):
+    ``from_columns`` checks it at once, and a dataset made from items when
+    its ``scores`` are first read, as the key and non-key scores, the
+    score-ordered view, a fingerprint and a save all read them. The check
+    stays lazy there so that a build reading only the key ids reads no
+    score: reading the scores of 300k given items took 10.3 ms (2-core
+    Xeon, CPU time, median of 7).
 
     Also caches the key and non-key ids and scores (each picked by the
     label mask) and per-seed base-hash pairs, so that
-    tuning sweeps touching the same dataset do not recompute them. Scores
-    are not checked on construction; ``validate`` checks them all.
+    tuning sweeps touching the same dataset do not recompute them.
 
     ``by_score`` gives the same dataset with keys and non-keys each in
     ascending score order, which the tuners build and measure every
@@ -134,7 +139,8 @@ class ScoredDataset:
         """The dataset whose row i is (``ids[i]``, ``scores[i]``, ``is_key[i]``).
 
         The columns are kept, not copied: ``ids`` as given, the others as
-        float64 and bool arrays. ValueError unless they are of one length.
+        float64 and bool arrays. ValueError unless they are of one length,
+        and ``DatasetError`` on a score that ``_checked`` refuses.
         """
         scores = np.asarray(scores, dtype=np.float64)
         is_key = np.asarray(is_key, dtype=bool)
@@ -143,7 +149,8 @@ class ScoredDataset:
                              f"{is_key.shape} labels do not make rows")
         dataset = cls.__new__(cls)
         dataset._set_is_key(is_key)
-        dataset._cache.update(ids=ids, scores=scores)
+        dataset._cache["ids"] = ids  # first: ``_checked`` names a bad row by its id
+        dataset._cache["scores"] = dataset._checked(scores)
         return dataset
 
     def _pick(self, rows: np.ndarray) -> "ScoredDataset":
@@ -170,8 +177,8 @@ class ScoredDataset:
 
     @property
     def scores(self) -> np.ndarray:
-        return self._cached("scores", lambda: np.fromiter(
-            [it.score for it in self.items], dtype=np.float64, count=len(self)))
+        return self._cached("scores", lambda: self._checked(np.fromiter(
+            [it.score for it in self.items], dtype=np.float64, count=len(self))))
 
     @property
     def items(self) -> tuple[ScoredItem, ...]:
@@ -180,11 +187,7 @@ class ScoredDataset:
 
     @property
     def keys(self) -> tuple[ScoredItem, ...]:
-        return self._cached("keys", lambda: self._side_items(True))
-
-    @property
-    def nonkeys(self) -> tuple[ScoredItem, ...]:
-        return self._cached("nonkeys", lambda: self._side_items(False))
+        return self._cached("keys", self._key_items)
 
     @property
     def key_ids(self) -> list[str]:
@@ -202,21 +205,19 @@ class ScoredDataset:
     def nonkey_scores(self) -> np.ndarray:
         return self._cached("nonkey_scores", lambda: self.scores[~self.is_key])
 
-    def _side_items(self, keys: bool) -> tuple[ScoredItem, ...]:
-        """The ``ScoredItem``s of the keys, or of the non-keys.
+    def _key_items(self) -> tuple[ScoredItem, ...]:
+        """The ``ScoredItem``s of the keys.
 
         Picked from ``items`` once those exist, so a dataset made from items
-        returns its own objects; otherwise built from that side's own ids
-        and scores, and ``items`` is left unbuilt. For the 50k keys of a
-        50k/200k generated dataset that took 0.08-0.10 s, against 0.40-0.62 s
-        to build the 250k ``items`` and pick the keys from them (2-core Xeon,
+        returns its own objects; otherwise built from the key ids and scores,
+        and ``items`` is left unbuilt. For the 50k keys of a 50k/200k
+        generated dataset that took 0.08-0.10 s, against 0.40-0.62 s to
+        build the 250k ``items`` and pick the keys from them (2-core Xeon,
         Python 3.11, a fresh process each).
         """
         if "items" in self._cache:
-            return tuple(self._side("items", keys))
-        ids, scores = ((self.key_ids, self.key_scores) if keys
-                       else (self.nonkey_ids, self.nonkey_scores))
-        return tuple(map(ScoredItem, ids, scores.tolist(), repeat(keys, len(ids))))
+            return tuple(self._side("items", True))
+        return tuple(map(ScoredItem, self.key_ids, self.key_scores.tolist(), repeat(True)))
 
     def _side(self, column: str, keys: bool) -> list:
         """The ``items`` or ``ids`` of the keys, or of the non-keys, in item order.
@@ -236,19 +237,22 @@ class ScoredDataset:
             return [it.id for it in compress(self.items, mask)]
         return list(compress(getattr(self, column), mask))
 
-    def validate(self) -> None:
-        """DatasetError naming the first key's, else non-key's, score that is NaN or outside [0, 1].
+    def _checked(self, scores: np.ndarray) -> np.ndarray:
+        """``scores``, this dataset's score column; DatasetError naming the first
+        key's, else non-key's, score that is NaN or outside [0, 1].
 
-        Vectorized over the score arrays; the ids are read only to name the bad one.
+        The one statement of the dataset score rule: every filter routes an
+        item by its score in [0, 1], and a NaN falls in no score region. It
+        is a min and a max over the column when every score passes; the ids
+        are read only to name a bad row.
         """
-        scores = np.concatenate([self.key_scores, self.nonkey_scores])
-        inside = (scores >= 0.0) & (scores <= 1.0)
-        if not inside.all():
-            bad = int(np.argmin(inside))
-            key = bad < self.n
-            name = self.key_ids[bad] if key else self.nonkey_ids[bad - self.n]
-            raise DatasetError(
-                f"{_LABELS[key]} {name!r}: score {scores[bad].item()!r} outside [0, 1]")
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):  # False on NaN
+            outside = ~((scores >= 0.0) & (scores <= 1.0))
+            bad = np.flatnonzero(outside & self.is_key)
+            row = int(bad[0] if len(bad) else np.argmax(outside))
+            raise DatasetError(f"{_LABELS[bool(self.is_key[row])]} {self.ids[row]!r}: "
+                               f"score {scores[row].item()!r} outside [0, 1]")
+        return scores
 
     @property
     def sorted_nonkey_scores(self) -> np.ndarray:
@@ -282,8 +286,7 @@ class ScoredDataset:
         return tuple(np.bincount(pieces, minlength=len(thresholds) - 1).tolist())
 
     def _tau_counts(self, tau: float) -> tuple[int, int]:
-        """(keys scoring below tau, non-keys scoring at or above it); a NaN score
-        counts in neither."""
+        """(keys scoring below tau, non-keys scoring at or above it)."""
         return (int(np.count_nonzero(self.key_scores < tau)),
                 int(np.count_nonzero(self.nonkey_scores >= tau)))
 
@@ -400,15 +403,14 @@ class _ScoreOrderedView(ScoredDataset):
         return ProbeRows(self._probes[keys], slice(0, self.n if keys else self.m))
 
     def _group_counts(self, thresholds: tuple[float, ...], scores: np.ndarray) -> tuple[int, ...]:
-        # scores are sorted (NaN last): a group's count is the difference of
-        # the numbers of scores below its two bounds
+        # scores are sorted: a group's count is the difference of the numbers
+        # of scores below its two bounds
         below = np.searchsorted(scores, thresholds[1:-1], side="left")
         return tuple(np.diff(below, prepend=0, append=len(scores)).tolist())
 
     def _tau_counts(self, tau: float) -> tuple[int, int]:
-        # scores are sorted, NaN last: the non-NaN scores are those at or below inf
-        scores = self.nonkey_scores
-        above = np.searchsorted(scores, np.inf, side="right") - np.searchsorted(scores, tau)
+        # scores are sorted: the count below tau is where tau would go
+        above = self.m - np.searchsorted(self.nonkey_scores, tau)
         return int(np.searchsorted(self.key_scores, tau)), int(above)
 
     def _hash_pairs(self, seed: int, keys: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -438,15 +440,6 @@ def check_scores(scores) -> np.ndarray:
         bad = scores[~((scores >= 0.0) & (scores <= 1.0))].flat[0]
         raise ValueError(f"score must be in [0, 1], got {bad}")
     return scores
-
-
-def is_integer(value) -> bool:
-    """Whether ``operator.index`` takes ``value``: a Python or numpy integer, not a float."""
-    try:
-        index(value)
-    except TypeError:
-        return False
-    return True
 
 
 def check_ratio(c: float) -> None:
@@ -574,14 +567,15 @@ def save_scored_csv(dataset: ScoredDataset, path) -> None:
     """Write ``dataset`` as a CSV that ``load_scored_csv`` reads back, as ``csv.writer`` would.
 
     An id that is empty or holds a comma or a CR, which the loader cannot
-    read back, is a ``DatasetError`` naming the first one, and no file is
-    written. Rows go out as the fingerprint's text, in blocks; if an id
+    read back, is a ``DatasetError`` naming the first one, as is a score
+    the dataset refuses (see ``ScoredDataset``), and no file is written
+    then. Rows go out as the fingerprint's text, in blocks; if an id
     holds a quote or an LF, which the ``csv`` module quotes, every row
     goes through it. The text is the faster of the two: 300k rows took
     0.41-0.46 s, and ``csv.writer.writerows`` over the same columns
     0.66-0.96 s (2-core Xeon, Python 3.11, 5 runs each).
     """
-    ids = dataset.ids
+    ids, scores = dataset.ids, dataset.scores
     text = "".join(ids)
     if "," in text or "\r" in text or not all(ids):
         bad = next(i for i in ids if not i or "," in i or "\r" in i)
@@ -593,7 +587,7 @@ def save_scored_csv(dataset: ScoredDataset, path) -> None:
         else:
             labels = map(_LABELS.__getitem__, dataset.is_key.tolist())
             csv.writer(fh, lineterminator="\n").writerows(
-                zip(ids, map(float.__repr__, dataset.scores), labels))
+                zip(ids, map(float.__repr__, scores), labels))
 
 
 def gen_synthetic(

@@ -62,11 +62,10 @@ rejected; it narrows to the survivors inside its range. Items without rows
 ``np.flatnonzero`` of the mask of the stage's interval and the survivors,
 gathered with ``take`` and answered by a scatter to the positions, or, for
 a stage over the whole axis that rejects no survivor, ``slice(0, n)``.
-Both give the same items, and a NaN key score sorts last and counts as
-above every bound. On a 10k batch with 7k items selected at random, two
-``uint64`` boolean gathers took 63 us and a boolean scatter 31 us, where
-``flatnonzero`` took 8 us, two ``take`` calls 10 us and the scatter to
-positions 8 us (2-core Xeon, numpy 2.4, best of 5 x 1000).
+Both give the same items. On a 10k batch with 7k items selected at
+random, two ``uint64`` boolean gathers took 63 us and a boolean scatter
+31 us, where ``flatnonzero`` took 8 us, two ``take`` calls 10 us and the
+scatter to positions 8 us (2-core Xeon, numpy 2.4, best of 5 x 1000).
 
 A batch query without rows (a query batch, a plain dataset) is answered
 by one probe walk over stages with disjoint intervals, picked in one
@@ -120,7 +119,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .bits import BitVector, HashFamily, ProbeRows
+from .bits import BitVector, HashFamily, ProbeRows, _check_count
 from .scores import ScoredDataset, check_scores, score_pieces
 
 __all__ = [
@@ -154,10 +153,9 @@ _REAL = (int, float, np.integer, np.floating, np.bool_)
 
 
 def check_model_count(model_bits: int) -> int:
-    """``model_bits``, the bits a filter charges to its score model; ValueError if negative."""
-    if model_bits < 0:
-        raise ValueError(f"model_bits must be >= 0, got {model_bits}")
-    return model_bits
+    """``model_bits``, the bits a filter charges to its score model; ValueError
+    unless it is an integer (a Python or numpy one) >= 0."""
+    return _check_count("model_bits", model_bits, 0)
 
 
 def round_half_away(x: float) -> int:
@@ -515,8 +513,7 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
 
 def build_standard(keys: Iterable[bytes | str], r: int, k: int, seed: int) -> StandardBloom:
     """Insert every key with k hash functions into a fresh r-bit filter."""
-    if r < 1:
-        raise ValueError(f"filter size r must be >= 1, got {r}")
+    _check_count("filter size r", r, 1)
     family = HashFamily(seed)
     bloom = StandardBloom(BitVector(r), k, family, 0)
     a, b = family.base_pairs(keys)  # raises TypeError on a key that is not bytes or str

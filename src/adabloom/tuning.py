@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -85,8 +86,7 @@ from .adaptive import AdaptiveParams, build_ada, check_ladder, plan_ada
 from .bits import BitVector, HashFamily
 from .disjoint import InfeasibleBudgetError, build_disjoint, plan_disjoint
 from .learned import build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split, scored_nonkeys
-from .scores import (InsufficientDataError, ScoredDataset, check_scores, is_integer,
-                     partition_by_ratio)
+from .scores import InsufficientDataError, ScoredDataset, is_integer, partition_by_ratio
 from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
 
 __all__ = [
@@ -125,11 +125,15 @@ PARAMS = {"standard": {"k": int}, "lbf": {"tau": float}, "sandwich": {"tau": flo
           "ada": {"k_max": int, "c": float, "k_min": int}, "disjoint": {"g": int, "c": float}}
 # the parameters a build may be given without (k defaults to optimal_k, k_min to 0)
 OPTIONAL = ("k", "k_min")
-# per grid override, the values every build refuses, whatever the candidate
+# per grid override, the values every build refuses, whatever the candidate; a value
+# that is not a real number (``numbers.Real``: numpy floats and ints are) fails its rule
+# before any compare
 _GRID_LIMITS = {
-    "tau_grid": (lambda tau: 0.0 <= tau <= 1.0, "tau must be in [0, 1]"),  # False on NaN
+    "tau_grid": (lambda tau: isinstance(tau, Real) and 0.0 <= tau <= 1.0,  # False on NaN
+                 "tau must be in [0, 1]"),
     "kmax_grid": (lambda k_max: is_integer(k_max) and k_max >= 0, "k_max must be an integer >= 0"),
-    "c_grid": (lambda c: 1.0 < c < math.inf, "c must be finite and > 1"),  # False on NaN
+    "c_grid": (lambda c: isinstance(c, Real) and 1.0 < c < math.inf,  # False on NaN
+               "c must be finite and > 1"),
     "g_grid": (lambda g: is_integer(g) and g >= 1, "g must be an integer >= 1"),
 }
 # non-keys in the first block of a bounded count (``_count_bounded``); each next block
@@ -347,29 +351,24 @@ def _bounded_search(method, view, bitmap_bits, axis, seed, model_bits):
     """(candidate log in grid order, (fpr, params, filter) of the first least FPR, or None).
 
     Every candidate is planned first (``_plan``), in grid order, so a
-    refusal comes where building them in grid order raised it, and the
-    non-key scores are checked after the first feasible one, where its
-    measure checked them. The feasible candidates are then built one at a
-    time, in ascending order of their planned expected FPR (ties by grid
-    index), and counted by ``_count_bounded`` against the least full count
-    so far: one whose count passes it cannot win and is logged as stopped,
-    with its count so far as a lower bound. Only the best filter is held.
+    refusal comes where building them in grid order raised it. The
+    feasible candidates are then built one at a time, in ascending order of
+    their planned expected FPR (ties by grid index), and counted by
+    ``_count_bounded`` against the least full count so far: one whose count
+    passes it cannot win and is logged as stopped, with its count so far as
+    a lower bound. Only the best filter is held.
     """
-    candidates = [None] * len(axis)
-    ranked, nonkeys = [], None
+    candidates, ranked = [None] * len(axis), []
     for i, params in enumerate(axis):
         try:
             plan = _plan(method, view, bitmap_bits, seed, model_bits, params)
         except (InsufficientDataError, InfeasibleBudgetError) as exc:
             candidates[i] = _skipped(params, exc)
             continue
-        if nonkeys is None:
-            nonkeys = scored_nonkeys(view)
-            check_scores(nonkeys[0])
         ranked.append((plan.expected_fpr(), i))
-    if not ranked:
+    if not ranked:  # every candidate was skipped, as each one is without non-keys
         return candidates, None
-    scores, rows = nonkeys
+    scores, rows = scored_nonkeys(view)
     m = len(scores)
     best = None  # (count, grid index, filter) of the least full count, the first on a tie
     for _, i in sorted(ranked):
@@ -453,8 +452,9 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
     That is a name ``GRIDS[method]`` does not list (with no ``method``, a
     name no tuner takes), an empty grid, or a value that fails every
     candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1,
-    infinite or NaN, g < 1, or a k_max or g that is not an integer (a
-    Python or numpy one). An override of None stands for the default grid.
+    infinite or NaN, g < 1, a tau or c that is not a real number, or a
+    k_max or g that is not an integer (a Python or numpy one). An override
+    of None stands for the default grid.
     """
     taken = _GRID_LIMITS if method is None else GRIDS[method]
     for name in grids:
@@ -470,7 +470,7 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
         valid, rule = _GRID_LIMITS[name]
         for value in values:
             if not valid(value):
-                raise ValueError(f"{rule}, got {value}")
+                raise ValueError(f"{rule}, got {value if isinstance(value, Real) else repr(value)}")
     return grids
 
 
@@ -494,8 +494,7 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
     returned ``fpr`` is the winner's, counted on the held-out side alone.
     Raises ValueError naming a keyword that no tuner's grid names, on an
     override ``check_grids`` rejects, and on a fraction that leaves either
-    side empty, and ``DatasetError`` naming a score that is NaN or outside
-    [0, 1] (``ScoredDataset.validate``), each before any candidate is built. The tuner is looked up
+    side empty, each before any candidate is built. The tuner is looked up
     in this module at call time, so a wrapped ``tune_*`` (perfbench's
     tracer installs them) is the one called.
     """
@@ -503,7 +502,6 @@ def tune(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
         raise ValueError(f"method {method!r} has no tuner; choose from {tuple(GRIDS)}")
     check_grids(dict.fromkeys(grids))  # the names alone
     grids = check_grids({name: grids.get(name) for name in GRIDS[method]}, method)
-    dataset.validate()
     tuner = globals()[_TUNERS[method]]
     held_out = None
     if holdout_fraction:

@@ -89,7 +89,7 @@ class TestRunSweep:
         ds = gen_synthetic(1000, 1000, seed=2)
         once = run_sweep(ds, [3000, 6000], ["lbf", "standard"], [0], tau_grid=(0.6,))
         assert len(once) == 4
-        assert run_sweep(ds, [6000, 3000, 3000.0, 6000], ["lbf", "standard", "lbf"], [0, 0],
+        assert run_sweep(ds, [6000, 3000, np.int64(3000), 6000], ["lbf", "standard", "lbf"], [0, 0],
                          tau_grid=(0.6,)) == once
         assert run_sweep(ds, [3000, 3000], ["lbf", "lbf"], [0, 0], tau_grid=(0.6,)) == once[:1]
 

@@ -83,6 +83,17 @@ def test_the_whole_default_grid(bitmap_bits, cache):
             _measured(counted, bitmap_bits, taus, 9)
 
 
+@pytest.mark.parametrize("bitmap_bits", [0, 1500, 20_000])
+def test_a_plain_dataset_counts_as_its_view(bitmap_bits):
+    # the counter counts on ``dataset.by_score()``; on a plain dataset it used to
+    # read its probe rows, which only a view has
+    ds = gen_synthetic(300, 400, seed=6)
+    taus = [0.0, 0.2, 0.5, 0.8, 1.0]
+    plain = count_lbf_fprs(ds, bitmap_bits, taus, 3)
+    assert plain == count_lbf_fprs(ds.by_score(), bitmap_bits, taus, 3)
+    assert plain == _measured(ds.by_score(), bitmap_bits, taus, 3)
+
+
 @pytest.mark.parametrize("holdout", [0.0, 0.3])
 def test_sandwich_candidates_reduced_to_lbf_log_their_measured_fpr(holdout):
     ds = gen_synthetic(400, 400, seed=1)

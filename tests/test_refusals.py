@@ -5,6 +5,7 @@ not a subclass) and a fragment of its message.
 """
 
 import re
+import signal
 from unittest import mock
 
 import numpy as np
@@ -52,7 +53,7 @@ from adabloom.standard import (
     expected_fpr_standard,
     optimal_k,
 )
-from adabloom.tuning import _measure, check_grids, default_tau_grid, tune_lbf
+from adabloom.tuning import _measure, build, check_grids, default_tau_grid, tune, tune_lbf
 
 NAN, INF = float("nan"), float("inf")
 DS = gen_synthetic(60, 60, seed=3)
@@ -275,6 +276,64 @@ def test_refusal(call, exc, fragment, tmp_path):
     with pytest.raises(exc, match=re.escape(fragment)) as info:
         call(tmp_path)
     assert type(info.value) is exc
+
+
+# (id, call, message fragment): a bit count, budget or seed that is not an integer.
+# The disjoint allocator never returned on one (its remainder never reached 0); the
+# others truncated it, or failed later or with another message.
+FRACTIONAL = [
+    ("allocate-fractional-bits", lambda: allocate_disjoint(3000.5, [100, 200, 50], 2.0, 3),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("build-disjoint-fractional-bits", lambda: build("disjoint", DS, 3000.5, g=3, c=2.0),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("tune-disjoint-fractional-bits",
+     lambda: tune("disjoint", DS, 3000.5, g_grid=[3], c_grid=[2.0]),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("bit-vector-fractional-length", lambda: BitVector(64.0),
+     "bit vector length must be an integer, got 64.0"),
+    ("build-standard-fractional-bits", lambda: build("standard", DS, 3000.5),
+     "bit vector length must be an integer, got 3000.5"),
+    ("build-ada-fractional-bits", lambda: build("ada", DS, 3000.5, k_max=2, c=2.0),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("tune-ada-fractional-bits", lambda: tune("ada", DS, 3000.5, kmax_grid=[2], c_grid=[2.0]),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("lbf-fractional-bits", lambda: build_lbf(DS, 3000.5, 0.5, 0),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("tune-lbf-fractional-bits", lambda: tune("lbf", DS, 3000.5, tau_grid=[0.5]),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("sandwich-fractional-bits", lambda: build_sandwiched(DS, 3000.5, 0.5, 0),
+     "bitmap_bits must be an integer, got 3000.5"),
+    ("lbf-fractional-model-bits", lambda: build_lbf(DS, 1000, 0.5, 0, 10.5),
+     "model_bits must be an integer, got 10.5"),
+    ("run-sweep-fractional-budget", lambda: run_sweep(DS, [3000.7], ["lbf"], [0]),
+     "budgets must be integers, got [3000.7]"),
+    ("run-sweep-fractional-seed", lambda: run_sweep(DS, [3000], ["lbf"], [0, 1.9]),
+     "seeds must be integers, got [1.9]"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", [row[1:] for row in FRACTIONAL],
+                         ids=[row[0] for row in FRACTIONAL])
+def test_a_fractional_count_is_refused(call, fragment):
+    def still_running(signum, frame):
+        raise TimeoutError("still running after 10 s")
+    before = signal.signal(signal.SIGALRM, still_running)
+    signal.alarm(10)  # a hang fails this test instead of the whole run
+    try:
+        with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert type(info.value) is ValueError
+
+
+def test_numpy_integer_counts_are_taken():
+    assert BitVector(np.int64(64)).length_bits == 64
+    assert allocate_disjoint(np.int32(300), (3, 3), 2.0, 2) == [300, 0]  # the top group gets 0
+    assert build_lbf(DS, np.uint16(1000), 0.5, 0, np.int64(10)).model_bits == 10
+    rows = run_sweep(DS, [np.int64(3000)], ["lbf"], [np.int8(2)], tau_grid=[0.5])
+    assert (rows[0].total_bits, rows[0].seed) == (3000, 2)
 
 
 ADA = build_ada(DS, 2000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.0), 2, 0, 2.0), 1)

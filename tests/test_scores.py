@@ -18,7 +18,7 @@ from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bits import BitVector, HashFamily
 from adabloom.disjoint import build_disjoint
 from adabloom.learned import LearnedBloom, SandwichedBloom, build_lbf, build_sandwiched
-from adabloom import scores
+from adabloom import scores, tuning
 from adabloom.scores import (
     CSV_HEADER,
     DatasetError,
@@ -38,6 +38,11 @@ from adabloom.scores import (
     _sample_bound,
 )
 from adabloom.standard import GatedBloom, StandardBloom, build_standard, insert_keys
+
+
+def nonkey_items(ds):
+    """The non-keys of ``ds`` as ``ScoredItem``s, from its non-key columns."""
+    return tuple(ScoredItem(i, s, False) for i, s in zip(ds.nonkey_ids, ds.nonkey_scores.tolist()))
 
 
 def write_csv(tmp_path, text):
@@ -204,7 +209,7 @@ class TestColumns:
         items = ds.items
         assert ds.items is items
         assert items == tuple(map(ScoredItem, ds.ids, ds.scores.tolist(), ds.is_key.tolist()))
-        assert ds.keys == items[:3] and ds.nonkeys == items[3:]
+        assert ds.keys == items[:3] and nonkey_items(ds) == items[3:]
 
     def test_the_items_constructor_keeps_its_items(self):
         items = (ScoredItem("b", 0.2, False), ScoredItem("a", 0.9, True),
@@ -215,7 +220,7 @@ class TestColumns:
         assert ds.key_ids == ["a"] and ds.nonkey_ids == ["b", "c"]  # read from the sides' items
         assert "ids" not in ds._cache and "scores" not in ds._cache
         assert ds.ids == ["b", "a", "c"] and ds.scores.tolist() == [0.2, 0.9, 0.5]
-        assert ds.keys == items[1:2] and ds.nonkeys == (items[0], items[2])
+        assert ds.keys == items[1:2] and nonkey_items(ds) == (items[0], items[2])
         again = ScoredDataset(items)
         assert again.ids == ds.ids and again.key_ids == ["a"]  # picked from the ids column
 
@@ -237,9 +242,8 @@ class TestColumns:
             assert ds.key_ids == [items[i].id for i in key_rows]
             assert ds.nonkey_ids == [items[i].id for i in nonkey_rows]
             assert ds.keys == tuple(items[i] for i in key_rows)
-            assert ds.nonkeys == tuple(items[i] for i in nonkey_rows)
+            assert ds.nonkey_scores.tolist() == [items[i].score for i in nonkey_rows]
             assert all(got is items[i] for got, i in zip(ds.keys, key_rows))
-            assert all(got is items[i] for got, i in zip(ds.nonkeys, nonkey_rows))
 
     @staticmethod
     def _columnar(kind, tmp_path):
@@ -253,18 +257,17 @@ class TestColumns:
         return ds.by_score() if kind == "view" else ds
 
     @pytest.mark.parametrize("kind", ["generated", "loaded", "view"])
-    @pytest.mark.parametrize("side, other", [("keys", "nonkeys"), ("nonkeys", "keys")])
-    def test_a_side_is_built_from_its_own_columns(self, kind, side, other, tmp_path):
+    def test_the_keys_are_built_from_their_own_columns(self, kind, tmp_path):
         ds = self._columnar(kind, tmp_path)
-        items = getattr(ds, side)
-        assert "items" not in ds._cache and other not in ds._cache
-        assert getattr(ds, side) is items
-        assert len(items) == (ds.n if side == "keys" else ds.m)
+        items = ds.keys
+        assert "items" not in ds._cache
+        assert ds.keys is items
+        assert len(items) == ds.n
 
     @pytest.mark.parametrize("kind", ["generated", "loaded", "view"])
     def test_the_sides_are_the_side_rows_of_items(self, kind, tmp_path):
         ds = self._columnar(kind, tmp_path)
-        keys, nonkeys = ds.keys, ds.nonkeys
+        keys, nonkeys = ds.keys, nonkey_items(ds)
         rows = ds.items
         assert keys + nonkeys == (tuple(it for it in rows if it.is_key)
                                   + tuple(it for it in rows if not it.is_key))
@@ -274,24 +277,12 @@ class TestColumns:
         items = [ScoredItem(f"i{i}", i / 10, i % 3 == 0) for i in range(10)]
         ds = ScoredDataset(items)
         assert all(ds.keys[j] is it for j, it in enumerate(items[0::3]))
-        assert all(ds.nonkeys[j] is it
-                   for j, it in enumerate(it for it in items if not it.is_key))
 
     def test_from_columns_equals_the_items_constructor(self):
         ds = gen_synthetic(20, 30, seed=2)
         again = ScoredDataset.from_columns(list(ds.ids), ds.scores.tolist(), ds.is_key.tolist())
         assert again.items == ScoredDataset(ds.items).items == ds.items
         assert again.fingerprint() == ScoredDataset(ds.items).fingerprint() == ds.fingerprint()
-
-    def test_validate_names_the_bad_row_without_building_items(self):
-        ds = gen_synthetic(3, 4, seed=1)
-        for row, message in ((5, "nonkey 'n0000002': score 1.5"), (1, "key 'k0000001': score 1.5")):
-            scores = ds.scores.copy()
-            scores[row] = 1.5
-            bad = ScoredDataset.from_columns(ds.ids, scores, ds.is_key)
-            with pytest.raises(DatasetError, match=rf"^{message} outside \[0, 1\]$"):
-                bad.validate()
-            assert "items" not in bad._cache
 
     def test_view_columns_are_the_parents_permuted(self):
         ds = gen_synthetic(30, 40, seed=5)
@@ -315,9 +306,9 @@ class TestColumns:
                 digest, text = hashlib.sha256(), io.StringIO()
                 csv.writer(text, lineterminator="\n").writerow(CSV_HEADER)
                 for it in ds.items:
-                    digest.update(f"{it.id},{it.score!r},{it.label}\n".encode("utf-8"))
-                    csv.writer(text, lineterminator="\n").writerow(
-                        (it.id, repr(it.score), it.label))
+                    label = "key" if it.is_key else "nonkey"
+                    digest.update(f"{it.id},{it.score!r},{label}\n".encode("utf-8"))
+                    csv.writer(text, lineterminator="\n").writerow((it.id, repr(it.score), label))
                 assert ds.fingerprint() == digest.hexdigest()
                 path = os.path.join(tmp, "ds.csv")
                 ids = "".join(ds.ids)
@@ -349,8 +340,7 @@ class TestSynthetic:
         ds = gen_synthetic(n, m, seed=2)
         assert (ds.n, ds.m, len(ds)) == (n, m, 5)
         assert ds.ids == [f"k{i:07d}" for i in range(n)] + [f"n{i:07d}" for i in range(m)]
-        assert ds.keys == tuple(ds.items[:n]) and ds.nonkeys == tuple(ds.items[n:])
-        assert ds.validate() is None
+        assert ds.keys == tuple(ds.items[:n]) and nonkey_items(ds) == tuple(ds.items[n:])
 
     @pytest.mark.parametrize("start, stop", [(9_999_990, 10_000_010), (0, 0), (0, 1),
                                              (95, 105), (99_999_999, 100_000_001)])
@@ -395,8 +385,8 @@ class TestScoreOrderedView:
         assert view.key_order.tolist() == [1, 3, 0, 2]
         assert view.nonkey_order.tolist() == [2, 0, 1]
         assert [it.id for it in view.keys] == ["k1", "k3", "k0", "k2"]
-        assert [it.id for it in view.nonkeys] == ["n2", "n0", "n1"]
-        assert view.items == view.keys + view.nonkeys
+        assert view.nonkey_ids == ["n2", "n0", "n1"]
+        assert view.items == view.keys + nonkey_items(view)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
     def test_pairs_are_the_parents_permuted(self, seed):
@@ -406,7 +396,7 @@ class TestScoreOrderedView:
                 (view.key_pairs(seed), ds.key_pairs(seed), view.key_order,
                  view.keys, view.key_scores),
                 (view.nonkey_pairs(seed), ds.nonkey_pairs(seed), view.nonkey_order,
-                 view.nonkeys, view.nonkey_scores)):
+                 nonkey_items(view), view.nonkey_scores)):
             assert (mine[0] == parents[0][order]).all()
             assert (mine[1] == parents[1][order]).all()
             # each pair still belongs to its item and that item's score
@@ -436,20 +426,79 @@ class TestScoreOrderedView:
         view = ds.by_score()
         assert len(view.key_scores) == n and len(view.nonkey_scores) == m
         assert len(view.key_pairs(1)[0]) == n and len(view.nonkey_pairs(1)[0]) == m
-        assert len(view.keys) == n and len(view.nonkeys) == m
+        assert len(view.keys) == n and len(view.nonkey_ids) == m
 
-    def test_nan_score_lands_in_the_same_group(self):
-        items = [ScoredItem(f"k{i}", s, True) for i, s in enumerate([0.7, float("nan"), 0.1])]
-        items += [ScoredItem(f"n{i}", s, False)
-                  for i, s in enumerate([float("nan"), 0.2, 0.6, 0.4])]
-        ds = ScoredDataset(items)
-        view = ds.by_score()
-        part = partition_from_thresholds(ds, (0.0, 0.3, 0.5, 1.0))
-        assert partition_from_thresholds(view, part.thresholds) == part
-        for scores, order, mine in ((ds.key_scores, view.key_order, view.key_scores),
-                                    (ds.nonkey_scores, view.nonkey_order, view.nonkey_scores)):
-            assert (part.group_indices(scores)[order] == part.group_indices(mine)).all()
-        assert np.isnan(view.key_scores[-1]) and np.isnan(view.nonkey_scores[-1])
+
+# scores no dataset holds: NaN, past either end, and the least step below 0
+BAD_SCORES = [math.nan, math.inf, -math.inf, 1.5, -1e-300]
+
+
+class TestDatasetScoreRule:
+    """A dataset refuses a NaN or out-of-range score where its score column is
+    made, naming the first bad key, else the first bad non-key."""
+
+    @staticmethod
+    def _columns(key_score, nonkey_score):
+        # item order puts the non-key first, so a keys-first name is not the first row
+        return ["n0", "k0", "k1"], [nonkey_score, 0.5, key_score], [False, True, True]
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_from_columns_refuses_a_bad_score(self, bad):
+        for (key_score, nonkey_score), name in (((bad, bad), "key 'k1'"),
+                                                ((0.5, bad), "nonkey 'n0'")):
+            with pytest.raises(DatasetError, match=rf"^{name}: score {re.escape(repr(bad))} "
+                                                   rf"outside \[0, 1\]$"):
+                ScoredDataset.from_columns(*self._columns(key_score, nonkey_score))
+
+    def test_from_columns_takes_the_ends_and_float32(self):
+        ds = ScoredDataset.from_columns(["a", "b", "c", "d"], [-0.0, 0.0, 1.0, 0.5],
+                                        [True, False, True, False])
+        assert ds.scores.tolist() == [0.0, 0.0, 1.0, 0.5]
+        f32 = np.array([0.25, 1.0, 0.1], dtype=np.float32)
+        ds = ScoredDataset.from_columns(["a", "b", "c"], f32, [True, False, False])
+        assert ds.scores.dtype == np.float64 and ds.scores.tolist() == f32.tolist()
+
+    @pytest.mark.parametrize("read", ["scores", "key_scores", "nonkey_scores", "by_score"])
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_a_dataset_of_items_refuses_on_its_first_score_read(self, bad, read):
+        ids, scores, labels = self._columns(0.5, bad)
+        ds = ScoredDataset(list(map(ScoredItem, ids, scores, labels)))  # constructs
+        assert (ds.n, ds.m, ds.key_ids) == (2, 1, ["k0", "k1"])
+        for _ in range(2):  # and again: nothing was cached
+            with pytest.raises(DatasetError, match=r"^nonkey 'n0': score "):
+                value = getattr(ds, read)
+                value() if callable(value) else value
+
+    @pytest.fixture(scope="class")
+    def bad(self):
+        """200 keys and 300 non-keys with the last non-key scored NaN, from items."""
+        ds = gen_synthetic(200, 300, seed=4)
+        scores = ds.scores.tolist()
+        scores[-1] = math.nan
+        return lambda: ScoredDataset(list(map(ScoredItem, ds.ids, scores, ds.is_key.tolist())))
+
+    def test_every_build_refuses_before_an_insert(self, bad):
+        params = AdaptiveParams.from_ratio(partition_by_ratio(gen_synthetic(200, 300, seed=4), 4,
+                                                              2.0), 3, 0, 2.0)
+        builds = [lambda ds, m=m, p=p: tuning.build(m, ds, 3000, 1, **p) for m, p in (
+            ("standard", {}), ("lbf", {"tau": 0.6}), ("sandwich", {"tau": 0.6}),
+            ("ada", {"k_max": 3, "c": 2.0}), ("disjoint", {"g": 4, "c": 2.0}))]
+        builds += [lambda ds: build_lbf(ds, 3000, 0.6, 1),
+                   lambda ds: build_sandwiched(ds, 3000, 0.6, 1),
+                   lambda ds: build_ada(ds, 3000, params, 1),
+                   lambda ds: build_disjoint(ds, 3000, 4, 2.0, 1)]
+        with mock.patch.object(BitVector, "set_hashed") as inserted:
+            for build in builds:
+                with pytest.raises(DatasetError, match=r"^nonkey 'n0000299': score nan outside"):
+                    build(bad())
+        assert inserted.call_count == 0
+
+    def test_a_save_or_fingerprint_refuses_before_any_output(self, bad, tmp_path):
+        path = tmp_path / "ds.csv"
+        for output in (lambda ds: save_scored_csv(ds, path), lambda ds: ds.fingerprint()):
+            with pytest.raises(DatasetError, match=r"^nonkey 'n0000299': score nan outside"):
+                output(bad())
+        assert not path.exists()
 
 
 class TestScorePolicy:
@@ -641,11 +690,11 @@ class TestPartition:
     GRID = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
 
     @settings(max_examples=80, deadline=None)
-    @given(keys=st.lists(st.sampled_from(GRID + [float("nan")]) | st.floats(0, 1), max_size=40),
+    @given(keys=st.lists(st.sampled_from(GRID) | st.floats(0, 1), max_size=40),
            nonkeys=st.lists(st.sampled_from(GRID) | st.floats(0, 1), max_size=40),
            inner=st.sets(st.sampled_from(GRID[1:-1]) | st.floats(0.001, 0.999), max_size=6))
     def test_view_counts_equal_dataset_counts(self, keys, nonkeys, inner):
-        # scores tied exactly at a threshold stay above it; NaN keys go to the top group
+        # scores tied exactly at a threshold stay above it
         items = [ScoredItem(f"k{i}", s, True) for i, s in enumerate(keys)]
         items += [ScoredItem(f"n{i}", s, False) for i, s in enumerate(nonkeys)]
         ds = ScoredDataset(items)
@@ -655,8 +704,6 @@ class TestPartition:
         assert on_view == on_dataset
         groups = on_dataset.group_indices(ds.key_scores)
         assert on_dataset.n_per_group == tuple(np.bincount(groups, minlength=len(inner) + 1))
-        nan_keys = sum(1 for s in keys if s != s)
-        assert on_dataset.n_per_group[-1] >= nan_keys
 
     def test_below_threshold_pins_tau(self):
         ds = gen_synthetic(5000, 5000, seed=8)
