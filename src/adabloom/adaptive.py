@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .bits import BitVector, HashFamily, _check_count
-from .scores import ScoredDataset, ScorePartition, check_ratio, is_integer
+from .scores import ScoredDataset, ScorePartition, check_ratio
 from .standard import GatedBloom, StandardBloom, alpha_load, insert_keys
 
 __all__ = [
@@ -43,17 +43,19 @@ __all__ = [
 ]
 
 
-def check_ladder(k_max: int, k_min: int) -> None:
-    """ValueError unless k_max >= k_min >= 0 are integers: the ends of a step-one ladder.
+def check_ladder(k_max: int, k_min: int) -> tuple[int, int]:
+    """(k_max, k_min) as ints; ValueError unless k_max >= k_min >= 0 are integers: the
+    ends of a step-one ladder.
 
-    ``AdaptiveParams.from_ratio`` and ``tuning.build('ada', ...)`` both check
-    it, the latter before g = k_max - k_min + 1 is derived from them, so a
-    fractional k_max is refused by its own name, not as a fractional g.
+    ``AdaptiveParams.from_ratio``, ``tuning.build('ada', ...)`` and the
+    ``kmax_grid`` of ``tuning.check_grids`` all check it, ``build`` before
+    g = k_max - k_min + 1 is derived from them, so a fractional k_max is
+    refused by its own name, not as a fractional g.
     """
-    if not (is_integer(k_max) and is_integer(k_min)):
-        raise ValueError(f"need integers k_max >= k_min >= 0, got ({k_max}, {k_min})")
-    if k_min < 0 or k_max < k_min:
+    k_max, k_min = _check_count("k_max", k_max, 0), _check_count("k_min", k_min, 0)
+    if k_min > k_max:
         raise ValueError(f"need k_max >= k_min >= 0, got ({k_max}, {k_min})")
+    return k_max, k_min
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class AdaptiveParams:
         ks = self.k_per_group
         if len(ks) != self.partition.g:
             raise ValueError(f"need one hash count per group ({self.partition.g}), got {len(ks)}")
-        if any(k < 0 for k in ks):
-            raise ValueError(f"hash counts must be >= 0, got {ks}")
+        for k in ks:
+            _check_count("hash count k", k, 0)
         if any(ks[i] < ks[i + 1] for i in range(len(ks) - 1)):
             raise ValueError(f"hash counts must be non-increasing, got {ks}")
         if self.c is not None:
@@ -85,7 +87,7 @@ class AdaptiveParams:
     def from_ratio(cls, partition: ScorePartition, k_max: int, k_min: int = 0,
                    c: float | None = None) -> "AdaptiveParams":
         g = partition.g
-        check_ladder(k_max, k_min)
+        k_max, k_min = check_ladder(k_max, k_min)
         if k_max - k_min != g - 1:
             raise ValueError(f"k_max - k_min must equal g - 1 = {g - 1}, got {k_max - k_min}")
         return cls(partition, tuple(range(k_max, k_min - 1, -1)), c)
@@ -157,6 +159,8 @@ def expected_fpr_ada(p, k_per_group, alpha: float) -> float:
     """Overall false positive rate sum_j p_j alpha^K_j."""
     if len(p) != len(k_per_group):
         raise ValueError(f"group count mismatch: {len(p)} probabilities vs {len(k_per_group)} hash counts")
+    for k in k_per_group:
+        _check_count("hash count k", k, 0)
     total = math.fsum(p)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"group probabilities must sum to 1, got {total}")
@@ -183,8 +187,7 @@ def fpr_upper_bound(c: float, alpha: float, g: int, k_max: int) -> float:
     check_ratio(c)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if g < 1:
-        raise ValueError(f"group count g must be >= 1, got {g}")
+    g, k_max = _check_count("group count g", g, 1), _check_count("k_max", k_max, 0)
     if k_max < g - 1:
         raise ValueError(f"k_max={k_max} < g - 1 = {g - 1}: hash counts would go negative")
     log_x = -math.log(c) - math.log(alpha)
@@ -202,10 +205,7 @@ def kmax_from_lbf(k_lbf: int, g: int) -> tuple[int, int]:
     k_min = k_max - g + 1; requires g <= 2K so the range stays
     non-negative.
     """
-    if g < 2:
-        raise ValueError(f"group count g must be >= 2, got {g}")
-    if k_lbf < 1:
-        raise ValueError(f"k_lbf must be >= 1, got {k_lbf}")
+    g, k_lbf = _check_count("group count g", g, 2), _check_count("k_lbf", k_lbf, 1)
     if g > 2 * k_lbf:
         raise ValueError(f"group count g={g} violates g <= 2*K = {2 * k_lbf}")
     k_max = int(math.floor(k_lbf + g / 2.0 - 1.0))

@@ -23,7 +23,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .scores import ScoredDataset, is_integer
+from .bits import is_integer
+from .scores import ScoredDataset
 from .standard import check_model_count
 from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
 

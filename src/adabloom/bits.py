@@ -197,6 +197,7 @@ end.
 from __future__ import annotations
 
 import mmap
+from numbers import Real
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -379,8 +380,8 @@ class HashFamily:
     __slots__ = ("seed", "lane", "_salt_a", "_salt_b", "_lane_a", "_lane_b")
 
     def __init__(self, seed: int, lane: int = 0):
-        self.seed = seed & _MASK64
-        self.lane = int(lane)
+        self.seed = index(seed) & _MASK64  # a Python int: a numpy seed would overflow or wrap
+        self.lane = _check_count("lane", lane, 0)
         self._salt_a = splitmix64(self.seed ^ 0x243F6A8885A308D3)
         self._salt_b = splitmix64(self.seed ^ 0x13198A2E03707344)
         if self.lane:
@@ -472,10 +473,8 @@ class HashFamily:
     def iter_indices(self, item: bytes | str, k: int, r: int) -> Iterator[int]:
         """:meth:`indices` one at a time, so a probe can stop at its first miss
         whatever k a loaded container holds."""
-        if r < 1:
-            raise ValueError(f"hash range r must be >= 1, got {r}")
-        if k < 0:
-            raise ValueError(f"hash count k must be >= 0, got {k}")
+        r = _check_count("hash range r", r, 1)
+        k = _check_count("hash count k", k, 0)
         a, b = self.pair(item)
         return (((a + i * b) & _MASK64) % r for i in range(k))
 
@@ -508,15 +507,23 @@ def is_integer(value) -> bool:
     return True
 
 
+def _shown(value):
+    """``value`` as a refusal names it: a real number as itself, anything else by ``repr``."""
+    return value if isinstance(value, Real) else repr(value)
+
+
 def _check_count(name: str, value, least: int) -> int:
     """``value`` as an int; ValueError unless it is an integer (``is_integer``) >= ``least``.
 
-    The check of every bit count and budget. A fractional count is refused,
-    not truncated: no integer shares sum to it, so ``allocate_disjoint``
+    The one check of every integer parameter: bit counts and budgets, hash
+    counts k, ranges r, key counts n, group counts g, the ends of a
+    hash-count ladder, hash lanes and item counts. A fractional count is
+    refused, not truncated: the paper's bounds hold for integer g and K only,
+    and no integer shares sum to a fractional budget, so ``allocate_disjoint``
     would never place its remainder.
     """
     if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return index(value)
@@ -598,8 +605,7 @@ class BitVector:
         about 1.5x slower than the cast and the ``intp`` scatter together.
         """
         self._writable()
-        if k < 0:
-            raise ValueError(f"hash count k must be >= 0, got {k}")
+        k = _check_count("hash count k", k, 0)
         if k == 0 or len(a) == 0:
             return
         r = np.uint64(self._nbits)
@@ -641,8 +647,7 @@ class BitVector:
         order, so the walkers a column takes past their count are a suffix of
         them, written as hits at their positions.
         """
-        if k < 0:
-            raise ValueError(f"hash count k must be >= 0, got {k}")
+        k = _check_count("hash count k", k, 0)
         if cached is not None and not (counts is None and ranges is None and offsets is None):
             raise ValueError("per-item counts, ranges and offsets need an uncached batch")
         if (ranges is None) != (offsets is None):

@@ -94,14 +94,12 @@ def allocate_disjoint(bitmap_bits: int, n_per_group, c: float, g: int) -> list[i
     ValueError on a ``bitmap_bits`` that is not an integer, whose shares
     could never sum to it.
     """
-    _check_count("bitmap_bits", bitmap_bits, 0)
+    bitmap_bits = _check_count("bitmap_bits", bitmap_bits, 0)
     check_ratio(c)
-    if g < 1:
-        raise ValueError(f"group count g must be >= 1, got {g}")
+    g = _check_count("group count g", g, 1)
     if len(n_per_group) != g:
         raise ValueError(f"need {g} key counts, got {len(n_per_group)}")
-    if any(n < 0 for n in n_per_group):
-        raise ValueError(f"key counts must be >= 0, got {list(n_per_group)}")
+    n_per_group = [_check_count("key count n", n, 0) for n in n_per_group]
     empty = [i for i in range(g - 1) if n_per_group[i] == 0]
     spare = bitmap_bits - len(empty)
     if spare < 0:

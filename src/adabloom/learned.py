@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import logging
 import math
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .bits import BitVector, HashFamily, ProbeRows, _check_count
+from .bits import BitVector, HashFamily, ProbeRows, _check_count, _shown
 from .scores import ScoredDataset
 from .standard import OPTIMAL_FPR_BASE, GatedBloom, StandardBloom, insert_keys, optimal_k
 
@@ -68,8 +69,9 @@ _INITIAL_LANE = 1  # hash lane of the sandwiched initial filter
 
 
 def _check_tau(tau: float) -> None:
-    if not 0.0 <= tau <= 1.0:  # also rejects NaN
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    """ValueError unless tau is a real number (``numbers.Real``) in [0, 1]."""
+    if not (isinstance(tau, Real) and 0.0 <= tau <= 1.0):  # also rejects NaN
+        raise ValueError(f"tau must be in [0, 1], got {_shown(tau)}")
 
 
 def _stage(bitmap_bits: int, n: int, seed: int, lane: int = 0) -> StandardBloom:

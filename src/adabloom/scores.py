@@ -29,11 +29,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat, zip_longest
-from operator import index, itemgetter
+from numbers import Real
+from operator import itemgetter
 
 import numpy as np
 
-from .bits import HashFamily, ProbeCache, ProbeRows, is_integer
+from .bits import HashFamily, ProbeCache, ProbeRows, _check_count, _shown
 
 __all__ = [
     "ScoredItem",
@@ -130,6 +131,7 @@ class ScoredDataset:
         try:
             is_key = np.frombuffer(bytes(flags), dtype=np.uint8).astype(bool)
         except (TypeError, ValueError):  # np.bool_ (on numpy 2), floats, None, ints past a byte
+            _check_labels(flags)
             is_key = np.array(flags, dtype=bool)
         self._set_is_key(is_key)
         self._cache["items"] = items
@@ -140,10 +142,14 @@ class ScoredDataset:
 
         The columns are kept, not copied: ``ids`` as given, the others as
         float64 and bool arrays. ValueError unless they are of one length,
-        and ``DatasetError`` on a score that ``_checked`` refuses.
+        and ``DatasetError`` on a score that ``_checked`` refuses or a label
+        that ``_check_labels`` refuses.
         """
         scores = np.asarray(scores, dtype=np.float64)
-        is_key = np.asarray(is_key, dtype=bool)
+        is_key = np.asarray(is_key)
+        if is_key.dtype.kind in "OSU":  # only such a column can hold text
+            _check_labels(is_key.tolist())
+        is_key = is_key.astype(bool, copy=False)
         if not scores.shape == is_key.shape == (len(ids),):
             raise ValueError(f"columns of {len(ids)} ids, {scores.shape} scores and "
                              f"{is_key.shape} labels do not make rows")
@@ -422,6 +428,15 @@ class _ScoreOrderedView(ScoredDataset):
         return self._cache[tag]
 
 
+def _check_labels(labels) -> None:
+    """``DatasetError`` naming the first row whose label is text (``str`` or ``bytes``):
+    as a bool, any non-empty text, ``"False"`` too, would read as a key."""
+    row = next((i for i, label in enumerate(labels) if isinstance(label, (str, bytes))), None)
+    if row is not None:
+        raise DatasetError(f"row {row}: label must be a truth value, not text, "
+                           f"got {labels[row]!r}")
+
+
 def check_scores(scores) -> np.ndarray:
     """``scores`` as a float64 array; ValueError naming the shape and dtype unless
     they are a 1-D array of bools, ints or floats, or if any is NaN or outside [0, 1].
@@ -443,7 +458,10 @@ def check_scores(scores) -> np.ndarray:
 
 
 def check_ratio(c: float) -> None:
-    """ValueError unless the group ratio c is finite and > 1 (NaN is neither)."""
+    """ValueError unless the group ratio c is a real number (``numbers.Real``), finite
+    and > 1 (NaN is neither)."""
+    if not isinstance(c, Real):
+        raise ValueError(f"ratio c must be a real number, got {c!r}")
     if not c < math.inf:
         raise ValueError(f"ratio c must be finite, got {c}")
     if not c > 1.0:
@@ -610,12 +628,7 @@ def gen_synthetic(
     one: the 250k ids of 50k keys and 200k non-keys took 0.04-0.07 s, and
     ``format`` per id 0.11-0.23 s (2-core Xeon, numpy 2.4, 10 runs each).
     """
-    try:
-        n, m = index(n), index(m)
-    except TypeError:
-        raise ValueError(f"n and m must be integers, got {n!r} and {m!r}") from None
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
+    n, m = _check_count("key count n", n, 0), _check_count("non-key count m", m, 0)
     for name, (a, b) in (("key_shape", key_shape), ("nonkey_shape", nonkey_shape)):
         if not (0 < a < math.inf and 0 < b < math.inf):  # also rejects NaN
             raise ValueError(f"{name} parameters must be finite and > 0, got {(a, b)}")
@@ -787,13 +800,10 @@ def partition_by_ratio(dataset: ScoredDataset, g: int, c: float) -> ScorePartiti
     then derived against the same thresholds. A score-ordered view cuts
     each (g, c) once and returns that partition again after (see
     ``ScoredDataset.by_score``); a plain dataset cuts it at every call.
-    A g that is not an integer is refused (``is_integer``): g = 2.5 would
+    A g that is not an integer is refused (``_check_count``): g = 2.5 would
     cut 3 groups.
     """
-    if not is_integer(g):
-        raise ValueError(f"g must be an integer >= 1, got {g}")
-    if g < 1:
-        raise ValueError(f"group count g must be >= 1, got {g}")
+    g = _check_count("group count g", g, 1)
     if g > 1:
         check_ratio(c)
     if dataset.m < g:
@@ -814,12 +824,9 @@ def partition_below_threshold(dataset: ScoredDataset, tau: float, g: int, c: flo
     groups underneath split the remaining non-keys with ratio c. A g that
     is not an integer is refused, as in ``partition_by_ratio``.
     """
-    if not is_integer(g):
-        raise ValueError(f"g must be an integer >= 2, got {g}")
-    if g < 2:
-        raise ValueError(f"need g >= 2 to pin a top threshold, got {g}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    g = _check_count("group count g", g, 2)  # one group below the pinned top threshold
+    if not (isinstance(tau, Real) and 0.0 < tau < 1.0):
+        raise ValueError(f"tau must be in (0, 1), got {_shown(tau)}")
     if g > 2:  # below that, c is unused
         check_ratio(c)
     below = dataset.sorted_nonkey_scores
@@ -842,8 +849,7 @@ def _sample_bound(k_groups: int, epsilon: float, delta: float) -> float:
 def min_sample_size(k_groups: int, epsilon: float, delta: float) -> int:
     """Non-keys needed so the total estimation error of p_hat stays below
     epsilon with probability at least 1 - delta, for k_groups groups."""
-    if k_groups < 2:
-        raise ValueError(f"bound needs k_groups >= 2, got {k_groups}")
+    k_groups = _check_count("k_groups", k_groups, 2)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta <= 1.0:

@@ -169,8 +169,7 @@ class StandardBloom:
     __slots__ = ("bits", "k", "family", "n_inserted")
 
     def __init__(self, bits: BitVector, k: int, family: HashFamily, n_inserted: int = 0):
-        if k < 0:
-            raise ValueError(f"hash count k must be >= 0, got {k}")
+        k = _check_count("hash count k", k, 0)
         if k > MAX_K:
             raise ValueError(f"hash count k must be <= {MAX_K}, got {k}")
         self.bits = bits
@@ -529,12 +528,12 @@ def alpha_load(r: int, n_per_group, k_per_group) -> float:
 
     One bit that any probe sets is set (load 1); no probe sets nothing.
     """
-    if r < 1:
-        raise ValueError(f"filter size r must be >= 1, got {r}")
+    _check_count("filter size r", r, 1)
     if len(n_per_group) != len(k_per_group):
         raise ValueError(
             f"group count mismatch: {len(n_per_group)} key counts vs {len(k_per_group)} hash counts")
-    total = sum(int(n) * int(k) for n, k in zip(n_per_group, k_per_group))
+    total = sum(_check_count("key count n", n, 0) * _check_count("hash count k", k, 0)
+                for n, k in zip(n_per_group, k_per_group))
     if total == 0 or r == 1:
         return float(total > 0)
     return -math.expm1(total * math.log1p(-1.0 / r))
@@ -545,9 +544,7 @@ def expected_fpr_standard(r: int, n: int, k: int) -> float:
 
     Zero probes accept everything (0.0 ** 0 is 1).
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    return alpha_load(r, (n,), (k,)) ** k
+    return alpha_load(r, (n,), (k,)) ** k  # alpha_load refuses a k that is not a count
 
 
 def optimal_k(r: int, n: int) -> int:
@@ -556,8 +553,7 @@ def optimal_k(r: int, n: int) -> int:
     Past the cap of 64 (above about 92 bits per key) the expected FPR is
     below 1e-19 either way, while every insert and every hit costs k probes.
     """
-    if r < 0 or n < 0:
-        raise ValueError("r and n must be >= 0")
+    r, n = _check_count("filter size r", r, 0), _check_count("key count n", n, 0)
     if n == 0:
         return DEFAULT_K_CAP
     return min(DEFAULT_K_CAP, round_half_away(r / n * LN2))

@@ -78,15 +78,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .adaptive import AdaptiveParams, build_ada, check_ladder, plan_ada
-from .bits import BitVector, HashFamily
+from .bits import BitVector, HashFamily, _check_count
 from .disjoint import InfeasibleBudgetError, build_disjoint, plan_disjoint
-from .learned import build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split, scored_nonkeys
-from .scores import InsufficientDataError, ScoredDataset, is_integer, partition_by_ratio
+from .learned import (_check_tau, build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split,
+                      scored_nonkeys)
+from .scores import InsufficientDataError, ScoredDataset, check_ratio, partition_by_ratio
 from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
 
 __all__ = [
@@ -125,16 +125,13 @@ PARAMS = {"standard": {"k": int}, "lbf": {"tau": float}, "sandwich": {"tau": flo
           "ada": {"k_max": int, "c": float, "k_min": int}, "disjoint": {"g": int, "c": float}}
 # the parameters a build may be given without (k defaults to optimal_k, k_min to 0)
 OPTIONAL = ("k", "k_min")
-# per grid override, the values every build refuses, whatever the candidate; a value
-# that is not a real number (``numbers.Real``: numpy floats and ints are) fails its rule
-# before any compare
-_GRID_LIMITS = {
-    "tau_grid": (lambda tau: isinstance(tau, Real) and 0.0 <= tau <= 1.0,  # False on NaN
-                 "tau must be in [0, 1]"),
-    "kmax_grid": (lambda k_max: is_integer(k_max) and k_max >= 0, "k_max must be an integer >= 0"),
-    "c_grid": (lambda c: isinstance(c, Real) and 1.0 < c < math.inf,  # False on NaN
-               "c must be finite and > 1"),
-    "g_grid": (lambda g: is_integer(g) and g >= 1, "g must be an integer >= 1"),
+# per grid override, the builders' own check of one value, which refuses what every
+# candidate with that value would refuse, with the builders' message
+_GRID_RULES = {
+    "tau_grid": _check_tau,
+    "kmax_grid": lambda k_max: check_ladder(k_max, 0),
+    "c_grid": check_ratio,
+    "g_grid": lambda g: _check_count("group count g", g, 1),  # as ``partition_by_ratio``
 }
 # non-keys in the first block of a bounded count (``_count_bounded``); each next block
 # holds twice as many
@@ -253,8 +250,9 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
         raise ValueError(f"method {method!r} takes parameters {taken}, got {tuple(params)}")
     check_model_bits(method, model_bits)
     if method == "standard":  # inserted from the cached key pairs, not by hashing the ids again
+        bits = BitVector(bitmap_bits)  # before optimal_k, which would name the size r
         k = optimal_k(bitmap_bits, dataset.n) if params.get("k") is None else params["k"]
-        bloom = StandardBloom(BitVector(bitmap_bits), k, HashFamily(seed))
+        bloom = StandardBloom(bits, k, HashFamily(seed))
         insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
         return bloom
     if method in ("lbf", "sandwich"):
@@ -267,10 +265,9 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
 
 def _ladder(dataset: ScoredDataset, params: dict) -> AdaptiveParams:
     """The ``AdaptiveParams`` of ``ada``'s ``params``: g = k_max - k_min + 1 groups."""
-    k_max, k_min, c = params["k_max"], params.get("k_min", 0), params["c"]
-    check_ladder(k_max, k_min)  # before g is derived from them
-    partition = partition_by_ratio(dataset, k_max - k_min + 1, c)
-    return AdaptiveParams.from_ratio(partition, k_max, k_min, c)
+    k_max, k_min = check_ladder(params["k_max"], params.get("k_min", 0))  # before g is derived
+    partition = partition_by_ratio(dataset, k_max - k_min + 1, params["c"])
+    return AdaptiveParams.from_ratio(partition, k_max, k_min, params["c"])
 
 
 def _plan(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int, model_bits: int,
@@ -451,12 +448,12 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
 
     That is a name ``GRIDS[method]`` does not list (with no ``method``, a
     name no tuner takes), an empty grid, or a value that fails every
-    candidate it is part of: tau outside [0, 1] or NaN, k_max < 0, c <= 1,
-    infinite or NaN, g < 1, a tau or c that is not a real number, or a
-    k_max or g that is not an integer (a Python or numpy one). An override
-    of None stands for the default grid.
+    candidate it is part of, by the builders' own check of it: ``_check_tau``
+    (a real number in [0, 1]), ``check_ladder(k_max, 0)``, ``check_ratio``
+    (a real number, finite and > 1) and ``partition_by_ratio``'s count rule
+    for g (an integer >= 1). An override of None stands for the default grid.
     """
-    taken = _GRID_LIMITS if method is None else GRIDS[method]
+    taken = _GRID_RULES if method is None else GRIDS[method]
     for name in grids:
         if name not in taken:
             raise ValueError(f"method {method!r} takes no such grid {name!r}" if method
@@ -467,10 +464,8 @@ def check_grids(grids: dict, method: str | None = None) -> dict:
             continue
         if len(values) == 0:
             raise ValueError(f"empty grid overrides [{name!r}]")
-        valid, rule = _GRID_LIMITS[name]
         for value in values:
-            if not valid(value):
-                raise ValueError(f"{rule}, got {value if isinstance(value, Real) else repr(value)}")
+            _GRID_RULES[name](value)
     return grids
 
 

@@ -299,7 +299,7 @@ BOUND_ARGS = {
     ("eq3", ["--c", "0.5"] + BOUND_ARGS["eq3"][2:],
      "cannot evaluate eq3: ratio c must be > 1, got 0.5"),
     ("lemma1", ["--k-groups", "1"] + BOUND_ARGS["lemma1"][2:],
-     "cannot evaluate lemma1: bound needs k_groups >= 2, got 1"),
+     "cannot evaluate lemma1: k_groups must be >= 2, got 1"),
     ("sandwich-alloc", ["--fp", "0"] + BOUND_ARGS["sandwich-alloc"][2:],
      "cannot evaluate sandwich-alloc: f_p must be in (0, 1), got 0.0"),
     ("disjoint-alloc", BOUND_ARGS["disjoint-alloc"][:2] + ["--n-per-group", "100,100"]
@@ -317,7 +317,7 @@ def test_bound_refuses_with_one_line(op, argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--keys", "-5", "--nonkeys", "10"], "cannot generate: n and m must be >= 0"),
+    (["--keys", "-5", "--nonkeys", "10"], "cannot generate: key count n must be >= 0, got -5"),
     (["--keys", "10", "--nonkeys", "10", "--key-beta", "0,1"],
      "cannot generate: key_shape parameters must be finite and > 0, got (0.0, 1.0)"),
     (["--keys", "10", "--nonkeys", "10", "--nonkey-beta", "nan,2"],
@@ -541,10 +541,10 @@ def test_a_negative_count_exits_with_one_line(command, argv, message, data, tmp_
     ("build", ["--method", "lbf", "--tau", "0.5", "--model-bits", "{v}kb"],
      "bad --model-bits: budget must be finite, got '{v}kb'"),
     ("tune", ["--method", "ada", "--c-grid", "{v}"],
-     "bad --c-grid: c must be finite and > 1, got {v}"),
+     "bad --c-grid: ratio c must be finite, got {v}"),
     ("tune", ["--method", "lbf", "--bitmap-bits", "{v}kb"],
      "bad --bitmap-bits: budget must be finite, got '{v}kb'"),
-    ("bench", ["--c-grid", "2,{v}"], "bad --c-grid: c must be finite and > 1, got {v}"),
+    ("bench", ["--c-grid", "2,{v}"], "bad --c-grid: ratio c must be finite, got {v}"),
     ("bench", ["--budgets", "8kb,{v}kb"], "bad --budgets: budget must be finite, got '{v}kb'")])
 def test_a_non_finite_value_exits_with_one_line(command, argv, message, value, data, tmp_path,
                                                  capsys):

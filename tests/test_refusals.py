@@ -6,6 +6,7 @@ not a subclass) and a fragment of its message.
 
 import re
 import signal
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from adabloom.scores import (
     ScorePartition,
     gen_synthetic,
     load_scored_csv,
+    min_sample_size,
     partition_below_threshold,
     partition_by_ratio,
 )
@@ -79,7 +81,7 @@ def _csv(text):
 REFUSALS = [
     # adaptive
     ("ada-params-negative-k", lambda _: AdaptiveParams(TWO, (1, -1)), ValueError,
-     "hash counts must be >= 0, got (1, -1)"),
+     "hash count k must be >= 0, got -1"),
     ("ada-params-c-1", lambda _: AdaptiveParams(TWO, (1, 0), 1.0), ValueError,
      "ratio c must be > 1, got 1.0"),
     ("ada-params-c-nan", lambda _: AdaptiveParams(TWO, (1, 0), NAN), ValueError,
@@ -115,7 +117,7 @@ REFUSALS = [
     ("allocate-g-0", lambda _: allocate_disjoint(100, (), 2.0, 0), ValueError,
      "group count g must be >= 1, got 0"),
     ("allocate-negative-key-count", lambda _: allocate_disjoint(100, (3, -1), 2.0, 2),
-     ValueError, "key counts must be >= 0, got [3, -1]"),
+     ValueError, "key count n must be >= 0, got -1"),
     ("allocate-keyless-over-budget", lambda _: allocate_disjoint(1, (0, 0, 5), 2.0, 3),
      InfeasibleBudgetError, "budget 1 cannot cover 2 keyless groups"),
     ("disjoint-keyless-over-budget",
@@ -152,9 +154,9 @@ REFUSALS = [
     # scores
     ("csv-empty-file", _csv(""), DatasetError, "empty file, expected header id,score,label"),
     ("gen-float-n", lambda _: gen_synthetic(2.5, 3), ValueError,
-     "n and m must be integers, got 2.5 and 3"),
+     "key count n must be an integer, got 2.5"),
     ("gen-str-m", lambda _: gen_synthetic(3, "3"), ValueError,
-     "n and m must be integers, got 3 and '3'"),
+     "non-key count m must be an integer, got '3'"),
     ("csv-empty-id", _csv("id,score,label\n,0.5,key\n"), DatasetError,
      "line 2: id must be non-empty and comma-free"),
     ("csv-comma-id", _csv('id,score,label\n"a,b",0.5,key\n'), DatasetError,
@@ -166,15 +168,15 @@ REFUSALS = [
     ("partition-counts-length", lambda _: ScorePartition((0.0, 1.0), (1, 2), (1,)), ValueError,
      "per-group counts must have one entry per group"),
     ("partition-by-ratio-g-fraction", lambda _: partition_by_ratio(DS, 2.5, 2.0), ValueError,
-     "g must be an integer >= 1, got 2.5"),
+     "group count g must be an integer, got 2.5"),
     ("partition-by-ratio-c-nan", lambda _: partition_by_ratio(DS, 3, NAN), ValueError,
      "ratio c must be finite, got nan"),
     ("partition-by-ratio-c-inf", lambda _: partition_by_ratio(DS, 3, INF), ValueError,
      "ratio c must be finite, got inf"),
     ("below-threshold-g-1", lambda _: partition_below_threshold(DS, 0.5, 1, 2.0), ValueError,
-     "need g >= 2 to pin a top threshold, got 1"),
+     "group count g must be >= 2, got 1"),
     ("below-threshold-g-fraction", lambda _: partition_below_threshold(DS, 0.5, 2.5, 2.0),
-     ValueError, "g must be an integer >= 2, got 2.5"),
+     ValueError, "group count g must be an integer, got 2.5"),
     ("below-threshold-tau-1", lambda _: partition_below_threshold(DS, 1.0, 3, 2.0), ValueError,
      "tau must be in (0, 1), got 1.0"),
     ("below-threshold-tau-nan", lambda _: partition_below_threshold(DS, NAN, 3, 2.0), ValueError,
@@ -191,8 +193,9 @@ REFUSALS = [
     ("alpha-load-r-0", lambda _: alpha_load(0, (1,), (1,)), ValueError,
      "filter size r must be >= 1, got 0"),
     ("expected-fpr-standard-negative", lambda _: expected_fpr_standard(10, -1, 1), ValueError,
-     "n and k must be >= 0"),
-    ("optimal-k-negative", lambda _: optimal_k(-1, 1), ValueError, "r and n must be >= 0"),
+     "key count n must be >= 0, got -1"),
+    ("optimal-k-negative", lambda _: optimal_k(-1, 1), ValueError,
+     "filter size r must be >= 0, got -1"),
     ("standard-batch-b-longer",
      lambda _: build_standard(["x"], 64, 2, 1).contains_batch(PAIR[0][:1], PAIR[1]), ValueError,
      "batch arrays differ in length: base_a 1, base_b 2"),
@@ -222,9 +225,9 @@ REFUSALS = [
     ("measure-no-nonkeys", lambda _: _measure(None, KEYS_ONLY.by_score()), ValueError,
      "cannot measure FPR without non-keys"),
     ("c-grid-inf", lambda _: check_grids({"c_grid": [2.0, INF]}), ValueError,
-     "c must be finite and > 1, got inf"),
+     "ratio c must be finite, got inf"),
     ("c-grid-nan", lambda _: check_grids({"c_grid": [NAN]}, "disjoint"), ValueError,
-     "c must be finite and > 1, got nan"),
+     "ratio c must be finite, got nan"),
     ("run-sweep-no-budgets", lambda _: run_sweep(DS, [], ["lbf"], [0]), ValueError,
      "budgets, methods and seeds must be non-empty"),
     ("run-sweep-no-methods", lambda _: run_sweep(DS, [1000], [], [0]), ValueError,
@@ -267,6 +270,18 @@ REFUSALS = [
      lambda _: BitVector(64).test_hashed(*PAIR, 1, ranges=np.full(2, 64, dtype=np.uint64)),
      ValueError, "per-item ranges and offsets are given together"),
     ("dump-unknown-type", lambda _: dump_filter(object()), TypeError, "cannot serialize object"),
+    ("hash-family-negative-lane", lambda _: HashFamily(1, lane=-1), ValueError,
+     "lane must be >= 0, got -1"),
+    # a text label: as a bool, any non-empty text would read as a key
+    ("columns-text-labels",
+     lambda _: ScoredDataset.from_columns(["a", "b"], [0.5, 0.5], ["False", "True"]),
+     DatasetError, "row 0: label must be a truth value, not text, got 'False'"),
+    ("items-text-label",
+     lambda _: ScoredDataset([ScoredItem("a", 0.5, "False"), ScoredItem("b", 0.5, False)]),
+     DatasetError, "row 0: label must be a truth value, not text, got 'False'"),
+    ("items-bytes-label",
+     lambda _: ScoredDataset([ScoredItem("a", 0.5, True), ScoredItem("b", 0.5, b"no")]),
+     DatasetError, "row 1: label must be a truth value, not text, got b'no'"),
 ]
 
 
@@ -334,6 +349,123 @@ def test_numpy_integer_counts_are_taken():
     assert build_lbf(DS, np.uint16(1000), 0.5, 0, np.int64(10)).model_bits == 10
     rows = run_sweep(DS, [np.int64(3000)], ["lbf"], [np.int8(2)], tau_grid=[0.5])
     assert (rows[0].total_bits, rows[0].seed) == (3000, 2)
+
+
+def _set_hashed(k):
+    bits = BitVector(64)
+    bits.set_hashed(*PAIR, k)
+    return bits.to_bytes()
+
+
+# (id, call of one integer parameter's value, its name in a refusal, a value it takes):
+# every integer parameter, each checked by ``bits._check_count``. Before, a fractional
+# bound, load or allocation gave a number, a fractional hash count failed later with a
+# TypeError, and a fractional lane was truncated.
+INTEGER_PARAMETERS = [
+    # hash counts k
+    ("standard-bloom-k", lambda k: repr(StandardBloom(BitVector(100), k, HashFamily(0))),
+     "hash count k", 2),
+    ("build-standard-k", lambda k: dump_filter(build("standard", DS, 2000, k=k)),
+     "hash count k", 2),
+    ("set-hashed-k", _set_hashed, "hash count k", 2),
+    ("test-hashed-k", lambda k: BitVector(64).test_hashed(*PAIR, k).tolist(), "hash count k", 2),
+    ("iter-indices-k", lambda k: HashFamily(0).indices("x", k, 64), "hash count k", 3),
+    ("ada-params-k", lambda k: AdaptiveParams(TWO, (k, 0)).k_per_group, "hash count k", 2),
+    ("alpha-load-k", lambda k: alpha_load(100, [10], [k]), "hash count k", 2),
+    ("expected-fpr-standard-k", lambda k: expected_fpr_standard(100, 10, k), "hash count k", 2),
+    ("expected-fpr-ada-k", lambda k: expected_fpr_ada((0.5, 0.5), (k, 0), 0.5), "hash count k", 2),
+    # ranges r and key counts n
+    ("iter-indices-r", lambda r: HashFamily(0).indices("x", 3, r), "hash range r", 64),
+    ("alpha-load-r", lambda r: alpha_load(r, [10], [2]), "filter size r", 100),
+    ("alpha-load-n", lambda n: alpha_load(100, [n], [2]), "key count n", 10),
+    ("expected-fpr-standard-n", lambda n: expected_fpr_standard(100, n, 2), "key count n", 10),
+    ("optimal-k-r", lambda r: optimal_k(r, 10), "filter size r", 100),
+    ("optimal-k-n", lambda n: optimal_k(100, n), "key count n", 10),
+    ("allocate-n", lambda n: allocate_disjoint(1000, [n, 2, 0], 2.0, 3), "key count n", 1),
+    # group counts g
+    ("partition-by-ratio-g", lambda g: partition_by_ratio(DS, g, 2.0), "group count g", 3),
+    ("below-threshold-g", lambda g: partition_below_threshold(DS, 0.5, g, 2.0),
+     "group count g", 3),
+    ("allocate-g", lambda g: allocate_disjoint(1000, [1, 2, 0], 2.0, g), "group count g", 3),
+    ("eq3-g", lambda g: fpr_upper_bound(2.0, 0.5, g, 4), "group count g", 2),
+    ("kmax-from-lbf-g", lambda g: kmax_from_lbf(4, g), "group count g", 3),
+    ("min-sample-size-k-groups", lambda g: min_sample_size(g, 0.1, 0.1), "k_groups", 2),
+    ("build-disjoint-g", lambda g: dump_filter(build("disjoint", DS, 2000, g=g, c=2.0)),
+     "group count g", 3),
+    # the ends of a hash-count ladder
+    ("from-ratio-k-max", lambda k: AdaptiveParams.from_ratio(TWO, k, 1).k_per_group, "k_max", 2),
+    ("from-ratio-k-min", lambda k: AdaptiveParams.from_ratio(TWO, 2, k).k_per_group, "k_min", 1),
+    ("build-ada-k-max", lambda k: dump_filter(build("ada", DS, 2000, k_max=k, c=2.0)), "k_max", 2),
+    ("eq3-k-max", lambda k: fpr_upper_bound(2.0, 0.5, 2, k), "k_max", 4),
+    ("kmax-from-lbf-k-lbf", lambda k: kmax_from_lbf(k, 2), "k_lbf", 4),
+    # item counts and hash lanes
+    ("gen-n", lambda n: gen_synthetic(n, 3).fingerprint(), "key count n", 3),
+    ("gen-m", lambda m: gen_synthetic(3, m).fingerprint(), "non-key count m", 3),
+    ("hash-family-lane", lambda lane: HashFamily(1, lane=lane).pair("x"), "lane", 1),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [row[1:] for row in INTEGER_PARAMETERS],
+                         ids=[row[0] for row in INTEGER_PARAMETERS])
+def test_an_integer_parameter_refuses_a_fraction_and_takes_numpy_integers(call, name, value):
+    fraction = value + 0.5
+    refusal = f"{name} must be an integer, got {fraction}"
+    with pytest.raises(ValueError, match=re.escape(refusal)) as info:
+        call(fraction)
+    assert type(info.value) is ValueError
+    expected = call(value)
+    for numpy_value in (np.int64(value), np.uint8(value)):
+        assert call(numpy_value) == expected
+
+
+# (grid override, method, a builder given that value): the builders own the rule of
+# each value, and ``check_grids`` calls it, so both refuse a value with one message
+ALIKE = [
+    ({"tau_grid": ["0.5"]}, "lbf", lambda: build("lbf", DS, 3000, tau="0.5")),
+    ({"tau_grid": ["0.5"]}, "sandwich", lambda: build_sandwiched(DS, 3000, "0.5", 0)),
+    ({"tau_grid": ["0.5"]}, "lbf", lambda: build_lbf(DS, 3000, "0.5", 0)),
+    ({"tau_grid": [NAN]}, "lbf", lambda: build("lbf", DS, 3000, tau=NAN)),
+    ({"tau_grid": [1.5]}, "sandwich", lambda: build("sandwich", DS, 3000, tau=1.5)),
+    ({"c_grid": ["2"]}, "ada", lambda: build("ada", DS, 3000, k_max=2, c="2")),
+    ({"c_grid": ["2"]}, "disjoint", lambda: build("disjoint", DS, 3000, g=3, c="2")),
+    ({"c_grid": ["2"]}, "disjoint", lambda: partition_by_ratio(DS, 3, "2")),
+    ({"c_grid": [NAN]}, "ada", lambda: build("ada", DS, 3000, k_max=2, c=NAN)),
+    ({"c_grid": [1.0]}, "disjoint", lambda: build("disjoint", DS, 3000, g=3, c=1.0)),
+    ({"kmax_grid": [3.5]}, "ada", lambda: build("ada", DS, 3000, k_max=3.5, c=2.0)),
+    ({"kmax_grid": [-1]}, "ada", lambda: build("ada", DS, 3000, k_max=-1, c=2.0)),
+    ({"g_grid": [2.5]}, "disjoint", lambda: build("disjoint", DS, 3000, g=2.5, c=2.0)),
+    ({"g_grid": ["3"]}, "disjoint", lambda: build("disjoint", DS, 3000, g="3", c=2.0)),
+    ({"g_grid": [0]}, "disjoint", lambda: build("disjoint", DS, 3000, g=0, c=2.0)),
+]
+
+
+@pytest.mark.parametrize("grids, method, call", ALIKE)
+def test_the_grids_and_the_builders_refuse_a_value_alike(grids, method, call):
+    with pytest.raises(ValueError) as grid:
+        check_grids(grids, method)
+    with pytest.raises(ValueError) as built:
+        call()
+    assert type(built.value) is ValueError
+    assert str(built.value) == str(grid.value)
+
+
+@pytest.mark.parametrize("method, params", [
+    ("standard", {}), ("lbf", {"tau": 0.5}), ("sandwich", {"tau": 0.7}),
+    ("ada", {"k_max": 3, "c": 2.0}), ("disjoint", {"g": 3, "c": 2.0})])
+def test_a_numpy_seed_builds_the_filter_of_its_value(method, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # splitmix64 warned of overflow on a numpy seed
+        dumps = [dump_filter(build(method, DS, 3000, seed, **params))
+                 for seed in (3, np.int64(3), np.uint64(3))]
+    assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
+def test_a_numpy_seed_tunes_as_its_value():
+    # a numpy int64 seed raised OverflowError in HashFamily
+    got = [tune("ada", DS, 3000, seed=seed, kmax_grid=[2], c_grid=[2.0]).fpr
+           for seed in (3, np.int64(3))]
+    assert got[1] == got[0]
+    assert type(HashFamily(np.uint64(3)).seed) is int
 
 
 ADA = build_ada(DS, 2000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.0), 2, 0, 2.0), 1)

@@ -664,7 +664,7 @@ class TestPartition:
         assert partition_by_ratio(ds, np.int64(3), 2.0) == partition_by_ratio(ds, 3, 2.0)
         assert partition_below_threshold(ds, 0.8, np.int32(3), 2.0).g == 3
         for g in (2.5, 3.0):
-            with pytest.raises(ValueError, match=re.escape(f"g must be an integer >= 1, got {g}")):
+            with pytest.raises(ValueError, match=re.escape(f"group count g must be an integer, got {g}")):
                 partition_by_ratio(ds, g, 2.0)
 
     def test_tie_block_absorbed_whole(self):

@@ -190,10 +190,10 @@ class TestNegativeModelBits:
     ({"k_grid": [3]}, None, "no tuner takes a grid override 'k_grid'"),
     ({"kmax_grid": None, "c_grid": []}, "ada", "empty grid overrides ['c_grid']"),
     ({"c_grid": [2.0], "tau_grid": [0.5, 1.5]}, None, "tau must be in [0, 1], got 1.5"),
-    ({"g_grid": [3, 2.5]}, "disjoint", "g must be an integer >= 1, got 2.5"),
-    ({"g_grid": [3.0]}, "disjoint", "g must be an integer >= 1, got 3.0"),
-    ({"kmax_grid": [3.5]}, "ada", "k_max must be an integer >= 0, got 3.5"),
-    ({"c_grid": [2.0, "2"]}, "ada", "c must be finite and > 1, got '2'"),
+    ({"g_grid": [3, 2.5]}, "disjoint", "group count g must be an integer, got 2.5"),
+    ({"g_grid": [3.0]}, "disjoint", "group count g must be an integer, got 3.0"),
+    ({"kmax_grid": [3.5]}, "ada", "k_max must be an integer, got 3.5"),
+    ({"c_grid": [2.0, "2"]}, "ada", "ratio c must be a real number, got '2'"),
     ({"tau_grid": [None]}, "lbf", "tau must be in [0, 1], got None")])
 def test_check_grids_names_the_first_bad_override(grids, method, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -276,11 +276,14 @@ class TestBuild:
         with pytest.raises(ValueError, match="hash count k must be >= 0, got -1"):
             build("standard", gen_synthetic(n, 10, seed=1), 100, k=-1)
 
-    @pytest.mark.parametrize("k_max, k_min", [(2, 3), (-1, 0), (2, -1), (3.5, 0), (3, 0.5)])
-    def test_ada_names_k_max_and_k_min(self, ds, k_max, k_min):
+    @pytest.mark.parametrize("k_max, k_min, message", [
+        (2, 3, "need k_max >= k_min >= 0, got (2, 3)"), (-1, 0, "k_max must be >= 0, got -1"),
+        (2, -1, "k_min must be >= 0, got -1"), (3.5, 0, "k_max must be an integer, got 3.5"),
+        (3, 0.5, "k_min must be an integer, got 0.5")])
+    def test_ada_names_k_max_and_k_min(self, ds, k_max, k_min, message):
         # checked before a partition into g = k_max - k_min + 1 groups is cut
         with mock.patch.object(tuning, "partition_by_ratio", side_effect=AssertionError):
-            with pytest.raises(ValueError, match=fr"k_max >= k_min >= 0, got \({k_max}, {k_min}\)"):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 build("ada", ds, 9000, k_max=k_max, k_min=k_min, c=2.0)
 
 
