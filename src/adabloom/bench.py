@@ -25,7 +25,7 @@ import numpy as np
 
 from .bits import is_integer
 from .scores import ScoredDataset
-from .standard import check_model_count
+from .standard import _answer_rows, check_model_count
 from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
 
 __all__ = ["SweepRow", "METHODS", "check_budgets", "check_methods", "run_sweep", "rows_to_csv",
@@ -76,9 +76,10 @@ def parse_budget(text: str) -> int:
 
 
 def _query_ns(filt, view: ScoredDataset, seed: int) -> float:
-    """Median of three timings of one batch query of the view's non-keys, per item."""
-    a, b, rows = *view.nonkey_pairs(seed), view.probe_rows(keys=False)
-    reps = timeit.repeat(lambda: filt.contains_batch(a, b, view.nonkey_scores, rows=rows),
+    """Median of three timings of one batch query of the view's non-keys, per item:
+    the public ``contains_batch`` of their base pairs and scores, as a caller queries."""
+    a, b = view.nonkey_pairs(seed)
+    reps = timeit.repeat(lambda: filt.contains_batch(a, b, view.nonkey_scores),
                          number=1, repeat=3)
     return sorted(reps)[1] * 1e9 / max(1, view.m)
 
@@ -145,8 +146,7 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                         res = tune(method, dataset, bitmap_bits, seed, row_model_bits, **grids)
                         filt, fpr = res.filter, res.fpr  # holdout 0: over every non-key
                     build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
-                    hits = filt.contains_batch(*view.key_pairs(seed), view.key_scores,
-                                               rows=view.probe_rows(keys=True))
+                    hits = _answer_rows(filt, view.key_scores, view.probe_rows(keys=True))
                     fnr = 1.0 - (np.count_nonzero(hits) / view.n if view.n else 1.0)
                     query_ns = _query_ns(filt, view, seed) if timing else None
                     analytical = filt.expected_fpr()

@@ -380,6 +380,8 @@ class HashFamily:
     __slots__ = ("seed", "lane", "_salt_a", "_salt_b", "_lane_a", "_lane_b")
 
     def __init__(self, seed: int, lane: int = 0):
+        if not is_integer(seed):  # any integer, kept mod 2**64: only the count rule's first step
+            raise ValueError(f"seed must be an integer, got {_shown(seed)}")
         self.seed = index(seed) & _MASK64  # a Python int: a numpy seed would overflow or wrap
         self.lane = _check_count("lane", lane, 0)
         self._salt_a = splitmix64(self.seed ^ 0x243F6A8885A308D3)

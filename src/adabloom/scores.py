@@ -334,7 +334,7 @@ class ScoredDataset:
           ``sandwich`` reduced to ``lbf`` reuse it from candidate to
           candidate, while the per-group lanes of ``disjoint`` build nothing.
 
-        ``insert_keys`` and ``GatedBloom.contains_batch`` read these through
+        ``insert_keys`` and ``standard._answer_rows`` read these through
         ``probe_rows``. The view also keeps each partition that
         ``partition_by_ratio`` cut from it, one per (g, c), since no
         partition depends on the budget or the seed: a pass of the

@@ -25,11 +25,12 @@ score. The four learned filters are such stage tuples:
   and hash lane.
 
 A bound lo <= 0 or hi > 1 is an open end, so the top group's stage, with
-hi = inf, holds the score 1. Both query paths of a ``GatedBloom`` raise
-``ValueError`` on a missing, NaN or out-of-range score; ``StandardBloom``
-takes a score too and ignores it. A batch without rows whose hash arrays
-and scores differ in length, and a batch with rows whose scores and rows
-differ in length, are refused with ``ValueError`` before any probe.
+hi = inf, holds the score 1. A ``StandardBloom`` is the one stage
+``(0, inf, self)`` (its ``stages``). Both query paths of a ``GatedBloom``
+raise ``ValueError`` on a missing, NaN or out-of-range score;
+``StandardBloom`` takes a score too and ignores it. A batch whose hash
+arrays and scores differ in length is refused with ``ValueError`` before
+any probe.
 
 Each learned filter also gives ``shares``: pieces ``(lo, hi, share)`` of
 the score axis with their share of the build's non-keys, or None when the
@@ -50,12 +51,14 @@ one formula on that table for all four:
 For ``ada`` this is the paper's sum_j p_j alpha^K_j (``expected_fpr_ada``),
 for the sandwich F_initial * (f_p + (1 - f_p) F_backup).
 
-``insert_keys`` and a batch query that comes with ``ProbeRows`` pick each
-stage's items with ``_stage_items``. A batch with rows is in ascending
-score order (see ``bits.ProbeRows``), so a stage's items are one run of
-it: two ``searchsorted`` calls give the range [i0, i1), the inputs are
-views, the stage reads the view's held pairs and cached probe columns, and
-the answers are written to ``out[i0:i1]``. Only a stage whose interval
+``insert_keys``, a batch query's later stages and ``_answer_rows`` (the
+tuners' count of a score-ordered view's rows, any kind of filter) pick
+each stage's items with ``_stage_items`` and get their final pairs with
+``_stage_pairs``. Rows of a view are in ascending score order (see
+``bits.ProbeRows``), so a stage's items are one run of them: two
+``searchsorted`` calls give the range [i0, i1), the inputs are views, the
+stage reads the view's held pairs and cached probe columns, and the
+answers are written to ``out[i0:i1]``. Only a stage whose interval
 overlaps an earlier one (a sandwich's backup) can hold items already
 rejected; it narrows to the survivors inside its range. Items without rows
 (a plain dataset, a query batch's later stages) are selected by position:
@@ -67,21 +70,21 @@ random, two ``uint64`` boolean gathers took 63 us and a boolean scatter
 31 us, where ``flatnonzero`` took 8 us, two ``take`` calls 10 us and the
 scatter to positions 8 us (2-core Xeon, numpy 2.4, best of 5 x 1000).
 
-A batch query without rows (a query batch, a plain dataset) is answered
-by one probe walk over stages with disjoint intervals, picked in one
-pass by lower bound (``_Walk``), if there are at least two. So each item
-gets its stage once, by ``scores.score_pieces`` of its score in their
-bounds, is remixed once on that stage's lane, and all items of a block
-(below) walk in one ``BitVector.test_hashed`` call with a hash count (0
-outside every stage, which passes), range and bit offset each; the
-offsets point into one copy of the stages' arrays laid end to end, made
-with the walk, and ``ada``'s stages, on one array, keep one range and no
-offsets. The other stages are probed afterwards, one at a time, on the
-survivors inside their interval: a stage that overlaps a walked one (a
-sandwich's backup), and a stage that would walk alone (``lbf``'s backup,
-the sandwich's initial filter).
+A batch query is answered by one probe walk over stages with disjoint
+intervals, picked in one pass by lower bound (``_Walk``), if there are
+at least two. So each item gets its stage once, by
+``scores.score_pieces`` of its score in their bounds, is remixed once on
+that stage's lane, and all items of a block (below) walk in one
+``BitVector.test_hashed`` call with a hash count (0 outside every stage,
+which passes), range and bit offset each; the offsets point into one
+copy of the stages' arrays laid end to end, made with the walk, and
+``ada``'s stages, on one array, keep one range and no offsets. The other
+stages are probed afterwards, one at a time, on the survivors inside
+their interval: a stage that overlaps a walked one (a sandwich's
+backup), and a stage that would walk alone (``lbf``'s backup, the
+sandwich's initial filter).
 
-Every batch without rows, of a ``GatedBloom`` or a ``StandardBloom``, is
+Every batch query, of a ``GatedBloom`` or a ``StandardBloom``, is
 answered in blocks of ``_WALK_ITEMS`` (2**15) items, the walk and every
 later stage alike: its arrays and scores are checked whole, before any
 probe, then each block is gathered, remixed and probed on its own, and
@@ -106,10 +109,10 @@ the 10k scores among 18 bounds by ``searchsorted``, a binary search per
 score, took 0.21 ms. ``score_pieces`` compares every score with each
 bound instead: a 10k batch then took 0.33 instead of 0.42 ms on ``ada``
 and 0.63 instead of 0.75 ms on ``disjoint``, with equal answers (CPU
-time, best of 20, medians of 9 alternating runs). Batches with rows keep
+time, best of 20, medians of 9 alternating runs). ``_answer_rows`` keeps
 a walk per stage, which reads cached columns and held pairs: on the 50k
 non-keys of a score-ordered view, ``disjoint`` at g = 8 and 150 Kb took
-2.0 ms with rows and 4.6 ms in one walk without.
+2.0 ms by ``_answer_rows`` and 4.6 ms in one walk of the raw batch.
 """
 
 from __future__ import annotations
@@ -185,6 +188,11 @@ class StandardBloom:
     def seed(self) -> int:
         return self.family.seed
 
+    @property
+    def stages(self) -> tuple[tuple[float, float, "StandardBloom"], ...]:
+        """The filter as a stage table: itself, over the whole score axis."""
+        return ((0.0, math.inf, self),)
+
     def contains(self, item: bytes | str, score: float | None = None) -> bool:
         """Membership test; false positives possible, false negatives not.
 
@@ -192,27 +200,18 @@ class StandardBloom:
         """
         return self.bits.test_bits(self.family.iter_indices(item, self.k, self.bits.length_bits))
 
-    def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
-                       scores: np.ndarray | None = None, *,
-                       rows: ProbeRows | None = None) -> np.ndarray:
+    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+                       scores: np.ndarray | None = None) -> np.ndarray:
         """Batch membership test from base-hash arrays of the master seed.
 
-        With ``rows``, from a score-ordered view, the batch's hashes are read
-        from the view instead (``ProbeRows.pairs``: the held final pairs of
-        lanes 0 and 1, no remix), so ``base_a`` and ``base_b`` are not read
-        and may be None, and the probe reads its cached columns; scores, if
-        given, must be as many as the rows. Without rows, a missing base
-        array or arrays of different lengths are refused, and the batch is
-        remixed and probed in blocks of ``_WALK_ITEMS`` items. A refused
-        batch raises ValueError before any probe.
+        A missing base array or arrays of different lengths are refused with
+        ValueError before any probe; the batch is remixed and probed in
+        blocks of ``_WALK_ITEMS`` items. ``scores``, if given, must be as
+        many as the items, and are not read otherwise.
         """
-        if rows is None:
-            _check_batch(base_a, base_b, scores)
-            return _in_blocks(lambda a, b: self.bits.test_hashed(
-                *self.family.remix_pairs(a, b), self.k), base_a, base_b)
-        _check_rows(scores, rows)
-        return self.bits.test_hashed(*rows.pairs(self.family), self.k,
-                                     cached=rows.cached(self.family, self.bits.length_bits))
+        _check_batch(base_a, base_b, scores)
+        return _in_blocks(lambda a, b: self.bits.test_hashed(
+            *self.family.remix_pairs(a, b), self.k), base_a, base_b)
 
     def expected_fpr(self) -> float:
         return expected_fpr_standard(self.size_bits, self.n_inserted, self.k)
@@ -222,14 +221,14 @@ class StandardBloom:
 
 
 def _check_batch(base_a, base_b, scores) -> None:
-    """ValueError unless a batch without probe rows has both base arrays, each a 1-D
-    ``uint64`` array, all equally long.
+    """ValueError unless a batch has both base arrays, each a 1-D ``uint64`` array,
+    all equally long.
 
     ``scores`` may be None; a refused base array is named with its shape and
     dtype, a length mismatch with the lengths.
     """
     if base_a is None or base_b is None:
-        raise ValueError("a batch without probe rows needs base_a and base_b")
+        raise ValueError("a batch needs base_a and base_b")
     for name, x in (("base_a", base_a), ("base_b", base_b)):
         if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.uint64):
             got = (f"shape {x.shape}, dtype {x.dtype}" if isinstance(x, np.ndarray)
@@ -242,15 +241,9 @@ def _check_batch(base_a, base_b, scores) -> None:
                          + ", ".join(f"{name} {n}" for name, n in named))
 
 
-def _check_rows(scores, rows: ProbeRows) -> None:
-    """ValueError if a batch with probe rows has scores of another length than its rows."""
-    if scores is not None and len(scores) != rows.size:
-        raise ValueError(f"batch arrays differ in length: scores {len(scores)}, rows {rows.size}")
-
-
 def _in_blocks(answer, *arrays: np.ndarray) -> np.ndarray:
-    """``answer(*arrays)`` of a batch without probe rows, called on each block of at
-    most ``_WALK_ITEMS`` items of the arrays and concatenated; one call if they fit one."""
+    """``answer(*arrays)`` of a batch, called on each block of at most ``_WALK_ITEMS``
+    items of the arrays and concatenated; one call if they fit one."""
     n = len(arrays[0])
     if n <= _WALK_ITEMS:
         return answer(*arrays)
@@ -293,17 +286,17 @@ def _stage_items(scores: np.ndarray, lo: float, hi: float, ordered: bool,
     return sel, sel.stop - i0
 
 
-# Items per block: a batch without probe rows is answered this many items at a
-# time, its walk and every later stage alike. The walk holds about 110 bytes per
-# item (pairs, stage tables, the walkers' positions and their counts, ranges and
-# offsets in walk order), so one 400k batch on ``disjoint`` peaked at 42 MiB
-# unblocked; ``lbf``'s backup, probed after the walk, took 18.1 MB on one 400k
-# batch unblocked and 1.8 MB in blocks (tracemalloc).
+# Items per block: a batch query is answered this many items at a time, its walk and
+# every later stage alike. The walk holds about 110 bytes per item (pairs, stage
+# tables, the walkers' positions and their counts, ranges and offsets in walk
+# order), so one 400k batch on ``disjoint`` peaked at 42 MiB unblocked; ``lbf``'s
+# backup, probed after the walk, took 18.1 MB on one 400k batch unblocked and 1.8 MB
+# in blocks (tracemalloc).
 _WALK_ITEMS = 1 << 15
 
 
 class _Walk(NamedTuple):
-    """How ``GatedBloom.contains_batch`` answers a block of a batch without probe rows.
+    """How ``GatedBloom.contains_batch`` answers a block of a batch.
 
     The batch comes in blocks of at most ``_WALK_ITEMS`` items, and each
     block is walked, then probed on the ``later`` stages, before the next.
@@ -412,39 +405,27 @@ class GatedBloom:
         score = float(score)  # as in ``check_scores``: a float32 would meet the bounds in float32
         return all(stage.contains(item) for lo, hi, stage in self.stages if lo <= score < hi)
 
-    def contains_batch(self, base_a: np.ndarray | None, base_b: np.ndarray | None,
-                       scores: np.ndarray | None = None, *,
-                       rows: ProbeRows | None = None) -> np.ndarray:
+    def contains_batch(self, base_a: np.ndarray, base_b: np.ndarray,
+                       scores: np.ndarray | None = None) -> np.ndarray:
         """Batch ``contains`` from base-hash arrays of the master seed.
 
-        ``rows`` gives the items' rows in a score-ordered view's probe cache,
-        from which every stage reads its hashes: then ``base_a`` and ``base_b``
-        are not read and may be None. A batch with rows must be in ascending
-        score order (see ``ProbeRows``), or ValueError: its stages pick score
-        ranges, and a range of an unordered batch would send keys to the
-        wrong stages, and as many scores as rows, or ValueError. A batch
-        without rows is answered in blocks of ``_WALK_ITEMS`` items, each by
-        one walk over stages with disjoint intervals, if there are two or
-        more (see ``_Walk``), and then the later stages.
+        The arrays and scores are checked whole, before any probe, then
+        answered in blocks of ``_WALK_ITEMS`` items, each by one walk over
+        stages with disjoint intervals, if there are two or more (see
+        ``_Walk``), and then the later stages.
         """
         if scores is None:
             raise ValueError(f"{type(self).__name__} queries need a score")
         scores = check_scores(scores)
-        if rows is None:
-            _check_batch(base_a, base_b, scores)
-            walk = self._walk
-            if walk is None:
-                walk = _Walk.of(self.stages)
-                if all(stage.bits.frozen for _, _, stage in self.stages):
-                    self._walk = walk
-            return _in_blocks(lambda a, b, s: _probe_stages(walk.later, a, b, s,
-                                                            walk.answer(a, b, s)),
-                              base_a, base_b, scores)
-        _check_rows(scores, rows)
-        if not (scores[1:] >= scores[:-1]).all():
-            raise ValueError("a batch with probe rows must be in ascending score order")
-        return _probe_stages(self.stages, None, None, scores, np.ones(len(scores), dtype=bool),
-                             rows)
+        _check_batch(base_a, base_b, scores)
+        walk = self._walk
+        if walk is None:
+            walk = _Walk.of(self.stages)
+            if all(stage.bits.frozen for _, _, stage in self.stages):
+                self._walk = walk
+        return _in_blocks(lambda a, b, s: _probe_stages(walk.later, a, b, s,
+                                                        walk.answer(a, b, s)),
+                          base_a, base_b, scores)
 
     def expected_fpr(self) -> float | None:
         """Expected FPR from the stage table and the shares; None without non-keys.
@@ -470,19 +451,49 @@ class GatedBloom:
             for piece_lo, piece_hi, share in self.shares)
 
 
+def _stage_pairs(stage: StandardBloom, sel, base_a, base_b, rows: ProbeRows | None):
+    """(a, b, cached) for ``stage.bits.set_hashed`` / ``test_hashed`` of the items
+    ``sel`` picks (a slice or positions, as ``_stage_items`` gives them).
+
+    Without ``rows`` their base pairs are gathered from ``base_a`` and
+    ``base_b`` and remixed on the stage's lane, and no columns are cached;
+    with them the final pairs and cached probe columns are read from the view
+    at those rows, and the base arrays are not read.
+    """
+    if rows is None:
+        pick = (lambda x: x[sel]) if isinstance(sel, slice) else (lambda x: x.take(sel))
+        return (*stage.family.remix_pairs(pick(base_a), pick(base_b)), None)
+    batch = rows.select(sel)
+    return (*batch.pairs(stage.family), batch.cached(stage.family, stage.bits.length_bits))
+
+
 def _probe_stages(stages, base_a, base_b, scores: np.ndarray, out: np.ndarray,
                   rows: ProbeRows | None = None) -> np.ndarray:
     """``out`` with each stage's answers on the items inside its interval that ``out``
     still passes: those of the batch's base pairs, or of ``rows`` if given."""
     for lo, hi, stage in stages:
         sel, count = _stage_items(scores, lo, hi, rows is not None, out)
-        if count == len(scores):  # every item, none yet rejected: no copies
-            out = stage.contains_batch(base_a, base_b, rows=rows)
-        elif count and rows is None:  # ``sel`` holds positions
-            out[sel] = stage.contains_batch(base_a.take(sel), base_b.take(sel))
-        elif count:  # the stage reads its pairs from the view: gather no base pairs
-            out[sel] = stage.contains_batch(None, None, rows=rows.select(sel))
+        if not count:
+            continue
+        if count == len(scores):  # every item, none yet rejected: gather no copies
+            sel = slice(0, count)
+        a, b, cached = _stage_pairs(stage, sel, base_a, base_b, rows)
+        out[sel] = stage.bits.test_hashed(a, b, stage.k, cached=cached)
     return out
+
+
+def _answer_rows(filt, scores: np.ndarray, rows: ProbeRows) -> np.ndarray:
+    """The batch answers of ``filt``, of any kind, to the items at ``rows`` of a
+    score-ordered view, whose scores are ``scores``.
+
+    Every stage reads its final pairs and cached probe columns from the view,
+    under its own family, so no base pairs are gathered. Unchecked: ``rows``
+    must be ascending rows of one side of a view (``probe_rows``, or an
+    order-keeping subset of it such as a block), and ``scores`` as many as
+    the rows, already checked (a view's are, when its dataset is made): each
+    stage picks its items by ``searchsorted`` in them.
+    """
+    return _probe_stages(filt.stages, None, None, scores, np.ones(len(scores), dtype=bool), rows)
 
 
 def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
@@ -498,14 +509,9 @@ def insert_keys(dataset: ScoredDataset, seed: int, stages) -> None:
         sel, stage.n_inserted = _stage_items(dataset.key_scores, lo, hi, rows is not None)
         if not (stage.n_inserted and stage.k):
             continue
-        if rows is not None:
-            batch = rows.select(sel)
-            stage.bits.set_hashed(*batch.pairs(stage.family), stage.k,
-                                  cached=batch.cached(stage.family, stage.bits.length_bits))
-        else:
-            base_a, base_b = dataset.key_pairs(seed)
-            a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
-            stage.bits.set_hashed(a, b, stage.k)
+        base = dataset.key_pairs(seed) if rows is None else (None, None)
+        a, b, cached = _stage_pairs(stage, sel, *base, rows)
+        stage.bits.set_hashed(a, b, stage.k, cached=cached)
     for _, _, stage in stages:
         stage.bits.freeze()
 

@@ -76,7 +76,6 @@ method's budget includes its score model: total = bitmap + model bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,7 @@ from .disjoint import InfeasibleBudgetError, build_disjoint, plan_disjoint
 from .learned import (_check_tau, build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split,
                       scored_nonkeys)
 from .scores import InsufficientDataError, ScoredDataset, check_ratio, partition_by_ratio
-from .standard import StandardBloom, check_model_count, insert_keys, optimal_k
+from .standard import StandardBloom, _answer_rows, check_model_count, insert_keys, optimal_k
 
 __all__ = [
     "TuneResult",
@@ -183,9 +182,11 @@ def _count(filt, scores: np.ndarray, rows) -> int:
     view, whose scores are ``scores`` (batch path).
 
     The batch reads its hashes from the view at its rows, under the
-    filter's own seed: no base pairs are gathered.
+    filter's own seed (``standard._answer_rows``): no base pairs are
+    gathered, and the view's scores, checked when its dataset was made, are
+    not checked again.
     """
-    return int(np.count_nonzero(filt.contains_batch(None, None, scores, rows=rows)))
+    return int(np.count_nonzero(_answer_rows(filt, scores, rows)))
 
 
 def _measure(filt, view: ScoredDataset) -> float:
@@ -216,8 +217,9 @@ def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
 
     The tune side holds every key and the non-keys not held out, the
     held-out side the other non-keys: ``fraction`` of them, drawn in the
-    dataset's item order (a view's parent's), deterministic per seed, so a
-    dataset and its view hold out the same ones. ValueError if either side
+    dataset's item order (a view's parent's), deterministic per seed as the
+    hash family holds it (mod 2**64), so a dataset and its view hold out the
+    same ones, and so do two seeds that hash alike. ValueError if either side
     would be empty, naming both counts.
     """
     view = dataset.by_score()
@@ -228,7 +230,7 @@ def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
         raise ValueError(f"holdout fraction {fraction} of {view.m} non-keys leaves "
                          f"{view.m - count} to tune on and {count} held out; "
                          f"both need at least one")
-    rng = np.random.default_rng((seed, 0x401D))
+    rng = np.random.default_rng((HashFamily(seed).seed, 0x401D))  # the seed mod 2**64
     held = np.zeros(view.m, dtype=bool)
     held[rng.permutation(view.m)[:count]] = True
     held = np.concatenate([np.zeros(view.n, dtype=bool), held[view.nonkey_order]])
@@ -253,7 +255,7 @@ def build(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int = 0,
         bits = BitVector(bitmap_bits)  # before optimal_k, which would name the size r
         k = optimal_k(bitmap_bits, dataset.n) if params.get("k") is None else params["k"]
         bloom = StandardBloom(bits, k, HashFamily(seed))
-        insert_keys(dataset, seed, ((0.0, math.inf, bloom),))
+        insert_keys(dataset, seed, bloom.stages)
         return bloom
     if method in ("lbf", "sandwich"):
         builder = build_lbf if method == "lbf" else build_sandwiched
@@ -391,7 +393,9 @@ def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, 
     the initial filter no bits: ``count_lbf_fprs`` counts them all in one
     pass, and only the other sandwich candidates are built and measured.
     """
-    tau_grid = default_tau_grid(dataset.by_score()) if tau_grid is None else tau_grid
+    tau_grid = default_tau_grid(dataset.by_score()) if tau_grid is None else tuple(tau_grid)
+    for tau in tau_grid:  # the builders' rule, before float(): a string '0.5' is refused
+        _check_tau(tau)
     taus = [float(t) for t in tau_grid]
 
     def count(view):

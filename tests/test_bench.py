@@ -5,11 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from adabloom.adaptive import AdaptiveBloom
 from adabloom.bench import CSV_HEADER, parse_budget, rows_to_csv, run_sweep
 from adabloom.bits import HashFamily
 from adabloom.cli import main
+from adabloom.disjoint import DisjointBloom
+from adabloom.learned import LearnedBloom, SandwichedBloom
 from adabloom.scores import DatasetError, ScoredDataset, ScoredItem, gen_synthetic, load_scored_csv
-from adabloom.standard import build_standard, expected_fpr_standard, optimal_k
+from adabloom.standard import StandardBloom, build_standard, expected_fpr_standard, optimal_k
 from adabloom.tuning import GRIDS, build, tune
 
 SMALL_GRIDS = dict(tau_grid=(0.4, 0.6, 0.8), kmax_grid=(3, 5), c_grid=(2.0,), g_grid=(3, 5))
@@ -218,6 +221,29 @@ class TestRunSweep:
         timed = run_sweep(synth_small, [40_000], ["standard"], [0], timing=True)
         assert quiet[0].build_ms is None and quiet[0].query_ns_p50 is None
         assert timed[0].build_ms > 0 and timed[0].query_ns_p50 > 0
+
+    def test_timing_times_the_public_raw_batch(self, monkeypatch):
+        # query_ns_p50 is the time of the query a caller runs: two uint64 base arrays and
+        # the scores, no view rows; without timing no cell calls contains_batch at all
+        calls = []
+        for cls in (StandardBloom, LearnedBloom, SandwichedBloom, AdaptiveBloom, DisjointBloom):
+            def spy(self, *args, _real=cls.contains_batch, **kwargs):
+                calls.append((type(self).__name__, args, kwargs))
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "contains_batch", spy)
+        ds = gen_synthetic(1000, 1000, seed=2)
+        methods = ["standard", "lbf", "sandwich", "ada", "disjoint"]
+        run_sweep(ds, [10_000], methods, [0], **SMALL_GRIDS)
+        assert calls == []
+        rows = run_sweep(ds, [10_000], methods, [0], timing=True, **SMALL_GRIDS)
+        assert all(row.status.startswith("ok") and row.query_ns_p50 > 0 for row in rows)
+        kind = {"standard": "StandardBloom", "lbf": "LearnedBloom", "sandwich": "SandwichedBloom",
+                "ada": "AdaptiveBloom", "disjoint": "DisjointBloom"}
+        # three timed repeats per cell
+        assert sorted(name for name, _, _ in calls) == sorted(3 * [kind[m] for m in methods])
+        for _, args, kwargs in calls:
+            assert kwargs == {} and len(args) == 3
+            assert all(isinstance(x, np.ndarray) and x.dtype == np.uint64 for x in args[:2])
 
 
 @pytest.fixture(scope="module")

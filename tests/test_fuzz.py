@@ -4,8 +4,6 @@ Tiny budgets, up to 12 groups, ratios c near 1, tied scores, and scores on
 the stages' bounds, queried as float64 and as float32.
 """
 
-import math
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -14,7 +12,6 @@ from adabloom.bits import HashFamily
 from adabloom.learned import build_lbf, build_sandwiched
 from adabloom.scores import ScoredDataset, ScoredItem
 from adabloom.serialize import dump_filter, loads_filter
-from adabloom.standard import StandardBloom
 from adabloom.tuning import build
 
 # a few values shared by keys, non-keys and taus, so scores tie and sit on
@@ -54,8 +51,7 @@ def _probes(filt, ds: ScoredDataset):
     """(ids, float64 scores): every item, fresh ids, and fresh ids on each stage bound."""
     ids = [it.id for it in ds.items] + ["fresh-a", "fresh-b"]
     scores = [it.score for it in ds.items] + [0.0, 1.0]
-    stages = ((0.0, math.inf, filt),) if isinstance(filt, StandardBloom) else filt.stages
-    for lo, hi, _ in stages:
+    for lo, hi, _ in filt.stages:
         for bound in (lo, hi):
             if 0.0 < bound <= 1.0:
                 for x in (bound, np.nextafter(float(bound), 0.0), np.float32(bound)):

@@ -55,7 +55,15 @@ from adabloom.standard import (
     expected_fpr_standard,
     optimal_k,
 )
-from adabloom.tuning import _measure, build, check_grids, default_tau_grid, tune, tune_lbf
+from adabloom.tuning import (
+    _measure,
+    build,
+    check_grids,
+    default_tau_grid,
+    tune,
+    tune_lbf,
+    tune_sandwiched,
+)
 
 NAN, INF = float("nan"), float("inf")
 DS = gen_synthetic(60, 60, seed=3)
@@ -213,10 +221,10 @@ REFUSALS = [
      lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(*PAIR, DS.key_scores), ValueError,
      "batch arrays differ in length: base_a 2, base_b 2, scores 60"),
     ("standard-batch-no-pairs", lambda _: build_standard(["a", "b"], 100, 3, 1).contains_batch(
-        None, None), ValueError, "a batch without probe rows needs base_a and base_b"),
+        None, None), ValueError, "a batch needs base_a and base_b"),
     ("gated-batch-no-pairs", lambda _: build_lbf(DS, 2000, 0.5, 1).contains_batch(
         None, None, np.array([0.1, 0.7])), ValueError,
-     "a batch without probe rows needs base_a and base_b"),
+     "a batch needs base_a and base_b"),
     ("standard-k-past-bound", lambda _: StandardBloom(BitVector(64), MAX_K + 1, HashFamily(1)),
      ValueError, f"hash count k must be <= {MAX_K}, got {MAX_K + 1}"),
     # tuning and bench
@@ -272,6 +280,20 @@ REFUSALS = [
     ("dump-unknown-type", lambda _: dump_filter(object()), TypeError, "cannot serialize object"),
     ("hash-family-negative-lane", lambda _: HashFamily(1, lane=-1), ValueError,
      "lane must be >= 0, got -1"),
+    # a seed is any integer (kept mod 2**64); a float or a string one raised TypeError
+    ("hash-family-float-seed", lambda _: HashFamily(3.0), ValueError,
+     "seed must be an integer, got 3.0"),
+    ("build-float-seed", lambda _: build("lbf", DS, 3000, seed=3.0, tau=0.5), ValueError,
+     "seed must be an integer, got 3.0"),
+    ("build-str-seed", lambda _: build("lbf", DS, 3000, seed="3", tau=0.5), ValueError,
+     "seed must be an integer, got '3'"),
+    ("tune-float-seed", lambda _: tune("ada", DS, 3000, seed=3.5, kmax_grid=[2]), ValueError,
+     "seed must be an integer, got 3.5"),
+    # a tau sweep called directly, not through ``tune``: it read the string '0.5' as 0.5
+    ("tune-lbf-str-tau", lambda _: tune_lbf(DS, 3000, tau_grid=["0.5"]), ValueError,
+     "tau must be in [0, 1], got '0.5'"),
+    ("tune-sandwiched-str-tau", lambda _: tune_sandwiched(DS, 3000, tau_grid=[0.5, "0.7"]),
+     ValueError, "tau must be in [0, 1], got '0.7'"),
     # a text label: as a bool, any non-empty text would read as a key
     ("columns-text-labels",
      lambda _: ScoredDataset.from_columns(["a", "b"], [0.5, 0.5], ["False", "True"]),
@@ -472,15 +494,9 @@ ADA = build_ada(DS, 2000, AdaptiveParams.from_ratio(partition_by_ratio(DS, 3, 2.
 STANDARD = build_standard(["x"], 64, 2, 1)
 FIVE = HashFamily(1).base_pairs(["a", "b", "c", "d", "e"])
 SCORES = np.linspace(0.1, 0.9, 5)
-VIEW = DS.by_score()
-ROWS = VIEW.probe_rows(keys=False)  # the view's 60 non-keys
-LBF = build_lbf(DS, 2000, 0.5, 1)
-DISJOINT = build_disjoint(DS, 2000, 3, 2.0, 1)
-RISING = np.linspace(0.0, 1.0, 65)  # ascending scores, five more than the rows
 
-# (id, query, message fragment): arrays of the wrong shape or dtype, scores that are
-# not real numbers, and batches whose scores and probe rows differ in length (fewer
-# scores used to gate every row, and the rows past them went unprobed)
+# (id, query, message fragment): arrays of the wrong shape or dtype, and scores that are
+# not real numbers
 MALFORMED = [
     ("ada-batch-2d-scores", lambda: ADA.contains_batch(*FIVE, SCORES[:, None]),
      "scores must be a 1-D array of real numbers, got shape (5, 1), dtype float64"),
@@ -494,23 +510,6 @@ MALFORMED = [
     ("standard-batch-2d-bases",
      lambda: STANDARD.contains_batch(FIVE[0][:, None], FIVE[1][:, None]),
      "base_a must be a 1-D uint64 array, got shape (5, 1), dtype uint64"),
-    ("lbf-rows-fewer-scores",
-     lambda: LBF.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
-     "batch arrays differ in length: scores 10, rows 60"),
-    ("lbf-rows-more-scores", lambda: LBF.contains_batch(None, None, RISING, rows=ROWS),
-     "batch arrays differ in length: scores 65, rows 60"),
-    ("ada-rows-fewer-scores",
-     lambda: ADA.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
-     "batch arrays differ in length: scores 10, rows 60"),
-    ("disjoint-rows-more-scores", lambda: DISJOINT.contains_batch(None, None, RISING, rows=ROWS),
-     "batch arrays differ in length: scores 65, rows 60"),
-    ("disjoint-index-rows-fewer-scores",
-     lambda: DISJOINT.contains_batch(None, None, VIEW.nonkey_scores[:10],
-                                     rows=ROWS.select(np.arange(0, 60, 2))),
-     "batch arrays differ in length: scores 10, rows 30"),
-    ("standard-rows-fewer-scores",
-     lambda: STANDARD.contains_batch(None, None, VIEW.nonkey_scores[:10], rows=ROWS),
-     "batch arrays differ in length: scores 10, rows 60"),
     ("ada-scalar-string-score", lambda: ADA.contains("a", "0.5"),
      "score must be a real number, got str '0.5'"),
     ("ada-scalar-array-score", lambda: ADA.contains("a", np.array([0.5])),

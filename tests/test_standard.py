@@ -19,6 +19,7 @@ from adabloom.standard import (
     MAX_K,
     GatedBloom,
     StandardBloom,
+    _answer_rows,
     alpha_load,
     build_standard,
     expected_fpr_standard,
@@ -95,6 +96,17 @@ class TestQuery:
                 with pytest.raises(ValueError, match="^batch arrays differ in length: "):
                     filt.contains_batch(*args)
         assert filt.contains_batch(a, b, ds.key_scores).all()
+
+    def test_a_standard_filter_is_one_stage_over_the_whole_axis(self):
+        filt = build_standard(["a", "b"], 100, 3, seed=2)
+        assert filt.stages == ((0.0, math.inf, filt),)
+        view = scored([0.2, 0.9], [0.1, 0.5, 0.7]).by_score()
+        filt = StandardBloom(BitVector(100), 3, HashFamily(2))
+        insert_keys(view, 2, filt.stages)
+        assert filt.n_inserted == 2 and filt.bits.frozen
+        a, b = view.nonkey_pairs(2)
+        assert (_answer_rows(filt, view.nonkey_scores, view.probe_rows(keys=False))
+                == filt.contains_batch(a, b)).all()
 
     def test_k_zero_accepts_everything(self):
         filt = build_standard(["a"], 100, 0, seed=0)
@@ -283,11 +295,11 @@ class TestStageRanges:
             assert want.tolist() == [filt.contains(it.id, it.score)
                                      for it in (view.keys if side else nonkey_items(view))]
             for _ in range(3):
-                assert (filt.contains_batch(a, b, scores, rows=rows) == want).all()
+                assert (_answer_rows(filt, scores, rows) == want).all()
             if not side and holdout.any():  # an order-keeping subset: index-array rows
                 sub = rows.select(np.flatnonzero(holdout))
                 assert isinstance(sub.rows, np.ndarray)
-                got = filt.contains_batch(a[holdout], b[holdout], scores[holdout], rows=sub)
+                got = _answer_rows(filt, scores[holdout], sub)
                 assert (got == want[holdout]).all()
 
     def test_query_with_rows_needs_ascending_scores(self):
@@ -297,20 +309,17 @@ class TestStageRanges:
         view = ds.by_score()
         a, b = view.key_pairs(1)
         rows = view.probe_rows(keys=True)
-        assert filt.contains_batch(a, b, view.key_scores, rows=rows).all()
+        assert _answer_rows(filt, view.key_scores, rows).all()
+        # a raw batch takes its items in any order
         turned = np.arange(view.n)[::-1]
-        with pytest.raises(ValueError, match="ascending score order"):
-            filt.contains_batch(a[turned], b[turned], view.key_scores[turned],
-                                rows=rows.select(turned))
         assert filt.contains_batch(a[turned], b[turned], view.key_scores[turned]).all()
 
 
 def stage_mask_reference(filt, base_a, base_b, scores):
     """A batch answered stage by stage, each stage over a boolean mask of the items
     it holds that no earlier stage rejected, every probe one column at a time."""
-    stages = ((0.0, math.inf, filt),) if isinstance(filt, StandardBloom) else filt.stages
     out = np.ones(len(scores), dtype=bool)
-    for lo, hi, stage in stages:
+    for lo, hi, stage in filt.stages:
         sel = out & (scores >= lo) & (scores < hi)
         a, b = stage.family.remix_pairs(base_a[sel], base_b[sel])
         buf = np.frombuffer(stage.bits.to_bytes(), dtype=np.uint8)
@@ -552,8 +561,8 @@ KINDS = ["standard", "lbf", "sandwich", "ada", "disjoint"]
 
 
 class TestBlocks:
-    """A batch without probe rows is answered in blocks of ``_WALK_ITEMS`` items, the walk
-    and every later stage alike, after its arrays and scores are checked whole."""
+    """A batch is answered in blocks of ``_WALK_ITEMS`` items, the walk and every later
+    stage alike, after its arrays and scores are checked whole."""
 
     @pytest.mark.parametrize("loaded", [False, True])
     @pytest.mark.parametrize("kind", KINDS)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adabloom import bits, tuning
+from adabloom import bits, standard, tuning
 from adabloom.adaptive import AdaptiveParams, build_ada
 from adabloom.bench import run_sweep
 from adabloom.bits import PAIR_LANES, BitVector, HashFamily
@@ -22,7 +22,7 @@ from adabloom.scores import (
     partition_by_ratio,
 )
 from adabloom.serialize import dump_filter
-from adabloom.standard import StandardBloom, build_standard, insert_keys, optimal_k
+from adabloom.standard import StandardBloom, _answer_rows, build_standard, insert_keys, optimal_k
 from adabloom.tuning import (
     GRIDS,
     NoFeasibleCandidateError,
@@ -226,7 +226,7 @@ BUILDS = [
 def _stages(filt):
     """(lo, hi, bits, k, n_inserted) of every stage; a standard filter is one stage."""
     return [(lo, hi, stage.bits.to_bytes(), stage.k, stage.n_inserted)
-            for lo, hi, stage in getattr(filt, "stages", ((0.0, math.inf, filt),))]
+            for lo, hi, stage in filt.stages]
 
 
 class TestBuild:
@@ -464,6 +464,18 @@ class TestHoldoutSplit:
     def ds(self):
         return gen_synthetic(2000, 2000, seed=4)
 
+    @pytest.mark.parametrize("seed, alike", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+    def test_a_seed_holds_out_as_the_family_holds_it(self, seed, alike):
+        # the hash family keeps a seed mod 2**64, and the draw now does too: seed -1 made
+        # numpy refuse the draw, and 2**64 + 5 hashed as 5 but held out other non-keys
+        ds = gen_synthetic(500, 500, seed=3)
+        for side, theirs in zip(_holdout_split(ds, 0.3, seed), _holdout_split(ds, 0.3, alike)):
+            assert side.ids == theirs.ids
+        got, want = (tune("lbf", ds, 3000, seed=s, holdout_fraction=0.3, tau_grid=[0.5, 0.8])
+                     for s in (seed, alike))
+        assert (got.params, got.fpr, got.candidates) == (want.params, want.fpr, want.candidates)
+        assert dump_filter(got.filter) == dump_filter(want.filter)
+
     def test_the_draw_is_pinned(self):
         ds = gen_synthetic(500, 500, seed=3)
         tune_on, held_out = _holdout_split(ds, 0.3, 7)
@@ -610,6 +622,21 @@ def matrix_reads(monkeypatch):
     return reads
 
 
+@pytest.mark.parametrize("method", sorted(GRIDS))
+def test_the_counts_check_no_scores(method, monkeypatch):
+    # a view's scores are checked once, when its dataset is made; every count of a
+    # tuner, and the held-out count, reads them through ``_answer_rows`` unchecked
+    ds = gen_synthetic(1500, 1500, seed=5)
+    answered = []
+    checked = mock.Mock(wraps=standard.check_scores)
+    monkeypatch.setattr(standard, "check_scores", checked)
+    monkeypatch.setattr(tuning, "_answer_rows",
+                        lambda *args: answered.append(args) or standard._answer_rows(*args))
+    tune(method, ds, 9000, seed=2, holdout_fraction=0.3, tau_grid=[0.2, 0.5, 0.8, 0.9],
+         kmax_grid=[3, 8], c_grid=[1.6, 2.0], g_grid=[3, 5])
+    assert answered and checked.call_count == 0
+
+
 class TestWarmView:
     """A view whose probe cache is built gives the same filters and tuner results."""
 
@@ -636,8 +663,7 @@ class TestWarmView:
                                                                 HashFamily(1))),))
             filt = build(view)
             assert dump_filter(filt) == dump_filter(want)
-            got = filt.contains_batch(*view.nonkey_pairs(1), view.nonkey_scores,
-                                      rows=view.probe_rows(keys=False))
+            got = _answer_rows(filt, view.nonkey_scores, view.probe_rows(keys=False))
             assert (got == answers[view.nonkey_order]).all()
         assert cache_reads["set_hashed"] >= 1 and cache_reads["test_hashed"] >= 1
 
@@ -705,10 +731,10 @@ class TestViewCaches:
                 scores = view.key_scores if keys else view.nonkey_scores
                 rows = view.probe_rows(keys=keys)
                 plain = got.contains_batch(a, b, scores)
-                assert (got.contains_batch(a, b, scores, rows=rows) == plain).all()
+                assert (_answer_rows(got, scores, rows) == plain).all()
                 if not keys:  # holdout rows: an index array
-                    assert (got.contains_batch(a[holdout], b[holdout], scores[holdout],
-                                               rows=rows.select(np.flatnonzero(holdout)))
+                    assert (_answer_rows(got, scores[holdout],
+                                         rows.select(np.flatnonzero(holdout)))
                             == plain[holdout]).all()
                 # the view keeps one seed's final pairs per lane: all rows of lanes 0
                 # and 1, the rows asked for so far of the others (a zero stride is a
@@ -736,10 +762,9 @@ class TestViewCaches:
             rows = view.probe_rows(keys=keys)
             plain = filt.contains_batch(a, b, scores)
             # with rows every stage reads its pairs from the view, so no base pairs are needed
-            assert (filt.contains_batch(None, None, scores, rows=rows) == plain).all()
+            assert (_answer_rows(filt, scores, rows) == plain).all()
             if not keys:
-                assert (filt.contains_batch(None, None, scores[holdout],
-                                            rows=rows.select(np.flatnonzero(holdout)))
+                assert (_answer_rows(filt, scores[holdout], rows.select(np.flatnonzero(holdout)))
                         == plain[holdout]).all()
 
     def test_the_view_holds_hash_work_only(self):
