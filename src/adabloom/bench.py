@@ -8,10 +8,11 @@ the full budget as bitmap, matching how the learned methods are charged.
 Every (budget, method, seed) cell is tuned on the score-ordered view
 ``dataset.by_score()``; its empirical FPR is the tuner's own count over
 all the view's non-keys (one count at the optimal k for ``standard``),
-its FNR one batch query of the view's keys, which must come out exactly
-zero. Infeasible cells produce a diagnostic row, never a silent gap. With
-timing disabled (the default) identical invocations produce
-byte-identical CSV output.
+its FNR the same count (``tuning._count``) over the view's keys, which
+must come out exactly zero. Infeasible cells produce a diagnostic row,
+never a silent gap: without non-keys every method's row is infeasible,
+since no FPR is measured over none. With timing disabled (the default)
+identical invocations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import time
 import timeit
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
 from .bits import is_integer
 from .scores import ScoredDataset
-from .standard import _answer_rows, check_model_count
-from .tuning import PARAMS, NoFeasibleCandidateError, _measure, build, check_grids, tune
+from .standard import check_model_count
+from .tuning import PARAMS, _count, _measure, build, check_grids, tune
 
 __all__ = ["SweepRow", "METHODS", "check_budgets", "check_methods", "run_sweep", "rows_to_csv",
            "write_csv", "CSV_HEADER", "parse_budget"]
@@ -141,16 +140,16 @@ def run_sweep(dataset: ScoredDataset, budgets, methods, seeds, model_bits: int =
                         raise ValueError(f"model ({model_bits} bits) exceeds budget")
                     if method == "standard":
                         filt = build(method, view, bitmap_bits, seed)
-                        fpr = _measure(filt, view) if view.m else 0.0
+                        fpr = _measure(filt, view)
                     else:
                         res = tune(method, dataset, bitmap_bits, seed, row_model_bits, **grids)
                         filt, fpr = res.filter, res.fpr  # holdout 0: over every non-key
                     build_ms = (time.perf_counter() - t0) * 1e3 if timing else None
-                    hits = _answer_rows(filt, view.key_scores, view.probe_rows(keys=True))
-                    fnr = 1.0 - (np.count_nonzero(hits) / view.n if view.n else 1.0)
+                    hits, _ = _count(filt, view.key_scores, view.probe_rows(keys=True))
+                    fnr = 1.0 - (hits / view.n if view.n else 1.0)
                     query_ns = _query_ns(filt, view, seed) if timing else None
                     analytical = filt.expected_fpr()
-                except (NoFeasibleCandidateError, ValueError) as exc:
+                except ValueError as exc:  # NoFeasibleCandidateError among them
                     rows.append(SweepRow(method, budget, max(0, bitmap_bits), row_model_bits,
                                          float("nan"), None, float("nan"), None, None, seed,
                                          f"infeasible: {exc}"))

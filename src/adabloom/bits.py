@@ -855,12 +855,6 @@ class ProbeRows(NamedTuple):
             return ProbeRows(self.cache, rows.start + sel)  # offset: no range of the batch's length
         return ProbeRows(self.cache, rows[sel])
 
-    @property
-    def size(self) -> int:
-        """The batch's item count."""
-        rows = self.rows
-        return rows.stop - rows.start if isinstance(rows, slice) else len(rows)
-
     def pairs(self, family: HashFamily) -> tuple[np.ndarray, np.ndarray]:
         """The batch's final pairs for this family (see :meth:`ProbeCache.pairs`)."""
         return self.cache.pairs(family, self.rows)

@@ -680,6 +680,7 @@ class ScorePartition:
 
     def __post_init__(self):
         t = self.thresholds
+        _check_thresholds(t)
         if len(t) < 2 or t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError(f"thresholds must run from 0.0 to 1.0, got {t}")
         if not all(t[i] < t[i + 1] for i in range(len(t) - 1)):  # also rejects NaN
@@ -747,8 +748,18 @@ def score_pieces(bounds: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.subtract(len(bounds), above, dtype=np.intp)
 
 
+def _check_thresholds(thresholds) -> None:
+    """ValueError naming, by ``repr``, the first threshold that is not a real number
+    (``numbers.Real``): a string '0.5' is refused, not read as a number."""
+    for x in thresholds:
+        if not isinstance(x, Real):
+            raise ValueError(f"thresholds must be real numbers, got {x!r}")
+
+
 def partition_from_thresholds(dataset: ScoredDataset, thresholds) -> ScorePartition:
     """Partition with explicit thresholds; counts are realized from the data."""
+    thresholds = tuple(thresholds)
+    _check_thresholds(thresholds)  # before float(), which would read a string
     t = tuple(float(x) for x in thresholds)
     return ScorePartition(
         thresholds=t,

@@ -31,7 +31,7 @@ import struct
 from io import BytesIO
 
 from .adaptive import AdaptiveBloom, AdaptiveParams
-from .bits import BitVector, HashFamily
+from .bits import BitVector, HashFamily, _check_count
 from .disjoint import DisjointBloom, DisjointParams
 from .learned import LearnedBloom, SandwichedBloom
 from .scores import ScorePartition
@@ -200,10 +200,12 @@ def loads_filter(data: bytes, max_bits: int | None = None):
     a caller can bound the memory an untrusted container asks for:
     with ``max_bits``, a container whose bit arrays hold more bits than
     that in all (every ``disjoint`` group's array counts) is refused before
-    the array that passes the bound is read. None sets no bound.
+    the array that passes the bound is read. None sets no bound; any other
+    ``max_bits`` that is not an integer >= 0 is refused with ValueError,
+    before ``data`` is read.
     """
     io = _Codec(data)
-    io.max_bits = max_bits
+    io.max_bits = None if max_bits is None else _check_count("max_bits", max_bits, 0)
     if io.read(4) != MAGIC:
         raise FormatError("bad magic; not a filter container")
     version, kind = io.fields("HB")

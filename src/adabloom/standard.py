@@ -224,11 +224,14 @@ def _check_batch(base_a, base_b, scores) -> None:
     """ValueError unless a batch has both base arrays, each a 1-D ``uint64`` array,
     all equally long.
 
-    ``scores`` may be None; a refused base array is named with its shape and
-    dtype, a length mismatch with the lengths.
+    ``scores`` may be None, and else must be one-dimensional (a scalar or a
+    string is refused); a refused base array is named with its shape and
+    dtype, refused scores with their shape, a length mismatch with the lengths.
     """
     if base_a is None or base_b is None:
         raise ValueError("a batch needs base_a and base_b")
+    if scores is not None and np.ndim(scores) != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {np.shape(scores)}")
     for name, x in (("base_a", base_a), ("base_b", base_b)):
         if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.uint64):
             got = (f"shape {x.shape}, dtype {x.dtype}" if isinstance(x, np.ndarray)

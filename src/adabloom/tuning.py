@@ -4,10 +4,12 @@ Threshold filters sweep tau over non-key score percentiles; the
 adaptive filter sweeps (k_max, c) with k_min fixed at 0 (so g = k_max + 1);
 the disjoint filter sweeps (g, c). Every candidate is scored at the full
 bit budget by empirical FPR on the dataset's own non-keys, argmin wins
-(``_search``). A tie goes to the larger tau (smaller backup filter) or to
-the first, smallest (k_max, c) / (g, c) point. Infeasible candidates are
-skipped with a diagnostic recorded in the candidate log, so a report
-never has silent gaps. ``GRIDS`` names the grid overrides each method
+(``_sweep_tau`` for a tau, ``_search`` for a grid point). A tie goes to
+the last tau, in the default ascending grid the larger one (smaller
+backup filter), or to the first, smallest (k_max, c) / (g, c) point.
+Every count of a filter on the view, bounded or not, is ``_count``.
+Infeasible grid candidates are skipped with a diagnostic recorded in the
+candidate log, so a report never has silent gaps. ``GRIDS`` names the grid overrides each method
 takes; ``tune(method, ...)`` runs that method's tuner and ``build(method,
 ...)`` builds one filter from its ``PARAMS``, for the tuners, the sweep
 harness and the command line alike.
@@ -39,7 +41,7 @@ raw) ``tune_lbf`` went from 0.26 to 0.07 s and ``tune_sandwiched`` from
 0.75 to 0.61 s, the whole sweep from 2.0 to 1.66 s.
 
 The grid tuners (``tune_ada``, ``tune_disjoint``) count each candidate
-only while it can still win (``_bounded_search``):
+only while it can still win (``_search``):
 
 - **Order.** Each candidate's stage table (n, R and k per stage) is known
   before any key is inserted: the partition is memoised on the view, and
@@ -49,7 +51,7 @@ only while it can still win (``_bounded_search``):
 - **Count.** In that order each candidate is built, counted and dropped,
   one at a time. Its non-keys are counted in blocks from the top score
   down, the first of 4096 items and each next one twice as long
-  (``_count_bounded``). The count stops once it is strictly above the
+  (``_count`` with a bound). The count stops once it is strictly above the
   least full count so far, since the candidate can no longer win. A tie is
   counted in full and the lower grid index wins, as it did in grid order.
 - **Log.** The candidate log stays in grid order. A stopped candidate is
@@ -77,11 +79,12 @@ method's budget includes its score model: total = bitmap + model bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .adaptive import AdaptiveParams, build_ada, check_ladder, plan_ada
-from .bits import BitVector, HashFamily, _check_count
+from .bits import BitVector, HashFamily, _check_count, _shown
 from .disjoint import InfeasibleBudgetError, build_disjoint, plan_disjoint
 from .learned import (_check_tau, build_lbf, build_sandwiched, count_lbf_fprs, sandwich_split,
                       scored_nonkeys)
@@ -132,7 +135,7 @@ _GRID_RULES = {
     "c_grid": check_ratio,
     "g_grid": lambda g: _check_count("group count g", g, 1),  # as ``partition_by_ratio``
 }
-# non-keys in the first block of a bounded count (``_count_bounded``); each next block
+# non-keys in the first block of a bounded count (``_count``); each next block
 # holds twice as many
 _FIRST_BLOCK = 4096
 # each tuned method's tuner, by name (see ``tune``)
@@ -177,39 +180,32 @@ def default_tau_grid(dataset: ScoredDataset) -> tuple[float, ...]:
     return tuple(float(t) for t in np.unique(qs))
 
 
-def _count(filt, scores: np.ndarray, rows) -> int:
-    """False positives of ``filt`` among the non-keys at ``rows`` of a score-ordered
-    view, whose scores are ``scores`` (batch path).
+def _count(filt, scores: np.ndarray, rows, bound: int | None = None) -> tuple[int, bool]:
+    """(positives of ``filt`` counted among the items at ``rows`` of a score-ordered
+    view, whose scores are ``scores``; whether every item was counted).
 
-    The batch reads its hashes from the view at its rows, under the
-    filter's own seed (``standard._answer_rows``): no base pairs are
-    gathered, and the view's scores, checked when its dataset was made, are
-    not checked again.
-    """
-    return int(np.count_nonzero(_answer_rows(filt, scores, rows)))
-
-
-def _measure(filt, view: ScoredDataset) -> float:
-    """Empirical FPR over the non-keys of ``view = dataset.by_score()``."""
-    scores, rows = scored_nonkeys(view)
-    return _count(filt, scores, rows) / len(scores)
-
-
-def _count_bounded(filt, scores: np.ndarray, rows, bound: int | None) -> tuple[int, bool]:
-    """(false positives of ``filt`` counted, whether every non-key was counted).
-
-    The non-keys of a view, ``scores`` and ``rows``, are counted in blocks
-    from the top score down, the first of ``_FIRST_BLOCK`` items and each
-    next one twice as long, until the count is above ``bound``; with no
-    bound, in one block.
+    The one count of a filter on a view: the batch reads its hashes from
+    the view at its rows, under the filter's own seed
+    (``standard._answer_rows``), so no base pairs are gathered, and the
+    view's scores, checked when its dataset was made, are not checked again.
+    With no ``bound`` the items are counted in one block; with one, in
+    blocks from the top score down, the first of ``_FIRST_BLOCK`` items and
+    each next one twice as long, until the count is above ``bound``.
     """
     stop, count = len(scores), 0
     size = stop if bound is None else _FIRST_BLOCK
     while stop and (bound is None or count <= bound):
         start = max(0, stop - size)
-        count += _count(filt, scores[start:stop], rows.select(slice(start, stop)))
+        hits = _answer_rows(filt, scores[start:stop], rows.select(slice(start, stop)))
+        count += int(np.count_nonzero(hits))
         stop, size = start, 2 * size
     return count, stop == 0
+
+
+def _measure(filt, view: ScoredDataset) -> float:
+    """Empirical FPR over the non-keys of ``view = dataset.by_score()``."""
+    scores, rows = scored_nonkeys(view)
+    return _count(filt, scores, rows)[0] / len(scores)
 
 
 def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
@@ -219,12 +215,13 @@ def _holdout_split(dataset: ScoredDataset, fraction: float, seed: int):
     held-out side the other non-keys: ``fraction`` of them, drawn in the
     dataset's item order (a view's parent's), deterministic per seed as the
     hash family holds it (mod 2**64), so a dataset and its view hold out the
-    same ones, and so do two seeds that hash alike. ValueError if either side
-    would be empty, naming both counts.
+    same ones, and so do two seeds that hash alike. ValueError, before the view
+    is made, unless ``fraction`` is a real number (``numbers.Real``) in (0, 1),
+    and if either side would be empty, naming both counts.
     """
+    if not (isinstance(fraction, Real) and 0.0 < fraction < 1.0):  # also rejects NaN
+        raise ValueError(f"holdout fraction must be in (0, 1), got {_shown(fraction)}")
     view = dataset.by_score()
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
     count = int(round(view.m * fraction))
     if not 0 < count < view.m:
         raise ValueError(f"holdout fraction {fraction} of {view.m} non-keys leaves "
@@ -284,96 +281,41 @@ def _plan(method: str, dataset: ScoredDataset, bitmap_bits: int, seed: int, mode
 
 
 def _search(method: str, dataset: ScoredDataset, bitmap_bits: int, axis, seed: int,
-            model_bits: int, grids: dict, count=None) -> TuneResult:
-    """Argmin of the FPR over the params in ``axis``, over every non-key of ``dataset``.
+            model_bits: int, grids: dict) -> TuneResult:
+    """Argmin of the FPR of the ``ada`` or ``disjoint`` params in ``axis``, over every
+    non-key of ``dataset``; the first of equal FPRs in grid order wins.
 
-    With ``count`` (the tau sweeps), ``count(view)`` gives per candidate its
-    FPR, or None; a candidate with None is built by ``build`` and measured
-    in full, a counted winner is built once the search is over, and the last
-    of equal FPRs wins (``_full_search``). A sandwich is measured in full
-    because blocks of it alternate its two geometries in
-    ``ProbeCache.columns``, which holds one: in blocks, counting the built
-    candidates took 0.13 -> 0.31 s at 150 Kb and 0.17 -> 0.31-0.36 s at
-    300 Kb (seed 7).
-
-    Without it (the grid tuners, ``_bounded_search``) the candidates are
-    ranked by the expected FPR of their stage tables before any is built,
-    ties by grid index, then built one at a time in that order. Each counts
-    its non-keys from the top score down in blocks of 4096, 8192, ...
-    items and stops once its count is strictly above the least full count
-    so far; it is logged, in grid order, as ``{"params", "fpr": None,
-    "fpr_at_least", "status": "stopped"}``. A tie is counted in full and the
-    first of equal FPRs in grid order wins. On the two-budget sweep this
-    did 18-50% of the non-key probes per cell.
+    Every candidate is planned first (``_plan``), in grid order, so a
+    refusal comes where building them in grid order raised it; an
+    infeasible one is logged as skipped, and NoFeasibleCandidateError is
+    raised if all are. The others are ranked by the expected FPR of their
+    stage tables, ties by grid index, then built one at a time in that
+    order and counted by ``_count`` against the least full count so far. One
+    whose count passes it cannot win and is logged as stopped, with its
+    count so far as a lower bound; a tie is counted in full. Only the best
+    filter is held.
     """
     if not axis:
         raise ValueError(f"empty {method} grid")
     check_model_bits(method, model_bits)
     view = dataset.by_score()
-    if count is None:
-        candidates, best = _bounded_search(method, view, bitmap_bits, axis, seed, model_bits)
-    else:
-        candidates, best = _full_search(method, view, bitmap_bits, axis, seed, model_bits,
-                                        count(view))
-    if best is None:
-        raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
-    fpr, params, filt = best
-    if filt is None:
-        filt = build(method, view, bitmap_bits, seed, model_bits, **params)
-    return TuneResult(method, dict(params), fpr, bitmap_bits, model_bits, filt, candidates,
-                      grids)
-
-
-def _skipped(params: dict, exc: Exception) -> dict:
-    return {"params": params, "fpr": None, "status": f"skipped: {exc}"}
-
-
-def _full_search(method, view, bitmap_bits, axis, seed, model_bits, counted):
-    """(candidate log, (fpr, params, filter or None) of the last least FPR, or None)."""
-    candidates, best = [], None
-    for params, fpr in zip(axis, counted):
-        filt = None
-        if fpr is None:
-            try:
-                filt = build(method, view, bitmap_bits, seed, model_bits, **params)
-            except (InsufficientDataError, InfeasibleBudgetError) as exc:
-                candidates.append(_skipped(params, exc))
-                continue
-            fpr = _measure(filt, view)
-        candidates.append({"params": params, "fpr": fpr, "status": "ok"})
-        if best is None or fpr <= best[0]:
-            best = (fpr, params, filt)
-    return candidates, best
-
-
-def _bounded_search(method, view, bitmap_bits, axis, seed, model_bits):
-    """(candidate log in grid order, (fpr, params, filter) of the first least FPR, or None).
-
-    Every candidate is planned first (``_plan``), in grid order, so a
-    refusal comes where building them in grid order raised it. The
-    feasible candidates are then built one at a time, in ascending order of
-    their planned expected FPR (ties by grid index), and counted by
-    ``_count_bounded`` against the least full count so far: one whose count
-    passes it cannot win and is logged as stopped, with its count so far as
-    a lower bound. Only the best filter is held.
-    """
     candidates, ranked = [None] * len(axis), []
     for i, params in enumerate(axis):
         try:
             plan = _plan(method, view, bitmap_bits, seed, model_bits, params)
         except (InsufficientDataError, InfeasibleBudgetError) as exc:
-            candidates[i] = _skipped(params, exc)
+            candidates[i] = {"params": params, "fpr": None, "status": f"skipped: {exc}"}
             continue
         ranked.append((plan.expected_fpr(), i))
     if not ranked:  # every candidate was skipped, as each one is without non-keys
-        return candidates, None
+        raise NoFeasibleCandidateError(f"no feasible {method} candidate (all skipped)")
     scores, rows = scored_nonkeys(view)
     m = len(scores)
     best = None  # (count, grid index, filter) of the least full count, the first on a tie
     for _, i in sorted(ranked):
         params = axis[i]
         filt = build(method, view, bitmap_bits, seed, model_bits, **params)
-        count, whole = _count_bounded(filt, scores, rows, None if best is None else best[0])
+        count, whole = _count(filt, scores, rows, None if best is None else best[0])
         if not whole:
             candidates[i] = {"params": params, "fpr": None, "fpr_at_least": count / m,
                              "status": "stopped"}
@@ -382,35 +324,47 @@ def _bounded_search(method, view, bitmap_bits, axis, seed, model_bits):
         if best is None or (count, i) < best[:2]:
             best = (count, i, filt)
     count, i, filt = best
-    return candidates, (count / m, axis[i], filt)
+    return TuneResult(method, dict(axis[i]), count / m, bitmap_bits, model_bits, filt,
+                      candidates, grids)
 
 
 def _sweep_tau(method: str, dataset: ScoredDataset, bitmap_bits: int, tau_grid, seed: int,
                model_bits: int) -> TuneResult:
-    """The tau sweep of ``lbf`` or ``sandwich``, each candidate of ``lbf`` geometry counted.
+    """Argmin of the FPR of ``lbf`` or ``sandwich`` over the taus of ``tau_grid``, over
+    every non-key of ``dataset``; the last of equal FPRs wins.
 
-    Those are every ``lbf`` tau and every ``sandwich`` tau whose split gives
-    the initial filter no bits: ``count_lbf_fprs`` counts them all in one
-    pass, and only the other sandwich candidates are built and measured.
+    The candidates of ``lbf`` geometry, every ``lbf`` tau and every
+    ``sandwich`` tau whose split gives the initial filter no bits, are
+    counted by ``count_lbf_fprs`` in one pass; the others are built and
+    measured in full (see the module docstring for why not in blocks), and a
+    counted winner is built once the sweep is over.
     """
     tau_grid = default_tau_grid(dataset.by_score()) if tau_grid is None else tuple(tau_grid)
     for tau in tau_grid:  # the builders' rule, before float(): a string '0.5' is refused
         _check_tau(tau)
     taus = [float(t) for t in tau_grid]
-
-    def count(view):
-        fprs = [None] * len(taus)
-        of_lbf = [i for i, tau in enumerate(taus)
-                  if method == "lbf" or sandwich_split(view, bitmap_bits, tau).b1_bits == 0]
-        if of_lbf:
-            counts = count_lbf_fprs(view, bitmap_bits, [taus[i] for i in of_lbf], seed)
-            for i, fpr in zip(of_lbf, counts):
-                fprs[i] = fpr
-        return fprs
-
-    # ties break toward larger tau (smaller backup filter)
-    return _search(method, dataset, bitmap_bits, [{"tau": t} for t in taus], seed, model_bits,
-                   {"tau_grid": taus}, count=count)
+    if not taus:
+        raise ValueError(f"empty {method} grid")
+    check_model_bits(method, model_bits)
+    view = dataset.by_score()
+    of_lbf = [i for i, tau in enumerate(taus)
+              if method == "lbf" or sandwich_split(view, bitmap_bits, tau).b1_bits == 0]
+    counted = count_lbf_fprs(view, bitmap_bits, [taus[i] for i in of_lbf], seed) if of_lbf else []
+    fprs = dict(zip(of_lbf, counted))
+    candidates, best = [], None  # best: (fpr, tau, filter or None) of the last least FPR
+    for i, tau in enumerate(taus):
+        fpr, filt = fprs.get(i), None
+        if fpr is None:
+            filt = build(method, view, bitmap_bits, seed, model_bits, tau=tau)
+            fpr = _measure(filt, view)
+        candidates.append({"params": {"tau": tau}, "fpr": fpr, "status": "ok"})
+        if best is None or fpr <= best[0]:
+            best = (fpr, tau, filt)
+    fpr, tau, filt = best
+    if filt is None:
+        filt = build(method, view, bitmap_bits, seed, model_bits, tau=tau)
+    return TuneResult(method, {"tau": tau}, fpr, bitmap_bits, model_bits, filt, candidates,
+                      {"tau_grid": taus})
 
 
 def tune_lbf(dataset: ScoredDataset, bitmap_bits: int, tau_grid=None, seed: int = 0,

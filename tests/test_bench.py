@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from adabloom.adaptive import AdaptiveBloom
-from adabloom.bench import CSV_HEADER, parse_budget, rows_to_csv, run_sweep
+from adabloom import bench, tuning
+from adabloom.bench import CSV_HEADER, METHODS, parse_budget, rows_to_csv, run_sweep
 from adabloom.bits import HashFamily
 from adabloom.cli import main
 from adabloom.disjoint import DisjointBloom
@@ -156,6 +157,26 @@ class TestRunSweep:
         with pytest.raises(DatasetError, match="^key 'k-bad': score nan outside"):
             run_sweep(ScoredDataset(items), budgets=[3000], methods=["standard", "lbf"],
                       seeds=[0], **SMALL_GRIDS)
+
+    @pytest.mark.parametrize("grids", [{}, {"tau_grid": (0.5,)}])
+    def test_keys_only_rows_are_all_infeasible(self, grids):
+        # the standard row read FPR 0.0, status ok, over zero non-keys
+        rows = run_sweep(gen_synthetic(500, 0), [5000], METHODS, [1], **grids)
+        assert sorted(row.method for row in rows) == sorted(METHODS)
+        assert all(row.status.startswith("infeasible: ") and math.isnan(row.empirical_fpr)
+                   for row in rows)
+        (standard,) = [row for row in rows if row.method == "standard"]
+        assert standard.status == "infeasible: cannot measure FPR without non-keys"
+
+    def test_fnr_is_the_tuners_count_of_the_keys(self, synth_small):
+        assert bench._count is tuning._count
+        with mock.patch("adabloom.bench._count", wraps=tuning._count) as count:
+            (row,) = run_sweep(synth_small, [40_000], ["standard"], [1])
+        (call,) = count.call_args_list
+        filt, scores, rows = call.args
+        view = synth_small.by_score()
+        assert scores is view.key_scores and rows == view.probe_rows(keys=True)
+        assert row.fnr == 0.0 and row.status == "ok"
 
     def test_standard_row_has_analytical_fpr(self, rows):
         std = [r for r in rows if r.method == "standard"]

@@ -45,8 +45,9 @@ from adabloom.scores import (
     min_sample_size,
     partition_below_threshold,
     partition_by_ratio,
+    partition_from_thresholds,
 )
-from adabloom.serialize import dump_filter
+from adabloom.serialize import dump_filter, loads_filter
 from adabloom.standard import (
     MAX_K,
     StandardBloom,
@@ -278,6 +279,18 @@ REFUSALS = [
      lambda _: BitVector(64).test_hashed(*PAIR, 1, ranges=np.full(2, 64, dtype=np.uint64)),
      ValueError, "per-item ranges and offsets are given together"),
     ("dump-unknown-type", lambda _: dump_filter(object()), TypeError, "cannot serialize object"),
+    # a bad bound blamed the container, a fraction was taken as one, a string raised TypeError
+    ("loads-negative-max-bits", lambda _: loads_filter(dump_filter(_stage(64)), max_bits=-1),
+     ValueError, "max_bits must be >= 0, got -1"),
+    ("loads-fractional-max-bits", lambda _: loads_filter(dump_filter(_stage(64)), max_bits=1.5),
+     ValueError, "max_bits must be an integer, got 1.5"),
+    ("loads-str-max-bits", lambda _: loads_filter(dump_filter(_stage(64)), max_bits="10"),
+     ValueError, "max_bits must be an integer, got '10'"),
+    # a string threshold was cut at through float(), or raised TypeError
+    ("thresholds-str", lambda _: partition_from_thresholds(DS, (0, "0.5", 1)), ValueError,
+     "thresholds must be real numbers, got '0.5'"),
+    ("partition-str-threshold", lambda _: ScorePartition((0.0, "0.5", 1.0), (3, 3), (3, 3)),
+     ValueError, "thresholds must be real numbers, got '0.5'"),
     ("hash-family-negative-lane", lambda _: HashFamily(1, lane=-1), ValueError,
      "lane must be >= 0, got -1"),
     # a seed is any integer (kept mod 2**64); a float or a string one raised TypeError
@@ -507,6 +520,13 @@ MALFORMED = [
      "base_a must be a 1-D uint64 array, got shape (5,), dtype int64"),
     ("ada-batch-list-base-b", lambda: ADA.contains_batch(FIVE[0], FIVE[1].tolist(), SCORES),
      "base_b must be a 1-D uint64 array, got list"),
+    # a scalar raised TypeError from len(), and a string was taken as its characters
+    ("standard-batch-scalar-score", lambda: STANDARD.contains_batch(*FIVE, 0.5),
+     "scores must be one-dimensional, got shape ()"),
+    ("standard-batch-string-scores", lambda: STANDARD.contains_batch(*FIVE, "abcde"),
+     "scores must be one-dimensional, got shape ()"),
+    ("ada-batch-scalar-score", lambda: ADA.contains_batch(*FIVE, 0.5),
+     "scores must be a 1-D array of real numbers, got shape (), dtype float64"),
     ("standard-batch-2d-bases",
      lambda: STANDARD.contains_batch(FIVE[0][:, None], FIVE[1][:, None]),
      "base_a must be a 1-D uint64 array, got shape (5, 1), dtype uint64"),

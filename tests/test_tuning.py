@@ -106,10 +106,10 @@ class TestTieRules:
         (tune_disjoint, {"g_grid": [4, 3], "c_grid": [2.5, 1.5]}, {"g": 3, "c": 1.5}),
     ])
     def test_grids_take_the_first_point(self, tune, grids, first, synth_small):
-        # every block of every candidate counts a quarter of its non-keys
-        def count(filt, scores, rows):
-            return len(scores) // 4
-        with mock.patch("adabloom.tuning._count", side_effect=count):
+        # every block of every candidate passes a quarter of its non-keys
+        def answer(filt, scores, rows):
+            return np.arange(len(scores)) < len(scores) // 4
+        with mock.patch("adabloom.tuning._answer_rows", side_effect=answer):
             res = tune(synth_small, 40_000, seed=1, **grids)
         assert res.params == first
         assert res.candidates[0]["params"] == first
@@ -417,7 +417,7 @@ class TestBoundedSearch:
                    for p in axis]
         assert planned[1] < planned[0]
         with mock.patch.object(tuning, "build", wraps=tuning.build) as built, \
-                mock.patch("adabloom.tuning._count", return_value=0):
+                mock.patch("adabloom.tuning._count", return_value=(0, True)):
             res = tune_ada(synth_small, 40_000, kmax_grid=[2, 8], c_grid=[2.0], seed=1)
         assert [c.kwargs["k_max"] for c in built.call_args_list] == [8, 2]
         assert res.params == axis[0] and res.fpr == 0.0
@@ -635,6 +635,16 @@ def test_the_counts_check_no_scores(method, monkeypatch):
     tune(method, ds, 9000, seed=2, holdout_fraction=0.3, tau_grid=[0.2, 0.5, 0.8, 0.9],
          kmax_grid=[3, 8], c_grid=[1.6, 2.0], g_grid=[3, 5])
     assert answered and checked.call_count == 0
+
+
+@pytest.mark.parametrize("fraction, shown", [("0.3", "'0.3'"), (float("nan"), "nan"),
+                                              (1.0, "1.0"), (-0.2, "-0.2")])
+def test_a_bad_holdout_fraction_is_refused_before_the_view(fraction, shown, synth_small):
+    # a string fraction made the view, then raised TypeError from its compare
+    with mock.patch.object(ScoredDataset, "by_score", side_effect=AssertionError("view made")), \
+            pytest.raises(ValueError) as info:
+        tune("ada", synth_small, 40_000, holdout_fraction=fraction)
+    assert str(info.value) == f"holdout fraction must be in (0, 1), got {shown}"
 
 
 class TestWarmView:
